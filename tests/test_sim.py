@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gaspower import gas, power
-from gaspower.model import GasPowerPlant
+from gaspower.model import (CompressorArc, CoupledNetwork, GasNetwork,
+                            GasNode, GasPowerPlant, Pipe, PowerGrid)
 from gaspower.sim import (MASS_FLOW_SCALE, CoupledStepAssembler,
                           MaxIterationsExceeded, Simulator, SystemState,
                           VariableIndex, mass_balance_report,
@@ -265,6 +266,83 @@ class TestToyNetwork:
         asm = toy_simulator.assembler
         state = SystemState(asm.index, traj.states[-1])
         assert state.pipe_state("PB").q[-1] == pytest.approx(150.0, rel=1e-9)
+
+
+def make_mixed_network():
+    """Compressor feeding three pipes in series that differ in diameter,
+    roughness and cell count; the middle pipe has a single cell."""
+    gas_net = GasNetwork(
+        nodes=(GasNode("A", "pressure-boundary"), GasNode("B", "junction"),
+               GasNode("J1", "junction"), GasNode("J2", "junction"),
+               GasNode("C", "flow-boundary")),
+        pipes=(Pipe("P1", "B", "J1", length=3000.0, diameter=0.6,
+                    roughness=5e-4, cell_count=3),
+               Pipe("P2", "J1", "J2", length=1500.0, diameter=0.4,
+                    roughness=1e-4, cell_count=1),
+               Pipe("P3", "J2", "C", length=2000.0, diameter=0.9,
+                    roughness=2e-3, cell_count=2)),
+        compressors=(CompressorArc("CMP", "A", "B"),),
+    )
+    return CoupledNetwork(gas=gas_net, grid=PowerGrid((), ()))
+
+
+class TestMixedGeometryJacobian:
+    """Assembled derivatives on pipes of different geometry and grids."""
+
+    @pytest.fixture()
+    def mixed(self):
+        asm = CoupledStepAssembler(make_mixed_network())
+        snap = asm.boundary_snapshot(
+            make_toy_scenario(outflow_flux=60.0).boundary, 0.0)
+        y0 = steady_state(asm, snap, 1.0e5, 900.0)
+        rng = np.random.default_rng(41)
+        y1 = y0 * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
+        return asm, snap, y0, y1
+
+    @staticmethod
+    def _fd(fun, y, h_rel=1e-5):
+        cols = []
+        for i in range(y.size):
+            h = h_rel * max(1.0, abs(y[i]))
+            up, down = y.copy(), y.copy()
+            up[i] += h
+            down[i] -= h
+            cols.append((fun(up) - fun(down)) / (2.0 * h))
+        return np.array(cols).T
+
+    @staticmethod
+    def _assert_close(analytic, fd):
+        assert np.all(np.abs(analytic - fd)
+                      <= 1e-6 * np.abs(fd) + 1e-12), \
+            np.max(np.abs(analytic - fd))
+
+    @pytest.mark.parametrize("same_levels", [False, True])
+    def test_matches_central_differences(self, mixed, same_levels):
+        asm, snap, y0, y1 = mixed
+        y_prev = y1 if same_levels else y0
+        u, dt = 1.2e5, 900.0
+        jac_next, jac_prev, d_du = asm.jacobian(y_prev, y1, u, snap, dt)
+        self._assert_close(jac_next.toarray(), self._fd(
+            lambda y: asm.residual(y_prev, y, u, snap, dt), y1))
+        self._assert_close(jac_prev.toarray(), self._fd(
+            lambda y: asm.residual(y, y1, u, snap, dt), y_prev))
+        h = 1.0e2
+        fd_u = (asm.residual(y_prev, y1, u + h, snap, dt)
+                - asm.residual(y_prev, y1, u - h, snap, dt)) / (2.0 * h)
+        self._assert_close(d_du, fd_u)
+
+    def test_pipe_rows_equal_box_scheme(self, mixed):
+        asm, snap, y0, y1 = mixed
+        res = asm.residual(y0, y1, 1.2e5, snap, 900.0)
+        for pipe in asm.pipes:
+            prev = SystemState(asm.index, y0).pipe_state(pipe.id)
+            nxt = SystemState(asm.index, y1).pipe_state(pipe.id)
+            box = gas.box_scheme_residual(prev, nxt, 900.0, pipe.dx, pipe)
+            n = pipe.cell_count
+            for start, part in ((asm.pipe_mass_rows[pipe.id], box[:n]),
+                                (asm.pipe_mom_rows[pipe.id], box[n:])):
+                rows = slice(start, start + n)
+                assert np.array_equal(res[rows], part * asm.row_scale[rows])
 
 
 def test_gas_only_network_supported():
