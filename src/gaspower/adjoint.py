@@ -4,8 +4,8 @@ The discretized trajectory satisfies one block of model equations per
 time level: the steady-state block at level 0 and one implicit step per
 later level.  Stacked over time the Jacobian is block lower bidiagonal,
 so the transposed (adjoint) system is solved backwards with one sparse
-transposed factorization per level; the total derivative of a scalar
-functional then needs no further linear solves.
+factorization per level, used in transposed mode; the total derivative
+of a scalar functional then needs no further linear solves.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ class AdjointState:
     """Adjoint vectors xi_n, one per time level 0..M."""
 
     xi: np.ndarray  # (M+1, N_y)
-
-
-def _solve_transposed(matrix, rhs):
-    return splu(matrix.T.tocsc()).solve(rhs)
 
 
 def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
@@ -53,11 +49,11 @@ def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
             jac_next, jac_prev, _ = asm.jacobian(
                 states[0], states[0], control[0], simulator.snapshots[0], dt)
             block = (jac_next + jac_prev).tocsc()
-            xi[0] = _solve_transposed(block, -dj_dy[0] - carry)
+            xi[0] = splu(block).solve(-dj_dy[0] - carry, trans="T")
             break
         jac_next, jac_prev, _ = asm.jacobian(
             states[n - 1], states[n], control[n], simulator.snapshots[n], dt)
-        xi[n] = _solve_transposed(jac_next, -dj_dy[n] - carry)
+        xi[n] = splu(jac_next).solve(-dj_dy[n] - carry, trans="T")
         carry = jac_prev.T @ xi[n]
     return AdjointState(xi)
 

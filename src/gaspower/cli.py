@@ -12,10 +12,8 @@ import sys
 import numpy as np
 
 from . import adjoint, io, opt
-from .model import validate_network
+from .model import BAR, validate_network
 from .sim import SimulationError, Simulator
-
-BAR = 1.0e5
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
@@ -203,3 +201,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

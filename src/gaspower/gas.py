@@ -1,8 +1,9 @@
-"""Gas physics on a single pipe.
+"""Gas physics on pipes.
 
-Pressure law, Prandtl-Colebrook friction, flux and source terms of the
-isothermal/isentropic Euler system, and the implicit box scheme residual
-with its Jacobian blocks.  All functions are pure and reentrant.
+Pressure law, Prandtl-Colebrook friction, the friction source term of
+the isothermal/isentropic Euler system, and the implicit box scheme
+residual with its Jacobian values, evaluated on all pipes of a network at
+once through a PipeGrid.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -68,13 +69,7 @@ def dpressure_drho(rho, constants: GasConstants = _DEFAULTS):
     return d if d.ndim else float(d)
 
 
-def rough_friction_factor(diameter: float, roughness: float) -> float:
-    """Fully-rough (high Reynolds) limit of the Colebrook equation."""
-    x = -2.0 * np.log10(roughness / (3.71 * diameter))
-    return 1.0 / (x * x)
-
-
-def friction_factor_and_derivative(q, diameter: float, roughness: float,
+def friction_factor_and_derivative(q, diameter, roughness,
                                    eta: float = _DEFAULTS.eta):
     """Colebrook friction factor lambda(q) and d lambda / d q, vectorized.
 
@@ -82,11 +77,12 @@ def friction_factor_and_derivative(q, diameter: float, roughness: float,
     Re = d |q| / eta by damped fixed-point iteration on x = 1/sqrt(lam);
     the derivative comes from implicit differentiation of the same
     equation.  Below REYNOLDS_ROUGH_LIMIT the rough limit (with zero
-    derivative) is returned.
+    derivative) is returned.  Diameter d and roughness k are scalars or
+    arrays shaped like q (one value per point).
     """
-    if diameter <= 0:
+    if np.any(np.asarray(diameter) <= 0):
         raise ValueError("diameter must be positive")
-    if roughness < 0:
+    if np.any(np.asarray(roughness) < 0):
         raise ValueError("roughness must be >= 0")
     q = np.asarray(q, dtype=float)
     scalar = q.ndim == 0
@@ -106,7 +102,7 @@ def friction_factor_and_derivative(q, diameter: float, roughness: float,
         x_new = -2.0 * np.log10(a * x + b)
         if omega != 1.0:
             x_new = (1.0 - omega) * x + omega * x_new
-        delta = np.max(np.abs(x_new - x))
+        delta = np.max(np.abs(x_new - x), initial=0.0)
         if delta > delta_prev:
             omega *= 0.5
             continue
@@ -131,103 +127,131 @@ def friction_factor_and_derivative(q, diameter: float, roughness: float,
     return lam, dlam_dq
 
 
-def friction_factor(q, diameter: float, roughness: float,
-                    eta: float = _DEFAULTS.eta):
-    """Friction factor lambda satisfying the Colebrook equation."""
-    lam, _ = friction_factor_and_derivative(q, diameter, roughness, eta)
-    return lam
 
 
-def source_term(rho, q, pipe: Pipe, constants: GasConstants = _DEFAULTS):
-    """Momentum source S(rho, q) = -lambda(q)/(2 d) * q|q|/rho."""
+def source_term_with_derivatives(rho, q, geometry,
+                                 constants: GasConstants = _DEFAULTS):
+    """Momentum source S(rho, q) = -lambda(q)/(2 d) * q|q|/rho and its
+    partials (dS/drho, dS/dq).
+
+    `geometry` supplies `diameter` and `roughness`: a Pipe, or a PipeGrid
+    for per-point values.
+    """
     rho = np.asarray(rho, dtype=float)
+    q = np.asarray(q, dtype=float)
     if np.any(rho <= 0):
         raise ValueError("density must be positive")
-    lam, _ = friction_factor_and_derivative(q, pipe.diameter, pipe.roughness,
-                                            constants.eta)
-    q = np.asarray(q, dtype=float)
-    s = -lam / (2.0 * pipe.diameter) * q * np.abs(q) / rho
-    return s if s.ndim else float(s)
-
-
-def source_term_with_derivatives(rho, q, pipe: Pipe,
-                                 constants: GasConstants = _DEFAULTS,
-                                 exact_friction_derivative: bool = True):
-    """S and its partials (dS/drho, dS/dq) for Jacobian assembly."""
-    rho = np.asarray(rho, dtype=float)
-    q = np.asarray(q, dtype=float)
-    lam, dlam = friction_factor_and_derivative(q, pipe.diameter,
-                                               pipe.roughness, constants.eta)
-    if not exact_friction_derivative:
-        dlam = np.zeros_like(np.asarray(lam))
-    c = 1.0 / (2.0 * pipe.diameter)
+    lam, dlam = friction_factor_and_derivative(q, geometry.diameter,
+                                               geometry.roughness,
+                                               constants.eta)
+    c = 1.0 / (2.0 * geometry.diameter)
     s = -c * lam * q * np.abs(q) / rho
     ds_drho = c * lam * q * np.abs(q) / rho**2
     ds_dq = -c * (dlam * q * np.abs(q) + lam * 2.0 * np.abs(q)) / rho
     return s, ds_drho, ds_dq
 
 
-def flux(rho, q, constants: GasConstants = _DEFAULTS):
-    """Flux vector (q, p(rho) + q^2/rho) of the Euler system."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("density must be positive")
-    q = np.asarray(q, dtype=float)
-    f2 = pressure_of_density(rho, constants) + q * q / rho
-    return np.stack([np.broadcast_to(q, f2.shape), f2]) if f2.ndim \
-        else np.array([float(q), float(f2)])
+@dataclass(frozen=True)
+class PipeGrid:
+    """Grid points of several pipes stacked end to end.
+
+    Points are numbered pipe after pipe, each pipe owning points
+    0..cell_count of its own.  The box-scheme unknowns are all densities,
+    then all flows; its rows are all mass rows, then all momentum rows,
+    one per cell interval.  An interval never joins two pipes.
+    """
+
+    left: np.ndarray       # left grid point of each interval
+    dx: np.ndarray         # m, per interval
+    diameter: np.ndarray   # m, per point
+    roughness: np.ndarray  # m, per point
+
+    @staticmethod
+    def stack(cell_counts, dx, diameter, roughness) -> "PipeGrid":
+        """Grid of pipes given per pipe: cells, cell length (m), d, k (m)."""
+        counts = np.asarray(cell_counts, dtype=int)
+        points = counts + 1
+        if np.any(np.asarray(dx) <= 0):
+            raise ValueError("dx must be positive")
+        # every point but the last of each pipe starts an interval
+        left = np.delete(np.arange(np.sum(points)), np.cumsum(points) - 1)
+        return PipeGrid(left, np.repeat(dx, counts),
+                        np.repeat(diameter, points),
+                        np.repeat(roughness, points))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, unknowns) of the box scheme on this grid."""
+        return 2 * len(self.left), 2 * len(self.diameter)
+
+    def stencil(self):
+        """(rows, cols) of the values _box_blocks returns for the new
+        level and for the old level, in the layout described above."""
+        n, npts = len(self.left), len(self.diameter)
+        jl, jr = self.left, self.left + 1
+        mass = np.arange(n)
+        mom = n + mass
+        rho_cols = [jl, jr]
+        q_cols = [npts + jl, npts + jr]
+        next_ = (np.concatenate([mass] * 4 + [mom] * 4),
+                 np.concatenate(rho_cols + q_cols + rho_cols + q_cols))
+        prev = (np.concatenate([mass, mass, mom, mom]),
+                np.concatenate(rho_cols + q_cols))
+        return next_, prev
 
 
-def _box_blocks(prev: PipeState, next_: PipeState, dt: float, dx: float,
-                pipe: Pipe, constants: GasConstants,
-                exact_friction_derivative: bool = True):
-    """Residuals and stencil derivatives of the implicit box scheme.
+def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
+                grid: PipeGrid, constants: GasConstants):
+    """Residual and stencil derivatives of the implicit box scheme.
 
-    Returns a dict of arrays indexed by the cell interval j = 1..n; the
-    L/R suffix refers to the grid points j-1 and j.  The scheme for a
-    balance law y_t + f(y)_x = g(y) averages states over the interval:
+    Returns (residual, next values, prev values): the residual in the
+    grid's row order, and the derivatives with respect to the new and the
+    old level in the order of grid.stencil().  For a balance law
+    y_t + f(y)_x = g(y) the scheme averages states over each interval
+    between the grid points L = j-1 and R = j:
 
         (Y_{j-1} + Y_j)/2 |_new = (Y_{j-1} + Y_j)/2 |_old
             - dt/dx (f(Y_j) - f(Y_{j-1}))|_new + dt (g(Y_j)+g(Y_{j-1}))/2 |_new
     """
-    if prev.rho.shape != next_.rho.shape:
+    if prev.rho.shape != next_.rho.shape or \
+            next_.rho.shape != grid.diameter.shape:
         raise ValueError("pipe states have mismatched lengths")
-    if dt <= 0 or dx <= 0:
-        raise ValueError("dt and dx must be positive")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     rho, q = next_.rho, next_.q
     rho_o, q_o = prev.rho, prev.q
-    r = dt / dx
+    jl, jr = grid.left, grid.left + 1
+    r = dt / grid.dx
 
     p = pressure_of_density(rho, constants)
     dp = dpressure_drho(rho, constants)
     f2 = p + q * q / rho
     df2_drho = dp - (q / rho) ** 2
     df2_dq = 2.0 * q / rho
-    s, ds_drho, ds_dq = source_term_with_derivatives(
-        rho, q, pipe, constants, exact_friction_derivative)
+    s, ds_drho, ds_dq = source_term_with_derivatives(rho, q, grid, constants)
 
-    res_mass = (0.5 * (rho[:-1] + rho[1:]) - 0.5 * (rho_o[:-1] + rho_o[1:])
-                + r * (q[1:] - q[:-1]))
-    res_mom = (0.5 * (q[:-1] + q[1:]) - 0.5 * (q_o[:-1] + q_o[1:])
-               + r * (f2[1:] - f2[:-1]) - dt * 0.5 * (s[1:] + s[:-1]))
+    res_mass = (0.5 * (rho[jl] + rho[jr]) - 0.5 * (rho_o[jl] + rho_o[jr])
+                + r * (q[jr] - q[jl]))
+    res_mom = (0.5 * (q[jl] + q[jr]) - 0.5 * (q_o[jl] + q_o[jr])
+               + r * (f2[jr] - f2[jl]) - dt * 0.5 * (s[jr] + s[jl]))
 
-    n = len(res_mass)
-    half = np.full(n, 0.5)
-    return {
-        "res_mass": res_mass,
-        "res_mom": res_mom,
-        # mass row, w.r.t. new states
-        "m_drho_L": half, "m_drho_R": half,
-        "m_dq_L": np.full(n, -r), "m_dq_R": np.full(n, r),
-        # momentum row, w.r.t. new states
-        "q_drho_L": -r * df2_drho[:-1] - dt * 0.5 * ds_drho[:-1],
-        "q_drho_R": r * df2_drho[1:] - dt * 0.5 * ds_drho[1:],
-        "q_dq_L": half - r * df2_dq[:-1] - dt * 0.5 * ds_dq[:-1],
-        "q_dq_R": half + r * df2_dq[1:] - dt * 0.5 * ds_dq[1:],
-        # w.r.t. old states (needed by the adjoint)
-        "m_drho_L_prev": -half, "m_drho_R_prev": -half,
-        "q_dq_L_prev": -half, "q_dq_R_prev": -half,
-    }
+    half = np.full(len(jl), 0.5)
+    next_vals = np.concatenate([
+        # mass rows: rho_L, rho_R, q_L, q_R
+        half, half, -r, r,
+        # momentum rows
+        -r * df2_drho[jl] - dt * 0.5 * ds_drho[jl],
+        r * df2_drho[jr] - dt * 0.5 * ds_drho[jr],
+        half - r * df2_dq[jl] - dt * 0.5 * ds_dq[jl],
+        half + r * df2_dq[jr] - dt * 0.5 * ds_dq[jr]])
+    # the old level enters the mass rows through rho, momentum through q
+    prev_vals = np.full(4 * len(jl), -0.5)
+    return np.concatenate([res_mass, res_mom]), next_vals, prev_vals
+
+
+def _one_pipe(next_: PipeState, dx: float, pipe: Pipe) -> PipeGrid:
+    return PipeGrid.stack([len(next_.rho) - 1], [dx], [pipe.diameter],
+                          [pipe.roughness])
 
 
 def box_scheme_residual(prev: PipeState, next_: PipeState, dt: float,
@@ -237,52 +261,20 @@ def box_scheme_residual(prev: PipeState, next_: PipeState, dt: float,
 
     Ordered as [mass rows 1..n, momentum rows 1..n].
     """
-    blocks = _box_blocks(prev, next_, dt, dx, pipe, constants)
-    return np.concatenate([blocks["res_mass"], blocks["res_mom"]])
+    return _box_blocks(prev, next_, dt, _one_pipe(next_, dx, pipe),
+                       constants)[0]
 
 
 def box_scheme_jacobian(prev: PipeState, next_: PipeState, dt: float,
                         dx: float, pipe: Pipe,
-                        constants: GasConstants = _DEFAULTS,
-                        exact_friction_derivative: bool = True):
+                        constants: GasConstants = _DEFAULTS):
     """Sparse derivatives of the box residual.
 
     Returns (J_next, J_prev), each of shape (2n, 2(n+1)) with columns
     ordered [rho_0..rho_n, q_0..q_n].
     """
-    blocks = _box_blocks(prev, next_, dt, dx, pipe, constants,
-                         exact_friction_derivative)
-    n = len(blocks["res_mass"])
-    npts = n + 1
-    jl = np.arange(n)       # left grid point of interval j
-    jr = jl + 1
-
-    rows, cols, vals = [], [], []
-
-    def add(row, col, val):
-        rows.append(row)
-        cols.append(col)
-        vals.append(val)
-
-    add(jl, jl, blocks["m_drho_L"])
-    add(jl, jr, blocks["m_drho_R"])
-    add(jl, npts + jl, blocks["m_dq_L"])
-    add(jl, npts + jr, blocks["m_dq_R"])
-    add(n + jl, jl, blocks["q_drho_L"])
-    add(n + jl, jr, blocks["q_drho_R"])
-    add(n + jl, npts + jl, blocks["q_dq_L"])
-    add(n + jl, npts + jr, blocks["q_dq_R"])
-    j_next = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * n, 2 * npts)).tocsr()
-
-    rows, cols, vals = [], [], []
-    add(jl, jl, blocks["m_drho_L_prev"])
-    add(jl, jr, blocks["m_drho_R_prev"])
-    add(n + jl, npts + jl, blocks["q_dq_L_prev"])
-    add(n + jl, npts + jr, blocks["q_dq_R_prev"])
-    j_prev = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * n, 2 * npts)).tocsr()
-
-    return j_next, j_prev
+    grid = _one_pipe(next_, dx, pipe)
+    _, next_vals, prev_vals = _box_blocks(prev, next_, dt, grid, constants)
+    (rn, cn), (rp, cp) = grid.stencil()
+    return (sparse.csr_matrix((next_vals, (rn, cn)), shape=grid.shape),
+            sparse.csr_matrix((prev_vals, (rp, cp)), shape=grid.shape))

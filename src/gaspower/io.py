@@ -16,14 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import opt
-from .model import (FLOW_BOUNDARY, PQ, PRESSURE_BOUNDARY, PV, SLACK, Bus,
-                    CompressorArc, CompressorCostModel, CoupledNetwork,
+from .model import (BAR, FLOW_BOUNDARY, PQ, PRESSURE_BOUNDARY, PV, SLACK,
+                    Bus, CompressorArc, CompressorCostModel, CoupledNetwork,
                     GasConstants, GasNetwork, GasNode, GasPowerPlant,
                     PerUnitSystem, Pipe, PowerGrid, TransmissionLine,
                     validate_network)
 from .sim import BoundaryData, Scenario, Simulator, Trajectory
-
-BAR = 1.0e5
 
 _BUS_QUANTITIES = ("P", "Q", "V", "phi")
 _GAS_QUANTITIES = ("pressure_bar", "outflow_m3_s", "outflow_flux")

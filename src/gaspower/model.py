@@ -19,6 +19,8 @@ ETA_DEFAULT = 1.0e-5            # kg/(m s)
 DIAMETER_DEFAULT = 0.6          # m
 ROUGHNESS_DEFAULT = 5.0e-4      # m
 
+BAR = 1.0e5                     # Pa
+
 BASE_POWER_DEFAULT = 100.0e6    # W
 BASE_VOLTAGE_DEFAULT = 345.0e3  # V
 
@@ -185,18 +187,6 @@ class GasNetwork:
     nodes: tuple[GasNode, ...]
     pipes: tuple[Pipe, ...]
     compressors: tuple[CompressorArc, ...] = ()
-
-    def node(self, node_id: str) -> GasNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
-    def pipe(self, pipe_id: str) -> Pipe:
-        for p in self.pipes:
-            if p.id == pipe_id:
-                return p
-        raise KeyError(pipe_id)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,8 @@ import numpy as np
 
 from . import compressor, gas
 from .adjoint import adjoint_sweep, total_gradient
-from .model import CoupledNetwork
+from .model import BAR, CoupledNetwork
 from .sim import Scenario, Simulator, Trajectory
-
-BAR = 1.0e5
 
 
 class OptimizationError(Exception):
@@ -243,17 +241,6 @@ class _BarrierModel:
         value, grad_u, aux = self.value_and_gradient(u, mu)
         grad_z = grad_u * u * (1.0 - u / self.u_max_bar)
         return value, grad_z, aux
-
-
-def barrier_objective(problem: OptimalControlProblem, control, mu: float,
-                      simulator: Simulator | None = None) -> float:
-    """Barrier-augmented objective at a control given in Pa."""
-    if simulator is None:
-        simulator = Simulator(problem.network, problem.scenario,
-                              tol=problem.newton_tol)
-    model = _BarrierModel(problem, simulator)
-    value, _ = model.value(np.asarray(control, dtype=float) / BAR, mu)
-    return value
 
 
 def _feasible_start(model: _BarrierModel, step_count: int) -> np.ndarray:

@@ -1,12 +1,17 @@
 """Coupled per-step system: assembly, Newton solve, and trajectories.
 
-One time level stacks, in a fixed order, the unknowns of every pipe
-(densities and flows at its grid points), one density-equivalent pressure
-unknown per gas node, one flux unknown per compressor, and V, phi, P, Q
-for every bus.  The step residual concatenates the box-scheme rows, the
-node coupling and boundary rows, the compressor pressure equations, the
-powerflow equations and the bus boundary rows; it is square by
-construction and solved with a damped Newton method step by step.
+One time level stacks the unknowns in a fixed order: the densities at
+the grid points of all pipes, pipe after pipe, then their flows in the
+same order, one density-equivalent pressure unknown per gas node, one
+flux unknown per compressor, and V, phi, P, Q for every bus.  The step
+residual stacks, in this order, the box-scheme mass rows of all pipes'
+cell intervals, their momentum rows, two pressure-coupling rows per pipe
+(one per end), the node balance and boundary rows, the compressor
+pressure equations, and per bus its powerflow and boundary rows.  The
+pipe block thus has the layout of gas.PipeGrid and is evaluated for all
+pipes at once.  The system is square by construction; each time step and
+the steady start (the same system with y_prev = y_next) are solved by
+one damped Newton routine.
 """
 
 from __future__ import annotations
@@ -71,16 +76,13 @@ class VariableIndex:
             self._map[label] = len(self._labels)
             self._labels.append(label)
 
-        for pipe in network.gas.pipes:
-            npts = pipe.cell_count + 1
-            start = len(self._labels)
-            for j in range(npts):
-                push((pipe.id, "rho", j))
-            self.pipe_rho[pipe.id] = slice(start, start + npts)
-            start = len(self._labels)
-            for j in range(npts):
-                push((pipe.id, "q", j))
-            self.pipe_q[pipe.id] = slice(start, start + npts)
+        # all pipes' densities, then all flows: the layout of gas.PipeGrid
+        for quantity, slices in (("rho", self.pipe_rho), ("q", self.pipe_q)):
+            for pipe in network.gas.pipes:
+                start = len(self._labels)
+                for j in range(pipe.cell_count + 1):
+                    push((pipe.id, quantity, j))
+                slices[pipe.id] = slice(start, len(self._labels))
         for node in network.gas.nodes:
             self.node_rho[node.id] = len(self._labels)
             push((node.id, "rho_node", None))
@@ -210,9 +212,6 @@ class Trajectory:
         rho = self.states[:, self.index.node_rho[node_id]]
         return np.asarray(gas.pressure_of_density(rho, constants))
 
-    def bus_series(self, bus_id: str, quantity: str) -> np.ndarray:
-        return self.states[:, self.index.bus[(bus_id, quantity)]].copy()
-
 
 class CoupledStepAssembler:
     """Assembles the residual and Jacobian blocks of one implicit step."""
@@ -255,7 +254,19 @@ class CoupledStepAssembler:
         self.n_bus = len(self.bus_order)
         self.busses = list(network.grid.busses)
 
-        # row layout
+        pipes = self.pipes
+        self.grid = gas.PipeGrid.stack(
+            [p.cell_count for p in pipes], [p.dx for p in pipes],
+            [p.diameter for p in pipes], [p.roughness for p in pipes])
+        self.n_points = len(self.grid.diameter)
+        self.box_next, self.box_prev = self.grid.stencil()
+        idx = self.index
+        # entries that must stay positive: densities and bus voltages
+        self.positive = np.concatenate([
+            np.arange(self.n_points),
+            [idx.node_rho[n.id] for n in self.nodes],
+            [idx.bus[(b.id, "V")] for b in self.busses]]).astype(int)
+
         self._build_rows()
 
     def _area_near(self, comp) -> float:
@@ -270,27 +281,33 @@ class CoupledStepAssembler:
         self.row_labels: list[tuple] = []
         self.pipe_mass_rows: dict[str, int] = {}
         self.pipe_mom_rows: dict[str, int] = {}
-        self.pipe_coupling_rows: dict[str, tuple[int, int]] = {}
         self.node_rows: dict[str, int] = {}
         self.comp_rows: dict[str, int] = {}
         self.bus_flow_rows: dict[str, tuple[int, int]] = {}
         self.bus_bc_rows: dict[str, tuple[int, int]] = {}
+        idx = self.index
 
         def push(label):
             self.row_labels.append(label)
             return len(self.row_labels) - 1
 
+        # all mass rows, then all momentum rows: the layout of gas.PipeGrid
+        for kind, starts in (("mass", self.pipe_mass_rows),
+                             ("momentum", self.pipe_mom_rows)):
+            for pipe in self.pipes:
+                starts[pipe.id] = len(self.row_labels)
+                for j in range(pipe.cell_count):
+                    push((pipe.id, kind, j))
+        # each pipe end's density equals its node's
+        coupling_rows, self.coupling_cols, self.coupling_node_cols = [], [], []
         for pipe in self.pipes:
-            n = pipe.cell_count
-            self.pipe_mass_rows[pipe.id] = push((pipe.id, "mass", 0))
-            for j in range(1, n):
-                push((pipe.id, "mass", j))
-            self.pipe_mom_rows[pipe.id] = push((pipe.id, "momentum", 0))
-            for j in range(1, n):
-                push((pipe.id, "momentum", j))
-            r0 = push((pipe.id, "pressure-coupling", 0))
-            r1 = push((pipe.id, "pressure-coupling", n))
-            self.pipe_coupling_rows[pipe.id] = (r0, r1)
+            rho = idx.pipe_rho[pipe.id]
+            for j, node in ((0, pipe.from_node),
+                            (pipe.cell_count, pipe.to_node)):
+                coupling_rows.append(push((pipe.id, "pressure-coupling", j)))
+                self.coupling_cols.append(rho.start + j)
+                self.coupling_node_cols.append(idx.node_rho[node])
+        self.coupling_rows = np.array(coupling_rows, dtype=int)
         for node in self.nodes:
             self.node_rows[node.id] = push((node.id, "node", None))
         for comp in self.comps:
@@ -303,16 +320,14 @@ class CoupledStepAssembler:
             r2 = push((bus.id, "bc-2", None))
             self.bus_bc_rows[bus.id] = (r1, r2)
 
-        if len(self.row_labels) != self.index.size:
+        if len(self.row_labels) != idx.size:
             raise AssertionError("equation count does not match unknown count")
         self.n_rows = len(self.row_labels)
 
         scale = np.ones(self.n_rows)
         kappa = self.constants.kappa
-        for pipe in self.pipes:
-            n = pipe.cell_count
-            r = self.pipe_mom_rows[pipe.id]
-            scale[r:r + n] = 1.0 / kappa
+        n_box = self.grid.shape[0]
+        scale[n_box // 2:n_box] = 1.0 / kappa
         for node in self.nodes:
             if node.kind != PRESSURE_BOUNDARY:
                 scale[self.node_rows[node.id]] = 1.0 / MASS_FLOW_SCALE
@@ -341,17 +356,7 @@ class CoupledStepAssembler:
     # -- state helpers -----------------------------------------------------
 
     def admissible(self, y: np.ndarray) -> bool:
-        idx = self.index
-        for pipe in self.pipes:
-            if np.any(y[idx.pipe_rho[pipe.id]] <= 0):
-                return False
-        for node in self.nodes:
-            if y[idx.node_rho[node.id]] <= 0:
-                return False
-        for bus in self.busses:
-            if y[idx.bus[(bus.id, "V")]] <= 0:
-                return False
-        return True
+        return not np.any(y[self.positive] <= 0)
 
     def flat_state(self, snap: _Snapshot, pressure_guess: float = 60e5
                    ) -> np.ndarray:
@@ -368,9 +373,8 @@ class CoupledStepAssembler:
         anchored = snap.node_rho_bc[~np.isnan(snap.node_rho_bc)]
         rho0 = anchored[0] if len(anchored) else \
             gas.density_of_pressure(pressure_guess, self.constants)
-        for pipe in self.pipes:
-            y[idx.pipe_rho[pipe.id]] = rho0
-            y[idx.pipe_q[pipe.id]] = _STEADY_FLOW_SEED
+        y[:self.n_points] = rho0
+        y[self.n_points:2 * self.n_points] = _STEADY_FLOW_SEED
         for node in self.nodes:
             y[idx.node_rho[node.id]] = rho0
         for comp in self.comps:
@@ -401,22 +405,11 @@ class CoupledStepAssembler:
         res = np.zeros(self.n_rows)
         cons = self.constants
 
-        for pipe in self.pipes:
-            prev = gas.PipeState(y_prev[idx.pipe_rho[pipe.id]],
-                                 y_prev[idx.pipe_q[pipe.id]])
-            nxt = gas.PipeState(y_next[idx.pipe_rho[pipe.id]],
-                                y_next[idx.pipe_q[pipe.id]])
-            blocks = gas._box_blocks(prev, nxt, dt, pipe.dx, pipe, cons)
-            n = pipe.cell_count
-            res[self.pipe_mass_rows[pipe.id]:
-                self.pipe_mass_rows[pipe.id] + n] = blocks["res_mass"]
-            res[self.pipe_mom_rows[pipe.id]:
-                self.pipe_mom_rows[pipe.id] + n] = blocks["res_mom"]
-            r0, r1 = self.pipe_coupling_rows[pipe.id]
-            rho_from = y_next[idx.node_rho[pipe.from_node]]
-            rho_to = y_next[idx.node_rho[pipe.to_node]]
-            res[r0] = nxt.rho[0] - rho_from
-            res[r1] = nxt.rho[-1] - rho_to
+        res[:self.grid.shape[0]] = gas._box_blocks(
+            self._pipe_state(y_prev), self._pipe_state(y_next), dt,
+            self.grid, cons)[0]
+        res[self.coupling_rows] = (y_next[self.coupling_cols]
+                                   - y_next[self.coupling_node_cols])
 
         for i, node in enumerate(self.nodes):
             row = self.node_rows[node.id]
@@ -457,6 +450,10 @@ class CoupledStepAssembler:
 
         return res * self.row_scale
 
+    def _pipe_state(self, y: np.ndarray) -> gas.PipeState:
+        return gas.PipeState(y[:self.n_points],
+                             y[self.n_points:2 * self.n_points])
+
     def _power_state(self, y: np.ndarray) -> power.PowerState:
         idx = self.index
         get = lambda quant: np.array(
@@ -472,49 +469,19 @@ class CoupledStepAssembler:
         idx = self.index
         cons = self.constants
         rows_a, cols_a, vals_a = [], [], []
-        rows_b, cols_b, vals_b = [], [], []
 
         def add_a(r, c, v):
             rows_a.append(np.asarray(r).ravel())
             cols_a.append(np.asarray(c).ravel())
             vals_a.append(np.asarray(v, dtype=float).ravel())
 
-        def add_b(r, c, v):
-            rows_b.append(np.asarray(r).ravel())
-            cols_b.append(np.asarray(c).ravel())
-            vals_b.append(np.asarray(v, dtype=float).ravel())
-
-        for pipe in self.pipes:
-            prev = gas.PipeState(y_prev[idx.pipe_rho[pipe.id]],
-                                 y_prev[idx.pipe_q[pipe.id]])
-            nxt = gas.PipeState(y_next[idx.pipe_rho[pipe.id]],
-                                y_next[idx.pipe_q[pipe.id]])
-            blocks = gas._box_blocks(prev, nxt, dt, pipe.dx, pipe, cons)
-            n = pipe.cell_count
-            rho0 = idx.pipe_rho[pipe.id].start
-            q0 = idx.pipe_q[pipe.id].start
-            mrow = self.pipe_mass_rows[pipe.id] + np.arange(n)
-            qrow = self.pipe_mom_rows[pipe.id] + np.arange(n)
-            jl = np.arange(n)
-            jr = jl + 1
-            add_a(mrow, rho0 + jl, blocks["m_drho_L"])
-            add_a(mrow, rho0 + jr, blocks["m_drho_R"])
-            add_a(mrow, q0 + jl, blocks["m_dq_L"])
-            add_a(mrow, q0 + jr, blocks["m_dq_R"])
-            add_a(qrow, rho0 + jl, blocks["q_drho_L"])
-            add_a(qrow, rho0 + jr, blocks["q_drho_R"])
-            add_a(qrow, q0 + jl, blocks["q_dq_L"])
-            add_a(qrow, q0 + jr, blocks["q_dq_R"])
-            add_b(mrow, rho0 + jl, blocks["m_drho_L_prev"])
-            add_b(mrow, rho0 + jr, blocks["m_drho_R_prev"])
-            add_b(qrow, q0 + jl, blocks["q_dq_L_prev"])
-            add_b(qrow, q0 + jr, blocks["q_dq_R_prev"])
-
-            r0, r1 = self.pipe_coupling_rows[pipe.id]
-            add_a([r0, r0, r1, r1],
-                  [rho0, idx.node_rho[pipe.from_node],
-                   rho0 + n, idx.node_rho[pipe.to_node]],
-                  [1.0, -1.0, 1.0, -1.0])
+        _, next_vals, prev_vals = gas._box_blocks(
+            self._pipe_state(y_prev), self._pipe_state(y_next), dt,
+            self.grid, cons)
+        add_a(*self.box_next, next_vals)
+        ones = np.ones(len(self.coupling_rows))
+        add_a(self.coupling_rows, self.coupling_cols, ones)
+        add_a(self.coupling_rows, self.coupling_node_cols, -ones)
 
         for i, node in enumerate(self.nodes):
             row = self.node_rows[node.id]
@@ -565,16 +532,14 @@ class CoupledStepAssembler:
                       [1.0, 1.0])
 
         scale = self.row_scale
+        shape = (self.n_rows, self.index.size)
         rows = np.concatenate(rows_a)
-        jac_next = sparse.coo_matrix(
+        jac_next = sparse.csc_matrix(
             (np.concatenate(vals_a) * scale[rows],
-             (rows, np.concatenate(cols_a))),
-            shape=(self.n_rows, self.index.size)).tocsc()
-        rows = np.concatenate(rows_b) if rows_b else np.array([], dtype=int)
-        jac_prev = sparse.coo_matrix(
-            ((np.concatenate(vals_b) * scale[rows]) if len(rows) else [],
-             (rows, np.concatenate(cols_b) if len(rows) else [])),
-            shape=(self.n_rows, self.index.size)).tocsc()
+             (rows, np.concatenate(cols_a))), shape=shape)
+        rows, cols = self.box_prev
+        jac_prev = sparse.csc_matrix((prev_vals * scale[rows], (rows, cols)),
+                                     shape=shape)
 
         d_du = np.zeros(self.n_rows)
         for comp in self.comps:
@@ -593,37 +558,19 @@ def _pinned_quantities(kind: str) -> tuple[str, str]:
     raise ValueError(f"unknown bus kind {kind!r}")
 
 
-def _factorize(matrix):
-    try:
-        return splu(matrix.tocsc())
-    except RuntimeError as exc:
-        raise SingularJacobian(str(exc)) from None
+def _damped_newton(residual, jacobian, admissible, y: np.ndarray,
+                   tol: float, max_iter: int, halvings: int, polish: int
+                   ) -> np.ndarray:
+    """Damped Newton solve of residual(y) = 0 from an admissible y.
 
-
-def _solve_sparse(matrix, rhs):
-    sol = _factorize(matrix).solve(rhs)
-    if not np.all(np.isfinite(sol)):
-        raise SingularJacobian("non-finite Newton step")
-    return sol
-
-
-def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
-                      u: float, snap: _Snapshot, dt: float,
-                      tol: float = 1e-9, max_iter: int = 25,
-                      polish: int = 2, y_guess: np.ndarray | None = None
-                      ) -> np.ndarray:
-    """Damped Newton solve of one implicit step, warm-started at y_prev.
-
-    Step halving (up to 30 times) guards monotone residual decrease and
-    admissibility.  After reaching `tol`, up to `polish` extra steps with
-    the last factorization push the residual towards machine precision so
-    that functionals of the state are smooth enough for finite-difference
-    checks.
+    Each step is halved (up to `halvings` times) until the candidate is
+    admissible and lowers the max-norm residual.  After reaching `tol`,
+    up to `polish` extra steps with the last factorization push the
+    residual towards machine precision so that functionals of the state
+    are smooth enough for finite-difference checks; close to the solution
+    the lagged-Jacobian step still contracts fast.
     """
-    y = np.array(y_prev if y_guess is None else y_guess, dtype=float)
-    if not assembler.admissible(y):
-        y = np.array(y_prev, dtype=float)
-    res = assembler.residual(y_prev, y, u, snap, dt)
+    res = residual(y)
     norm = np.max(np.abs(res))
     iterations = 0
     lu = None
@@ -631,16 +578,18 @@ def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
         if iterations >= max_iter:
             raise MaxIterationsExceeded("Newton did not reach tolerance",
                                         norm, iterations)
-        jac, _, _ = assembler.jacobian(y_prev, y, u, snap, dt)
-        lu = _factorize(jac)
+        try:
+            lu = splu(jacobian(y).tocsc())
+        except RuntimeError as exc:
+            raise SingularJacobian(str(exc)) from None
         step = lu.solve(-res)
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
         factor = 1.0
-        for _ in range(30):
+        for _ in range(halvings):
             cand = y + factor * step
-            if assembler.admissible(cand):
-                cand_res = assembler.residual(y_prev, cand, u, snap, dt)
+            if admissible(cand):
+                cand_res = residual(cand)
                 cand_norm = np.max(np.abs(cand_res))
                 if cand_norm < norm or cand_norm < tol:
                     y, res, norm = cand, cand_res, cand_norm
@@ -650,20 +599,34 @@ def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
             raise MaxIterationsExceeded("Newton line search stalled",
                                         norm, iterations)
         iterations += 1
-    # reusing the last factorization keeps the polish cheap; close to the
-    # solution the lagged-Jacobian step still contracts fast
     for _ in range(polish):
         if norm < 1e-14 or lu is None:
             break
         cand = y + lu.solve(-res)
-        if not assembler.admissible(cand):
+        if not admissible(cand):
             break
-        cand_res = assembler.residual(y_prev, cand, u, snap, dt)
+        cand_res = residual(cand)
         cand_norm = np.max(np.abs(cand_res))
         if cand_norm >= norm:
             break
         y, res, norm = cand, cand_res, cand_norm
     return y
+
+
+def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
+                      u: float, snap: _Snapshot, dt: float,
+                      tol: float = 1e-9, max_iter: int = 25,
+                      polish: int = 2, y_guess: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """Damped Newton solve of one implicit step, warm-started at y_guess
+    when it is admissible and at y_prev otherwise."""
+    y = np.array(y_prev if y_guess is None else y_guess, dtype=float)
+    if not assembler.admissible(y):
+        y = np.array(y_prev, dtype=float)
+    return _damped_newton(
+        lambda y: assembler.residual(y_prev, y, u, snap, dt),
+        lambda y: assembler.jacobian(y_prev, y, u, snap, dt)[0],
+        assembler.admissible, y, tol, max_iter, halvings=30, polish=polish)
 
 
 def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
@@ -674,47 +637,14 @@ def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
     Solves the step equations with y_prev == y_next as one nonlinear
     system; the result satisfies the step residual for every dt.
     """
-    y = assembler.flat_state(snap)
-    res = assembler.residual(y, y, u0, snap, dt)
-    norm = np.max(np.abs(res))
-    lu = None
-    for iterations in range(max_iter):
-        if norm < tol:
-            break
+    def jacobian(y):
         jac_next, jac_prev, _ = assembler.jacobian(y, y, u0, snap, dt)
-        lu = _factorize(jac_next + jac_prev)
-        step = lu.solve(-res)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step")
-        factor = 1.0
-        for _ in range(40):
-            cand = y + factor * step
-            if assembler.admissible(cand):
-                cand_res = assembler.residual(cand, cand, u0, snap, dt)
-                cand_norm = np.max(np.abs(cand_res))
-                if cand_norm < norm or cand_norm < tol:
-                    y, res, norm = cand, cand_res, cand_norm
-                    break
-            factor *= 0.5
-        else:
-            raise MaxIterationsExceeded("steady-state line search stalled",
-                                        norm, iterations)
-    else:
-        raise MaxIterationsExceeded("steady state did not converge",
-                                    norm, max_iter)
-    # polish towards machine precision, mirrors newton_solve_step
-    for _ in range(3):
-        if norm < 1e-14 or lu is None:
-            break
-        cand = y + lu.solve(-res)
-        if not assembler.admissible(cand):
-            break
-        cand_res = assembler.residual(cand, cand, u0, snap, dt)
-        cand_norm = np.max(np.abs(cand_res))
-        if cand_norm >= norm:
-            break
-        y, res, norm = cand, cand_res, cand_norm
-    return y
+        return jac_next + jac_prev
+
+    return _damped_newton(
+        lambda y: assembler.residual(y, y, u0, snap, dt), jacobian,
+        assembler.admissible, assembler.flat_state(snap), tol, max_iter,
+        halvings=40, polish=3)
 
 
 class Simulator:

@@ -88,13 +88,13 @@ def test_linearity_in_the_functional(toy):
 def test_one_transposed_solve_per_time_level(toy, monkeypatch):
     simulator, trajectory = toy
     calls = []
-    original = adjoint_mod._solve_transposed
+    original = adjoint_mod.splu
 
-    def counting(matrix, rhs):
+    def counting(matrix):
         calls.append(1)
-        return original(matrix, rhs)
+        return original(matrix)
 
-    monkeypatch.setattr(adjoint_mod, "_solve_transposed", counting)
+    monkeypatch.setattr(adjoint_mod, "splu", counting)
     adjoint_sweep(simulator, trajectory, np.zeros_like(trajectory.states))
     assert len(calls) == trajectory.step_count + 1
 

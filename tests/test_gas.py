@@ -1,4 +1,4 @@
-"""Pipe physics: pressure law, Colebrook friction, source, flux, box scheme."""
+"""Pipe physics: pressure law, Colebrook friction, source, box scheme."""
 
 import numpy as np
 import pytest
@@ -63,21 +63,30 @@ class TestPressureLaw:
             gas.density_of_pressure(-10.0)
 
 
+def friction(q, d=0.6, k=5e-4):
+    return gas.friction_factor_and_derivative(q, d, k)[0]
+
+
+def source(rho, q, pipe=PIPE):
+    return gas.source_term_with_derivatives(rho, q, pipe)[0]
+
+
 class TestFriction:
     def test_rough_limit_at_stagnation(self):
-        lam = gas.friction_factor(0.0, 0.6, 5e-4)
+        lam, dlam = gas.friction_factor_and_derivative(0.0, 0.6, 5e-4)
         assert lam == pytest.approx(0.01878011195087057, rel=1e-12)
+        assert dlam == 0.0
 
     def test_high_reynolds_close_to_rough_limit(self):
-        lam = gas.friction_factor(277.64, 0.6, 5e-4)
-        rough = gas.rough_friction_factor(0.6, 5e-4)
+        lam = friction(277.64)
+        rough = 1.0 / (2.0 * np.log10(5e-4 / (3.71 * 0.6))) ** 2
         assert abs(lam - rough) / rough < 5e-3
         assert lam == pytest.approx(colebrook_bisection(277.64, 0.6, 5e-4),
                                     rel=1e-9)
 
     @pytest.mark.parametrize("q", [100.0, 35.0, 1500.0, -250.0])
     def test_defining_equation_residual(self, q):
-        lam = gas.friction_factor(q, 0.6, 5e-4)
+        lam = friction(q)
         re = 0.6 * abs(q) / 1e-5
         lhs = 1.0 / np.sqrt(lam)
         rhs = -2.0 * np.log10(2.51 / (re * np.sqrt(lam)) + 5e-4 / (3.71 * 0.6))
@@ -89,8 +98,19 @@ class TestFriction:
             q = rng.uniform(5.0, 500.0)
             d = rng.uniform(0.2, 1.2)
             k = rng.uniform(1e-5, 2e-3)
-            assert gas.friction_factor(q, d, k) == pytest.approx(
+            assert friction(q, d, k) == pytest.approx(
                 colebrook_bisection(q, d, k), rel=1e-9)
+
+    def test_per_point_geometry(self):
+        rng = np.random.default_rng(9)
+        q = rng.uniform(-500.0, 500.0, 12)
+        d = rng.uniform(0.2, 1.2, 12)
+        k = rng.uniform(1e-5, 2e-3, 12)
+        lam, dlam = gas.friction_factor_and_derivative(q, d, k)
+        for i in range(12):
+            one = gas.friction_factor_and_derivative(q[i], d[i], k[i])
+            assert lam[i] == pytest.approx(one[0], rel=1e-12)
+            assert dlam[i] == pytest.approx(one[1], rel=1e-9)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(8)
@@ -102,29 +122,31 @@ class TestFriction:
         for q in (50.0, 277.64, -120.0):
             _, dlam = gas.friction_factor_and_derivative(q, 0.6, 5e-4)
             h = 1e-3 * abs(q)
-            up = gas.friction_factor(q + h, 0.6, 5e-4)
-            down = gas.friction_factor(q - h, 0.6, 5e-4)
+            up = friction(q + h)
+            down = friction(q - h)
             assert dlam == pytest.approx((up - down) / (2 * h), rel=1e-5)
 
     def test_even_in_q(self):
-        assert gas.friction_factor(200.0, 0.6, 5e-4) == \
-            gas.friction_factor(-200.0, 0.6, 5e-4)
+        assert friction(200.0) == friction(-200.0)
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
-            gas.friction_factor(10.0, -0.6, 5e-4)
+            gas.friction_factor_and_derivative(10.0, -0.6, 5e-4)
         with pytest.raises(ValueError):
-            gas.friction_factor(10.0, 0.6, -1e-4)
+            gas.friction_factor_and_derivative(10.0, 0.6, -1e-4)
+        with pytest.raises(ValueError):
+            gas.friction_factor_and_derivative(
+                np.full(2, 10.0), np.array([0.6, 0.0]), 5e-4)
 
 
 class TestSourceTerm:
     def test_zero_at_stagnation(self):
-        assert gas.source_term(51.9, 0.0, PIPE) == 0.0
+        assert source(51.9, 0.0) == 0.0
 
     def test_sign_opposite_to_flow(self):
-        s = gas.source_term(51.9, 277.64, PIPE)
+        s = source(51.9, 277.64)
         assert s < 0
-        lam = gas.friction_factor(277.64, PIPE.diameter, PIPE.roughness)
+        lam = friction(277.64, PIPE.diameter, PIPE.roughness)
         expected = -lam / (2 * 0.6) * 277.64**2 / 51.9
         assert s == pytest.approx(expected, rel=1e-12)
 
@@ -133,34 +155,12 @@ class TestSourceTerm:
         for _ in range(10):
             rho = rng.uniform(10, 60)
             q = rng.uniform(1, 400)
-            assert gas.source_term(rho, -q, PIPE) == \
-                pytest.approx(-gas.source_term(rho, q, PIPE), rel=1e-12)
+            assert source(rho, -q) == pytest.approx(-source(rho, q),
+                                                    rel=1e-12)
 
     def test_nonpositive_density_rejected(self):
         with pytest.raises(ValueError):
-            gas.source_term(0.0, 10.0, PIPE)
-
-
-class TestFlux:
-    def test_stagnation(self):
-        f = gas.flux(1.0, 0.0)
-        assert f[0] == 0.0
-        assert f[1] == pytest.approx(CONS.kappa)
-
-    def test_direct_value(self):
-        f = gas.flux(51.903, 277.64)
-        assert f[0] == 277.64
-        assert f[1] == pytest.approx(6001471.9544149665, rel=1e-12)
-
-    def test_second_component_even_in_q(self):
-        assert gas.flux(40.0, 150.0)[1] == gas.flux(40.0, -150.0)[1]
-
-    def test_second_component_at_least_pressure(self):
-        rng = np.random.default_rng(5)
-        rho = rng.uniform(1, 60, 30)
-        q = rng.uniform(-400, 400, 30)
-        f2 = gas.flux(rho, q)[1]
-        assert np.all(f2 >= gas.pressure_of_density(rho))
+            source(0.0, 10.0)
 
 
 def steady_flowing_profile(n, rho0=51.9, q=200.0):
@@ -181,6 +181,12 @@ class TestBoxScheme:
         res = gas.box_scheme_residual(state, state, 900.0, 1000.0, PIPE)
         assert np.max(np.abs(res[:4])) == 0.0
         assert np.max(np.abs(res[4:])) > 0.0   # momentum rows feel friction
+        # momentum rows difference the flux p(rho) + q^2/rho
+        rho, q = state.rho, state.q
+        f2 = CONS.kappa * rho + q * q / rho
+        s = source(rho, q)
+        expected = 0.9 * np.diff(f2) - 450.0 * (s[:-1] + s[1:])
+        assert np.allclose(res[4:], expected, rtol=1e-12, atol=0.0)
 
     def test_mass_rows_telescope(self):
         rng = np.random.default_rng(13)

@@ -5,7 +5,7 @@ import pytest
 
 from gaspower import gas, power
 from gaspower.model import (CompressorArc, CoupledNetwork, GasNetwork,
-                            GasNode, GasPowerPlant, Pipe, PowerGrid)
+                            GasNode, Pipe, PowerGrid)
 from gaspower.sim import (MASS_FLOW_SCALE, CoupledStepAssembler,
                           MaxIterationsExceeded, Simulator, SystemState,
                           VariableIndex, mass_balance_report,
