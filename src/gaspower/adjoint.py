@@ -61,12 +61,8 @@ def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
 def total_gradient(simulator: Simulator, trajectory: Trajectory,
                    adjoint: AdjointState, dj_du: np.ndarray) -> np.ndarray:
     """dJ/du_n = dJ/du_n|direct + xi_n . dE_n/du_n, per time level (Pa^-1)."""
-    asm = simulator.assembler
-    _, _, d_du = asm.jacobian(trajectory.states[0], trajectory.states[0],
-                              trajectory.control[0], simulator.snapshots[0],
-                              simulator.scenario.dt)
     dj_du = np.asarray(dj_du, dtype=float)
-    return dj_du + adjoint.xi @ d_du
+    return dj_du + adjoint.xi @ simulator.assembler.d_du
 
 
 def fd_gradient(simulator: Simulator, functional, control: np.ndarray,

@@ -45,13 +45,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_opt)
     p_opt.add_argument("--out", required=True, help="output directory")
     p_opt.add_argument("--tol", type=float, default=None,
-                       help="inner gradient tolerance (default 0.05)")
+                       help="L-BFGS-B projected-gradient tolerance at the "
+                            "last barrier level, cost units per bar "
+                            "(default 0.05)")
     p_opt.add_argument("--mu0", type=float, default=None,
                        help="initial barrier weight (default 100)")
     p_opt.add_argument("--mu-factor", type=float, default=None,
                        help="barrier reduction factor (default 0.2)")
     p_opt.add_argument("--max-iter", type=int, default=None,
-                       help="maximum outer iterations (default 15)")
+                       help="maximum barrier levels, each one L-BFGS-B "
+                            "solve (default 15)")
     p_opt.add_argument("--u-max", type=float, default=None,
                        help="upper control bound in bar (default from "
                             "scenario, 30 bar)")
@@ -120,7 +123,7 @@ def _cmd_optimize(args) -> int:
     print(f"optimized objective {result.objective:.6g}, "
           f"min margin {result.min_margin_bar:.6f} bar, "
           f"final mu {result.mu_final:g}, "
-          f"gradient norm {result.grad_norm_final:.3g}")
+          f"projected gradient norm {result.grad_norm_final:.3g}")
     return EXIT_OK
 
 

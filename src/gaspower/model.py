@@ -101,8 +101,8 @@ class GasNode:
 class CompressorCostModel:
     """Quadratic running cost in shaft power (MW): d0 + d1*P + d2*P**2.
 
-    d0 applies only while the machine is lifting pressure (u > 0); it
-    defaults to 0 so the objective stays differentiable at u = 0.
+    d0 applies only while the machine is lifting pressure (u > 0), which
+    makes the cost jump at u = 0; opt.optimize therefore requires d0 = 0.
     """
 
     d0: float = 0.0

@@ -1,11 +1,14 @@
 """Discretized optimal control of the compressor lift.
 
-The pressure bounds and the control box constraints are folded into a
-primal log-barrier objective; each barrier gradient costs one forward
-simulation plus one adjoint sweep.  The outer loop shrinks the barrier
-weight mu geometrically, the inner loop is a limited-memory quasi-Newton
-method with backtracking line search, working on the control expressed
-in bar to keep the secant updates well conditioned.
+The running compressor cost J is minimised over the lift u (bar) at the
+M+1 time levels, subject to 0 <= u <= u_max and to the pressure bounds.
+L-BFGS-B (scipy.optimize.minimize) keeps the control box natively; the
+pressure bounds enter a log-barrier on the margins, whose weight mu
+shrinks geometrically from level to level, each level warm-started from
+the last.  Below a margin delta = DELTA_PER_MU * mu the logarithm is
+continued by the quadratic that matches its value, slope and curvature,
+so the barrier stays finite wherever L-BFGS-B probes.  Each evaluation
+costs one forward simulation plus one adjoint sweep.
 """
 
 from __future__ import annotations
@@ -104,20 +107,26 @@ def cost_partials(simulator: Simulator, trajectory: Trajectory):
     return dt * total, dj_dy, np.zeros(m + 1)
 
 
+# the barrier's logarithm turns quadratic below a margin of this times mu (bar)
+DELTA_PER_MU = 0.01
+
+
 @dataclass
 class OptimalControlProblem:
-    """Scenario, bounds and barrier/inner-loop settings."""
+    """Scenario, control bound and barrier settings."""
 
     network: CoupledNetwork
     scenario: Scenario
-    u_max: float = 30.0e5        # Pa
-    mu0: float = 100.0
-    mu_factor: float = 0.2
-    mu_min: float = 1.0e-4
-    inner_tol: float = 0.05      # gradient max-norm, cost units per bar
-    max_outer: int = 15
-    max_inner: int = 40
-    feasibility_tol_bar: float = 1.0e-3
+    u_max: float = 30.0e5        # Pa, upper bound of the lift
+    mu0: float = 100.0           # first barrier weight
+    mu_factor: float = 0.2       # mu shrinks by this factor per level
+    mu_min: float = 1.0e-4       # last barrier level
+    # L-BFGS-B projected-gradient tolerance at mu_min, cost units per bar;
+    # a level mu stops at max(inner_tol, mu / 2)
+    inner_tol: float = 0.05
+    max_outer: int = 15          # barrier levels
+    max_inner: int = 40          # L-BFGS-B iterations per level
+    feasibility_tol_bar: float = 1.0e-3  # the barrier acts on margin - this
     newton_tol: float = 1.0e-9
 
     def __post_init__(self):
@@ -128,6 +137,11 @@ class OptimalControlProblem:
         for node, p_min in self.scenario.pressure_bounds.items():
             if p_min <= 0:
                 raise ValueError(f"pressure bound at {node} must be positive")
+        for comp in self.network.gas.compressors:
+            if comp.cost.d0 > 0:
+                raise ValueError(
+                    f"compressor {comp.id}: fixed cost d0 > 0 makes the cost "
+                    "discontinuous at zero lift; optimize needs d0 = 0")
 
     @classmethod
     def from_scenario(cls, network: CoupledNetwork, scenario: Scenario,
@@ -150,18 +164,21 @@ class OptimizationResult:
     grad_norm_final: float = np.nan
 
 
+def _extended_log(s: np.ndarray, delta: float):
+    """log(s) and its slope, continued below delta by a matching quadratic."""
+    safe = np.maximum(s, delta)
+    r = np.minimum(s - delta, 0.0) / delta
+    return np.log(safe) + r - 0.5 * r**2, (1.0 - r) / safe
+
+
+def _projected_norm(u: np.ndarray, grad: np.ndarray, u_max: float) -> float:
+    """Max-norm of the gradient projected on the box [0, u_max]."""
+    return float(np.max(np.abs(np.clip(u - grad, 0.0, u_max) - u)))
+
+
 class _BarrierModel:
-    """Value/gradient of the barrier objective.
-
-    The control is handled internally in logit coordinates,
-    u = u_max * sigmoid(z): the box constraint 0 < u < u_max is then
-    automatic and the gradients of its log-barrier terms stay O(mu) even
-    when u approaches a bound, which keeps the quasi-Newton inner loop
-    well conditioned.
-    """
-
-    # |z| cap; u stays strictly inside (0, u_max) with huge headroom
-    Z_LIMIT = 50.0
+    """Barrier objective J - mu * sum log(margin - feasibility_tol_bar)
+    of the lift in bar, and its adjoint gradient."""
 
     def __init__(self, problem: OptimalControlProblem, simulator: Simulator):
         self.problem = problem
@@ -170,17 +187,9 @@ class _BarrierModel:
         self.u_max_bar = problem.u_max / BAR
         self.index = simulator.assembler.index
         self.constants = simulator.network.constants
+        self.last = None
         self._cache_key = None
         self._cache = None
-
-    def u_of_z(self, z: np.ndarray) -> np.ndarray:
-        z = np.clip(z, -self.Z_LIMIT, self.Z_LIMIT)
-        return self.u_max_bar / (1.0 + np.exp(-z))
-
-    def z_of_u(self, u_bar: np.ndarray) -> np.ndarray:
-        frac = np.clip(u_bar / self.u_max_bar, 1e-16, 1.0 - 1e-16)
-        return np.clip(np.log(frac / (1.0 - frac)),
-                       -self.Z_LIMIT, self.Z_LIMIT)
 
     def _simulate(self, u_bar: np.ndarray):
         key = u_bar.tobytes()
@@ -198,49 +207,26 @@ class _BarrierModel:
             rows.append((p - p_min) / BAR)
         return np.array(rows) if rows else np.zeros((0, trajectory.step_count + 1))
 
-    def control_feasible(self, u_bar: np.ndarray) -> bool:
-        return bool(np.all(u_bar > 0.0) and np.all(u_bar < self.u_max_bar))
-
-    def value(self, u_bar: np.ndarray, mu: float):
-        """Barrier value, +inf outside the strictly feasible set."""
-        if not self.control_feasible(u_bar):
-            return np.inf, None
-        trajectory, margins = self._simulate(u_bar)
-        if margins.size and np.min(margins) <= 0.0:
-            return np.inf, (trajectory, margins)
-        j_true = objective(self.sim, trajectory)
-        value = j_true - mu * (np.sum(np.log(u_bar))
-                               + np.sum(np.log(self.u_max_bar - u_bar)))
-        if margins.size:
-            value -= mu * np.sum(np.log(margins))
-        return float(value), (trajectory, margins, j_true)
-
     def value_and_gradient(self, u_bar: np.ndarray, mu: float):
-        """Value plus the gradient w.r.t. u expressed in bar."""
-        value, aux = self.value(u_bar, mu)
-        if not np.isfinite(value):
-            raise ValueError("gradient requested at an infeasible point")
-        trajectory, margins, j_true = aux
+        """Barrier value and its gradient per bar of lift.
+
+        The evaluation, with (trajectory, margins, J), is kept in `last`.
+        """
+        trajectory, margins = self._simulate(u_bar)
+        j_true = objective(self.sim, trajectory)
         _, dj_dy, dj_du = cost_partials(self.sim, trajectory)
+        log_m, slope = _extended_log(margins - self.problem.feasibility_tol_bar,
+                                     DELTA_PER_MU * mu)
+        value = j_true - mu * float(np.sum(log_m))
         for row, (node, _) in enumerate(self.bounds):
             col = self.index.node_rho[node]
-            rho = trajectory.states[:, col]
-            dp = np.asarray(gas.dpressure_drho(rho, self.constants))
-            dj_dy[:, col] += -mu / margins[row] * dp / BAR
+            dp = np.asarray(gas.dpressure_drho(trajectory.states[:, col],
+                                               self.constants))
+            dj_dy[:, col] -= mu * slope[row] * dp / BAR
         xi = adjoint_sweep(self.sim, trajectory, dj_dy)
-        grad_pa = total_gradient(self.sim, trajectory, xi, dj_du)
-        grad = grad_pa * BAR
-        grad += -mu * (1.0 / u_bar - 1.0 / (self.u_max_bar - u_bar))
-        return value, grad, (trajectory, margins, j_true)
-
-    def value_z(self, z: np.ndarray, mu: float):
-        return self.value(self.u_of_z(z), mu)
-
-    def value_and_gradient_z(self, z: np.ndarray, mu: float):
-        u = self.u_of_z(z)
-        value, grad_u, aux = self.value_and_gradient(u, mu)
-        grad_z = grad_u * u * (1.0 - u / self.u_max_bar)
-        return value, grad_z, aux
+        grad = total_gradient(self.sim, trajectory, xi, dj_du) * BAR
+        self.last = (grad, margins, j_true)
+        return value, grad
 
 
 def _feasible_start(model: _BarrierModel, step_count: int) -> np.ndarray:
@@ -257,128 +243,73 @@ def _feasible_start(model: _BarrierModel, step_count: int) -> np.ndarray:
         "all pressure margins positive")
 
 
-class _LbfgsMemory:
-    def __init__(self, size=10):
-        self.size = size
-        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def clear(self):
-        self.pairs.clear()
-
-    def push(self, s, y):
-        sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            self.pairs.append((s, y))
-            if len(self.pairs) > self.size:
-                self.pairs.pop(0)
-
-    def direction(self, grad):
-        q = -grad.copy()
-        if not self.pairs:
-            # first step: bounded move in the transformed coordinates
-            norm = np.max(np.abs(q))
-            return q if norm == 0 else q * min(1.0, 1.0 / norm)
-        alphas = []
-        for s, y in reversed(self.pairs):
-            a = (s @ q) / (s @ y)
-            q -= a * y
-            alphas.append(a)
-        s, y = self.pairs[-1]
-        q *= (s @ y) / (y @ y)
-        for (s, y), a in zip(self.pairs, reversed(alphas)):
-            b = (y @ q) / (s @ y)
-            q += (a - b) * s
-        return q
-
-
-def _solve_inner(model: _BarrierModel, z, mu, tol, max_inner, log_rows,
-                 iteration):
-    """Quasi-Newton descent on the barrier objective at fixed mu.
-
-    Returns (z, grad_norm, aux, iteration, stalled); grad norms are taken
-    in the logit coordinates the inner loop works in.
-    """
-    memory = _LbfgsMemory()
-    f, g, aux = model.value_and_gradient_z(z, mu)
-    stalled = False
-    for _ in range(max_inner):
-        grad_norm = float(np.max(np.abs(g)))
-        log_rows.append({"iter": iteration, "mu": mu, "objective": aux[2],
-                         "min_margin_bar": float(np.min(aux[1]))
-                         if aux[1].size else np.nan,
-                         "grad_norm": grad_norm})
-        iteration += 1
-        if grad_norm <= tol:
-            break
-        direction = memory.direction(g)
-        if direction @ g >= 0.0:
-            memory.clear()
-            direction = memory.direction(g)
-        step = 1.0
-        accepted = False
-        for _ in range(40):
-            f_new, _ = model.value_z(z + step * direction, mu)
-            if f_new <= f + 1e-4 * step * (direction @ g):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            stalled = True
-            break
-        g_prev = g
-        z = z + step * direction
-        f, g, aux = model.value_and_gradient_z(z, mu)
-        memory.push(step * direction, g - g_prev)
-    grad_norm = float(np.max(np.abs(g)))
-    return z, grad_norm, aux, iteration, stalled
-
-
 def optimize(problem: OptimalControlProblem,
              simulator: Simulator | None = None) -> OptimizationResult:
-    """Log-barrier continuation with quasi-Newton inner solves.
+    """Log-barrier continuation with one L-BFGS-B solve per level mu.
 
-    Terminates once mu has reached mu_min and the inner gradient norm is
-    below the inner tolerance; the reported control keeps every margin
-    strictly positive (barrier iterates never leave the interior).  If an
-    inner solve stalls before mu_min, mu is reduced early and the loop
-    continues from the current iterate.
+    Stops once the level mu_min is solved.  L-BFGS-B stops a level when
+    the projected gradient's max-norm falls below max(inner_tol, mu / 2)
+    or after max_inner iterations.  A line-search failure at mu_min with
+    a projected gradient above 10 * inner_tol raises InnerStall.  The
+    returned control keeps every pressure margin strictly positive;
+    otherwise OptimizationError is raised.  The log has one row per
+    L-BFGS-B iteration.
     """
+    # imported here: scipy.optimize adds about 15 MiB to every process
+    # that imports gaspower, also those that only simulate
+    from scipy.optimize import minimize
+
     if simulator is None:
         simulator = Simulator(problem.network, problem.scenario,
                               tol=problem.newton_tol)
     model = _BarrierModel(problem, simulator)
-    m = problem.scenario.step_count
-    z = model.z_of_u(_feasible_start(model, m))
+    u = _feasible_start(model, problem.scenario.step_count)
+    bounds = [(0.0, model.u_max_bar)] * len(u)
 
     log_rows = []
+
+    def log_iterate(intermediate_result):
+        # L-BFGS-B reports each new iterate right after evaluating it
+        grad, margins, j_true = model.last
+        log_rows.append({
+            "iter": len(log_rows), "mu": mu, "objective": j_true,
+            "min_margin_bar": float(np.min(margins)) if margins.size else np.nan,
+            "grad_norm": _projected_norm(intermediate_result.x, grad,
+                                         model.u_max_bar)})
+
     mu = problem.mu0
     grad_norm = np.inf
-    aux = None
-    iteration = 0
     for _ in range(problem.max_outer):
-        tol_level = max(problem.inner_tol, 0.5 * mu)
-        z, grad_norm, aux, iteration, stalled = _solve_inner(
-            model, z, mu, tol_level, problem.max_inner, log_rows, iteration)
+        result = minimize(
+            lambda x: model.value_and_gradient(x, mu), u, jac=True,
+            method="L-BFGS-B", bounds=bounds, callback=log_iterate,
+            options={"gtol": max(problem.inner_tol, 0.5 * mu),
+                     "maxiter": problem.max_inner})
+        u = result.x
+        grad_norm = _projected_norm(u, result.jac, model.u_max_bar)
         if mu <= problem.mu_min:
-            if stalled and grad_norm > 10.0 * problem.inner_tol:
+            if result.status == 2 and grad_norm > 10.0 * problem.inner_tol:
                 raise InnerStall(
-                    f"line search failed at mu = {mu:g} "
-                    f"(gradient norm {grad_norm:.3g})", model.u_of_z(z))
+                    f"L-BFGS-B failed at mu = {mu:g}: {result.message} "
+                    f"(projected gradient norm {grad_norm:.3g})", u * BAR)
             break
         mu = max(mu * problem.mu_factor, problem.mu_min)
     else:
         raise OptimizationError(
             f"outer iteration budget exhausted at mu = {mu:g} "
-            f"(gradient norm {grad_norm:.3g})")
+            f"(projected gradient norm {grad_norm:.3g})")
 
-    trajectory, margins, j_true = aux
-    u_bar = model.u_of_z(z)
+    trajectory, margins = model._simulate(u)
+    min_margin = float(np.min(margins)) if margins.size else np.nan
+    if min_margin <= 0.0:
+        raise OptimizationError(
+            f"final control violates a pressure bound by {-min_margin:.3g} bar")
     return OptimizationResult(
-        control=u_bar * BAR,
+        control=u * BAR,
         trajectory=trajectory,
-        objective=j_true,
+        objective=objective(simulator, trajectory),
         margins_bar=margins,
-        min_margin_bar=float(np.min(margins)) if margins.size else np.nan,
+        min_margin_bar=min_margin,
         log=log_rows,
         mu_final=mu,
         grad_norm_final=grad_norm)

@@ -61,45 +61,32 @@ class SingularJacobian(SimulationError):
 
 
 class VariableIndex:
-    """Bijective map between (entity, quantity, grid point) and flat indices."""
+    """Flat indices of the unknowns: pipe grid points, nodes, compressors
+    and bus quantities."""
 
     def __init__(self, network: CoupledNetwork):
-        self._map: dict[tuple, int] = {}
-        self._labels: list[tuple] = []
         self.pipe_rho: dict[str, slice] = {}
         self.pipe_q: dict[str, slice] = {}
         self.node_rho: dict[str, int] = {}
         self.comp_q: dict[str, int] = {}
         self.bus: dict[tuple[str, str], int] = {}
-
-        def push(label):
-            self._map[label] = len(self._labels)
-            self._labels.append(label)
-
+        size = 0
         # all pipes' densities, then all flows: the layout of gas.PipeGrid
-        for quantity, slices in (("rho", self.pipe_rho), ("q", self.pipe_q)):
+        for slices in (self.pipe_rho, self.pipe_q):
             for pipe in network.gas.pipes:
-                start = len(self._labels)
-                for j in range(pipe.cell_count + 1):
-                    push((pipe.id, quantity, j))
-                slices[pipe.id] = slice(start, len(self._labels))
+                slices[pipe.id] = slice(size, size + pipe.cell_count + 1)
+                size += pipe.cell_count + 1
         for node in network.gas.nodes:
-            self.node_rho[node.id] = len(self._labels)
-            push((node.id, "rho_node", None))
+            self.node_rho[node.id] = size
+            size += 1
         for comp in network.gas.compressors:
-            self.comp_q[comp.id] = len(self._labels)
-            push((comp.id, "q", None))
+            self.comp_q[comp.id] = size
+            size += 1
         for bus in network.grid.busses:
             for quant in BUS_QUANTITIES:
-                self.bus[(bus.id, quant)] = len(self._labels)
-                push((bus.id, quant, None))
-        self.size = len(self._labels)
-
-    def index_of(self, entity: str, quantity: str, position=None) -> int:
-        return self._map[(entity, quantity, position)]
-
-    def label_of(self, i: int) -> tuple:
-        return self._labels[i]
+                self.bus[(bus.id, quant)] = size
+                size += 1
+        self.size = size
 
 
 @dataclass(frozen=True)
@@ -334,6 +321,11 @@ class CoupledStepAssembler:
         for comp in self.comps:
             scale[self.comp_rows[comp.id]] = 1.0 / kappa
         self.row_scale = scale
+        # dR/du is constant: the lift enters each compressor row as -u
+        comp_rows = [self.comp_rows[comp.id] for comp in self.comps]
+        self.d_du = np.zeros(self.n_rows)
+        self.d_du[comp_rows] = -scale[comp_rows]
+        self.d_du.flags.writeable = False
 
     # -- boundary handling -------------------------------------------------
 
@@ -540,12 +532,7 @@ class CoupledStepAssembler:
         rows, cols = self.box_prev
         jac_prev = sparse.csc_matrix((prev_vals * scale[rows], (rows, cols)),
                                      shape=shape)
-
-        d_du = np.zeros(self.n_rows)
-        for comp in self.comps:
-            row = self.comp_rows[comp.id]
-            d_du[row] = -1.0 * scale[row]
-        return jac_next, jac_prev, d_du
+        return jac_next, jac_prev, self.d_du
 
 
 def _pinned_quantities(kind: str) -> tuple[str, str]:

@@ -39,12 +39,15 @@ def make_toy_network(cells=2, length=2000.0):
                           constants=GasConstants())
 
 
-def make_toy_scenario(steps=2, dt=900.0, outflow_flux=150.0):
+def make_toy_scenario(steps=2, dt=900.0, outflow_flux=150.0,
+                      pressure_bounds=None):
+    """60 bar at A and a constant outflow at C; bounds map node -> Pa."""
     boundary = BoundaryData.from_breakpoints({
         ("A", "pressure"): [(0.0, 60e5)],
         ("C", "outflow"): [(0.0, outflow_flux)],
     })
-    return Scenario(horizon=steps * dt, dt=dt, boundary=boundary)
+    return Scenario(horizon=steps * dt, dt=dt, boundary=boundary,
+                    pressure_bounds=dict(pressure_bounds or {}))
 
 
 @pytest.fixture()

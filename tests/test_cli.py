@@ -1,11 +1,18 @@
-"""The package runs as `python -m gaspower` with the CLI's exit codes."""
+"""The command line: `python -m gaspower` and the exit codes of its
+subcommands."""
 
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 import gaspower
+from gaspower import cli, io
+
+from conftest import make_toy_network, make_toy_scenario
 
 PACKAGE = Path(gaspower.__file__).parent
 
@@ -36,3 +43,48 @@ def test_no_arguments_is_an_input_error():
     done = run_module("gaspower")
     assert done.returncode == 2
     assert "usage: gaspower" in done.stderr
+
+
+def write_toy_case(tmp_path, pressure_bounds=None, optimizer=None):
+    """Toy network and scenario files; returns the common CLI arguments."""
+    scenario = make_toy_scenario(pressure_bounds=pressure_bounds)
+    scenario = replace(scenario, optimizer=dict(optimizer or {}))
+    io.dump_network(make_toy_network(), tmp_path / "network.json")
+    io.dump_scenario(scenario, tmp_path / "scenario.json")
+    return ["--network", str(tmp_path / "network.json"),
+            "--scenario", str(tmp_path / "scenario.json")]
+
+
+def test_optimize_writes_the_iteration_log(tmp_path):
+    files = write_toy_case(tmp_path, pressure_bounds={"C": 61.0e5})
+    out = tmp_path / "out"
+    assert cli.run(["optimize", *files, "--out", str(out)]) == cli.EXIT_OK
+    lines = (out / "iteration_log.csv").read_text().splitlines()
+    assert lines[0] == "iter,mu,objective,min_margin_bar,grad_norm"
+    assert len(lines) > 1
+
+
+def test_optimize_with_an_unreachable_bound_is_not_converged(tmp_path,
+                                                             capsys):
+    files = write_toy_case(tmp_path, pressure_bounds={"C": 95.0e5})
+    code = cli.run(["optimize", *files, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_NOT_CONVERGED
+    assert "no constant control" in capsys.readouterr().err
+
+
+def test_unknown_optimizer_key_is_an_input_error(tmp_path, capsys):
+    files = write_toy_case(tmp_path, optimizer={"step_size": 1.0})
+    code = cli.run(["optimize", *files, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "step_size" in capsys.readouterr().err
+
+
+def test_check_gradient(tmp_path, capsys):
+    files = write_toy_case(tmp_path)
+    control = tmp_path / "control.csv"
+    io.write_control(np.array([0.0, 1800.0]), np.array([1.0e5, 2.0e5]),
+                     control)
+    code = cli.run(["check-gradient", *files, "--control", str(control),
+                    "--components", "2"])
+    assert code == cli.EXIT_OK
+    assert "max relative error" in capsys.readouterr().out
