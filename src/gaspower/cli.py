@@ -47,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--tol", type=float, default=None,
                        help="L-BFGS-B projected-gradient tolerance at the "
                             "last barrier level, cost units per bar "
-                            "(default 0.05)")
+                            "(default 0.05); a level also ends on "
+                            "L-BFGS-B's relative-reduction test")
     p_opt.add_argument("--mu0", type=float, default=None,
                        help="initial barrier weight (default 100)")
     p_opt.add_argument("--mu-factor", type=float, default=None,

@@ -2,8 +2,8 @@
 
 Pressure law, Prandtl-Colebrook friction, the friction source term of
 the isothermal/isentropic Euler system, and the implicit box scheme
-residual with its Jacobian values, evaluated on all pipes of a network at
-once through a PipeGrid.  All functions are pure and reentrant.
+residual, alone or with its Jacobian values, evaluated on all pipes of a
+network at once through a PipeGrid.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -145,10 +145,15 @@ def source_term_with_derivatives(rho, q, geometry,
                                                geometry.roughness,
                                                constants.eta)
     c = 1.0 / (2.0 * geometry.diameter)
-    s = -c * lam * q * np.abs(q) / rho
+    s = _source(rho, q, lam, c)
     ds_drho = c * lam * q * np.abs(q) / rho**2
     ds_dq = -c * (dlam * q * np.abs(q) + lam * 2.0 * np.abs(q)) / rho
     return s, ds_drho, ds_dq
+
+
+def _source(rho, q, lam, c):
+    """S = -c lambda q|q|/rho with c = 1/(2 d)."""
+    return -c * lam * q * np.abs(q) / rho
 
 
 @dataclass(frozen=True)
@@ -213,27 +218,16 @@ def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
         (Y_{j-1} + Y_j)/2 |_new = (Y_{j-1} + Y_j)/2 |_old
             - dt/dx (f(Y_j) - f(Y_{j-1}))|_new + dt (g(Y_j)+g(Y_{j-1}))/2 |_new
     """
-    if prev.rho.shape != next_.rho.shape or \
-            next_.rho.shape != grid.diameter.shape:
-        raise ValueError("pipe states have mismatched lengths")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_levels(prev, next_, dt, grid)
     rho, q = next_.rho, next_.q
-    rho_o, q_o = prev.rho, prev.q
     jl, jr = grid.left, grid.left + 1
     r = dt / grid.dx
 
-    p = pressure_of_density(rho, constants)
     dp = dpressure_drho(rho, constants)
-    f2 = p + q * q / rho
     df2_drho = dp - (q / rho) ** 2
     df2_dq = 2.0 * q / rho
     s, ds_drho, ds_dq = source_term_with_derivatives(rho, q, grid, constants)
-
-    res_mass = (0.5 * (rho[jl] + rho[jr]) - 0.5 * (rho_o[jl] + rho_o[jr])
-                + r * (q[jr] - q[jl]))
-    res_mom = (0.5 * (q[jl] + q[jr]) - 0.5 * (q_o[jl] + q_o[jr])
-               + r * (f2[jr] - f2[jl]) - dt * 0.5 * (s[jr] + s[jl]))
+    res = _box_rows(prev, next_, dt, grid, constants, s)
 
     half = np.full(len(jl), 0.5)
     next_vals = np.concatenate([
@@ -246,7 +240,41 @@ def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
         half + r * df2_dq[jr] - dt * 0.5 * ds_dq[jr]])
     # the old level enters the mass rows through rho, momentum through q
     prev_vals = np.full(4 * len(jl), -0.5)
-    return np.concatenate([res_mass, res_mom]), next_vals, prev_vals
+    return res, next_vals, prev_vals
+
+
+def box_residual(prev: PipeState, next_: PipeState, dt: float,
+                 grid: PipeGrid, constants: GasConstants) -> np.ndarray:
+    """The residual of _box_blocks alone, with no stencil derivatives."""
+    _check_levels(prev, next_, dt, grid)
+    rho, q = next_.rho, next_.q
+    lam, _ = friction_factor_and_derivative(q, grid.diameter, grid.roughness,
+                                            constants.eta)
+    s = _source(rho, q, lam, 1.0 / (2.0 * grid.diameter))
+    return _box_rows(prev, next_, dt, grid, constants, s)
+
+
+def _check_levels(prev: PipeState, next_: PipeState, dt, grid: PipeGrid):
+    if prev.rho.shape != next_.rho.shape or \
+            next_.rho.shape != grid.diameter.shape:
+        raise ValueError("pipe states have mismatched lengths")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+
+
+def _box_rows(prev: PipeState, next_: PipeState, dt: float, grid: PipeGrid,
+              constants: GasConstants, s) -> np.ndarray:
+    """Mass rows, then momentum rows, given the new level's source s."""
+    rho, q = next_.rho, next_.q
+    f2 = pressure_of_density(rho, constants) + q * q / rho
+    rho_o, q_o = prev.rho, prev.q
+    jl, jr = grid.left, grid.left + 1
+    r = dt / grid.dx
+    res_mass = (0.5 * (rho[jl] + rho[jr]) - 0.5 * (rho_o[jl] + rho_o[jr])
+                + r * (q[jr] - q[jl]))
+    res_mom = (0.5 * (q[jl] + q[jr]) - 0.5 * (q_o[jl] + q_o[jr])
+               + r * (f2[jr] - f2[jl]) - dt * 0.5 * (s[jr] + s[jl]))
+    return np.concatenate([res_mass, res_mom])
 
 
 def _one_pipe(next_: PipeState, dx: float, pipe: Pipe) -> PipeGrid:
@@ -261,8 +289,8 @@ def box_scheme_residual(prev: PipeState, next_: PipeState, dt: float,
 
     Ordered as [mass rows 1..n, momentum rows 1..n].
     """
-    return _box_blocks(prev, next_, dt, _one_pipe(next_, dx, pipe),
-                       constants)[0]
+    return box_residual(prev, next_, dt, _one_pipe(next_, dx, pipe),
+                        constants)
 
 
 def box_scheme_jacobian(prev: PipeState, next_: PipeState, dt: float,

@@ -122,7 +122,8 @@ class OptimalControlProblem:
     mu_factor: float = 0.2       # mu shrinks by this factor per level
     mu_min: float = 1.0e-4       # last barrier level
     # L-BFGS-B projected-gradient tolerance at mu_min, cost units per bar;
-    # a level mu stops at max(inner_tol, mu / 2)
+    # a level mu stops when the projected gradient is below
+    # max(inner_tol, mu / 2) or on L-BFGS-B's relative-reduction test
     inner_tol: float = 0.05
     max_outer: int = 15          # barrier levels
     max_inner: int = 40          # L-BFGS-B iterations per level
@@ -247,8 +248,10 @@ def optimize(problem: OptimalControlProblem,
              simulator: Simulator | None = None) -> OptimizationResult:
     """Log-barrier continuation with one L-BFGS-B solve per level mu.
 
-    Stops once the level mu_min is solved.  L-BFGS-B stops a level when
-    the projected gradient's max-norm falls below max(inner_tol, mu / 2)
+    Stops once the level mu_min is solved.  L-BFGS-B stops a level on the
+    first of its two tests, the projected gradient's max-norm below
+    max(inner_tol, mu / 2) or a relative reduction of the objective below
+    its default `ftol` (on the bundled case most levels end on this one),
     or after max_inner iterations.  A line-search failure at mu_min with
     a projected gradient above 10 * inner_tol raises InnerStall.  The
     returned control keeps every pressure margin strictly positive;

@@ -12,12 +12,18 @@ pipe block thus has the layout of gas.PipeGrid and is evaluated for all
 pipes at once.  The system is square by construction; each time step and
 the steady start (the same system with y_prev = y_next) are solved by
 one damped Newton routine.
+
+The assembler fixes the CSC pattern of dR/dy_next at set-up, so each
+Jacobian only computes values; dR/dy_prev and dR/du are constant and
+shared by all calls.  The linear rows (pressure coupling, node balances,
+boundary and bus rows) form one constant sparse operator.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -233,9 +239,7 @@ class CoupledStepAssembler:
             self.node_terms[self.node_pos[comp.to_node]].append(
                 (qc, self.comp_area[comp.id]))
 
-        self.node_plant = {}
-        for plant in network.plants:
-            self.node_plant[plant.gas_node] = plant
+        self.node_plant = {p.gas_node: p for p in network.plants}
 
         self.G, self.B, self.bus_order = nodal_admittance(network.grid)
         self.n_bus = len(self.bus_order)
@@ -255,6 +259,7 @@ class CoupledStepAssembler:
             [idx.bus[(b.id, "V")] for b in self.busses]]).astype(int)
 
         self._build_rows()
+        self._build_pattern()
 
     def _area_near(self, comp) -> float:
         for node_id in (comp.from_node, comp.to_node):
@@ -327,23 +332,115 @@ class CoupledStepAssembler:
         self.d_du[comp_rows] = -scale[comp_rows]
         self.d_du.flags.writeable = False
 
+    def _build_pattern(self):
+        """Index arrays of the nonlinear rows and the fixed CSC pattern.
+
+        The entries of dR/dy_next are listed once, in the order jacobian()
+        concatenates their values: box stencil, constant entries (also the
+        residual's linear rows), plant offtake, compressors, power flow.
+        """
+        idx = self.index
+        ints = lambda values: np.array(list(values), dtype=int)
+        kind = np.array([n.kind for n in self.nodes])
+        node_rows = ints(self.node_rows[n.id] for n in self.nodes)
+        self._pb_nodes = np.flatnonzero(kind == PRESSURE_BOUNDARY)
+        self._fb_nodes = np.flatnonzero(kind == FLOW_BOUNDARY)
+        self._pb_rows = node_rows[self._pb_nodes]
+        self._fb_rows = node_rows[self._fb_nodes]
+        # the recorded outflow flux leaves through the incident pipe area
+        self._fb_area = np.array([abs(self.node_terms[i][0][1])
+                                  for i in self._fb_nodes])
+        plants = [self.node_plant[n.id] for n in self.nodes
+                  if n.kind == POWER_COUPLING]
+        self._plant_rows = ints(self.node_rows[p.gas_node] for p in plants)
+        self._plant_cols = ints(idx.bus[(p.bus, "P")] for p in plants)
+        self._plants = SimpleNamespace(**{
+            key: np.array([getattr(p, key) for p in plants])
+            for key in ("a0", "a1", "a2", "reference_density")})
+        self._comp_rows = ints(self.comp_rows[c.id] for c in self.comps)
+        self._comp_to = ints(idx.node_rho[c.to_node] for c in self.comps)
+        self._comp_from = ints(idx.node_rho[c.from_node] for c in self.comps)
+        self._bus_cols = ints(idx.bus[(b.id, q)] for q in BUS_QUANTITIES
+                              for b in self.busses).reshape(4, -1)
+        self._pf_rows = ints(self.bus_flow_rows[b.id][k] for k in (0, 1)
+                             for b in self.busses)
+        self._bc_rows = ints(r for b in self.busses
+                             for r in self.bus_bc_rows[b.id])
+
+        # constant entries: (rows, cols, value or values)
+        balance = np.reshape([(node_rows[i], col, area)
+                              for i, n in enumerate(self.nodes)
+                              if n.kind != PRESSURE_BOUNDARY
+                              for col, area in self.node_terms[i]], (-1, 3))
+        const = [(self.coupling_rows, self.coupling_cols, 1.0),
+                 (self.coupling_rows, self.coupling_node_cols, -1.0),
+                 (self._pb_rows, ints(idx.node_rho[self.nodes[i].id]
+                                      for i in self._pb_nodes), 1.0),
+                 (balance[:, 0], balance[:, 1], balance[:, 2]),
+                 (self._pf_rows, self._bus_cols[2:].ravel(), 1.0),
+                 (self._bc_rows, ints(idx.bus[(b.id, quant)]
+                                      for b in self.busses for quant in
+                                      _pinned_quantities(b.kind)), 1.0)]
+        const_rows, const_cols = (ints(np.concatenate(part)) for part in
+                                  zip(*[(r, c) for r, c, _ in const]))
+        self._const_vals = np.concatenate(
+            [np.broadcast_to(v, len(r)) for r, _, v in const])
+        shape = (self.n_rows, idx.size)
+        self._linear = sparse.csr_matrix(
+            (self._const_vals, (const_rows, const_cols)), shape=shape)
+
+        # P rows by V and phi, then Q rows: power.injection_jacobians' order
+        dense = [np.meshgrid(r, c, indexing="ij")
+                 for r in self._pf_rows.reshape(2, -1)
+                 for c in self._bus_cols[:2]]
+        variable = [(self._plant_rows, self._plant_cols),
+                    (self._comp_rows, self._comp_to),
+                    (self._comp_rows, self._comp_from)] + \
+            [(rr.ravel(), cc.ravel()) for rr, cc in dense]
+        rows, cols = (np.concatenate(part) for part in zip(
+            self.box_next, (const_rows, const_cols), *variable))
+        slots = sparse.csc_matrix(
+            (np.arange(1.0, len(rows) + 1.0), (rows, cols)), shape=shape)
+        if slots.nnz != len(rows):
+            raise AssertionError("two step Jacobian entries share a slot")
+        # data[s] takes entry _slot_entry[s] of the value list
+        self._slot_entry = slots.data.astype(int) - 1
+        self._entry_scale = self.row_scale[rows]
+        self._indices, self._indptr = slots.indices, slots.indptr
+        self._indices.flags.writeable = self._indptr.flags.writeable = False
+        # dR/dy_prev is constant: -1/2 on the old level of the box stencil
+        rows, cols = self.box_prev
+        self.jac_prev = sparse.csc_matrix(
+            (-0.5 * self.row_scale[rows], (rows, cols)), shape=shape)
+        self.jac_prev.data.flags.writeable = False
+
     # -- boundary handling -------------------------------------------------
 
-    def boundary_snapshot(self, boundary: BoundaryData, t: float) -> _Snapshot:
-        node_rho = np.full(len(self.nodes), np.nan)
-        node_out = np.zeros(len(self.nodes))
+    def boundary_snapshots(self, boundary: BoundaryData, times
+                           ) -> list[_Snapshot]:
+        """Boundary values at each of `times`, one interpolation per series."""
+        times = np.asarray(times, dtype=float)
+
+        def series(target, quantity):
+            return np.interp(times, *boundary.series[(target, quantity)])
+
+        node_rho = np.full((len(times), len(self.nodes)), np.nan)
+        node_out = np.zeros((len(times), len(self.nodes)))
         for i, node in enumerate(self.nodes):
             if node.kind == PRESSURE_BOUNDARY:
-                p = boundary.value(node.id, "pressure", t)
-                node_rho[i] = gas.density_of_pressure(p, self.constants)
+                node_rho[:, i] = gas.density_of_pressure(
+                    series(node.id, "pressure"), self.constants)
             elif node.kind == FLOW_BOUNDARY:
-                node_out[i] = boundary.value(node.id, "outflow", t)
-        bus_fixed = np.zeros((self.n_bus, 2))
+                node_out[:, i] = series(node.id, "outflow")
+        bus_fixed = np.zeros((len(times), self.n_bus, 2))
         for i, bus in enumerate(self.busses):
-            q1, q2 = _pinned_quantities(bus.kind)
-            bus_fixed[i, 0] = boundary.value(bus.id, q1, t)
-            bus_fixed[i, 1] = boundary.value(bus.id, q2, t)
-        return _Snapshot(node_rho, node_out, bus_fixed)
+            for k, quant in enumerate(_pinned_quantities(bus.kind)):
+                bus_fixed[:, i, k] = series(bus.id, quant)
+        return [_Snapshot(*level)
+                for level in zip(node_rho, node_out, bus_fixed)]
+
+    def boundary_snapshot(self, boundary: BoundaryData, t: float) -> _Snapshot:
+        return self.boundary_snapshots(boundary, [t])[0]
 
     # -- state helpers -----------------------------------------------------
 
@@ -372,15 +469,11 @@ class CoupledStepAssembler:
         for comp in self.comps:
             y[idx.comp_q[comp.id]] = _STEADY_FLOW_SEED
         if self.busses:
-            fixed = {}
-            for i, bus in enumerate(self.busses):
-                q1, q2 = _pinned_quantities(bus.kind)
-                fixed[(bus.id, q1)] = snap.bus_fixed[i, 0]
-                fixed[(bus.id, q2)] = snap.bus_fixed[i, 1]
+            fixed = {(bus.id, quant): snap.bus_fixed[i, k]
+                     for i, bus in enumerate(self.busses)
+                     for k, quant in enumerate(_pinned_quantities(bus.kind))}
             state = power.solve_powerflow(self.network.grid, fixed)
-            for i, bus in enumerate(self.busses):
-                for quant in BUS_QUANTITIES:
-                    y[idx.bus[(bus.id, quant)]] = getattr(state, quant)[i]
+            y[self._bus_cols] = [getattr(state, q) for q in BUS_QUANTITIES]
         return y
 
     def node_injection(self, y: np.ndarray, node_id: str) -> float:
@@ -393,53 +486,25 @@ class CoupledStepAssembler:
 
     def residual(self, y_prev: np.ndarray, y_next: np.ndarray, u: float,
                  snap: _Snapshot, dt: float) -> np.ndarray:
-        idx = self.index
-        res = np.zeros(self.n_rows)
-        cons = self.constants
-
-        res[:self.grid.shape[0]] = gas._box_blocks(
+        """R(y_prev, y_next, u), rows scaled by row_scale: the constant
+        linear operator applied to y_next, less the boundary values of
+        `snap` and the plant offtake; the box rows (gas.box_residual, no
+        stencil derivatives), compressor and power-flow rows replace it."""
+        res = self._linear @ y_next
+        res[:self.grid.shape[0]] = gas.box_residual(
             self._pipe_state(y_prev), self._pipe_state(y_next), dt,
-            self.grid, cons)[0]
-        res[self.coupling_rows] = (y_next[self.coupling_cols]
-                                   - y_next[self.coupling_node_cols])
-
-        for i, node in enumerate(self.nodes):
-            row = self.node_rows[node.id]
-            if node.kind == PRESSURE_BOUNDARY:
-                res[row] = y_next[idx.node_rho[node.id]] - snap.node_rho_bc[i]
-                continue
-            balance = sum(signed_area * y_next[col]
-                          for col, signed_area in self.node_terms[i])
-            if node.kind == FLOW_BOUNDARY:
-                # the recorded outflow flux leaves through the incident pipe area
-                area = abs(self.node_terms[i][0][1])
-                balance -= area * snap.node_outflow[i]
-            if node.kind == POWER_COUPLING:
-                plant = self.node_plant[node.id]
-                p_bus = y_next[idx.bus[(plant.bus, "P")]]
-                eps = power.plant_gas_offtake(p_bus, plant)
-                balance -= plant.reference_density * eps
-            res[row] = balance
-
-        for comp in self.comps:
-            p_out = gas.pressure_of_density(
-                y_next[idx.node_rho[comp.to_node]], cons)
-            p_in = gas.pressure_of_density(
-                y_next[idx.node_rho[comp.from_node]], cons)
-            res[self.comp_rows[comp.id]] = p_out - p_in - u
-
+            self.grid, self.constants)
+        res[self._pb_rows] -= snap.node_rho_bc[self._pb_nodes]
+        res[self._fb_rows] -= self._fb_area * snap.node_outflow[self._fb_nodes]
+        res[self._plant_rows] -= self._plants.reference_density * \
+            power.plant_gas_offtake(y_next[self._plant_cols], self._plants)
+        p_to, p_from = (gas.pressure_of_density(y_next[cols], self.constants)
+                        for cols in (self._comp_to, self._comp_from))
+        res[self._comp_rows] = p_to - p_from - u
         if self.n_bus:
-            state = self._power_state(y_next)
-            pf = power.powerflow_residual(state, self.G, self.B)
-            for i, bus in enumerate(self.busses):
-                rp, rq = self.bus_flow_rows[bus.id]
-                res[rp] = pf[i]
-                res[rq] = pf[self.n_bus + i]
-                r1, r2 = self.bus_bc_rows[bus.id]
-                q1, q2 = _pinned_quantities(bus.kind)
-                res[r1] = y_next[idx.bus[(bus.id, q1)]] - snap.bus_fixed[i, 0]
-                res[r2] = y_next[idx.bus[(bus.id, q2)]] - snap.bus_fixed[i, 1]
-
+            res[self._pf_rows] = power.powerflow_residual(
+                self._power_state(y_next), self.G, self.B)
+            res[self._bc_rows] -= snap.bus_fixed.ravel()
         return res * self.row_scale
 
     def _pipe_state(self, y: np.ndarray) -> gas.PipeState:
@@ -447,92 +512,36 @@ class CoupledStepAssembler:
                              y[self.n_points:2 * self.n_points])
 
     def _power_state(self, y: np.ndarray) -> power.PowerState:
-        idx = self.index
-        get = lambda quant: np.array(
-            [y[idx.bus[(b.id, quant)]] for b in self.busses])
-        return power.PowerState(tuple(self.bus_order), get("V"), get("phi"),
-                                get("P"), get("Q"))
+        return power.PowerState(tuple(self.bus_order), *y[self._bus_cols])
 
     # -- jacobian ------------------------------------------------------------
 
     def jacobian(self, y_prev: np.ndarray, y_next: np.ndarray, u: float,
                  snap: _Snapshot, dt: float):
-        """(dR/dy_next, dR/dy_prev, dR/du) with rows scaled like residual()."""
-        idx = self.index
+        """(dR/dy_next, dR/dy_prev, dR/du) with rows scaled like residual().
+
+        dR/dy_next has the CSC pattern fixed at set-up; only its values
+        are computed here.  dR/dy_prev and dR/du are constant, read-only
+        and the same objects on every call.
+        """
         cons = self.constants
-        rows_a, cols_a, vals_a = [], [], []
-
-        def add_a(r, c, v):
-            rows_a.append(np.asarray(r).ravel())
-            cols_a.append(np.asarray(c).ravel())
-            vals_a.append(np.asarray(v, dtype=float).ravel())
-
-        _, next_vals, prev_vals = gas._box_blocks(
+        _, box_vals, _ = gas._box_blocks(
             self._pipe_state(y_prev), self._pipe_state(y_next), dt,
             self.grid, cons)
-        add_a(*self.box_next, next_vals)
-        ones = np.ones(len(self.coupling_rows))
-        add_a(self.coupling_rows, self.coupling_cols, ones)
-        add_a(self.coupling_rows, self.coupling_node_cols, -ones)
-
-        for i, node in enumerate(self.nodes):
-            row = self.node_rows[node.id]
-            if node.kind == PRESSURE_BOUNDARY:
-                add_a([row], [idx.node_rho[node.id]], [1.0])
-                continue
-            for col, signed_area in self.node_terms[i]:
-                add_a([row], [col], [signed_area])
-            if node.kind == POWER_COUPLING:
-                plant = self.node_plant[node.id]
-                p_col = idx.bus[(plant.bus, "P")]
-                deps = power.plant_gas_offtake_derivative(y_next[p_col], plant)
-                add_a([row], [p_col], [-plant.reference_density * deps])
-
-        for comp in self.comps:
-            row = self.comp_rows[comp.id]
-            c_to = idx.node_rho[comp.to_node]
-            c_from = idx.node_rho[comp.from_node]
-            add_a([row, row], [c_to, c_from],
-                  [gas.dpressure_drho(y_next[c_to], cons),
-                   -gas.dpressure_drho(y_next[c_from], cons)])
-
+        deps = power.plant_gas_offtake_derivative(y_next[self._plant_cols],
+                                                  self._plants)
+        parts = [box_vals, self._const_vals,
+                 -self._plants.reference_density * deps,
+                 gas.dpressure_drho(y_next[self._comp_to], cons),
+                 -gas.dpressure_drho(y_next[self._comp_from], cons)]
         if self.n_bus:
-            state = self._power_state(y_next)
-            dp_dv, dp_dphi, dq_dv, dq_dphi = power.injection_jacobians(
-                state.V, state.phi, self.G, self.B)
-            p_rows = np.array([self.bus_flow_rows[b.id][0] for b in self.busses])
-            q_rows = np.array([self.bus_flow_rows[b.id][1] for b in self.busses])
-            v_cols = np.array([idx.bus[(b.id, "V")] for b in self.busses])
-            phi_cols = np.array([idx.bus[(b.id, "phi")] for b in self.busses])
-            p_cols = np.array([idx.bus[(b.id, "P")] for b in self.busses])
-            q_cols = np.array([idx.bus[(b.id, "Q")] for b in self.busses])
-            rr, cc = np.meshgrid(p_rows, v_cols, indexing="ij")
-            add_a(rr, cc, -dp_dv)
-            rr, cc = np.meshgrid(p_rows, phi_cols, indexing="ij")
-            add_a(rr, cc, -dp_dphi)
-            rr, cc = np.meshgrid(q_rows, v_cols, indexing="ij")
-            add_a(rr, cc, -dq_dv)
-            rr, cc = np.meshgrid(q_rows, phi_cols, indexing="ij")
-            add_a(rr, cc, -dq_dphi)
-            add_a(p_rows, p_cols, np.ones(self.n_bus))
-            add_a(q_rows, q_cols, np.ones(self.n_bus))
-            for i, bus in enumerate(self.busses):
-                r1, r2 = self.bus_bc_rows[bus.id]
-                q1, q2 = _pinned_quantities(bus.kind)
-                add_a([r1, r2],
-                      [idx.bus[(bus.id, q1)], idx.bus[(bus.id, q2)]],
-                      [1.0, 1.0])
-
-        scale = self.row_scale
-        shape = (self.n_rows, self.index.size)
-        rows = np.concatenate(rows_a)
-        jac_next = sparse.csc_matrix(
-            (np.concatenate(vals_a) * scale[rows],
-             (rows, np.concatenate(cols_a))), shape=shape)
-        rows, cols = self.box_prev
-        jac_prev = sparse.csc_matrix((prev_vals * scale[rows], (rows, cols)),
-                                     shape=shape)
-        return jac_next, jac_prev, self.d_du
+            v, phi = y_next[self._bus_cols[:2]]
+            parts += [-block.ravel() for block in power.injection_jacobians(
+                v, phi, self.G, self.B)]
+        data = (np.concatenate(parts) * self._entry_scale)[self._slot_entry]
+        jac_next = sparse.csc_matrix((data, self._indices, self._indptr),
+                                     shape=(self.n_rows, self.index.size))
+        return jac_next, self.jac_prev, self.d_du
 
 
 def _pinned_quantities(kind: str) -> tuple[str, str]:
@@ -644,9 +653,8 @@ class Simulator:
         self.tol = tol
         self.max_iter = max_iter
         self.assembler = CoupledStepAssembler(network)
-        self.snapshots = [
-            self.assembler.boundary_snapshot(scenario.boundary, t)
-            for t in scenario.times]
+        self.snapshots = self.assembler.boundary_snapshots(
+            scenario.boundary, scenario.times)
         self._check_grid_regime()
 
     def _check_grid_regime(self):

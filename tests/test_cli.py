@@ -88,3 +88,23 @@ def test_check_gradient(tmp_path, capsys):
                     "--components", "2"])
     assert code == cli.EXIT_OK
     assert "max relative error" in capsys.readouterr().out
+
+
+def test_simulate_writes_the_result_files(tmp_path, capsys):
+    files = write_toy_case(tmp_path)
+    out = tmp_path / "out"
+    assert cli.run(["simulate", *files, "--out", str(out)]) == cli.EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "busses.csv", "control.csv", "gas_nodes.csv", "summary.json"]
+    assert "simulated 2 steps" in capsys.readouterr().out
+
+
+def test_simulate_with_a_malformed_control_is_an_input_error(tmp_path,
+                                                             capsys):
+    files = write_toy_case(tmp_path)
+    control = tmp_path / "control.csv"
+    control.write_text("t_hours,u_bar\n0.0;1.5\n", encoding="utf-8")
+    code = cli.run(["simulate", *files, "--control", str(control),
+                    "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "expected 't_hours,u_bar'" in capsys.readouterr().err

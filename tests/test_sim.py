@@ -292,6 +292,23 @@ def make_mixed_network():
     return CoupledNetwork(gas=gas_net, grid=PowerGrid((), ()))
 
 
+def central_differences(fun, y, h_rel=1e-5):
+    """Columns of d fun / d y by central differences."""
+    cols = []
+    for i in range(y.size):
+        h = h_rel * max(1.0, abs(y[i]))
+        up, down = y.copy(), y.copy()
+        up[i] += h
+        down[i] -= h
+        cols.append((fun(up) - fun(down)) / (2.0 * h))
+    return np.array(cols).T
+
+
+def assert_close(analytic, fd):
+    assert np.all(np.abs(analytic - fd) <= 1e-6 * np.abs(fd) + 1e-12), \
+        np.max(np.abs(analytic - fd))
+
+
 class TestMixedGeometryJacobian:
     """Assembled derivatives on pipes of different geometry and grids."""
 
@@ -305,37 +322,20 @@ class TestMixedGeometryJacobian:
         y1 = y0 * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
         return asm, snap, y0, y1
 
-    @staticmethod
-    def _fd(fun, y, h_rel=1e-5):
-        cols = []
-        for i in range(y.size):
-            h = h_rel * max(1.0, abs(y[i]))
-            up, down = y.copy(), y.copy()
-            up[i] += h
-            down[i] -= h
-            cols.append((fun(up) - fun(down)) / (2.0 * h))
-        return np.array(cols).T
-
-    @staticmethod
-    def _assert_close(analytic, fd):
-        assert np.all(np.abs(analytic - fd)
-                      <= 1e-6 * np.abs(fd) + 1e-12), \
-            np.max(np.abs(analytic - fd))
-
     @pytest.mark.parametrize("same_levels", [False, True])
     def test_matches_central_differences(self, mixed, same_levels):
         asm, snap, y0, y1 = mixed
         y_prev = y1 if same_levels else y0
         u, dt = 1.2e5, 900.0
         jac_next, jac_prev, d_du = asm.jacobian(y_prev, y1, u, snap, dt)
-        self._assert_close(jac_next.toarray(), self._fd(
+        assert_close(jac_next.toarray(), central_differences(
             lambda y: asm.residual(y_prev, y, u, snap, dt), y1))
-        self._assert_close(jac_prev.toarray(), self._fd(
+        assert_close(jac_prev.toarray(), central_differences(
             lambda y: asm.residual(y, y1, u, snap, dt), y_prev))
         h = 1.0e2
         fd_u = (asm.residual(y_prev, y1, u + h, snap, dt)
                 - asm.residual(y_prev, y1, u - h, snap, dt)) / (2.0 * h)
-        self._assert_close(d_du, fd_u)
+        assert_close(d_du, fd_u)
 
     def test_pipe_rows_equal_box_scheme(self, mixed):
         asm, snap, y0, y1 = mixed
@@ -356,3 +356,89 @@ def test_gas_only_network_supported():
     assert network.grid.busses == ()
     traj = simulate(network, make_toy_scenario())
     assert traj.step_count == 2
+
+
+class TestFixedPattern:
+    """The step Jacobian keeps the CSC pattern built at set-up."""
+
+    @pytest.fixture()
+    def step(self, bundled_simulator, uncontrolled_trajectory):
+        states = uncontrolled_trajectory.states
+        return (bundled_simulator.assembler, bundled_simulator.snapshots[5],
+                states[4], states[5])
+
+    def test_pattern_is_fixed_and_canonical(self, step):
+        asm, snap, y0, y1 = step
+        first = asm.jacobian(y0, y1, 0.0, snap, 900.0)[0]
+        second = asm.jacobian(y1, 1.001 * y1, 2.0e5, snap, 900.0)[0]
+        assert not np.array_equal(first.data, second.data)
+        for jac in (first, second):
+            assert jac.format == "csc" and jac.has_canonical_format
+            assert np.array_equal(jac.indices, asm._indices)
+            assert np.array_equal(jac.indptr, asm._indptr)
+
+    def test_prev_block_is_one_read_only_matrix(self, step):
+        asm, snap, y0, y1 = step
+        first = asm.jacobian(y0, y1, 0.0, snap, 900.0)[1]
+        second = asm.jacobian(y1, 1.001 * y1, 2.0e5, snap, 60.0)[1]
+        assert first is second
+        with pytest.raises(ValueError):
+            first.data[0] = 1.0
+
+    def test_every_column_matches_central_differences(self, step):
+        """Covers the plant, compressor and power-flow entries too."""
+        asm, snap, y0, y1 = step
+        u, dt = 2.0e5, 900.0
+        jac_next = asm.jacobian(y0, y1, u, snap, dt)[0]
+        assert_close(jac_next.toarray(), central_differences(
+            lambda y: asm.residual(y0, y, u, snap, dt), y1))
+
+    def test_steady_jacobian_matches_central_differences(self, step):
+        asm, snap, _, y = step
+        u, dt = 2.0e5, 900.0
+        jac_next, jac_prev, _ = asm.jacobian(y, y, u, snap, dt)
+        assert_close((jac_next + jac_prev).toarray(), central_differences(
+            lambda y: asm.residual(y, y, u, snap, dt), y))
+
+
+def make_pipe_only_network():
+    """Pressure source -> one pipe -> demand: no compressor, no busses."""
+    gas_net = GasNetwork(
+        nodes=(GasNode("A", "pressure-boundary"),
+               GasNode("C", "flow-boundary")),
+        pipes=(Pipe("PA", "A", "C", length=2000.0, cell_count=2),),
+        compressors=(),
+    )
+    return CoupledNetwork(gas=gas_net, grid=PowerGrid((), ()))
+
+
+class TestEmptyIndexArrays:
+    def test_pipe_only_network(self):
+        simulator = Simulator(make_pipe_only_network(),
+                              make_toy_scenario(outflow_flux=60.0))
+        traj = simulator.run(np.zeros(3))
+        asm, snap = simulator.assembler, simulator.snapshots[1]
+        y0 = traj.states[0]
+        rng = np.random.default_rng(7)
+        y1 = traj.states[1] * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
+        jac_next = asm.jacobian(y0, y1, 0.0, snap, 900.0)[0]
+        assert_close(jac_next.toarray(), central_differences(
+            lambda y: asm.residual(y0, y, 0.0, snap, 900.0), y1))
+
+    def test_snapshots_match_one_at_a_time(self, bundled_simulator):
+        asm = bundled_simulator.assembler
+        boundary = bundled_simulator.scenario.boundary
+        last = max(times[-1] for times, _ in boundary.series.values())
+        times = np.array([0.0, 1234.5, 0.5 * last, last, last + 7200.0])
+        snaps = asm.boundary_snapshots(boundary, times)
+        for t, snap in zip(times, snaps):
+            one = asm.boundary_snapshot(boundary, t)
+            for name in ("node_rho_bc", "node_outflow", "bus_fixed"):
+                assert np.array_equal(getattr(snap, name), getattr(one, name),
+                                      equal_nan=True)
+            i = asm.node_pos["S25"]
+            assert snap.node_outflow[i] == boundary.value("S25", "outflow", t)
+        # clamped past the last breakpoint
+        for name in ("node_rho_bc", "node_outflow", "bus_fixed"):
+            assert np.array_equal(getattr(snaps[-1], name),
+                                  getattr(snaps[-2], name), equal_nan=True)
