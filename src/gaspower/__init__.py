@@ -3,15 +3,17 @@
 The package integrates transient isothermal gas dynamics (implicit box
 scheme) and AC powerflow into one nonlinear system per time step, links
 the two through gas-fired plants, and minimizes compressor energy cost
-under pressure bounds using adjoint gradients inside a log-barrier
-optimizer.
+under pressure bounds by one SLSQP solve whose derivatives come from
+forward (tangent-linear) sensitivities; an adjoint sweep gives the
+gradient of any one trajectory functional.
 
 Main entry points:
 
     io.load_bundled()        -- the shipped example network and scenario
     sim.simulate()           -- steady start plus step-by-step Newton solves
-    opt.optimize()           -- barrier optimization of the compressor lift
+    opt.optimize()           -- SLSQP optimization of the compressor lift
     adjoint.adjoint_sweep()  -- gradients of trajectory functionals
+    adjoint.state_sensitivities() -- state derivatives to every control
 """
 
 from . import adjoint, cli, compressor, gas, io, model, opt, power, sim

@@ -1,11 +1,14 @@
-"""Backward-in-time adjoint solve and total control derivatives.
+"""Backward-in-time adjoint solve, forward sensitivities and total
+control derivatives.
 
 The discretized trajectory satisfies one block of model equations per
 time level: the steady-state block at level 0 and one implicit step per
 later level.  Stacked over time the Jacobian is block lower bidiagonal,
 so the transposed (adjoint) system is solved backwards with one sparse
 factorization per level, used in transposed mode; the total derivative
-of a scalar functional then needs no further linear solves.
+of a scalar functional then needs no further linear solves.  The same
+blocks, solved forwards, give the state sensitivities to every control,
+from which the derivatives of many functionals follow at once.
 """
 
 from __future__ import annotations
@@ -63,6 +66,36 @@ def total_gradient(simulator: Simulator, trajectory: Trajectory,
     """dJ/du_n = dJ/du_n|direct + xi_n . dE_n/du_n, per time level (Pa^-1)."""
     dj_du = np.asarray(dj_du, dtype=float)
     return dj_du + adjoint.xi @ simulator.assembler.d_du
+
+
+def state_sensitivities(simulator: Simulator, trajectory: Trajectory,
+                        columns) -> np.ndarray:
+    """dy_n[columns] / du_j for all levels n and controls j (Pa^-1).
+
+    Tangent-linear sweep forward in time, one factorization per level:
+    S_0 = -(J^0)^-1 dR/du e_0^T with the steady-state block J^0, then
+    S_n = -J_n^-1 (dR/dy_prev S_{n-1} + dR/du e_n^T).  A control u_j
+    acts from level j on, so S_n has n + 1 nonzero columns.  Returns an
+    array of shape (M+1, len(columns), M+1).
+    """
+    asm = simulator.assembler
+    dt = simulator.scenario.dt
+    states = trajectory.states
+    m = trajectory.step_count
+    columns = np.asarray(columns, dtype=int)
+    out = np.zeros((m + 1, len(columns), m + 1))
+    sens = np.zeros((asm.index.size, m + 1))
+    for n in range(m + 1):
+        jac_next, jac_prev, d_du = asm.jacobian(
+            states[max(n - 1, 0)], states[n], trajectory.control[n],
+            simulator.snapshots[n], dt)
+        if n == 0:
+            jac_next = (jac_next + jac_prev).tocsc()
+        rhs = jac_prev @ sens[:, :n + 1]   # zero at level 0
+        rhs[:, n] += d_du
+        sens[:, :n + 1] = -splu(jac_next).solve(rhs)
+        out[n] = sens[columns]
+    return out
 
 
 def fd_gradient(simulator: Simulator, functional, control: np.ndarray,

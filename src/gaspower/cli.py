@@ -24,7 +24,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaspower",
         description="Transient gas network simulation coupled to AC power "
-                    "flow, with adjoint-based compressor control.")
+                    "flow, with optimal compressor control.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -41,21 +41,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize",
                            help="minimize compressor cost subject to "
-                                "pressure bounds")
+                                "pressure bounds and forward compressor "
+                                "flow, by one SLSQP solve")
     add_common(p_opt)
     p_opt.add_argument("--out", required=True, help="output directory")
-    p_opt.add_argument("--tol", type=float, default=None,
-                       help="L-BFGS-B projected-gradient tolerance at the "
-                            "last barrier level, cost units per bar "
-                            "(default 0.05); a level also ends on "
-                            "L-BFGS-B's relative-reduction test")
-    p_opt.add_argument("--mu0", type=float, default=None,
-                       help="initial barrier weight (default 100)")
-    p_opt.add_argument("--mu-factor", type=float, default=None,
-                       help="barrier reduction factor (default 0.2)")
     p_opt.add_argument("--max-iter", type=int, default=None,
-                       help="maximum barrier levels, each one L-BFGS-B "
-                            "solve (default 15)")
+                       help="maximum SLSQP iterations (default 100); "
+                            "reaching it is a failure")
     p_opt.add_argument("--u-max", type=float, default=None,
                        help="upper control bound in bar (default from "
                             "scenario, 30 bar)")
@@ -110,8 +102,7 @@ def _cmd_optimize(args) -> int:
     network, scenario = _load(args)
     problem = opt.OptimalControlProblem.from_scenario(
         network, scenario,
-        inner_tol=args.tol, mu0=args.mu0, mu_factor=args.mu_factor,
-        max_outer=args.max_iter,
+        max_iter=args.max_iter,
         u_max=args.u_max * BAR if args.u_max is not None else None)
     simulator = Simulator(network, scenario, tol=problem.newton_tol)
     try:
@@ -123,8 +114,7 @@ def _cmd_optimize(args) -> int:
     io.write_iteration_log(result.log, f"{args.out}/iteration_log.csv")
     print(f"optimized objective {result.objective:.6g}, "
           f"min margin {result.min_margin_bar:.6f} bar, "
-          f"final mu {result.mu_final:g}, "
-          f"projected gradient norm {result.grad_norm_final:.3g}")
+          f"SLSQP: {result.message} after {result.iterations} iterations")
     return EXIT_OK
 
 

@@ -2,8 +2,8 @@
 
 Pressure law, Prandtl-Colebrook friction, the friction source term of
 the isothermal/isentropic Euler system, and the implicit box scheme
-residual, alone or with its Jacobian values, evaluated on all pipes of a
-network at once through a PipeGrid.  All functions are pure and reentrant.
+residual and its Jacobian values, evaluated on all pipes of a network at
+once through a PipeGrid.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .model import GasConstants, Pipe
 
@@ -190,8 +189,9 @@ class PipeGrid:
         return 2 * len(self.left), 2 * len(self.diameter)
 
     def stencil(self):
-        """(rows, cols) of the values _box_blocks returns for the new
-        level and for the old level, in the layout described above."""
+        """(rows, cols) of the box scheme's derivatives with respect to the
+        new level (the values of _box_blocks) and to the old level, in the
+        layout described above."""
         n, npts = len(self.left), len(self.diameter)
         jl, jr = self.left, self.left + 1
         mass = np.arange(n)
@@ -206,17 +206,11 @@ class PipeGrid:
 
 
 def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
-                grid: PipeGrid, constants: GasConstants):
-    """Residual and stencil derivatives of the implicit box scheme.
+                grid: PipeGrid, constants: GasConstants) -> np.ndarray:
+    """Derivatives of box_residual with respect to the new level.
 
-    Returns (residual, next values, prev values): the residual in the
-    grid's row order, and the derivatives with respect to the new and the
-    old level in the order of grid.stencil().  For a balance law
-    y_t + f(y)_x = g(y) the scheme averages states over each interval
-    between the grid points L = j-1 and R = j:
-
-        (Y_{j-1} + Y_j)/2 |_new = (Y_{j-1} + Y_j)/2 |_old
-            - dt/dx (f(Y_j) - f(Y_{j-1}))|_new + dt (g(Y_j)+g(Y_{j-1}))/2 |_new
+    Returns the values in the order of the new-level half of
+    grid.stencil(); those with respect to the old level are all -1/2.
     """
     _check_levels(prev, next_, dt, grid)
     rho, q = next_.rho, next_.q
@@ -226,11 +220,10 @@ def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
     dp = dpressure_drho(rho, constants)
     df2_drho = dp - (q / rho) ** 2
     df2_dq = 2.0 * q / rho
-    s, ds_drho, ds_dq = source_term_with_derivatives(rho, q, grid, constants)
-    res = _box_rows(prev, next_, dt, grid, constants, s)
+    _, ds_drho, ds_dq = source_term_with_derivatives(rho, q, grid, constants)
 
     half = np.full(len(jl), 0.5)
-    next_vals = np.concatenate([
+    return np.concatenate([
         # mass rows: rho_L, rho_R, q_L, q_R
         half, half, -r, r,
         # momentum rows
@@ -238,34 +231,23 @@ def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
         r * df2_drho[jr] - dt * 0.5 * ds_drho[jr],
         half - r * df2_dq[jl] - dt * 0.5 * ds_dq[jl],
         half + r * df2_dq[jr] - dt * 0.5 * ds_dq[jr]])
-    # the old level enters the mass rows through rho, momentum through q
-    prev_vals = np.full(4 * len(jl), -0.5)
-    return res, next_vals, prev_vals
 
 
 def box_residual(prev: PipeState, next_: PipeState, dt: float,
                  grid: PipeGrid, constants: GasConstants) -> np.ndarray:
-    """The residual of _box_blocks alone, with no stencil derivatives."""
+    """Residual of the implicit box scheme: mass rows, then momentum rows.
+
+    For a balance law y_t + f(y)_x = g(y) the scheme averages states over
+    each interval between the grid points L = j-1 and R = j:
+
+        (Y_{j-1} + Y_j)/2 |_new = (Y_{j-1} + Y_j)/2 |_old
+            - dt/dx (f(Y_j) - f(Y_{j-1}))|_new + dt (g(Y_j)+g(Y_{j-1}))/2 |_new
+    """
     _check_levels(prev, next_, dt, grid)
     rho, q = next_.rho, next_.q
     lam, _ = friction_factor_and_derivative(q, grid.diameter, grid.roughness,
                                             constants.eta)
     s = _source(rho, q, lam, 1.0 / (2.0 * grid.diameter))
-    return _box_rows(prev, next_, dt, grid, constants, s)
-
-
-def _check_levels(prev: PipeState, next_: PipeState, dt, grid: PipeGrid):
-    if prev.rho.shape != next_.rho.shape or \
-            next_.rho.shape != grid.diameter.shape:
-        raise ValueError("pipe states have mismatched lengths")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-
-
-def _box_rows(prev: PipeState, next_: PipeState, dt: float, grid: PipeGrid,
-              constants: GasConstants, s) -> np.ndarray:
-    """Mass rows, then momentum rows, given the new level's source s."""
-    rho, q = next_.rho, next_.q
     f2 = pressure_of_density(rho, constants) + q * q / rho
     rho_o, q_o = prev.rho, prev.q
     jl, jr = grid.left, grid.left + 1
@@ -275,6 +257,14 @@ def _box_rows(prev: PipeState, next_: PipeState, dt: float, grid: PipeGrid,
     res_mom = (0.5 * (q[jl] + q[jr]) - 0.5 * (q_o[jl] + q_o[jr])
                + r * (f2[jr] - f2[jl]) - dt * 0.5 * (s[jr] + s[jl]))
     return np.concatenate([res_mass, res_mom])
+
+
+def _check_levels(prev: PipeState, next_: PipeState, dt, grid: PipeGrid):
+    if prev.rho.shape != next_.rho.shape or \
+            next_.rho.shape != grid.diameter.shape:
+        raise ValueError("pipe states have mismatched lengths")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
 
 
 def _one_pipe(next_: PipeState, dx: float, pipe: Pipe) -> PipeGrid:
@@ -291,18 +281,3 @@ def box_scheme_residual(prev: PipeState, next_: PipeState, dt: float,
     """
     return box_residual(prev, next_, dt, _one_pipe(next_, dx, pipe),
                         constants)
-
-
-def box_scheme_jacobian(prev: PipeState, next_: PipeState, dt: float,
-                        dx: float, pipe: Pipe,
-                        constants: GasConstants = _DEFAULTS):
-    """Sparse derivatives of the box residual.
-
-    Returns (J_next, J_prev), each of shape (2n, 2(n+1)) with columns
-    ordered [rho_0..rho_n, q_0..q_n].
-    """
-    grid = _one_pipe(next_, dx, pipe)
-    _, next_vals, prev_vals = _box_blocks(prev, next_, dt, grid, constants)
-    (rn, cn), (rp, cp) = grid.stencil()
-    return (sparse.csr_matrix((next_vals, (rn, cn)), shape=grid.shape),
-            sparse.csr_matrix((prev_vals, (rp, cp)), shape=grid.shape))

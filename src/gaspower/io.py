@@ -115,8 +115,7 @@ def load_network(path, strict: bool = True, validate: bool = True
 _SCENARIO_KEYS = ("horizon_hours", "dt_minutes", "reference_density_kg_m3",
                   "boundary", "pressure_bounds", "control_bounds", "optimizer")
 _CONTROL_BOUND_KEYS = ("u_min_bar", "u_max_bar")
-_OPTIMIZER_KEYS = ("mu0", "mu_factor", "mu_min", "inner_tol", "max_outer",
-                   "max_inner", "feasibility_tol_bar", "newton_tol")
+_OPTIMIZER_KEYS = ("max_iter", "feasibility_tol_bar", "newton_tol")
 
 
 def _incident_area(network: CoupledNetwork, node_id: str) -> float:
@@ -208,8 +207,10 @@ def load_scenario(path, network: CoupledNetwork,
         raise FormatError(f"{path}: only u_min_bar = 0 is supported")
     u_max = float(cb.get("u_max_bar", 30.0)) * BAR
 
-    optimizer = dict(raw.get("optimizer", {}))
+    optimizer = raw.get("optimizer", {})
     _check_keys(optimizer, _OPTIMIZER_KEYS, f"{path}: optimizer", strict)
+    # without strict, unknown keys (such as removed settings) are ignored
+    optimizer = {k: v for k, v in optimizer.items() if k in _OPTIMIZER_KEYS}
 
     return Scenario(horizon=horizon, dt=dt,
                     boundary=BoundaryData.from_breakpoints(series),
@@ -330,11 +331,10 @@ def write_control(times: np.ndarray, control_pa: np.ndarray, path) -> None:
 
 def write_iteration_log(log_rows, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("iter,mu,objective,min_margin_bar,grad_norm\n")
+        f.write("iter,objective,min_margin_bar\n")
         for row in log_rows:
-            f.write(f"{row['iter']},{_fmt(row['mu'])},"
-                    f"{_fmt(row['objective'])},{_fmt(row['min_margin_bar'])},"
-                    f"{_fmt(row['grad_norm'])}\n")
+            f.write(f"{row['iter']},{_fmt(row['objective'])},"
+                    f"{_fmt(row['min_margin_bar'])}\n")
 
 
 # -- canonical serialization -------------------------------------------------

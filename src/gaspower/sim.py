@@ -525,7 +525,7 @@ class CoupledStepAssembler:
         and the same objects on every call.
         """
         cons = self.constants
-        _, box_vals, _ = gas._box_blocks(
+        box_vals = gas._box_blocks(
             self._pipe_state(y_prev), self._pipe_state(y_next), dt,
             self.grid, cons)
         deps = power.plant_gas_offtake_derivative(y_next[self._plant_cols],

@@ -5,7 +5,9 @@ import pytest
 
 import gaspower.adjoint as adjoint_mod
 from gaspower import opt
-from gaspower.adjoint import AdjointState, adjoint_sweep, fd_gradient, total_gradient
+from gaspower.adjoint import (AdjointState, adjoint_sweep, fd_gradient,
+                              state_sensitivities, total_gradient)
+from gaspower.model import BAR
 from gaspower.sim import Simulator
 
 from conftest import make_toy_network, make_toy_scenario
@@ -153,3 +155,66 @@ def test_adjoint_state_is_immutable_record(toy):
                        np.zeros_like(trajectory.states))
     assert isinstance(xi, AdjointState)
     assert xi.xi.shape == trajectory.states.shape
+
+
+def sensitivity_gradient(simulator, trajectory):
+    """dJ/du of the compressor cost from the forward sensitivities of the
+    state entries the cost reads, next to the adjoint gradient."""
+    _, dj_dy, dj_du = opt.cost_partials(simulator, trajectory)
+    columns = np.flatnonzero(np.any(dj_dy != 0.0, axis=0))
+    sens = state_sensitivities(simulator, trajectory, columns)
+    from_sens = dj_du + np.einsum("nk,nkj->j", dj_dy[:, columns], sens)
+    xi = adjoint_sweep(simulator, trajectory, dj_dy)
+    return from_sens, total_gradient(simulator, trajectory, xi, dj_du)
+
+
+def test_sensitivity_gradient_equals_adjoint_gradient(toy):
+    from_sens, adjoint = sensitivity_gradient(*toy)
+    assert np.max(np.abs(from_sens - adjoint)) <= \
+        1e-12 * np.max(np.abs(adjoint))
+
+
+def test_sensitivity_gradient_equals_adjoint_gradient_bundled(
+        bundled_simulator):
+    times = bundled_simulator.scenario.times
+    control = np.interp(times, [0.0, times[-1] / 2, times[-1]],
+                        [5.0, 18.0, 10.0]) * BAR
+    trajectory = bundled_simulator.run(control)
+    from_sens, adjoint = sensitivity_gradient(bundled_simulator, trajectory)
+    assert np.max(np.abs(from_sens - adjoint)) <= \
+        1e-12 * np.max(np.abs(adjoint))
+
+
+def test_sensitivities_match_central_differences(toy):
+    simulator, trajectory = toy
+    index = simulator.assembler.index
+    columns = [index.node_rho["C"], index.comp_q["CMP"],
+               index.pipe_q["PB"].start + 1]
+    sens = state_sensitivities(simulator, trajectory, columns)
+    assert sens.shape == (trajectory.step_count + 1, 3,
+                          trajectory.step_count + 1)
+    h = 1.0e3   # Pa
+    for j in range(trajectory.step_count + 1):
+        up, down = trajectory.control.copy(), trajectory.control.copy()
+        up[j] += h
+        down[j] -= h
+        fd = (simulator.run(up).states[:, columns]
+              - simulator.run(down).states[:, columns]) / (2 * h)
+        # a control acts from its own level on
+        assert np.all(sens[:j, :, j] == 0.0)
+        np.testing.assert_allclose(sens[:, :, j], fd, rtol=1e-6,
+                                   atol=1e-8 * np.max(np.abs(fd)))
+
+
+def test_one_factorization_per_level_for_sensitivities(toy, monkeypatch):
+    simulator, trajectory = toy
+    calls = []
+    original = adjoint_mod.splu
+
+    def counting(matrix):
+        calls.append(1)
+        return original(matrix)
+
+    monkeypatch.setattr(adjoint_mod, "splu", counting)
+    state_sensitivities(simulator, trajectory, [0])
+    assert len(calls) == trajectory.step_count + 1

@@ -55,13 +55,31 @@ def write_toy_case(tmp_path, pressure_bounds=None, optimizer=None):
             "--scenario", str(tmp_path / "scenario.json")]
 
 
-def test_optimize_writes_the_iteration_log(tmp_path):
+def test_optimize_writes_the_iteration_log(tmp_path, capsys):
     files = write_toy_case(tmp_path, pressure_bounds={"C": 61.0e5})
     out = tmp_path / "out"
     assert cli.run(["optimize", *files, "--out", str(out)]) == cli.EXIT_OK
     lines = (out / "iteration_log.csv").read_text().splitlines()
-    assert lines[0] == "iter,mu,objective,min_margin_bar,grad_norm"
+    assert lines[0] == "iter,objective,min_margin_bar"
     assert len(lines) > 1
+    assert "SLSQP: Optimization terminated successfully after" in \
+        capsys.readouterr().out
+
+
+def test_optimize_at_the_iteration_limit_is_not_converged(tmp_path, capsys):
+    files = write_toy_case(tmp_path, pressure_bounds={"C": 61.0e5})
+    code = cli.run(["optimize", *files, "--out", str(tmp_path / "out"),
+                    "--max-iter", "1"])
+    assert code == cli.EXIT_NOT_CONVERGED
+    assert "Iteration limit reached" in capsys.readouterr().err
+
+
+def test_removed_barrier_option_is_an_input_error(tmp_path, capsys):
+    files = write_toy_case(tmp_path, pressure_bounds={"C": 61.0e5})
+    code = cli.run(["optimize", *files, "--out", str(tmp_path / "out"),
+                    "--mu0", "100"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "--mu0" in capsys.readouterr().err
 
 
 def test_optimize_with_an_unreachable_bound_is_not_converged(tmp_path,
@@ -77,6 +95,14 @@ def test_unknown_optimizer_key_is_an_input_error(tmp_path, capsys):
     code = cli.run(["optimize", *files, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_INPUT_ERROR
     assert "step_size" in capsys.readouterr().err
+
+
+def test_removed_optimizer_key_is_an_input_error(tmp_path, capsys):
+    files = write_toy_case(tmp_path, optimizer={"mu0": 100.0,
+                                                "inner_tol": 0.05})
+    code = cli.run(["optimize", *files, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "unknown key(s) inner_tol, mu0" in capsys.readouterr().err
 
 
 def test_check_gradient(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Barrier optimizer: stopping test, barrier gradient, problem checks."""
+"""SLSQP optimizer: stopping test, constraint Jacobian, problem checks."""
 
 from dataclasses import replace
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from gaspower import opt
+from gaspower import io, opt
 from gaspower.model import CompressorCostModel
 from gaspower.sim import Simulator
 
@@ -22,6 +22,28 @@ def bounded_problem(**settings):
         make_toy_scenario(pressure_bounds={"C": BOUND_C}), **settings)
 
 
+def compressor_flux(trajectory):
+    return trajectory.states[:, list(trajectory.index.comp_q.values())]
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """The bounded toy problem and its optimum, with SLSQP's own result."""
+    results = []
+
+    def recording_minimize(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    minimize = scipy.optimize.minimize
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy.optimize, "minimize", recording_minimize)
+        problem = bounded_problem()
+        result = opt.optimize(problem)
+    assert len(results) == 1
+    return problem, result, results[0]
+
+
 def test_zero_lift_violates_the_bound():
     problem = bounded_problem()
     trajectory = Simulator(problem.network, problem.scenario).run()
@@ -29,24 +51,34 @@ def test_zero_lift_violates_the_bound():
         < BOUND_C
 
 
-def test_optimize_reaches_its_stopping_test(monkeypatch):
-    levels = []
-
-    def recording_minimize(*args, **kwargs):
-        levels.append(minimize(*args, **kwargs))
-        return levels[-1]
-
-    minimize = scipy.optimize.minimize
-    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
-    problem = bounded_problem()
-    result = opt.optimize(problem)
-
-    assert result.mu_final == problem.mu_min
-    assert levels[-1].success, levels[-1].message
-    assert result.min_margin_bar > 0.0
+def test_optimize_reaches_its_stopping_test(solved):
+    problem, result, slsqp = solved
+    assert slsqp.status == 0, slsqp.message
+    assert result.message == slsqp.message
+    # the barrier continuation this replaced reached 165.47574
+    assert result.objective <= 165.4758
+    assert np.min(result.margins_bar) >= problem.feasibility_tol_bar - 1e-6
+    assert result.min_margin_bar == np.min(result.margins_bar)
+    assert np.min(compressor_flux(result.trajectory)) >= -1e-6
     assert np.all(result.control > 0.0)
-    assert [row["iter"] for row in result.log] == list(range(len(result.log)))
-    assert result.log[-1]["objective"] == pytest.approx(result.objective)
+    assert result.iterations == slsqp.nit
+    assert 1 <= len(result.log) <= slsqp.nit
+
+
+def test_iteration_log_file(solved, tmp_path):
+    _, result, _ = solved
+    io.write_iteration_log(result.log, tmp_path / "log.csv")
+    lines = (tmp_path / "log.csv").read_text().splitlines()
+    assert lines[0] == "iter,objective,min_margin_bar"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(len(result.log)))
+    assert float(rows[-1][1]) == float(f"{result.objective:.9g}")
+
+
+def test_iteration_limit_is_a_failure():
+    with pytest.raises(opt.OptimizationError,
+                       match="status 9: Iteration limit reached"):
+        opt.optimize(bounded_problem(max_iter=1))
 
 
 def test_unreachable_bound_has_no_feasible_start():
@@ -57,43 +89,35 @@ def test_unreachable_bound_has_no_feasible_start():
         opt.optimize(problem)
 
 
-def test_extended_log_matches_value_slope_and_curvature():
-    delta, h = 0.02, 1e-6
-    s = np.array([delta - h, delta, delta + h])
-    value, slope = opt._extended_log(s, delta)
-    assert value[1] == pytest.approx(np.log(delta), rel=1e-15)
-    assert slope[1] == pytest.approx(1.0 / delta, rel=1e-15)
-    # central differences across delta; their error is O(h / delta)
-    assert (value[2] - value[0]) / (2 * h) == pytest.approx(1.0 / delta,
-                                                            rel=1e-8)
-    assert (slope[2] - slope[0]) / (2 * h) == pytest.approx(-1.0 / delta**2,
-                                                            rel=1e-4)
-    # finite everywhere below delta, where the log itself is not
-    assert np.all(np.isfinite(opt._extended_log(np.array([-5.0, 0.0]),
-                                                delta)[0]))
-
-
-@pytest.mark.parametrize("mu, above_delta", [(1.0e-3, True), (100.0, False)])
-def test_barrier_gradient_matches_central_differences(mu, above_delta):
+def test_constraint_jacobian_matches_central_differences():
     problem = bounded_problem()
     simulator = Simulator(problem.network, problem.scenario,
                           tol=problem.newton_tol)
-    model = opt._BarrierModel(problem, simulator)
+    model = opt._Model(problem, simulator)
     u = np.array([1.4, 1.6, 1.5])
-    _, grad = model.value_and_gradient(u, mu)
+    levels = len(u)
+    jacobian = model.evaluate(u).jacobian
+    assert jacobian.shape == (2 * levels, levels)   # margins of C, then flux
 
-    shifted = model.last[1] - problem.feasibility_tol_bar
-    assert np.all(shifted > opt.DELTA_PER_MU * mu) == above_delta
-    assert np.all(shifted < opt.DELTA_PER_MU * mu) == (not above_delta)
+    j, h = 1, 1.0e-3   # bar
+    step = np.zeros_like(u)
+    step[j] = h
+    fd = (model.evaluate(u + step).constraints
+          - model.evaluate(u - step).constraints) / (2 * h)
+    margin, flux = slice(0, levels), slice(levels, 2 * levels)
+    # the lift u_j reaches no level before j
+    assert np.all(jacobian[:j, j] == 0.0)
+    assert np.all(jacobian[levels:levels + j, j] == 0.0)
+    for rows in (margin, flux):
+        assert np.all(np.abs(jacobian[rows, j][j:]) > 0.0)
+        np.testing.assert_allclose(jacobian[rows, j][j:], fd[rows][j:],
+                                   rtol=1e-6)
 
-    h = 1.0e-3   # bar
-    fd = np.empty_like(u)
-    for j in range(len(u)):
-        step = np.zeros_like(u)
-        step[j] = h
-        fd[j] = (model.value_and_gradient(u + step, mu)[0]
-                 - model.value_and_gradient(u - step, mu)[0]) / (2 * h)
-    np.testing.assert_allclose(grad, fd, rtol=1e-6)
+
+@pytest.mark.parametrize("settings", [{"u_max": 0.0}, {"max_iter": 0}])
+def test_out_of_range_settings_are_rejected(settings):
+    with pytest.raises(ValueError, match="must be"):
+        bounded_problem(**settings)
 
 
 def test_positive_fixed_cost_is_rejected():
