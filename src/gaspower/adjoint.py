@@ -28,35 +28,34 @@ class AdjointState:
     xi: np.ndarray  # (M+1, N_y)
 
 
+def _level_blocks(simulator: Simulator, trajectory: Trajectory, n: int):
+    """(state block, dR/dy_prev, dR/du) of level n; at level 0 the state
+    block is the steady one, the within-step blocks summed at (y_0, y_0)."""
+    states = trajectory.states
+    jac_next, jac_prev, d_du = simulator.assembler.jacobian(
+        states[max(n - 1, 0)], states[n], trajectory.control[n],
+        simulator.snapshots[n], simulator.scenario.dt)
+    if n == 0:
+        jac_next = (jac_next + jac_prev).tocsc()
+    return jac_next, jac_prev, d_du
+
+
 def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
                   dj_dy: np.ndarray) -> AdjointState:
     """Solve the stacked adjoint equation for given objective partials.
 
-    dj_dy has one row per time level.  Level M is the recursion base;
-    level 0 uses the steady-state block, whose state Jacobian is the sum
-    of the within-step blocks evaluated at (y_0, y_0).
+    dj_dy has one row per time level.  Level M is the recursion base and
+    level 0 uses the steady-state block.
     """
-    asm = simulator.assembler
-    dt = simulator.scenario.dt
-    states = trajectory.states
-    control = trajectory.control
-    m = trajectory.step_count
     dj_dy = np.asarray(dj_dy, dtype=float)
-    if dj_dy.shape != states.shape:
+    if dj_dy.shape != trajectory.states.shape:
         raise ValueError("objective partials do not match the trajectory")
 
-    xi = np.zeros_like(states)
-    carry = np.zeros(asm.index.size)   # (dE_{n+1}/dy_n)^T xi_{n+1}
-    for n in range(m, -1, -1):
-        if n == 0:
-            jac_next, jac_prev, _ = asm.jacobian(
-                states[0], states[0], control[0], simulator.snapshots[0], dt)
-            block = (jac_next + jac_prev).tocsc()
-            xi[0] = splu(block).solve(-dj_dy[0] - carry, trans="T")
-            break
-        jac_next, jac_prev, _ = asm.jacobian(
-            states[n - 1], states[n], control[n], simulator.snapshots[n], dt)
-        xi[n] = splu(jac_next).solve(-dj_dy[n] - carry, trans="T")
+    xi = np.zeros_like(dj_dy)
+    carry = np.zeros(dj_dy.shape[1])   # (dE_{n+1}/dy_n)^T xi_{n+1}
+    for n in range(trajectory.step_count, -1, -1):
+        block, jac_prev, _ = _level_blocks(simulator, trajectory, n)
+        xi[n] = splu(block).solve(-dj_dy[n] - carry, trans="T")
         carry = jac_prev.T @ xi[n]
     return AdjointState(xi)
 
@@ -78,22 +77,15 @@ def state_sensitivities(simulator: Simulator, trajectory: Trajectory,
     acts from level j on, so S_n has n + 1 nonzero columns.  Returns an
     array of shape (M+1, len(columns), M+1).
     """
-    asm = simulator.assembler
-    dt = simulator.scenario.dt
-    states = trajectory.states
     m = trajectory.step_count
     columns = np.asarray(columns, dtype=int)
     out = np.zeros((m + 1, len(columns), m + 1))
-    sens = np.zeros((asm.index.size, m + 1))
+    sens = np.zeros((trajectory.states.shape[1], m + 1))
     for n in range(m + 1):
-        jac_next, jac_prev, d_du = asm.jacobian(
-            states[max(n - 1, 0)], states[n], trajectory.control[n],
-            simulator.snapshots[n], dt)
-        if n == 0:
-            jac_next = (jac_next + jac_prev).tocsc()
+        block, jac_prev, d_du = _level_blocks(simulator, trajectory, n)
         rhs = jac_prev @ sens[:, :n + 1]   # zero at level 0
         rhs[:, n] += d_du
-        sens[:, :n + 1] = -splu(jac_next).solve(rhs)
+        sens[:, :n + 1] = -splu(block).solve(rhs)
         out[n] = sens[columns]
     return out
 

@@ -1,65 +1,32 @@
-"""Compressor power consumption surrogate and the objective integrand.
+"""Compressor running cost.
 
 The machine is externally powered (equal in/out flux); its shaft power
 is modelled as isothermal compression work per unit mass times the mass
-flow, q A c^2 ln(p_out/p_in).  The running cost is quadratic in shaft
-power expressed in MW.
+flow, P = q A c^2 ln(p_out/p_in).  The running cost rate is
+d0*[p_out > p_in] + d1*P + d2*P^2 with P in MW.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import KAPPA_DEFAULT, CompressorCostModel
+from .model import CompressorCostModel
 
 WATT_PER_MEGAWATT = 1.0e6
 
 
-def shaft_power(p_in: float, p_out: float, q: float, area: float,
-                sound_speed_sq: float = KAPPA_DEFAULT) -> float:
-    """Shaft power in W for boosting flux q from p_in to p_out.
+def cost_rate(p_in, p_out, q, area, model: CompressorCostModel,
+              sound_speed_sq):
+    """(c, dc/dp_in, dc/dp_out, dc/dq) element-wise over array inputs.
 
-    Zero when p_out equals p_in or the machine is idle (q = 0); strictly
-    increasing in the pressure ratio for q > 0.
-    """
-    if p_in <= 0:
-        raise ValueError("inlet pressure must be positive")
-    if p_out < p_in:
-        raise ValueError("compressor only boosts: p_out >= p_in required")
-    if q < 0:
-        raise ValueError("reverse flow through an active compressor")
-    return q * area * sound_speed_sq * np.log(p_out / p_in)
-
-
-def shaft_power_derivatives(p_in, p_out, q, area,
-                            sound_speed_sq: float = KAPPA_DEFAULT):
-    """(P, dP/dp_in, dP/dp_out, dP/dq) without domain checks.
-
-    Used by the objective partials along a simulated trajectory, where
-    the compressor equation already guarantees an admissible state.
+    No domain checks: callers pass p_out >= p_in > 0.  The fixed cost d0
+    applies only while the machine lifts (p_out > p_in).
     """
     c = area * sound_speed_sq
-    power = q * c * np.log(p_out / p_in)
-    return power, -q * c / p_in, q * c / p_out, c * np.log(p_out / p_in)
-
-
-def cost_integrand(p_in: float, p_out: float, q: float, area: float,
-                   model: CompressorCostModel,
-                   sound_speed_sq: float = KAPPA_DEFAULT) -> float:
-    """Cost rate d0*[running] + d1*P_MW + d2*P_MW^2."""
-    power_mw = shaft_power(p_in, p_out, q, area, sound_speed_sq) / WATT_PER_MEGAWATT
-    fixed = model.d0 if p_out > p_in else 0.0
-    return fixed + model.d1 * power_mw + model.d2 * power_mw**2
-
-
-def cost_integrand_derivatives(p_in, p_out, q, area,
-                               model: CompressorCostModel,
-                               sound_speed_sq: float = KAPPA_DEFAULT):
-    """(c, dc/dp_in, dc/dp_out, dc/dq) for the adjoint right-hand side."""
-    power, dpi, dpo, dq = shaft_power_derivatives(p_in, p_out, q, area,
-                                                  sound_speed_sq)
-    power_mw = power / WATT_PER_MEGAWATT
-    fixed = model.d0 if p_out > p_in else 0.0
-    c = fixed + model.d1 * power_mw + model.d2 * power_mw**2
+    log_ratio = np.log(p_out / p_in)
+    power_mw = q * c * log_ratio / WATT_PER_MEGAWATT
+    fixed = model.d0 * (p_out > p_in)
+    rate = fixed + model.d1 * power_mw + model.d2 * power_mw**2
     slope = (model.d1 + 2.0 * model.d2 * power_mw) / WATT_PER_MEGAWATT
-    return c, slope * dpi, slope * dpo, slope * dq
+    return rate, slope * (-q * c / p_in), slope * (q * c / p_out), \
+        slope * (c * log_ratio)

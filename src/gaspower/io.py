@@ -149,6 +149,9 @@ def load_scenario(path, network: CoupledNetwork,
         dt = float(raw["dt_minutes"]) * 60.0
     except KeyError as exc:
         raise FormatError(f"{path}: missing required key {exc}") from None
+    for key, value in (("horizon_hours", horizon), ("dt_minutes", dt)):
+        if not value > 0:
+            raise FormatError(f"{path}: {key} must be positive")
     rho_ref = float(raw.get("reference_density_kg_m3", 0.785))
 
     gas_ids = {n.id: n for n in network.gas.nodes}

@@ -200,13 +200,6 @@ class PowerGrid:
                 return b
         raise KeyError(bus_id)
 
-    @property
-    def slack_bus(self) -> Bus:
-        slack = [b for b in self.busses if b.kind == SLACK]
-        if len(slack) != 1:
-            raise ValueError("grid does not have a unique slack bus")
-        return slack[0]
-
 
 @dataclass(frozen=True)
 class CoupledNetwork:

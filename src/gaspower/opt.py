@@ -6,6 +6,10 @@ to forward flow through every compressor, by one SLSQP solve
 (scipy.optimize.minimize).  Each evaluated control costs one forward
 simulation plus one tangent-linear sweep, whose state sensitivities give
 the gradient of J and the Jacobian of all constraints at once.
+
+J sums compressor.cost_rate with trapezoidal weights.  objective()
+prices reversed compressor flow at zero; cost_partials(), which SLSQP
+minimises, does not clip it.  They agree on forward flow.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from . import compressor, gas
 from .adjoint import state_sensitivities
 from .model import BAR, CoupledNetwork
-from .sim import Scenario, Simulator, Trajectory
+from .sim import MASS_FLOW_SCALE, Scenario, Simulator, Trajectory
 
 
 class OptimizationError(Exception):
@@ -36,61 +40,52 @@ def trapezoid_weights(step_count: int) -> np.ndarray:
 
 
 def _compressor_points(simulator: Simulator):
-    """Per compressor: state indices of (rho_in, rho_out, q) and its data."""
+    """Per compressor: its data, columns (rho_in, rho_out, q) and area."""
     asm = simulator.assembler
     idx = asm.index
-    return [(comp, idx.node_rho[comp.from_node], idx.node_rho[comp.to_node],
-             idx.comp_q[comp.id], asm.comp_area[comp.id]) for comp in asm.comps]
+    return [(comp, [idx.node_rho[comp.from_node], idx.node_rho[comp.to_node],
+                    idx.comp_q[comp.id]], asm.comp_area[comp.id])
+            for comp in asm.comps]
 
 
-def cost_series(simulator: Simulator, trajectory: Trajectory) -> np.ndarray:
-    """Cost rate of all compressors at each time level."""
+def _cost_terms(simulator: Simulator, trajectory: Trajectory,
+                clip_flux: bool):
+    """Per compressor: its state columns (rho_in, rho_out, q), its cost
+    rate at every level and the rate's partials by those columns."""
     cons = simulator.network.constants
-    c = np.zeros(trajectory.step_count + 1)
-    for comp, i_in, i_out, i_q, area in _compressor_points(simulator):
-        rho_in = trajectory.states[:, i_in]
-        rho_out = trajectory.states[:, i_out]
-        q = trajectory.states[:, i_q]
-        for j in range(len(c)):
-            p_in = gas.pressure_of_density(rho_in[j], cons)
-            p_out = gas.pressure_of_density(rho_out[j], cons)
-            # idle machines may carry round-off level negative lift
-            p_out = max(p_out, p_in)
-            c[j] += compressor.cost_integrand(p_in, p_out, max(q[j], 0.0),
-                                              area, comp.cost, cons.kappa)
-    return c
+    for comp, cols, area in _compressor_points(simulator):
+        rho_in, rho_out, q = trajectory.states[:, cols].T
+        p_in = gas.pressure_of_density(rho_in, cons)
+        # idle machines may carry round-off level negative lift
+        p_out = np.maximum(gas.pressure_of_density(rho_out, cons), p_in)
+        c, dc_pin, dc_pout, dc_q = compressor.cost_rate(
+            p_in, p_out, np.maximum(q, 0.0) if clip_flux else q, area,
+            comp.cost, cons.kappa)
+        yield cols, c, (dc_pin * gas.dpressure_drho(rho_in, cons),
+                        dc_pout * gas.dpressure_drho(rho_out, cons), dc_q)
 
 
 def objective(simulator: Simulator, trajectory: Trajectory) -> float:
-    """Trapezoidal discretization of the running compressor cost."""
+    """Trapezoidal running compressor cost; reversed flow costs nothing."""
     dt = simulator.scenario.dt
     w = trapezoid_weights(trajectory.step_count)
-    return float(dt * np.sum(w * cost_series(simulator, trajectory)))
+    rate = sum(c for _, c, _ in _cost_terms(simulator, trajectory, True))
+    return float(dt * np.sum(w * rate))
 
 
 def cost_partials(simulator: Simulator, trajectory: Trajectory):
-    """(J, dJ/dy, dJ/du) of the trapezoidal cost along a trajectory."""
-    cons = simulator.network.constants
+    """(J, dJ/dy, dJ/du) of the trapezoidal cost along a trajectory; unlike
+    objective(), reversed compressor flow is not clipped."""
     dt = simulator.scenario.dt
     m = trajectory.step_count
     w = trapezoid_weights(m)
+    rate = np.zeros(m + 1)
     dj_dy = np.zeros_like(trajectory.states)
-    total = 0.0
-    for comp, i_in, i_out, i_q, area in _compressor_points(simulator):
-        for j in range(m + 1):
-            rho_in = trajectory.states[j, i_in]
-            rho_out = trajectory.states[j, i_out]
-            q = trajectory.states[j, i_q]
-            p_in = gas.pressure_of_density(rho_in, cons)
-            p_out = max(gas.pressure_of_density(rho_out, cons), p_in)
-            c, dc_pin, dc_pout, dc_q = compressor.cost_integrand_derivatives(
-                p_in, p_out, q, area, comp.cost, cons.kappa)
-            total += w[j] * c
-            scale = dt * w[j]
-            dj_dy[j, i_in] += scale * dc_pin * gas.dpressure_drho(rho_in, cons)
-            dj_dy[j, i_out] += scale * dc_pout * gas.dpressure_drho(rho_out, cons)
-            dj_dy[j, i_q] += scale * dc_q
-    return dt * total, dj_dy, np.zeros(m + 1)
+    for cols, c, partials in _cost_terms(simulator, trajectory, False):
+        rate += c
+        for col, dc in zip(cols, partials):
+            dj_dy[:, col] += dt * w * dc
+    return float(dt * np.sum(w * rate)), dj_dy, np.zeros(m + 1)
 
 
 @dataclass
@@ -156,20 +151,19 @@ class _Model:
         bounds = sorted(problem.scenario.pressure_bounds.items())
         self.p_min = np.array([p_min for _, p_min in bounds]).reshape(-1, 1)
         bound_cols = [idx.node_rho[node] for node, _ in bounds]
-        points = _compressor_points(simulator)
-        self.columns = np.unique(np.array(bound_cols + [
-            i for _, i_in, i_out, i_q, _ in points for i in (i_in, i_out, i_q)],
-            dtype=int))
+        comp_cols = [cols for _, cols, _ in _compressor_points(simulator)]
+        self.columns = np.unique(np.array(bound_cols + sum(comp_cols, []),
+                                          dtype=int))
         self.bound_pos = np.searchsorted(self.columns, bound_cols)
         self.flux_pos = np.searchsorted(self.columns,
-                                        [i_q for _, _, _, i_q, _ in points])
+                                        [q for _, _, q in comp_cols])
         self._key = None
         self._last = None
 
     def evaluate(self, x: np.ndarray) -> SimpleNamespace:
         """Trajectory, J, dJ/du, margins (bar) with their minimum, and the
-        constraints (margin - feasibility_tol_bar, then flux) with their
-        Jacobian."""
+        constraints (margin - feasibility_tol_bar, then
+        flux / MASS_FLOW_SCALE) with their Jacobian."""
         u = np.clip(x, 0.0, self.u_max_bar)
         if u.tobytes() == self._key:
             return self._last
@@ -184,7 +178,9 @@ class _Model:
         # margins in bar per bar of lift: dp/drho times drho/du per Pa
         margin_jac = gas.dpressure_drho(rho, cons)[:, :, None] * \
             by_column[self.bound_pos]
-        flux_jac = BAR * by_column[self.flux_pos]
+        # flux rows in units of MASS_FLOW_SCALE: SLSQP tests the summed
+        # violation against an absolute 1e-6, too tight for kg/(m^2 s)
+        flux_jac = BAR / MASS_FLOW_SCALE * by_column[self.flux_pos]
         self._key = u.tobytes()
         self._last = SimpleNamespace(
             trajectory=trajectory, value=value, margins=margins,
@@ -192,7 +188,8 @@ class _Model:
             gradient=BAR * (dj_du + np.einsum(
                 "nk,nkj->j", dj_dy[:, self.columns], sens)),
             constraints=np.concatenate([(margins - self.tol_bar).ravel(),
-                                        y[self.flux_pos].ravel()]),
+                                        y[self.flux_pos].ravel()
+                                        / MASS_FLOW_SCALE]),
             jacobian=np.concatenate([margin_jac, flux_jac]).reshape(
                 -1, len(u)))
         return self._last
@@ -219,11 +216,10 @@ def optimize(problem: OptimalControlProblem,
     Minimises the value of cost_partials subject to 0 <= u <= u_max and,
     at every time level, pressure margin - feasibility_tol_bar >= 0 at
     each bounded node and flux q >= 0 at each compressor, where the cost
-    model holds (compressor.shaft_power rejects reverse flow).  A
-    nonzero SLSQP status, max_iter iterations included, raises
-    OptimizationError with SLSQP's message, and so does a returned
-    control that violates a pressure bound.  The log has one row per
-    call of SLSQP's iteration callback.
+    model holds (it has no reverse flow).  A nonzero SLSQP status,
+    max_iter iterations included, raises OptimizationError with SLSQP's
+    message, and so does a returned control that violates a pressure
+    bound.  The log has one row per call of SLSQP's iteration callback.
     """
     # imported here: scipy.optimize adds about 15 MiB to every process
     # that imports gaspower, also those that only simulate

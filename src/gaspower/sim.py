@@ -115,9 +115,6 @@ class SystemState:
     def node_density(self, node_id: str) -> float:
         return float(self.values[self.index.node_rho[node_id]])
 
-    def bus_value(self, bus_id: str, quantity: str) -> float:
-        return float(self.values[self.index.bus[(bus_id, quantity)]])
-
     def compressor_flux(self, comp_id: str) -> float:
         return float(self.values[self.index.comp_q[comp_id]])
 
@@ -133,13 +130,6 @@ class BoundaryData:
     """
 
     series: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
-
-    def value(self, target: str, quantity: str, t: float) -> float:
-        times, values = self.series[(target, quantity)]
-        return float(np.interp(t, times, values))
-
-    def has(self, target: str, quantity: str) -> bool:
-        return (target, quantity) in self.series
 
     @staticmethod
     def from_breakpoints(data: dict[tuple[str, str], list[tuple[float, float]]]
@@ -193,9 +183,6 @@ class Trajectory:
     times: np.ndarray            # s
     states: np.ndarray           # (M+1, N_y)
     control: np.ndarray          # Pa, (M+1,)
-
-    def state(self, j: int) -> SystemState:
-        return SystemState(self.index, self.states[j])
 
     @property
     def step_count(self) -> int:
@@ -438,9 +425,6 @@ class CoupledStepAssembler:
                 bus_fixed[:, i, k] = series(bus.id, quant)
         return [_Snapshot(*level)
                 for level in zip(node_rho, node_out, bus_fixed)]
-
-    def boundary_snapshot(self, boundary: BoundaryData, t: float) -> _Snapshot:
-        return self.boundary_snapshots(boundary, [t])[0]
 
     # -- state helpers -----------------------------------------------------
 

@@ -1,6 +1,7 @@
 """The command line: `python -m gaspower` and the exit codes of its
 subcommands."""
 
+import json
 import os
 import subprocess
 import sys
@@ -134,3 +135,14 @@ def test_simulate_with_a_malformed_control_is_an_input_error(tmp_path,
                     "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_INPUT_ERROR
     assert "expected 't_hours,u_bar'" in capsys.readouterr().err
+
+
+def test_zero_time_step_is_an_input_error(tmp_path, capsys):
+    files = write_toy_case(tmp_path)
+    path = tmp_path / "scenario.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["dt_minutes"] = 0
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code = cli.run(["simulate", *files, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "dt_minutes must be positive" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import scipy.optimize
 
 from gaspower import io, opt
 from gaspower.model import CompressorCostModel
-from gaspower.sim import Simulator
+from gaspower.sim import BoundaryData, Simulator
 
 from conftest import make_toy_network, make_toy_scenario
 
@@ -127,3 +127,26 @@ def test_positive_fixed_cost_is_rejected():
     network = replace(network, gas=replace(network.gas, compressors=(comp,)))
     with pytest.raises(ValueError, match="compressor CMP: fixed cost d0"):
         opt.OptimalControlProblem(network, make_toy_scenario())
+
+
+def test_reversed_flow_costs_nothing_in_the_objective_only():
+    """objective() clips reversed compressor flux at 0; cost_partials()
+    does not."""
+    network = make_toy_network()
+    # the outflow at C turns into a feed, so the compressor runs backwards
+    boundary = BoundaryData.from_breakpoints({
+        ("A", "pressure"): [(0.0, 60e5)],
+        ("C", "outflow"): [(0.0, 150.0), (1800.0, -150.0)]})
+    scenario = replace(make_toy_scenario(), boundary=boundary)
+    simulator = Simulator(network, scenario)
+    trajectory = simulator.run(np.full(3, 1.0e5))
+    q = compressor_flux(trajectory)
+    assert q[0, 0] > 0.0 and q[-1, 0] < 0.0
+
+    states = trajectory.states.copy()
+    states[:, list(trajectory.index.comp_q.values())] = np.maximum(q, 0.0)
+    clipped = replace(trajectory, states=states)
+    value = opt.objective(simulator, trajectory)
+    assert value == opt.cost_partials(simulator, clipped)[0]
+    assert value == opt.objective(simulator, clipped)
+    assert opt.cost_partials(simulator, trajectory)[0] < value

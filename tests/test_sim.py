@@ -72,7 +72,7 @@ class TestSteadyState:
         boundary = dict(scenario.boundary.series)
         boundary[("S25", "outflow")] = (np.array([0.0]), np.array([0.0]))
         from gaspower.sim import BoundaryData
-        snap = asm.boundary_snapshot(BoundaryData(boundary), 0.0)
+        snap, = asm.boundary_snapshots(BoundaryData(boundary), [0.0])
         y = steady_state(asm, snap, 0.0, scenario.dt)
         for pipe in quiet.gas.pipes:
             assert np.allclose(y[asm.index.pipe_rho[pipe.id]],
@@ -194,8 +194,8 @@ class TestNewtonStep:
     def test_iteration_budget_enforced(self, toy_simulator):
         asm = toy_simulator.assembler
         y0 = steady_state(asm, toy_simulator.snapshots[0], 0.0, 900.0)
-        harder = asm.boundary_snapshot(
-            make_toy_scenario(outflow_flux=300.0).boundary, 0.0)
+        harder, = asm.boundary_snapshots(
+            make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
         with pytest.raises(MaxIterationsExceeded) as err:
             newton_solve_step(asm, y0, 0.0, harder, 900.0, tol=1e-9,
                               max_iter=1)
@@ -315,8 +315,8 @@ class TestMixedGeometryJacobian:
     @pytest.fixture()
     def mixed(self):
         asm = CoupledStepAssembler(make_mixed_network())
-        snap = asm.boundary_snapshot(
-            make_toy_scenario(outflow_flux=60.0).boundary, 0.0)
+        snap, = asm.boundary_snapshots(
+            make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
         y0 = steady_state(asm, snap, 1.0e5, 900.0)
         rng = np.random.default_rng(41)
         y1 = y0 * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
@@ -432,12 +432,13 @@ class TestEmptyIndexArrays:
         times = np.array([0.0, 1234.5, 0.5 * last, last, last + 7200.0])
         snaps = asm.boundary_snapshots(boundary, times)
         for t, snap in zip(times, snaps):
-            one = asm.boundary_snapshot(boundary, t)
+            one, = asm.boundary_snapshots(boundary, [t])
             for name in ("node_rho_bc", "node_outflow", "bus_fixed"):
                 assert np.array_equal(getattr(snap, name), getattr(one, name),
                                       equal_nan=True)
             i = asm.node_pos["S25"]
-            assert snap.node_outflow[i] == boundary.value("S25", "outflow", t)
+            assert snap.node_outflow[i] == np.interp(
+                t, *boundary.series[("S25", "outflow")])
         # clamped past the last breakpoint
         for name in ("node_rho_bc", "node_outflow", "bus_fixed"):
             assert np.array_equal(getattr(snaps[-1], name),
