@@ -22,8 +22,7 @@ from .model import (Bus, CompressorArc, CompressorCostModel, CoupledNetwork,
                     PerUnitSystem, Pipe, PowerGrid, TransmissionLine,
                     nodal_admittance, validate_network)
 from .opt import OptimalControlProblem, OptimizationResult, optimize
-from .sim import (BoundaryData, Scenario, Simulator, SystemState, Trajectory,
-                  simulate)
+from .sim import BoundaryData, Scenario, Simulator, Trajectory, simulate
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,6 @@ __all__ = [
     "PerUnitSystem", "Pipe", "PowerGrid", "TransmissionLine",
     "nodal_admittance", "validate_network",
     "OptimalControlProblem", "OptimizationResult", "optimize",
-    "BoundaryData", "Scenario", "Simulator", "SystemState", "Trajectory",
-    "simulate",
+    "BoundaryData", "Scenario", "Simulator", "Trajectory", "simulate",
     "__version__",
 ]

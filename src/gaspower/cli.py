@@ -136,9 +136,11 @@ def _cmd_check_gradient(args) -> int:
     m = trajectory.step_count
     k = max(1, min(args.components, m + 1))
     components = np.unique(np.linspace(0, m, k).round().astype(int))
+    # the functional the adjoint differentiates: unlike opt.objective, it
+    # does not clip reversed compressor flow
     fd = adjoint.fd_gradient(
-        simulator, lambda tr, u: opt.objective(simulator, tr), control,
-        components)
+        simulator, lambda tr, u: opt.cost_partials(simulator, tr)[0],
+        control, components)
 
     print(f"{'j':>4} {'adjoint':>16} {'central FD':>16} {'rel error':>12}")
     worst = 0.0

@@ -1,9 +1,12 @@
 """Gas physics on pipes.
 
-Pressure law, Prandtl-Colebrook friction, the friction source term of
-the isothermal/isentropic Euler system, and the implicit box scheme
-residual and its Jacobian values, evaluated on all pipes of a network at
-once through a PipeGrid.  All functions are pure and reentrant.
+Pressure law, Prandtl-Colebrook friction (solved in closed form), the
+friction source term of the isothermal/isentropic Euler system, and the
+implicit box scheme residual and its Jacobian values, evaluated on all
+pipes of a network at once through a PipeGrid.  The box-scheme functions
+take the friction values (lambda, dlambda/dq) at the new level as an
+argument, so a caller that needs the residual and the Jacobian at one
+state solves Colebrook once.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from .model import GasConstants, Pipe
 # q = 0 through the q|q| factor.
 REYNOLDS_ROUGH_LIMIT = 100.0
 
-_COLEBROOK_TOL = 1e-13
-_COLEBROOK_MAX_ITER = 100
 _LN10 = np.log(10.0)
 
 _DEFAULTS = GasConstants()
@@ -73,11 +74,14 @@ def friction_factor_and_derivative(q, diameter, roughness,
     """Colebrook friction factor lambda(q) and d lambda / d q, vectorized.
 
     Solves 1/sqrt(lam) = -2 log10(2.51/(Re sqrt(lam)) + k/(3.71 d)) with
-    Re = d |q| / eta by damped fixed-point iteration on x = 1/sqrt(lam);
-    the derivative comes from implicit differentiation of the same
-    equation.  Below REYNOLDS_ROUGH_LIMIT the rough limit (with zero
-    derivative) is returned.  Diameter d and roughness k are scalars or
-    arrays shaped like q (one value per point).
+    Re = d |q| / eta in closed form by Clamond's algorithm (Ind. Eng.
+    Chem. Res. 48 (2009) 3665): with X1 = b Re ln10/5.02, b = k/(3.71 d),
+    and X2 = ln(Re ln10/5.02), F solves F + ln(X1 + F) = X2, and two fixed
+    third-order steps from F = X2 - 0.2 reach machine precision;
+    x = 1/sqrt(lam) = 2 F/ln10.  The derivative comes from implicit
+    differentiation of the same equation.  Below REYNOLDS_ROUGH_LIMIT the
+    rough limit (with zero derivative) is returned.  Diameter d and
+    roughness k are scalars or arrays shaped like q (one value per point).
     """
     if np.any(np.asarray(diameter) <= 0):
         raise ValueError("diameter must be positive")
@@ -88,44 +92,28 @@ def friction_factor_and_derivative(q, diameter, roughness,
     q = np.atleast_1d(q)
 
     b = roughness / (3.71 * diameter)
-    x_rough = -2.0 * np.log10(b)
     re = diameter * np.abs(q) / eta
     rough = re < REYNOLDS_ROUGH_LIMIT
     re_safe = np.where(rough, REYNOLDS_ROUGH_LIMIT, re)
-    a = 2.51 / re_safe
-
-    x = np.full_like(q, x_rough)
-    omega = 1.0
-    delta_prev = np.inf
-    for _ in range(_COLEBROOK_MAX_ITER):
-        x_new = -2.0 * np.log10(a * x + b)
-        if omega != 1.0:
-            x_new = (1.0 - omega) * x + omega * x_new
-        delta = np.max(np.abs(x_new - x), initial=0.0)
-        if delta > delta_prev:
-            omega *= 0.5
-            continue
-        x, delta_prev = x_new, delta
-        if delta < _COLEBROOK_TOL:
-            break
-    else:
-        raise RuntimeError("Colebrook iteration did not converge")
-
-    lam = 1.0 / (x * x)
-    # implicit derivative through G(x, Re) = x + 2 log10(a x + b) = 0
-    denom = a * x + b
-    dG_dx = 1.0 + 2.0 * a / (_LN10 * denom)
-    dG_dre = -2.0 * a * x / (_LN10 * denom * re_safe)
-    dx_dre = -dG_dre / dG_dx
-    dlam_dq = (-2.0 / x**3) * dx_dre * (diameter / eta) * np.sign(q)
-    dlam_dq = np.where(rough, 0.0, dlam_dq)
-    lam = np.where(rough, 1.0 / (x_rough * x_rough), lam)
+    re_scaled = re_safe * (_LN10 / 5.02)
+    x1, x2 = b * re_scaled, np.log(re_scaled)
+    f = x2 - 0.2
+    for _ in range(2):
+        s = x1 + f
+        e = (np.log(s) + f - x2) / (1.0 + s)
+        f = f - (1.0 + s + 0.5 * e) * e * s / (1.0 + s + e * (1.0 + e / 3.0))
+    lam = (0.5 * _LN10 / f) ** 2
+    # implicit derivative: dF/dRe = F / (Re (1 + X1 + F)) and
+    # dlam/dF = -2 lam / F
+    dlam_dq = -2.0 * lam * np.sign(q) * (diameter / eta) / \
+        (re_safe * (1.0 + x1 + f))
+    if np.any(rough):
+        dlam_dq = np.where(rough, 0.0, dlam_dq)
+        lam = np.where(rough, 1.0 / (2.0 * np.log10(b)) ** 2, lam)
 
     if scalar:
         return float(lam[0]), float(dlam_dq[0])
     return lam, dlam_dq
-
-
 
 
 def source_term_with_derivatives(rho, q, geometry,
@@ -140,19 +128,24 @@ def source_term_with_derivatives(rho, q, geometry,
     q = np.asarray(q, dtype=float)
     if np.any(rho <= 0):
         raise ValueError("density must be positive")
-    lam, dlam = friction_factor_and_derivative(q, geometry.diameter,
-                                               geometry.roughness,
-                                               constants.eta)
+    friction = friction_factor_and_derivative(q, geometry.diameter,
+                                              geometry.roughness,
+                                              constants.eta)
     c = 1.0 / (2.0 * geometry.diameter)
-    s = _source(rho, q, lam, c)
-    ds_drho = c * lam * q * np.abs(q) / rho**2
-    ds_dq = -c * (dlam * q * np.abs(q) + lam * 2.0 * np.abs(q)) / rho
-    return s, ds_drho, ds_dq
+    return (_source(rho, q, friction[0], c),
+            *_source_partials(rho, q, friction, c))
 
 
 def _source(rho, q, lam, c):
     """S = -c lambda q|q|/rho with c = 1/(2 d)."""
     return -c * lam * q * np.abs(q) / rho
+
+
+def _source_partials(rho, q, friction, c):
+    """(dS/drho, dS/dq) of _source for friction = (lambda, dlambda/dq)."""
+    lam, dlam = friction
+    return (c * lam * q * np.abs(q) / rho**2,
+            -c * (dlam * q * np.abs(q) + lam * 2.0 * np.abs(q)) / rho)
 
 
 @dataclass(frozen=True)
@@ -206,8 +199,10 @@ class PipeGrid:
 
 
 def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
-                grid: PipeGrid, constants: GasConstants) -> np.ndarray:
-    """Derivatives of box_residual with respect to the new level.
+                grid: PipeGrid, constants: GasConstants,
+                friction) -> np.ndarray:
+    """Derivatives of box_residual with respect to the new level, given
+    friction = friction_factor_and_derivative at the new flows.
 
     Returns the values in the order of the new-level half of
     grid.stencil(); those with respect to the old level are all -1/2.
@@ -220,7 +215,8 @@ def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
     dp = dpressure_drho(rho, constants)
     df2_drho = dp - (q / rho) ** 2
     df2_dq = 2.0 * q / rho
-    _, ds_drho, ds_dq = source_term_with_derivatives(rho, q, grid, constants)
+    ds_drho, ds_dq = _source_partials(rho, q, friction,
+                                      1.0 / (2.0 * grid.diameter))
 
     half = np.full(len(jl), 0.5)
     return np.concatenate([
@@ -234,8 +230,10 @@ def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
 
 
 def box_residual(prev: PipeState, next_: PipeState, dt: float,
-                 grid: PipeGrid, constants: GasConstants) -> np.ndarray:
-    """Residual of the implicit box scheme: mass rows, then momentum rows.
+                 grid: PipeGrid, constants: GasConstants,
+                 friction) -> np.ndarray:
+    """Residual of the implicit box scheme: mass rows, then momentum rows,
+    given friction = friction_factor_and_derivative at the new flows.
 
     For a balance law y_t + f(y)_x = g(y) the scheme averages states over
     each interval between the grid points L = j-1 and R = j:
@@ -245,9 +243,7 @@ def box_residual(prev: PipeState, next_: PipeState, dt: float,
     """
     _check_levels(prev, next_, dt, grid)
     rho, q = next_.rho, next_.q
-    lam, _ = friction_factor_and_derivative(q, grid.diameter, grid.roughness,
-                                            constants.eta)
-    s = _source(rho, q, lam, 1.0 / (2.0 * grid.diameter))
+    s = _source(rho, q, friction[0], 1.0 / (2.0 * grid.diameter))
     f2 = pressure_of_density(rho, constants) + q * q / rho
     rho_o, q_o = prev.rho, prev.q
     jl, jr = grid.left, grid.left + 1
@@ -279,5 +275,7 @@ def box_scheme_residual(prev: PipeState, next_: PipeState, dt: float,
 
     Ordered as [mass rows 1..n, momentum rows 1..n].
     """
+    friction = friction_factor_and_derivative(next_.q, pipe.diameter,
+                                              pipe.roughness, constants.eta)
     return box_residual(prev, next_, dt, _one_pipe(next_, dx, pipe),
-                        constants)
+                        constants, friction)

@@ -4,8 +4,9 @@ The running compressor cost J is minimised over the lift u (bar) at the
 M+1 time levels, subject to 0 <= u <= u_max, to the pressure bounds and
 to forward flow through every compressor, by one SLSQP solve
 (scipy.optimize.minimize).  Each evaluated control costs one forward
-simulation plus one tangent-linear sweep, whose state sensitivities give
-the gradient of J and the Jacobian of all constraints at once.
+simulation; a control at which SLSQP asks for derivatives costs one
+tangent-linear sweep more, whose state sensitivities give the gradient
+of J and the Jacobian of all constraints at once.
 
 J sums compressor.cost_rate with trapezoidal weights.  objective()
 prices reversed compressor flow at zero; cost_partials(), which SLSQP
@@ -145,6 +146,7 @@ class _Model:
 
     def __init__(self, problem: OptimalControlProblem, simulator: Simulator):
         self.sim = simulator
+        self.cons = simulator.network.constants
         self.u_max_bar = problem.u_max / BAR
         self.tol_bar = problem.feasibility_tol_bar
         idx = simulator.assembler.index
@@ -157,42 +159,46 @@ class _Model:
         self.bound_pos = np.searchsorted(self.columns, bound_cols)
         self.flux_pos = np.searchsorted(self.columns,
                                         [q for _, _, q in comp_cols])
-        self._key = None
-        self._last = None
+        self._key = self._last = self._partials = None
 
-    def evaluate(self, x: np.ndarray) -> SimpleNamespace:
-        """Trajectory, J, dJ/du, margins (bar) with their minimum, and the
+    def evaluate(self, x: np.ndarray, derivatives: bool = False
+                 ) -> SimpleNamespace:
+        """Trajectory, J, margins (bar) with their minimum, and the
         constraints (margin - feasibility_tol_bar, then
-        flux / MASS_FLOW_SCALE) with their Jacobian."""
+        flux / MASS_FLOW_SCALE).  With `derivatives`, also dJ/du and the
+        constraint Jacobian, from one sensitivity sweep per control."""
         u = np.clip(x, 0.0, self.u_max_bar)
-        if u.tobytes() == self._key:
-            return self._last
-        trajectory = self.sim.run(u * BAR)
-        value, dj_dy, dj_du = cost_partials(self.sim, trajectory)
-        sens = state_sensitivities(self.sim, trajectory, self.columns)
-        cons = self.sim.network.constants
-        y = trajectory.states[:, self.columns].T       # (column, level)
-        rho = y[self.bound_pos]
-        margins = (gas.pressure_of_density(rho, cons) - self.p_min) / BAR
-        by_column = sens.transpose(1, 0, 2)            # (column, level, u_j)
-        # margins in bar per bar of lift: dp/drho times drho/du per Pa
-        margin_jac = gas.dpressure_drho(rho, cons)[:, :, None] * \
-            by_column[self.bound_pos]
-        # flux rows in units of MASS_FLOW_SCALE: SLSQP tests the summed
-        # violation against an absolute 1e-6, too tight for kg/(m^2 s)
-        flux_jac = BAR / MASS_FLOW_SCALE * by_column[self.flux_pos]
-        self._key = u.tobytes()
-        self._last = SimpleNamespace(
-            trajectory=trajectory, value=value, margins=margins,
-            min_margin=float(np.min(margins)) if margins.size else np.nan,
-            gradient=BAR * (dj_du + np.einsum(
-                "nk,nkj->j", dj_dy[:, self.columns], sens)),
-            constraints=np.concatenate([(margins - self.tol_bar).ravel(),
-                                        y[self.flux_pos].ravel()
-                                        / MASS_FLOW_SCALE]),
-            jacobian=np.concatenate([margin_jac, flux_jac]).reshape(
-                -1, len(u)))
-        return self._last
+        if u.tobytes() != self._key:
+            trajectory = self.sim.run(u * BAR)
+            value, *self._partials = cost_partials(self.sim, trajectory)
+            y = trajectory.states[:, self.columns].T   # (column, level)
+            rho = y[self.bound_pos]
+            margins = (gas.pressure_of_density(rho, self.cons)
+                       - self.p_min) / BAR
+            self._key = u.tobytes()
+            self._last = SimpleNamespace(
+                trajectory=trajectory, value=value, rho=rho, margins=margins,
+                min_margin=float(np.min(margins)) if margins.size else np.nan,
+                constraints=np.concatenate([(margins - self.tol_bar).ravel(),
+                                            y[self.flux_pos].ravel()
+                                            / MASS_FLOW_SCALE]),
+                gradient=None, jacobian=None)
+        last = self._last
+        if derivatives and last.gradient is None:
+            sens = state_sensitivities(self.sim, last.trajectory, self.columns)
+            by_column = sens.transpose(1, 0, 2)        # (column, level, u_j)
+            # margins in bar per bar of lift: dp/drho times drho/du per Pa
+            margin_jac = gas.dpressure_drho(last.rho, self.cons)[:, :, None] \
+                * by_column[self.bound_pos]
+            # flux rows in units of MASS_FLOW_SCALE: SLSQP tests the summed
+            # violation against an absolute 1e-6, too tight for kg/(m^2 s)
+            flux_jac = BAR / MASS_FLOW_SCALE * by_column[self.flux_pos]
+            dj_dy, dj_du = self._partials
+            last.gradient = BAR * (dj_du + np.einsum(
+                "nk,nkj->j", dj_dy[:, self.columns], sens))
+            last.jacobian = np.concatenate([margin_jac, flux_jac]).reshape(
+                -1, len(u))
+        return last
 
 
 def _feasible_start(model: _Model, step_count: int) -> np.ndarray:
@@ -240,11 +246,11 @@ def optimize(problem: OptimalControlProblem,
 
     result = minimize(
         lambda x: model.evaluate(x).value, u,
-        jac=lambda x: model.evaluate(x).gradient, method="SLSQP",
+        jac=lambda x: model.evaluate(x, True).gradient, method="SLSQP",
         bounds=[(0.0, model.u_max_bar)] * len(u),
         constraints=[{"type": "ineq",
                       "fun": lambda x: model.evaluate(x).constraints,
-                      "jac": lambda x: model.evaluate(x).jacobian}],
+                      "jac": lambda x: model.evaluate(x, True).jacobian}],
         callback=log_iterate, options={"maxiter": problem.max_iter})
     if result.status != 0:
         raise OptimizationError(

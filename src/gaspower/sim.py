@@ -16,7 +16,10 @@ one damped Newton routine.
 The assembler fixes the CSC pattern of dR/dy_next at set-up, so each
 Jacobian only computes values; dR/dy_prev and dR/du are constant and
 shared by all calls.  The linear rows (pressure coupling, node balances,
-boundary and bus rows) form one constant sparse operator.
+boundary and bus rows) form one constant sparse operator.  The assembler
+keeps the Colebrook friction values of the last pipe-flow block it saw,
+and Newton takes each Jacobian at the iterate whose residual it has just
+evaluated, so friction is solved once per iterate.
 """
 
 from __future__ import annotations
@@ -93,30 +96,6 @@ class VariableIndex:
                 self.bus[(bus.id, quant)] = size
                 size += 1
         self.size = size
-
-
-@dataclass(frozen=True)
-class SystemState:
-    """Flat value vector for one time level plus its index map."""
-
-    index: VariableIndex
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.index.size,):
-            raise ValueError("state vector does not match the variable index")
-        object.__setattr__(self, "values", vals)
-
-    def pipe_state(self, pipe_id: str) -> gas.PipeState:
-        return gas.PipeState(self.values[self.index.pipe_rho[pipe_id]],
-                             self.values[self.index.pipe_q[pipe_id]])
-
-    def node_density(self, node_id: str) -> float:
-        return float(self.values[self.index.node_rho[node_id]])
-
-    def compressor_flux(self, comp_id: str) -> float:
-        return float(self.values[self.index.comp_q[comp_id]])
 
 
 @dataclass(frozen=True)
@@ -238,6 +217,8 @@ class CoupledStepAssembler:
             [p.diameter for p in pipes], [p.roughness for p in pipes])
         self.n_points = len(self.grid.diameter)
         self.box_next, self.box_prev = self.grid.stencil()
+        # pipe flows of the last Colebrook solve and its (lambda, dlambda/dq)
+        self._friction_q, self._friction = None, None
         idx = self.index
         # entries that must stay positive: densities and bus voltages
         self.positive = np.concatenate([
@@ -477,7 +458,7 @@ class CoupledStepAssembler:
         res = self._linear @ y_next
         res[:self.grid.shape[0]] = gas.box_residual(
             self._pipe_state(y_prev), self._pipe_state(y_next), dt,
-            self.grid, self.constants)
+            self.grid, self.constants, self._pipe_friction(y_next))
         res[self._pb_rows] -= snap.node_rho_bc[self._pb_nodes]
         res[self._fb_rows] -= self._fb_area * snap.node_outflow[self._fb_nodes]
         res[self._plant_rows] -= self._plants.reference_density * \
@@ -495,6 +476,16 @@ class CoupledStepAssembler:
         return gas.PipeState(y[:self.n_points],
                              y[self.n_points:2 * self.n_points])
 
+    def _pipe_friction(self, y: np.ndarray):
+        """(lambda, dlambda/dq) at the pipe flows of y, reused while the
+        flow block equals that of the last call."""
+        q = y[self.n_points:2 * self.n_points]
+        if not np.array_equal(q, self._friction_q):
+            self._friction_q = q.copy()
+            self._friction = gas.friction_factor_and_derivative(
+                q, self.grid.diameter, self.grid.roughness, self.constants.eta)
+        return self._friction
+
     def _power_state(self, y: np.ndarray) -> power.PowerState:
         return power.PowerState(tuple(self.bus_order), *y[self._bus_cols])
 
@@ -511,7 +502,7 @@ class CoupledStepAssembler:
         cons = self.constants
         box_vals = gas._box_blocks(
             self._pipe_state(y_prev), self._pipe_state(y_next), dt,
-            self.grid, cons)
+            self.grid, cons, self._pipe_friction(y_next))
         deps = power.plant_gas_offtake_derivative(y_next[self._plant_cols],
                                                   self._plants)
         parts = [box_vals, self._const_vals,
@@ -544,11 +535,14 @@ def _damped_newton(residual, jacobian, admissible, y: np.ndarray,
     """Damped Newton solve of residual(y) = 0 from an admissible y.
 
     Each step is halved (up to `halvings` times) until the candidate is
-    admissible and lowers the max-norm residual.  After reaching `tol`,
-    up to `polish` extra steps with the last factorization push the
-    residual towards machine precision so that functionals of the state
-    are smooth enough for finite-difference checks; close to the solution
-    the lagged-Jacobian step still contracts fast.
+    admissible and lowers the max-norm residual.  Each Jacobian is taken
+    at the iterate whose residual was evaluated last (the start or the
+    accepted candidate), where the assembler still holds its friction
+    values.  After reaching `tol`, up to `polish` extra steps with the
+    last factorization push the residual towards machine precision so
+    that functionals of the state are smooth enough for finite-difference
+    checks; close to the solution the lagged-Jacobian step still
+    contracts fast.
     """
     res = residual(y)
     norm = np.max(np.abs(res))

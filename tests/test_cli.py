@@ -12,6 +12,7 @@ import numpy as np
 
 import gaspower
 from gaspower import cli, io
+from gaspower.sim import BoundaryData
 
 from conftest import make_toy_network, make_toy_scenario
 
@@ -115,6 +116,25 @@ def test_check_gradient(tmp_path, capsys):
                     "--components", "2"])
     assert code == cli.EXIT_OK
     assert "max relative error" in capsys.readouterr().out
+
+
+def test_check_gradient_under_reversed_compressor_flow(tmp_path, capsys):
+    """Both sides differentiate the unclipped cost of opt.cost_partials,
+    so reversed flow, where opt.objective clips it, does not matter."""
+    files = write_toy_case(tmp_path)
+    # the outflow at C turns into a feed, so the compressor runs backwards
+    boundary = BoundaryData.from_breakpoints({
+        ("A", "pressure"): [(0.0, 60e5)],
+        ("C", "outflow"): [(0.0, 150.0), (1800.0, -150.0)]})
+    io.dump_scenario(replace(make_toy_scenario(), boundary=boundary),
+                     tmp_path / "scenario.json")
+    control = tmp_path / "control.csv"
+    io.write_control(np.array([0.0]), np.array([1.0e5]), control)
+    code = cli.run(["check-gradient", *files, "--control", str(control),
+                    "--components", "3"])
+    assert code == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert float(out.split("max relative error:")[1]) < 1e-5
 
 
 def test_simulate_writes_the_result_files(tmp_path, capsys):

@@ -129,6 +129,17 @@ class TestFriction:
     def test_even_in_q(self):
         assert friction(200.0) == friction(-200.0)
 
+    def test_closed_form_reaches_machine_precision(self):
+        # Re = d |q| / eta from 100 to 1e9 at d = 1, eta = 1e-5, and
+        # b = k / (3.71 d) from 0 (smooth) to 3e-2
+        re, b = np.meshgrid(np.logspace(2, 9, 300),
+                            np.concatenate([[0.0], np.logspace(-8, -1.5, 99)]))
+        lam, _ = gas.friction_factor_and_derivative(
+            re.ravel() * 1e-5, 1.0, 3.71 * b.ravel(), eta=1e-5)
+        x = 1.0 / np.sqrt(lam)
+        colebrook = x + 2.0 * np.log10(2.51 * x / re.ravel() + b.ravel())
+        assert np.all(np.abs(colebrook) <= 1e-14 * x)
+
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             gas.friction_factor_and_derivative(10.0, -0.6, 5e-4)
@@ -177,7 +188,9 @@ def box_jacobians(prev, nxt, dt, dx, pipe=PIPE):
                               [pipe.roughness])
     (rn, cn), (rp, cp) = grid.stencil()
     j_next, j_prev = np.zeros(grid.shape), np.zeros(grid.shape)
-    np.add.at(j_next, (rn, cn), gas._box_blocks(prev, nxt, dt, grid, CONS))
+    np.add.at(j_next, (rn, cn), gas._box_blocks(
+        prev, nxt, dt, grid, CONS, gas.friction_factor_and_derivative(
+            nxt.q, pipe.diameter, pipe.roughness)))
     np.add.at(j_prev, (rp, cp), -0.5)
     return j_next, j_prev
 

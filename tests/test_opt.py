@@ -96,7 +96,7 @@ def test_constraint_jacobian_matches_central_differences():
     model = opt._Model(problem, simulator)
     u = np.array([1.4, 1.6, 1.5])
     levels = len(u)
-    jacobian = model.evaluate(u).jacobian
+    jacobian = model.evaluate(u, derivatives=True).jacobian
     assert jacobian.shape == (2 * levels, levels)   # margins of C, then flux
 
     j, h = 1, 1.0e-3   # bar
@@ -112,6 +112,42 @@ def test_constraint_jacobian_matches_central_differences():
         assert np.all(np.abs(jacobian[rows, j][j:]) > 0.0)
         np.testing.assert_allclose(jacobian[rows, j][j:], fd[rows][j:],
                                    rtol=1e-6)
+
+
+def test_sensitivity_sweep_runs_only_for_derivatives(monkeypatch):
+    sweeps, sweep = [], opt.state_sensitivities
+    monkeypatch.setattr(opt, "state_sensitivities",
+                        lambda *args: sweeps.append(1) or sweep(*args))
+    problem = bounded_problem()
+    model = opt._Model(problem, Simulator(problem.network, problem.scenario,
+                                          tol=problem.newton_tol))
+    u = np.array([1.4, 1.6, 1.5])
+    evaluation = model.evaluate(u)
+    assert evaluation.gradient is None and evaluation.jacobian is None
+    assert len(sweeps) == 0
+    gradient = model.evaluate(u, derivatives=True).gradient
+    assert model.evaluate(u, derivatives=True).gradient is gradient
+    assert len(sweeps) == 1
+
+    h = 1.0e-3   # bar
+    for j in range(len(u)):
+        step = np.zeros_like(u)
+        step[j] = h
+        fd = (model.evaluate(u + step).value
+              - model.evaluate(u - step).value) / (2 * h)
+        assert gradient[j] == pytest.approx(fd, rel=1e-6)
+    assert len(sweeps) == 1
+
+
+def test_optimize_sweeps_only_where_slsqp_asks_for_derivatives(monkeypatch):
+    runs, sweeps = [], []
+    run, sweep = Simulator.run, opt.state_sensitivities
+    monkeypatch.setattr(Simulator, "run",
+                        lambda *args: runs.append(1) or run(*args))
+    monkeypatch.setattr(opt, "state_sensitivities",
+                        lambda *args: sweeps.append(1) or sweep(*args))
+    opt.optimize(bounded_problem())
+    assert 1 <= len(sweeps) < len(runs)
 
 
 @pytest.mark.parametrize("settings", [{"u_max": 0.0}, {"max_iter": 0}])

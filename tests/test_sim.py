@@ -7,7 +7,7 @@ from gaspower import gas, power
 from gaspower.model import (CompressorArc, CoupledNetwork, GasNetwork,
                             GasNode, Pipe, PowerGrid)
 from gaspower.sim import (MASS_FLOW_SCALE, CoupledStepAssembler,
-                          MaxIterationsExceeded, Simulator, SystemState,
+                          MaxIterationsExceeded, Simulator,
                           VariableIndex, mass_balance_report,
                           newton_solve_step, simulate, steady_state)
 
@@ -51,9 +51,9 @@ class TestSteadyState:
     def test_pressure_decreases_along_flow(self, bundled_simulator,
                                             uncontrolled_trajectory):
         net = bundled_simulator.network
-        state = SystemState(bundled_simulator.assembler.index,
-                            uncontrolled_trajectory.states[0])
-        p = {n: gas.pressure_of_density(state.node_density(n), net.constants)
+        index = bundled_simulator.assembler.index
+        y = uncontrolled_trajectory.states[0]
+        p = {n: gas.pressure_of_density(y[index.node_rho[n]], net.constants)
              for n in ("S5", "S0", "S17", "S4", "S20", "S25")}
         # friction drops pressure along every pipe; the idle compressor
         # (u = 0) holds it constant across its arc
@@ -261,17 +261,16 @@ class TestToyNetwork:
         """Flux through the compressor equals the pipe feed at node B."""
         traj = toy_simulator.run(np.full(3, 1.5e5))
         asm = toy_simulator.assembler
-        for j in range(3):
-            state = SystemState(asm.index, traj.states[j])
-            q_pipe = state.pipe_state("PB").q[0]
-            assert state.compressor_flux("CMP") == pytest.approx(q_pipe,
-                                                                 rel=1e-9)
+        for y in traj.states:
+            q_pipe = y[asm.index.pipe_q["PB"]][0]
+            assert y[asm.index.comp_q["CMP"]] == pytest.approx(q_pipe,
+                                                               rel=1e-9)
 
     def test_outflow_pinned_by_boundary(self, toy_simulator):
         traj = toy_simulator.run()
         asm = toy_simulator.assembler
-        state = SystemState(asm.index, traj.states[-1])
-        assert state.pipe_state("PB").q[-1] == pytest.approx(150.0, rel=1e-9)
+        q = traj.states[-1][asm.index.pipe_q["PB"]]
+        assert q[-1] == pytest.approx(150.0, rel=1e-9)
 
 
 def make_mixed_network():
@@ -337,12 +336,39 @@ class TestMixedGeometryJacobian:
                 - asm.residual(y_prev, y1, u - h, snap, dt)) / (2.0 * h)
         assert_close(d_du, fd_u)
 
+    def test_residual_then_jacobian_solves_friction_once(self, mixed,
+                                                         monkeypatch):
+        asm, snap, y0, y1 = mixed
+        calls, friction = [], gas.friction_factor_and_derivative
+        monkeypatch.setattr(gas, "friction_factor_and_derivative",
+                            lambda *args: calls.append(1) or friction(*args))
+        asm.residual(y0, y1, 1.2e5, snap, 900.0)
+        asm.jacobian(y0, y1, 1.2e5, snap, 900.0)
+        assert len(calls) == 1
+        # the old level and the control do not enter the friction values
+        asm.jacobian(y1, y1 + 0.0, 1.0e5, snap, 900.0)
+        assert len(calls) == 1
+
+    def test_no_stale_friction_at_a_new_state(self, mixed):
+        asm, snap, y0, y1 = mixed
+        asm.residual(y0, y0, 1.2e5, snap, 900.0)
+        jac = asm.jacobian(y0, y1, 1.2e5, snap, 900.0)[0]
+        res = asm.residual(y1, y0, 1.2e5, snap, 900.0)
+        fresh = CoupledStepAssembler(make_mixed_network())
+        assert np.array_equal(
+            jac.toarray(),
+            fresh.jacobian(y0, y1, 1.2e5, snap, 900.0)[0].toarray())
+        fresh = CoupledStepAssembler(make_mixed_network())
+        assert np.array_equal(res,
+                              fresh.residual(y1, y0, 1.2e5, snap, 900.0))
+
     def test_pipe_rows_equal_box_scheme(self, mixed):
         asm, snap, y0, y1 = mixed
         res = asm.residual(y0, y1, 1.2e5, snap, 900.0)
         for pipe in asm.pipes:
-            prev = SystemState(asm.index, y0).pipe_state(pipe.id)
-            nxt = SystemState(asm.index, y1).pipe_state(pipe.id)
+            prev, nxt = (gas.PipeState(y[asm.index.pipe_rho[pipe.id]],
+                                       y[asm.index.pipe_q[pipe.id]])
+                         for y in (y0, y1))
             box = gas.box_scheme_residual(prev, nxt, 900.0, pipe.dx, pipe)
             n = pipe.cell_count
             for start, part in ((asm.pipe_mass_rows[pipe.id], box[:n]),
