@@ -5,10 +5,12 @@ The discretized trajectory satisfies one block of model equations per
 time level: the steady-state block at level 0 and one implicit step per
 later level.  Stacked over time the Jacobian is block lower bidiagonal,
 so the transposed (adjoint) system is solved backwards with one sparse
-factorization per level, used in transposed mode; the total derivative
-of a scalar functional then needs no further linear solves.  The same
-blocks, solved forwards, give the state sensitivities to every control,
-from which the derivatives of many functionals follow at once.
+factorization per level.  Each level's CSR block J is factored as J^T,
+as in the forward Newton solve, so the adjoint solves are plain solves;
+the total derivative of a scalar functional then needs no further linear
+solves.  The same blocks, solved forwards with the transposed factors,
+give the state sensitivities to every control, from which the
+derivatives of many functionals follow at once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .sim import Simulator, Trajectory
+from .sim import LU_PANEL_SIZE, Simulator, Trajectory
 
 
 @dataclass(frozen=True)
@@ -29,14 +31,15 @@ class AdjointState:
 
 
 def _level_blocks(simulator: Simulator, trajectory: Trajectory, n: int):
-    """(state block, dR/dy_prev, dR/du) of level n; at level 0 the state
-    block is the steady one, the within-step blocks summed at (y_0, y_0)."""
+    """(state block, dR/dy_prev, dR/du) of level n, the blocks in CSR; at
+    level 0 the state block is the steady one, the within-step blocks
+    summed at (y_0, y_0)."""
     states = trajectory.states
     jac_next, jac_prev, d_du = simulator.assembler.jacobian(
         states[max(n - 1, 0)], states[n], trajectory.control[n],
         simulator.snapshots[n], simulator.scenario.dt)
     if n == 0:
-        jac_next = (jac_next + jac_prev).tocsc()
+        jac_next = jac_next + jac_prev
     return jac_next, jac_prev, d_du
 
 
@@ -55,7 +58,8 @@ def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
     carry = np.zeros(dj_dy.shape[1])   # (dE_{n+1}/dy_n)^T xi_{n+1}
     for n in range(trajectory.step_count, -1, -1):
         block, jac_prev, _ = _level_blocks(simulator, trajectory, n)
-        xi[n] = splu(block).solve(-dj_dy[n] - carry, trans="T")
+        lu = splu(block.T, panel_size=LU_PANEL_SIZE)
+        xi[n] = lu.solve(-dj_dy[n] - carry)
         carry = jac_prev.T @ xi[n]
     return AdjointState(xi)
 
@@ -85,7 +89,8 @@ def state_sensitivities(simulator: Simulator, trajectory: Trajectory,
         block, jac_prev, d_du = _level_blocks(simulator, trajectory, n)
         rhs = jac_prev @ sens[:, :n + 1]   # zero at level 0
         rhs[:, n] += d_du
-        sens[:, :n + 1] = -splu(block).solve(rhs)
+        lu = splu(block.T, panel_size=LU_PANEL_SIZE)
+        sens[:, :n + 1] = -lu.solve(rhs, trans="T")
         out[n] = sens[columns]
     return out
 

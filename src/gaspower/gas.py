@@ -116,28 +116,8 @@ def friction_factor_and_derivative(q, diameter, roughness,
     return lam, dlam_dq
 
 
-def source_term_with_derivatives(rho, q, geometry,
-                                 constants: GasConstants = _DEFAULTS):
-    """Momentum source S(rho, q) = -lambda(q)/(2 d) * q|q|/rho and its
-    partials (dS/drho, dS/dq).
-
-    `geometry` supplies `diameter` and `roughness`: a Pipe, or a PipeGrid
-    for per-point values.
-    """
-    rho = np.asarray(rho, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("density must be positive")
-    friction = friction_factor_and_derivative(q, geometry.diameter,
-                                              geometry.roughness,
-                                              constants.eta)
-    c = 1.0 / (2.0 * geometry.diameter)
-    return (_source(rho, q, friction[0], c),
-            *_source_partials(rho, q, friction, c))
-
-
 def _source(rho, q, lam, c):
-    """S = -c lambda q|q|/rho with c = 1/(2 d)."""
+    """Momentum source S = -c lambda q|q|/rho with c = 1/(2 d)."""
     return -c * lam * q * np.abs(q) / rho
 
 

@@ -13,13 +13,16 @@ pipes at once.  The system is square by construction; each time step and
 the steady start (the same system with y_prev = y_next) are solved by
 one damped Newton routine.
 
-The assembler fixes the CSC pattern of dR/dy_next at set-up, so each
+The assembler fixes the CSR pattern of dR/dy_next at set-up, so each
 Jacobian only computes values; dR/dy_prev and dR/du are constant and
-shared by all calls.  The linear rows (pressure coupling, node balances,
-boundary and bus rows) form one constant sparse operator.  The assembler
-keeps the Colebrook friction values of the last pipe-flow block it saw,
-and Newton takes each Jacobian at the iterate whose residual it has just
-evaluated, so friction is solved once per iterate.
+shared by all calls.  The CSR arrays of J are the CSC arrays of J^T, so
+SuperLU factors J^T without a copy, with panel size LU_PANEL_SIZE, and
+Newton solves J dy = -R with the transposed factors.  The linear rows
+(pressure coupling, node balances, boundary and bus rows) form one
+constant sparse operator.  The assembler keeps the Colebrook friction
+values of the last pipe-flow block it saw, and Newton takes each
+Jacobian at the iterate whose residual it has just evaluated, so
+friction is solved once per iterate.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ _REFERENCE_DT_DX = 900.0 / 1000.0
 _STEADY_FLOW_SEED = 10.0
 
 BUS_QUANTITIES = ("V", "phi", "P", "Q")
+
+# SuperLU panel size for the step Jacobians and their transposes, which
+# have about 4 entries per column: one column per panel factors them
+# faster than SuperLU's default.  Shared with the adjoint module.
+LU_PANEL_SIZE = 1
 
 
 class SimulationError(Exception):
@@ -301,7 +309,7 @@ class CoupledStepAssembler:
         self.d_du.flags.writeable = False
 
     def _build_pattern(self):
-        """Index arrays of the nonlinear rows and the fixed CSC pattern.
+        """Index arrays of the nonlinear rows and the fixed CSR pattern.
 
         The entries of dR/dy_next are listed once, in the order jacobian()
         concatenates their values: box stencil, constant entries (also the
@@ -367,7 +375,7 @@ class CoupledStepAssembler:
             [(rr.ravel(), cc.ravel()) for rr, cc in dense]
         rows, cols = (np.concatenate(part) for part in zip(
             self.box_next, (const_rows, const_cols), *variable))
-        slots = sparse.csc_matrix(
+        slots = sparse.csr_matrix(
             (np.arange(1.0, len(rows) + 1.0), (rows, cols)), shape=shape)
         if slots.nnz != len(rows):
             raise AssertionError("two step Jacobian entries share a slot")
@@ -378,7 +386,7 @@ class CoupledStepAssembler:
         self._indices.flags.writeable = self._indptr.flags.writeable = False
         # dR/dy_prev is constant: -1/2 on the old level of the box stencil
         rows, cols = self.box_prev
-        self.jac_prev = sparse.csc_matrix(
+        self.jac_prev = sparse.csr_matrix(
             (-0.5 * self.row_scale[rows], (rows, cols)), shape=shape)
         self.jac_prev.data.flags.writeable = False
 
@@ -495,9 +503,10 @@ class CoupledStepAssembler:
                  snap: _Snapshot, dt: float):
         """(dR/dy_next, dR/dy_prev, dR/du) with rows scaled like residual().
 
-        dR/dy_next has the CSC pattern fixed at set-up; only its values
-        are computed here.  dR/dy_prev and dR/du are constant, read-only
-        and the same objects on every call.
+        dR/dy_next has the CSR pattern fixed at set-up; only its values
+        are computed here.  Its transpose is CSC with the same arrays, the
+        form in which splu factors it.  dR/dy_prev and dR/du are constant,
+        read-only and the same objects on every call.
         """
         cons = self.constants
         box_vals = gas._box_blocks(
@@ -514,7 +523,7 @@ class CoupledStepAssembler:
             parts += [-block.ravel() for block in power.injection_jacobians(
                 v, phi, self.G, self.B)]
         data = (np.concatenate(parts) * self._entry_scale)[self._slot_entry]
-        jac_next = sparse.csc_matrix((data, self._indices, self._indptr),
+        jac_next = sparse.csr_matrix((data, self._indices, self._indptr),
                                      shape=(self.n_rows, self.index.size))
         return jac_next, self.jac_prev, self.d_du
 
@@ -538,11 +547,12 @@ def _damped_newton(residual, jacobian, admissible, y: np.ndarray,
     admissible and lowers the max-norm residual.  Each Jacobian is taken
     at the iterate whose residual was evaluated last (the start or the
     accepted candidate), where the assembler still holds its friction
-    values.  After reaching `tol`, up to `polish` extra steps with the
-    last factorization push the residual towards machine precision so
-    that functionals of the state are smooth enough for finite-difference
-    checks; close to the solution the lagged-Jacobian step still
-    contracts fast.
+    values.  `jacobian` returns a CSR matrix J; splu factors J^T, and
+    every step is a transposed solve with those factors.  After reaching
+    `tol`, up to `polish` extra steps with the last factorization push
+    the residual towards machine precision so that functionals of the
+    state are smooth enough for finite-difference checks; close to the
+    solution the lagged-Jacobian step still contracts fast.
     """
     res = residual(y)
     norm = np.max(np.abs(res))
@@ -553,10 +563,10 @@ def _damped_newton(residual, jacobian, admissible, y: np.ndarray,
             raise MaxIterationsExceeded("Newton did not reach tolerance",
                                         norm, iterations)
         try:
-            lu = splu(jacobian(y).tocsc())
+            lu = splu(jacobian(y).T, panel_size=LU_PANEL_SIZE)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from None
-        step = lu.solve(-res)
+        step = lu.solve(-res, trans="T")
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
         factor = 1.0
@@ -576,7 +586,7 @@ def _damped_newton(residual, jacobian, admissible, y: np.ndarray,
     for _ in range(polish):
         if norm < 1e-14 or lu is None:
             break
-        cand = y + lu.solve(-res)
+        cand = y + lu.solve(-res, trans="T")
         if not admissible(cand):
             break
         cand_res = residual(cand)

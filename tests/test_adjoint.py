@@ -92,9 +92,9 @@ def test_one_transposed_solve_per_time_level(toy, monkeypatch):
     calls = []
     original = adjoint_mod.splu
 
-    def counting(matrix):
+    def counting(matrix, **options):
         calls.append(1)
-        return original(matrix)
+        return original(matrix, **options)
 
     monkeypatch.setattr(adjoint_mod, "splu", counting)
     adjoint_sweep(simulator, trajectory, np.zeros_like(trajectory.states))
@@ -211,9 +211,9 @@ def test_one_factorization_per_level_for_sensitivities(toy, monkeypatch):
     calls = []
     original = adjoint_mod.splu
 
-    def counting(matrix):
+    def counting(matrix, **options):
         calls.append(1)
-        return original(matrix)
+        return original(matrix, **options)
 
     monkeypatch.setattr(adjoint_mod, "splu", counting)
     state_sensitivities(simulator, trajectory, [0])

@@ -68,7 +68,9 @@ def friction(q, d=0.6, k=5e-4):
 
 
 def source(rho, q, pipe=PIPE):
-    return gas.source_term_with_derivatives(rho, q, pipe)[0]
+    lam = gas.friction_factor_and_derivative(q, pipe.diameter,
+                                             pipe.roughness)[0]
+    return gas._source(rho, q, lam, 1.0 / (2.0 * pipe.diameter))
 
 
 class TestFriction:
@@ -170,8 +172,9 @@ class TestSourceTerm:
                                                     rel=1e-12)
 
     def test_nonpositive_density_rejected(self):
-        with pytest.raises(ValueError):
-            source(0.0, 10.0)
+        for rho in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                gas.PipeState(np.array([51.9, rho]), np.array([10.0, 10.0]))
 
 
 def steady_flowing_profile(n, rho0=51.9, q=200.0):

@@ -1,16 +1,20 @@
-"""Loader error paths and result files.
+"""Loader error paths, result files and dump/load round trips.
 
 Each malformed network or scenario raises a FormatError naming the
 problem, or under strict=False warns and goes on.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaspower import cli, io, opt
-from gaspower.sim import Simulator
+from gaspower.model import CompressorCostModel
+from gaspower.sim import BoundaryData, Simulator
 
 from conftest import make_toy_network, make_toy_scenario
 
@@ -156,3 +160,86 @@ def test_write_results(tmp_path):
     objective = opt.objective(simulator, trajectory)
     assert objective > 0.0
     assert written["objective"] == float(f"{objective:.9g}")
+
+
+BUNDLED_NETWORK, BUNDLED_SCENARIO = io.load_bundled()
+ROUND_TRIP = settings(max_examples=30, deadline=None)
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False,
+                     allow_subnormal=False)
+
+
+@st.composite
+def bundled_networks(draw):
+    """The bundled topology with drawn pipe geometry and compressor costs."""
+    net = BUNDLED_NETWORK
+    pipes = tuple(replace(p, length=draw(floats(1.0, 2.0e5)),
+                          diameter=draw(floats(0.05, 2.0)),
+                          roughness=draw(st.just(0.0) | floats(1e-7, 1e-2)),
+                          cell_count=draw(st.integers(1, 500)))
+                  for p in net.gas.pipes)
+    comps = tuple(replace(c, cost=CompressorCostModel(
+        *(draw(st.just(0.0) | floats(1e-6, 1e4)) for _ in range(3))))
+        for c in net.gas.compressors)
+    return replace(net, gas=replace(net.gas, pipes=pipes, compressors=comps))
+
+
+@ROUND_TRIP
+@given(network=bundled_networks())
+def test_network_dump_load_dump_is_byte_identical(network, tmp_path_factory):
+    first = tmp_path_factory.mktemp("network") / "first.json"
+    second = first.with_name("second.json")
+    io.dump_network(network, first)
+    loaded = io.load_network(first)
+    io.dump_network(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded == network
+
+
+def _series(values):
+    """Breakpoints at distinct times (s) in the 48 h after t = 0."""
+    times = st.just(0.0) | floats(1e-3, 48 * 3600.0)
+    return st.lists(st.tuples(times, values), min_size=1, max_size=4,
+                    unique_by=lambda point: point[0])
+
+
+@st.composite
+def bundled_scenarios(draw):
+    """Drawn series for every boundary quantity of the bundled scenario."""
+    value_range = {"pressure": (1e3, 1e8), "outflow": (-500.0, 500.0)}
+    series = {key: draw(_series(floats(*value_range.get(key[1], (-5.0, 5.0)))))
+              for key in BUNDLED_SCENARIO.boundary.series}
+    return replace(
+        BUNDLED_SCENARIO, horizon=draw(floats(60.0, 1e6)),
+        dt=draw(floats(1.0, 7200.0)),
+        boundary=BoundaryData.from_breakpoints(series),
+        pressure_bounds={"S25": draw(floats(1e3, 1e8))},
+        control_max=draw(floats(1e3, 1e8)),
+        optimizer={"max_iter": draw(st.integers(1, 500))})
+
+
+def assert_within_ulps(got, expected, ulps=4):
+    """The hours, minutes and bar scalings are inexact in floating point."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= ulps * np.spacing(abs(expected)))
+
+
+@ROUND_TRIP
+@given(scenario=bundled_scenarios())
+def test_scenario_dump_load_keeps_every_value(scenario, tmp_path_factory):
+    path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+    io.dump_scenario(scenario, path)
+    loaded = io.load_scenario(path, BUNDLED_NETWORK)
+    assert loaded.boundary.series.keys() == scenario.boundary.series.keys()
+    for key, (times, values) in scenario.boundary.series.items():
+        assert_within_ulps(loaded.boundary.series[key][0], times)
+        assert_within_ulps(loaded.boundary.series[key][1], values)
+    assert loaded.pressure_bounds.keys() == scenario.pressure_bounds.keys()
+    assert_within_ulps(loaded.pressure_bounds["S25"],
+                       scenario.pressure_bounds["S25"])
+    for name in ("horizon", "dt", "control_max"):
+        assert_within_ulps(getattr(loaded, name), getattr(scenario, name))
+    assert loaded.optimizer == scenario.optimizer

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from gaspower import gas, power
 from gaspower.model import (CompressorArc, CoupledNetwork, GasNetwork,
                             GasNode, Pipe, PowerGrid)
-from gaspower.sim import (MASS_FLOW_SCALE, CoupledStepAssembler,
-                          MaxIterationsExceeded, Simulator,
-                          VariableIndex, mass_balance_report,
+from gaspower.sim import (LU_PANEL_SIZE, MASS_FLOW_SCALE,
+                          CoupledStepAssembler, MaxIterationsExceeded,
+                          Simulator, VariableIndex, mass_balance_report,
                           newton_solve_step, simulate, steady_state)
 
 from conftest import make_toy_network, make_toy_scenario
@@ -248,6 +249,14 @@ class TestSimulate:
                                      uncontrolled_trajectory)
         assert np.max(errors) < 10.0 * bundled_simulator.tol
 
+    def test_result_does_not_depend_on_call_history(self,
+                                                    bundled_simulator):
+        control = np.full(bundled_simulator.scenario.step_count + 1, 4.0e5)
+        first = bundled_simulator.run(control)
+        bundled_simulator.run(0.5 * control)
+        second = bundled_simulator.run(control)
+        assert np.array_equal(first.states, second.states)
+
     def test_failure_reports_time_index(self, bundled):
         network, scenario = bundled
         sim = Simulator(network, scenario, max_iter=1)
@@ -385,7 +394,7 @@ def test_gas_only_network_supported():
 
 
 class TestFixedPattern:
-    """The step Jacobian keeps the CSC pattern built at set-up."""
+    """The step Jacobian keeps the CSR pattern built at set-up."""
 
     @pytest.fixture()
     def step(self, bundled_simulator, uncontrolled_trajectory):
@@ -399,9 +408,24 @@ class TestFixedPattern:
         second = asm.jacobian(y1, 1.001 * y1, 2.0e5, snap, 900.0)[0]
         assert not np.array_equal(first.data, second.data)
         for jac in (first, second):
-            assert jac.format == "csc" and jac.has_canonical_format
+            assert jac.format == "csr" and jac.has_canonical_format
             assert np.array_equal(jac.indices, asm._indices)
             assert np.array_equal(jac.indptr, asm._indptr)
+
+    def test_transposed_factors_solve_both_directions(self, step):
+        """splu factors J^T: Newton's transposed solve gives J^-1 b, the
+        adjoint's plain solve (J^T)^-1 b, for one or several columns."""
+        asm, snap, y0, y1 = step
+        jac = asm.jacobian(y0, y1, 2.0e5, snap, 900.0)[0]
+        lu = splu(jac.T, panel_size=LU_PANEL_SIZE)
+        rhs = np.random.default_rng(5).standard_normal((jac.shape[0], 3))
+        dense = jac.toarray()
+        for b in (rhs[:, 0], rhs):
+            for got, matrix in ((lu.solve(b, trans="T"), dense),
+                                (lu.solve(b), dense.T)):
+                expected = np.linalg.solve(matrix, b)
+                assert np.linalg.norm(got - expected) <= \
+                    1e-10 * np.linalg.norm(expected)
 
     def test_prev_block_is_one_read_only_matrix(self, step):
         asm, snap, y0, y1 = step
