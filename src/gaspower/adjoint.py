@@ -6,11 +6,14 @@ time level: the steady-state block at level 0 and one implicit step per
 later level.  Stacked over time the Jacobian is block lower bidiagonal,
 so the transposed (adjoint) system is solved backwards with one sparse
 factorization per level.  Each level's CSR block J is factored as J^T,
-as in the forward Newton solve, so the adjoint solves are plain solves;
-the total derivative of a scalar functional then needs no further linear
-solves.  The same blocks, solved forwards with the transposed factors,
-give the state sensitivities to every control, from which the
-derivatives of many functionals follow at once.
+as in the forward Newton solve: levels >= 1 through the assembler's
+StepOrder, in the column order learned from the first step Jacobian, and
+the steady block at level 0 in COLAMD's order; LUFactors applies the
+order, so the adjoint solves are plain solves.  The total derivative of
+a scalar functional then needs no further linear solves.  The same
+blocks, solved forwards with the transposed factors, give the state
+sensitivities to every control, from which the derivatives of many
+functionals follow at once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .sim import LU_PANEL_SIZE, Simulator, Trajectory
+from .sim import Simulator, Trajectory, colamd_factors
 
 
 @dataclass(frozen=True)
@@ -30,17 +33,20 @@ class AdjointState:
     xi: np.ndarray  # (M+1, N_y)
 
 
-def _level_blocks(simulator: Simulator, trajectory: Trajectory, n: int):
-    """(state block, dR/dy_prev, dR/du) of level n, the blocks in CSR; at
-    level 0 the state block is the steady one, the within-step blocks
-    summed at (y_0, y_0)."""
+def _level_factors(simulator: Simulator, trajectory: Trajectory, n: int):
+    """(LUFactors of the state block, dR/dy_prev in CSR, dR/du) of level
+    n; at level 0 the state block is the steady one, the within-step
+    blocks summed at (y_0, y_0)."""
     states = trajectory.states
-    jac_next, jac_prev, d_du = simulator.assembler.jacobian(
+    assembler = simulator.assembler
+    jac_next, jac_prev, d_du = assembler.jacobian(
         states[max(n - 1, 0)], states[n], trajectory.control[n],
         simulator.snapshots[n], simulator.scenario.dt)
     if n == 0:
-        jac_next = jac_next + jac_prev
-    return jac_next, jac_prev, d_du
+        lu = colamd_factors(jac_next + jac_prev, splu)
+    else:
+        lu = assembler.step_order.factors(jac_next, splu)
+    return lu, jac_prev, d_du
 
 
 def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
@@ -57,9 +63,8 @@ def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
     xi = np.zeros_like(dj_dy)
     carry = np.zeros(dj_dy.shape[1])   # (dE_{n+1}/dy_n)^T xi_{n+1}
     for n in range(trajectory.step_count, -1, -1):
-        block, jac_prev, _ = _level_blocks(simulator, trajectory, n)
-        lu = splu(block.T, panel_size=LU_PANEL_SIZE)
-        xi[n] = lu.solve(-dj_dy[n] - carry)
+        lu, jac_prev, _ = _level_factors(simulator, trajectory, n)
+        xi[n] = lu.solve_transposed(-dj_dy[n] - carry)
         carry = jac_prev.T @ xi[n]
     return AdjointState(xi)
 
@@ -86,11 +91,10 @@ def state_sensitivities(simulator: Simulator, trajectory: Trajectory,
     out = np.zeros((m + 1, len(columns), m + 1))
     sens = np.zeros((trajectory.states.shape[1], m + 1))
     for n in range(m + 1):
-        block, jac_prev, d_du = _level_blocks(simulator, trajectory, n)
+        lu, jac_prev, d_du = _level_factors(simulator, trajectory, n)
         rhs = jac_prev @ sens[:, :n + 1]   # zero at level 0
         rhs[:, n] += d_du
-        lu = splu(block.T, panel_size=LU_PANEL_SIZE)
-        sens[:, :n + 1] = -lu.solve(rhs, trans="T")
+        sens[:, :n + 1] = -lu.solve(rhs)
         out[n] = sens[columns]
     return out
 

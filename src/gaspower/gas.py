@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GasConstants, Pipe
+from .model import GasConstants
 
 # Below this Reynolds number the Colebrook equation degenerates; the
 # fully-rough limit is used instead.  The source term still vanishes at
@@ -241,21 +241,3 @@ def _check_levels(prev: PipeState, next_: PipeState, dt, grid: PipeGrid):
         raise ValueError("pipe states have mismatched lengths")
     if dt <= 0:
         raise ValueError("dt must be positive")
-
-
-def _one_pipe(next_: PipeState, dx: float, pipe: Pipe) -> PipeGrid:
-    return PipeGrid.stack([len(next_.rho) - 1], [dx], [pipe.diameter],
-                          [pipe.roughness])
-
-
-def box_scheme_residual(prev: PipeState, next_: PipeState, dt: float,
-                        dx: float, pipe: Pipe,
-                        constants: GasConstants = _DEFAULTS) -> np.ndarray:
-    """Residual of the implicit box scheme, 2 entries per cell interval.
-
-    Ordered as [mass rows 1..n, momentum rows 1..n].
-    """
-    friction = friction_factor_and_derivative(next_.q, pipe.diameter,
-                                              pipe.roughness, constants.eta)
-    return box_residual(prev, next_, dt, _one_pipe(next_, dx, pipe),
-                        constants, friction)

@@ -16,9 +16,15 @@ one damped Newton routine.
 The assembler fixes the CSR pattern of dR/dy_next at set-up, so each
 Jacobian only computes values; dR/dy_prev and dR/du are constant and
 shared by all calls.  The CSR arrays of J are the CSC arrays of J^T, so
-SuperLU factors J^T without a copy, with panel size LU_PANEL_SIZE, and
-Newton solves J dy = -R with the transposed factors.  The linear rows
-(pressure coupling, node balances, boundary and bus rows) form one
+SuperLU factors J^T, with panel size LU_PANEL_SIZE, and Newton solves
+J dy = -R with the transposed factors.  COLAMD's column order depends
+only on the pattern, so the assembler's StepOrder keeps the order of the
+first step Jacobian it factors and hands every later one to SuperLU with
+its columns already in that order (one gather of the data) and no
+ordering of its own; the factors are the same to the bit, and LUFactors
+hides the permutation from the solves.  The steady-state block has a
+pattern of its own and is ordered by COLAMD on every call.  The linear
+rows (pressure coupling, node balances, boundary and bus rows) form one
 constant sparse operator.  The assembler keeps the Colebrook friction
 values of the last pipe-flow block it saw, and Newton takes each
 Jacobian at the iterate whose residual it has just evaluated, so
@@ -59,6 +65,84 @@ BUS_QUANTITIES = ("V", "phi", "P", "Q")
 # have about 4 entries per column: one column per panel factors them
 # faster than SuperLU's default.  Shared with the adjoint module.
 LU_PANEL_SIZE = 1
+
+
+class LUFactors:
+    """Solves with a square CSR matrix J from SuperLU's factors of J^T,
+    whose columns were taken in `order` (None: as they stand)."""
+
+    def __init__(self, lu, order=None):
+        self.lu, self.order = lu, order
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """J^-1 b, for one right-hand side or a column of them."""
+        if self.order is None:
+            return self.lu.solve(b, trans="T")
+        return self.lu.solve(b[self.order], trans="T")
+
+    def solve_transposed(self, c: np.ndarray) -> np.ndarray:
+        """J^-T c, for one right-hand side or a column of them."""
+        x = self.lu.solve(c)
+        if self.order is None:
+            return x
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
+
+
+def colamd_factors(jac, splu) -> LUFactors:
+    """Factors of the CSR matrix `jac`, computed by the caller's `splu`
+    from jac^T in COLAMD's order."""
+    return LUFactors(splu(jac.T, panel_size=LU_PANEL_SIZE))
+
+
+class StepOrder:
+    """COLAMD's column order of J^T for the fixed step pattern.
+
+    The first factorization runs COLAMD and the order is read from it;
+    later ones factor J^T with its columns gathered into that order and
+    permc_spec="NATURAL", for which SuperLU skips its own ordering and
+    postorder, so L, U and perm_r stay the same to the bit.  The arrays
+    live as long as the assembler and are allocated here, to be filled
+    once the order is known.
+    """
+
+    def __init__(self, indices: np.ndarray, indptr: np.ndarray):
+        n, nnz = len(indptr) - 1, len(indices)
+        self._pattern = (indices, indptr)
+        self.order = np.empty(n, dtype=np.intp)
+        # the CSC arrays of J^T[:, order]: data[k] = J.data[_take[k]]
+        self._take = np.empty(nnz, dtype=np.intp)
+        self._data = np.empty(nnz)
+        self._indices = np.empty_like(indices)
+        self._indptr = np.empty_like(indptr)
+        self._matrix = None
+
+    def factors(self, jac, splu) -> LUFactors:
+        """Factors of the step Jacobian `jac` (CSR, set-up pattern),
+        computed by the caller's `splu`."""
+        if self._matrix is None:
+            lu = colamd_factors(jac, splu)
+            self._learn(lu.lu.perm_c)
+            return lu
+        np.take(jac.data, self._take, out=self._matrix.data)
+        return LUFactors(splu(self._matrix, permc_spec="NATURAL",
+                              panel_size=LU_PANEL_SIZE), self.order)
+
+    def _learn(self, perm_c: np.ndarray):
+        # column perm_c[j] of SuperLU's ordered matrix is column j of J^T
+        indices, indptr = self._pattern
+        self.order[perm_c] = np.arange(len(perm_c))
+        lengths = np.diff(indptr)[self.order]
+        self._indptr[0] = 0
+        np.cumsum(lengths, out=self._indptr[1:])
+        self._take[:] = np.repeat(indptr[self.order] - self._indptr[:-1],
+                                  lengths) + np.arange(len(indices))
+        np.take(indices, self._take, out=self._indices)
+        n = len(self.order)
+        self._matrix = sparse.csc_matrix(
+            (self._data, self._indices, self._indptr), shape=(n, n),
+            copy=False)
 
 
 class SimulationError(Exception):
@@ -236,6 +320,7 @@ class CoupledStepAssembler:
 
         self._build_rows()
         self._build_pattern()
+        self.step_order = StepOrder(self._indices, self._indptr)
 
     def _area_near(self, comp) -> float:
         for node_id in (comp.from_node, comp.to_node):
@@ -538,7 +623,7 @@ def _pinned_quantities(kind: str) -> tuple[str, str]:
     raise ValueError(f"unknown bus kind {kind!r}")
 
 
-def _damped_newton(residual, jacobian, admissible, y: np.ndarray,
+def _damped_newton(residual, jacobian, factors, admissible, y: np.ndarray,
                    tol: float, max_iter: int, halvings: int, polish: int
                    ) -> np.ndarray:
     """Damped Newton solve of residual(y) = 0 from an admissible y.
@@ -547,12 +632,14 @@ def _damped_newton(residual, jacobian, admissible, y: np.ndarray,
     admissible and lowers the max-norm residual.  Each Jacobian is taken
     at the iterate whose residual was evaluated last (the start or the
     accepted candidate), where the assembler still holds its friction
-    values.  `jacobian` returns a CSR matrix J; splu factors J^T, and
-    every step is a transposed solve with those factors.  After reaching
-    `tol`, up to `polish` extra steps with the last factorization push
-    the residual towards machine precision so that functionals of the
-    state are smooth enough for finite-difference checks; close to the
-    solution the lagged-Jacobian step still contracts fast.
+    values.  `jacobian` returns a CSR matrix J and `factors(J, splu)`
+    its LUFactors: StepOrder.factors for the step Jacobians, whose
+    column order is learned from the first one, and colamd_factors for
+    the steady block.  After reaching `tol`, up to `polish` extra steps
+    with the last factorization push the residual towards machine
+    precision so that functionals of the state are smooth enough for
+    finite-difference checks; close to the solution the lagged-Jacobian
+    step still contracts fast.
     """
     res = residual(y)
     norm = np.max(np.abs(res))
@@ -562,11 +649,12 @@ def _damped_newton(residual, jacobian, admissible, y: np.ndarray,
         if iterations >= max_iter:
             raise MaxIterationsExceeded("Newton did not reach tolerance",
                                         norm, iterations)
+        jac = jacobian(y)
         try:
-            lu = splu(jacobian(y).T, panel_size=LU_PANEL_SIZE)
+            lu = factors(jac, splu)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from None
-        step = lu.solve(-res, trans="T")
+        step = lu.solve(-res)
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
         factor = 1.0
@@ -586,7 +674,7 @@ def _damped_newton(residual, jacobian, admissible, y: np.ndarray,
     for _ in range(polish):
         if norm < 1e-14 or lu is None:
             break
-        cand = y + lu.solve(-res, trans="T")
+        cand = y + lu.solve(-res)
         if not admissible(cand):
             break
         cand_res = residual(cand)
@@ -610,7 +698,8 @@ def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
     return _damped_newton(
         lambda y: assembler.residual(y_prev, y, u, snap, dt),
         lambda y: assembler.jacobian(y_prev, y, u, snap, dt)[0],
-        assembler.admissible, y, tol, max_iter, halvings=30, polish=polish)
+        assembler.step_order.factors, assembler.admissible, y, tol,
+        max_iter, halvings=30, polish=polish)
 
 
 def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
@@ -627,8 +716,8 @@ def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
 
     return _damped_newton(
         lambda y: assembler.residual(y, y, u0, snap, dt), jacobian,
-        assembler.admissible, assembler.flat_state(snap), tol, max_iter,
-        halvings=40, polish=3)
+        colamd_factors, assembler.admissible, assembler.flat_state(snap),
+        tol, max_iter, halvings=40, polish=3)
 
 
 class Simulator:

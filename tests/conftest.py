@@ -1,5 +1,6 @@
 import pytest
 
+from gaspower import gas
 from gaspower import io as gio
 from gaspower.model import (CompressorArc, CoupledNetwork, GasConstants,
                             GasNetwork, GasNode, Pipe, PowerGrid)
@@ -21,6 +22,16 @@ def bundled_simulator(bundled):
 @pytest.fixture(scope="session")
 def uncontrolled_trajectory(bundled_simulator):
     return bundled_simulator.run()
+
+
+def box_scheme_residual(prev, next_, dt, dx, pipe, constants=GasConstants()):
+    """Box-scheme residual of one pipe, [mass rows, momentum rows], through
+    the network-wide gas.box_residual on a one-pipe PipeGrid."""
+    grid = gas.PipeGrid.stack([len(next_.rho) - 1], [dx], [pipe.diameter],
+                              [pipe.roughness])
+    friction = gas.friction_factor_and_derivative(
+        next_.q, pipe.diameter, pipe.roughness, constants.eta)
+    return gas.box_residual(prev, next_, dt, grid, constants, friction)
 
 
 def make_toy_network(cells=2, length=2000.0):

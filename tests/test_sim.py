@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from gaspower import gas, power
+from gaspower import sim as sim_mod
 from gaspower.model import (CompressorArc, CoupledNetwork, GasNetwork,
                             GasNode, Pipe, PowerGrid)
-from gaspower.sim import (LU_PANEL_SIZE, MASS_FLOW_SCALE,
+from gaspower.sim import (LU_PANEL_SIZE, MASS_FLOW_SCALE, BoundaryData,
                           CoupledStepAssembler, MaxIterationsExceeded,
-                          Simulator, VariableIndex, mass_balance_report,
-                          newton_solve_step, simulate, steady_state)
+                          Scenario, Simulator, StepOrder, VariableIndex,
+                          mass_balance_report, newton_solve_step, simulate,
+                          steady_state)
 
-from conftest import make_toy_network, make_toy_scenario
+from conftest import (box_scheme_residual, make_toy_network,
+                      make_toy_scenario)
 
 
 def _index_maps(index):
@@ -257,6 +262,34 @@ class TestSimulate:
         second = bundled_simulator.run(control)
         assert np.array_equal(first.states, second.states)
 
+    def test_first_run_learns_the_order_without_changing_results(
+            self, bundled):
+        simulator = Simulator(*bundled)
+        control = np.full(simulator.scenario.step_count + 1, 4.0e5)
+        first = simulator.run(control)     # learns the step column order
+        second = simulator.run(control)
+        assert np.array_equal(first.states, second.states)
+
+    def test_one_step_pattern_factorization_runs_colamd(self, monkeypatch):
+        simulator = Simulator(make_toy_network(), make_toy_scenario(steps=3))
+        step_nnz = len(simulator.assembler._indices)
+        seen, original = [], sim_mod.splu
+
+        def recording(matrix, **options):
+            seen.append((matrix.nnz == step_nnz,
+                         options.get("permc_spec", "COLAMD")))
+            return original(matrix, **options)
+
+        monkeypatch.setattr(sim_mod, "splu", recording)
+        for _ in range(2):
+            simulator.run(np.linspace(1.5e5, 3.0e5, 4))
+        steps = [spec for step_pattern, spec in seen if step_pattern]
+        assert steps.count("COLAMD") == 1 and steps[0] == "COLAMD"
+        assert set(steps[1:]) == {"NATURAL"}
+        # the steady block's pattern differs: COLAMD on every call
+        assert {spec for step_pattern, spec in seen if not step_pattern} \
+            == {"COLAMD"}
+
     def test_failure_reports_time_index(self, bundled):
         network, scenario = bundled
         sim = Simulator(network, scenario, max_iter=1)
@@ -280,6 +313,40 @@ class TestToyNetwork:
         asm = toy_simulator.assembler
         q = traj.states[-1][asm.index.pipe_q["PB"]]
         assert q[-1] == pytest.approx(150.0, rel=1e-9)
+
+
+RAMP_STEPS, RAMP_DT = 4, 900.0
+
+
+def _ramp(values):
+    """Breakpoints (s, value) of a piecewise-linear series over the horizon."""
+    times = np.linspace(0.0, RAMP_STEPS * RAMP_DT, len(values))
+    return list(zip(times, values))
+
+
+@st.composite
+def toy_ramps(draw):
+    """Toy scenario with drawn source-pressure and outflow ramps, a drawn
+    compressor lift per level and a drawn pipe refinement."""
+    series = lambda lo, hi: st.lists(
+        st.floats(lo, hi, allow_nan=False), min_size=1, max_size=4)
+    boundary = BoundaryData.from_breakpoints({
+        ("A", "pressure"): _ramp(draw(series(40e5, 80e5))),
+        ("C", "outflow"): _ramp(draw(series(0.0, 300.0)))})
+    control = draw(st.lists(st.floats(0.0, 5e5, allow_nan=False),
+                            min_size=RAMP_STEPS + 1, max_size=RAMP_STEPS + 1))
+    cells = draw(st.integers(1, 4))
+    return (Simulator(make_toy_network(cells=cells),
+                      Scenario(RAMP_STEPS * RAMP_DT, RAMP_DT, boundary)),
+            np.array(control))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=toy_ramps())
+def test_random_ramps_converge_and_conserve_mass(case):
+    simulator, control = case
+    trajectory = simulator.run(control)
+    assert np.max(mass_balance_report(simulator, trajectory)) < simulator.tol
 
 
 def make_mixed_network():
@@ -378,7 +445,7 @@ class TestMixedGeometryJacobian:
             prev, nxt = (gas.PipeState(y[asm.index.pipe_rho[pipe.id]],
                                        y[asm.index.pipe_q[pipe.id]])
                          for y in (y0, y1))
-            box = gas.box_scheme_residual(prev, nxt, 900.0, pipe.dx, pipe)
+            box = box_scheme_residual(prev, nxt, 900.0, pipe.dx, pipe)
             n = pipe.cell_count
             for start, part in ((asm.pipe_mass_rows[pipe.id], box[:n]),
                                 (asm.pipe_mom_rows[pipe.id], box[n:])):
@@ -414,18 +481,44 @@ class TestFixedPattern:
 
     def test_transposed_factors_solve_both_directions(self, step):
         """splu factors J^T: Newton's transposed solve gives J^-1 b, the
-        adjoint's plain solve (J^T)^-1 b, for one or several columns."""
+        adjoint's plain solve (J^T)^-1 b, for one or several columns; so
+        do a StepOrder's factors, on the call that learns the order and
+        on a later one."""
         asm, snap, y0, y1 = step
         jac = asm.jacobian(y0, y1, 2.0e5, snap, 900.0)[0]
+        later = asm.jacobian(y1, 1.001 * y1, 1.0e5, snap, 900.0)[0]
         lu = splu(jac.T, panel_size=LU_PANEL_SIZE)
+        order = StepOrder(asm._indices, asm._indptr)
+        learning = order.factors(jac, splu)
+        learned = order.factors(later, splu)
+        assert learned.order is not None
         rhs = np.random.default_rng(5).standard_normal((jac.shape[0], 3))
-        dense = jac.toarray()
         for b in (rhs[:, 0], rhs):
-            for got, matrix in ((lu.solve(b, trans="T"), dense),
-                                (lu.solve(b), dense.T)):
-                expected = np.linalg.solve(matrix, b)
-                assert np.linalg.norm(got - expected) <= \
-                    1e-10 * np.linalg.norm(expected)
+            for matrix, forward, backward in (
+                    (jac, lambda b: lu.solve(b, trans="T"), lu.solve),
+                    (jac, learning.solve, learning.solve_transposed),
+                    (later, learned.solve, learned.solve_transposed)):
+                dense = matrix.toarray()
+                for got, system in ((forward(b), dense),
+                                    (backward(b), dense.T)):
+                    expected = np.linalg.solve(system, b)
+                    assert np.linalg.norm(got - expected) <= \
+                        1e-10 * np.linalg.norm(expected)
+
+    def test_learned_order_changes_no_bit(self, step):
+        """Factors of a second step Jacobian in the learned order solve
+        exactly as SuperLU's own COLAMD factors of it do."""
+        asm, snap, y0, y1 = step
+        order = StepOrder(asm._indices, asm._indptr)
+        order.factors(asm.jacobian(y0, y1, 2.0e5, snap, 900.0)[0], splu)
+        jac = asm.jacobian(y1, 1.001 * y1, 1.0e5, snap, 900.0)[0]
+        learned = order.factors(jac, splu)
+        lu = splu(jac.T, panel_size=LU_PANEL_SIZE)
+        assert np.array_equal(learned.lu.perm_r, lu.perm_r)
+        rhs = np.random.default_rng(7).standard_normal((jac.shape[0], 3))
+        for b in (rhs[:, 0], rhs):
+            assert np.array_equal(learned.solve(b), lu.solve(b, trans="T"))
+            assert np.array_equal(learned.solve_transposed(b), lu.solve(b))
 
     def test_prev_block_is_one_read_only_matrix(self, step):
         asm, snap, y0, y1 = step
