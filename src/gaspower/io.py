@@ -10,20 +10,21 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import opt
-from .model import (BAR, FLOW_BOUNDARY, PQ, PRESSURE_BOUNDARY, PV, SLACK,
+from .model import (BAR, FLOW_BOUNDARY, PINNED_QUANTITIES, PRESSURE_BOUNDARY,
                     Bus, CompressorArc, CompressorCostModel, CoupledNetwork,
                     GasConstants, GasNetwork, GasNode, GasPowerPlant,
                     PerUnitSystem, Pipe, PowerGrid, TransmissionLine,
-                    validate_network)
-from .sim import BoundaryData, Scenario, Simulator, Trajectory
+                    incident_pipe_area, validate_network)
+from .sim import (BUS_QUANTITIES, BoundaryData, Scenario, Simulator,
+                  Trajectory)
 
-_BUS_QUANTITIES = ("P", "Q", "V", "phi")
 _GAS_QUANTITIES = ("pressure_bar", "outflow_m3_s", "outflow_flux")
 
 
@@ -44,7 +45,14 @@ def _read_json(path) -> dict:
                           f"column {exc.colno}: {exc.msg}") from None
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{where}: expected an object")
+    return value
+
+
 def _check_keys(mapping: dict, allowed, where: str, strict: bool):
+    _object(mapping, where)
     unknown = sorted(set(mapping) - set(allowed))
     if not unknown:
         return
@@ -54,11 +62,14 @@ def _check_keys(mapping: dict, allowed, where: str, strict: bool):
     warnings.warn(message)
 
 
-def _build(cls, record: dict, where: str, strict: bool, **extra):
+def _build(cls, record: dict, where: str, strict: bool, **nested):
+    """cls from the JSON object `record`; `nested` maps each field that
+    holds an object of its own to that object's class."""
     fields = cls.__dataclass_fields__
     _check_keys(record, fields, where, strict)
     known = {k: v for k, v in record.items() if k in fields}
-    known.update(extra)
+    for key, sub in nested.items():
+        known[key] = _build(sub, record.get(key, {}), f"{where} {key}", strict)
     try:
         return cls(**known)
     except (TypeError, ValueError) as exc:
@@ -77,30 +88,26 @@ def load_network(path, strict: bool = True, validate: bool = True
         raise FormatError(f"{path}: top level must be an object")
     _check_keys(raw, _NETWORK_KEYS, str(path), strict)
 
-    nodes = tuple(_build(GasNode, rec, f"gas node #{i}", strict)
-                  for i, rec in enumerate(raw.get("gas_nodes", [])))
-    pipes = tuple(_build(Pipe, rec, f"pipe #{i}", strict)
-                  for i, rec in enumerate(raw.get("pipes", [])))
-    comps = []
-    for i, rec in enumerate(raw.get("compressors", [])):
-        rec = dict(rec)
-        cost_rec = rec.pop("cost", {})
-        cost = _build(CompressorCostModel, cost_rec,
-                      f"compressor #{i} cost", strict)
-        comps.append(_build(CompressorArc, rec, f"compressor #{i}", strict,
-                            cost=cost))
-    busses = tuple(_build(Bus, rec, f"bus #{i}", strict)
-                   for i, rec in enumerate(raw.get("busses", [])))
-    lines = tuple(_build(TransmissionLine, rec, f"line #{i}", strict)
-                  for i, rec in enumerate(raw.get("lines", [])))
-    plants = tuple(_build(GasPowerPlant, rec, f"plant #{i}", strict)
-                   for i, rec in enumerate(raw.get("plants", [])))
+    def records(key, cls, name, **nested):
+        items = raw.get(key, [])
+        if not isinstance(items, list):
+            raise FormatError(f"{path}: {key}: expected a list")
+        return tuple(_build(cls, rec, f"{name} #{i}", strict, **nested)
+                     for i, rec in enumerate(items))
+
+    nodes = records("gas_nodes", GasNode, "gas node")
+    pipes = records("pipes", Pipe, "pipe")
+    comps = records("compressors", CompressorArc, "compressor",
+                    cost=CompressorCostModel)
+    busses = records("busses", Bus, "bus")
+    lines = records("lines", TransmissionLine, "line")
+    plants = records("plants", GasPowerPlant, "plant")
     constants = _build(GasConstants, raw.get("constants", {}),
                        "constants", strict)
     per_unit = _build(PerUnitSystem, raw.get("per_unit", {}),
                       "per_unit", strict)
 
-    network = CoupledNetwork(GasNetwork(nodes, pipes, tuple(comps)),
+    network = CoupledNetwork(GasNetwork(nodes, pipes, comps),
                              PowerGrid(busses, lines), plants,
                              constants, per_unit)
     if validate:
@@ -116,13 +123,6 @@ _SCENARIO_KEYS = ("horizon_hours", "dt_minutes", "reference_density_kg_m3",
                   "boundary", "pressure_bounds", "control_bounds", "optimizer")
 _CONTROL_BOUND_KEYS = ("u_min_bar", "u_max_bar")
 _OPTIMIZER_KEYS = ("max_iter", "feasibility_tol_bar", "newton_tol")
-
-
-def _incident_area(network: CoupledNetwork, node_id: str) -> float:
-    for pipe in network.gas.pipes:
-        if node_id in (pipe.from_node, pipe.to_node):
-            return pipe.area
-    raise FormatError(f"node {node_id} has no incident pipe")
 
 
 def _series(points, where, time_scale=3600.0, value_scale=1.0):
@@ -158,7 +158,8 @@ def load_scenario(path, network: CoupledNetwork,
     bus_ids = {b.id: b for b in network.grid.busses}
 
     series: dict[tuple[str, str], list] = {}
-    for target, quantities in raw.get("boundary", {}).items():
+    boundary = _object(raw.get("boundary", {}), f"{path}: boundary")
+    for target, quantities in boundary.items():
         if target in gas_ids:
             _check_keys(quantities, _GAS_QUANTITIES,
                         f"boundary for {target}", strict)
@@ -167,15 +168,17 @@ def load_scenario(path, network: CoupledNetwork,
                     series[(target, "pressure")] = _series(
                         pts, f"{target}.pressure_bar", value_scale=BAR)
                 elif quant == "outflow_m3_s":
-                    flux_scale = rho_ref / _incident_area(network, target)
+                    area = incident_pipe_area(network.gas, target)
+                    if area is None:
+                        raise FormatError(f"node {target} has no incident pipe")
                     series[(target, "outflow")] = _series(
                         pts, f"{target}.outflow_m3_s",
-                        value_scale=flux_scale)
+                        value_scale=rho_ref / area)
                 elif quant == "outflow_flux":
                     series[(target, "outflow")] = _series(
                         pts, f"{target}.outflow_flux")
         elif target in bus_ids:
-            _check_keys(quantities, _BUS_QUANTITIES,
+            _check_keys(quantities, BUS_QUANTITIES,
                         f"boundary for {target}", strict)
             for quant, pts in quantities.items():
                 series[(target, quant)] = _series(pts, f"{target}.{quant}")
@@ -189,16 +192,16 @@ def load_scenario(path, network: CoupledNetwork,
             required.append((node.id, "pressure"))
         elif node.kind == FLOW_BOUNDARY:
             required.append((node.id, "outflow"))
-    kind_needs = {SLACK: ("V", "phi"), PV: ("P", "V"), PQ: ("P", "Q")}
     for bus in network.grid.busses:
-        required.extend((bus.id, q) for q in kind_needs[bus.kind])
+        required.extend((bus.id, q) for q in PINNED_QUANTITIES[bus.kind])
     missing = [key for key in required if key not in series]
     if missing:
         names = ", ".join(f"{t}.{q}" for t, q in missing)
         raise FormatError(f"{path}: missing boundary data for {names}")
 
     bounds = {}
-    for node, p_min_bar in raw.get("pressure_bounds", {}).items():
+    for node, p_min_bar in _object(raw.get("pressure_bounds", {}),
+                                   f"{path}: pressure_bounds").items():
         if node not in gas_ids:
             raise FormatError(f"{path}: pressure bound references unknown "
                               f"node {node!r}")
@@ -343,32 +346,12 @@ def write_iteration_log(log_rows, path) -> None:
 # -- canonical serialization -------------------------------------------------
 
 def network_to_dict(network: CoupledNetwork) -> dict:
-    gas_net, grid = network.gas, network.grid
-    return {
-        "gas_nodes": [{"id": n.id, "kind": n.kind} for n in gas_net.nodes],
-        "pipes": [{"id": p.id, "from_node": p.from_node, "to_node": p.to_node,
-                   "length": p.length, "diameter": p.diameter,
-                   "roughness": p.roughness, "cell_count": p.cell_count}
-                  for p in gas_net.pipes],
-        "compressors": [{"id": c.id, "from_node": c.from_node,
-                         "to_node": c.to_node,
-                         "cost": {"d0": c.cost.d0, "d1": c.cost.d1,
-                                  "d2": c.cost.d2}}
-                        for c in gas_net.compressors],
-        "busses": [{"id": b.id, "kind": b.kind, "G": b.G, "B": b.B}
-                   for b in grid.busses],
-        "lines": [{"id": ln.id, "from_bus": ln.from_bus, "to_bus": ln.to_bus,
-                   "G": ln.G, "B": ln.B} for ln in grid.lines],
-        "plants": [{"id": p.id, "gas_node": p.gas_node, "bus": p.bus,
-                    "a0": p.a0, "a1": p.a1, "a2": p.a2,
-                    "reference_density": p.reference_density}
-                   for p in network.plants],
-        "constants": {"kappa": network.constants.kappa,
-                      "gamma": network.constants.gamma,
-                      "eta": network.constants.eta},
-        "per_unit": {"base_power": network.per_unit.base_power,
-                     "base_voltage": network.per_unit.base_voltage},
-    }
+    raw = asdict(network)
+    gas_net = raw.pop("gas")
+    raw.update(gas_nodes=gas_net["nodes"], pipes=gas_net["pipes"],
+               compressors=gas_net["compressors"], **raw.pop("grid"))
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in raw.items()}
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -36,6 +36,8 @@ SLACK = "slack"
 PV = "generator"
 PQ = "load"
 BUS_KINDS = (SLACK, PV, PQ)
+# the two bus quantities that boundary data fixes, per bus kind
+PINNED_QUANTITIES = {SLACK: ("V", "phi"), PV: ("P", "V"), PQ: ("P", "Q")}
 
 
 @dataclass(frozen=True)
@@ -210,6 +212,16 @@ class CoupledNetwork:
     plants: tuple[GasPowerPlant, ...] = ()
     constants: GasConstants = field(default_factory=GasConstants)
     per_unit: PerUnitSystem = field(default_factory=PerUnitSystem)
+
+
+def incident_pipe_area(gas: GasNetwork, *node_ids: str) -> float | None:
+    """Cross-section of the first pipe (in network order) that ends at the
+    first of `node_ids` any pipe ends at; None if no pipe ends at any."""
+    for node_id in node_ids:
+        for pipe in gas.pipes:
+            if node_id in (pipe.from_node, pipe.to_node):
+                return pipe.area
+    return None
 
 
 def validate_network(gas: GasNetwork, grid: PowerGrid,

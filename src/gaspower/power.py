@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .model import PQ, PV, SLACK, GasPowerPlant, PowerGrid, nodal_admittance
+from .model import (PINNED_QUANTITIES, GasPowerPlant, PowerGrid,
+                    nodal_admittance)
 
 
 @dataclass(frozen=True)
@@ -85,20 +86,11 @@ def injection_jacobians(V, phi, G, B):
 
 
 def free_variables(grid: PowerGrid) -> list[tuple[str, str]]:
-    """Unknowns of the classic reduced powerflow, per bus kind.
-
-    phi at all non-slack busses, V at PQ busses, P and Q at the slack,
-    Q at PV busses.
-    """
-    free = []
-    for bus in grid.busses:
-        if bus.kind == SLACK:
-            free += [(bus.id, "P"), (bus.id, "Q")]
-        elif bus.kind == PV:
-            free += [(bus.id, "phi"), (bus.id, "Q")]
-        elif bus.kind == PQ:
-            free += [(bus.id, "phi"), (bus.id, "V")]
-    return free
+    """Unknowns of the classic reduced powerflow: per bus, in the order
+    phi, V, P, Q, the two quantities its kind does not pin."""
+    return [(bus.id, quant) for bus in grid.busses
+            for quant in ("phi", "V", "P", "Q")
+            if quant not in PINNED_QUANTITIES[bus.kind]]
 
 
 def powerflow_jacobian(state: PowerState, G: np.ndarray, B: np.ndarray,
@@ -131,7 +123,7 @@ def solve_powerflow(grid: PowerGrid, fixed: dict[tuple[str, str], float],
     """Newton solve of the powerflow equations for one grid in isolation.
 
     `fixed` maps (bus id, quantity) to its boundary value; it must pin
-    V, phi at the slack, P, V at PV busses and P, Q at PQ busses.
+    the quantities that model.PINNED_QUANTITIES names for each bus.
     """
     G, B, order = nodal_admittance(grid)
     n = len(order)

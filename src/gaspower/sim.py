@@ -4,14 +4,16 @@ One time level stacks the unknowns in a fixed order: the densities at
 the grid points of all pipes, pipe after pipe, then their flows in the
 same order, one density-equivalent pressure unknown per gas node, one
 flux unknown per compressor, and V, phi, P, Q for every bus.  The step
-residual stacks, in this order, the box-scheme mass rows of all pipes'
-cell intervals, their momentum rows, two pressure-coupling rows per pipe
-(one per end), the node balance and boundary rows, the compressor
-pressure equations, and per bus its powerflow and boundary rows.  The
-pipe block thus has the layout of gas.PipeGrid and is evaluated for all
-pipes at once.  The system is square by construction; each time step and
-the steady start (the same system with y_prev = y_next) are solved by
-one damped Newton routine.
+residual mirrors this layout block by block, so every row index is read
+off the unknowns'.  The pipe block's rows are the box-scheme mass rows
+of all pipes' cell intervals, then their momentum rows (the layout of
+gas.PipeGrid, evaluated for all pipes at once), then two
+pressure-coupling rows per pipe, one per end.  A gas node's balance or
+boundary row sits at its density column, a compressor's pressure
+equation at its flux column, and a bus's P-flow, Q-flow and two boundary
+rows at its V, phi, P and Q columns.  The system is thus square by
+construction; each time step and the steady start (the same system with
+y_prev = y_next) are solved by one damped Newton routine.
 
 The assembler fixes the CSR pattern of dR/dy_next at set-up, so each
 Jacobian only computes values; dR/dy_prev and dR/du are constant and
@@ -42,8 +44,9 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import gas, power
-from .model import (FLOW_BOUNDARY, POWER_COUPLING, PQ, PRESSURE_BOUNDARY, PV,
-                    SLACK, CoupledNetwork, nodal_admittance, validate_network)
+from .model import (FLOW_BOUNDARY, PINNED_QUANTITIES, POWER_COUPLING,
+                    PRESSURE_BOUNDARY, CoupledNetwork, incident_pipe_area,
+                    nodal_admittance, validate_network)
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +61,8 @@ _REFERENCE_DT_DX = 900.0 / 1000.0
 
 # pipe/compressor flux (kg/(m^2 s)) seeded into the steady-state guess
 _STEADY_FLOW_SEED = 10.0
+# pressure (Pa) of that guess where no node pins one
+_STEADY_PRESSURE_SEED = 60e5
 
 BUS_QUANTITIES = ("V", "phi", "P", "Q")
 
@@ -265,7 +270,15 @@ class Trajectory:
 
 
 class CoupledStepAssembler:
-    """Assembles the residual and Jacobian blocks of one implicit step."""
+    """Assembles the residual and Jacobian blocks of one implicit step.
+
+    Rows mirror the columns of VariableIndex block by block.  With
+    n_box = grid.shape[0], the pipe block's rows are the n_box / 2 mass
+    rows, the n_box / 2 momentum rows, and the coupling rows of pipe k at
+    n_box + 2k (from end) and n_box + 2k + 1 (to end).  Node, compressor
+    and bus rows sit at their node's density column, their compressor's
+    flux column and their bus's V, phi, P and Q columns.
+    """
 
     def __init__(self, network: CoupledNetwork):
         violations = validate_network(network.gas, network.grid, network.plants)
@@ -290,12 +303,15 @@ class CoupledStepAssembler:
                 (q_sl.stop - 1, pipe.area))
         self.comp_area = {}
         for comp in self.comps:
-            self.comp_area[comp.id] = self._area_near(comp)
+            area = incident_pipe_area(network.gas, comp.from_node,
+                                      comp.to_node)
+            if area is None:
+                raise ValueError(f"compressor {comp.id} has no adjacent pipe "
+                                 "to take a reference cross-section from")
+            self.comp_area[comp.id] = area
             qc = self.index.comp_q[comp.id]
-            self.node_terms[self.node_pos[comp.from_node]].append(
-                (qc, -self.comp_area[comp.id]))
-            self.node_terms[self.node_pos[comp.to_node]].append(
-                (qc, self.comp_area[comp.id]))
+            self.node_terms[self.node_pos[comp.from_node]].append((qc, -area))
+            self.node_terms[self.node_pos[comp.to_node]].append((qc, area))
 
         self.node_plant = {p.gas_node: p for p in network.plants}
 
@@ -318,92 +334,23 @@ class CoupledStepAssembler:
             [idx.node_rho[n.id] for n in self.nodes],
             [idx.bus[(b.id, "V")] for b in self.busses]]).astype(int)
 
-        self._build_rows()
         self._build_pattern()
         self.step_order = StepOrder(self._indices, self._indptr)
 
-    def _area_near(self, comp) -> float:
-        for node_id in (comp.from_node, comp.to_node):
-            for pipe in self.pipes:
-                if node_id in (pipe.from_node, pipe.to_node):
-                    return pipe.area
-        raise ValueError(f"compressor {comp.id} has no adjacent pipe to take "
-                         "a reference cross-section from")
-
-    def _build_rows(self):
-        self.row_labels: list[tuple] = []
-        self.pipe_mass_rows: dict[str, int] = {}
-        self.pipe_mom_rows: dict[str, int] = {}
-        self.node_rows: dict[str, int] = {}
-        self.comp_rows: dict[str, int] = {}
-        self.bus_flow_rows: dict[str, tuple[int, int]] = {}
-        self.bus_bc_rows: dict[str, tuple[int, int]] = {}
-        idx = self.index
-
-        def push(label):
-            self.row_labels.append(label)
-            return len(self.row_labels) - 1
-
-        # all mass rows, then all momentum rows: the layout of gas.PipeGrid
-        for kind, starts in (("mass", self.pipe_mass_rows),
-                             ("momentum", self.pipe_mom_rows)):
-            for pipe in self.pipes:
-                starts[pipe.id] = len(self.row_labels)
-                for j in range(pipe.cell_count):
-                    push((pipe.id, kind, j))
-        # each pipe end's density equals its node's
-        coupling_rows, self.coupling_cols, self.coupling_node_cols = [], [], []
-        for pipe in self.pipes:
-            rho = idx.pipe_rho[pipe.id]
-            for j, node in ((0, pipe.from_node),
-                            (pipe.cell_count, pipe.to_node)):
-                coupling_rows.append(push((pipe.id, "pressure-coupling", j)))
-                self.coupling_cols.append(rho.start + j)
-                self.coupling_node_cols.append(idx.node_rho[node])
-        self.coupling_rows = np.array(coupling_rows, dtype=int)
-        for node in self.nodes:
-            self.node_rows[node.id] = push((node.id, "node", None))
-        for comp in self.comps:
-            self.comp_rows[comp.id] = push((comp.id, "pressure-lift", None))
-        for bus in self.busses:
-            rp = push((bus.id, "P-flow", None))
-            rq = push((bus.id, "Q-flow", None))
-            self.bus_flow_rows[bus.id] = (rp, rq)
-            r1 = push((bus.id, "bc-1", None))
-            r2 = push((bus.id, "bc-2", None))
-            self.bus_bc_rows[bus.id] = (r1, r2)
-
-        if len(self.row_labels) != idx.size:
-            raise AssertionError("equation count does not match unknown count")
-        self.n_rows = len(self.row_labels)
-
-        scale = np.ones(self.n_rows)
-        kappa = self.constants.kappa
-        n_box = self.grid.shape[0]
-        scale[n_box // 2:n_box] = 1.0 / kappa
-        for node in self.nodes:
-            if node.kind != PRESSURE_BOUNDARY:
-                scale[self.node_rows[node.id]] = 1.0 / MASS_FLOW_SCALE
-        for comp in self.comps:
-            scale[self.comp_rows[comp.id]] = 1.0 / kappa
-        self.row_scale = scale
-        # dR/du is constant: the lift enters each compressor row as -u
-        comp_rows = [self.comp_rows[comp.id] for comp in self.comps]
-        self.d_du = np.zeros(self.n_rows)
-        self.d_du[comp_rows] = -scale[comp_rows]
-        self.d_du.flags.writeable = False
-
     def _build_pattern(self):
-        """Index arrays of the nonlinear rows and the fixed CSR pattern.
+        """Row indices and scales, and the fixed CSR pattern.
 
-        The entries of dR/dy_next are listed once, in the order jacobian()
-        concatenates their values: box stencil, constant entries (also the
-        residual's linear rows), plant offtake, compressors, power flow.
+        Every row index is read off the unknowns' layout (see the class
+        docstring).  The entries of dR/dy_next are listed once, in the
+        order jacobian() concatenates their values: box stencil, constant
+        entries (also the residual's linear rows), plant offtake,
+        compressors, power flow.
         """
         idx = self.index
+        n_box = self.grid.shape[0]
         ints = lambda values: np.array(list(values), dtype=int)
         kind = np.array([n.kind for n in self.nodes])
-        node_rows = ints(self.node_rows[n.id] for n in self.nodes)
+        node_rows = ints(idx.node_rho[n.id] for n in self.nodes)
         self._pb_nodes = np.flatnonzero(kind == PRESSURE_BOUNDARY)
         self._fb_nodes = np.flatnonzero(kind == FLOW_BOUNDARY)
         self._pb_rows = node_rows[self._pb_nodes]
@@ -413,20 +360,36 @@ class CoupledStepAssembler:
                                   for i in self._fb_nodes])
         plants = [self.node_plant[n.id] for n in self.nodes
                   if n.kind == POWER_COUPLING]
-        self._plant_rows = ints(self.node_rows[p.gas_node] for p in plants)
+        self._plant_rows = ints(idx.node_rho[p.gas_node] for p in plants)
         self._plant_cols = ints(idx.bus[(p.bus, "P")] for p in plants)
         self._plants = SimpleNamespace(**{
             key: np.array([getattr(p, key) for p in plants])
             for key in ("a0", "a1", "a2", "reference_density")})
-        self._comp_rows = ints(self.comp_rows[c.id] for c in self.comps)
+        self._comp_rows = ints(idx.comp_q[c.id] for c in self.comps)
         self._comp_to = ints(idx.node_rho[c.to_node] for c in self.comps)
         self._comp_from = ints(idx.node_rho[c.from_node] for c in self.comps)
         self._bus_cols = ints(idx.bus[(b.id, q)] for q in BUS_QUANTITIES
                               for b in self.busses).reshape(4, -1)
-        self._pf_rows = ints(self.bus_flow_rows[b.id][k] for k in (0, 1)
-                             for b in self.busses)
-        self._bc_rows = ints(r for b in self.busses
-                             for r in self.bus_bc_rows[b.id])
+        self._pf_rows = self._bus_cols[:2].ravel()
+        self._bc_rows = self._bus_cols[2:].T.ravel()
+        # each pipe end's density equals its node's
+        self.coupling_rows = n_box + np.arange(2 * len(self.pipes))
+        self.coupling_cols = ints(
+            end for p in self.pipes
+            for end in (idx.pipe_rho[p.id].start, idx.pipe_rho[p.id].stop - 1))
+        self.coupling_node_cols = ints(idx.node_rho[node] for p in self.pipes
+                                       for node in (p.from_node, p.to_node))
+
+        scale = np.ones(idx.size)
+        kappa = self.constants.kappa
+        scale[n_box // 2:n_box] = 1.0 / kappa
+        scale[node_rows[kind != PRESSURE_BOUNDARY]] = 1.0 / MASS_FLOW_SCALE
+        scale[self._comp_rows] = 1.0 / kappa
+        self.row_scale = scale
+        # dR/du is constant: the lift enters each compressor row as -u
+        self.d_du = np.zeros(idx.size)
+        self.d_du[self._comp_rows] = -scale[self._comp_rows]
+        self.d_du.flags.writeable = False
 
         # constant entries: (rows, cols, value or values)
         balance = np.reshape([(node_rows[i], col, area)
@@ -435,18 +398,17 @@ class CoupledStepAssembler:
                               for col, area in self.node_terms[i]], (-1, 3))
         const = [(self.coupling_rows, self.coupling_cols, 1.0),
                  (self.coupling_rows, self.coupling_node_cols, -1.0),
-                 (self._pb_rows, ints(idx.node_rho[self.nodes[i].id]
-                                      for i in self._pb_nodes), 1.0),
+                 (self._pb_rows, self._pb_rows, 1.0),
                  (balance[:, 0], balance[:, 1], balance[:, 2]),
                  (self._pf_rows, self._bus_cols[2:].ravel(), 1.0),
                  (self._bc_rows, ints(idx.bus[(b.id, quant)]
                                       for b in self.busses for quant in
-                                      _pinned_quantities(b.kind)), 1.0)]
+                                      PINNED_QUANTITIES[b.kind]), 1.0)]
         const_rows, const_cols = (ints(np.concatenate(part)) for part in
                                   zip(*[(r, c) for r, c, _ in const]))
         self._const_vals = np.concatenate(
             [np.broadcast_to(v, len(r)) for r, _, v in const])
-        shape = (self.n_rows, idx.size)
+        shape = (idx.size, idx.size)
         self._linear = sparse.csr_matrix(
             (self._const_vals, (const_rows, const_cols)), shape=shape)
 
@@ -495,7 +457,7 @@ class CoupledStepAssembler:
                 node_out[:, i] = series(node.id, "outflow")
         bus_fixed = np.zeros((len(times), self.n_bus, 2))
         for i, bus in enumerate(self.busses):
-            for k, quant in enumerate(_pinned_quantities(bus.kind)):
+            for k, quant in enumerate(PINNED_QUANTITIES[bus.kind]):
                 bus_fixed[:, i, k] = series(bus.id, quant)
         return [_Snapshot(*level)
                 for level in zip(node_rho, node_out, bus_fixed)]
@@ -505,8 +467,7 @@ class CoupledStepAssembler:
     def admissible(self, y: np.ndarray) -> bool:
         return not np.any(y[self.positive] <= 0)
 
-    def flat_state(self, snap: _Snapshot, pressure_guess: float = 60e5
-                   ) -> np.ndarray:
+    def flat_state(self, snap: _Snapshot) -> np.ndarray:
         """Near-stagnant admissible starting guess for the steady solve.
 
         Pipe and compressor fluxes are seeded with a small positive value:
@@ -519,7 +480,7 @@ class CoupledStepAssembler:
         y = np.zeros(idx.size)
         anchored = snap.node_rho_bc[~np.isnan(snap.node_rho_bc)]
         rho0 = anchored[0] if len(anchored) else \
-            gas.density_of_pressure(pressure_guess, self.constants)
+            gas.density_of_pressure(_STEADY_PRESSURE_SEED, self.constants)
         y[:self.n_points] = rho0
         y[self.n_points:2 * self.n_points] = _STEADY_FLOW_SEED
         for node in self.nodes:
@@ -529,7 +490,7 @@ class CoupledStepAssembler:
         if self.busses:
             fixed = {(bus.id, quant): snap.bus_fixed[i, k]
                      for i, bus in enumerate(self.busses)
-                     for k, quant in enumerate(_pinned_quantities(bus.kind))}
+                     for k, quant in enumerate(PINNED_QUANTITIES[bus.kind])}
             state = power.solve_powerflow(self.network.grid, fixed)
             y[self._bus_cols] = [getattr(state, q) for q in BUS_QUANTITIES]
         return y
@@ -609,18 +570,8 @@ class CoupledStepAssembler:
                 v, phi, self.G, self.B)]
         data = (np.concatenate(parts) * self._entry_scale)[self._slot_entry]
         jac_next = sparse.csr_matrix((data, self._indices, self._indptr),
-                                     shape=(self.n_rows, self.index.size))
+                                     shape=(self.index.size,) * 2)
         return jac_next, self.jac_prev, self.d_du
-
-
-def _pinned_quantities(kind: str) -> tuple[str, str]:
-    if kind == SLACK:
-        return ("V", "phi")
-    if kind == PV:
-        return ("P", "V")
-    if kind == PQ:
-        return ("P", "Q")
-    raise ValueError(f"unknown bus kind {kind!r}")
 
 
 def _damped_newton(residual, jacobian, factors, admissible, y: np.ndarray,
@@ -688,7 +639,7 @@ def _damped_newton(residual, jacobian, factors, admissible, y: np.ndarray,
 def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
                       u: float, snap: _Snapshot, dt: float,
                       tol: float = 1e-9, max_iter: int = 25,
-                      polish: int = 2, y_guess: np.ndarray | None = None
+                      y_guess: np.ndarray | None = None
                       ) -> np.ndarray:
     """Damped Newton solve of one implicit step, warm-started at y_guess
     when it is admissible and at y_prev otherwise."""
@@ -699,7 +650,7 @@ def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
         lambda y: assembler.residual(y_prev, y, u, snap, dt),
         lambda y: assembler.jacobian(y_prev, y, u, snap, dt)[0],
         assembler.step_order.factors, assembler.admissible, y, tol,
-        max_iter, halvings=30, polish=polish)
+        max_iter, halvings=30, polish=2)
 
 
 def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,

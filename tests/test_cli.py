@@ -47,6 +47,17 @@ def test_no_arguments_is_an_input_error():
     assert "usage: gaspower" in done.stderr
 
 
+def test_wrongly_typed_record_is_an_input_error(tmp_path):
+    raw = io.network_to_dict(make_toy_network())
+    raw["pipes"][0] = 2000.0
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    done = run_module("gaspower", "validate", "--network", str(path))
+    assert done.returncode == 2
+    assert "pipe #0: expected an object" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def write_toy_case(tmp_path, pressure_bounds=None, optimizer=None):
     """Toy network and scenario files; returns the common CLI arguments."""
     scenario = make_toy_scenario(pressure_bounds=pressure_bounds)

@@ -146,6 +146,52 @@ def test_network_validation_failure(load_network):
         load_network(edit)
 
 
+def _setting(value, *keys):
+    """Edit that sets raw[keys[0]]...[keys[-1]] to value."""
+    def edit(raw):
+        for key in keys[:-1]:
+            raw = raw[key]
+        raw[keys[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_setting(2000.0, "pipes", 0), "pipe #0: expected an object"),
+    (_setting(["CMP", "A", "B"], "compressors", 0),
+     "compressor #0: expected an object"),
+    (_setting([0.0, 1.0], "compressors", 0, "cost"),
+     "compressor #0 cost: expected an object"),
+    (_setting([340.0**2], "constants"), "constants: expected an object"),
+    (_setting([], "per_unit"), "per_unit: expected an object"),
+    (_setting({"PB": {}}, "pipes"), "pipes: expected a list"),
+    (_setting(3, "gas_nodes"), "gas_nodes: expected a list"),
+])
+def test_network_record_of_the_wrong_type(load_network, edit, message):
+    with pytest.raises(io.FormatError, match=message):
+        load_network(edit)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_setting([[0.0, 60.0]], "boundary", "A"),
+     "boundary for A: expected an object"),
+    (_setting([["A", "pressure_bar", 60.0]], "boundary"),
+     "boundary: expected an object"),
+    (_setting([["C", 40.0]], "pressure_bounds"),
+     "pressure_bounds: expected an object"),
+    (_setting([["max_iter", 7]], "optimizer"), "optimizer: expected an object"),
+    (_setting([], "control_bounds"), "control_bounds: expected an object"),
+])
+def test_scenario_section_of_the_wrong_type(load, edit, message):
+    with pytest.raises(io.FormatError, match=message):
+        load(edit)
+
+
+def test_outflow_volume_needs_an_incident_pipe(load):
+    with pytest.raises(io.FormatError, match="node A has no incident pipe"):
+        load(_setting([[0.0, 1.0]], "boundary", "A", "outflow_m3_s"))
+
+
 def test_write_results(tmp_path):
     simulator = Simulator(make_toy_network(), make_toy_scenario())
     trajectory = simulator.run(np.array([1.0e5, 2.0e5, 1.5e5]))

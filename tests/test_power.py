@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gaspower import power
-from gaspower.model import GasPowerPlant, nodal_admittance
+from gaspower.model import PINNED_QUANTITIES, GasPowerPlant, nodal_admittance
+from gaspower.sim import BUS_QUANTITIES
 
 PLANT = GasPowerPlant("PL", "S4", "N1", a0=2.0, a1=5.0, a2=10.0)
 
@@ -24,6 +25,18 @@ def bundled_module(bundled):
 @pytest.fixture(scope="module")
 def admittance(bundled_module):
     return nodal_admittance(bundled_module.grid)
+
+
+def test_free_and_pinned_quantities_split_every_bus(bundled_module):
+    free = power.free_variables(bundled_module.grid)
+    kinds = set()
+    for bus in bundled_module.grid.busses:
+        mine = [quant for bus_id, quant in free if bus_id == bus.id]
+        pinned = PINNED_QUANTITIES[bus.kind]
+        assert len(mine) == len(pinned) == 2
+        assert set(mine) | set(pinned) == set(BUS_QUANTITIES)
+        kinds.add(bus.kind)
+    assert kinds == set(PINNED_QUANTITIES)
 
 
 class TestResidual:

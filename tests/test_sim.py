@@ -8,13 +8,13 @@ from scipy.sparse.linalg import splu
 
 from gaspower import gas, power
 from gaspower import sim as sim_mod
-from gaspower.model import (CompressorArc, CoupledNetwork, GasNetwork,
-                            GasNode, Pipe, PowerGrid)
-from gaspower.sim import (LU_PANEL_SIZE, MASS_FLOW_SCALE, BoundaryData,
-                          CoupledStepAssembler, MaxIterationsExceeded,
-                          Scenario, Simulator, StepOrder, VariableIndex,
-                          mass_balance_report, newton_solve_step, simulate,
-                          steady_state)
+from gaspower.model import (PINNED_QUANTITIES, CompressorArc, CoupledNetwork,
+                            GasNetwork, GasNode, Pipe, PowerGrid)
+from gaspower.sim import (BUS_QUANTITIES, LU_PANEL_SIZE, MASS_FLOW_SCALE,
+                          BoundaryData, CoupledStepAssembler,
+                          MaxIterationsExceeded, Scenario, Simulator,
+                          StepOrder, VariableIndex, mass_balance_report,
+                          newton_solve_step, simulate, steady_state)
 
 from conftest import (box_scheme_residual, make_toy_network,
                       make_toy_scenario)
@@ -133,8 +133,8 @@ class TestResidualStructure:
         changed = np.nonzero(asm.residual(y0, y1, 0.0, snap, 900.0) - base)[0]
         # two mass and two momentum rows share the stencil of one point
         assert len(changed) == 4
-        labels = {asm.row_labels[r][1] for r in changed}
-        assert labels == {"mass", "momentum"}
+        half = asm.grid.shape[0] // 2   # all mass rows, then all momentum
+        assert set(changed // half) == {0, 1}
 
     def test_plant_coupling_term(self, bundled_simulator,
                                  uncontrolled_trajectory):
@@ -144,7 +144,7 @@ class TestResidualStructure:
         snap = bundled_simulator.snapshots[0]
         y0 = uncontrolled_trajectory.states[0]
         y1 = y0.copy()
-        row = asm.node_rows["S4"]
+        row = asm.index.node_rho["S4"]
         p_col = asm.index.bus[(plant.bus, "P")]
         base = asm.residual(y0, y1, 0.0, snap, 900.0)[row]
         y1[p_col] = 0.95
@@ -162,7 +162,7 @@ class TestResidualStructure:
                                   900.0)
         nonzero = np.nonzero(d_du)[0]
         assert len(nonzero) == 1
-        assert asm.row_labels[nonzero[0]] == ("C1", "pressure-lift", None)
+        assert nonzero[0] == asm.index.comp_q["C1"]
         # residual is written p_out - p_in - u, scaled like pressure rows
         kappa = bundled_simulator.network.constants.kappa
         assert d_du[nonzero[0]] == pytest.approx(-1.0 / kappa)
@@ -175,8 +175,28 @@ class TestResidualStructure:
         _, jac_prev, _ = asm.jacobian(y0, y1, 0.0,
                                       bundled_simulator.snapshots[1], 900.0)
         rows = np.unique(jac_prev.tocoo().row)
-        kinds = {asm.row_labels[r][1] for r in rows}
-        assert kinds == {"mass", "momentum"}
+        half = asm.grid.shape[0] // 2   # all mass rows, then all momentum
+        assert set(rows // half) == {0, 1}
+
+    def test_bus_rows_sit_at_the_bus_columns(self, bundled_simulator,
+                                             uncontrolled_trajectory):
+        """A bus's P- and Q-flow rows sit at its V and phi columns, its two
+        boundary rows at its P and Q columns."""
+        asm = bundled_simulator.assembler
+        y0 = uncontrolled_trajectory.states[0]
+        jac, _, _ = asm.jacobian(y0, y0, 0.0, bundled_simulator.snapshots[0],
+                                 900.0)
+        for bus in asm.busses:
+            col = {q: asm.index.bus[(bus.id, q)] for q in BUS_QUANTITIES}
+            # P - P_calc and Q - Q_calc, unscaled
+            assert jac[col["V"], col["P"]] == 1.0
+            assert jac[col["phi"], col["Q"]] == 1.0
+            pinned = set()
+            for row in (col["P"], col["Q"]):
+                entries = jac[[row]].tocoo()
+                assert list(entries.data) == [1.0]
+                pinned.add(int(entries.col[0]))
+            assert pinned == {col[q] for q in PINNED_QUANTITIES[bus.kind]}
 
     def test_compressor_lift_applied(self, bundled_simulator):
         asm = bundled_simulator.assembler
@@ -212,13 +232,14 @@ class TestNewtonStep:
         """Node pressure equality and flow balance hold at every state."""
         asm = bundled_simulator.assembler
         traj = uncontrolled_trajectory
+        # a node's balance or boundary row sits at its density column
+        rows = np.concatenate([asm.coupling_rows,
+                               list(asm.index.node_rho.values())])
         for j in (1, 17, 48):
             res = asm.residual(traj.states[j - 1], traj.states[j],
                                traj.control[j], bundled_simulator.snapshots[j],
                                900.0)
-            for r, label in enumerate(asm.row_labels):
-                if label[1] in ("pressure-coupling", "node"):
-                    assert abs(res[r]) < 1e-9
+            assert np.max(np.abs(res[rows])) < 1e-9
 
 
 class TestSimulate:
@@ -441,16 +462,28 @@ class TestMixedGeometryJacobian:
     def test_pipe_rows_equal_box_scheme(self, mixed):
         asm, snap, y0, y1 = mixed
         res = asm.residual(y0, y1, 1.2e5, snap, 900.0)
+        cells = asm.grid.shape[0] // 2  # all mass rows, then all momentum
+        start = 0                       # of pipe k: cells of pipes 0..k-1
         for pipe in asm.pipes:
             prev, nxt = (gas.PipeState(y[asm.index.pipe_rho[pipe.id]],
                                        y[asm.index.pipe_q[pipe.id]])
                          for y in (y0, y1))
             box = box_scheme_residual(prev, nxt, 900.0, pipe.dx, pipe)
             n = pipe.cell_count
-            for start, part in ((asm.pipe_mass_rows[pipe.id], box[:n]),
-                                (asm.pipe_mom_rows[pipe.id], box[n:])):
-                rows = slice(start, start + n)
+            for first, part in ((start, box[:n]), (cells + start, box[n:])):
+                rows = slice(first, first + n)
                 assert np.array_equal(res[rows], part * asm.row_scale[rows])
+            start += n
+
+
+def test_compressor_needs_an_adjacent_pipe():
+    from dataclasses import replace
+    toy = make_toy_network()
+    network = replace(toy, gas=GasNetwork(toy.gas.nodes[:2], (),
+                                          toy.gas.compressors))
+    with pytest.raises(ValueError, match="compressor CMP has no adjacent "
+                                         "pipe to take a reference"):
+        CoupledStepAssembler(network)
 
 
 def test_gas_only_network_supported():
