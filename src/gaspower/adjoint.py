@@ -5,15 +5,14 @@ The discretized trajectory satisfies one block of model equations per
 time level: the steady-state block at level 0 and one implicit step per
 later level.  Stacked over time the Jacobian is block lower bidiagonal,
 so the transposed (adjoint) system is solved backwards with one sparse
-factorization per level.  Each level's CSR block J is factored as J^T,
-as in the forward Newton solve: levels >= 1 through the assembler's
-StepOrder, in the column order learned from the first step Jacobian, and
-the steady block at level 0 in COLAMD's order; LUFactors applies the
-order, so the adjoint solves are plain solves.  The total derivative of
-a scalar functional then needs no further linear solves.  The same
-blocks, solved forwards with the transposed factors, give the state
-sensitivities to every control, from which the derivatives of many
-functionals follow at once.
+factorization per level.  Each level's CSR block J, the steady one
+included, has the step pattern and is factored as J^T through the
+assembler's StepOrder, as in the forward Newton solve, in the column
+order learned there; LUFactors applies the order, so the adjoint solves
+are plain solves.  The total derivative of a scalar functional then
+needs no further linear solves.  The same blocks, solved forwards with
+the transposed factors, give the state sensitivities to every control,
+from which the derivatives of many functionals follow at once.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .sim import Simulator, Trajectory, colamd_factors
+from .sim import Simulator, Trajectory
 
 
 @dataclass(frozen=True)
@@ -35,18 +34,14 @@ class AdjointState:
 
 def _level_factors(simulator: Simulator, trajectory: Trajectory, n: int):
     """(LUFactors of the state block, dR/dy_prev in CSR, dR/du) of level
-    n; at level 0 the state block is the steady one, the within-step
-    blocks summed at (y_0, y_0)."""
-    states = trajectory.states
-    assembler = simulator.assembler
-    jac_next, jac_prev, d_du = assembler.jacobian(
-        states[max(n - 1, 0)], states[n], trajectory.control[n],
-        simulator.snapshots[n], simulator.scenario.dt)
+    n; at level 0 the state block is the steady one at y_0."""
+    asm, y = simulator.assembler, trajectory.states
+    args = trajectory.control[n], simulator.snapshots[n], simulator.scenario.dt
     if n == 0:
-        lu = colamd_factors(jac_next + jac_prev, splu)
+        jac = asm.steady_jacobian(y[0], *args)
     else:
-        lu = assembler.step_order.factors(jac_next, splu)
-    return lu, jac_prev, d_du
+        jac = asm.jacobian(y[n - 1], y[n], *args)[0]
+    return asm.step_order.factors(jac, splu), asm.jac_prev, asm.d_du
 
 
 def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,

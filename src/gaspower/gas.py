@@ -163,19 +163,17 @@ class PipeGrid:
 
     def stencil(self):
         """(rows, cols) of the box scheme's derivatives with respect to the
-        new level (the values of _box_blocks) and to the old level, in the
-        layout described above."""
+        new level (the values of _box_blocks), in the layout described
+        above, and the positions in that list of the entries the old level
+        shares: mass rows by rho and momentum rows by q, each -1/2 there."""
         n, npts = len(self.left), len(self.diameter)
         jl, jr = self.left, self.left + 1
         mass = np.arange(n)
-        mom = n + mass
         rho_cols = [jl, jr]
         q_cols = [npts + jl, npts + jr]
-        next_ = (np.concatenate([mass] * 4 + [mom] * 4),
-                 np.concatenate(rho_cols + q_cols + rho_cols + q_cols))
-        prev = (np.concatenate([mass, mass, mom, mom]),
-                np.concatenate(rho_cols + q_cols))
-        return next_, prev
+        rows = np.concatenate([mass] * 4 + [n + mass] * 4)
+        cols = np.concatenate(rho_cols + q_cols + rho_cols + q_cols)
+        return (rows, cols), np.r_[0:2 * n, 6 * n:8 * n]
 
 
 def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
@@ -184,8 +182,9 @@ def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
     """Derivatives of box_residual with respect to the new level, given
     friction = friction_factor_and_derivative at the new flows.
 
-    Returns the values in the order of the new-level half of
-    grid.stencil(); those with respect to the old level are all -1/2.
+    Returns the values in the order of grid.stencil()'s (rows, cols);
+    those with respect to the old level are all -1/2, at the positions
+    it names.
     """
     _check_levels(prev, next_, dt, grid)
     rho, q = next_.rho, next_.q

@@ -125,6 +125,15 @@ _CONTROL_BOUND_KEYS = ("u_min_bar", "u_max_bar")
 _OPTIMIZER_KEYS = ("max_iter", "feasibility_tol_bar", "newton_tol")
 
 
+def _number(mapping: dict, key: str, where: str, default=None) -> float:
+    """mapping[key] (`default` if given and the key is absent) as a float."""
+    try:
+        return float(mapping[key] if default is None
+                     else mapping.get(key, default))
+    except (TypeError, ValueError):
+        raise FormatError(f"{where}{key}: expected a number") from None
+
+
 def _series(points, where, time_scale=3600.0, value_scale=1.0):
     try:
         pts = [(float(t) * time_scale, float(v) * value_scale)
@@ -145,14 +154,14 @@ def load_scenario(path, network: CoupledNetwork,
         raise FormatError(f"{path}: top level must be an object")
     _check_keys(raw, _SCENARIO_KEYS, str(path), strict)
     try:
-        horizon = float(raw["horizon_hours"]) * 3600.0
-        dt = float(raw["dt_minutes"]) * 60.0
+        horizon = _number(raw, "horizon_hours", f"{path}: ") * 3600.0
+        dt = _number(raw, "dt_minutes", f"{path}: ") * 60.0
     except KeyError as exc:
         raise FormatError(f"{path}: missing required key {exc}") from None
     for key, value in (("horizon_hours", horizon), ("dt_minutes", dt)):
         if not value > 0:
             raise FormatError(f"{path}: {key} must be positive")
-    rho_ref = float(raw.get("reference_density_kg_m3", 0.785))
+    rho_ref = _number(raw, "reference_density_kg_m3", f"{path}: ", 0.785)
 
     gas_ids = {n.id: n for n in network.gas.nodes}
     bus_ids = {b.id: b for b in network.grid.busses}
@@ -200,18 +209,19 @@ def load_scenario(path, network: CoupledNetwork,
         raise FormatError(f"{path}: missing boundary data for {names}")
 
     bounds = {}
-    for node, p_min_bar in _object(raw.get("pressure_bounds", {}),
-                                   f"{path}: pressure_bounds").items():
+    p_min = _object(raw.get("pressure_bounds", {}), f"{path}: pressure_bounds")
+    for node in p_min:
         if node not in gas_ids:
             raise FormatError(f"{path}: pressure bound references unknown "
                               f"node {node!r}")
-        bounds[node] = float(p_min_bar) * BAR
+        bounds[node] = _number(p_min, node, f"{path}: pressure_bounds.") * BAR
 
     cb = raw.get("control_bounds", {})
     _check_keys(cb, _CONTROL_BOUND_KEYS, f"{path}: control_bounds", strict)
-    if float(cb.get("u_min_bar", 0.0)) != 0.0:
+    where = f"{path}: control_bounds."
+    if _number(cb, "u_min_bar", where, 0.0) != 0.0:
         raise FormatError(f"{path}: only u_min_bar = 0 is supported")
-    u_max = float(cb.get("u_max_bar", 30.0)) * BAR
+    u_max = _number(cb, "u_max_bar", where, 30.0) * BAR
 
     optimizer = raw.get("optimizer", {})
     _check_keys(optimizer, _OPTIMIZER_KEYS, f"{path}: optimizer", strict)

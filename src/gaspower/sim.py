@@ -17,20 +17,20 @@ y_prev = y_next) are solved by one damped Newton routine.
 
 The assembler fixes the CSR pattern of dR/dy_next at set-up, so each
 Jacobian only computes values; dR/dy_prev and dR/du are constant and
-shared by all calls.  The CSR arrays of J are the CSC arrays of J^T, so
-SuperLU factors J^T, with panel size LU_PANEL_SIZE, and Newton solves
-J dy = -R with the transposed factors.  COLAMD's column order depends
-only on the pattern, so the assembler's StepOrder keeps the order of the
-first step Jacobian it factors and hands every later one to SuperLU with
-its columns already in that order (one gather of the data) and no
-ordering of its own; the factors are the same to the bit, and LUFactors
-hides the permutation from the solves.  The steady-state block has a
-pattern of its own and is ordered by COLAMD on every call.  The linear
-rows (pressure coupling, node balances, boundary and bus rows) form one
-constant sparse operator.  The assembler keeps the Colebrook friction
-values of the last pipe-flow block it saw, and Newton takes each
-Jacobian at the iterate whose residual it has just evaluated, so
-friction is solved once per iterate.
+shared by all calls.  The steady block dR/dy_next + dR/dy_prev keeps
+that pattern, the entries that cancel stored as zeros.  The CSR arrays
+of J are the CSC arrays of J^T, so SuperLU factors J^T, with panel size
+LU_PANEL_SIZE, and Newton solves J dy = -R with the transposed factors.
+COLAMD's column order depends only on the pattern, so the assembler's
+StepOrder keeps the order of the first block it factors, in the steady
+solve, and hands every later one to SuperLU with its columns already in
+that order (one gather of the data) and no ordering of its own; the
+factors are the same to the bit, and LUFactors hides the permutation
+from the solves.  The linear rows (pressure coupling, node balances,
+boundary and bus rows) form one constant sparse operator.  The
+assembler keeps the Colebrook friction values of the last pipe-flow
+block it saw, and Newton takes each Jacobian at the iterate whose
+residual it has just evaluated, so friction is solved once per iterate.
 """
 
 from __future__ import annotations
@@ -95,14 +95,9 @@ class LUFactors:
         return out
 
 
-def colamd_factors(jac, splu) -> LUFactors:
-    """Factors of the CSR matrix `jac`, computed by the caller's `splu`
-    from jac^T in COLAMD's order."""
-    return LUFactors(splu(jac.T, panel_size=LU_PANEL_SIZE))
-
-
 class StepOrder:
-    """COLAMD's column order of J^T for the fixed step pattern.
+    """COLAMD's column order of J^T for the fixed step pattern, which the
+    step Jacobians and the steady block share.
 
     The first factorization runs COLAMD and the order is read from it;
     later ones factor J^T with its columns gathered into that order and
@@ -124,12 +119,11 @@ class StepOrder:
         self._matrix = None
 
     def factors(self, jac, splu) -> LUFactors:
-        """Factors of the step Jacobian `jac` (CSR, set-up pattern),
-        computed by the caller's `splu`."""
+        """Factors of `jac` (CSR, set-up pattern) by the caller's `splu`."""
         if self._matrix is None:
-            lu = colamd_factors(jac, splu)
-            self._learn(lu.lu.perm_c)
-            return lu
+            lu = splu(jac.T, panel_size=LU_PANEL_SIZE)
+            self._learn(lu.perm_c)
+            return LUFactors(lu)
         np.take(jac.data, self._take, out=self._matrix.data)
         return LUFactors(splu(self._matrix, permc_spec="NATURAL",
                               panel_size=LU_PANEL_SIZE), self.order)
@@ -324,7 +318,7 @@ class CoupledStepAssembler:
             [p.cell_count for p in pipes], [p.dx for p in pipes],
             [p.diameter for p in pipes], [p.roughness for p in pipes])
         self.n_points = len(self.grid.diameter)
-        self.box_next, self.box_prev = self.grid.stencil()
+        self.box_next, self._box_old = self.grid.stencil()
         # pipe flows of the last Colebrook solve and its (lambda, dlambda/dq)
         self._friction_q, self._friction = None, None
         idx = self.index
@@ -432,10 +426,14 @@ class CoupledStepAssembler:
         self._indices, self._indptr = slots.indices, slots.indptr
         self._indices.flags.writeable = self._indptr.flags.writeable = False
         # dR/dy_prev is constant: -1/2 on the old level of the box stencil
-        rows, cols = self.box_prev
-        self.jac_prev = sparse.csr_matrix(
-            (-0.5 * self.row_scale[rows], (rows, cols)), shape=shape)
+        rows, cols = (part[self._box_old] for part in self.box_next)
+        vals = -0.5 * self.row_scale[rows]
+        self.jac_prev = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
         self.jac_prev.data.flags.writeable = False
+        # the same values at their slots, added to make the steady block
+        shift = np.zeros(len(self._slot_entry))
+        shift[self._box_old] = vals
+        self._steady_shift = shift[self._slot_entry]
 
     # -- boundary handling -------------------------------------------------
 
@@ -573,36 +571,38 @@ class CoupledStepAssembler:
                                      shape=(self.index.size,) * 2)
         return jac_next, self.jac_prev, self.d_du
 
+    def steady_jacobian(self, y: np.ndarray, u: float, snap: _Snapshot,
+                        dt: float):
+        """dR/dy of the steady block R(y, y, u), the sum of jacobian()'s
+        dR/dy_next and dR/dy_prev, in the set-up pattern of dR/dy_next."""
+        jac = self.jacobian(y, y, u, snap, dt)[0]
+        jac.data += self._steady_shift
+        return jac
 
-def _damped_newton(residual, jacobian, factors, admissible, y: np.ndarray,
-                   tol: float, max_iter: int, halvings: int, polish: int
+
+def _damped_newton(residual, jacobian, order: StepOrder, admissible,
+                   y: np.ndarray, tol: float, max_iter: int, halvings: int
                    ) -> np.ndarray:
-    """Damped Newton solve of residual(y) = 0 from an admissible y.
+    """Damped Newton solve of residual(y) = 0 from an admissible y, which
+    stops at the first iterate whose max-norm residual is below `tol`.
 
     Each step is halved (up to `halvings` times) until the candidate is
     admissible and lowers the max-norm residual.  Each Jacobian is taken
     at the iterate whose residual was evaluated last (the start or the
     accepted candidate), where the assembler still holds its friction
-    values.  `jacobian` returns a CSR matrix J and `factors(J, splu)`
-    its LUFactors: StepOrder.factors for the step Jacobians, whose
-    column order is learned from the first one, and colamd_factors for
-    the steady block.  After reaching `tol`, up to `polish` extra steps
-    with the last factorization push the residual towards machine
-    precision so that functionals of the state are smooth enough for
-    finite-difference checks; close to the solution the lagged-Jacobian
-    step still contracts fast.
+    values.  `jacobian` returns a CSR matrix J in the step pattern, and
+    the assembler's StepOrder `order` factors it.
     """
     res = residual(y)
     norm = np.max(np.abs(res))
     iterations = 0
-    lu = None
     while norm >= tol:
         if iterations >= max_iter:
             raise MaxIterationsExceeded("Newton did not reach tolerance",
                                         norm, iterations)
         jac = jacobian(y)
         try:
-            lu = factors(jac, splu)
+            lu = order.factors(jac, splu)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from None
         step = lu.solve(-res)
@@ -622,17 +622,6 @@ def _damped_newton(residual, jacobian, factors, admissible, y: np.ndarray,
             raise MaxIterationsExceeded("Newton line search stalled",
                                         norm, iterations)
         iterations += 1
-    for _ in range(polish):
-        if norm < 1e-14 or lu is None:
-            break
-        cand = y + lu.solve(-res)
-        if not admissible(cand):
-            break
-        cand_res = residual(cand)
-        cand_norm = np.max(np.abs(cand_res))
-        if cand_norm >= norm:
-            break
-        y, res, norm = cand, cand_res, cand_norm
     return y
 
 
@@ -649,8 +638,8 @@ def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
     return _damped_newton(
         lambda y: assembler.residual(y_prev, y, u, snap, dt),
         lambda y: assembler.jacobian(y_prev, y, u, snap, dt)[0],
-        assembler.step_order.factors, assembler.admissible, y, tol,
-        max_iter, halvings=30, polish=2)
+        assembler.step_order, assembler.admissible, y, tol, max_iter,
+        halvings=30)
 
 
 def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
@@ -661,14 +650,11 @@ def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
     Solves the step equations with y_prev == y_next as one nonlinear
     system; the result satisfies the step residual for every dt.
     """
-    def jacobian(y):
-        jac_next, jac_prev, _ = assembler.jacobian(y, y, u0, snap, dt)
-        return jac_next + jac_prev
-
     return _damped_newton(
-        lambda y: assembler.residual(y, y, u0, snap, dt), jacobian,
-        colamd_factors, assembler.admissible, assembler.flat_state(snap),
-        tol, max_iter, halvings=40, polish=3)
+        lambda y: assembler.residual(y, y, u0, snap, dt),
+        lambda y: assembler.steady_jacobian(y, u0, snap, dt),
+        assembler.step_order, assembler.admissible,
+        assembler.flat_state(snap), tol, max_iter, halvings=40)
 
 
 class Simulator:

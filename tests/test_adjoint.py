@@ -88,17 +88,19 @@ def test_linearity_in_the_functional(toy):
 
 
 def test_one_transposed_solve_per_time_level(toy, monkeypatch):
+    """After a run every level, the steady one at level 0 included, is
+    factored in the column order the run learned."""
     simulator, trajectory = toy
     calls = []
     original = adjoint_mod.splu
 
     def counting(matrix, **options):
-        calls.append(1)
+        calls.append(options.get("permc_spec", "COLAMD"))
         return original(matrix, **options)
 
     monkeypatch.setattr(adjoint_mod, "splu", counting)
     adjoint_sweep(simulator, trajectory, np.zeros_like(trajectory.states))
-    assert len(calls) == trajectory.step_count + 1
+    assert calls == ["NATURAL"] * (trajectory.step_count + 1)
 
 
 def test_gradient_of_state_independent_functional(toy):

@@ -177,3 +177,16 @@ def test_zero_time_step_is_an_input_error(tmp_path, capsys):
     code = cli.run(["simulate", *files, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_INPUT_ERROR
     assert "dt_minutes must be positive" in capsys.readouterr().err
+
+
+def test_scenario_scalar_that_is_not_a_number_is_an_input_error(tmp_path,
+                                                                 capsys):
+    files = write_toy_case(tmp_path)
+    path = tmp_path / "scenario.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["control_bounds"]["u_max_bar"] = [30.0]
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code = cli.run(["simulate", *files, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "control_bounds.u_max_bar: expected a number" in \
+        capsys.readouterr().err

@@ -191,12 +191,12 @@ def box_jacobians(prev, nxt, dt, dx, pipe=PIPE):
     and -1/2 on the old level, placed by PipeGrid.stencil()."""
     grid = gas.PipeGrid.stack([len(nxt.rho) - 1], [dx], [pipe.diameter],
                               [pipe.roughness])
-    (rn, cn), (rp, cp) = grid.stencil()
+    (rows, cols), old = grid.stencil()
     j_next, j_prev = np.zeros(grid.shape), np.zeros(grid.shape)
-    np.add.at(j_next, (rn, cn), gas._box_blocks(
+    np.add.at(j_next, (rows, cols), gas._box_blocks(
         prev, nxt, dt, grid, CONS, gas.friction_factor_and_derivative(
             nxt.q, pipe.diameter, pipe.roughness)))
-    np.add.at(j_prev, (rp, cp), -0.5)
+    np.add.at(j_prev, (rows[old], cols[old]), -0.5)
     return j_next, j_prev
 
 

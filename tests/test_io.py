@@ -181,6 +181,17 @@ def test_network_record_of_the_wrong_type(load_network, edit, message):
      "pressure_bounds: expected an object"),
     (_setting([["max_iter", 7]], "optimizer"), "optimizer: expected an object"),
     (_setting([], "control_bounds"), "control_bounds: expected an object"),
+    (_setting([0.5], "horizon_hours"),
+     "scenario.json: horizon_hours: expected a number"),
+    (_setting("15 min", "dt_minutes"), "dt_minutes: expected a number"),
+    (_setting("x", "reference_density_kg_m3"),
+     "reference_density_kg_m3: expected a number"),
+    (_setting([40.0], "pressure_bounds", "C"),
+     "pressure_bounds.C: expected a number"),
+    (_setting({"bar": 0.0}, "control_bounds", "u_min_bar"),
+     "control_bounds.u_min_bar: expected a number"),
+    (_setting([30.0], "control_bounds", "u_max_bar"),
+     "control_bounds.u_max_bar: expected a number"),
 ])
 def test_scenario_section_of_the_wrong_type(load, edit, message):
     with pytest.raises(io.FormatError, match=message):

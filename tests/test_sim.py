@@ -258,12 +258,15 @@ class TestSimulate:
 
     def test_mid_ramp_step_converges(self, bundled_simulator,
                                      uncontrolled_trajectory):
+        """Newton stops below tol on every level, the mid-ramp step
+        (level 5, t = 1.25 h) among them: the steady residual
+        R(y_0, y_0) at level 0 and the step residual at levels 1..M."""
         asm = bundled_simulator.assembler
         traj = uncontrolled_trajectory
-        j = 5    # t = 1.25 h, inside the demand ramp
-        res = asm.residual(traj.states[j - 1], traj.states[j], 0.0,
-                           bundled_simulator.snapshots[j], 900.0)
-        assert np.max(np.abs(res)) < 1e-9
+        for j in range(traj.step_count + 1):
+            res = asm.residual(traj.states[max(j - 1, 0)], traj.states[j],
+                               0.0, bundled_simulator.snapshots[j], 900.0)
+            assert np.max(np.abs(res)) < bundled_simulator.tol, j
 
     def test_control_length_checked(self, bundled_simulator):
         with pytest.raises(ValueError):
@@ -292,24 +295,33 @@ class TestSimulate:
         assert np.array_equal(first.states, second.states)
 
     def test_one_step_pattern_factorization_runs_colamd(self, monkeypatch):
+        """Steady and step blocks share the step pattern: over two runs
+        only the first factorization, in the steady solve, runs COLAMD,
+        and every later one takes the learned order."""
         simulator = Simulator(make_toy_network(), make_toy_scenario(steps=3))
         step_nnz = len(simulator.assembler._indices)
-        seen, original = [], sim_mod.splu
+        seen, steady = [], []
+        original_splu, original_steady = sim_mod.splu, sim_mod.steady_state
 
         def recording(matrix, **options):
-            seen.append((matrix.nnz == step_nnz,
-                         options.get("permc_spec", "COLAMD")))
-            return original(matrix, **options)
+            seen.append((matrix.nnz, options.get("permc_spec", "COLAMD"),
+                         bool(steady)))
+            return original_splu(matrix, **options)
+
+        def steady_state(*args, **kwargs):
+            steady.append(True)
+            try:
+                return original_steady(*args, **kwargs)
+            finally:
+                steady.pop()
 
         monkeypatch.setattr(sim_mod, "splu", recording)
+        monkeypatch.setattr(sim_mod, "steady_state", steady_state)
         for _ in range(2):
             simulator.run(np.linspace(1.5e5, 3.0e5, 4))
-        steps = [spec for step_pattern, spec in seen if step_pattern]
-        assert steps.count("COLAMD") == 1 and steps[0] == "COLAMD"
-        assert set(steps[1:]) == {"NATURAL"}
-        # the steady block's pattern differs: COLAMD on every call
-        assert {spec for step_pattern, spec in seen if not step_pattern} \
-            == {"COLAMD"}
+        assert {nnz for nnz, _, _ in seen} == {step_nnz}
+        assert seen[0][1:] == ("COLAMD", True)
+        assert {spec for _, spec, _ in seen[1:]} == {"NATURAL"}
 
     def test_failure_reports_time_index(self, bundled):
         network, scenario = bundled
@@ -570,10 +582,16 @@ class TestFixedPattern:
             lambda y: asm.residual(y0, y, u, snap, dt), y1))
 
     def test_steady_jacobian_matches_central_differences(self, step):
+        """The steady block keeps the step pattern, its cancelled entries
+        stored as zeros, and equals dR/dy_next + dR/dy_prev exactly."""
         asm, snap, _, y = step
         u, dt = 2.0e5, 900.0
+        jac = asm.steady_jacobian(y, u, snap, dt)
+        assert np.array_equal(jac.indices, asm._indices)
+        assert np.array_equal(jac.indptr, asm._indptr)
         jac_next, jac_prev, _ = asm.jacobian(y, y, u, snap, dt)
-        assert_close((jac_next + jac_prev).toarray(), central_differences(
+        assert np.array_equal(jac.toarray(), (jac_next + jac_prev).toarray())
+        assert_close(jac.toarray(), central_differences(
             lambda y: asm.residual(y, y, u, snap, dt), y))
 
 
