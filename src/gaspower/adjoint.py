@@ -95,12 +95,15 @@ def state_sensitivities(simulator: Simulator, trajectory: Trajectory,
 
 
 def fd_gradient(simulator: Simulator, functional, control: np.ndarray,
-                components, h: float = 1.0e3) -> np.ndarray:
+                components, h: float = 100.0) -> np.ndarray:
     """Central finite differences of functional(trajectory, control).
 
-    `h` is the control perturbation in Pa (default 10^3 Pa, about
-    0.01 bar on the physical scale).  Only the requested components are
-    evaluated; each costs two full simulations.
+    `h` is the control perturbation in Pa (default 100 Pa, 1 mbar).  The
+    truncation error of central differences grows with h^2: on a
+    60-pipe network it is 1e-7 of the gradient at 100 Pa but 1e-5 at
+    10^3 Pa, and the rounding error of the cost stays far below both.
+    Only the requested components are evaluated; each costs two full
+    simulations.
     """
     control = np.asarray(control, dtype=float)
     out = np.full(len(control), np.nan)

@@ -67,10 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, need_scenario=True):
+def _load(args):
     network = io.load_network(args.network, strict=not args.lax)
-    if not need_scenario:
-        return network, None
     scenario = io.load_scenario(args.scenario, network, strict=not args.lax)
     return network, scenario
 

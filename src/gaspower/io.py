@@ -9,6 +9,7 @@ electrical quantities are per-unit throughout.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict
 from importlib import resources
@@ -17,13 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import opt
-from .model import (BAR, FLOW_BOUNDARY, PINNED_QUANTITIES, PRESSURE_BOUNDARY,
-                    Bus, CompressorArc, CompressorCostModel, CoupledNetwork,
-                    GasConstants, GasNetwork, GasNode, GasPowerPlant,
-                    PerUnitSystem, Pipe, PowerGrid, TransmissionLine,
-                    incident_pipe_area, validate_network)
-from .sim import (BUS_QUANTITIES, BoundaryData, Scenario, Simulator,
-                  Trajectory)
+from .model import (BAR, BUS_QUANTITIES, FLOW_BOUNDARY, PINNED_QUANTITIES,
+                    PRESSURE_BOUNDARY, Bus, CompressorArc, CompressorCostModel,
+                    CoupledNetwork, GasConstants, GasNetwork, GasNode,
+                    GasPowerPlant, PerUnitSystem, Pipe, PowerGrid,
+                    TransmissionLine, incident_pipe_area, validate_network)
+from .sim import BoundaryData, Scenario, Simulator, Trajectory
 
 _GAS_QUANTITIES = ("pressure_bar", "outflow_m3_s", "outflow_flux")
 
@@ -126,12 +126,24 @@ _OPTIMIZER_KEYS = ("max_iter", "feasibility_tol_bar", "newton_tol")
 
 
 def _number(mapping: dict, key: str, where: str, default=None) -> float:
-    """mapping[key] (`default` if given and the key is absent) as a float."""
+    """mapping[key] (`default` if given and the key is absent) as a finite
+    float."""
     try:
-        return float(mapping[key] if default is None
-                     else mapping.get(key, default))
+        value = float(mapping[key] if default is None
+                      else mapping.get(key, default))
     except (TypeError, ValueError):
-        raise FormatError(f"{where}{key}: expected a number") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(f"{where}{key}: expected a number")
+    return value
+
+
+def _integer(mapping: dict, key: str, where: str) -> int:
+    """mapping[key] as an int, from a number with no fractional part."""
+    value = _number(mapping, key, where)
+    if not value.is_integer():
+        raise FormatError(f"{where}{key}: expected an integer")
+    return int(value)
 
 
 def _series(points, where, time_scale=3600.0, value_scale=1.0):
@@ -143,6 +155,8 @@ def _series(points, where, time_scale=3600.0, value_scale=1.0):
                           f"pairs: {exc}") from None
     if not pts:
         raise FormatError(f"{where}: empty time series")
+    if not all(math.isfinite(t) and math.isfinite(v) for t, v in pts):
+        raise FormatError(f"{where}: breakpoints must be finite numbers")
     return pts
 
 
@@ -226,7 +240,9 @@ def load_scenario(path, network: CoupledNetwork,
     optimizer = raw.get("optimizer", {})
     _check_keys(optimizer, _OPTIMIZER_KEYS, f"{path}: optimizer", strict)
     # without strict, unknown keys (such as removed settings) are ignored
-    optimizer = {k: v for k, v in optimizer.items() if k in _OPTIMIZER_KEYS}
+    where = f"{path}: optimizer."
+    optimizer = {key: (_integer if key == "max_iter" else _number)(
+        optimizer, key, where) for key in _OPTIMIZER_KEYS if key in optimizer}
 
     return Scenario(horizon=horizon, dt=dt,
                     boundary=BoundaryData.from_breakpoints(series),

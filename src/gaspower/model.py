@@ -36,7 +36,9 @@ SLACK = "slack"
 PV = "generator"
 PQ = "load"
 BUS_KINDS = (SLACK, PV, PQ)
-# the two bus quantities that boundary data fixes, per bus kind
+# the four quantities of every bus, in the order of their unknowns
+BUS_QUANTITIES = ("V", "phi", "P", "Q")
+# the two of them that boundary data fixes, per bus kind
 PINNED_QUANTITIES = {SLACK: ("V", "phi"), PV: ("P", "V"), PQ: ("P", "Q")}
 
 

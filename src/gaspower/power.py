@@ -1,8 +1,9 @@
-"""AC powerflow residuals and Jacobians, plus the plant gas-offtake curve.
+"""AC powerflow residuals and derivatives, plus the plant gas-offtake curve.
 
 The residual treats all four quantities (V, phi, P, Q) at every bus as
 state; which of them are fixed by boundary data depends on the bus kind
-(slack / PV / PQ) and is handled by the caller.
+(slack / PV / PQ) and is handled by the caller.  The step system of sim
+solves the power flow with the gas; solve_powerflow solves a grid alone.
 """
 
 from __future__ import annotations
@@ -10,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .model import (PINNED_QUANTITIES, GasPowerPlant, PowerGrid,
-                    nodal_admittance)
+from .model import (BUS_QUANTITIES, PINNED_QUANTITIES, GasPowerPlant,
+                    PowerGrid, nodal_admittance)
 
 
 @dataclass(frozen=True)
@@ -85,71 +85,35 @@ def injection_jacobians(V, phi, G, B):
     return dp_dv, dp_dphi, dq_dv, dq_dphi
 
 
-def free_variables(grid: PowerGrid) -> list[tuple[str, str]]:
-    """Unknowns of the classic reduced powerflow: per bus, in the order
-    phi, V, P, Q, the two quantities its kind does not pin."""
-    return [(bus.id, quant) for bus in grid.busses
-            for quant in ("phi", "V", "P", "Q")
-            if quant not in PINNED_QUANTITIES[bus.kind]]
-
-
-def powerflow_jacobian(state: PowerState, G: np.ndarray, B: np.ndarray,
-                       free: list[tuple[str, str]]):
-    """Sparse derivative of powerflow_residual w.r.t. the free unknowns."""
-    n = len(state.bus_ids)
-    pos = {bid: i for i, bid in enumerate(state.bus_ids)}
-    dp_dv, dp_dphi, dq_dv, dq_dphi = injection_jacobians(state.V, state.phi, G, B)
-
-    jac = np.zeros((2 * n, len(free)))
-    for col, (bid, quant) in enumerate(free):
-        k = pos[bid]
-        if quant == "V":
-            jac[:n, col] = -dp_dv[:, k]
-            jac[n:, col] = -dq_dv[:, k]
-        elif quant == "phi":
-            jac[:n, col] = -dp_dphi[:, k]
-            jac[n:, col] = -dq_dphi[:, k]
-        elif quant == "P":
-            jac[k, col] = 1.0
-        elif quant == "Q":
-            jac[n + k, col] = 1.0
-        else:
-            raise ValueError(f"unknown quantity {quant!r}")
-    return sparse.csr_matrix(jac)
-
-
 def solve_powerflow(grid: PowerGrid, fixed: dict[tuple[str, str], float],
                     tol: float = 1e-12, max_iter: int = 30) -> PowerState:
-    """Newton solve of the powerflow equations for one grid in isolation.
+    """Newton solve of the powerflow equations for one grid in isolation,
+    from V = 1, phi = P = Q = 0, over the columns of the unpinned unknowns.
 
     `fixed` maps (bus id, quantity) to its boundary value; it must pin
     the quantities that model.PINNED_QUANTITIES names for each bus.
     """
     G, B, order = nodal_admittance(grid)
     n = len(order)
-    V = np.ones(n)
-    phi = np.zeros(n)
-    P = np.zeros(n)
-    Q = np.zeros(n)
-    arrays = {"V": V, "phi": phi, "P": P, "Q": Q}
-    pos = {bid: i for i, bid in enumerate(order)}
-    for (bid, quant), value in fixed.items():
-        arrays[quant][pos[bid]] = value
-
-    free = free_variables(grid)
-    state = PowerState(tuple(order), V, phi, P, Q)
+    col = {(bid, q): k * n + i for k, q in enumerate(BUS_QUANTITIES)
+           for i, bid in enumerate(order)}
+    y = np.concatenate([np.ones(n), np.zeros(3 * n)])
+    for key, value in fixed.items():
+        y[col[key]] = value
+    free = np.setdiff1d(np.arange(4 * n), [
+        col[(bus.id, q)] for bus in grid.busses
+        for q in PINNED_QUANTITIES[bus.kind]])
+    eye, zero = np.eye(n), np.zeros((n, n))
     for _ in range(max_iter):
+        state = PowerState(tuple(order), *y.reshape(4, n))
         res = powerflow_residual(state, G, B)
         if np.max(np.abs(res)) < tol:
             return state
-        jac = powerflow_jacobian(state, G, B, free)
-        step = np.linalg.solve(jac.toarray(), -res)
-        V, phi = state.V.copy(), state.phi.copy()
-        P, Q = state.P.copy(), state.Q.copy()
-        arrays = {"V": V, "phi": phi, "P": P, "Q": Q}
-        for col, (bid, quant) in enumerate(free):
-            arrays[quant][pos[bid]] += step[col]
-        state = PowerState(tuple(order), V, phi, P, Q)
+        dp_dv, dp_dphi, dq_dv, dq_dphi = injection_jacobians(
+            state.V, state.phi, G, B)
+        jac = np.block([[-dp_dv, -dp_dphi, eye, zero],
+                        [-dq_dv, -dq_dphi, zero, eye]])
+        y[free] += np.linalg.solve(jac[:, free], -res)
     raise RuntimeError(f"powerflow did not converge (residual {np.max(np.abs(res)):.2e})")
 
 

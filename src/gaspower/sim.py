@@ -13,7 +13,9 @@ boundary row sits at its density column, a compressor's pressure
 equation at its flux column, and a bus's P-flow, Q-flow and two boundary
 rows at its V, phi, P and Q columns.  The system is thus square by
 construction; each time step and the steady start (the same system with
-y_prev = y_next) are solved by one damped Newton routine.
+y_prev = y_next) are solved by one damped Newton routine.  The steady
+solve starts from a flat grid (V = 1, phi = P = Q = 0, the pinned values
+written in), so it solves the power flow together with the gas.
 
 The assembler fixes the CSR pattern of dR/dy_next at set-up, so each
 Jacobian only computes values; dR/dy_prev and dR/du are constant and
@@ -22,15 +24,15 @@ that pattern, the entries that cancel stored as zeros.  The CSR arrays
 of J are the CSC arrays of J^T, so SuperLU factors J^T, with panel size
 LU_PANEL_SIZE, and Newton solves J dy = -R with the transposed factors.
 COLAMD's column order depends only on the pattern, so the assembler's
-StepOrder keeps the order of the first block it factors, in the steady
-solve, and hands every later one to SuperLU with its columns already in
-that order (one gather of the data) and no ordering of its own; the
-factors are the same to the bit, and LUFactors hides the permutation
-from the solves.  The linear rows (pressure coupling, node balances,
-boundary and bus rows) form one constant sparse operator.  The
-assembler keeps the Colebrook friction values of the last pipe-flow
-block it saw, and Newton takes each Jacobian at the iterate whose
-residual it has just evaluated, so friction is solved once per iterate.
+StepOrder reads it off the first block it is given, in the steady solve,
+and hands every block, that first one included, to SuperLU with its
+columns already in that order (one gather of the data) and no ordering
+of its own; LUFactors hides the permutation from the solves.  The
+linear rows (pressure coupling, node balances, boundary and bus rows)
+form one constant sparse operator.  The assembler keeps the Colebrook
+friction values of the last pipe-flow block it saw, and Newton takes
+each Jacobian at the iterate whose residual it has just evaluated, so
+friction is solved once per iterate.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import gas, power
-from .model import (FLOW_BOUNDARY, PINNED_QUANTITIES, POWER_COUPLING,
-                    PRESSURE_BOUNDARY, CoupledNetwork, incident_pipe_area,
-                    nodal_admittance, validate_network)
+from .model import (BUS_QUANTITIES, FLOW_BOUNDARY, PINNED_QUANTITIES,
+                    POWER_COUPLING, PRESSURE_BOUNDARY, CoupledNetwork,
+                    incident_pipe_area, nodal_admittance, validate_network)
 
 log = logging.getLogger(__name__)
 
@@ -64,34 +66,27 @@ _STEADY_FLOW_SEED = 10.0
 # pressure (Pa) of that guess where no node pins one
 _STEADY_PRESSURE_SEED = 60e5
 
-BUS_QUANTITIES = ("V", "phi", "P", "Q")
-
-# SuperLU panel size for the step Jacobians and their transposes, which
-# have about 4 entries per column: one column per panel factors them
-# faster than SuperLU's default.  Shared with the adjoint module.
+# SuperLU panel size for StepOrder's factorizations of the step Jacobians'
+# transposes, which have about 4 entries per column: one column per panel
+# factors them faster than SuperLU's default.
 LU_PANEL_SIZE = 1
 
 
 class LUFactors:
     """Solves with a square CSR matrix J from SuperLU's factors of J^T,
-    whose columns were taken in `order` (None: as they stand)."""
+    whose columns were taken in `order`."""
 
-    def __init__(self, lu, order=None):
+    def __init__(self, lu, order: np.ndarray):
         self.lu, self.order = lu, order
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """J^-1 b, for one right-hand side or a column of them."""
-        if self.order is None:
-            return self.lu.solve(b, trans="T")
         return self.lu.solve(b[self.order], trans="T")
 
     def solve_transposed(self, c: np.ndarray) -> np.ndarray:
         """J^-T c, for one right-hand side or a column of them."""
-        x = self.lu.solve(c)
-        if self.order is None:
-            return x
-        out = np.empty_like(x)
-        out[self.order] = x
+        out = np.empty_like(c)
+        out[self.order] = self.lu.solve(c)
         return out
 
 
@@ -99,12 +94,12 @@ class StepOrder:
     """COLAMD's column order of J^T for the fixed step pattern, which the
     step Jacobians and the steady block share.
 
-    The first factorization runs COLAMD and the order is read from it;
-    later ones factor J^T with its columns gathered into that order and
-    permc_spec="NATURAL", for which SuperLU skips its own ordering and
-    postorder, so L, U and perm_r stay the same to the bit.  The arrays
-    live as long as the assembler and are allocated here, to be filled
-    once the order is known.
+    The first call runs COLAMD only to read the order.  Every call, that
+    first one included, factors J^T with its columns gathered into that
+    order and permc_spec="NATURAL", for which SuperLU skips its own
+    ordering and postorder, so equal blocks get equal factors whichever
+    call factors them.  The arrays live as long as the assembler and are
+    allocated here, to be filled once the order is known.
     """
 
     def __init__(self, indices: np.ndarray, indptr: np.ndarray):
@@ -121,9 +116,7 @@ class StepOrder:
     def factors(self, jac, splu) -> LUFactors:
         """Factors of `jac` (CSR, set-up pattern) by the caller's `splu`."""
         if self._matrix is None:
-            lu = splu(jac.T, panel_size=LU_PANEL_SIZE)
-            self._learn(lu.perm_c)
-            return LUFactors(lu)
+            self._learn(splu(jac.T, panel_size=LU_PANEL_SIZE).perm_c)
         np.take(jac.data, self._take, out=self._matrix.data)
         return LUFactors(splu(self._matrix, permc_spec="NATURAL",
                               panel_size=LU_PANEL_SIZE), self.order)
@@ -366,6 +359,9 @@ class CoupledStepAssembler:
                               for b in self.busses).reshape(4, -1)
         self._pf_rows = self._bus_cols[:2].ravel()
         self._bc_rows = self._bus_cols[2:].T.ravel()
+        # the columns snap.bus_fixed pins, in its (bus, k) order
+        self._bc_pinned = ints(idx.bus[(b.id, quant)] for b in self.busses
+                               for quant in PINNED_QUANTITIES[b.kind])
         # each pipe end's density equals its node's
         self.coupling_rows = n_box + np.arange(2 * len(self.pipes))
         self.coupling_cols = ints(
@@ -395,9 +391,7 @@ class CoupledStepAssembler:
                  (self._pb_rows, self._pb_rows, 1.0),
                  (balance[:, 0], balance[:, 1], balance[:, 2]),
                  (self._pf_rows, self._bus_cols[2:].ravel(), 1.0),
-                 (self._bc_rows, ints(idx.bus[(b.id, quant)]
-                                      for b in self.busses for quant in
-                                      PINNED_QUANTITIES[b.kind]), 1.0)]
+                 (self._bc_rows, self._bc_pinned, 1.0)]
         const_rows, const_cols = (ints(np.concatenate(part)) for part in
                                   zip(*[(r, c) for r, c, _ in const]))
         self._const_vals = np.concatenate(
@@ -471,8 +465,8 @@ class CoupledStepAssembler:
         Pipe and compressor fluxes are seeded with a small positive value:
         at exact stagnation the friction term q|q| has zero derivative and
         the flow split around network loops is linearly indeterminate.
-        The power block is pre-solved on its own, which also provides the
-        plant offtake operating point.
+        The grid is flat: V = 1 and phi = P = Q = 0 at every bus, then
+        the values that snap pins.
         """
         idx = self.index
         y = np.zeros(idx.size)
@@ -485,12 +479,8 @@ class CoupledStepAssembler:
             y[idx.node_rho[node.id]] = rho0
         for comp in self.comps:
             y[idx.comp_q[comp.id]] = _STEADY_FLOW_SEED
-        if self.busses:
-            fixed = {(bus.id, quant): snap.bus_fixed[i, k]
-                     for i, bus in enumerate(self.busses)
-                     for k, quant in enumerate(PINNED_QUANTITIES[bus.kind])}
-            state = power.solve_powerflow(self.network.grid, fixed)
-            y[self._bus_cols] = [getattr(state, q) for q in BUS_QUANTITIES]
+        y[self._bus_cols[0]] = 1.0
+        y[self._bc_pinned] = snap.bus_fixed.ravel()
         return y
 
     def node_injection(self, y: np.ndarray, node_id: str) -> float:
@@ -591,10 +581,14 @@ def _damped_newton(residual, jacobian, order: StepOrder, admissible,
     at the iterate whose residual was evaluated last (the start or the
     accepted candidate), where the assembler still holds its friction
     values.  `jacobian` returns a CSR matrix J in the step pattern, and
-    the assembler's StepOrder `order` factors it.
+    the assembler's StepOrder `order` factors it.  A non-finite residual
+    at the start, which no step can mend, raises SimulationError.
     """
     res = residual(y)
     norm = np.max(np.abs(res))
+    if not np.isfinite(norm):
+        raise SimulationError("non-finite residual in row "
+                              f"{np.flatnonzero(~np.isfinite(res))[0]}")
     iterations = 0
     while norm >= tol:
         if iterations >= max_iter:

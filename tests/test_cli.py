@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gaspower
 from gaspower import cli, io
@@ -190,3 +191,16 @@ def test_scenario_scalar_that_is_not_a_number_is_an_input_error(tmp_path,
     assert code == cli.EXIT_INPUT_ERROR
     assert "control_bounds.u_max_bar: expected a number" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("max_iter", "x"),
+                                       ("feasibility_tol_bar", "a"),
+                                       ("newton_tol", [1e-9])])
+def test_optimizer_setting_that_is_not_a_number_is_an_input_error(
+        tmp_path, capsys, key, value):
+    files = write_toy_case(tmp_path, optimizer={key: value})
+    code = cli.run(["optimize", *files, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert f"scenario.json: optimizer.{key}: expected a number" in err
+    assert "Traceback" not in err

@@ -192,6 +192,18 @@ def test_network_record_of_the_wrong_type(load_network, edit, message):
      "control_bounds.u_min_bar: expected a number"),
     (_setting([30.0], "control_bounds", "u_max_bar"),
      "control_bounds.u_max_bar: expected a number"),
+    (_setting(float("inf"), "horizon_hours"),
+     "horizon_hours: expected a number"),
+    (_setting([[0.0, 60.0], [0.5, float("nan")]], "boundary", "A",
+              "pressure_bar"),
+     r"A\.pressure_bar: breakpoints must be finite numbers"),
+    (_setting([[0.0, 150.0], [float("inf"), 0.0]], "boundary", "C",
+              "outflow_flux"),
+     r"C\.outflow_flux: breakpoints must be finite numbers"),
+    (_setting(7.5, "optimizer", "max_iter"),
+     "optimizer.max_iter: expected an integer"),
+    (_setting(float("nan"), "optimizer", "newton_tol"),
+     "optimizer.newton_tol: expected a number"),
 ])
 def test_scenario_section_of_the_wrong_type(load, edit, message):
     with pytest.raises(io.FormatError, match=message):

@@ -1,11 +1,12 @@
-"""Powerflow residual/Jacobian and the plant offtake curve."""
+"""Powerflow residual, its derivatives and solve, and the plant offtake
+curve."""
 
 import numpy as np
 import pytest
 
 from gaspower import power
-from gaspower.model import PINNED_QUANTITIES, GasPowerPlant, nodal_admittance
-from gaspower.sim import BUS_QUANTITIES
+from gaspower.model import (BUS_QUANTITIES, PINNED_QUANTITIES, SLACK,
+                            GasPowerPlant, nodal_admittance)
 
 PLANT = GasPowerPlant("PL", "S4", "N1", a0=2.0, a1=5.0, a2=10.0)
 
@@ -27,16 +28,30 @@ def admittance(bundled_module):
     return nodal_admittance(bundled_module.grid)
 
 
-def test_free_and_pinned_quantities_split_every_bus(bundled_module):
-    free = power.free_variables(bundled_module.grid)
-    kinds = set()
-    for bus in bundled_module.grid.busses:
-        mine = [quant for bus_id, quant in free if bus_id == bus.id]
+def flow_rows(asm):
+    """The step Jacobian's power-flow rows: each bus's P row sits at its V
+    column, its Q row at its phi column."""
+    return [asm.index.bus[(bus.id, q)] for q in ("V", "phi")
+            for bus in asm.busses]
+
+
+def test_free_and_pinned_quantities_split_every_bus(bundled_simulator):
+    """Each bus pins two of its quantities, and at the flat grid the step
+    Jacobian's power-flow rows over the other 2N columns are a
+    nonsingular square system."""
+    asm, snap = bundled_simulator.assembler, bundled_simulator.snapshots[0]
+    free, kinds = [], set()
+    for bus in asm.busses:
         pinned = PINNED_QUANTITIES[bus.kind]
-        assert len(mine) == len(pinned) == 2
-        assert set(mine) | set(pinned) == set(BUS_QUANTITIES)
+        mine = [q for q in BUS_QUANTITIES if q not in pinned]
+        assert len(mine) == len(set(pinned)) == 2
+        free += [asm.index.bus[(bus.id, q)] for q in mine]
         kinds.add(bus.kind)
     assert kinds == set(PINNED_QUANTITIES)
+    y = asm.flat_state(snap)
+    jac = asm.jacobian(y, y, 0.0, snap, 900.0)[0]
+    rows = flow_rows(asm)
+    assert np.linalg.matrix_rank(jac[rows][:, free].toarray()) == len(rows)
 
 
 class TestResidual:
@@ -79,70 +94,64 @@ class TestResidual:
 
 
 class TestJacobian:
-    def _fd(self, state, G, B, free, h=1e-7):
-        cols = []
-        arrays = {"V": state.V, "phi": state.phi, "P": state.P, "Q": state.Q}
-        pos = {bid: i for i, bid in enumerate(state.bus_ids)}
-        for bid, quant in free:
-            res = []
-            for sign in (1.0, -1.0):
-                vals = {k: v.copy() for k, v in arrays.items()}
-                vals[quant][pos[bid]] += sign * h
-                s = power.PowerState(state.bus_ids, vals["V"], vals["phi"],
-                                     vals["P"], vals["Q"])
-                res.append(power.powerflow_residual(s, G, B))
-            cols.append((res[0] - res[1]) / (2 * h))
-        return np.array(cols).T
+    """injection_jacobians, the power-flow part of the step Jacobian."""
 
-    def test_matches_fd_at_flat_state(self, admittance, bundled_module):
-        G, B, order = admittance
-        free = power.free_variables(bundled_module.grid)
-        state = flat_state(order)
-        jac = power.powerflow_jacobian(state, G, B, free).toarray()
-        fd = self._fd(state, G, B, free)
+    def _check(self, V, phi, G, B, h=1e-7):
+        """injection_jacobians against central differences of
+        computed_injections."""
+        n = len(V)
+        x = np.concatenate([V, phi])
+
+        def calc(x):
+            return np.concatenate(power.computed_injections(x[:n], x[n:],
+                                                            G, B))
+
+        fd = np.column_stack([(calc(x + h * e) - calc(x - h * e)) / (2 * h)
+                              for e in np.eye(2 * n)])
+        dp_dv, dp_dphi, dq_dv, dq_dphi = power.injection_jacobians(V, phi,
+                                                                   G, B)
+        jac = np.block([[dp_dv, dp_dphi], [dq_dv, dq_dphi]])
         denom = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(jac - fd) / denom) < 1e-6
 
-    def test_matches_fd_at_random_state(self, admittance, bundled_module):
+    def test_matches_fd_at_flat_state(self, admittance):
+        G, B, order = admittance
+        n = len(order)
+        self._check(np.ones(n), np.zeros(n), G, B)
+
+    def test_matches_fd_at_random_state(self, admittance):
         G, B, order = admittance
         rng = np.random.default_rng(4)
         n = len(order)
-        state = power.PowerState(tuple(order), rng.uniform(0.9, 1.1, n),
-                                 rng.uniform(-0.4, 0.4, n),
-                                 rng.uniform(-2, 2, n), rng.uniform(-1, 1, n))
-        free = power.free_variables(bundled_module.grid)
-        jac = power.powerflow_jacobian(state, G, B, free).toarray()
-        fd = self._fd(state, G, B, free)
-        denom = np.maximum(np.abs(fd), 1e-8)
-        assert np.max(np.abs(jac - fd) / denom) < 1e-6
+        self._check(rng.uniform(0.9, 1.1, n), rng.uniform(-0.4, 0.4, n),
+                    G, B)
 
-    def test_slack_power_column_is_unit(self, admittance, bundled_module):
-        G, B, order = admittance
-        free = power.free_variables(bundled_module.grid)
-        state = flat_state(order)
-        jac = power.powerflow_jacobian(state, G, B, free).toarray()
-        col = free.index(("N1", "P"))
-        expected = np.zeros(2 * len(order))
-        expected[order.index("N1")] = 1.0
-        assert np.array_equal(jac[:, col], expected)
+    def test_slack_power_column_is_unit(self, bundled_simulator,
+                                        uncontrolled_trajectory):
+        """In the step Jacobian's power-flow rows, the slack's P column is
+        the unit vector at the slack's P row."""
+        asm = bundled_simulator.assembler
+        states = uncontrolled_trajectory.states
+        jac = asm.jacobian(states[0], states[1], 0.0,
+                           bundled_simulator.snapshots[1], 900.0)[0]
+        slack, = (bus.id for bus in asm.busses if bus.kind == SLACK)
+        rows = flow_rows(asm)
+        column = jac[rows][:, asm.index.bus[(slack, "P")]].toarray().ravel()
+        expected = np.zeros(len(rows))
+        expected[rows.index(asm.index.bus[(slack, "V")])] = 1.0
+        assert np.array_equal(column, expected)
 
-    def test_row_sparsity_is_adjacency(self, admittance, bundled_module):
+    def test_row_sparsity_is_adjacency(self, admittance):
         """Rows touch only the bus itself and its admittance neighbours."""
         G, B, order = admittance
-        free = power.free_variables(bundled_module.grid)
-        state = flat_state(order)
-        jac = power.powerflow_jacobian(state, G, B, free).toarray()
+        rng = np.random.default_rng(6)
         n = len(order)
-        for k in range(n):
-            neighbours = {j for j in range(n)
-                          if G[k, j] != 0 or B[k, j] != 0} | {k}
-            for col, (bid, quant) in enumerate(free):
-                if quant in ("P", "Q"):
-                    continue
-                j = order.index(bid)
-                if j not in neighbours:
-                    assert jac[k, col] == 0.0
-                    assert jac[n + k, col] == 0.0
+        outside = (G == 0) & (B == 0)
+        np.fill_diagonal(outside, False)
+        assert outside.any()
+        for jac in power.injection_jacobians(rng.uniform(0.9, 1.1, n),
+                                             rng.uniform(-0.4, 0.4, n), G, B):
+            assert np.all(jac[outside] == 0.0)
 
 
 class TestSolvedBaseline:

@@ -330,6 +330,20 @@ class TestSimulate:
         with pytest.raises(SimulationError, match=r"step \d+ \(t = "):
             sim.run()
 
+    def test_non_finite_boundary_value_fails_the_step(self, bundled):
+        """A NaN load after t = 0 makes the step residual non-finite for
+        every state: the step fails instead of returning its guess."""
+        from dataclasses import replace
+        from gaspower.sim import SimulationError
+        network, scenario = bundled
+        series = dict(scenario.boundary.series)
+        series[("N5", "P")] = (np.array([0.0, 3600.0]),
+                               np.array([-0.9, np.nan]))
+        broken = replace(scenario, boundary=BoundaryData(series))
+        with pytest.raises(SimulationError, match=r"step 1 \(t = 0\.25 h\) "
+                           r"failed: non-finite residual"):
+            Simulator(network, broken).run()
+
 
 class TestToyNetwork:
     def test_compressor_only_feed_is_consistent(self, toy_simulator):
@@ -564,6 +578,29 @@ class TestFixedPattern:
         for b in (rhs[:, 0], rhs):
             assert np.array_equal(learned.solve(b), lu.solve(b, trans="T"))
             assert np.array_equal(learned.solve_transposed(b), lu.solve(b))
+
+    def test_flat_grid_factors_do_not_depend_on_the_call(
+            self, bundled_simulator):
+        """The steady block at a flat grid (V = 1, phi = P = Q = 0 and the
+        pinned values), where SuperLU's pivot search meets exact ties,
+        solves to the bit alike from the call that learns the order and
+        from a later one.  flat_state seeds that grid."""
+        asm, snap = bundled_simulator.assembler, bundled_simulator.snapshots[0]
+        y = asm.flat_state(snap)
+        for bus, pinned in zip(asm.busses, snap.bus_fixed):
+            flat = dict(V=1.0, phi=0.0, P=0.0, Q=0.0)
+            flat.update(zip(PINNED_QUANTITIES[bus.kind], pinned))
+            for quant, value in flat.items():
+                y[asm.index.bus[(bus.id, quant)]] = value
+        jac = asm.steady_jacobian(y, 0.0, snap, bundled_simulator.scenario.dt)
+        order = StepOrder(asm._indices, asm._indptr)
+        learning, later = (order.factors(jac, splu) for _ in range(2))
+        rhs = np.random.default_rng(11).standard_normal((jac.shape[0], 3))
+        for b in (rhs[:, 0], rhs):
+            assert np.array_equal(learning.solve(b), later.solve(b))
+            assert np.array_equal(learning.solve_transposed(b),
+                                  later.solve_transposed(b))
+        assert np.array_equal(asm.flat_state(snap), y)
 
     def test_prev_block_is_one_read_only_matrix(self, step):
         asm, snap, y0, y1 = step
