@@ -4,15 +4,13 @@ control derivatives.
 The discretized trajectory satisfies one block of model equations per
 time level: the steady-state block at level 0 and one implicit step per
 later level.  Stacked over time the Jacobian is block lower bidiagonal,
-so the transposed (adjoint) system is solved backwards with one sparse
-factorization per level.  Each level's CSR block J, the steady one
-included, has the step pattern and is factored as J^T through the
-assembler's StepOrder, as in the forward Newton solve, in the column
-order learned there; LUFactors applies the order, so the adjoint solves
-are plain solves.  The total derivative of a scalar functional then
-needs no further linear solves.  The same blocks, solved forwards with
-the transposed factors, give the state sensitivities to every control,
-from which the derivatives of many functionals follow at once.
+so the transposed (adjoint) system is solved backwards with one
+factorization per level, as in the forward Newton solve: the steady block
+whole (lu.whole_factors), each step block condensed onto the network
+unknowns by the assembler's lu.StepCondensation.  The total derivative of
+a scalar functional then needs no further linear solves.  The same blocks,
+solved forwards, give the state sensitivities to every control, from which
+the derivatives of many functionals follow at once.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .sim import Simulator, Trajectory
+from .sim import Simulator, Trajectory, whole_factors
 
 
 @dataclass(frozen=True)
@@ -33,15 +31,14 @@ class AdjointState:
 
 
 def _level_factors(simulator: Simulator, trajectory: Trajectory, n: int):
-    """(LUFactors of the state block, dR/dy_prev in CSR, dR/du) of level
-    n; at level 0 the state block is the steady one at y_0."""
+    """(Factors of the state block, dR/dy_prev in CSR, dR/du) of level n;
+    at level 0 the state block is the steady one at y_0."""
     asm, y = simulator.assembler, trajectory.states
     args = trajectory.control[n], simulator.snapshots[n], simulator.scenario.dt
-    if n == 0:
-        jac = asm.steady_jacobian(y[0], *args)
-    else:
-        jac = asm.jacobian(y[n - 1], y[n], *args)[0]
-    return asm.step_order.factors(jac, splu), asm.jac_prev, asm.d_du
+    jac = asm.steady_jacobian(y[0], *args) if n == 0 else \
+        asm.jacobian(y[n - 1], y[n], *args)[0]
+    factors = whole_factors if n == 0 else asm.condensation.factors
+    return factors(jac, splu), asm.jac_prev, asm.d_du
 
 
 def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,

@@ -20,19 +20,15 @@ written in), so it solves the power flow together with the gas.
 The assembler fixes the CSR pattern of dR/dy_next at set-up, so each
 Jacobian only computes values; dR/dy_prev and dR/du are constant and
 shared by all calls.  The steady block dR/dy_next + dR/dy_prev keeps
-that pattern, the entries that cancel stored as zeros.  The CSR arrays
-of J are the CSC arrays of J^T, so SuperLU factors J^T, with panel size
-LU_PANEL_SIZE, and Newton solves J dy = -R with the transposed factors.
-COLAMD's column order depends only on the pattern, so the assembler's
-StepOrder reads it off the first block it is given, in the steady solve,
-and hands every block, that first one included, to SuperLU with its
-columns already in that order (one gather of the data) and no ordering
-of its own; LUFactors hides the permutation from the solves.  The
-linear rows (pressure coupling, node balances, boundary and bus rows)
-form one constant sparse operator.  The assembler keeps the Colebrook
-friction values of the last pipe-flow block it saw, and Newton takes
-each Jacobian at the iterate whose residual it has just evaluated, so
-friction is solved once per iterate.
+that pattern, the entries that cancel stored as zeros.  Newton factors a
+step block through the assembler's lu.StepCondensation (a band LU of the
+pipe block, and the caller's splu on the small network block) and the
+steady block whole (lu.whole_factors).  The linear rows (pressure
+coupling, node balances, boundary and bus rows) form one constant sparse
+operator.  The assembler keeps the Colebrook friction values of the last
+pipe-flow block it saw, and Newton takes each Jacobian at the iterate
+whose residual it has just evaluated, so friction is solved once per
+iterate.
 """
 
 from __future__ import annotations
@@ -46,6 +42,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import gas, power
+from .lu import StepCondensation, whole_factors
 from .model import (BUS_QUANTITIES, FLOW_BOUNDARY, PINNED_QUANTITIES,
                     POWER_COUPLING, PRESSURE_BOUNDARY, CoupledNetwork,
                     incident_pipe_area, nodal_admittance, validate_network)
@@ -65,77 +62,6 @@ _REFERENCE_DT_DX = 900.0 / 1000.0
 _STEADY_FLOW_SEED = 10.0
 # pressure (Pa) of that guess where no node pins one
 _STEADY_PRESSURE_SEED = 60e5
-
-# SuperLU panel size for StepOrder's factorizations of the step Jacobians'
-# transposes, which have about 4 entries per column: one column per panel
-# factors them faster than SuperLU's default.
-LU_PANEL_SIZE = 1
-
-
-class LUFactors:
-    """Solves with a square CSR matrix J from SuperLU's factors of J^T,
-    whose columns were taken in `order`."""
-
-    def __init__(self, lu, order: np.ndarray):
-        self.lu, self.order = lu, order
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """J^-1 b, for one right-hand side or a column of them."""
-        return self.lu.solve(b[self.order], trans="T")
-
-    def solve_transposed(self, c: np.ndarray) -> np.ndarray:
-        """J^-T c, for one right-hand side or a column of them."""
-        out = np.empty_like(c)
-        out[self.order] = self.lu.solve(c)
-        return out
-
-
-class StepOrder:
-    """COLAMD's column order of J^T for the fixed step pattern, which the
-    step Jacobians and the steady block share.
-
-    The first call runs COLAMD only to read the order.  Every call, that
-    first one included, factors J^T with its columns gathered into that
-    order and permc_spec="NATURAL", for which SuperLU skips its own
-    ordering and postorder, so equal blocks get equal factors whichever
-    call factors them.  The arrays live as long as the assembler and are
-    allocated here, to be filled once the order is known.
-    """
-
-    def __init__(self, indices: np.ndarray, indptr: np.ndarray):
-        n, nnz = len(indptr) - 1, len(indices)
-        self._pattern = (indices, indptr)
-        self.order = np.empty(n, dtype=np.intp)
-        # the CSC arrays of J^T[:, order]: data[k] = J.data[_take[k]]
-        self._take = np.empty(nnz, dtype=np.intp)
-        self._data = np.empty(nnz)
-        self._indices = np.empty_like(indices)
-        self._indptr = np.empty_like(indptr)
-        self._matrix = None
-
-    def factors(self, jac, splu) -> LUFactors:
-        """Factors of `jac` (CSR, set-up pattern) by the caller's `splu`."""
-        if self._matrix is None:
-            self._learn(splu(jac.T, panel_size=LU_PANEL_SIZE).perm_c)
-        np.take(jac.data, self._take, out=self._matrix.data)
-        return LUFactors(splu(self._matrix, permc_spec="NATURAL",
-                              panel_size=LU_PANEL_SIZE), self.order)
-
-    def _learn(self, perm_c: np.ndarray):
-        # column perm_c[j] of SuperLU's ordered matrix is column j of J^T
-        indices, indptr = self._pattern
-        self.order[perm_c] = np.arange(len(perm_c))
-        lengths = np.diff(indptr)[self.order]
-        self._indptr[0] = 0
-        np.cumsum(lengths, out=self._indptr[1:])
-        self._take[:] = np.repeat(indptr[self.order] - self._indptr[:-1],
-                                  lengths) + np.arange(len(indices))
-        np.take(indices, self._take, out=self._indices)
-        n = len(self.order)
-        self._matrix = sparse.csc_matrix(
-            (self._data, self._indices, self._indptr), shape=(n, n),
-            copy=False)
-
 
 class SimulationError(Exception):
     pass
@@ -180,6 +106,16 @@ class VariableIndex:
                 self.bus[(bus.id, quant)] = size
                 size += 1
         self.size = size
+
+    def name(self, i: int) -> str:
+        """The unknown at flat index i, e.g. "P1 q[3]", "S5 rho", "N5 P"."""
+        for quantity, slices in (("rho", self.pipe_rho), ("q", self.pipe_q)):
+            for pipe, at in slices.items():
+                if at.start <= i < at.stop:
+                    return f"{pipe} {quantity}[{i - at.start}]"
+        return dict([(j, f"{n} rho") for n, j in self.node_rho.items()]
+                    + [(j, f"{c} q") for c, j in self.comp_q.items()]
+                    + [(j, f"{b} {q}") for (b, q), j in self.bus.items()])[i]
 
 
 @dataclass(frozen=True)
@@ -322,7 +258,6 @@ class CoupledStepAssembler:
             [idx.bus[(b.id, "V")] for b in self.busses]]).astype(int)
 
         self._build_pattern()
-        self.step_order = StepOrder(self._indices, self._indptr)
 
     def _build_pattern(self):
         """Row indices and scales, and the fixed CSR pattern.
@@ -381,53 +316,75 @@ class CoupledStepAssembler:
         self.d_du[self._comp_rows] = -scale[self._comp_rows]
         self.d_du.flags.writeable = False
 
+        # each pipe or compressor end's flow, signed area times flux, enters
+        # its node's balance row (pipe ends first, from and to in turn)
+        ends = np.concatenate([self.coupling_node_cols, np.ravel(
+            [self._comp_from, self._comp_to], "F")])
+        flows = np.concatenate([self.coupling_cols + self.n_points,
+                                np.repeat(self._comp_rows, 2)])
+        area = np.repeat([p.area for p in self.pipes]
+                         + [self.comp_area[c.id] for c in self.comps], 2)
+        area[0::2] *= -1.0
+        balance = (kind != PRESSURE_BOUNDARY)[ends - node_rows[0]]
         # constant entries: (rows, cols, value or values)
-        balance = np.reshape([(node_rows[i], col, area)
-                              for i, n in enumerate(self.nodes)
-                              if n.kind != PRESSURE_BOUNDARY
-                              for col, area in self.node_terms[i]], (-1, 3))
         const = [(self.coupling_rows, self.coupling_cols, 1.0),
                  (self.coupling_rows, self.coupling_node_cols, -1.0),
                  (self._pb_rows, self._pb_rows, 1.0),
-                 (balance[:, 0], balance[:, 1], balance[:, 2]),
+                 (ends[balance], flows[balance], area[balance]),
                  (self._pf_rows, self._bus_cols[2:].ravel(), 1.0),
                  (self._bc_rows, self._bc_pinned, 1.0)]
-        const_rows, const_cols = (ints(np.concatenate(part)) for part in
-                                  zip(*[(r, c) for r, c, _ in const]))
-        self._const_vals = np.concatenate(
-            [np.broadcast_to(v, len(r)) for r, _, v in const])
+        const_rows, const_cols = (np.concatenate(part).astype(int) for part
+                                  in zip(*[(r, c) for r, c, _ in const]))
+        self._const_vals = np.concatenate([v * np.ones(len(r))
+                                           for r, _, v in const])
         shape = (idx.size, idx.size)
-        self._linear = sparse.csr_matrix(
-            (self._const_vals, (const_rows, const_cols)), shape=shape)
 
         # P rows by V and phi, then Q rows: power.injection_jacobians' order
-        dense = [np.meshgrid(r, c, indexing="ij")
-                 for r in self._pf_rows.reshape(2, -1)
-                 for c in self._bus_cols[:2]]
         variable = [(self._plant_rows, self._plant_cols),
                     (self._comp_rows, self._comp_to),
-                    (self._comp_rows, self._comp_from)] + \
-            [(rr.ravel(), cc.ravel()) for rr, cc in dense]
+                    (self._comp_rows, self._comp_from)] + [
+            (np.repeat(r, len(c)), np.tile(c, len(r)))
+            for r in self._pf_rows.reshape(2, -1) for c in self._bus_cols[:2]]
         rows, cols = (np.concatenate(part) for part in zip(
             self.box_next, (const_rows, const_cols), *variable))
-        slots = sparse.csr_matrix(
-            (np.arange(1.0, len(rows) + 1.0), (rows, cols)), shape=shape)
-        if slots.nnz != len(rows):
+        # the CSR order of the entries, by row and then by column: data[s]
+        # takes entry _slot_entry[s] of the value list
+        keys = rows * idx.size + cols
+        self._slot_entry = np.argsort(keys, kind="stable")
+        keys = keys[self._slot_entry]
+        if np.any(keys[1:] == keys[:-1]):
             raise AssertionError("two step Jacobian entries share a slot")
-        # data[s] takes entry _slot_entry[s] of the value list
-        self._slot_entry = slots.data.astype(int) - 1
         self._entry_scale = self.row_scale[rows]
-        self._indices, self._indptr = slots.indices, slots.indptr
+        self._indices = cols[self._slot_entry].astype(np.int32)
+        self._indptr = np.zeros(idx.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=idx.size), out=self._indptr[1:])
         self._indices.flags.writeable = self._indptr.flags.writeable = False
-        # dR/dy_prev is constant: -1/2 on the old level of the box stencil
-        rows, cols = (part[self._box_old] for part in self.box_next)
-        vals = -0.5 * self.row_scale[rows]
-        self.jac_prev = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+
+        def at_slots(values):   # one per entry; and the nonzero ones alone
+            data = values[self._slot_entry]
+            matrix = sparse.csr_matrix((data, self._indices, self._indptr),
+                                       shape, copy=True)
+            matrix.eliminate_zeros()
+            return data, matrix
+
+        # the linear rows hold the constant entries; dR/dy_prev is constant,
+        # -1/2 on the old level of the box stencil, and its values at their
+        # slots make the steady block when added
+        values = np.zeros(len(rows))
+        first = len(self.box_next[0])
+        values[first:first + len(self._const_vals)] = self._const_vals
+        self._linear = at_slots(values)[1]
+        values[:] = 0.0
+        values[self._box_old] = -0.5 * self.row_scale[rows[self._box_old]]
+        self._steady_shift, self.jac_prev = at_slots(values)
         self.jac_prev.data.flags.writeable = False
-        # the same values at their slots, added to make the steady block
-        shift = np.zeros(len(self._slot_entry))
-        shift[self._box_old] = vals
-        self._steady_shift = shift[self._slot_entry]
+        # C's entries are the pipe ends' balance entries
+        self.condensation = StepCondensation(
+            self._indices, self._indptr, self.grid.left,
+            np.array([p.cell_count + 1 for p in self.pipes]),
+            self.coupling_node_cols, np.where(balance, area * scale[ends],
+                                              0.0)[:2 * len(self.pipes)],
+            [p.id for p in self.pipes])
 
     # -- boundary handling -------------------------------------------------
 
@@ -570,9 +527,9 @@ class CoupledStepAssembler:
         return jac
 
 
-def _damped_newton(residual, jacobian, order: StepOrder, admissible,
-                   y: np.ndarray, tol: float, max_iter: int, halvings: int
-                   ) -> np.ndarray:
+def _damped_newton(assembler: CoupledStepAssembler, residual, jacobian,
+                   factors, y: np.ndarray, tol: float, max_iter: int,
+                   halvings: int) -> np.ndarray:
     """Damped Newton solve of residual(y) = 0 from an admissible y, which
     stops at the first iterate whose max-norm residual is below `tol`.
 
@@ -581,14 +538,17 @@ def _damped_newton(residual, jacobian, order: StepOrder, admissible,
     at the iterate whose residual was evaluated last (the start or the
     accepted candidate), where the assembler still holds its friction
     values.  `jacobian` returns a CSR matrix J in the step pattern, and
-    the assembler's StepOrder `order` factors it.  A non-finite residual
-    at the start, which no step can mend, raises SimulationError.
+    factors(J, splu) factors it (see lu); a singular J raises
+    SingularJacobian.  A non-finite residual at the start, which no step
+    can mend, raises SimulationError naming the unknown at the row's
+    column.
     """
     res = residual(y)
     norm = np.max(np.abs(res))
     if not np.isfinite(norm):
-        raise SimulationError("non-finite residual in row "
-                              f"{np.flatnonzero(~np.isfinite(res))[0]}")
+        row = np.flatnonzero(~np.isfinite(res))[0]
+        raise SimulationError(f"non-finite residual in row {row} (row of "
+                              f"{assembler.index.name(row)})")
     iterations = 0
     while norm >= tol:
         if iterations >= max_iter:
@@ -596,7 +556,7 @@ def _damped_newton(residual, jacobian, order: StepOrder, admissible,
                                         norm, iterations)
         jac = jacobian(y)
         try:
-            lu = order.factors(jac, splu)
+            lu = factors(jac, splu)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from None
         step = lu.solve(-res)
@@ -605,7 +565,7 @@ def _damped_newton(residual, jacobian, order: StepOrder, admissible,
         factor = 1.0
         for _ in range(halvings):
             cand = y + factor * step
-            if admissible(cand):
+            if assembler.admissible(cand):
                 cand_res = residual(cand)
                 cand_norm = np.max(np.abs(cand_res))
                 if cand_norm < norm or cand_norm < tol:
@@ -630,10 +590,9 @@ def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
     if not assembler.admissible(y):
         y = np.array(y_prev, dtype=float)
     return _damped_newton(
-        lambda y: assembler.residual(y_prev, y, u, snap, dt),
+        assembler, lambda y: assembler.residual(y_prev, y, u, snap, dt),
         lambda y: assembler.jacobian(y_prev, y, u, snap, dt)[0],
-        assembler.step_order, assembler.admissible, y, tol, max_iter,
-        halvings=30)
+        assembler.condensation.factors, y, tol, max_iter, halvings=30)
 
 
 def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
@@ -645,9 +604,8 @@ def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
     system; the result satisfies the step residual for every dt.
     """
     return _damped_newton(
-        lambda y: assembler.residual(y, y, u0, snap, dt),
-        lambda y: assembler.steady_jacobian(y, u0, snap, dt),
-        assembler.step_order, assembler.admissible,
+        assembler, lambda y: assembler.residual(y, y, u0, snap, dt),
+        lambda y: assembler.steady_jacobian(y, u0, snap, dt), whole_factors,
         assembler.flat_state(snap), tol, max_iter, halvings=40)
 
 
@@ -688,19 +646,20 @@ class Simulator:
 
         dt = self.scenario.dt
         states = np.empty((m + 1, self.assembler.index.size))
-        states[0] = steady_state(self.assembler, self.snapshots[0],
-                                 control[0], dt, self.tol)
-        for j in range(1, m + 1):
+        for j in range(m + 1):
             # linear extrapolation in time cuts one Newton iteration
             guess = 2.0 * states[j - 1] - states[j - 2] if j >= 2 else None
             try:
-                states[j] = newton_solve_step(
+                states[j] = steady_state(
+                    self.assembler, self.snapshots[0], control[0], dt,
+                    self.tol) if j == 0 else newton_solve_step(
                     self.assembler, states[j - 1], control[j],
                     self.snapshots[j], dt, self.tol, self.max_iter,
                     y_guess=guess)
             except SimulationError as exc:
+                what = f"step {j}" if j else "steady state"
                 raise SimulationError(
-                    f"step {j} (t = {self.scenario.times[j] / 3600.0:.2f} h) "
+                    f"{what} (t = {self.scenario.times[j] / 3600.0:.2f} h) "
                     f"failed: {exc}") from exc
         return Trajectory(self.assembler.index, self.scenario.times.copy(),
                           states, control.copy())

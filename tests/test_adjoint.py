@@ -87,20 +87,24 @@ def test_linearity_in_the_functional(toy):
     assert np.allclose(xi_comb, a * xi_1 + b * xi_2, rtol=1e-12, atol=1e-12)
 
 
-def test_one_transposed_solve_per_time_level(toy, monkeypatch):
-    """After a run every level, the steady one at level 0 included, is
-    factored in the column order the run learned."""
+def test_one_factorization_per_level_in_the_adjoint_sweep(toy, monkeypatch):
+    """The sweep factors each level once: steps M..1 through the network
+    block (the Schur complement of the pipe block), then the whole steady
+    block at level 0."""
     simulator, trajectory = toy
-    calls = []
+    asm = simulator.assembler
+    n = asm.index.size
+    shapes = []
     original = adjoint_mod.splu
 
     def counting(matrix, **options):
-        calls.append(options.get("permc_spec", "COLAMD"))
+        shapes.append(matrix.shape)
         return original(matrix, **options)
 
     monkeypatch.setattr(adjoint_mod, "splu", counting)
     adjoint_sweep(simulator, trajectory, np.zeros_like(trajectory.states))
-    assert calls == ["NATURAL"] * (trajectory.step_count + 1)
+    network_block = (n - 2 * asm.n_points,) * 2
+    assert shapes == [network_block] * trajectory.step_count + [(n, n)]
 
 
 def test_gradient_of_state_independent_functional(toy):

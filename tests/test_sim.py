@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from gaspower import gas, power
+from gaspower import gas
+from gaspower import io as gio
+from gaspower import power
 from gaspower import sim as sim_mod
 from gaspower.model import (PINNED_QUANTITIES, CompressorArc, CoupledNetwork,
                             GasNetwork, GasNode, Pipe, PowerGrid)
-from gaspower.sim import (BUS_QUANTITIES, LU_PANEL_SIZE, MASS_FLOW_SCALE,
-                          BoundaryData, CoupledStepAssembler,
-                          MaxIterationsExceeded, Scenario, Simulator,
-                          StepOrder, VariableIndex, mass_balance_report,
+from gaspower.lu import whole_factors
+from gaspower.sim import (BUS_QUANTITIES, MASS_FLOW_SCALE, BoundaryData,
+                          CoupledStepAssembler, MaxIterationsExceeded,
+                          Scenario, SimulationError, Simulator,
+                          SingularJacobian, VariableIndex, mass_balance_report,
                           newton_solve_step, simulate, steady_state)
 
 from conftest import (box_scheme_residual, make_toy_network,
@@ -46,6 +49,15 @@ class TestVariableIndex:
         expected = 2 * points + len(network.gas.nodes) \
             + len(network.gas.compressors) + 4 * len(network.grid.busses)
         assert index.size == expected
+
+    def test_names_every_unknown_once(self, bundled):
+        network, _ = bundled
+        index = VariableIndex(network)
+        names = [index.name(i) for i in range(index.size)]
+        assert len(set(names)) == index.size
+        assert names[index.bus[("N5", "P")]] == "N5 P"
+        assert names[index.node_rho["S25"]] == "S25 rho"
+        assert names[index.pipe_q["P25"].start + 2] == "P25 q[2]"
 
     def test_stable_across_rebuilds(self, bundled):
         network, _ = bundled
@@ -294,19 +306,24 @@ class TestSimulate:
         second = simulator.run(control)
         assert np.array_equal(first.states, second.states)
 
-    def test_one_step_pattern_factorization_runs_colamd(self, monkeypatch):
-        """Steady and step blocks share the step pattern: over two runs
-        only the first factorization, in the steady solve, runs COLAMD,
-        and every later one takes the learned order."""
+    def test_one_splu_per_factorization(self, monkeypatch):
+        """Every Jacobian Newton takes is factored by one splu: of the
+        whole block in the steady solve, of the network block (the Schur
+        complement of the pipe block) in every step."""
         simulator = Simulator(make_toy_network(), make_toy_scenario(steps=3))
-        step_nnz = len(simulator.assembler._indices)
-        seen, steady = [], []
+        asm = simulator.assembler
+        n, pipe_block = asm.index.size, 2 * asm.n_points
+        events, steady = [], []
         original_splu, original_steady = sim_mod.splu, sim_mod.steady_state
+        original_jacobian = asm.jacobian
 
         def recording(matrix, **options):
-            seen.append((matrix.nnz, options.get("permc_spec", "COLAMD"),
-                         bool(steady)))
+            events.append(("splu", matrix.shape, bool(steady)))
             return original_splu(matrix, **options)
+
+        def jacobian(*args):
+            events.append(("jacobian", bool(steady)))
+            return original_jacobian(*args)
 
         def steady_state(*args, **kwargs):
             steady.append(True)
@@ -317,16 +334,35 @@ class TestSimulate:
 
         monkeypatch.setattr(sim_mod, "splu", recording)
         monkeypatch.setattr(sim_mod, "steady_state", steady_state)
-        for _ in range(2):
-            simulator.run(np.linspace(1.5e5, 3.0e5, 4))
-        assert {nnz for nnz, _, _ in seen} == {step_nnz}
-        assert seen[0][1:] == ("COLAMD", True)
-        assert {spec for _, spec, _ in seen[1:]} == {"NATURAL"}
+        monkeypatch.setattr(asm, "jacobian", jacobian)
+        simulator.run(np.linspace(1.5e5, 3.0e5, 4))
+        assert len(events) > 8 and len(events) % 2 == 0
+        for (kind, in_steady), (call, shape, lu_steady) in zip(events[0::2],
+                                                               events[1::2]):
+            assert (kind, call, lu_steady) == ("jacobian", "splu", in_steady)
+            size = n if in_steady else n - pipe_block
+            assert shape == (size, size)
+        assert {in_steady for _, in_steady in events[0::2]} == {True, False}
+
+    def test_steady_failure_reports_the_steady_state_and_the_unknown(
+            self, bundled):
+        """A NaN load at t = 0 fails the steady solve, and the message names
+        it and the unknown at whose column the first non-finite row sits:
+        N5's P-flow row, at its V column."""
+        from dataclasses import replace
+        network, scenario = bundled
+        series = dict(scenario.boundary.series)
+        series[("N5", "P")] = (np.array([0.0, 3600.0]),
+                               np.array([np.nan, -0.9]))
+        broken = replace(scenario, boundary=BoundaryData(series))
+        with pytest.raises(SimulationError,
+                           match=r"^steady state \(t = 0\.00 h\) failed: "
+                           r"non-finite residual in row \d+ \(row of N5 V\)$"):
+            Simulator(network, broken).run()
 
     def test_failure_reports_time_index(self, bundled):
         network, scenario = bundled
         sim = Simulator(network, scenario, max_iter=1)
-        from gaspower.sim import SimulationError
         with pytest.raises(SimulationError, match=r"step \d+ \(t = "):
             sim.run()
 
@@ -334,7 +370,6 @@ class TestSimulate:
         """A NaN load after t = 0 makes the step residual non-finite for
         every state: the step fails instead of returning its guess."""
         from dataclasses import replace
-        from gaspower.sim import SimulationError
         network, scenario = bundled
         series = dict(scenario.boundary.series)
         series[("N5", "P")] = (np.array([0.0, 3600.0]),
@@ -538,53 +573,26 @@ class TestFixedPattern:
             assert np.array_equal(jac.indices, asm._indices)
             assert np.array_equal(jac.indptr, asm._indptr)
 
-    def test_transposed_factors_solve_both_directions(self, step):
-        """splu factors J^T: Newton's transposed solve gives J^-1 b, the
-        adjoint's plain solve (J^T)^-1 b, for one or several columns; so
-        do a StepOrder's factors, on the call that learns the order and
-        on a later one."""
+    def test_learned_order_changes_no_bit(self, step):
+        """Two condensed factorizations of one step block, each ordering
+        its network block afresh, solve to the bit alike, in both
+        directions."""
         asm, snap, y0, y1 = step
         jac = asm.jacobian(y0, y1, 2.0e5, snap, 900.0)[0]
-        later = asm.jacobian(y1, 1.001 * y1, 1.0e5, snap, 900.0)[0]
-        lu = splu(jac.T, panel_size=LU_PANEL_SIZE)
-        order = StepOrder(asm._indices, asm._indptr)
-        learning = order.factors(jac, splu)
-        learned = order.factors(later, splu)
-        assert learned.order is not None
-        rhs = np.random.default_rng(5).standard_normal((jac.shape[0], 3))
-        for b in (rhs[:, 0], rhs):
-            for matrix, forward, backward in (
-                    (jac, lambda b: lu.solve(b, trans="T"), lu.solve),
-                    (jac, learning.solve, learning.solve_transposed),
-                    (later, learned.solve, learned.solve_transposed)):
-                dense = matrix.toarray()
-                for got, system in ((forward(b), dense),
-                                    (backward(b), dense.T)):
-                    expected = np.linalg.solve(system, b)
-                    assert np.linalg.norm(got - expected) <= \
-                        1e-10 * np.linalg.norm(expected)
-
-    def test_learned_order_changes_no_bit(self, step):
-        """Factors of a second step Jacobian in the learned order solve
-        exactly as SuperLU's own COLAMD factors of it do."""
-        asm, snap, y0, y1 = step
-        order = StepOrder(asm._indices, asm._indptr)
-        order.factors(asm.jacobian(y0, y1, 2.0e5, snap, 900.0)[0], splu)
-        jac = asm.jacobian(y1, 1.001 * y1, 1.0e5, snap, 900.0)[0]
-        learned = order.factors(jac, splu)
-        lu = splu(jac.T, panel_size=LU_PANEL_SIZE)
-        assert np.array_equal(learned.lu.perm_r, lu.perm_r)
+        first, second = (asm.condensation.factors(jac, splu)
+                         for _ in range(2))
         rhs = np.random.default_rng(7).standard_normal((jac.shape[0], 3))
         for b in (rhs[:, 0], rhs):
-            assert np.array_equal(learned.solve(b), lu.solve(b, trans="T"))
-            assert np.array_equal(learned.solve_transposed(b), lu.solve(b))
+            assert np.array_equal(first.solve(b), second.solve(b))
+            assert np.array_equal(first.solve_transposed(b),
+                                  second.solve_transposed(b))
 
     def test_flat_grid_factors_do_not_depend_on_the_call(
             self, bundled_simulator):
         """The steady block at a flat grid (V = 1, phi = P = Q = 0 and the
         pinned values), where SuperLU's pivot search meets exact ties,
-        solves to the bit alike from the call that learns the order and
-        from a later one.  flat_state seeds that grid."""
+        solves to the bit alike from a first and a later factorization.
+        flat_state seeds that grid."""
         asm, snap = bundled_simulator.assembler, bundled_simulator.snapshots[0]
         y = asm.flat_state(snap)
         for bus, pinned in zip(asm.busses, snap.bus_fixed):
@@ -593,14 +601,34 @@ class TestFixedPattern:
             for quant, value in flat.items():
                 y[asm.index.bus[(bus.id, quant)]] = value
         jac = asm.steady_jacobian(y, 0.0, snap, bundled_simulator.scenario.dt)
-        order = StepOrder(asm._indices, asm._indptr)
-        learning, later = (order.factors(jac, splu) for _ in range(2))
+        first, later = (whole_factors(jac, splu) for _ in range(2))
         rhs = np.random.default_rng(11).standard_normal((jac.shape[0], 3))
         for b in (rhs[:, 0], rhs):
-            assert np.array_equal(learning.solve(b), later.solve(b))
-            assert np.array_equal(learning.solve_transposed(b),
+            assert np.array_equal(first.solve(b), later.solve(b))
+            assert np.array_equal(first.solve_transposed(b),
                                   later.solve_transposed(b))
         assert np.array_equal(asm.flat_state(snap), y)
+
+    def test_zero_pivot_names_the_pipe(self, monkeypatch):
+        """A singular pipe block fails the band LU, and Newton's error
+        names the pipe."""
+        asm = CoupledStepAssembler(make_mixed_network())
+        snap, = asm.boundary_snapshots(
+            make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
+        y = steady_state(asm, snap, 1.0e5, 900.0)
+        original = asm.jacobian
+
+        def singular(*args):
+            jac, prev, d_du = original(*args)
+            rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
+            jac.data[(rows < asm.grid.shape[0])
+                     & (jac.indices == asm.index.pipe_q["P2"].start)] = 0.0
+            return jac, prev, d_du
+
+        monkeypatch.setattr(asm, "jacobian", singular)
+        with pytest.raises(SingularJacobian, match="pipe P2$"):
+            newton_solve_step(asm, y, 1.2e5, snap, 900.0,
+                              y_guess=1.001 * y)
 
     def test_prev_block_is_one_read_only_matrix(self, step):
         asm, snap, y0, y1 = step
@@ -630,6 +658,92 @@ class TestFixedPattern:
         assert np.array_equal(jac.toarray(), (jac_next + jac_prev).toarray())
         assert_close(jac.toarray(), central_differences(
             lambda y: asm.residual(y, y, u, snap, dt), y))
+
+
+def make_parallel_network():
+    """Compressor feeding two parallel pipes between one node pair, which
+    differ in diameter and cell count."""
+    gas_net = GasNetwork(
+        nodes=(GasNode("A", "pressure-boundary"), GasNode("B", "junction"),
+               GasNode("C", "flow-boundary")),
+        pipes=(Pipe("P1", "B", "C", length=2000.0, diameter=0.6,
+                    cell_count=2),
+               Pipe("P2", "B", "C", length=2000.0, diameter=0.4,
+                    cell_count=3)),
+        compressors=(CompressorArc("CMP", "A", "B"),),
+    )
+    return CoupledNetwork(gas=gas_net, grid=PowerGrid((), ()))
+
+
+FACTOR_CASES = {
+    "toy": lambda: (make_toy_network(), make_toy_scenario(), 1.5e5),
+    "mixed": lambda: (make_mixed_network(),
+                      make_toy_scenario(outflow_flux=60.0), 1.0e5),
+    "parallel": lambda: (make_parallel_network(), make_toy_scenario(), 1.5e5),
+    "bundled": lambda: (*gio.load_bundled(), 2.0e5),
+}
+
+
+@pytest.mark.parametrize("case", list(FACTOR_CASES))
+def test_factors_solve_both_directions(case):
+    """solve gives J^-1 b and solve_transposed J^-T b, for one and for
+    several right-hand sides: from the condensed factors of a step block
+    and from the whole factors of the steady block."""
+    network, scenario, u = FACTOR_CASES[case]()
+    control = np.full(scenario.step_count + 1, u)
+    simulator = Simulator(network, scenario)
+    y = simulator.run(control).states
+    asm, snaps, dt = simulator.assembler, simulator.snapshots, scenario.dt
+    step = asm.jacobian(y[0], y[1], u, snaps[1], dt)[0]
+    steady = asm.steady_jacobian(y[0], u, snaps[0], dt)
+    rhs = np.random.default_rng(5).standard_normal((step.shape[0], 3))
+    for factors, block in ((asm.condensation.factors, step),
+                           (whole_factors, steady)):
+        lu = factors(block, splu)
+        dense = block.toarray()
+        for b in (rhs[:, 0], rhs):
+            for got, system in ((lu.solve(b), dense),
+                                (lu.solve_transposed(b), dense.T)):
+                expected = np.linalg.solve(system, b)
+                assert got.shape == b.shape
+                assert np.linalg.norm(got - expected) <= \
+                    1e-10 * np.linalg.norm(expected)
+
+
+def test_parallel_pipes_share_the_demand():
+    """Two pipes between one node pair, whose Schur complement entries
+    add into the same slots, carry the outflow between them."""
+    simulator = Simulator(make_parallel_network(), make_toy_scenario(steps=3))
+    trajectory = simulator.run(np.full(4, 1.5e5))
+    assert np.max(mass_balance_report(simulator, trajectory)) < simulator.tol
+    asm, y = simulator.assembler, trajectory.states[-1]
+    ends = [y[asm.index.pipe_q[p.id]][-1] * p.area for p in asm.pipes]
+    assert min(ends) > 0.0
+    # the recorded outflow flux leaves through the first pipe's area
+    assert sum(ends) == pytest.approx(150.0 * asm.pipes[0].area, rel=1e-9)
+
+
+def test_step_out_of_a_stagnant_steady_state(bundled):
+    """Zero demand and a free plant give a stagnant steady state; a demand
+    ramp then starts the flow, from a first step block taken at rest."""
+    from dataclasses import replace
+    network, scenario = bundled
+    plant = replace(network.plants[0], a0=0.0, a1=0.0, a2=0.0)
+    quiet = replace(network, plants=(plant,))
+    series = dict(scenario.boundary.series)
+    demand = series[("S25", "outflow")][1][0]
+    series[("S25", "outflow")] = (np.array([0.0, 3600.0]),
+                                  np.array([0.0, demand]))
+    ramp = replace(scenario, horizon=4 * scenario.dt,
+                   boundary=BoundaryData(series))
+    simulator = Simulator(quiet, ramp)
+    trajectory = simulator.run()
+    n = simulator.assembler.n_points
+    flows = trajectory.states[:, n:2 * n]
+    assert np.max(np.abs(flows[0])) < 1e-2
+    assert np.max(mass_balance_report(simulator, trajectory)) < simulator.tol
+    last = trajectory.states[-1][simulator.assembler.index.pipe_q["P25"]]
+    assert last[-1] == pytest.approx(demand, rel=1e-9)
 
 
 def make_pipe_only_network():
