@@ -6,11 +6,11 @@ time level: the steady-state block at level 0 and one implicit step per
 later level.  Stacked over time the Jacobian is block lower bidiagonal,
 so the transposed (adjoint) system is solved backwards with one
 factorization per level, as in the forward Newton solve: the steady block
-whole (lu.whole_factors), each step block condensed onto the network
-unknowns by the assembler's lu.StepCondensation.  The total derivative of
-a scalar functional then needs no further linear solves.  The same blocks,
-solved forwards, give the state sensitivities to every control, from which
-the derivatives of many functionals follow at once.
+whole (lu.whole_factors), each step block condensed onto the network by
+lu.StepCondensation (a tridiagonal pipe block, one dgtsv per solve).  The
+total derivative of a scalar functional then needs no further linear
+solves.  The same blocks, solved forwards, give the state sensitivities to
+every control, whence the derivatives of many functionals follow at once.
 """
 
 from __future__ import annotations

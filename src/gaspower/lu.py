@@ -2,7 +2,7 @@
 J^T for one right-hand side or a column of them: condensed onto the network
 unknowns for a step block (StepCondensation), whole for the steady block,
 whose pipe block is singular at stagnation without the time terms.  A
-singular factorization raises RuntimeError, as SuperLU does."""
+singular block raises RuntimeError, at the solve for a step's pipe block."""
 
 from __future__ import annotations
 
@@ -10,14 +10,11 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgbsv, dgbtrs
+from scipy.linalg.lapack import dgtsv
 
 # SuperLU panel size: one column per panel factors the steady block's J^T
 # (about 4 entries per column) and the small network block S^T faster.
 LU_PANEL_SIZE = 1
-
-# lower and upper bandwidth of the pipe block in StepCondensation's order
-_BAND = 2
 
 
 def whole_factors(jac, splu) -> SimpleNamespace:
@@ -28,85 +25,95 @@ def whole_factors(jac, splu) -> SimpleNamespace:
 
 
 class CondensedFactors:
-    """Solves with a step block J = [A B; C D] from the band LU of the
-    pipe block A, X = A^-1 (unit vectors at every pipe's from- and at its
-    to-coupling row), whose rows of a pipe give -A^-1 B at the pipe's two
-    nodes, and SuperLU's factors of S^T (see StepCondensation)."""
+    """Solves with a step block J = [A B; C D]: each is one LAPACK dgtsv on
+    G = T A (see StepCondensation; G^T for J^T) with two unit vectors more,
+    at each pipe's from- and to-coupling row (end flows for G^T), whose
+    rows give -A^-1 B (-A^-T C^T) and S, which the first solve factors."""
 
-    def __init__(self, cond: "StepCondensation", band, piv, x, lu):
-        self.cond, self.band, self.piv, self.x, self.lu = \
-            cond, band, piv, x, lu
+    def __init__(self, cond: "StepCondensation", diagonals, st, d_vals, splu):
+        self.cond, self.diagonals, (self.s, self.t) = cond, diagonals, st
+        self.d_vals, self.splu, self.lu = d_vals, splu, None
 
-    def _band_solve(self, rhs, trans):
-        return dgbtrs(self.band, _BAND, _BAND, rhs, self.piv, trans=trans,
-                      overwrite_b=1)[0]
+    def _eliminate(self, b: np.ndarray, transposed: bool):
+        """G^-1 b (G^-T b), unit vectors at the ends put in b's last two."""
+        k = self.cond
+        b[k.q_ends if transposed else k.row_ends, [-2, -1] * len(k.sizes)] = 1
+        x, info = dgtsv(*self.diagonals[::-1 if transposed else 1], b,
+                        overwrite_b=1)[3:]      # G^T: dl and du swapped
+        if info > 0:
+            pipe = k.names[np.searchsorted(k.stops, info - 1, "right")]
+            raise RuntimeError(f"zero pivot in the pipe block of pipe {pipe}")
+        unit = x[:, -2:]
+        if self.lu is None:     # S^T: D, less C A^-1 B at each pipe's ends
+            at = unit[k.row_ends].reshape(-1, 2, 2).transpose(0, 2, 1) \
+                if transposed else unit[k.q_ends]     # A^-1[q_e, row_f]
+            k.schur.data = np.bincount(k.schur_slots, np.concatenate(
+                [self.d_vals, (k.c * at.reshape(-1, 2)).ravel()]),
+                minlength=len(k.schur.indices))
+            self.lu = self.splu(k.schur, panel_size=LU_PANEL_SIZE)
+        return x[:, :-2], unit
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """J^-1 b."""
-        k, n = self.cond, self.cond.size
+        k, n, m = self.cond, self.cond.size, len(self.cond.box)
         b2 = b.reshape(len(b), -1)
-        z = self._band_solve(b2[k.row_from], 0)             # A^-1 b_1
+        rhs = np.zeros((n, b2.shape[1] + 2), order="F")    # T b_1, band order
+        rhs[k.box, :-2] = b2[m:2 * m] - self.s * b2[:m]
+        rhs[k.box + 1, :-2] = b2[m:2 * m] - self.t * b2[:m]
+        rhs[k.row_ends, :-2] = b2[2 * m:n]
+        z, x = self._eliminate(rhs, False)                  # A^-1 b_1, A^-1 E
         y2 = self.lu.solve(b2[n:] - k.node_sums(k.c * z[k.q_ends]),
                            trans="T")
-        # y_1 = z - A^-1 B y_2 = z + X (y_2 at each pipe's two nodes)
+        # y_1 = z - A^-1 B y_2 = z + X (y_2 at the nodes); all rho, all q
         g = y2[k.nodes].reshape(-1, 2, b2.shape[1])
-        z += np.einsum("ij,ijk->ik", self.x, np.repeat(g, k.sizes, axis=0))
-        # back to the unknowns' order: all rho, then all q
-        z = z.reshape(n // 2, 2, -1).transpose(1, 0, 2).reshape(n, -1)
-        return np.concatenate([z, y2]).reshape(b.shape)
+        z += np.einsum("ij,ijk->ik", x, np.repeat(g, k.sizes, axis=0))
+        return np.concatenate([z[0::2], z[1::2], y2]).reshape(b.shape)
 
     def solve_transposed(self, c: np.ndarray) -> np.ndarray:
-        """J^-T c."""
+        """J^-T c = (T^T v, w_2), v solving G^T v = c_1 - C^T w_2."""
         k, n = self.cond, self.cond.size
         c2 = c.reshape(len(c), -1)
-        rhs = c2[:n].reshape(2, n // 2, -1).transpose(1, 0, 2).reshape(
-            n, -1)                                          # c_1, band order
-        v = self._band_solve(rhs.copy(), 1)                 # A^-T c_1
+        rhs = np.zeros((n, c2.shape[1] + 2), order="F")    # c_1, band order
+        rhs[0::2, :-2], rhs[1::2, :-2] = c2[:n // 2], c2[n // 2:n]
+        v, y = self._eliminate(rhs, True)                   # G^-T c_1, G^-T E
         w2 = self.lu.solve(c2[n:] + k.node_sums(v[k.row_ends]))
-        # w_1 = A^-T (c_1 - C^T w_2), C^T w_2 being c w_2 at the end flows
-        rhs[k.q_ends] -= k.c * w2[k.nodes]
-        w1 = self._band_solve(rhs, 1)[k.row_pos]
-        return np.concatenate([w1, w2]).reshape(c.shape)
+        g = (k.c * w2[k.nodes]).reshape(-1, 2, c2.shape[1])   # C^T w_2
+        v -= np.einsum("ij,ijk->ik", y, np.repeat(g, k.sizes, axis=0))
+        mass, mom = v[k.box], v[k.box + 1]
+        return np.concatenate([-self.s * mass - self.t * mom, mass + mom,
+                               v[k.row_ends], w2]).reshape(c.shape)
 
 
 class StepCondensation:
     """Condensed factorization of the step blocks J = [A B; C D].
 
-    A is the pipe block: the first n = 2 n_points rows (box and coupling
-    rows) and columns (pipe densities and flows).  Its columns taken as
-    (rho_p, q_p) per grid point and its rows, per pipe, as from-coupling,
-    (mass, momentum) per interval and to-coupling, A is block diagonal by
-    pipe with bandwidth 2; LAPACK's dgbtrf factors it.  B (-1 at each
-    coupling row's node density) and C (the balance rows' pipe-end flows)
-    are constant, so S = D - C A^-1 B takes one two-column band solve,
-    with unit vectors at every pipe's from- and to-coupling rows, and four
-    products per pipe, scattered with D's entries into S's fixed pattern.
-    Set up from J's CSR pattern, each box interval's left grid point, each
-    pipe's grid points, and per pipe end (from and to of each pipe in
-    turn) the node's column and the entry of C there.
+    A, the pipe block (the first n = 2 n_points rows and columns), is block
+    diagonal by pipe with bandwidth 2 in band order: columns (rho_p, q_p)
+    per grid point, rows per pipe from-coupling, (mass m, momentum M) per
+    interval, to-coupling.  T puts M - s m, s = M_qR / m_qR, in each mass
+    row and M - t m, t = M_rhoL / m_rhoL, in each momentum row: G = T A is
+    tridiagonal, T invertible while s != t, as in subsonic flow (t < 0 < s).
+    B (-1 at each coupling row's node density) and C (balance entries `c`
+    at the end flows) are constant; S = D - C A^-1 B takes A^-1 at the pipe
+    ends.  `slots` index J.data's box, then pipe-end coupling entries.
     """
 
-    def __init__(self, indices, indptr, left, points, nodes, c, names):
+    def __init__(self, indices, indptr, slots, left, points, nodes, c, names):
         self.sizes, self.names = 2 * points, names   # band rows per pipe
-        stops = np.cumsum(self.sizes)
+        stops = self.stops = np.cumsum(self.sizes)
         n = self.size = int(stops[-1])
         m = self.net = len(indptr) - 1 - n
+        self._pipe_slots, self.box = slots, 2 * left + 1   # mass rows
         # band rows of the coupling rows; the to-end's is its flow's column
-        self.row_ends = np.repeat(stops, 2) - 1
-        self.row_ends[0::2] -= self.sizes - 1
-        self.q_ends = self.row_ends.copy()
-        self.q_ends[0::2] += 1
-        self.row_pos = np.concatenate([2 * left + 1, 2 * left + 2,
-                                       self.row_ends]).astype(np.int32)
-        self.row_from = np.empty_like(self.row_pos)
-        self.row_from[self.row_pos] = np.arange(n)
+        self.row_ends = np.stack([stops - self.sizes, stops - 1], 1).ravel()
+        self.q_ends = self.row_ends + np.tile([1, 0], len(stops))
+        # places in [dl | d | du | spare] of M - s m and M - t m (in m's
+        # order, the entry T cancels to the spare) and the coupling entries
+        b, spare = self.box, np.full(len(self.box), 3 * n - 2)
+        self._tri_at = np.concatenate([
+            b - 1, b + 2 * n - 1, b + n - 1, spare, spare, b + n, b, b + 2 * n,
+            self.row_ends + np.tile([n - 1, -1], len(stops))])
         self.nodes, self.c = nodes - n, c[:, None]
-        # band column 2c of density column c, 2c - n + 1 of flow column c;
-        # A[i, j] to ab[j, 2 _BAND + i - j] of a flat (n, 7) ab, B to a spare
-        cols = indices[:indptr[n]].astype(np.intp)
-        self._a_band = 3 * _BAND * (2 * cols - (n - 1) * (cols >= n // 2)) \
-            + 2 * _BAND + np.repeat(self.row_pos, np.diff(indptr[:n + 1]))
-        self._a_band[cols >= n] = (3 * _BAND + 1) * n
         # S's CSR pattern: D's entries, then the Schur products, which the
         # pipes at one node (or between one pair of nodes) add into a slot
         tail = indices[indptr[n]:] - n
@@ -119,8 +126,8 @@ class StepCondensation:
              + np.repeat(self.nodes.reshape(-1, 2), 2, axis=0)).ravel()])
         unique = keys[np.argsort(keys, kind="stable")]
         unique = unique[np.concatenate([[True], unique[1:] != unique[:-1]])]
-        self._slots = np.searchsorted(unique, keys)
-        self._schur = sparse.csc_matrix(
+        self.schur_slots = np.searchsorted(unique, keys)
+        self.schur = sparse.csc_matrix(
             (np.zeros(len(unique)), (unique % m).astype(np.int32),
              np.searchsorted(unique, m * np.arange(m + 1)).astype(np.int32)),
             shape=(m, m))
@@ -134,21 +141,12 @@ class StepCondensation:
 
     def factors(self, jac, splu) -> CondensedFactors:
         """Factors of `jac` (CSR, set-up pattern); `splu` factors S^T."""
-        n = self.size
-        ab = np.zeros((3 * _BAND + 1) * n + 1)
-        ab[self._a_band] = jac.data[:len(self._a_band)]
-        x = np.zeros((2, n))
-        x[[0, 1] * len(self.sizes), self.row_ends] = 1.0
-        band, piv, x, info = dgbsv(_BAND, _BAND, ab[:-1].reshape(n, -1).T,
-                                   x.T, overwrite_ab=1, overwrite_b=1)
-        if info > 0:
-            pipe = np.searchsorted(np.cumsum(self.sizes), info - 1, "right")
-            raise RuntimeError(f"zero pivot in the pipe block of pipe "
-                               f"{self.names[pipe]}")
-        schur = self.c * x[self.q_ends]             # -C A^-1 B
-        self._schur.data = np.bincount(
-            self._slots, np.concatenate([jac.data[self._d_take],
-                                         schur.ravel()]),
-            minlength=len(self._schur.indices))
-        return CondensedFactors(self, band, piv, x,
-                                splu(self._schur, panel_size=LU_PANEL_SIZE))
+        n, k, values = self.size, 8 * len(self.box), jac.data[self._pipe_slots]
+        m, mo = values[:k].reshape(2, 4, -1, 1)   # rho_L, rho_R, q_L, q_R
+        s, t = mo[3] / m[3], mo[0] / m[0]
+        tri = np.zeros(3 * n - 1)
+        tri[self._tri_at] = np.concatenate([(mo - s * m).ravel(),
+                                            (mo - t * m).ravel(), values[k:]])
+        return CondensedFactors(
+            self, (tri[:n - 1], tri[n - 1:2 * n - 1], tri[2 * n - 1:-1]),
+            (s, t), jac.data[self._d_take], splu)

@@ -21,8 +21,9 @@ The assembler fixes the CSR pattern of dR/dy_next at set-up, so each
 Jacobian only computes values; dR/dy_prev and dR/du are constant and
 shared by all calls.  The steady block dR/dy_next + dR/dy_prev keeps
 that pattern, the entries that cancel stored as zeros.  Newton factors a
-step block through the assembler's lu.StepCondensation (a band LU of the
-pipe block, and the caller's splu on the small network block) and the
+step block through the assembler's lu.StepCondensation (a 2x2 row
+transform per cell makes the pipe block tridiagonal, for one LAPACK dgtsv
+per solve, and the caller's splu factors the small network block) and the
 steady block whole (lu.whole_factors).  The linear rows (pressure
 coupling, node balances, boundary and bus rows) form one constant sparse
 operator.  The assembler keeps the Colebrook friction values of the last
@@ -378,9 +379,12 @@ class CoupledStepAssembler:
         values[self._box_old] = -0.5 * self.row_scale[rows[self._box_old]]
         self._steady_shift, self.jac_prev = at_slots(values)
         self.jac_prev.data.flags.writeable = False
-        # C's entries are the pipe ends' balance entries
+        # data slots of the box, then the coupling entries; C: end balances
+        slots = np.empty_like(self._slot_entry)
+        slots[self._slot_entry] = np.arange(len(slots))
         self.condensation = StepCondensation(
-            self._indices, self._indptr, self.grid.left,
+            self._indices, self._indptr,
+            slots[:first + 2 * len(self.pipes)], self.grid.left,
             np.array([p.cell_count + 1 for p in self.pipes]),
             self.coupling_node_cols, np.where(balance, area * scale[ends],
                                               0.0)[:2 * len(self.pipes)],
@@ -556,10 +560,9 @@ def _damped_newton(assembler: CoupledStepAssembler, residual, jacobian,
                                         norm, iterations)
         jac = jacobian(y)
         try:
-            lu = factors(jac, splu)
+            step = factors(jac, splu).solve(-res)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from None
-        step = lu.solve(-res)
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
         factor = 1.0
@@ -681,7 +684,6 @@ def mass_balance_report(simulator: Simulator, trajectory: Trajectory):
     residual < tol) implies a normalised error < tol.
     """
     asm = simulator.assembler
-    net = simulator.network
     dt = simulator.scenario.dt
 
     weight = 0.0

@@ -675,8 +675,20 @@ def make_parallel_network():
     return CoupledNetwork(gas=gas_net, grid=PowerGrid((), ()))
 
 
+def make_reversed_network():
+    """The toy network with its pipe laid from C to B, so that the gas
+    flows against the pipe's direction (q < 0)."""
+    from dataclasses import replace
+    toy = make_toy_network()
+    pipe, = toy.gas.pipes
+    return replace(toy, gas=replace(toy.gas, pipes=(
+        replace(pipe, from_node="C", to_node="B"),)))
+
+
 FACTOR_CASES = {
     "toy": lambda: (make_toy_network(), make_toy_scenario(), 1.5e5),
+    "long": lambda: (make_toy_network(cells=20), make_toy_scenario(), 1.5e5),
+    "reversed": lambda: (make_reversed_network(), make_toy_scenario(), 1.5e5),
     "mixed": lambda: (make_mixed_network(),
                       make_toy_scenario(outflow_flux=60.0), 1.0e5),
     "parallel": lambda: (make_parallel_network(), make_toy_scenario(), 1.5e5),
@@ -688,26 +700,73 @@ FACTOR_CASES = {
 def test_factors_solve_both_directions(case):
     """solve gives J^-1 b and solve_transposed J^-T b, for one and for
     several right-hand sides: from the condensed factors of a step block
-    and from the whole factors of the steady block."""
+    and from the whole factors of the steady block, each direction first
+    on one factorization (the first condensed solve forms S)."""
     network, scenario, u = FACTOR_CASES[case]()
     control = np.full(scenario.step_count + 1, u)
     simulator = Simulator(network, scenario)
     y = simulator.run(control).states
     asm, snaps, dt = simulator.assembler, simulator.snapshots, scenario.dt
+    flows = y[1][asm.n_points:2 * asm.n_points]
+    assert np.all(flows < 0) if case == "reversed" else np.all(flows > 0)
     step = asm.jacobian(y[0], y[1], u, snaps[1], dt)[0]
     steady = asm.steady_jacobian(y[0], u, snaps[0], dt)
     rhs = np.random.default_rng(5).standard_normal((step.shape[0], 3))
     for factors, block in ((asm.condensation.factors, step),
                            (whole_factors, steady)):
-        lu = factors(block, splu)
         dense = block.toarray()
-        for b in (rhs[:, 0], rhs):
-            for got, system in ((lu.solve(b), dense),
-                                (lu.solve_transposed(b), dense.T)):
-                expected = np.linalg.solve(system, b)
-                assert got.shape == b.shape
-                assert np.linalg.norm(got - expected) <= \
-                    1e-10 * np.linalg.norm(expected)
+        for order in ((0, 1), (1, 0)):
+            lu = factors(block, splu)
+            for b in (rhs[:, 0], rhs):
+                for k in order:
+                    got = (lu.solve, lu.solve_transposed)[k](b)
+                    expected = np.linalg.solve((dense, dense.T)[k], b)
+                    assert got.shape == b.shape
+                    assert np.linalg.norm(got - expected) <= \
+                        1e-10 * np.linalg.norm(expected)
+
+
+def test_pipe_block_is_tridiagonal_after_the_row_transform(
+        bundled_simulator, uncontrolled_trajectory):
+    """StepCondensation's (dl, d, du) is T A, the pipe block A of a step
+    Jacobian in band order (per pipe: from-coupling row, mass and momentum
+    row per interval, to-coupling row; columns (rho, q) per point) with
+    each interval's momentum row M less s = M_qR / m_qR times its mass row
+    m in the mass row's place and less t = M_rhoL / m_rhoL times m in its
+    own.  T is invertible while s != t: along the bundled trajectory the
+    ratios keep opposite signs, t < 0 < s, as in subsonic flow."""
+    asm, states = bundled_simulator.assembler, uncontrolled_trajectory.states
+    snaps, dt = bundled_simulator.snapshots, bundled_simulator.scenario.dt
+    n, points, left = 2 * asm.n_points, asm.n_points, asm.grid.left
+    ends = [end for p in asm.pipes for end in (
+        2 * asm.index.pipe_rho[p.id].start,
+        2 * asm.index.pipe_rho[p.id].stop - 1)]
+    rows = np.concatenate([2 * left + 1, 2 * left + 2, ends])
+    cols = np.concatenate([2 * np.arange(points), 2 * np.arange(points) + 1])
+    mass, mom = 2 * left + 1, 2 * left + 2
+    pattern = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+    for level in range(1, len(states)):
+        jac = asm.jacobian(states[level - 1], states[level], 0.0,
+                           snaps[level], dt)[0]
+        a = np.zeros((n, n))
+        a[np.ix_(rows, cols)] = jac[:n, :n].toarray()
+        s = a[mom, mass + 2] / a[mass, mass + 2]
+        t = a[mom, mass - 1] / a[mass, mass - 1]
+        assert np.all(t < 0.0) and np.all(s > 0.0)
+        ta = a.copy()
+        ta[mass] = a[mom] - s[:, None] * a[mass]
+        ta[mom] = a[mom] - t[:, None] * a[mass]
+        lu = asm.condensation.factors(jac, splu)
+        dl, d, du = lu.diagonals
+        assert np.array_equal(lu.s.ravel(), s) and np.array_equal(
+            lu.t.ravel(), t)
+        tridiagonal = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+        assert np.array_equal(tridiagonal[pattern], ta[pattern])
+        # off the pattern: exact zeros, but for the q_R entry of M - s m
+        # and the rho_L entry of M - t m, which cancel to round-off
+        scale = np.max(np.abs(a), axis=1, keepdims=True)
+        assert np.all(np.abs(ta[~pattern]) <= 1e-15 * np.broadcast_to(
+            scale, a.shape)[~pattern])
 
 
 def test_parallel_pipes_share_the_demand():
