@@ -3,15 +3,19 @@
 Pressure law, Prandtl-Colebrook friction (solved in closed form), the
 friction source term of the isothermal/isentropic Euler system, and the
 implicit box scheme residual and its Jacobian values, evaluated on all
-pipes of a network at once through a PipeGrid.  The box-scheme functions
-take the friction values (lambda, dlambda/dq) at the new level as an
-argument, so a caller that needs the residual and the Jacobian at one
-state solves Colebrook once.  All functions are pure and reentrant.
+pipes of a network at once through a PipeGrid.  point_terms evaluates
+everything the scheme needs at the grid points of the new level once:
+the momentum flux, the source and their partials, given the friction
+values (lambda, dlambda/dq) there.  box_residual and _box_blocks only
+apply the interval stencil to those terms, so a caller that needs the
+residual and the Jacobian at one state evaluates the pointwise physics,
+Colebrook included, once.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,18 +120,6 @@ def friction_factor_and_derivative(q, diameter, roughness,
     return lam, dlam_dq
 
 
-def _source(rho, q, lam, c):
-    """Momentum source S = -c lambda q|q|/rho with c = 1/(2 d)."""
-    return -c * lam * q * np.abs(q) / rho
-
-
-def _source_partials(rho, q, friction, c):
-    """(dS/drho, dS/dq) of _source for friction = (lambda, dlambda/dq)."""
-    lam, dlam = friction
-    return (c * lam * q * np.abs(q) / rho**2,
-            -c * (dlam * q * np.abs(q) + lam * 2.0 * np.abs(q)) / rho)
-
-
 @dataclass(frozen=True)
 class PipeGrid:
     """Grid points of several pipes stacked end to end.
@@ -176,43 +168,63 @@ class PipeGrid:
         return (rows, cols), np.r_[0:2 * n, 6 * n:8 * n]
 
 
-def _box_blocks(prev: PipeState, next_: PipeState, dt: float,
-                grid: PipeGrid, constants: GasConstants,
-                friction) -> np.ndarray:
-    """Derivatives of box_residual with respect to the new level, given
-    friction = friction_factor_and_derivative at the new flows.
+class PointTerms(NamedTuple):
+    """Pointwise terms of the box scheme at the grid points of one level."""
+
+    rho: np.ndarray
+    q: np.ndarray
+    f2: np.ndarray        # momentum flux p(rho) + q^2/rho
+    source: np.ndarray    # S = -lambda q|q| / (2 d rho)
+    df2_drho: np.ndarray
+    df2_dq: np.ndarray
+    ds_drho: np.ndarray
+    ds_dq: np.ndarray
+
+
+def point_terms(state: PipeState, grid: PipeGrid, constants: GasConstants,
+                friction) -> PointTerms:
+    """The flux, the source and their partials at the points of `state`,
+    given friction = friction_factor_and_derivative at its flows."""
+    rho, q = state.rho, state.q
+    if rho.shape != grid.diameter.shape:
+        raise ValueError("pipe states have mismatched lengths")
+    lam, dlam = friction
+    c = 1.0 / (2.0 * grid.diameter)
+    p = pressure_of_density(rho, constants)
+    abs_q = np.abs(q)
+    s = -c * lam * q * abs_q / rho
+    v = q / rho
+    # dp/drho = gamma p / rho, and dS/drho = -S / rho
+    return PointTerms(rho, q, p + q * q / rho, s,
+                      constants.gamma * p / rho - v * v, 2.0 * v, -s / rho,
+                      -c * (dlam * q * abs_q + lam * 2.0 * abs_q) / rho)
+
+
+def _box_blocks(new: PointTerms, dt: float, grid: PipeGrid) -> np.ndarray:
+    """Derivatives of box_residual with respect to the new level, at the
+    level whose terms are `new`.
 
     Returns the values in the order of grid.stencil()'s (rows, cols);
     those with respect to the old level are all -1/2, at the positions
     it names.
     """
-    _check_levels(prev, next_, dt, grid)
-    rho, q = next_.rho, next_.q
     jl, jr = grid.left, grid.left + 1
     r = dt / grid.dx
-
-    dp = dpressure_drho(rho, constants)
-    df2_drho = dp - (q / rho) ** 2
-    df2_dq = 2.0 * q / rho
-    ds_drho, ds_dq = _source_partials(rho, q, friction,
-                                      1.0 / (2.0 * grid.diameter))
-
     half = np.full(len(jl), 0.5)
     return np.concatenate([
         # mass rows: rho_L, rho_R, q_L, q_R
         half, half, -r, r,
         # momentum rows
-        -r * df2_drho[jl] - dt * 0.5 * ds_drho[jl],
-        r * df2_drho[jr] - dt * 0.5 * ds_drho[jr],
-        half - r * df2_dq[jl] - dt * 0.5 * ds_dq[jl],
-        half + r * df2_dq[jr] - dt * 0.5 * ds_dq[jr]])
+        -r * new.df2_drho[jl] - dt * 0.5 * new.ds_drho[jl],
+        r * new.df2_drho[jr] - dt * 0.5 * new.ds_drho[jr],
+        half - r * new.df2_dq[jl] - dt * 0.5 * new.ds_dq[jl],
+        half + r * new.df2_dq[jr] - dt * 0.5 * new.ds_dq[jr]])
 
 
-def box_residual(prev: PipeState, next_: PipeState, dt: float,
-                 grid: PipeGrid, constants: GasConstants,
-                 friction) -> np.ndarray:
+def box_residual(rho_old: np.ndarray, q_old: np.ndarray, new: PointTerms,
+                 dt: float, grid: PipeGrid) -> np.ndarray:
     """Residual of the implicit box scheme: mass rows, then momentum rows,
-    given friction = friction_factor_and_derivative at the new flows.
+    from the old level's densities and flows and the new level's terms.
 
     For a balance law y_t + f(y)_x = g(y) the scheme averages states over
     each interval between the grid points L = j-1 and R = j:
@@ -220,23 +232,15 @@ def box_residual(prev: PipeState, next_: PipeState, dt: float,
         (Y_{j-1} + Y_j)/2 |_new = (Y_{j-1} + Y_j)/2 |_old
             - dt/dx (f(Y_j) - f(Y_{j-1}))|_new + dt (g(Y_j)+g(Y_{j-1}))/2 |_new
     """
-    _check_levels(prev, next_, dt, grid)
-    rho, q = next_.rho, next_.q
-    s = _source(rho, q, friction[0], 1.0 / (2.0 * grid.diameter))
-    f2 = pressure_of_density(rho, constants) + q * q / rho
-    rho_o, q_o = prev.rho, prev.q
-    jl, jr = grid.left, grid.left + 1
-    r = dt / grid.dx
-    res_mass = (0.5 * (rho[jl] + rho[jr]) - 0.5 * (rho_o[jl] + rho_o[jr])
-                + r * (q[jr] - q[jl]))
-    res_mom = (0.5 * (q[jl] + q[jr]) - 0.5 * (q_o[jl] + q_o[jr])
-               + r * (f2[jr] - f2[jl]) - dt * 0.5 * (s[jr] + s[jl]))
-    return np.concatenate([res_mass, res_mom])
-
-
-def _check_levels(prev: PipeState, next_: PipeState, dt, grid: PipeGrid):
-    if prev.rho.shape != next_.rho.shape or \
-            next_.rho.shape != grid.diameter.shape:
+    if rho_old.shape != new.rho.shape or q_old.shape != new.q.shape:
         raise ValueError("pipe states have mismatched lengths")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    rho, q, f2, s = new.rho, new.q, new.f2, new.source
+    jl, jr = grid.left, grid.left + 1
+    r = dt / grid.dx
+    res_mass = (0.5 * (rho[jl] + rho[jr]) - 0.5 * (rho_old[jl] + rho_old[jr])
+                + r * (q[jr] - q[jl]))
+    res_mom = (0.5 * (q[jl] + q[jr]) - 0.5 * (q_old[jl] + q_old[jr])
+               + r * (f2[jr] - f2[jl]) - dt * 0.5 * (s[jr] + s[jl]))
+    return np.concatenate([res_mass, res_mom])

@@ -2,8 +2,11 @@
 
 The residual treats all four quantities (V, phi, P, Q) at every bus as
 state; which of them are fixed by boundary data depends on the bus kind
-(slack / PV / PQ) and is handled by the caller.  The step system of sim
-solves the power flow with the gas; solve_powerflow solves a grid alone.
+(slack / PV / PQ) and is handled by the caller.  The residual and its
+derivatives take the trig tables of the phases (_trig_tables), so a
+caller that needs both at one state computes the tables once.  The step
+system of sim solves the power flow with the gas; solve_powerflow solves
+a grid alone.
 """
 
 from __future__ import annotations
@@ -37,52 +40,50 @@ class PowerState:
             raise ValueError("voltage magnitudes must be positive")
 
 
-def _trig_tables(V, phi, G, B):
+def _trig_tables(phi, G, B):
+    """(m1, m2) = (G cos d + B sin d, G sin d - B cos d) at the phase
+    differences d_ik = phi_i - phi_k: the P equations read m1 and the Q
+    equations m2."""
+    if G.shape != (len(phi),) * 2:
+        raise ValueError("admittance table does not match the state dimension")
     d = phi[:, None] - phi[None, :]
     cos_d, sin_d = np.cos(d), np.sin(d)
-    m1 = G * cos_d + B * sin_d     # enters the P equation
-    m2 = G * sin_d - B * cos_d     # enters the Q equation
-    return m1, m2, cos_d, sin_d
+    return G * cos_d + B * sin_d, G * sin_d - B * cos_d
 
 
-def computed_injections(V, phi, G, B):
-    """Network-side P and Q injections implied by voltages and phases."""
-    m1, m2, _, _ = _trig_tables(V, phi, G, B)
+def computed_injections(V, tables):
+    """Network-side P and Q injections implied by voltages V and the
+    trig tables of the phases (_trig_tables)."""
+    m1, m2 = tables
     return V * (m1 @ V), V * (m2 @ V)
 
 
-def powerflow_residual(state: PowerState, G: np.ndarray,
-                       B: np.ndarray) -> np.ndarray:
-    """2N residuals [P_k - P_k^calc ..., Q_k - Q_k^calc ...].
+def powerflow_residual(V, P, Q, tables) -> np.ndarray:
+    """2N residuals [P_k - P_k^calc ..., Q_k - Q_k^calc ...], given the
+    trig tables of the phases (_trig_tables).
 
     Zero iff the powerflow equations hold.  Invariant under a common
     shift of all phases (only phase differences enter).
     """
-    if G.shape != (len(state.bus_ids),) * 2:
-        raise ValueError("admittance table does not match the state dimension")
-    calc_p, calc_q = computed_injections(state.V, state.phi, G, B)
-    return np.concatenate([state.P - calc_p, state.Q - calc_q])
+    calc_p, calc_q = computed_injections(V, tables)
+    return np.concatenate([P - calc_p, Q - calc_q])
 
 
-def injection_jacobians(V, phi, G, B):
-    """Dense partials of the computed injections w.r.t. V and phi.
+def injection_jacobians(V, tables):
+    """Dense partials of the computed injections w.r.t. V and phi, given
+    the trig tables of the phases (_trig_tables).
 
     Returns (dP_dV, dP_dphi, dQ_dV, dQ_dphi), each N x N.
     """
-    m1, m2, cos_d, sin_d = _trig_tables(V, phi, G, B)
-    d1 = -G * sin_d + B * cos_d    # d m1 / d phi_k
-
-    dp_dv = V[:, None] * m1
-    np.fill_diagonal(dp_dv, m1 @ V + V * np.diag(m1))
-    dq_dv = V[:, None] * m2
-    np.fill_diagonal(dq_dv, m2 @ V + V * np.diag(m2))
-
+    m1, m2 = tables
+    m1v, m2v = m1 @ V, m2 @ V
     vv = V[:, None] * V[None, :]
-    dp_dphi = -vv * d1
-    np.fill_diagonal(dp_dphi, V * (d1 @ V - V * np.diag(d1)))
-    dq_dphi = -vv * m1
-    np.fill_diagonal(dq_dphi, V * (m1 @ V - V * np.diag(m1)))
-    return dp_dv, dp_dphi, dq_dv, dq_dphi
+    blocks = V[:, None] * m1, vv * m2, V[:, None] * m2, -vv * m1
+    # on the diagonal, a bus's own V_i or phi_i also enters every term of
+    # its row (d m1_ik / d phi_k = m2_ik, d m2_ik / d phi_k = -m1_ik)
+    for block, extra in zip(blocks, (m1v, -V * m2v, m2v, V * m1v)):
+        block.reshape(-1)[::len(V) + 1] += extra
+    return blocks
 
 
 def solve_powerflow(grid: PowerGrid, fixed: dict[tuple[str, str], float],
@@ -106,11 +107,11 @@ def solve_powerflow(grid: PowerGrid, fixed: dict[tuple[str, str], float],
     eye, zero = np.eye(n), np.zeros((n, n))
     for _ in range(max_iter):
         state = PowerState(tuple(order), *y.reshape(4, n))
-        res = powerflow_residual(state, G, B)
+        tables = _trig_tables(state.phi, G, B)
+        res = powerflow_residual(state.V, state.P, state.Q, tables)
         if np.max(np.abs(res)) < tol:
             return state
-        dp_dv, dp_dphi, dq_dv, dq_dphi = injection_jacobians(
-            state.V, state.phi, G, B)
+        dp_dv, dp_dphi, dq_dv, dq_dphi = injection_jacobians(state.V, tables)
         jac = np.block([[-dp_dv, -dp_dphi, eye, zero],
                         [-dq_dv, -dq_dphi, zero, eye]])
         y[free] += np.linalg.solve(jac[:, free], -res)

@@ -26,10 +26,11 @@ transform per cell makes the pipe block tridiagonal, for one LAPACK dgtsv
 per solve, and the caller's splu factors the small network block) and the
 steady block whole (lu.whole_factors).  The linear rows (pressure
 coupling, node balances, boundary and bus rows) form one constant sparse
-operator.  The assembler keeps the Colebrook friction values of the last
-pipe-flow block it saw, and Newton takes each Jacobian at the iterate
-whose residual it has just evaluated, so friction is solved once per
-iterate.
+operator.  The assembler keeps, for the last y_next it evaluated, the
+pointwise gas terms (gas.point_terms, Colebrook included) and the
+power-flow trig tables; Newton takes each Jacobian at the iterate whose
+residual it has just evaluated, so each iterate's pointwise physics is
+evaluated once and the Jacobian only combines it.
 """
 
 from __future__ import annotations
@@ -249,8 +250,8 @@ class CoupledStepAssembler:
             [p.diameter for p in pipes], [p.roughness for p in pipes])
         self.n_points = len(self.grid.diameter)
         self.box_next, self._box_old = self.grid.stencil()
-        # pipe flows of the last Colebrook solve and its (lambda, dlambda/dq)
-        self._friction_q, self._friction = None, None
+        # the last y_next evaluated, its gas.point_terms and trig tables
+        self._at, self._terms, self._tables = None, None, None
         idx = self.index
         # entries that must stay positive: densities and bus voltages
         self.positive = np.concatenate([
@@ -291,6 +292,7 @@ class CoupledStepAssembler:
         self._comp_rows = ints(idx.comp_q[c.id] for c in self.comps)
         self._comp_to = ints(idx.node_rho[c.to_node] for c in self.comps)
         self._comp_from = ints(idx.node_rho[c.from_node] for c in self.comps)
+        self._comp_ends = np.array([self._comp_to, self._comp_from])
         self._bus_cols = ints(idx.bus[(b.id, q)] for q in BUS_QUANTITIES
                               for b in self.busses).reshape(4, -1)
         self._pf_rows = self._bus_cols[:2].ravel()
@@ -458,39 +460,37 @@ class CoupledStepAssembler:
         linear operator applied to y_next, less the boundary values of
         `snap` and the plant offtake; the box rows (gas.box_residual, no
         stencil derivatives), compressor and power-flow rows replace it."""
+        terms, tables = self._evaluate(y_next)
         res = self._linear @ y_next
         res[:self.grid.shape[0]] = gas.box_residual(
-            self._pipe_state(y_prev), self._pipe_state(y_next), dt,
-            self.grid, self.constants, self._pipe_friction(y_next))
+            y_prev[:self.n_points], y_prev[self.n_points:2 * self.n_points],
+            terms, dt, self.grid)
         res[self._pb_rows] -= snap.node_rho_bc[self._pb_nodes]
         res[self._fb_rows] -= self._fb_area * snap.node_outflow[self._fb_nodes]
         res[self._plant_rows] -= self._plants.reference_density * \
             power.plant_gas_offtake(y_next[self._plant_cols], self._plants)
-        p_to, p_from = (gas.pressure_of_density(y_next[cols], self.constants)
-                        for cols in (self._comp_to, self._comp_from))
+        p_to, p_from = gas.pressure_of_density(y_next[self._comp_ends],
+                                               self.constants)
         res[self._comp_rows] = p_to - p_from - u
         if self.n_bus:
-            res[self._pf_rows] = power.powerflow_residual(
-                self._power_state(y_next), self.G, self.B)
+            v, _, p, q = y_next[self._bus_cols]
+            res[self._pf_rows] = power.powerflow_residual(v, p, q, tables)
             res[self._bc_rows] -= snap.bus_fixed.ravel()
         return res * self.row_scale
 
-    def _pipe_state(self, y: np.ndarray) -> gas.PipeState:
-        return gas.PipeState(y[:self.n_points],
-                             y[self.n_points:2 * self.n_points])
-
-    def _pipe_friction(self, y: np.ndarray):
-        """(lambda, dlambda/dq) at the pipe flows of y, reused while the
-        flow block equals that of the last call."""
-        q = y[self.n_points:2 * self.n_points]
-        if not np.array_equal(q, self._friction_q):
-            self._friction_q = q.copy()
-            self._friction = gas.friction_factor_and_derivative(
-                q, self.grid.diameter, self.grid.roughness, self.constants.eta)
-        return self._friction
-
-    def _power_state(self, y: np.ndarray) -> power.PowerState:
-        return power.PowerState(tuple(self.bus_order), *y[self._bus_cols])
+    def _evaluate(self, y: np.ndarray):
+        """gas.point_terms and the power-flow trig tables at y, evaluated
+        when y differs from the last y evaluated and reused otherwise.
+        A non-positive pipe density raises ValueError (gas.PipeState)."""
+        if not np.array_equal(y, self._at):
+            at, n, grid = y.copy(), self.n_points, self.grid
+            state = gas.PipeState(at[:n], at[n:2 * n])
+            terms = gas.point_terms(
+                state, grid, self.constants, gas.friction_factor_and_derivative(
+                    state.q, grid.diameter, grid.roughness, self.constants.eta))
+            tables = power._trig_tables(at[self._bus_cols[1]], self.G, self.B)
+            self._at, self._terms, self._tables = at, terms, tables
+        return self._terms, self._tables
 
     # -- jacobian ------------------------------------------------------------
 
@@ -503,20 +503,16 @@ class CoupledStepAssembler:
         form in which splu factors it.  dR/dy_prev and dR/du are constant,
         read-only and the same objects on every call.
         """
-        cons = self.constants
-        box_vals = gas._box_blocks(
-            self._pipe_state(y_prev), self._pipe_state(y_next), dt,
-            self.grid, cons, self._pipe_friction(y_next))
+        terms, tables = self._evaluate(y_next)
         deps = power.plant_gas_offtake_derivative(y_next[self._plant_cols],
                                                   self._plants)
-        parts = [box_vals, self._const_vals,
-                 -self._plants.reference_density * deps,
-                 gas.dpressure_drho(y_next[self._comp_to], cons),
-                 -gas.dpressure_drho(y_next[self._comp_from], cons)]
+        dp_to, dp_from = gas.dpressure_drho(y_next[self._comp_ends],
+                                            self.constants)
+        parts = [gas._box_blocks(terms, dt, self.grid), self._const_vals,
+                 -self._plants.reference_density * deps, dp_to, -dp_from]
         if self.n_bus:
-            v, phi = y_next[self._bus_cols[:2]]
             parts += [-block.ravel() for block in power.injection_jacobians(
-                v, phi, self.G, self.B)]
+                y_next[self._bus_cols[0]], tables)]
         data = (np.concatenate(parts) * self._entry_scale)[self._slot_entry]
         jac_next = sparse.csr_matrix((data, self._indices, self._indptr),
                                      shape=(self.index.size,) * 2)

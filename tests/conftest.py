@@ -31,7 +31,8 @@ def box_scheme_residual(prev, next_, dt, dx, pipe, constants=GasConstants()):
                               [pipe.roughness])
     friction = gas.friction_factor_and_derivative(
         next_.q, pipe.diameter, pipe.roughness, constants.eta)
-    return gas.box_residual(prev, next_, dt, grid, constants, friction)
+    return gas.box_residual(prev.rho, prev.q, gas.point_terms(
+        next_, grid, constants, friction), dt, grid)
 
 
 def make_toy_network(cells=2, length=2000.0):

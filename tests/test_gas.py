@@ -70,9 +70,14 @@ def friction(q, d=0.6, k=5e-4):
 
 
 def source(rho, q, pipe=PIPE):
-    lam = gas.friction_factor_and_derivative(q, pipe.diameter,
-                                             pipe.roughness)[0]
-    return gas._source(rho, q, lam, 1.0 / (2.0 * pipe.diameter))
+    """S at the points (rho, q) of one pipe, through gas.point_terms."""
+    rho, q = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(q))
+    grid = gas.PipeGrid.stack([rho.size - 1], [1.0], [pipe.diameter],
+                              [pipe.roughness])
+    s = gas.point_terms(gas.PipeState(rho, q), grid, CONS,
+                        gas.friction_factor_and_derivative(
+                            q, pipe.diameter, pipe.roughness)).source
+    return s if s.size > 1 else s[0]
 
 
 class TestFriction:
@@ -193,9 +198,9 @@ def box_jacobians(prev, nxt, dt, dx, pipe=PIPE):
                               [pipe.roughness])
     (rows, cols), old = grid.stencil()
     j_next, j_prev = np.zeros(grid.shape), np.zeros(grid.shape)
-    np.add.at(j_next, (rows, cols), gas._box_blocks(
-        prev, nxt, dt, grid, CONS, gas.friction_factor_and_derivative(
-            nxt.q, pipe.diameter, pipe.roughness)))
+    np.add.at(j_next, (rows, cols), gas._box_blocks(gas.point_terms(
+        nxt, grid, CONS, gas.friction_factor_and_derivative(
+            nxt.q, pipe.diameter, pipe.roughness)), dt, grid))
     np.add.at(j_prev, (rows[old], cols[old]), -0.5)
     return j_next, j_prev
 
@@ -308,6 +313,29 @@ class TestBoxScheme:
             for row in (interval, n + interval):  # mass and momentum rows
                 touched = np.nonzero(dense[row])[0] % (n + 1)
                 assert set(touched) <= {interval, interval + 1}
+
+
+def test_point_partials_match_fd_for_a_general_exponent():
+    """point_terms' partials against central differences of its flux and
+    source at gamma = 1.4, where dp/drho = gamma p / rho is not kappa."""
+    cons = GasConstants(kappa=2.0e5, gamma=1.4)
+    rng = np.random.default_rng(29)
+    rho, q = rng.uniform(20, 60, 5), rng.uniform(-300, 300, 5)
+    grid = gas.PipeGrid.stack([4], [1000.0], [PIPE.diameter],
+                              [PIPE.roughness])
+
+    def terms(rho, q):
+        return gas.point_terms(gas.PipeState(rho, q), grid, cons,
+                               gas.friction_factor_and_derivative(
+                                   q, PIPE.diameter, PIPE.roughness))
+
+    exact = terms(rho, q)
+    for wrt, h in (("rho", 1e-4 * rho), ("q", 1e-4 * np.abs(q))):
+        d_rho, d_q = (h, 0.0) if wrt == "rho" else (0.0, h)
+        up, down = terms(rho + d_rho, q + d_q), terms(rho - d_rho, q - d_q)
+        for value, partial in (("f2", f"df2_d{wrt}"), ("source", f"ds_d{wrt}")):
+            fd = (getattr(up, value) - getattr(down, value)) / (2.0 * h)
+            assert np.allclose(getattr(exact, partial), fd, rtol=1e-6, atol=0.0)
 
 
 def test_mass_conservation_identity():

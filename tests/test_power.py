@@ -11,6 +11,12 @@ from gaspower.model import (BUS_QUANTITIES, PINNED_QUANTITIES, SLACK,
 PLANT = GasPowerPlant("PL", "S4", "N1", a0=2.0, a1=5.0, a2=10.0)
 
 
+def residual(state, G, B):
+    """powerflow_residual at a PowerState."""
+    return power.powerflow_residual(state.V, state.P, state.Q,
+                                    power._trig_tables(state.phi, G, B))
+
+
 def flat_state(order):
     n = len(order)
     return power.PowerState(tuple(order), np.ones(n), np.zeros(n),
@@ -58,7 +64,7 @@ class TestResidual:
     def test_flat_state_rowsum_n1(self, admittance):
         """Computed injections at N1 with all V=1, phi=0 are exactly zero."""
         G, B, order = admittance
-        res = power.powerflow_residual(flat_state(order), G, B)
+        res = residual(flat_state(order), G, B)
         k = order.index("N1")
         assert abs(res[k]) < 1e-12
         assert abs(res[len(order) + k]) < 1e-12
@@ -66,7 +72,7 @@ class TestResidual:
     def test_flat_state_general_rowsums(self, admittance):
         G, B, order = admittance
         n = len(order)
-        res = power.powerflow_residual(flat_state(order), G, B)
+        res = residual(flat_state(order), G, B)
         # with P = Q = 0 the residual is minus the computed injection
         assert np.allclose(-res[:n], G.sum(axis=1), atol=1e-12)
         assert np.allclose(-res[n:], -B.sum(axis=1), atol=1e-12)
@@ -82,15 +88,15 @@ class TestResidual:
                                  rng.uniform(-1, 1, n))
         shifted = power.PowerState(tuple(order), state.V, state.phi + 0.7,
                                    state.P, state.Q)
-        r1 = power.powerflow_residual(state, G, B)
-        r2 = power.powerflow_residual(shifted, G, B)
+        r1 = residual(state, G, B)
+        r2 = residual(shifted, G, B)
         assert np.allclose(r1, r2, atol=1e-9)
 
     def test_dimension_mismatch_rejected(self, admittance):
         G, B, order = admittance
         small = flat_state(order[:-1])
         with pytest.raises(ValueError):
-            power.powerflow_residual(small, G, B)
+            residual(small, G, B)
 
 
 class TestJacobian:
@@ -103,13 +109,13 @@ class TestJacobian:
         x = np.concatenate([V, phi])
 
         def calc(x):
-            return np.concatenate(power.computed_injections(x[:n], x[n:],
-                                                            G, B))
+            return np.concatenate(power.computed_injections(
+                x[:n], power._trig_tables(x[n:], G, B)))
 
         fd = np.column_stack([(calc(x + h * e) - calc(x - h * e)) / (2 * h)
                               for e in np.eye(2 * n)])
-        dp_dv, dp_dphi, dq_dv, dq_dphi = power.injection_jacobians(V, phi,
-                                                                   G, B)
+        dp_dv, dp_dphi, dq_dv, dq_dphi = power.injection_jacobians(
+            V, power._trig_tables(phi, G, B))
         jac = np.block([[dp_dv, dp_dphi], [dq_dv, dq_dphi]])
         denom = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(jac - fd) / denom) < 1e-6
@@ -149,8 +155,9 @@ class TestJacobian:
         outside = (G == 0) & (B == 0)
         np.fill_diagonal(outside, False)
         assert outside.any()
-        for jac in power.injection_jacobians(rng.uniform(0.9, 1.1, n),
-                                             rng.uniform(-0.4, 0.4, n), G, B):
+        for jac in power.injection_jacobians(
+                rng.uniform(0.9, 1.1, n),
+                power._trig_tables(rng.uniform(-0.4, 0.4, n), G, B)):
             assert np.all(jac[outside] == 0.0)
 
 
@@ -170,7 +177,7 @@ class TestSolvedBaseline:
         }
         state = power.solve_powerflow(bundled_module.grid, fixed, tol=1e-12)
         G, B, _ = nodal_admittance(bundled_module.grid)
-        res = power.powerflow_residual(state, G, B)
+        res = residual(state, G, B)
         assert np.max(np.abs(res)) < 1e-10
         # the slack generator covers the 0.67 p.u. balance gap plus losses
         k = list(state.bus_ids).index("N1")

@@ -496,16 +496,23 @@ class TestMixedGeometryJacobian:
 
     def test_residual_then_jacobian_solves_friction_once(self, mixed,
                                                          monkeypatch):
+        """One Colebrook solve and one pointwise gas evaluation per new
+        iterate, shared by its residual and its Jacobian."""
         asm, snap, y0, y1 = mixed
-        calls, friction = [], gas.friction_factor_and_derivative
-        monkeypatch.setattr(gas, "friction_factor_and_derivative",
-                            lambda *args: calls.append(1) or friction(*args))
+        calls = {"friction_factor_and_derivative": 0, "point_terms": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(gas, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(gas, name, counted)
         asm.residual(y0, y1, 1.2e5, snap, 900.0)
         asm.jacobian(y0, y1, 1.2e5, snap, 900.0)
-        assert len(calls) == 1
-        # the old level and the control do not enter the friction values
+        assert set(calls.values()) == {1}
+        # the old level and the control do not enter the pointwise terms
         asm.jacobian(y1, y1 + 0.0, 1.0e5, snap, 900.0)
-        assert len(calls) == 1
+        assert set(calls.values()) == {1}
+        asm.residual(y0, y0, 1.2e5, snap, 900.0)
+        assert set(calls.values()) == {2}
 
     def test_no_stale_friction_at_a_new_state(self, mixed):
         asm, snap, y0, y1 = mixed
@@ -519,6 +526,40 @@ class TestMixedGeometryJacobian:
         fresh = CoupledStepAssembler(make_mixed_network())
         assert np.array_equal(res,
                               fresh.residual(y1, y0, 1.2e5, snap, 900.0))
+
+    def test_kept_iterate_is_a_copy(self, mixed):
+        """Changing the caller's array in place after a residual does not
+        change a later residual at the values it held."""
+        asm, snap, y0, y1 = mixed
+        y = y1.copy()
+        asm.residual(y0, y, 1.2e5, snap, 900.0)
+        y[:asm.n_points] *= 1.01
+        res = asm.residual(y0, y1, 1.2e5, snap, 900.0)
+        fresh = CoupledStepAssembler(make_mixed_network())
+        assert np.array_equal(res, fresh.residual(y0, y1, 1.2e5, snap, 900.0))
+
+    def test_nonpositive_pipe_density_rejected(self, mixed, monkeypatch):
+        """A pipe density <= 0 in y_next raises ValueError through
+        gas.PipeState, which the assembler builds once per new iterate and
+        not at all for the old level; the failed state is not kept."""
+        asm, snap, y0, y1 = mixed
+        states, pipe_state = [], gas.PipeState
+        monkeypatch.setattr(gas, "PipeState", lambda *args: states.append(
+            args) or pipe_state(*args))
+        for rho in (0.0, -1.0):
+            bad = y1.copy()
+            bad[asm.index.pipe_rho["P2"].start] = rho
+            for _ in range(2):
+                with pytest.raises(ValueError,
+                                   match="densities must be positive"):
+                    asm.residual(y0, bad, 1.2e5, snap, 900.0)
+        states.clear()
+        res = asm.residual(y0, y1, 1.2e5, snap, 900.0)
+        asm.jacobian(y0, y1, 1.2e5, snap, 900.0)
+        asm.residual(y1, y1, 1.2e5, snap, 900.0)
+        assert len(states) == 1
+        fresh = CoupledStepAssembler(make_mixed_network())
+        assert np.array_equal(res, fresh.residual(y0, y1, 1.2e5, snap, 900.0))
 
     def test_pipe_rows_equal_box_scheme(self, mixed):
         asm, snap, y0, y1 = mixed
@@ -535,6 +576,37 @@ class TestMixedGeometryJacobian:
                 rows = slice(first, first + n)
                 assert np.array_equal(res[rows], part * asm.row_scale[rows])
             start += n
+
+
+@pytest.mark.parametrize("changed", ["rho", "q", "V", "phi"])
+def test_no_stale_terms_at_a_new_state(bundled, uncontrolled_trajectory,
+                                       changed):
+    """After a residual at y0, the Jacobian and the residual at a y1 that
+    differs from y0 only in the pipe densities, only in the pipe flows, or
+    only in one bus's V or phi equal a fresh assembler's, bit for bit."""
+    network, scenario = bundled
+    asm = CoupledStepAssembler(network)
+    snap, = asm.boundary_snapshots(scenario.boundary, [5 * scenario.dt])
+    y_prev, y0 = uncontrolled_trajectory.states[4:6]
+    y1 = y0.copy()
+    n = asm.n_points
+    rng = np.random.default_rng(5)
+    if changed == "rho":
+        y1[:n] *= 1.0 + 1e-3 * rng.uniform(-1, 1, n)
+    elif changed == "q":
+        y1[n:2 * n] *= 1.0 + 1e-3 * rng.uniform(-1, 1, n)
+    else:
+        y1[asm.index.bus[("N7", changed)]] += 0.01
+    assert np.count_nonzero(y1 != y0) == (n if changed in ("rho", "q") else 1)
+    args = (1.0e5, snap, scenario.dt)
+    asm.residual(y_prev, y0, *args)
+    jac = asm.jacobian(y_prev, y1, *args)[0]
+    res = asm.residual(y_prev, y1, *args)
+    fresh = CoupledStepAssembler(network)
+    assert np.array_equal(jac.toarray(),
+                          fresh.jacobian(y_prev, y1, *args)[0].toarray())
+    fresh = CoupledStepAssembler(network)
+    assert np.array_equal(res, fresh.residual(y_prev, y1, *args))
 
 
 def test_compressor_needs_an_adjacent_pipe():
@@ -610,8 +682,8 @@ class TestFixedPattern:
         assert np.array_equal(asm.flat_state(snap), y)
 
     def test_zero_pivot_names_the_pipe(self, monkeypatch):
-        """A singular pipe block fails the band LU, and Newton's error
-        names the pipe."""
+        """A singular pipe block gives a zero pivot in the dgtsv of the
+        first solve, and Newton's error names the pipe."""
         asm = CoupledStepAssembler(make_mixed_network())
         snap, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
