@@ -54,10 +54,11 @@ def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
 
     xi = np.zeros_like(dj_dy)
     carry = np.zeros(dj_dy.shape[1])   # (dE_{n+1}/dy_n)^T xi_{n+1}
+    prev_t = simulator.assembler.jac_prev.T     # CSC, shared by all levels
     for n in range(trajectory.step_count, -1, -1):
-        lu, jac_prev, _ = _level_factors(simulator, trajectory, n)
+        lu = _level_factors(simulator, trajectory, n)[0]
         xi[n] = lu.solve_transposed(-dj_dy[n] - carry)
-        carry = jac_prev.T @ xi[n]
+        carry = prev_t @ xi[n]
     return AdjointState(xi)
 
 

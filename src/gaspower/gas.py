@@ -9,7 +9,8 @@ the momentum flux, the source and their partials, given the friction
 values (lambda, dlambda/dq) there.  box_residual and _box_blocks only
 apply the interval stencil to those terms, so a caller that needs the
 residual and the Jacobian at one state evaluates the pointwise physics,
-Colebrook included, once.  All functions are pure and reentrant.
+Colebrook included, once.  PipeGrid.stack checks d and k and keeps
+Colebrook's constants per point.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -43,10 +44,19 @@ class PipeState:
         q = np.asarray(self.q, dtype=float)
         if rho.shape != q.shape or rho.ndim != 1:
             raise ValueError("rho and q must be 1-d arrays of equal length")
-        if np.any(rho <= 0):
-            raise ValueError("densities must be positive")
+        check_densities(rho)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "q", q)
+
+
+def check_densities(rho: np.ndarray):
+    """Raise ValueError unless every density of the array rho is positive."""
+    if (rho <= 0).any():
+        raise ValueError("densities must be positive")
+
+
+def _pressure(rho, constants: GasConstants):   # unchecked
+    return constants.kappa * rho**constants.gamma
 
 
 def pressure_of_density(rho, constants: GasConstants = _DEFAULTS):
@@ -54,7 +64,7 @@ def pressure_of_density(rho, constants: GasConstants = _DEFAULTS):
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("density must be >= 0")
-    p = constants.kappa * rho**constants.gamma
+    p = _pressure(rho, constants)
     return p if p.ndim else float(p)
 
 
@@ -73,7 +83,16 @@ def dpressure_drho(rho, constants: GasConstants = _DEFAULTS):
     return d if d.ndim else float(d)
 
 
-def friction_factor_and_derivative(q, diameter, roughness,
+def _colebrook_constants(diameter, roughness, eta: float):
+    """(d, eta, b = k/(3.71 d), d/eta) for Colebrook, once d > 0, k >= 0."""
+    if (np.asarray(diameter) <= 0).any():
+        raise ValueError("diameter must be positive")
+    if (np.asarray(roughness) < 0).any():
+        raise ValueError("roughness must be >= 0")
+    return diameter, eta, roughness / (3.71 * diameter), diameter / eta
+
+
+def friction_factor_and_derivative(q, diameter, roughness=None,
                                    eta: float = _DEFAULTS.eta):
     """Colebrook friction factor lambda(q) and d lambda / d q, vectorized.
 
@@ -85,17 +104,15 @@ def friction_factor_and_derivative(q, diameter, roughness,
     x = 1/sqrt(lam) = 2 F/ln10.  The derivative comes from implicit
     differentiation of the same equation.  Below REYNOLDS_ROUGH_LIMIT the
     rough limit (with zero derivative) is returned.  Diameter d and
-    roughness k are scalars or arrays shaped like q (one value per point).
+    roughness k are scalars or arrays shaped like q (one value per point);
+    (q, grid) takes d, eta, b and d/eta per point from a PipeGrid.
     """
-    if np.any(np.asarray(diameter) <= 0):
-        raise ValueError("diameter must be positive")
-    if np.any(np.asarray(roughness) < 0):
-        raise ValueError("roughness must be >= 0")
+    diameter, eta, b, d_eta = diameter.colebrook if isinstance(
+        diameter, PipeGrid) else _colebrook_constants(diameter, roughness, eta)
     q = np.asarray(q, dtype=float)
     scalar = q.ndim == 0
     q = np.atleast_1d(q)
 
-    b = roughness / (3.71 * diameter)
     re = diameter * np.abs(q) / eta
     rough = re < REYNOLDS_ROUGH_LIMIT
     re_safe = np.where(rough, REYNOLDS_ROUGH_LIMIT, re)
@@ -109,9 +126,8 @@ def friction_factor_and_derivative(q, diameter, roughness,
     lam = (0.5 * _LN10 / f) ** 2
     # implicit derivative: dF/dRe = F / (Re (1 + X1 + F)) and
     # dlam/dF = -2 lam / F
-    dlam_dq = -2.0 * lam * np.sign(q) * (diameter / eta) / \
-        (re_safe * (1.0 + x1 + f))
-    if np.any(rough):
+    dlam_dq = -2.0 * lam * np.sign(q) * d_eta / (re_safe * (1.0 + x1 + f))
+    if rough.any():
         dlam_dq = np.where(rough, 0.0, dlam_dq)
         lam = np.where(rough, 1.0 / (2.0 * np.log10(b)) ** 2, lam)
 
@@ -133,20 +149,21 @@ class PipeGrid:
     left: np.ndarray       # left grid point of each interval
     dx: np.ndarray         # m, per interval
     diameter: np.ndarray   # m, per point
-    roughness: np.ndarray  # m, per point
+    colebrook: tuple       # (d, eta, b, d/eta), d, b and d/eta per point
 
     @staticmethod
-    def stack(cell_counts, dx, diameter, roughness) -> "PipeGrid":
-        """Grid of pipes given per pipe: cells, cell length (m), d, k (m)."""
+    def stack(cell_counts, dx, diameter, roughness, eta=_DEFAULTS.eta):
+        """Grid of pipes given per pipe: cells, cell length, d, k (m); eta."""
         counts = np.asarray(cell_counts, dtype=int)
         points = counts + 1
-        if np.any(np.asarray(dx) <= 0):
+        if (np.asarray(dx) <= 0).any():
             raise ValueError("dx must be positive")
-        # every point but the last of each pipe starts an interval
-        left = np.delete(np.arange(np.sum(points)), np.cumsum(points) - 1)
-        return PipeGrid(left, np.repeat(dx, counts),
-                        np.repeat(diameter, points),
-                        np.repeat(roughness, points))
+        d, _, b, d_eta = _colebrook_constants(
+            np.asarray(diameter, dtype=float), roughness, eta)
+        d, b, d_eta = np.repeat([d, b, d_eta], points, axis=1)
+        # interval j (counted over all pipes) of pipe k starts at point j + k
+        left = np.arange(counts.sum()) + np.arange(counts.size).repeat(counts)
+        return PipeGrid(left, np.repeat(dx, counts), d, (d, eta, b, d_eta))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -181,16 +198,13 @@ class PointTerms(NamedTuple):
     ds_dq: np.ndarray
 
 
-def point_terms(state: PipeState, grid: PipeGrid, constants: GasConstants,
-                friction) -> PointTerms:
-    """The flux, the source and their partials at the points of `state`,
-    given friction = friction_factor_and_derivative at its flows."""
-    rho, q = state.rho, state.q
-    if rho.shape != grid.diameter.shape:
-        raise ValueError("pipe states have mismatched lengths")
+def point_terms(rho: np.ndarray, q: np.ndarray, grid: PipeGrid,
+                constants: GasConstants, friction) -> PointTerms:
+    """The flux, the source and their partials at densities rho > 0 (not
+    checked) and flows q, given their friction_factor_and_derivative."""
     lam, dlam = friction
     c = 1.0 / (2.0 * grid.diameter)
-    p = pressure_of_density(rho, constants)
+    p = _pressure(rho, constants)
     abs_q = np.abs(q)
     s = -c * lam * q * abs_q / rho
     v = q / rho

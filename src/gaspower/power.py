@@ -44,8 +44,6 @@ def _trig_tables(phi, G, B):
     """(m1, m2) = (G cos d + B sin d, G sin d - B cos d) at the phase
     differences d_ik = phi_i - phi_k: the P equations read m1 and the Q
     equations m2."""
-    if G.shape != (len(phi),) * 2:
-        raise ValueError("admittance table does not match the state dimension")
     d = phi[:, None] - phi[None, :]
     cos_d, sin_d = np.cos(d), np.sin(d)
     return G * cos_d + B * sin_d, G * sin_d - B * cos_d

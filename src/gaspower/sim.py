@@ -17,24 +17,27 @@ y_prev = y_next) are solved by one damped Newton routine.  The steady
 solve starts from a flat grid (V = 1, phi = P = Q = 0, the pinned values
 written in), so it solves the power flow together with the gas.
 
-The assembler fixes the CSR pattern of dR/dy_next at set-up, so each
-Jacobian only computes values; dR/dy_prev and dR/du are constant and
-shared by all calls.  The steady block dR/dy_next + dR/dy_prev keeps
-that pattern, the entries that cancel stored as zeros.  Newton factors a
-step block through the assembler's lu.StepCondensation (a 2x2 row
-transform per cell makes the pipe block tridiagonal, for one LAPACK dgtsv
-per solve, and the caller's splu factors the small network block) and the
-steady block whole (lu.whole_factors).  The linear rows (pressure
-coupling, node balances, boundary and bus rows) form one constant sparse
-operator.  The assembler keeps, for the last y_next it evaluated, the
-pointwise gas terms (gas.point_terms, Colebrook included) and the
-power-flow trig tables; Newton takes each Jacobian at the iterate whose
-residual it has just evaluated, so each iterate's pointwise physics is
-evaluated once and the Jacobian only combines it.
+The assembler checks the network and fixes the CSR pattern of dR/dy_next
+at set-up, so an iterate pays only for the guards on its own values and
+each Jacobian is a shallow copy of one set-up matrix with its own data;
+dR/dy_prev and dR/du are constant and shared by all calls.  The steady
+block dR/dy_next + dR/dy_prev keeps that pattern, the entries that cancel
+stored as zeros.  Newton factors a step block through the assembler's
+lu.StepCondensation (a 2x2 row transform per cell makes the pipe block
+tridiagonal, for one LAPACK dgtsv per solve, and the caller's splu
+factors the small network block) and the steady block whole
+(lu.whole_factors).  The linear rows (pressure coupling, node balances,
+boundary and bus rows) form one constant sparse operator.  The assembler
+keeps, for the last y_next it evaluated, the pointwise gas terms
+(gas.point_terms, Colebrook included) and the power-flow trig tables;
+Newton takes each Jacobian at the iterate whose residual it has just
+evaluated, so each iterate's pointwise physics is evaluated once and the
+Jacobian only combines it.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -247,7 +250,8 @@ class CoupledStepAssembler:
         pipes = self.pipes
         self.grid = gas.PipeGrid.stack(
             [p.cell_count for p in pipes], [p.dx for p in pipes],
-            [p.diameter for p in pipes], [p.roughness for p in pipes])
+            [p.diameter for p in pipes], [p.roughness for p in pipes],
+            self.constants.eta)
         self.n_points = len(self.grid.diameter)
         self.box_next, self._box_old = self.grid.stencil()
         # the last y_next evaluated, its gas.point_terms and trig tables
@@ -355,18 +359,22 @@ class CoupledStepAssembler:
         keys = rows * idx.size + cols
         self._slot_entry = np.argsort(keys, kind="stable")
         keys = keys[self._slot_entry]
-        if np.any(keys[1:] == keys[:-1]):
+        if (keys[1:] == keys[:-1]).any():
             raise AssertionError("two step Jacobian entries share a slot")
         self._entry_scale = self.row_scale[rows]
-        self._indices = cols[self._slot_entry].astype(np.int32)
-        self._indptr = np.zeros(idx.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=idx.size), out=self._indptr[1:])
-        self._indices.flags.writeable = self._indptr.flags.writeable = False
+        indices = cols[self._slot_entry].astype(np.int32)
+        indptr = np.zeros(idx.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=idx.size), out=indptr[1:])
+        indices.flags.writeable = indptr.flags.writeable = False
+        # jacobian() copies it with new data; its own is a memory-free view
+        self._pattern = sparse.csr_matrix(
+            (np.broadcast_to(0.0, len(indices)), indices, indptr), shape)
 
         def at_slots(values):   # one per entry; and the nonzero ones alone
             data = values[self._slot_entry]
-            matrix = sparse.csr_matrix((data, self._indices, self._indptr),
-                                       shape, copy=True)
+            matrix = copy.copy(self._pattern)
+            matrix.data, matrix.indices, matrix.indptr = (
+                data.copy(), indices.copy(), indptr.copy())
             matrix.eliminate_zeros()
             return data, matrix
 
@@ -385,7 +393,7 @@ class CoupledStepAssembler:
         slots = np.empty_like(self._slot_entry)
         slots[self._slot_entry] = np.arange(len(slots))
         self.condensation = StepCondensation(
-            self._indices, self._indptr,
+            indices, indptr,
             slots[:first + 2 * len(self.pipes)], self.grid.left,
             np.array([p.cell_count + 1 for p in self.pipes]),
             self.coupling_node_cols, np.where(balance, area * scale[ends],
@@ -420,7 +428,7 @@ class CoupledStepAssembler:
     # -- state helpers -----------------------------------------------------
 
     def admissible(self, y: np.ndarray) -> bool:
-        return not np.any(y[self.positive] <= 0)
+        return not (y[self.positive] <= 0).any()
 
     def flat_state(self, snap: _Snapshot) -> np.ndarray:
         """Near-stagnant admissible starting guess for the steady solve.
@@ -469,8 +477,7 @@ class CoupledStepAssembler:
         res[self._fb_rows] -= self._fb_area * snap.node_outflow[self._fb_nodes]
         res[self._plant_rows] -= self._plants.reference_density * \
             power.plant_gas_offtake(y_next[self._plant_cols], self._plants)
-        p_to, p_from = gas.pressure_of_density(y_next[self._comp_ends],
-                                               self.constants)
+        p_to, p_from = gas._pressure(y_next[self._comp_ends], self.constants)
         res[self._comp_rows] = p_to - p_from - u
         if self.n_bus:
             v, _, p, q = y_next[self._bus_cols]
@@ -481,13 +488,13 @@ class CoupledStepAssembler:
     def _evaluate(self, y: np.ndarray):
         """gas.point_terms and the power-flow trig tables at y, evaluated
         when y differs from the last y evaluated and reused otherwise.
-        A non-positive pipe density raises ValueError (gas.PipeState)."""
+        A pipe density <= 0 raises ValueError (gas.check_densities)."""
         if not np.array_equal(y, self._at):
             at, n, grid = y.copy(), self.n_points, self.grid
-            state = gas.PipeState(at[:n], at[n:2 * n])
-            terms = gas.point_terms(
-                state, grid, self.constants, gas.friction_factor_and_derivative(
-                    state.q, grid.diameter, grid.roughness, self.constants.eta))
+            rho, q = at[:n], at[n:2 * n]
+            gas.check_densities(rho)
+            friction = gas.friction_factor_and_derivative(q, grid)
+            terms = gas.point_terms(rho, q, grid, self.constants, friction)
             tables = power._trig_tables(at[self._bus_cols[1]], self.G, self.B)
             self._at, self._terms, self._tables = at, terms, tables
         return self._terms, self._tables
@@ -498,8 +505,8 @@ class CoupledStepAssembler:
                  snap: _Snapshot, dt: float):
         """(dR/dy_next, dR/dy_prev, dR/du) with rows scaled like residual().
 
-        dR/dy_next has the CSR pattern fixed at set-up; only its values
-        are computed here.  Its transpose is CSC with the same arrays, the
+        dR/dy_next shares the set-up pattern arrays and owns the values
+        computed here.  Its transpose is CSC with the same arrays, the
         form in which splu factors it.  dR/dy_prev and dR/du are constant,
         read-only and the same objects on every call.
         """
@@ -513,9 +520,9 @@ class CoupledStepAssembler:
         if self.n_bus:
             parts += [-block.ravel() for block in power.injection_jacobians(
                 y_next[self._bus_cols[0]], tables)]
-        data = (np.concatenate(parts) * self._entry_scale)[self._slot_entry]
-        jac_next = sparse.csr_matrix((data, self._indices, self._indptr),
-                                     shape=(self.index.size,) * 2)
+        jac_next = copy.copy(self._pattern)
+        jac_next.data = (np.concatenate(parts)
+                         * self._entry_scale)[self._slot_entry]
         return jac_next, self.jac_prev, self.d_du
 
     def steady_jacobian(self, y: np.ndarray, u: float, snap: _Snapshot,
@@ -544,7 +551,7 @@ def _damped_newton(assembler: CoupledStepAssembler, residual, jacobian,
     column.
     """
     res = residual(y)
-    norm = np.max(np.abs(res))
+    norm = np.abs(res).max()
     if not np.isfinite(norm):
         row = np.flatnonzero(~np.isfinite(res))[0]
         raise SimulationError(f"non-finite residual in row {row} (row of "
@@ -559,14 +566,14 @@ def _damped_newton(assembler: CoupledStepAssembler, residual, jacobian,
             step = factors(jac, splu).solve(-res)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from None
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             raise SingularJacobian("non-finite Newton step")
         factor = 1.0
         for _ in range(halvings):
             cand = y + factor * step
             if assembler.admissible(cand):
                 cand_res = residual(cand)
-                cand_norm = np.max(np.abs(cand_res))
+                cand_norm = np.abs(cand_res).max()
                 if cand_norm < norm or cand_norm < tol:
                     y, res, norm = cand, cand_res, cand_norm
                     break

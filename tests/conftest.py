@@ -32,7 +32,7 @@ def box_scheme_residual(prev, next_, dt, dx, pipe, constants=GasConstants()):
     friction = gas.friction_factor_and_derivative(
         next_.q, pipe.diameter, pipe.roughness, constants.eta)
     return gas.box_residual(prev.rho, prev.q, gas.point_terms(
-        next_, grid, constants, friction), dt, grid)
+        next_.rho, next_.q, grid, constants, friction), dt, grid)
 
 
 def make_toy_network(cells=2, length=2000.0):

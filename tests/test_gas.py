@@ -74,7 +74,7 @@ def source(rho, q, pipe=PIPE):
     rho, q = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(q))
     grid = gas.PipeGrid.stack([rho.size - 1], [1.0], [pipe.diameter],
                               [pipe.roughness])
-    s = gas.point_terms(gas.PipeState(rho, q), grid, CONS,
+    s = gas.point_terms(rho, q, grid, CONS,
                         gas.friction_factor_and_derivative(
                             q, pipe.diameter, pipe.roughness)).source
     return s if s.size > 1 else s[0]
@@ -159,6 +159,29 @@ class TestFriction:
                 np.full(2, 10.0), np.array([0.6, 0.0]), 5e-4)
 
 
+class TestPipeGrid:
+    @pytest.mark.parametrize("what, dx, d, k", [
+        ("dx", 0.0, 0.6, 5e-4), ("diameter", 1.0, 0.0, 5e-4),
+        ("diameter", 1.0, -0.6, 5e-4), ("roughness", 1.0, 0.6, -1e-4)])
+    def test_stack_rejects_bad_geometry(self, what, dx, d, k):
+        with pytest.raises(ValueError, match=what):
+            gas.PipeGrid.stack([2, 3], [1.0, dx], [0.6, d], [5e-4, k])
+
+    def test_friction_on_the_grid_matches_the_geometry_form(self):
+        """The per-point constants the grid keeps give Colebrook's values
+        and derivatives to the bit, in the turbulent and the rough range."""
+        grid = gas.PipeGrid.stack([2, 3], [1.0, 2.0], [0.6, 0.9],
+                                  [5e-4, 1e-5], eta=1.2e-5)
+        q = np.array([277.64, -120.0, 1e-4, 50.0, 0.0, -300.0, 3e-3])
+        on_grid = gas.friction_factor_and_derivative(q, grid)
+        plain = gas.friction_factor_and_derivative(
+            q, np.repeat([0.6, 0.9], [3, 4]), np.repeat([5e-4, 1e-5], [3, 4]),
+            eta=1.2e-5)
+        assert on_grid[1][[2, 4]].tolist() == [0.0, 0.0]   # rough points
+        for a, b in zip(on_grid, plain):
+            assert np.array_equal(a, b)
+
+
 class TestSourceTerm:
     def test_zero_at_stagnation(self):
         assert source(51.9, 0.0) == 0.0
@@ -199,7 +222,7 @@ def box_jacobians(prev, nxt, dt, dx, pipe=PIPE):
     (rows, cols), old = grid.stencil()
     j_next, j_prev = np.zeros(grid.shape), np.zeros(grid.shape)
     np.add.at(j_next, (rows, cols), gas._box_blocks(gas.point_terms(
-        nxt, grid, CONS, gas.friction_factor_and_derivative(
+        nxt.rho, nxt.q, grid, CONS, gas.friction_factor_and_derivative(
             nxt.q, pipe.diameter, pipe.roughness)), dt, grid))
     np.add.at(j_prev, (rows[old], cols[old]), -0.5)
     return j_next, j_prev
@@ -325,7 +348,7 @@ def test_point_partials_match_fd_for_a_general_exponent():
                               [PIPE.roughness])
 
     def terms(rho, q):
-        return gas.point_terms(gas.PipeState(rho, q), grid, cons,
+        return gas.point_terms(rho, q, grid, cons,
                                gas.friction_factor_and_derivative(
                                    q, PIPE.diameter, PIPE.roughness))
 

@@ -540,12 +540,12 @@ class TestMixedGeometryJacobian:
 
     def test_nonpositive_pipe_density_rejected(self, mixed, monkeypatch):
         """A pipe density <= 0 in y_next raises ValueError through
-        gas.PipeState, which the assembler builds once per new iterate and
-        not at all for the old level; the failed state is not kept."""
+        gas.check_densities, which the assembler runs once per new iterate
+        and not at all for the old level; the failed state is not kept."""
         asm, snap, y0, y1 = mixed
-        states, pipe_state = [], gas.PipeState
-        monkeypatch.setattr(gas, "PipeState", lambda *args: states.append(
-            args) or pipe_state(*args))
+        states, check = [], gas.check_densities
+        monkeypatch.setattr(gas, "check_densities", lambda *args:
+                            states.append(args) or check(*args))
         for rho in (0.0, -1.0):
             bad = y1.copy()
             bad[asm.index.pipe_rho["P2"].start] = rho
@@ -636,14 +636,22 @@ class TestFixedPattern:
                 states[4], states[5])
 
     def test_pattern_is_fixed_and_canonical(self, step):
+        """Every Jacobian shares the set-up pattern arrays and owns its
+        values: a steady block built in between leaves them unchanged."""
         asm, snap, y0, y1 = step
         first = asm.jacobian(y0, y1, 0.0, snap, 900.0)[0]
+        values = first.data.copy()
+        steady = asm.steady_jacobian(y1, 0.0, snap, 900.0)
         second = asm.jacobian(y1, 1.001 * y1, 2.0e5, snap, 900.0)[0]
         assert not np.array_equal(first.data, second.data)
-        for jac in (first, second):
+        assert np.array_equal(first.data, values)
+        for jac in (first, second, steady):
             assert jac.format == "csr" and jac.has_canonical_format
-            assert np.array_equal(jac.indices, asm._indices)
-            assert np.array_equal(jac.indptr, asm._indptr)
+            assert jac.indices is asm._pattern.indices
+            assert jac.indptr is asm._pattern.indptr
+            assert not any(np.shares_memory(jac.data, other.data)
+                           for other in (first, second, steady)
+                           if other is not jac)
 
     def test_learned_order_changes_no_bit(self, step):
         """Two condensed factorizations of one step block, each ordering
@@ -724,8 +732,8 @@ class TestFixedPattern:
         asm, snap, _, y = step
         u, dt = 2.0e5, 900.0
         jac = asm.steady_jacobian(y, u, snap, dt)
-        assert np.array_equal(jac.indices, asm._indices)
-        assert np.array_equal(jac.indptr, asm._indptr)
+        assert np.array_equal(jac.indices, asm._pattern.indices)
+        assert np.array_equal(jac.indptr, asm._pattern.indptr)
         jac_next, jac_prev, _ = asm.jacobian(y, y, u, snap, dt)
         assert np.array_equal(jac.toarray(), (jac_next + jac_prev).toarray())
         assert_close(jac.toarray(), central_differences(
