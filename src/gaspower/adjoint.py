@@ -31,14 +31,12 @@ class AdjointState:
 
 
 def _level_factors(simulator: Simulator, trajectory: Trajectory, n: int):
-    """(Factors of the state block, dR/dy_prev in CSR, dR/du) of level n;
-    at level 0 the state block is the steady one at y_0."""
-    asm, y = simulator.assembler, trajectory.states
-    args = trajectory.control[n], simulator.snapshots[n], simulator.scenario.dt
-    jac = asm.steady_jacobian(y[0], *args) if n == 0 else \
-        asm.jacobian(y[n - 1], y[n], *args)[0]
-    factors = whole_factors if n == 0 else asm.condensation.factors
-    return factors(jac, splu), asm.jac_prev, asm.d_du
+    """Factors of the state block of level n, the steady one at level 0."""
+    asm, dt = simulator.assembler, simulator.scenario.dt
+    it = asm.evaluate(trajectory.states[n])
+    if n == 0:
+        return whole_factors(asm.steady_jacobian(it, dt), splu)
+    return asm.condensation.factors(asm.jacobian(it, dt), splu)
 
 
 def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
@@ -56,7 +54,7 @@ def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
     carry = np.zeros(dj_dy.shape[1])   # (dE_{n+1}/dy_n)^T xi_{n+1}
     prev_t = simulator.assembler.jac_prev.T     # CSC, shared by all levels
     for n in range(trajectory.step_count, -1, -1):
-        lu = _level_factors(simulator, trajectory, n)[0]
+        lu = _level_factors(simulator, trajectory, n)
         xi[n] = lu.solve_transposed(-dj_dy[n] - carry)
         carry = prev_t @ xi[n]
     return AdjointState(xi)
@@ -83,11 +81,11 @@ def state_sensitivities(simulator: Simulator, trajectory: Trajectory,
     columns = np.asarray(columns, dtype=int)
     out = np.zeros((m + 1, len(columns), m + 1))
     sens = np.zeros((trajectory.states.shape[1], m + 1))
+    asm = simulator.assembler
     for n in range(m + 1):
-        lu, jac_prev, d_du = _level_factors(simulator, trajectory, n)
-        rhs = jac_prev @ sens[:, :n + 1]   # zero at level 0
-        rhs[:, n] += d_du
-        sens[:, :n + 1] = -lu.solve(rhs)
+        rhs = asm.jac_prev @ sens[:, :n + 1]   # zero at level 0
+        rhs[:, n] += asm.d_du
+        sens[:, :n + 1] = -_level_factors(simulator, trajectory, n).solve(rhs)
         out[n] = sens[columns]
     return out
 

@@ -10,7 +10,8 @@ values (lambda, dlambda/dq) there.  box_residual and _box_blocks only
 apply the interval stencil to those terms, so a caller that needs the
 residual and the Jacobian at one state evaluates the pointwise physics,
 Colebrook included, once.  PipeGrid.stack checks d and k and keeps
-Colebrook's constants per point.  All functions are pure and reentrant.
+Colebrook's constants per point and the stencil's other fixed data.  All
+functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -30,23 +31,6 @@ REYNOLDS_ROUGH_LIMIT = 100.0
 _LN10 = np.log(10.0)
 
 _DEFAULTS = GasConstants()
-
-
-@dataclass(frozen=True)
-class PipeState:
-    """Densities and flows at the grid points 0..cell_count of one pipe."""
-
-    rho: np.ndarray  # kg/m^3
-    q: np.ndarray    # kg/(m^2 s)
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        if rho.shape != q.shape or rho.ndim != 1:
-            raise ValueError("rho and q must be 1-d arrays of equal length")
-        check_densities(rho)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "q", q)
 
 
 def check_densities(rho: np.ndarray):
@@ -147,8 +131,11 @@ class PipeGrid:
     """
 
     left: np.ndarray       # left grid point of each interval
+    right: np.ndarray      # its right grid point, left + 1
     dx: np.ndarray         # m, per interval
+    half: np.ndarray       # 1/2 per interval
     diameter: np.ndarray   # m, per point
+    source_scale: np.ndarray   # 1/(2 d) per point
     colebrook: tuple       # (d, eta, b, d/eta), d, b and d/eta per point
 
     @staticmethod
@@ -163,7 +150,9 @@ class PipeGrid:
         d, b, d_eta = np.repeat([d, b, d_eta], points, axis=1)
         # interval j (counted over all pipes) of pipe k starts at point j + k
         left = np.arange(counts.sum()) + np.arange(counts.size).repeat(counts)
-        return PipeGrid(left, np.repeat(dx, counts), d, (d, eta, b, d_eta))
+        return PipeGrid(left, left + 1, np.repeat(dx, counts),
+                        np.full(len(left), 0.5), d, 1.0 / (2.0 * d),
+                        (d, eta, b, d_eta))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -176,7 +165,7 @@ class PipeGrid:
         above, and the positions in that list of the entries the old level
         shares: mass rows by rho and momentum rows by q, each -1/2 there."""
         n, npts = len(self.left), len(self.diameter)
-        jl, jr = self.left, self.left + 1
+        jl, jr = self.left, self.right
         mass = np.arange(n)
         rho_cols = [jl, jr]
         q_cols = [npts + jl, npts + jr]
@@ -203,7 +192,7 @@ def point_terms(rho: np.ndarray, q: np.ndarray, grid: PipeGrid,
     """The flux, the source and their partials at densities rho > 0 (not
     checked) and flows q, given their friction_factor_and_derivative."""
     lam, dlam = friction
-    c = 1.0 / (2.0 * grid.diameter)
+    c = grid.source_scale
     p = _pressure(rho, constants)
     abs_q = np.abs(q)
     s = -c * lam * q * abs_q / rho
@@ -222,9 +211,8 @@ def _box_blocks(new: PointTerms, dt: float, grid: PipeGrid) -> np.ndarray:
     those with respect to the old level are all -1/2, at the positions
     it names.
     """
-    jl, jr = grid.left, grid.left + 1
+    jl, jr, half = grid.left, grid.right, grid.half
     r = dt / grid.dx
-    half = np.full(len(jl), 0.5)
     return np.concatenate([
         # mass rows: rho_L, rho_R, q_L, q_R
         half, half, -r, r,
@@ -251,7 +239,7 @@ def box_residual(rho_old: np.ndarray, q_old: np.ndarray, new: PointTerms,
     if dt <= 0:
         raise ValueError("dt must be positive")
     rho, q, f2, s = new.rho, new.q, new.f2, new.source
-    jl, jr = grid.left, grid.left + 1
+    jl, jr = grid.left, grid.right
     r = dt / grid.dx
     res_mass = (0.5 * (rho[jl] + rho[jr]) - 0.5 * (rho_old[jl] + rho_old[jr])
                 + r * (q[jr] - q[jl]))

@@ -266,9 +266,13 @@ def load_control(path) -> tuple[np.ndarray, np.ndarray]:
         if len(parts) != 2:
             raise FormatError(f"{path}:{i + 1}: expected 't_hours,u_bar'")
         try:
-            rows.append((float(parts[0]), float(parts[1])))
+            row = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise FormatError(f"{path}:{i + 1}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise FormatError(f"{path}:{i + 1}: t_hours and u_bar must be "
+                              "finite numbers")
+        rows.append(row)
     if not rows:
         raise FormatError(f"{path}: no control samples")
     rows.sort()

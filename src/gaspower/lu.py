@@ -37,7 +37,7 @@ class CondensedFactors:
     def _eliminate(self, b: np.ndarray, transposed: bool):
         """G^-1 b (G^-T b), unit vectors at the ends put in b's last two."""
         k = self.cond
-        b[k.q_ends if transposed else k.row_ends, [-2, -1] * len(k.sizes)] = 1
+        b[k.q_ends if transposed else k.row_ends, k.unit_cols] = 1
         x, info = dgtsv(*self.diagonals[::-1 if transposed else 1], b,
                         overwrite_b=1)[3:]      # G^T: dl and du swapped
         if info > 0:
@@ -107,6 +107,8 @@ class StepCondensation:
         # band rows of the coupling rows; the to-end's is its flow's column
         self.row_ends = np.stack([stops - self.sizes, stops - 1], 1).ravel()
         self.q_ends = self.row_ends + np.tile([1, 0], len(stops))
+        # columns of _eliminate's unit vectors, at the row_ends (q_ends)
+        self.unit_cols = np.tile([-2, -1], len(stops))
         # places in [dl | d | du | spare] of M - s m and M - t m (in m's
         # order, the entry T cancels to the spare) and the coupling entries
         b, spare = self.box, np.full(len(self.box), 3 * n - 2)

@@ -27,12 +27,12 @@ lu.StepCondensation (a 2x2 row transform per cell makes the pipe block
 tridiagonal, for one LAPACK dgtsv per solve, and the caller's splu
 factors the small network block) and the steady block whole
 (lu.whole_factors).  The linear rows (pressure coupling, node balances,
-boundary and bus rows) form one constant sparse operator.  The assembler
-keeps, for the last y_next it evaluated, the pointwise gas terms
-(gas.point_terms, Colebrook included) and the power-flow trig tables;
-Newton takes each Jacobian at the iterate whose residual it has just
-evaluated, so each iterate's pointwise physics is evaluated once and the
-Jacobian only combines it.
+boundary and bus rows) form one constant sparse operator.  After set-up
+the assembler holds no state: evaluate(y) returns an Iterate, y with its
+pointwise gas terms (gas.point_terms, Colebrook included) and power-flow
+trig tables, and the residual and the Jacobian at y both read it, so
+each iterate's pointwise physics is evaluated once and the Jacobian only
+combines it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import copy
 import logging
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -179,6 +180,14 @@ class _Snapshot:
     bus_fixed: np.ndarray        # (n_bus, 2) values of the two pinned quantities
 
 
+class Iterate(NamedTuple):
+    """A y_next with its gas.point_terms and power-flow trig tables."""
+
+    y: np.ndarray
+    terms: gas.PointTerms
+    tables: tuple
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """States at t_j = j dt together with the applied control sequence."""
@@ -254,8 +263,6 @@ class CoupledStepAssembler:
             self.constants.eta)
         self.n_points = len(self.grid.diameter)
         self.box_next, self._box_old = self.grid.stencil()
-        # the last y_next evaluated, its gas.point_terms and trig tables
-        self._at, self._terms, self._tables = None, None, None
         idx = self.index
         # entries that must stay positive: densities and bus voltages
         self.positive = np.concatenate([
@@ -460,76 +467,70 @@ class CoupledStepAssembler:
         return float(sum(-signed_area * y[col]
                          for col, signed_area in self.node_terms[i]))
 
-    # -- residual ------------------------------------------------------------
+    # -- evaluation, residual and jacobian ---------------------------------
 
-    def residual(self, y_prev: np.ndarray, y_next: np.ndarray, u: float,
+    def evaluate(self, y: np.ndarray) -> Iterate:
+        """The Iterate of y (not copied): gas.point_terms, Colebrook
+        included, and the power-flow trig tables at y.  A pipe density
+        <= 0 raises ValueError (gas.check_densities)."""
+        n, grid = self.n_points, self.grid
+        rho, q = y[:n], y[n:2 * n]
+        gas.check_densities(rho)
+        terms = gas.point_terms(rho, q, grid, self.constants,
+                                gas.friction_factor_and_derivative(q, grid))
+        phi = y[self._bus_cols[1]]
+        return Iterate(y, terms, power._trig_tables(phi, self.G, self.B))
+
+    def residual(self, y_prev: np.ndarray, it: Iterate, u: float,
                  snap: _Snapshot, dt: float) -> np.ndarray:
-        """R(y_prev, y_next, u), rows scaled by row_scale: the constant
-        linear operator applied to y_next, less the boundary values of
+        """R(y_prev, it.y, u), rows scaled by row_scale: the constant
+        linear operator applied to it.y, less the boundary values of
         `snap` and the plant offtake; the box rows (gas.box_residual, no
         stencil derivatives), compressor and power-flow rows replace it."""
-        terms, tables = self._evaluate(y_next)
-        res = self._linear @ y_next
+        y = it.y
+        res = self._linear @ y
         res[:self.grid.shape[0]] = gas.box_residual(
             y_prev[:self.n_points], y_prev[self.n_points:2 * self.n_points],
-            terms, dt, self.grid)
+            it.terms, dt, self.grid)
         res[self._pb_rows] -= snap.node_rho_bc[self._pb_nodes]
         res[self._fb_rows] -= self._fb_area * snap.node_outflow[self._fb_nodes]
         res[self._plant_rows] -= self._plants.reference_density * \
-            power.plant_gas_offtake(y_next[self._plant_cols], self._plants)
-        p_to, p_from = gas._pressure(y_next[self._comp_ends], self.constants)
+            power.plant_gas_offtake(y[self._plant_cols], self._plants)
+        p_to, p_from = gas._pressure(y[self._comp_ends], self.constants)
         res[self._comp_rows] = p_to - p_from - u
         if self.n_bus:
-            v, _, p, q = y_next[self._bus_cols]
-            res[self._pf_rows] = power.powerflow_residual(v, p, q, tables)
+            v, _, p, q = y[self._bus_cols]
+            res[self._pf_rows] = power.powerflow_residual(v, p, q, it.tables)
             res[self._bc_rows] -= snap.bus_fixed.ravel()
         return res * self.row_scale
 
-    def _evaluate(self, y: np.ndarray):
-        """gas.point_terms and the power-flow trig tables at y, evaluated
-        when y differs from the last y evaluated and reused otherwise.
-        A pipe density <= 0 raises ValueError (gas.check_densities)."""
-        if not np.array_equal(y, self._at):
-            at, n, grid = y.copy(), self.n_points, self.grid
-            rho, q = at[:n], at[n:2 * n]
-            gas.check_densities(rho)
-            friction = gas.friction_factor_and_derivative(q, grid)
-            terms = gas.point_terms(rho, q, grid, self.constants, friction)
-            tables = power._trig_tables(at[self._bus_cols[1]], self.G, self.B)
-            self._at, self._terms, self._tables = at, terms, tables
-        return self._terms, self._tables
+    def jacobian(self, it: Iterate, dt: float):
+        """dR/dy_next at it, rows scaled like residual().
 
-    # -- jacobian ------------------------------------------------------------
-
-    def jacobian(self, y_prev: np.ndarray, y_next: np.ndarray, u: float,
-                 snap: _Snapshot, dt: float):
-        """(dR/dy_next, dR/dy_prev, dR/du) with rows scaled like residual().
-
-        dR/dy_next shares the set-up pattern arrays and owns the values
-        computed here.  Its transpose is CSC with the same arrays, the
-        form in which splu factors it.  dR/dy_prev and dR/du are constant,
-        read-only and the same objects on every call.
+        It shares the set-up pattern arrays and owns the values computed
+        here.  Its transpose is CSC with the same arrays, the form in
+        which splu factors it.  dR/dy_prev and dR/du are constant: the
+        read-only attributes jac_prev and d_du.
         """
-        terms, tables = self._evaluate(y_next)
-        deps = power.plant_gas_offtake_derivative(y_next[self._plant_cols],
+        y = it.y
+        deps = power.plant_gas_offtake_derivative(y[self._plant_cols],
                                                   self._plants)
-        dp_to, dp_from = gas.dpressure_drho(y_next[self._comp_ends],
+        dp_to, dp_from = gas.dpressure_drho(y[self._comp_ends],
                                             self.constants)
-        parts = [gas._box_blocks(terms, dt, self.grid), self._const_vals,
+        parts = [gas._box_blocks(it.terms, dt, self.grid), self._const_vals,
                  -self._plants.reference_density * deps, dp_to, -dp_from]
         if self.n_bus:
             parts += [-block.ravel() for block in power.injection_jacobians(
-                y_next[self._bus_cols[0]], tables)]
+                y[self._bus_cols[0]], it.tables)]
         jac_next = copy.copy(self._pattern)
         jac_next.data = (np.concatenate(parts)
                          * self._entry_scale)[self._slot_entry]
-        return jac_next, self.jac_prev, self.d_du
+        return jac_next
 
-    def steady_jacobian(self, y: np.ndarray, u: float, snap: _Snapshot,
-                        dt: float):
-        """dR/dy of the steady block R(y, y, u), the sum of jacobian()'s
-        dR/dy_next and dR/dy_prev, in the set-up pattern of dR/dy_next."""
-        jac = self.jacobian(y, y, u, snap, dt)[0]
+    def steady_jacobian(self, it: Iterate, dt: float):
+        """dR/dy of the steady block R(y, y, u) at it, the sum of
+        jacobian() and jac_prev, in the set-up pattern of dR/dy_next."""
+        jac = self.jacobian(it, dt)
         jac.data += self._steady_shift
         return jac
 
@@ -537,20 +538,20 @@ class CoupledStepAssembler:
 def _damped_newton(assembler: CoupledStepAssembler, residual, jacobian,
                    factors, y: np.ndarray, tol: float, max_iter: int,
                    halvings: int) -> np.ndarray:
-    """Damped Newton solve of residual(y) = 0 from an admissible y, which
+    """Damped Newton solve of residual(it) = 0 from an admissible y, which
     stops at the first iterate whose max-norm residual is below `tol`.
 
-    Each step is halved (up to `halvings` times) until the candidate is
-    admissible and lowers the max-norm residual.  Each Jacobian is taken
-    at the iterate whose residual was evaluated last (the start or the
-    accepted candidate), where the assembler still holds its friction
-    values.  `jacobian` returns a CSR matrix J in the step pattern, and
-    factors(J, splu) factors it (see lu); a singular J raises
-    SingularJacobian.  A non-finite residual at the start, which no step
-    can mend, raises SimulationError naming the unknown at the row's
-    column.
+    The start and each admissible candidate are evaluated once
+    (assembler.evaluate); residual and jacobian read that Iterate.  Each
+    step is halved (up to `halvings` times) until the candidate is
+    admissible and lowers the max-norm residual.  `jacobian` returns a
+    CSR matrix J in the step pattern, and factors(J, splu) factors it
+    (see lu); a singular J raises SingularJacobian.  A non-finite
+    residual at the start, which no step can mend, raises SimulationError
+    naming the unknown at the row's column.
     """
-    res = residual(y)
+    it = assembler.evaluate(y)
+    res = residual(it)
     norm = np.abs(res).max()
     if not np.isfinite(norm):
         row = np.flatnonzero(~np.isfinite(res))[0]
@@ -561,7 +562,7 @@ def _damped_newton(assembler: CoupledStepAssembler, residual, jacobian,
         if iterations >= max_iter:
             raise MaxIterationsExceeded("Newton did not reach tolerance",
                                         norm, iterations)
-        jac = jacobian(y)
+        jac = jacobian(it)
         try:
             step = factors(jac, splu).solve(-res)
         except RuntimeError as exc:
@@ -570,19 +571,20 @@ def _damped_newton(assembler: CoupledStepAssembler, residual, jacobian,
             raise SingularJacobian("non-finite Newton step")
         factor = 1.0
         for _ in range(halvings):
-            cand = y + factor * step
+            cand = it.y + factor * step
             if assembler.admissible(cand):
+                cand = assembler.evaluate(cand)
                 cand_res = residual(cand)
                 cand_norm = np.abs(cand_res).max()
                 if cand_norm < norm or cand_norm < tol:
-                    y, res, norm = cand, cand_res, cand_norm
+                    it, res, norm = cand, cand_res, cand_norm
                     break
             factor *= 0.5
         else:
             raise MaxIterationsExceeded("Newton line search stalled",
                                         norm, iterations)
         iterations += 1
-    return y
+    return it.y
 
 
 def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
@@ -596,8 +598,8 @@ def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
     if not assembler.admissible(y):
         y = np.array(y_prev, dtype=float)
     return _damped_newton(
-        assembler, lambda y: assembler.residual(y_prev, y, u, snap, dt),
-        lambda y: assembler.jacobian(y_prev, y, u, snap, dt)[0],
+        assembler, lambda it: assembler.residual(y_prev, it, u, snap, dt),
+        lambda it: assembler.jacobian(it, dt),
         assembler.condensation.factors, y, tol, max_iter, halvings=30)
 
 
@@ -610,8 +612,8 @@ def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
     system; the result satisfies the step residual for every dt.
     """
     return _damped_newton(
-        assembler, lambda y: assembler.residual(y, y, u0, snap, dt),
-        lambda y: assembler.steady_jacobian(y, u0, snap, dt), whole_factors,
+        assembler, lambda it: assembler.residual(it.y, it, u0, snap, dt),
+        lambda it: assembler.steady_jacobian(it, dt), whole_factors,
         assembler.flat_state(snap), tol, max_iter, halvings=40)
 
 

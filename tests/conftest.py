@@ -25,14 +25,16 @@ def uncontrolled_trajectory(bundled_simulator):
 
 
 def box_scheme_residual(prev, next_, dt, dx, pipe, constants=GasConstants()):
-    """Box-scheme residual of one pipe, [mass rows, momentum rows], through
-    the network-wide gas.box_residual on a one-pipe PipeGrid."""
-    grid = gas.PipeGrid.stack([len(next_.rho) - 1], [dx], [pipe.diameter],
+    """Box-scheme residual of one pipe, [mass rows, momentum rows], between
+    two levels given as (rho, q) arrays, through the network-wide
+    gas.box_residual on a one-pipe PipeGrid."""
+    rho, q = next_
+    grid = gas.PipeGrid.stack([len(rho) - 1], [dx], [pipe.diameter],
                               [pipe.roughness])
     friction = gas.friction_factor_and_derivative(
-        next_.q, pipe.diameter, pipe.roughness, constants.eta)
-    return gas.box_residual(prev.rho, prev.q, gas.point_terms(
-        next_.rho, next_.q, grid, constants, friction), dt, grid)
+        q, pipe.diameter, pipe.roughness, constants.eta)
+    return gas.box_residual(*prev, gas.point_terms(
+        rho, q, grid, constants, friction), dt, grid)
 
 
 def make_toy_network(cells=2, length=2000.0):

@@ -28,17 +28,14 @@ def stacked_jacobian(simulator, trajectory):
     n = asm.index.size
     m = trajectory.step_count
     full = np.zeros(((m + 1) * n, (m + 1) * n))
-    a0, b0, _ = asm.jacobian(trajectory.states[0], trajectory.states[0],
-                             trajectory.control[0], simulator.snapshots[0], dt)
-    full[:n, :n] = (a0 + b0).toarray()
-    for step in range(1, m + 1):
-        a, b, _ = asm.jacobian(trajectory.states[step - 1],
-                               trajectory.states[step],
-                               trajectory.control[step],
-                               simulator.snapshots[step], dt)
+    prev = asm.jac_prev.toarray()
+    for step, y in enumerate(trajectory.states):
         rows = slice(step * n, (step + 1) * n)
-        full[rows, step * n:(step + 1) * n] = a.toarray()
-        full[rows, (step - 1) * n:step * n] = b.toarray()
+        full[rows, rows] = asm.jacobian(asm.evaluate(y), dt).toarray()
+        if step == 0:   # the steady block, dR/dy_next + dR/dy_prev at y_0
+            full[rows, rows] += prev
+        else:
+            full[rows, (step - 1) * n:step * n] = prev
     return full
 
 
@@ -105,6 +102,21 @@ def test_one_factorization_per_level_in_the_adjoint_sweep(toy, monkeypatch):
     adjoint_sweep(simulator, trajectory, np.zeros_like(trajectory.states))
     network_block = (n - 2 * asm.n_points,) * 2
     assert shapes == [network_block] * trajectory.step_count + [(n, n)]
+
+
+def test_forward_run_and_sweeps_leave_the_assembler_unchanged(bundled):
+    """The assembler keeps no state after set-up: a forward run, an adjoint
+    sweep and a tangent sweep leave each attribute bound to the same
+    object."""
+    simulator = Simulator(*bundled)
+    asm = simulator.assembler
+    before = dict(vars(asm))
+    trajectory = simulator.run(
+        np.full(simulator.scenario.step_count + 1, 2.0e5))
+    adjoint_sweep(simulator, trajectory, np.ones_like(trajectory.states))
+    state_sensitivities(simulator, trajectory, [0])
+    assert vars(asm).keys() == before.keys()
+    assert all(vars(asm)[name] is value for name, value in before.items())
 
 
 def test_gradient_of_state_independent_functional(toy):

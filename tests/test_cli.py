@@ -162,11 +162,14 @@ def test_simulate_with_a_malformed_control_is_an_input_error(tmp_path,
                                                              capsys):
     files = write_toy_case(tmp_path)
     control = tmp_path / "control.csv"
-    control.write_text("t_hours,u_bar\n0.0;1.5\n", encoding="utf-8")
-    code = cli.run(["simulate", *files, "--control", str(control),
-                    "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_INPUT_ERROR
-    assert "expected 't_hours,u_bar'" in capsys.readouterr().err
+    for rows, message in (("0.0;1.5", "expected 't_hours,u_bar'"),
+                          ("0,1\n12,2\nnan,5", "control.csv:4: t_hours and "
+                           "u_bar must be finite numbers")):
+        control.write_text(f"t_hours,u_bar\n{rows}\n", encoding="utf-8")
+        code = cli.run(["simulate", *files, "--control", str(control),
+                        "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
 
 
 def test_zero_time_step_is_an_input_error(tmp_path, capsys):

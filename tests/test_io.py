@@ -215,6 +215,17 @@ def test_outflow_volume_needs_an_incident_pipe(load):
         load(_setting([[0.0, 1.0]], "boundary", "A", "outflow_m3_s"))
 
 
+@pytest.mark.parametrize("row", ["nan,5", "6,nan", "inf,5", "6,-inf"])
+def test_control_with_a_non_finite_value(tmp_path, row):
+    """A non-finite time or lift names its line, instead of dropping the
+    row (a NaN time) or reaching the simulation."""
+    path = tmp_path / "control.csv"
+    path.write_text(f"t_hours,u_bar\n0,1\n12,2\n{row}\n", encoding="utf-8")
+    with pytest.raises(io.FormatError, match=r"control\.csv:4: t_hours and "
+                       "u_bar must be finite numbers"):
+        io.load_control(path)
+
+
 def test_write_results(tmp_path):
     simulator = Simulator(make_toy_network(), make_toy_scenario())
     trajectory = simulator.run(np.array([1.0e5, 2.0e5, 1.5e5]))

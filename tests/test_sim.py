@@ -121,7 +121,7 @@ class TestSteadyState:
         snap = toy_simulator.snapshots[0]
         y = steady_state(asm, snap, 0.0, 900.0)
         for dt in (1.0, 900.0, 7200.0):
-            res = asm.residual(y, y, 0.0, snap, dt)
+            res = asm.residual(y, asm.evaluate(y), 0.0, snap, dt)
             assert np.max(np.abs(res)) < 1e-8
 
 
@@ -130,7 +130,8 @@ class TestResidualStructure:
                                               uncontrolled_trajectory):
         asm = bundled_simulator.assembler
         y0 = uncontrolled_trajectory.states[0]
-        res = asm.residual(y0, y0, 0.0, bundled_simulator.snapshots[0], 900.0)
+        res = asm.residual(y0, asm.evaluate(y0), 0.0,
+                           bundled_simulator.snapshots[0], 900.0)
         assert np.max(np.abs(res)) < 1e-9
 
     def test_interior_density_perturbation_is_local(self, bundled_simulator,
@@ -139,10 +140,11 @@ class TestResidualStructure:
         snap = bundled_simulator.snapshots[1]
         y0 = uncontrolled_trajectory.states[0]
         y1 = uncontrolled_trajectory.states[1].copy()
-        base = asm.residual(y0, y1, 0.0, snap, 900.0)
+        base = asm.residual(y0, asm.evaluate(y1), 0.0, snap, 900.0)
         j = asm.index.pipe_rho["P25"].start + 30    # interior grid point
         y1[j] += 1e-3
-        changed = np.nonzero(asm.residual(y0, y1, 0.0, snap, 900.0) - base)[0]
+        changed = np.nonzero(asm.residual(y0, asm.evaluate(y1), 0.0, snap,
+                                          900.0) - base)[0]
         # two mass and two momentum rows share the stencil of one point
         assert len(changed) == 4
         half = asm.grid.shape[0] // 2   # all mass rows, then all momentum
@@ -158,20 +160,17 @@ class TestResidualStructure:
         y1 = y0.copy()
         row = asm.index.node_rho["S4"]
         p_col = asm.index.bus[(plant.bus, "P")]
-        base = asm.residual(y0, y1, 0.0, snap, 900.0)[row]
+        base = asm.residual(y0, asm.evaluate(y1), 0.0, snap, 900.0)[row]
         y1[p_col] = 0.95
-        shifted = asm.residual(y0, y1, 0.0, snap, 900.0)[row]
+        shifted = asm.residual(y0, asm.evaluate(y1), 0.0, snap, 900.0)[row]
         d_eps = power.plant_gas_offtake(0.95, plant) \
             - power.plant_gas_offtake(y0[p_col], plant)
         expected = -plant.reference_density * d_eps / MASS_FLOW_SCALE
         assert shifted - base == pytest.approx(expected, rel=1e-12)
 
-    def test_control_column_hits_only_compressor_row(self, bundled_simulator,
-                                                     uncontrolled_trajectory):
+    def test_control_column_hits_only_compressor_row(self, bundled_simulator):
         asm = bundled_simulator.assembler
-        y0 = uncontrolled_trajectory.states[0]
-        _, _, d_du = asm.jacobian(y0, y0, 0.0, bundled_simulator.snapshots[0],
-                                  900.0)
+        d_du = asm.d_du
         nonzero = np.nonzero(d_du)[0]
         assert len(nonzero) == 1
         assert nonzero[0] == asm.index.comp_q["C1"]
@@ -179,14 +178,9 @@ class TestResidualStructure:
         kappa = bundled_simulator.network.constants.kappa
         assert d_du[nonzero[0]] == pytest.approx(-1.0 / kappa)
 
-    def test_prev_state_only_enters_box_rows(self, bundled_simulator,
-                                             uncontrolled_trajectory):
+    def test_prev_state_only_enters_box_rows(self, bundled_simulator):
         asm = bundled_simulator.assembler
-        y0 = uncontrolled_trajectory.states[0]
-        y1 = uncontrolled_trajectory.states[1]
-        _, jac_prev, _ = asm.jacobian(y0, y1, 0.0,
-                                      bundled_simulator.snapshots[1], 900.0)
-        rows = np.unique(jac_prev.tocoo().row)
+        rows = np.unique(asm.jac_prev.tocoo().row)
         half = asm.grid.shape[0] // 2   # all mass rows, then all momentum
         assert set(rows // half) == {0, 1}
 
@@ -196,8 +190,7 @@ class TestResidualStructure:
         boundary rows at its P and Q columns."""
         asm = bundled_simulator.assembler
         y0 = uncontrolled_trajectory.states[0]
-        jac, _, _ = asm.jacobian(y0, y0, 0.0, bundled_simulator.snapshots[0],
-                                 900.0)
+        jac = asm.jacobian(asm.evaluate(y0), 900.0)
         for bus in asm.busses:
             col = {q: asm.index.bus[(bus.id, q)] for q in BUS_QUANTITIES}
             # P - P_calc and Q - Q_calc, unscaled
@@ -248,9 +241,9 @@ class TestNewtonStep:
         rows = np.concatenate([asm.coupling_rows,
                                list(asm.index.node_rho.values())])
         for j in (1, 17, 48):
-            res = asm.residual(traj.states[j - 1], traj.states[j],
-                               traj.control[j], bundled_simulator.snapshots[j],
-                               900.0)
+            res = asm.residual(traj.states[j - 1],
+                               asm.evaluate(traj.states[j]), traj.control[j],
+                               bundled_simulator.snapshots[j], 900.0)
             assert np.max(np.abs(res[rows])) < 1e-9
 
 
@@ -276,8 +269,9 @@ class TestSimulate:
         asm = bundled_simulator.assembler
         traj = uncontrolled_trajectory
         for j in range(traj.step_count + 1):
-            res = asm.residual(traj.states[max(j - 1, 0)], traj.states[j],
-                               0.0, bundled_simulator.snapshots[j], 900.0)
+            res = asm.residual(traj.states[max(j - 1, 0)],
+                               asm.evaluate(traj.states[j]), 0.0,
+                               bundled_simulator.snapshots[j], 900.0)
             assert np.max(np.abs(res)) < bundled_simulator.tol, j
 
     def test_control_length_checked(self, bundled_simulator):
@@ -290,19 +284,11 @@ class TestSimulate:
                                      uncontrolled_trajectory)
         assert np.max(errors) < 10.0 * bundled_simulator.tol
 
-    def test_result_does_not_depend_on_call_history(self,
-                                                    bundled_simulator):
-        control = np.full(bundled_simulator.scenario.step_count + 1, 4.0e5)
-        first = bundled_simulator.run(control)
-        bundled_simulator.run(0.5 * control)
-        second = bundled_simulator.run(control)
-        assert np.array_equal(first.states, second.states)
-
-    def test_first_run_learns_the_order_without_changing_results(
-            self, bundled):
+    def test_result_does_not_depend_on_call_history(self, bundled):
         simulator = Simulator(*bundled)
         control = np.full(simulator.scenario.step_count + 1, 4.0e5)
-        first = simulator.run(control)     # learns the step column order
+        first = simulator.run(control)     # the first run after set-up
+        simulator.run(0.5 * control)
         second = simulator.run(control)
         assert np.array_equal(first.states, second.states)
 
@@ -484,64 +470,49 @@ class TestMixedGeometryJacobian:
         asm, snap, y0, y1 = mixed
         y_prev = y1 if same_levels else y0
         u, dt = 1.2e5, 900.0
-        jac_next, jac_prev, d_du = asm.jacobian(y_prev, y1, u, snap, dt)
-        assert_close(jac_next.toarray(), central_differences(
-            lambda y: asm.residual(y_prev, y, u, snap, dt), y1))
-        assert_close(jac_prev.toarray(), central_differences(
-            lambda y: asm.residual(y, y1, u, snap, dt), y_prev))
+        it = asm.evaluate(y1)
+        assert_close(asm.jacobian(it, dt).toarray(), central_differences(
+            lambda y: asm.residual(y_prev, asm.evaluate(y), u, snap, dt), y1))
+        assert_close(asm.jac_prev.toarray(), central_differences(
+            lambda y: asm.residual(y, it, u, snap, dt), y_prev))
         h = 1.0e2
-        fd_u = (asm.residual(y_prev, y1, u + h, snap, dt)
-                - asm.residual(y_prev, y1, u - h, snap, dt)) / (2.0 * h)
-        assert_close(d_du, fd_u)
+        fd_u = (asm.residual(y_prev, it, u + h, snap, dt)
+                - asm.residual(y_prev, it, u - h, snap, dt)) / (2.0 * h)
+        assert_close(asm.d_du, fd_u)
 
     def test_residual_then_jacobian_solves_friction_once(self, mixed,
                                                          monkeypatch):
-        """One Colebrook solve and one pointwise gas evaluation per new
-        iterate, shared by its residual and its Jacobian."""
+        """In the Newton solves each iterate is evaluated once: Colebrook
+        and the pointwise gas terms run once per residual, and the
+        Jacobians evaluate nothing."""
         asm, snap, y0, y1 = mixed
-        calls = {"friction_factor_and_derivative": 0, "point_terms": 0}
-        for name in calls:
-            def counted(*args, name=name, original=getattr(gas, name)):
+        calls = dict.fromkeys(["friction_factor_and_derivative",
+                               "point_terms", "residual", "jacobian"], 0)
+
+        def count(owner, name):
+            def counted(*args, original=getattr(owner, name)):
                 calls[name] += 1
                 return original(*args)
-            monkeypatch.setattr(gas, name, counted)
-        asm.residual(y0, y1, 1.2e5, snap, 900.0)
-        asm.jacobian(y0, y1, 1.2e5, snap, 900.0)
-        assert set(calls.values()) == {1}
-        # the old level and the control do not enter the pointwise terms
-        asm.jacobian(y1, y1 + 0.0, 1.0e5, snap, 900.0)
-        assert set(calls.values()) == {1}
-        asm.residual(y0, y0, 1.2e5, snap, 900.0)
-        assert set(calls.values()) == {2}
+            monkeypatch.setattr(owner, name, counted)
 
-    def test_no_stale_friction_at_a_new_state(self, mixed):
-        asm, snap, y0, y1 = mixed
-        asm.residual(y0, y0, 1.2e5, snap, 900.0)
-        jac = asm.jacobian(y0, y1, 1.2e5, snap, 900.0)[0]
-        res = asm.residual(y1, y0, 1.2e5, snap, 900.0)
-        fresh = CoupledStepAssembler(make_mixed_network())
-        assert np.array_equal(
-            jac.toarray(),
-            fresh.jacobian(y0, y1, 1.2e5, snap, 900.0)[0].toarray())
-        fresh = CoupledStepAssembler(make_mixed_network())
-        assert np.array_equal(res,
-                              fresh.residual(y1, y0, 1.2e5, snap, 900.0))
-
-    def test_kept_iterate_is_a_copy(self, mixed):
-        """Changing the caller's array in place after a residual does not
-        change a later residual at the values it held."""
-        asm, snap, y0, y1 = mixed
-        y = y1.copy()
-        asm.residual(y0, y, 1.2e5, snap, 900.0)
-        y[:asm.n_points] *= 1.01
-        res = asm.residual(y0, y1, 1.2e5, snap, 900.0)
-        fresh = CoupledStepAssembler(make_mixed_network())
-        assert np.array_equal(res, fresh.residual(y0, y1, 1.2e5, snap, 900.0))
+        for name in calls:
+            count(asm if name in ("residual", "jacobian") else gas, name)
+        newton_solve_step(asm, y0, 1.2e5, snap, 900.0, y_guess=y1)
+        steady_state(asm, snap, 1.2e5, 900.0)
+        assert calls["jacobian"] > 2
+        assert calls["friction_factor_and_derivative"] == \
+            calls["point_terms"] == calls["residual"]
+        evaluations = calls["point_terms"]
+        it = asm.evaluate(y1)
+        asm.jacobian(it, 900.0)
+        asm.steady_jacobian(it, 900.0)
+        assert calls["friction_factor_and_derivative"] == \
+            calls["point_terms"] == evaluations + 1
 
     def test_nonpositive_pipe_density_rejected(self, mixed, monkeypatch):
-        """A pipe density <= 0 in y_next raises ValueError through
-        gas.check_densities, which the assembler runs once per new iterate
-        and not at all for the old level; the failed state is not kept."""
+        """A pipe density <= 0 makes evaluate raise ValueError through
+        gas.check_densities, which runs once per evaluation and not at all
+        for the old level."""
         asm, snap, y0, y1 = mixed
         states, check = [], gas.check_densities
         monkeypatch.setattr(gas, "check_densities", lambda *args:
@@ -549,64 +520,28 @@ class TestMixedGeometryJacobian:
         for rho in (0.0, -1.0):
             bad = y1.copy()
             bad[asm.index.pipe_rho["P2"].start] = rho
-            for _ in range(2):
-                with pytest.raises(ValueError,
-                                   match="densities must be positive"):
-                    asm.residual(y0, bad, 1.2e5, snap, 900.0)
+            with pytest.raises(ValueError, match="densities must be positive"):
+                asm.evaluate(bad)
         states.clear()
-        res = asm.residual(y0, y1, 1.2e5, snap, 900.0)
-        asm.jacobian(y0, y1, 1.2e5, snap, 900.0)
-        asm.residual(y1, y1, 1.2e5, snap, 900.0)
+        it = asm.evaluate(y1)
+        asm.residual(y0, it, 1.2e5, snap, 900.0)
+        asm.jacobian(it, 900.0)
         assert len(states) == 1
-        fresh = CoupledStepAssembler(make_mixed_network())
-        assert np.array_equal(res, fresh.residual(y0, y1, 1.2e5, snap, 900.0))
 
     def test_pipe_rows_equal_box_scheme(self, mixed):
         asm, snap, y0, y1 = mixed
-        res = asm.residual(y0, y1, 1.2e5, snap, 900.0)
+        res = asm.residual(y0, asm.evaluate(y1), 1.2e5, snap, 900.0)
         cells = asm.grid.shape[0] // 2  # all mass rows, then all momentum
         start = 0                       # of pipe k: cells of pipes 0..k-1
         for pipe in asm.pipes:
-            prev, nxt = (gas.PipeState(y[asm.index.pipe_rho[pipe.id]],
-                                       y[asm.index.pipe_q[pipe.id]])
-                         for y in (y0, y1))
+            prev, nxt = ((y[asm.index.pipe_rho[pipe.id]],
+                          y[asm.index.pipe_q[pipe.id]]) for y in (y0, y1))
             box = box_scheme_residual(prev, nxt, 900.0, pipe.dx, pipe)
             n = pipe.cell_count
             for first, part in ((start, box[:n]), (cells + start, box[n:])):
                 rows = slice(first, first + n)
                 assert np.array_equal(res[rows], part * asm.row_scale[rows])
             start += n
-
-
-@pytest.mark.parametrize("changed", ["rho", "q", "V", "phi"])
-def test_no_stale_terms_at_a_new_state(bundled, uncontrolled_trajectory,
-                                       changed):
-    """After a residual at y0, the Jacobian and the residual at a y1 that
-    differs from y0 only in the pipe densities, only in the pipe flows, or
-    only in one bus's V or phi equal a fresh assembler's, bit for bit."""
-    network, scenario = bundled
-    asm = CoupledStepAssembler(network)
-    snap, = asm.boundary_snapshots(scenario.boundary, [5 * scenario.dt])
-    y_prev, y0 = uncontrolled_trajectory.states[4:6]
-    y1 = y0.copy()
-    n = asm.n_points
-    rng = np.random.default_rng(5)
-    if changed == "rho":
-        y1[:n] *= 1.0 + 1e-3 * rng.uniform(-1, 1, n)
-    elif changed == "q":
-        y1[n:2 * n] *= 1.0 + 1e-3 * rng.uniform(-1, 1, n)
-    else:
-        y1[asm.index.bus[("N7", changed)]] += 0.01
-    assert np.count_nonzero(y1 != y0) == (n if changed in ("rho", "q") else 1)
-    args = (1.0e5, snap, scenario.dt)
-    asm.residual(y_prev, y0, *args)
-    jac = asm.jacobian(y_prev, y1, *args)[0]
-    res = asm.residual(y_prev, y1, *args)
-    fresh = CoupledStepAssembler(network)
-    assert np.array_equal(jac.toarray(),
-                          fresh.jacobian(y_prev, y1, *args)[0].toarray())
-    fresh = CoupledStepAssembler(network)
-    assert np.array_equal(res, fresh.residual(y_prev, y1, *args))
 
 
 def test_compressor_needs_an_adjacent_pipe():
@@ -639,10 +574,11 @@ class TestFixedPattern:
         """Every Jacobian shares the set-up pattern arrays and owns its
         values: a steady block built in between leaves them unchanged."""
         asm, snap, y0, y1 = step
-        first = asm.jacobian(y0, y1, 0.0, snap, 900.0)[0]
+        it = asm.evaluate(y1)
+        first = asm.jacobian(it, 900.0)
         values = first.data.copy()
-        steady = asm.steady_jacobian(y1, 0.0, snap, 900.0)
-        second = asm.jacobian(y1, 1.001 * y1, 2.0e5, snap, 900.0)[0]
+        steady = asm.steady_jacobian(it, 900.0)
+        second = asm.jacobian(asm.evaluate(1.001 * y1), 900.0)
         assert not np.array_equal(first.data, second.data)
         assert np.array_equal(first.data, values)
         for jac in (first, second, steady):
@@ -658,7 +594,7 @@ class TestFixedPattern:
         its network block afresh, solve to the bit alike, in both
         directions."""
         asm, snap, y0, y1 = step
-        jac = asm.jacobian(y0, y1, 2.0e5, snap, 900.0)[0]
+        jac = asm.jacobian(asm.evaluate(y1), 900.0)
         first, second = (asm.condensation.factors(jac, splu)
                          for _ in range(2))
         rhs = np.random.default_rng(7).standard_normal((jac.shape[0], 3))
@@ -680,7 +616,8 @@ class TestFixedPattern:
             flat.update(zip(PINNED_QUANTITIES[bus.kind], pinned))
             for quant, value in flat.items():
                 y[asm.index.bus[(bus.id, quant)]] = value
-        jac = asm.steady_jacobian(y, 0.0, snap, bundled_simulator.scenario.dt)
+        jac = asm.steady_jacobian(asm.evaluate(y),
+                                  bundled_simulator.scenario.dt)
         first, later = (whole_factors(jac, splu) for _ in range(2))
         rhs = np.random.default_rng(11).standard_normal((jac.shape[0], 3))
         for b in (rhs[:, 0], rhs):
@@ -699,45 +636,46 @@ class TestFixedPattern:
         original = asm.jacobian
 
         def singular(*args):
-            jac, prev, d_du = original(*args)
+            jac = original(*args)
             rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
             jac.data[(rows < asm.grid.shape[0])
                      & (jac.indices == asm.index.pipe_q["P2"].start)] = 0.0
-            return jac, prev, d_du
+            return jac
 
         monkeypatch.setattr(asm, "jacobian", singular)
         with pytest.raises(SingularJacobian, match="pipe P2$"):
             newton_solve_step(asm, y, 1.2e5, snap, 900.0,
                               y_guess=1.001 * y)
 
-    def test_prev_block_is_one_read_only_matrix(self, step):
-        asm, snap, y0, y1 = step
-        first = asm.jacobian(y0, y1, 0.0, snap, 900.0)[1]
-        second = asm.jacobian(y1, 1.001 * y1, 2.0e5, snap, 60.0)[1]
-        assert first is second
-        with pytest.raises(ValueError):
-            first.data[0] = 1.0
+    def test_prev_block_is_one_read_only_matrix(self, bundled_simulator):
+        """dR/dy_prev is one CSR matrix, and it and dR/du are read-only."""
+        asm = bundled_simulator.assembler
+        assert asm.jac_prev.format == "csr"
+        for values in (asm.jac_prev.data, asm.d_du):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
 
     def test_every_column_matches_central_differences(self, step):
         """Covers the plant, compressor and power-flow entries too."""
         asm, snap, y0, y1 = step
         u, dt = 2.0e5, 900.0
-        jac_next = asm.jacobian(y0, y1, u, snap, dt)[0]
+        jac_next = asm.jacobian(asm.evaluate(y1), dt)
         assert_close(jac_next.toarray(), central_differences(
-            lambda y: asm.residual(y0, y, u, snap, dt), y1))
+            lambda y: asm.residual(y0, asm.evaluate(y), u, snap, dt), y1))
 
     def test_steady_jacobian_matches_central_differences(self, step):
         """The steady block keeps the step pattern, its cancelled entries
         stored as zeros, and equals dR/dy_next + dR/dy_prev exactly."""
         asm, snap, _, y = step
         u, dt = 2.0e5, 900.0
-        jac = asm.steady_jacobian(y, u, snap, dt)
+        it = asm.evaluate(y)
+        jac = asm.steady_jacobian(it, dt)
         assert np.array_equal(jac.indices, asm._pattern.indices)
         assert np.array_equal(jac.indptr, asm._pattern.indptr)
-        jac_next, jac_prev, _ = asm.jacobian(y, y, u, snap, dt)
-        assert np.array_equal(jac.toarray(), (jac_next + jac_prev).toarray())
+        assert np.array_equal(jac.toarray(),
+                              (asm.jacobian(it, dt) + asm.jac_prev).toarray())
         assert_close(jac.toarray(), central_differences(
-            lambda y: asm.residual(y, y, u, snap, dt), y))
+            lambda y: asm.residual(y, asm.evaluate(y), u, snap, dt), y))
 
 
 def make_parallel_network():
@@ -786,11 +724,11 @@ def test_factors_solve_both_directions(case):
     control = np.full(scenario.step_count + 1, u)
     simulator = Simulator(network, scenario)
     y = simulator.run(control).states
-    asm, snaps, dt = simulator.assembler, simulator.snapshots, scenario.dt
+    asm, dt = simulator.assembler, scenario.dt
     flows = y[1][asm.n_points:2 * asm.n_points]
     assert np.all(flows < 0) if case == "reversed" else np.all(flows > 0)
-    step = asm.jacobian(y[0], y[1], u, snaps[1], dt)[0]
-    steady = asm.steady_jacobian(y[0], u, snaps[0], dt)
+    step = asm.jacobian(asm.evaluate(y[1]), dt)
+    steady = asm.steady_jacobian(asm.evaluate(y[0]), dt)
     rhs = np.random.default_rng(5).standard_normal((step.shape[0], 3))
     for factors, block in ((asm.condensation.factors, step),
                            (whole_factors, steady)):
@@ -816,7 +754,7 @@ def test_pipe_block_is_tridiagonal_after_the_row_transform(
     own.  T is invertible while s != t: along the bundled trajectory the
     ratios keep opposite signs, t < 0 < s, as in subsonic flow."""
     asm, states = bundled_simulator.assembler, uncontrolled_trajectory.states
-    snaps, dt = bundled_simulator.snapshots, bundled_simulator.scenario.dt
+    dt = bundled_simulator.scenario.dt
     n, points, left = 2 * asm.n_points, asm.n_points, asm.grid.left
     ends = [end for p in asm.pipes for end in (
         2 * asm.index.pipe_rho[p.id].start,
@@ -826,8 +764,7 @@ def test_pipe_block_is_tridiagonal_after_the_row_transform(
     mass, mom = 2 * left + 1, 2 * left + 2
     pattern = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
     for level in range(1, len(states)):
-        jac = asm.jacobian(states[level - 1], states[level], 0.0,
-                           snaps[level], dt)[0]
+        jac = asm.jacobian(asm.evaluate(states[level]), dt)
         a = np.zeros((n, n))
         a[np.ix_(rows, cols)] = jac[:n, :n].toarray()
         s = a[mom, mass + 2] / a[mass, mass + 2]
@@ -905,9 +842,9 @@ class TestEmptyIndexArrays:
         y0 = traj.states[0]
         rng = np.random.default_rng(7)
         y1 = traj.states[1] * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
-        jac_next = asm.jacobian(y0, y1, 0.0, snap, 900.0)[0]
+        jac_next = asm.jacobian(asm.evaluate(y1), 900.0)
         assert_close(jac_next.toarray(), central_differences(
-            lambda y: asm.residual(y0, y, 0.0, snap, 900.0), y1))
+            lambda y: asm.residual(y0, asm.evaluate(y), 0.0, snap, 900.0), y1))
 
     def test_snapshots_match_one_at_a_time(self, bundled_simulator):
         asm = bundled_simulator.assembler
