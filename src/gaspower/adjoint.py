@@ -11,6 +11,7 @@ lu.StepCondensation (a tridiagonal pipe block, one dgtsv per solve).  The
 total derivative of a scalar functional then needs no further linear
 solves.  The same blocks, solved forwards, give the state sensitivities to
 every control, whence the derivatives of many functionals follow at once.
+A singular block raises sim.SingularJacobian naming its level and time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .sim import Simulator, Trajectory, whole_factors
+from .sim import SingularJacobian, Simulator, Trajectory, whole_factors
 
 
 @dataclass(frozen=True)
@@ -30,13 +31,20 @@ class AdjointState:
     xi: np.ndarray  # (M+1, N_y)
 
 
-def _level_factors(simulator: Simulator, trajectory: Trajectory, n: int):
-    """Factors of the state block of level n, the steady one at level 0."""
+def _level_solve(simulator: Simulator, trajectory: Trajectory, n: int,
+                 rhs: np.ndarray, transposed: bool) -> np.ndarray:
+    """rhs solved with the state block of level n (its transpose for the
+    adjoint), the steady block at level 0 and a step block's values else."""
     asm, dt = simulator.assembler, simulator.scenario.dt
     it = asm.evaluate(trajectory.states[n])
-    if n == 0:
-        return whole_factors(asm.steady_jacobian(it, dt), splu)
-    return asm.condensation.factors(asm.jacobian(it, dt), splu)
+    try:
+        lu = whole_factors(asm.steady_jacobian(it, dt), splu) if n == 0 \
+            else asm.condensation.factors(asm.jacobian(it, dt), splu)
+        return lu.solve_transposed(rhs) if transposed else lu.solve(rhs)
+    except RuntimeError as exc:     # a zero pivot, in dgtsv or SuperLU
+        raise SingularJacobian(
+            f"{'adjoint' if transposed else 'tangent'} sweep, level {n} "
+            f"(t = {trajectory.times[n] / 3600.0:.2f} h): {exc}") from None
 
 
 def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
@@ -54,8 +62,8 @@ def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
     carry = np.zeros(dj_dy.shape[1])   # (dE_{n+1}/dy_n)^T xi_{n+1}
     prev_t = simulator.assembler.jac_prev.T     # CSC, shared by all levels
     for n in range(trajectory.step_count, -1, -1):
-        lu = _level_factors(simulator, trajectory, n)
-        xi[n] = lu.solve_transposed(-dj_dy[n] - carry)
+        xi[n] = _level_solve(simulator, trajectory, n, -dj_dy[n] - carry,
+                             transposed=True)
         carry = prev_t @ xi[n]
     return AdjointState(xi)
 
@@ -85,7 +93,8 @@ def state_sensitivities(simulator: Simulator, trajectory: Trajectory,
     for n in range(m + 1):
         rhs = asm.jac_prev @ sens[:, :n + 1]   # zero at level 0
         rhs[:, n] += asm.d_du
-        sens[:, :n + 1] = -_level_factors(simulator, trajectory, n).solve(rhs)
+        sens[:, :n + 1] = -_level_solve(simulator, trajectory, n, rhs,
+                                        transposed=False)
         out[n] = sens[columns]
     return out
 

@@ -122,23 +122,23 @@ def _cmd_check_gradient(args) -> int:
     times, values = io.load_control(args.control)
     control = io.sample_control(times, values, scenario)
 
-    try:
+    try:    # the forward run, the adjoint sweep and the FD runs
         trajectory = simulator.run(control)
+        _, dj_dy, dj_du = opt.cost_partials(simulator, trajectory)
+        xi = adjoint.adjoint_sweep(simulator, trajectory, dj_dy)
+        grad = adjoint.total_gradient(simulator, trajectory, xi, dj_du)
+
+        m = trajectory.step_count
+        k = max(1, min(args.components, m + 1))
+        components = np.unique(np.linspace(0, m, k).round().astype(int))
+        # the functional the adjoint differentiates: unlike opt.objective,
+        # it does not clip reversed compressor flow
+        fd = adjoint.fd_gradient(
+            simulator, lambda tr, u: opt.cost_partials(simulator, tr)[0],
+            control, components)
     except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    _, dj_dy, dj_du = opt.cost_partials(simulator, trajectory)
-    xi = adjoint.adjoint_sweep(simulator, trajectory, dj_dy)
-    grad = adjoint.total_gradient(simulator, trajectory, xi, dj_du)
-
-    m = trajectory.step_count
-    k = max(1, min(args.components, m + 1))
-    components = np.unique(np.linspace(0, m, k).round().astype(int))
-    # the functional the adjoint differentiates: unlike opt.objective, it
-    # does not clip reversed compressor flow
-    fd = adjoint.fd_gradient(
-        simulator, lambda tr, u: opt.cost_partials(simulator, tr)[0],
-        control, components)
 
     print(f"{'j':>4} {'adjoint':>16} {'central FD':>16} {'rel error':>12}")
     worst = 0.0

@@ -99,19 +99,21 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
 
     re = diameter * np.abs(q) / eta
     rough = re < REYNOLDS_ROUGH_LIMIT
-    re_safe = np.where(rough, REYNOLDS_ROUGH_LIMIT, re)
+    any_rough = rough.any()
+    re_safe = np.where(rough, REYNOLDS_ROUGH_LIMIT, re) if any_rough else re
     re_scaled = re_safe * (_LN10 / 5.02)
     x1, x2 = b * re_scaled, np.log(re_scaled)
     f = x2 - 0.2
     for _ in range(2):
         s = x1 + f
-        e = (np.log(s) + f - x2) / (1.0 + s)
-        f = f - (1.0 + s + 0.5 * e) * e * s / (1.0 + s + e * (1.0 + e / 3.0))
+        s1 = 1.0 + s
+        e = (np.log(s) + f - x2) / s1
+        f = f - (s1 + 0.5 * e) * e * s / (s1 + e * (1.0 + e / 3.0))
     lam = (0.5 * _LN10 / f) ** 2
     # implicit derivative: dF/dRe = F / (Re (1 + X1 + F)) and
     # dlam/dF = -2 lam / F
     dlam_dq = -2.0 * lam * np.sign(q) * d_eta / (re_safe * (1.0 + x1 + f))
-    if rough.any():
+    if any_rough:
         dlam_dq = np.where(rough, 0.0, dlam_dq)
         lam = np.where(rough, 1.0 / (2.0 * np.log10(b)) ** 2, lam)
 

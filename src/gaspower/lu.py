@@ -65,8 +65,8 @@ class CondensedFactors:
         y2 = self.lu.solve(b2[n:] - k.node_sums(k.c * z[k.q_ends]),
                            trans="T")
         # y_1 = z - A^-1 B y_2 = z + X (y_2 at the nodes); all rho, all q
-        g = y2[k.nodes].reshape(-1, 2, b2.shape[1])
-        z += np.einsum("ij,ijk->ik", x, np.repeat(g, k.sizes, axis=0))
+        g = np.repeat(y2[k.pairs], k.sizes, 0)
+        z += x[:, :1] * g[:, 0] + x[:, 1:] * g[:, 1]
         return np.concatenate([z[0::2], z[1::2], y2]).reshape(b.shape)
 
     def solve_transposed(self, c: np.ndarray) -> np.ndarray:
@@ -77,8 +77,8 @@ class CondensedFactors:
         rhs[0::2, :-2], rhs[1::2, :-2] = c2[:n // 2], c2[n // 2:n]
         v, y = self._eliminate(rhs, True)                   # G^-T c_1, G^-T E
         w2 = self.lu.solve(c2[n:] + k.node_sums(v[k.row_ends]))
-        g = (k.c * w2[k.nodes]).reshape(-1, 2, c2.shape[1])   # C^T w_2
-        v -= np.einsum("ij,ijk->ik", y, np.repeat(g, k.sizes, axis=0))
+        g = np.repeat(k.c.reshape(-1, 2, 1) * w2[k.pairs], k.sizes, 0)
+        v -= y[:, :1] * g[:, 0] + y[:, 1:] * g[:, 1]   # g: C^T w_2 per row
         mass, mom = v[k.box], v[k.box + 1]
         return np.concatenate([-self.s * mass - self.t * mom, mass + mom,
                                v[k.row_ends], w2]).reshape(c.shape)
@@ -95,15 +95,15 @@ class StepCondensation:
     tridiagonal, T invertible while s != t, as in subsonic flow (t < 0 < s).
     B (-1 at each coupling row's node density) and C (balance entries `c`
     at the end flows) are constant; S = D - C A^-1 B takes A^-1 at the pipe
-    ends.  `slots` index J.data's box, then pipe-end coupling entries.
+    ends.  `factors` reads J's values in the assembler's entry order.
     """
 
-    def __init__(self, indices, indptr, slots, left, points, nodes, c, names):
+    def __init__(self, indices, indptr, entry, left, points, nodes, c, names):
         self.sizes, self.names = 2 * points, names   # band rows per pipe
         stops = self.stops = np.cumsum(self.sizes)
         n = self.size = int(stops[-1])
         m = self.net = len(indptr) - 1 - n
-        self._pipe_slots, self.box = slots, 2 * left + 1   # mass rows
+        self.box = 2 * left + 1   # mass rows
         # band rows of the coupling rows; the to-end's is its flow's column
         self.row_ends = np.stack([stops - self.sizes, stops - 1], 1).ravel()
         self.q_ends = self.row_ends + np.tile([1, 0], len(stops))
@@ -116,16 +116,16 @@ class StepCondensation:
             b - 1, b + 2 * n - 1, b + n - 1, spare, spare, b + n, b, b + 2 * n,
             self.row_ends + np.tile([n - 1, -1], len(stops))])
         self.nodes, self.c = nodes - n, c[:, None]
+        self.pairs = self.nodes.reshape(-1, 2)   # per pipe: (from, to)
         # S's CSR pattern: D's entries, then the Schur products, which the
         # pipes at one node (or between one pair of nodes) add into a slot
         tail = indices[indptr[n]:] - n
         inside = np.flatnonzero(tail >= 0)
-        self._d_take = indptr[n] + inside
+        self._d_take = entry[indptr[n] + inside]   # D's, in CSR order
         keys = np.concatenate([
             np.repeat(m * np.arange(m), np.diff(indptr[n:]))[inside]
             + tail[inside],
-            (m * self.nodes[:, None]
-             + np.repeat(self.nodes.reshape(-1, 2), 2, axis=0)).ravel()])
+            (m * self.nodes[:, None] + np.repeat(self.pairs, 2, 0)).ravel()])
         unique = keys[np.argsort(keys, kind="stable")]
         unique = unique[np.concatenate([[True], unique[1:] != unique[:-1]])]
         self.schur_slots = np.searchsorted(unique, keys)
@@ -141,14 +141,14 @@ class StepCondensation:
             (k * self.nodes[:, None] + np.arange(k)).ravel()
         return np.bincount(at, per_end.ravel(), self.net * k).reshape(-1, k)
 
-    def factors(self, jac, splu) -> CondensedFactors:
-        """Factors of `jac` (CSR, set-up pattern); `splu` factors S^T."""
-        n, k, values = self.size, 8 * len(self.box), jac.data[self._pipe_slots]
+    def factors(self, values, splu) -> CondensedFactors:
+        """Factors of the step Jacobian `values`; `splu` factors S^T."""
+        n, k, ends = self.size, 8 * len(self.box), len(self.row_ends)
         m, mo = values[:k].reshape(2, 4, -1, 1)   # rho_L, rho_R, q_L, q_R
         s, t = mo[3] / m[3], mo[0] / m[0]
         tri = np.zeros(3 * n - 1)
-        tri[self._tri_at] = np.concatenate([(mo - s * m).ravel(),
-                                            (mo - t * m).ravel(), values[k:]])
+        tri[self._tri_at] = np.concatenate([
+            (mo - s * m).ravel(), (mo - t * m).ravel(), values[k:k + ends]])
         return CondensedFactors(
             self, (tri[:n - 1], tri[n - 1:2 * n - 1], tri[2 * n - 1:-1]),
-            (s, t), jac.data[self._d_take], splu)
+            (s, t), values[self._d_take], splu)

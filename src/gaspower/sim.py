@@ -17,12 +17,13 @@ y_prev = y_next) are solved by one damped Newton routine.  The steady
 solve starts from a flat grid (V = 1, phi = P = Q = 0, the pinned values
 written in), so it solves the power flow together with the gas.
 
-The assembler checks the network and fixes the CSR pattern of dR/dy_next
+The assembler checks the network and lists the entries of dR/dy_next
 at set-up, so an iterate pays only for the guards on its own values and
-each Jacobian is a shallow copy of one set-up matrix with its own data;
-dR/dy_prev and dR/du are constant and shared by all calls.  The steady
-block dR/dy_next + dR/dy_prev keeps that pattern, the entries that cancel
-stored as zeros.  Newton factors a step block through the assembler's
+a step Jacobian is its values in that entry order, which the step
+factorization reads directly; dR/dy_prev and dR/du are constant and
+shared by all calls.  Only the steady block dR/dy_next + dR/dy_prev is a
+CSR matrix (matrix() on the set-up pattern, the entries that cancel
+stored as zeros).  Newton factors a step block through the assembler's
 lu.StepCondensation (a 2x2 row transform per cell makes the pipe block
 tridiagonal, for one LAPACK dgtsv per solve, and the caller's splu
 factors the small network block) and the steady block whole
@@ -373,7 +374,7 @@ class CoupledStepAssembler:
         indptr = np.zeros(idx.size + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=idx.size), out=indptr[1:])
         indices.flags.writeable = indptr.flags.writeable = False
-        # jacobian() copies it with new data; its own is a memory-free view
+        # matrix() copies it with new data; its own is a memory-free view
         self._pattern = sparse.csr_matrix(
             (np.broadcast_to(0.0, len(indices)), indices, indptr), shape)
 
@@ -396,12 +397,9 @@ class CoupledStepAssembler:
         values[self._box_old] = -0.5 * self.row_scale[rows[self._box_old]]
         self._steady_shift, self.jac_prev = at_slots(values)
         self.jac_prev.data.flags.writeable = False
-        # data slots of the box, then the coupling entries; C: end balances
-        slots = np.empty_like(self._slot_entry)
-        slots[self._slot_entry] = np.arange(len(slots))
+        # the box and coupling entries lead the values; C: end balances
         self.condensation = StepCondensation(
-            indices, indptr,
-            slots[:first + 2 * len(self.pipes)], self.grid.left,
+            indices, indptr, self._slot_entry, self.grid.left,
             np.array([p.cell_count + 1 for p in self.pipes]),
             self.coupling_node_cols, np.where(balance, area * scale[ends],
                                               0.0)[:2 * len(self.pipes)],
@@ -504,14 +502,11 @@ class CoupledStepAssembler:
             res[self._bc_rows] -= snap.bus_fixed.ravel()
         return res * self.row_scale
 
-    def jacobian(self, it: Iterate, dt: float):
-        """dR/dy_next at it, rows scaled like residual().
-
-        It shares the set-up pattern arrays and owns the values computed
-        here.  Its transpose is CSC with the same arrays, the form in
-        which splu factors it.  dR/dy_prev and dR/du are constant: the
-        read-only attributes jac_prev and d_du.
-        """
+    def jacobian(self, it: Iterate, dt: float) -> np.ndarray:
+        """dR/dy_next at it, rows scaled like residual(): its values in the
+        set-up entry order, which condensation.factors reads and matrix()
+        turns into CSR.  dR/dy_prev and dR/du are constant: the read-only
+        attributes jac_prev and d_du."""
         y = it.y
         deps = power.plant_gas_offtake_derivative(y[self._plant_cols],
                                                   self._plants)
@@ -522,15 +517,19 @@ class CoupledStepAssembler:
         if self.n_bus:
             parts += [-block.ravel() for block in power.injection_jacobians(
                 y[self._bus_cols[0]], it.tables)]
-        jac_next = copy.copy(self._pattern)
-        jac_next.data = (np.concatenate(parts)
-                         * self._entry_scale)[self._slot_entry]
-        return jac_next
+        return np.concatenate(parts) * self._entry_scale
+
+    def matrix(self, values: np.ndarray):
+        """jacobian()'s `values` as a CSR matrix on the set-up pattern
+        arrays, with its own data (its transpose: CSC, the same arrays)."""
+        jac = copy.copy(self._pattern)
+        jac.data = values[self._slot_entry]
+        return jac
 
     def steady_jacobian(self, it: Iterate, dt: float):
         """dR/dy of the steady block R(y, y, u) at it, the sum of
-        jacobian() and jac_prev, in the set-up pattern of dR/dy_next."""
-        jac = self.jacobian(it, dt)
+        jacobian() and jac_prev: a CSR matrix in the set-up pattern."""
+        jac = self.matrix(self.jacobian(it, dt))
         jac.data += self._steady_shift
         return jac
 
@@ -544,9 +543,9 @@ def _damped_newton(assembler: CoupledStepAssembler, residual, jacobian,
     The start and each admissible candidate are evaluated once
     (assembler.evaluate); residual and jacobian read that Iterate.  Each
     step is halved (up to `halvings` times) until the candidate is
-    admissible and lowers the max-norm residual.  `jacobian` returns a
-    CSR matrix J in the step pattern, and factors(J, splu) factors it
-    (see lu); a singular J raises SingularJacobian.  A non-finite
+    admissible and lowers the max-norm residual.  factors(J, splu)
+    factors what `jacobian` returns, the step values or the steady CSR
+    matrix (see lu); a singular J raises SingularJacobian.  A non-finite
     residual at the start, which no step can mend, raises SimulationError
     naming the unknown at the row's column.
     """

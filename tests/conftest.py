@@ -67,3 +67,30 @@ def make_toy_scenario(steps=2, dt=900.0, outflow_flux=150.0,
 @pytest.fixture()
 def toy_simulator():
     return Simulator(make_toy_network(), make_toy_scenario())
+
+
+def make_mixed_network():
+    """Compressor feeding three pipes in series that differ in diameter,
+    roughness and cell count; the middle pipe has a single cell."""
+    gas_net = GasNetwork(
+        nodes=(GasNode("A", "pressure-boundary"), GasNode("B", "junction"),
+               GasNode("J1", "junction"), GasNode("J2", "junction"),
+               GasNode("C", "flow-boundary")),
+        pipes=(Pipe("P1", "B", "J1", length=3000.0, diameter=0.6,
+                    roughness=5e-4, cell_count=3),
+               Pipe("P2", "J1", "J2", length=1500.0, diameter=0.4,
+                    roughness=1e-4, cell_count=1),
+               Pipe("P3", "J2", "C", length=2000.0, diameter=0.9,
+                    roughness=2e-3, cell_count=2)),
+        compressors=(CompressorArc("CMP", "A", "B"),),
+    )
+    return CoupledNetwork(gas=gas_net, grid=PowerGrid((), ()))
+
+
+def zero_flow_column(asm, values, pipe):
+    """The step Jacobian `values` (in the assembler's entry order, which
+    the box stencil leads) with its box entries in the column of `pipe`'s
+    first flow set to zero: a singular pipe block."""
+    cols = asm.box_next[1]
+    values[:len(cols)][cols == asm.index.pipe_q[pipe].start] = 0.0
+    return values

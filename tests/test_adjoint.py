@@ -8,9 +8,10 @@ from gaspower import opt
 from gaspower.adjoint import (AdjointState, adjoint_sweep, fd_gradient,
                               state_sensitivities, total_gradient)
 from gaspower.model import BAR
-from gaspower.sim import Simulator
+from gaspower.sim import Simulator, SingularJacobian
 
-from conftest import make_toy_network, make_toy_scenario
+from conftest import (make_mixed_network, make_toy_network, make_toy_scenario,
+                      zero_flow_column)
 
 
 @pytest.fixture()
@@ -31,7 +32,8 @@ def stacked_jacobian(simulator, trajectory):
     prev = asm.jac_prev.toarray()
     for step, y in enumerate(trajectory.states):
         rows = slice(step * n, (step + 1) * n)
-        full[rows, rows] = asm.jacobian(asm.evaluate(y), dt).toarray()
+        full[rows, rows] = asm.matrix(
+            asm.jacobian(asm.evaluate(y), dt)).toarray()
         if step == 0:   # the steady block, dR/dy_next + dR/dy_prev at y_0
             full[rows, rows] += prev
         else:
@@ -236,3 +238,41 @@ def test_one_factorization_per_level_for_sensitivities(toy, monkeypatch):
     monkeypatch.setattr(adjoint_mod, "splu", counting)
     state_sensitivities(simulator, trajectory, [0])
     assert len(calls) == trajectory.step_count + 1
+
+
+@pytest.mark.parametrize("level", [0, 2])
+@pytest.mark.parametrize("sweep", ["adjoint", "tangent"])
+def test_singular_level_block_names_the_level(monkeypatch, sweep, level):
+    """A singular level block raises SingularJacobian naming the sweep, the
+    level and its time: P2's flow column zeroed in a step level's pipe
+    block gives a zero pivot in its dgtsv, and zeroed in the steady block
+    an exactly singular SuperLU factor."""
+    simulator = Simulator(make_mixed_network(),
+                          make_toy_scenario(steps=3, outflow_flux=60.0))
+    trajectory = simulator.run(np.linspace(1.0e5, 1.6e5, 4))
+    asm, at = simulator.assembler, trajectory.states[level]
+    col = asm.index.pipe_q["P2"].start
+    jacobian, steady_jacobian = asm.jacobian, asm.steady_jacobian
+
+    def singular_step(it, dt):
+        values = jacobian(it, dt)
+        return zero_flow_column(asm, values, "P2") \
+            if np.array_equal(it.y, at) else values
+
+    def singular_steady(it, dt):
+        jac = steady_jacobian(it, dt)
+        jac.data[jac.indices == col] = 0.0
+        return jac
+
+    if level:
+        monkeypatch.setattr(asm, "jacobian", singular_step)
+    else:
+        monkeypatch.setattr(asm, "steady_jacobian", singular_steady)
+    cause = "pipe P2" if level else "Factor is exactly singular"
+    with pytest.raises(SingularJacobian, match=rf"^{sweep} sweep, level "
+                       rf"{level} \(t = {0.25 * level:.2f} h\): .*{cause}$"):
+        if sweep == "adjoint":
+            adjoint_sweep(simulator, trajectory,
+                          np.ones_like(trajectory.states))
+        else:
+            state_sensitivities(simulator, trajectory, [0])

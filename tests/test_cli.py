@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import gaspower
-from gaspower import cli, io
-from gaspower.sim import BoundaryData
+from gaspower import adjoint, cli, io
+from gaspower.sim import (BoundaryData, SimulationError, Simulator,
+                          SingularJacobian)
 
 from conftest import make_toy_network, make_toy_scenario
 
@@ -59,9 +60,11 @@ def test_wrongly_typed_record_is_an_input_error(tmp_path):
     assert "Traceback" not in done.stderr
 
 
-def write_toy_case(tmp_path, pressure_bounds=None, optimizer=None):
+def write_toy_case(tmp_path, pressure_bounds=None, optimizer=None,
+                   outflow_flux=150.0):
     """Toy network and scenario files; returns the common CLI arguments."""
-    scenario = make_toy_scenario(pressure_bounds=pressure_bounds)
+    scenario = make_toy_scenario(pressure_bounds=pressure_bounds,
+                                 outflow_flux=outflow_flux)
     scenario = replace(scenario, optimizer=dict(optimizer or {}))
     io.dump_network(make_toy_network(), tmp_path / "network.json")
     io.dump_scenario(scenario, tmp_path / "scenario.json")
@@ -147,6 +150,51 @@ def test_check_gradient_under_reversed_compressor_flow(tmp_path, capsys):
     assert code == cli.EXIT_OK
     out = capsys.readouterr().out
     assert float(out.split("max relative error:")[1]) < 1e-5
+
+
+@pytest.mark.parametrize("failing", ["second run", "sweep"])
+def test_check_gradient_with_a_failed_solve_is_not_converged(
+        tmp_path, capsys, monkeypatch, failing):
+    """A SimulationError from a finite-difference run (the second
+    Simulator.run) or from the adjoint sweep exits 1 with its message."""
+    files = write_toy_case(tmp_path)
+    control = tmp_path / "control.csv"
+    io.write_control(np.array([0.0]), np.array([1.0e5]), control)
+    runs, run = [], Simulator.run
+
+    def second_run_fails(self, *args):
+        runs.append(args)
+        if len(runs) == 2:
+            raise SimulationError("step 1 (t = 0.25 h) failed: stalled")
+        return run(self, *args)
+
+    def sweep_fails(*args):
+        raise SingularJacobian("adjoint sweep, level 1 (t = 0.25 h): "
+                               "stalled")
+
+    if failing == "sweep":
+        monkeypatch.setattr(adjoint, "adjoint_sweep", sweep_fails)
+    else:
+        monkeypatch.setattr(Simulator, "run", second_run_fails)
+    code = cli.run(["check-gradient", *files, "--control", str(control),
+                    "--components", "2"])
+    assert code == cli.EXIT_NOT_CONVERGED
+    captured = capsys.readouterr()
+    assert "level 1 (t = 0.25 h): stalled" in captured.err \
+        if failing == "sweep" else "step 1 (t = 0.25 h) failed" in captured.err
+    assert "max relative error" not in captured.out
+
+
+def test_simulate_with_a_failed_run_is_not_converged(tmp_path, capsys):
+    """A demand the source cannot feed stalls the steady solve: exit 1,
+    the failure on stderr and no result files."""
+    files = write_toy_case(tmp_path, outflow_flux=1.0e5)
+    out = tmp_path / "out"
+    assert cli.run(["simulate", *files, "--out", str(out)]) == \
+        cli.EXIT_NOT_CONVERGED
+    assert "simulation failed: steady state (t = 0.00 h) failed" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_writes_the_result_files(tmp_path, capsys):

@@ -55,7 +55,7 @@ def test_free_and_pinned_quantities_split_every_bus(bundled_simulator):
         kinds.add(bus.kind)
     assert kinds == set(PINNED_QUANTITIES)
     y = asm.flat_state(snap)
-    jac = asm.jacobian(asm.evaluate(y), 900.0)
+    jac = asm.matrix(asm.jacobian(asm.evaluate(y), 900.0))
     rows = flow_rows(asm)
     assert np.linalg.matrix_rank(jac[rows][:, free].toarray()) == len(rows)
 
@@ -138,7 +138,7 @@ class TestJacobian:
         the unit vector at the slack's P row."""
         asm = bundled_simulator.assembler
         states = uncontrolled_trajectory.states
-        jac = asm.jacobian(asm.evaluate(states[1]), 900.0)
+        jac = asm.matrix(asm.jacobian(asm.evaluate(states[1]), 900.0))
         slack, = (bus.id for bus in asm.busses if bus.kind == SLACK)
         rows = flow_rows(asm)
         column = jac[rows][:, asm.index.bus[(slack, "P")]].toarray().ravel()

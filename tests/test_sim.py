@@ -10,6 +10,7 @@ from gaspower import gas
 from gaspower import io as gio
 from gaspower import power
 from gaspower import sim as sim_mod
+from gaspower.adjoint import adjoint_sweep
 from gaspower.model import (PINNED_QUANTITIES, CompressorArc, CoupledNetwork,
                             GasNetwork, GasNode, Pipe, PowerGrid)
 from gaspower.lu import whole_factors
@@ -19,8 +20,8 @@ from gaspower.sim import (BUS_QUANTITIES, MASS_FLOW_SCALE, BoundaryData,
                           SingularJacobian, VariableIndex, mass_balance_report,
                           newton_solve_step, simulate, steady_state)
 
-from conftest import (box_scheme_residual, make_toy_network,
-                      make_toy_scenario)
+from conftest import (box_scheme_residual, make_mixed_network,
+                      make_toy_network, make_toy_scenario, zero_flow_column)
 
 
 def _index_maps(index):
@@ -190,7 +191,7 @@ class TestResidualStructure:
         boundary rows at its P and Q columns."""
         asm = bundled_simulator.assembler
         y0 = uncontrolled_trajectory.states[0]
-        jac = asm.jacobian(asm.evaluate(y0), 900.0)
+        jac = asm.matrix(asm.jacobian(asm.evaluate(y0), 900.0))
         for bus in asm.busses:
             col = {q: asm.index.bus[(bus.id, q)] for q in BUS_QUANTITIES}
             # P - P_calc and Q - Q_calc, unscaled
@@ -417,24 +418,6 @@ def test_random_ramps_converge_and_conserve_mass(case):
     assert np.max(mass_balance_report(simulator, trajectory)) < simulator.tol
 
 
-def make_mixed_network():
-    """Compressor feeding three pipes in series that differ in diameter,
-    roughness and cell count; the middle pipe has a single cell."""
-    gas_net = GasNetwork(
-        nodes=(GasNode("A", "pressure-boundary"), GasNode("B", "junction"),
-               GasNode("J1", "junction"), GasNode("J2", "junction"),
-               GasNode("C", "flow-boundary")),
-        pipes=(Pipe("P1", "B", "J1", length=3000.0, diameter=0.6,
-                    roughness=5e-4, cell_count=3),
-               Pipe("P2", "J1", "J2", length=1500.0, diameter=0.4,
-                    roughness=1e-4, cell_count=1),
-               Pipe("P3", "J2", "C", length=2000.0, diameter=0.9,
-                    roughness=2e-3, cell_count=2)),
-        compressors=(CompressorArc("CMP", "A", "B"),),
-    )
-    return CoupledNetwork(gas=gas_net, grid=PowerGrid((), ()))
-
-
 def central_differences(fun, y, h_rel=1e-5):
     """Columns of d fun / d y by central differences."""
     cols = []
@@ -471,7 +454,8 @@ class TestMixedGeometryJacobian:
         y_prev = y1 if same_levels else y0
         u, dt = 1.2e5, 900.0
         it = asm.evaluate(y1)
-        assert_close(asm.jacobian(it, dt).toarray(), central_differences(
+        jac = asm.matrix(asm.jacobian(it, dt))
+        assert_close(jac.toarray(), central_differences(
             lambda y: asm.residual(y_prev, asm.evaluate(y), u, snap, dt), y1))
         assert_close(asm.jac_prev.toarray(), central_differences(
             lambda y: asm.residual(y, it, u, snap, dt), y_prev))
@@ -562,7 +546,8 @@ def test_gas_only_network_supported():
 
 
 class TestFixedPattern:
-    """The step Jacobian keeps the CSR pattern built at set-up."""
+    """The step Jacobian keeps the entry order fixed at set-up, and its
+    matrix the CSR pattern."""
 
     @pytest.fixture()
     def step(self, bundled_simulator, uncontrolled_trajectory):
@@ -571,14 +556,14 @@ class TestFixedPattern:
                 states[4], states[5])
 
     def test_pattern_is_fixed_and_canonical(self, step):
-        """Every Jacobian shares the set-up pattern arrays and owns its
-        values: a steady block built in between leaves them unchanged."""
+        """Every Jacobian's matrix shares the set-up pattern arrays and owns
+        its data: a steady block built in between leaves it unchanged."""
         asm, snap, y0, y1 = step
         it = asm.evaluate(y1)
-        first = asm.jacobian(it, 900.0)
+        first = asm.matrix(asm.jacobian(it, 900.0))
         values = first.data.copy()
         steady = asm.steady_jacobian(it, 900.0)
-        second = asm.jacobian(asm.evaluate(1.001 * y1), 900.0)
+        second = asm.matrix(asm.jacobian(asm.evaluate(1.001 * y1), 900.0))
         assert not np.array_equal(first.data, second.data)
         assert np.array_equal(first.data, values)
         for jac in (first, second, steady):
@@ -589,15 +574,45 @@ class TestFixedPattern:
                            for other in (first, second, steady)
                            if other is not jac)
 
+    def test_only_the_steady_block_is_a_matrix(self, bundled_simulator,
+                                               uncontrolled_trajectory,
+                                               monkeypatch):
+        """A step Jacobian stays a flat array of values, which
+        condensation.factors reads: Newton's steps and the adjoint sweep's
+        step levels build no CSR matrix, and each steady iteration (like
+        the sweep's level 0) builds one."""
+        asm, dt = bundled_simulator.assembler, bundled_simulator.scenario.dt
+        states, calls = uncontrolled_trajectory.states, []
+        for name in ("jacobian", "matrix"):
+            def counted(*args, original=getattr(asm, name), name=name):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(asm, name, counted)
+        values = asm.jacobian(asm.evaluate(states[5]), dt)
+        assert values.shape == asm._pattern.indices.shape
+        calls.clear()
+        newton_solve_step(asm, states[4], 0.0, bundled_simulator.snapshots[5],
+                          dt)
+        assert len(calls) > 1 and set(calls) == {"jacobian"}
+        calls.clear()
+        steady_state(asm, bundled_simulator.snapshots[0], 0.0, dt)
+        assert len(calls) > 2 and calls == ["jacobian", "matrix"] * (
+            len(calls) // 2)
+        calls.clear()
+        adjoint_sweep(bundled_simulator, uncontrolled_trajectory,
+                      np.ones_like(states))
+        assert calls == ["jacobian"] * (len(states) - 1) + [
+            "jacobian", "matrix"]
+
     def test_learned_order_changes_no_bit(self, step):
         """Two condensed factorizations of one step block, each ordering
         its network block afresh, solve to the bit alike, in both
         directions."""
         asm, snap, y0, y1 = step
-        jac = asm.jacobian(asm.evaluate(y1), 900.0)
-        first, second = (asm.condensation.factors(jac, splu)
+        values = asm.jacobian(asm.evaluate(y1), 900.0)
+        first, second = (asm.condensation.factors(values, splu)
                          for _ in range(2))
-        rhs = np.random.default_rng(7).standard_normal((jac.shape[0], 3))
+        rhs = np.random.default_rng(7).standard_normal((asm.index.size, 3))
         for b in (rhs[:, 0], rhs):
             assert np.array_equal(first.solve(b), second.solve(b))
             assert np.array_equal(first.solve_transposed(b),
@@ -634,15 +649,8 @@ class TestFixedPattern:
             make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
         y = steady_state(asm, snap, 1.0e5, 900.0)
         original = asm.jacobian
-
-        def singular(*args):
-            jac = original(*args)
-            rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
-            jac.data[(rows < asm.grid.shape[0])
-                     & (jac.indices == asm.index.pipe_q["P2"].start)] = 0.0
-            return jac
-
-        monkeypatch.setattr(asm, "jacobian", singular)
+        monkeypatch.setattr(asm, "jacobian", lambda *args: zero_flow_column(
+            asm, original(*args), "P2"))
         with pytest.raises(SingularJacobian, match="pipe P2$"):
             newton_solve_step(asm, y, 1.2e5, snap, 900.0,
                               y_guess=1.001 * y)
@@ -659,7 +667,7 @@ class TestFixedPattern:
         """Covers the plant, compressor and power-flow entries too."""
         asm, snap, y0, y1 = step
         u, dt = 2.0e5, 900.0
-        jac_next = asm.jacobian(asm.evaluate(y1), dt)
+        jac_next = asm.matrix(asm.jacobian(asm.evaluate(y1), dt))
         assert_close(jac_next.toarray(), central_differences(
             lambda y: asm.residual(y0, asm.evaluate(y), u, snap, dt), y1))
 
@@ -673,7 +681,8 @@ class TestFixedPattern:
         assert np.array_equal(jac.indices, asm._pattern.indices)
         assert np.array_equal(jac.indptr, asm._pattern.indptr)
         assert np.array_equal(jac.toarray(),
-                              (asm.jacobian(it, dt) + asm.jac_prev).toarray())
+                              (asm.matrix(asm.jacobian(it, dt))
+                               + asm.jac_prev).toarray())
         assert_close(jac.toarray(), central_differences(
             lambda y: asm.residual(y, asm.evaluate(y), u, snap, dt), y))
 
@@ -729,10 +738,10 @@ def test_factors_solve_both_directions(case):
     assert np.all(flows < 0) if case == "reversed" else np.all(flows > 0)
     step = asm.jacobian(asm.evaluate(y[1]), dt)
     steady = asm.steady_jacobian(asm.evaluate(y[0]), dt)
-    rhs = np.random.default_rng(5).standard_normal((step.shape[0], 3))
-    for factors, block in ((asm.condensation.factors, step),
-                           (whole_factors, steady)):
-        dense = block.toarray()
+    rhs = np.random.default_rng(5).standard_normal((asm.index.size, 3))
+    for factors, block, dense in (
+            (asm.condensation.factors, step, asm.matrix(step).toarray()),
+            (whole_factors, steady, steady.toarray())):
         for order in ((0, 1), (1, 0)):
             lu = factors(block, splu)
             for b in (rhs[:, 0], rhs):
@@ -764,16 +773,16 @@ def test_pipe_block_is_tridiagonal_after_the_row_transform(
     mass, mom = 2 * left + 1, 2 * left + 2
     pattern = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
     for level in range(1, len(states)):
-        jac = asm.jacobian(asm.evaluate(states[level]), dt)
+        values = asm.jacobian(asm.evaluate(states[level]), dt)
         a = np.zeros((n, n))
-        a[np.ix_(rows, cols)] = jac[:n, :n].toarray()
+        a[np.ix_(rows, cols)] = asm.matrix(values)[:n, :n].toarray()
         s = a[mom, mass + 2] / a[mass, mass + 2]
         t = a[mom, mass - 1] / a[mass, mass - 1]
         assert np.all(t < 0.0) and np.all(s > 0.0)
         ta = a.copy()
         ta[mass] = a[mom] - s[:, None] * a[mass]
         ta[mom] = a[mom] - t[:, None] * a[mass]
-        lu = asm.condensation.factors(jac, splu)
+        lu = asm.condensation.factors(values, splu)
         dl, d, du = lu.diagonals
         assert np.array_equal(lu.s.ravel(), s) and np.array_equal(
             lu.t.ravel(), t)
@@ -842,7 +851,7 @@ class TestEmptyIndexArrays:
         y0 = traj.states[0]
         rng = np.random.default_rng(7)
         y1 = traj.states[1] * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
-        jac_next = asm.jacobian(asm.evaluate(y1), 900.0)
+        jac_next = asm.matrix(asm.jacobian(asm.evaluate(y1), 900.0))
         assert_close(jac_next.toarray(), central_differences(
             lambda y: asm.residual(y0, asm.evaluate(y), 0.0, snap, 900.0), y1))
 
