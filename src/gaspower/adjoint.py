@@ -5,12 +5,13 @@ The discretized trajectory satisfies one block of model equations per
 time level: the steady-state block at level 0 and one implicit step per
 later level.  Stacked over time the Jacobian is block lower bidiagonal,
 so the transposed (adjoint) system is solved backwards with one
-factorization per level, as in the forward Newton solve: the steady block
-whole (lu.whole_factors), each step block condensed onto the network by
-lu.StepCondensation (a tridiagonal pipe block, one dgtsv per solve).  The
-total derivative of a scalar functional then needs no further linear
-solves.  The same blocks, solved forwards, give the state sensitivities to
-every control, whence the derivatives of many functionals follow at once.
+factorization per level through the assembler's factors(), as in the
+forward Newton solve: the steady block whole (lu.whole_factors), each step
+block condensed onto the network by lu.StepCondensation (a tridiagonal
+pipe block, one dgtsv per solve).  The total derivative of a scalar
+functional then needs no further linear solves.  The same blocks, solved
+forwards, give the state sensitivities to every control, whence the
+derivatives of many functionals follow at once.
 A singular block raises sim.SingularJacobian naming its level and time.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .sim import SingularJacobian, Simulator, Trajectory, whole_factors
+from .sim import SimulationError, SingularJacobian, Simulator, Trajectory
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,12 @@ class AdjointState:
 def _level_solve(simulator: Simulator, trajectory: Trajectory, n: int,
                  rhs: np.ndarray, transposed: bool) -> np.ndarray:
     """rhs solved with the state block of level n (its transpose for the
-    adjoint), the steady block at level 0 and a step block's values else."""
-    asm, dt = simulator.assembler, simulator.scenario.dt
+    adjoint): assembler.factors of the steady block at level 0 and of a
+    step block else, as in the forward Newton solve."""
+    asm = simulator.assembler
     it = asm.evaluate(trajectory.states[n])
     try:
-        lu = whole_factors(asm.steady_jacobian(it, dt), splu) if n == 0 \
-            else asm.condensation.factors(asm.jacobian(it, dt), splu)
+        lu = asm.factors(it, simulator.scenario.dt, splu, n == 0)
         return lu.solve_transposed(rhs) if transposed else lu.solve(rhs)
     except RuntimeError as exc:     # a zero pivot, in dgtsv or SuperLU
         raise SingularJacobian(
@@ -108,16 +109,21 @@ def fd_gradient(simulator: Simulator, functional, control: np.ndarray,
     60-pipe network it is 1e-7 of the gradient at 100 Pa but 1e-5 at
     10^3 Pa, and the rounding error of the cost stays far below both.
     Only the requested components are evaluated; each costs two full
-    simulations.
+    simulations.  A failed run raises SimulationError naming the
+    component and the sign of h.
     """
     control = np.asarray(control, dtype=float)
     out = np.full(len(control), np.nan)
     for j in components:
-        up = control.copy()
-        up[j] += h
-        down = control.copy()
-        down[j] -= h
-        f_up = functional(simulator.run(up), up)
-        f_down = functional(simulator.run(down), down)
-        out[j] = (f_up - f_down) / (2.0 * h)
+        f = []
+        for sign, what in ((1.0, "+"), (-1.0, "-")):
+            u = control.copy()
+            u[j] += sign * h
+            try:
+                f.append(functional(simulator.run(u), u))
+            except SimulationError as exc:
+                raise SimulationError(
+                    f"finite-difference run, component {j}, u {what} h "
+                    f"(h = {h:g} Pa): {exc}") from exc
+        out[j] = (f[0] - f[1]) / (2.0 * h)
     return out

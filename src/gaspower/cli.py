@@ -185,9 +185,6 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except io.FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

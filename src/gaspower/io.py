@@ -313,9 +313,9 @@ def write_results(simulator: Simulator, trajectory: Trajectory,
         f.write("t_hours,node,p_bar,q\n")
         pressures = {n.id: trajectory.node_pressure(n.id, cons) / BAR
                      for n in asm.nodes}
+        injections = asm.node_injections(trajectory.states)
         for j, t in enumerate(hours):
-            for node in asm.nodes:
-                inj = asm.node_injection(trajectory.states[j], node.id)
+            for node, inj in zip(asm.nodes, injections[j]):
                 f.write(f"{_fmt(t)},{node.id},"
                         f"{_fmt(pressures[node.id][j])},{_fmt(inj)}\n")
 

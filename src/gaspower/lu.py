@@ -95,14 +95,15 @@ class StepCondensation:
     tridiagonal, T invertible while s != t, as in subsonic flow (t < 0 < s).
     B (-1 at each coupling row's node density) and C (balance entries `c`
     at the end flows) are constant; S = D - C A^-1 B takes A^-1 at the pipe
-    ends.  `factors` reads J's values in the assembler's entry order.
+    ends.  `factors` reads J's values in the assembler's entry order;
+    `rows` and `cols` give each entry's row and column, whence D and S.
     """
 
-    def __init__(self, indices, indptr, entry, left, points, nodes, c, names):
+    def __init__(self, rows, cols, left, points, nodes, c, names):
         self.sizes, self.names = 2 * points, names   # band rows per pipe
         stops = self.stops = np.cumsum(self.sizes)
         n = self.size = int(stops[-1])
-        m = self.net = len(indptr) - 1 - n
+        m = self.net = int(rows.max()) + 1 - n   # every row holds an entry
         self.box = 2 * left + 1   # mass rows
         # band rows of the coupling rows; the to-end's is its flow's column
         self.row_ends = np.stack([stops - self.sizes, stops - 1], 1).ravel()
@@ -119,12 +120,9 @@ class StepCondensation:
         self.pairs = self.nodes.reshape(-1, 2)   # per pipe: (from, to)
         # S's CSR pattern: D's entries, then the Schur products, which the
         # pipes at one node (or between one pair of nodes) add into a slot
-        tail = indices[indptr[n]:] - n
-        inside = np.flatnonzero(tail >= 0)
-        self._d_take = entry[indptr[n] + inside]   # D's, in CSR order
+        self._d_take = np.flatnonzero((rows >= n) & (cols >= n))
         keys = np.concatenate([
-            np.repeat(m * np.arange(m), np.diff(indptr[n:]))[inside]
-            + tail[inside],
+            m * (rows[self._d_take] - n) + cols[self._d_take] - n,
             (m * self.nodes[:, None] + np.repeat(self.pairs, 2, 0)).ravel()])
         unique = keys[np.argsort(keys, kind="stable")]
         unique = unique[np.concatenate([[True], unique[1:] != unique[:-1]])]

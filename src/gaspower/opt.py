@@ -41,12 +41,12 @@ def trapezoid_weights(step_count: int) -> np.ndarray:
 
 
 def _compressor_points(simulator: Simulator):
-    """Per compressor: its data, columns (rho_in, rho_out, q) and area."""
+    """Per compressor: its data, columns (rho_in, rho_out, q) and area, off
+    its from- and to-end in the assembler's table of arc ends."""
     asm = simulator.assembler
-    idx = asm.index
-    return [(comp, [idx.node_rho[comp.from_node], idx.node_rho[comp.to_node],
-                    idx.comp_q[comp.id]], asm.comp_area[comp.id])
-            for comp in asm.comps]
+    rho, first = asm.node_rows[asm.end_node], 2 * len(asm.pipes)
+    return [(comp, [rho[k], rho[k + 1], asm.end_flow[k]], asm.end_area[k + 1])
+            for comp, k in zip(asm.comps, range(first, len(rho), 2))]
 
 
 def _cost_terms(simulator: Simulator, trajectory: Trajectory,

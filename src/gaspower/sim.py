@@ -17,23 +17,25 @@ y_prev = y_next) are solved by one damped Newton routine.  The steady
 solve starts from a flat grid (V = 1, phi = P = Q = 0, the pinned values
 written in), so it solves the power flow together with the gas.
 
-The assembler checks the network and lists the entries of dR/dy_next
-at set-up, so an iterate pays only for the guards on its own values and
-a step Jacobian is its values in that entry order, which the step
-factorization reads directly; dR/dy_prev and dR/du are constant and
-shared by all calls.  Only the steady block dR/dy_next + dR/dy_prev is a
-CSR matrix (matrix() on the set-up pattern, the entries that cancel
-stored as zeros).  Newton factors a step block through the assembler's
-lu.StepCondensation (a 2x2 row transform per cell makes the pipe block
-tridiagonal, for one LAPACK dgtsv per solve, and the caller's splu
-factors the small network block) and the steady block whole
-(lu.whole_factors).  The linear rows (pressure coupling, node balances,
-boundary and bus rows) form one constant sparse operator.  After set-up
-the assembler holds no state: evaluate(y) returns an Iterate, y with its
-pointwise gas terms (gas.point_terms, Colebrook included) and power-flow
-trig tables, and the residual and the Jacobian at y both read it, so
-each iterate's pointwise physics is evaluated once and the Jacobian only
-combines it.
+The assembler checks the network and lists at set-up one table of arc
+ends (every pipe end, then every compressor end, from-end then to-end:
+node, flow column, area signed into the node), off which the balances,
+pressure coupling, compressor rows and node injections are read, and
+the entries of dR/dy_next, so an iterate pays only for the guards on its
+own values and a step Jacobian is its values in that entry order;
+dR/dy_prev and dR/du are constant.  factors() alone chooses how a level
+block is factored, for Newton and the adjoint sweeps alike: a step block
+by lu.StepCondensation straight from its values (a 2x2 row transform per
+cell makes the pipe block tridiagonal, for one LAPACK dgtsv per solve;
+the caller's splu factors the small network block), the steady block
+dR/dy_next + dR/dy_prev whole (lu.whole_factors) as the one CSR matrix
+(matrix() on the set-up pattern, the entries that cancel stored as
+zeros).  The linear rows (pressure coupling, node balances, boundary and
+bus rows) form one constant sparse operator.  After set-up the assembler
+holds no state: evaluate(y) returns an Iterate, y with its pointwise gas
+terms (gas.point_terms, Colebrook included) and power-flow trig tables,
+and the residual and the Jacobian at y both read it, so each iterate's
+pointwise physics is evaluated once and the Jacobian only combines it.
 """
 
 from __future__ import annotations
@@ -231,25 +233,24 @@ class CoupledStepAssembler:
         self.pipes = list(network.gas.pipes)
         self.comps = list(network.gas.compressors)
 
-        # incident pipe/compressor ends per node: (q column, signed area into node)
-        self.node_terms: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
+        # the arc ends, every pipe's and then every compressor's, from-end
+        # then to-end: node (position), flow column, area signed into node
+        ends = []
         for pipe in self.pipes:
             q_sl = self.index.pipe_q[pipe.id]
-            self.node_terms[self.node_pos[pipe.from_node]].append(
-                (q_sl.start, -pipe.area))
-            self.node_terms[self.node_pos[pipe.to_node]].append(
-                (q_sl.stop - 1, pipe.area))
-        self.comp_area = {}
+            ends += [(pipe.from_node, q_sl.start, -pipe.area),
+                     (pipe.to_node, q_sl.stop - 1, pipe.area)]
         for comp in self.comps:
             area = incident_pipe_area(network.gas, comp.from_node,
                                       comp.to_node)
             if area is None:
                 raise ValueError(f"compressor {comp.id} has no adjacent pipe "
                                  "to take a reference cross-section from")
-            self.comp_area[comp.id] = area
             qc = self.index.comp_q[comp.id]
-            self.node_terms[self.node_pos[comp.from_node]].append((qc, -area))
-            self.node_terms[self.node_pos[comp.to_node]].append((qc, area))
+            ends += [(comp.from_node, qc, -area), (comp.to_node, qc, area)]
+        nodes, flows, areas = zip(*ends)
+        self.end_node = np.array([self.node_pos[n] for n in nodes])
+        self.end_flow, self.end_area = np.array(flows), np.array(areas)
 
         self.node_plant = {p.gas_node: p for p in network.plants}
 
@@ -283,17 +284,18 @@ class CoupledStepAssembler:
         compressors, power flow.
         """
         idx = self.index
-        n_box = self.grid.shape[0]
+        n_box, pipe_ends = self.grid.shape[0], 2 * len(self.pipes)
         ints = lambda values: np.array(list(values), dtype=int)
         kind = np.array([n.kind for n in self.nodes])
-        node_rows = ints(idx.node_rho[n.id] for n in self.nodes)
+        node_rows = self.node_rows = ints(idx.node_rho[n.id]
+                                          for n in self.nodes)
         self._pb_nodes = np.flatnonzero(kind == PRESSURE_BOUNDARY)
         self._fb_nodes = np.flatnonzero(kind == FLOW_BOUNDARY)
         self._pb_rows = node_rows[self._pb_nodes]
         self._fb_rows = node_rows[self._fb_nodes]
-        # the recorded outflow flux leaves through the incident pipe area
-        self._fb_area = np.array([abs(self.node_terms[i][0][1])
-                                  for i in self._fb_nodes])
+        # the recorded outflow flux leaves through the node's first end
+        self._fb_area = np.abs(self.end_area[
+            [np.argmax(self.end_node == i) for i in self._fb_nodes]])
         plants = [self.node_plant[n.id] for n in self.nodes
                   if n.kind == POWER_COUPLING]
         self._plant_rows = ints(idx.node_rho[p.gas_node] for p in plants)
@@ -301,10 +303,10 @@ class CoupledStepAssembler:
         self._plants = SimpleNamespace(**{
             key: np.array([getattr(p, key) for p in plants])
             for key in ("a0", "a1", "a2", "reference_density")})
-        self._comp_rows = ints(idx.comp_q[c.id] for c in self.comps)
-        self._comp_to = ints(idx.node_rho[c.to_node] for c in self.comps)
-        self._comp_from = ints(idx.node_rho[c.from_node] for c in self.comps)
-        self._comp_ends = np.array([self._comp_to, self._comp_from])
+        end_rows = node_rows[self.end_node]   # each arc end's node's density
+        # per compressor: its flux column, its to- and from-node's density
+        self._comp_rows = self.end_flow[pipe_ends::2]
+        self._comp_ends = end_rows[pipe_ends:].reshape(-1, 2).T[::-1]
         self._bus_cols = ints(idx.bus[(b.id, q)] for q in BUS_QUANTITIES
                               for b in self.busses).reshape(4, -1)
         self._pf_rows = self._bus_cols[:2].ravel()
@@ -313,12 +315,9 @@ class CoupledStepAssembler:
         self._bc_pinned = ints(idx.bus[(b.id, quant)] for b in self.busses
                                for quant in PINNED_QUANTITIES[b.kind])
         # each pipe end's density equals its node's
-        self.coupling_rows = n_box + np.arange(2 * len(self.pipes))
-        self.coupling_cols = ints(
-            end for p in self.pipes
-            for end in (idx.pipe_rho[p.id].start, idx.pipe_rho[p.id].stop - 1))
-        self.coupling_node_cols = ints(idx.node_rho[node] for p in self.pipes
-                                       for node in (p.from_node, p.to_node))
+        self.coupling_rows = n_box + np.arange(pipe_ends)
+        self.coupling_cols = self.end_flow[:pipe_ends] - self.n_points
+        self.coupling_node_cols = end_rows[:pipe_ends]
 
         scale = np.ones(idx.size)
         kappa = self.constants.kappa
@@ -331,21 +330,15 @@ class CoupledStepAssembler:
         self.d_du[self._comp_rows] = -scale[self._comp_rows]
         self.d_du.flags.writeable = False
 
-        # each pipe or compressor end's flow, signed area times flux, enters
-        # its node's balance row (pipe ends first, from and to in turn)
-        ends = np.concatenate([self.coupling_node_cols, np.ravel(
-            [self._comp_from, self._comp_to], "F")])
-        flows = np.concatenate([self.coupling_cols + self.n_points,
-                                np.repeat(self._comp_rows, 2)])
-        area = np.repeat([p.area for p in self.pipes]
-                         + [self.comp_area[c.id] for c in self.comps], 2)
-        area[0::2] *= -1.0
-        balance = (kind != PRESSURE_BOUNDARY)[ends - node_rows[0]]
+        # each arc end's flow, signed area times flux, enters its node's
+        # balance row
+        balance = (kind != PRESSURE_BOUNDARY)[self.end_node]
         # constant entries: (rows, cols, value or values)
         const = [(self.coupling_rows, self.coupling_cols, 1.0),
                  (self.coupling_rows, self.coupling_node_cols, -1.0),
                  (self._pb_rows, self._pb_rows, 1.0),
-                 (ends[balance], flows[balance], area[balance]),
+                 (end_rows[balance], self.end_flow[balance],
+                  self.end_area[balance]),
                  (self._pf_rows, self._bus_cols[2:].ravel(), 1.0),
                  (self._bc_rows, self._bc_pinned, 1.0)]
         const_rows, const_cols = (np.concatenate(part).astype(int) for part
@@ -355,9 +348,8 @@ class CoupledStepAssembler:
         shape = (idx.size, idx.size)
 
         # P rows by V and phi, then Q rows: power.injection_jacobians' order
-        variable = [(self._plant_rows, self._plant_cols),
-                    (self._comp_rows, self._comp_to),
-                    (self._comp_rows, self._comp_from)] + [
+        variable = [(self._plant_rows, self._plant_cols)] + [
+            (self._comp_rows, node) for node in self._comp_ends] + [
             (np.repeat(r, len(c)), np.tile(c, len(r)))
             for r in self._pf_rows.reshape(2, -1) for c in self._bus_cols[:2]]
         rows, cols = (np.concatenate(part) for part in zip(
@@ -378,31 +370,29 @@ class CoupledStepAssembler:
         self._pattern = sparse.csr_matrix(
             (np.broadcast_to(0.0, len(indices)), indices, indptr), shape)
 
-        def at_slots(values):   # one per entry; and the nonzero ones alone
-            data = values[self._slot_entry]
-            matrix = copy.copy(self._pattern)
-            matrix.data, matrix.indices, matrix.indptr = (
-                data.copy(), indices.copy(), indptr.copy())
+        def at_slots(values):   # the nonzero entries alone, as CSR
+            matrix = self.matrix(values)
+            matrix.indices, matrix.indptr = indices.copy(), indptr.copy()
             matrix.eliminate_zeros()
-            return data, matrix
+            return matrix
 
         # the linear rows hold the constant entries; dR/dy_prev is constant,
-        # -1/2 on the old level of the box stencil, and its values at their
-        # slots make the steady block when added
+        # -1/2 on the old level of the box stencil, and its values make the
+        # steady block when added to the step Jacobian's
         values = np.zeros(len(rows))
         first = len(self.box_next[0])
         values[first:first + len(self._const_vals)] = self._const_vals
-        self._linear = at_slots(values)[1]
-        values[:] = 0.0
+        self._linear = at_slots(values)
+        self._prev_values = values = np.zeros(len(rows))
         values[self._box_old] = -0.5 * self.row_scale[rows[self._box_old]]
-        self._steady_shift, self.jac_prev = at_slots(values)
+        self.jac_prev = at_slots(values)
         self.jac_prev.data.flags.writeable = False
         # the box and coupling entries lead the values; C: end balances
         self.condensation = StepCondensation(
-            indices, indptr, self._slot_entry, self.grid.left,
+            rows, cols, self.grid.left,
             np.array([p.cell_count + 1 for p in self.pipes]),
-            self.coupling_node_cols, np.where(balance, area * scale[ends],
-                                              0.0)[:2 * len(self.pipes)],
+            self.coupling_node_cols, np.where(
+                balance, self.end_area * scale[end_rows], 0.0)[:pipe_ends],
             [p.id for p in self.pipes])
 
     # -- boundary handling -------------------------------------------------
@@ -444,26 +434,25 @@ class CoupledStepAssembler:
         The grid is flat: V = 1 and phi = P = Q = 0 at every bus, then
         the values that snap pins.
         """
-        idx = self.index
-        y = np.zeros(idx.size)
+        y = np.zeros(self.index.size)
         anchored = snap.node_rho_bc[~np.isnan(snap.node_rho_bc)]
         rho0 = anchored[0] if len(anchored) else \
             gas.density_of_pressure(_STEADY_PRESSURE_SEED, self.constants)
         y[:self.n_points] = rho0
         y[self.n_points:2 * self.n_points] = _STEADY_FLOW_SEED
-        for node in self.nodes:
-            y[idx.node_rho[node.id]] = rho0
-        for comp in self.comps:
-            y[idx.comp_q[comp.id]] = _STEADY_FLOW_SEED
+        y[self.node_rows] = rho0
+        y[self._comp_rows] = _STEADY_FLOW_SEED
         y[self._bus_cols[0]] = 1.0
         y[self._bc_pinned] = snap.bus_fixed.ravel()
         return y
 
-    def node_injection(self, y: np.ndarray, node_id: str) -> float:
-        """Net mass flow (kg/s) entering the network through a node."""
-        i = self.node_pos[node_id]
-        return float(sum(-signed_area * y[col]
-                         for col, signed_area in self.node_terms[i]))
+    def node_injections(self, states: np.ndarray) -> np.ndarray:
+        """Net mass flow (kg/s) entering the network through each node, at
+        each of `states`: (levels, nodes), summed over its arc ends."""
+        n = len(self.nodes)
+        at = (self.end_node + n * np.arange(len(states))[:, None]).ravel()
+        flows = (-self.end_area * states[:, self.end_flow]).ravel()
+        return np.bincount(at, flows, n * len(states)).reshape(-1, n)
 
     # -- evaluation, residual and jacobian ---------------------------------
 
@@ -527,28 +516,40 @@ class CoupledStepAssembler:
         return jac
 
     def steady_jacobian(self, it: Iterate, dt: float):
-        """dR/dy of the steady block R(y, y, u) at it, the sum of
-        jacobian() and jac_prev: a CSR matrix in the set-up pattern."""
-        jac = self.matrix(self.jacobian(it, dt))
-        jac.data += self._steady_shift
-        return jac
+        """dR/dy of the steady block R(y, y, u) at it: jacobian() plus the
+        values of dR/dy_prev in the same entry order, as a CSR matrix on
+        the set-up pattern."""
+        return self.matrix(self.jacobian(it, dt) + self._prev_values)
+
+    def factors(self, it: Iterate, dt: float, splu, steady: bool):
+        """Factors of the level block at it, which solve with J and J^T:
+        the steady block whole (lu.whole_factors), a step block condensed
+        (condensation.factors); `splu` factors the steady block or a step
+        block's network block."""
+        if steady:
+            return whole_factors(self.steady_jacobian(it, dt), splu)
+        return self.condensation.factors(self.jacobian(it, dt), splu)
 
 
-def _damped_newton(assembler: CoupledStepAssembler, residual, jacobian,
-                   factors, y: np.ndarray, tol: float, max_iter: int,
-                   halvings: int) -> np.ndarray:
-    """Damped Newton solve of residual(it) = 0 from an admissible y, which
-    stops at the first iterate whose max-norm residual is below `tol`.
+def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
+                   snap: _Snapshot, dt: float, y: np.ndarray, tol: float,
+                   max_iter: int, halvings: int) -> np.ndarray:
+    """Damped Newton solve of R(y_prev, y, u) = 0 from an admissible y, or
+    of the steady R(y, y, u) = 0 when y_prev is None, which stops at the
+    first iterate whose max-norm residual is below `tol`.
 
     The start and each admissible candidate are evaluated once
-    (assembler.evaluate); residual and jacobian read that Iterate.  Each
-    step is halved (up to `halvings` times) until the candidate is
-    admissible and lowers the max-norm residual.  factors(J, splu)
-    factors what `jacobian` returns, the step values or the steady CSR
-    matrix (see lu); a singular J raises SingularJacobian.  A non-finite
-    residual at the start, which no step can mend, raises SimulationError
-    naming the unknown at the row's column.
+    (assembler.evaluate); the residual and assembler.factors read that
+    Iterate.  Each step is halved (up to `halvings` times) until the
+    candidate is admissible and lowers the max-norm residual.  A singular
+    block raises SingularJacobian.  A non-finite residual at the start,
+    which no step can mend, raises SimulationError naming the unknown at
+    the row's column.
     """
+    steady = y_prev is None
+    residual = lambda it: assembler.residual(it.y if steady else y_prev, it,
+                                             u, snap, dt)
+
     it = assembler.evaluate(y)
     res = residual(it)
     norm = np.abs(res).max()
@@ -561,9 +562,8 @@ def _damped_newton(assembler: CoupledStepAssembler, residual, jacobian,
         if iterations >= max_iter:
             raise MaxIterationsExceeded("Newton did not reach tolerance",
                                         norm, iterations)
-        jac = jacobian(it)
         try:
-            step = factors(jac, splu).solve(-res)
+            step = assembler.factors(it, dt, splu, steady).solve(-res)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from None
         if not np.isfinite(step).all():
@@ -596,10 +596,8 @@ def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
     y = np.array(y_prev if y_guess is None else y_guess, dtype=float)
     if not assembler.admissible(y):
         y = np.array(y_prev, dtype=float)
-    return _damped_newton(
-        assembler, lambda it: assembler.residual(y_prev, it, u, snap, dt),
-        lambda it: assembler.jacobian(it, dt),
-        assembler.condensation.factors, y, tol, max_iter, halvings=30)
+    return _damped_newton(assembler, y_prev, u, snap, dt, y, tol, max_iter,
+                          halvings=30)
 
 
 def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
@@ -610,10 +608,9 @@ def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
     Solves the step equations with y_prev == y_next as one nonlinear
     system; the result satisfies the step residual for every dt.
     """
-    return _damped_newton(
-        assembler, lambda it: assembler.residual(it.y, it, u0, snap, dt),
-        lambda it: assembler.steady_jacobian(it, dt), whole_factors,
-        assembler.flat_state(snap), tol, max_iter, halvings=40)
+    return _damped_newton(assembler, None, u0, snap, dt,
+                          assembler.flat_state(snap), tol, max_iter,
+                          halvings=40)
 
 
 class Simulator:
@@ -687,38 +684,20 @@ def mass_balance_report(simulator: Simulator, trajectory: Trajectory):
     residual rows that enter the identity, so a converged step (max-norm
     residual < tol) implies a normalised error < tol.
     """
-    asm = simulator.assembler
-    dt = simulator.scenario.dt
-
-    weight = 0.0
+    asm, dt, states = (simulator.assembler, simulator.scenario.dt,
+                       trajectory.states)
+    kind = np.array([n.kind for n in asm.nodes])
+    weight = sum(p.dx * p.area * p.cell_count for p in asm.pipes) \
+        + dt * MASS_FLOW_SCALE * np.count_nonzero(kind != PRESSURE_BOUNDARY)
+    stored = 0.0
     for pipe in asm.pipes:
-        weight += pipe.dx * pipe.area * pipe.cell_count
-    n_balance = sum(1 for n in asm.nodes if n.kind != PRESSURE_BOUNDARY)
-    weight += dt * MASS_FLOW_SCALE * n_balance
-
-    def stored(y):
-        total = 0.0
-        for pipe in asm.pipes:
-            rho = y[asm.index.pipe_rho[pipe.id]]
-            total += pipe.area * pipe.dx * np.sum(0.5 * (rho[:-1] + rho[1:]))
-        return total
-
-    errors = []
-    for j in range(1, trajectory.step_count + 1):
-        y = trajectory.states[j]
-        snap = simulator.snapshots[j]
-        net_in = 0.0
-        for i, node in enumerate(asm.nodes):
-            if node.kind == PRESSURE_BOUNDARY:
-                net_in += asm.node_injection(y, node.id)
-            elif node.kind == FLOW_BOUNDARY:
-                area = abs(asm.node_terms[i][0][1])
-                net_in -= area * snap.node_outflow[i]
-            if node.kind == POWER_COUPLING:
-                plant = asm.node_plant[node.id]
-                p_bus = y[asm.index.bus[(plant.bus, "P")]]
-                net_in -= plant.reference_density * \
-                    power.plant_gas_offtake(p_bus, plant)
-        raw = stored(y) - stored(trajectory.states[j - 1]) - dt * net_in
-        errors.append(abs(raw) / weight)
-    return np.array(errors)
+        rho = states[:, asm.index.pipe_rho[pipe.id]]
+        stored += pipe.area * pipe.dx * np.sum(
+            0.5 * (rho[:, :-1] + rho[:, 1:]), axis=1)
+    outflow = np.array([snap.node_outflow for snap in simulator.snapshots])
+    net_in = asm.node_injections(states)[:, kind == PRESSURE_BOUNDARY].sum(
+        axis=1) - outflow[:, asm._fb_nodes] @ asm._fb_area
+    for plant in simulator.network.plants:
+        net_in -= plant.reference_density * power.plant_gas_offtake(
+            states[:, asm.index.bus[(plant.bus, "P")]], plant)
+    return np.abs(np.diff(stored) - dt * net_in[1:]) / weight

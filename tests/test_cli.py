@@ -156,7 +156,8 @@ def test_check_gradient_under_reversed_compressor_flow(tmp_path, capsys):
 def test_check_gradient_with_a_failed_solve_is_not_converged(
         tmp_path, capsys, monkeypatch, failing):
     """A SimulationError from a finite-difference run (the second
-    Simulator.run) or from the adjoint sweep exits 1 with its message."""
+    Simulator.run) or from the adjoint sweep exits 1 with its message; a
+    finite-difference run's names its component and the sign of h."""
     files = write_toy_case(tmp_path)
     control = tmp_path / "control.csv"
     io.write_control(np.array([0.0]), np.array([1.0e5]), control)
@@ -182,6 +183,9 @@ def test_check_gradient_with_a_failed_solve_is_not_converged(
     captured = capsys.readouterr()
     assert "level 1 (t = 0.25 h): stalled" in captured.err \
         if failing == "sweep" else "step 1 (t = 0.25 h) failed" in captured.err
+    if failing == "second run":     # the +h run of component 0
+        assert "finite-difference run, component 0, u + h (h = 100 Pa): " \
+            "step 1 (t = 0.25 h) failed: stalled" in captured.err
     assert "max relative error" not in captured.out
 
 

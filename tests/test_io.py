@@ -235,6 +235,9 @@ def test_write_results(tmp_path):
     nodes = [node.id for node in simulator.network.gas.nodes]
     assert len(lines) == 1 + 3 * len(nodes)
     assert [line.split(",")[1] for line in lines[1:]] == nodes * 3
+    injections = simulator.assembler.node_injections(trajectory.states)
+    assert [line.split(",")[3] for line in lines[1:]] == \
+        [io._fmt(q) for q in injections.ravel()]
     written = json.loads((tmp_path / "summary.json").read_text())
     assert written == summary
     objective = opt.objective(simulator, trajectory)

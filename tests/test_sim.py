@@ -1,5 +1,7 @@
 """Coupled step assembly, Newton stepping, steady states, trajectories."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from gaspower import power
 from gaspower import sim as sim_mod
 from gaspower.adjoint import adjoint_sweep
 from gaspower.model import (PINNED_QUANTITIES, CompressorArc, CoupledNetwork,
-                            GasNetwork, GasNode, Pipe, PowerGrid)
+                            GasNetwork, GasNode, Pipe, PowerGrid,
+                            incident_pipe_area)
 from gaspower.lu import whole_factors
 from gaspower.sim import (BUS_QUANTITIES, MASS_FLOW_SCALE, BoundaryData,
                           CoupledStepAssembler, MaxIterationsExceeded,
@@ -284,6 +287,77 @@ class TestSimulate:
         errors = mass_balance_report(bundled_simulator,
                                      uncontrolled_trajectory)
         assert np.max(errors) < 10.0 * bundled_simulator.tol
+
+    def test_vectorised_accounting_matches_the_loops(self, bundled_simulator,
+                                                      uncontrolled_trajectory):
+        """node_injections equals, to the bit, a loop over the pipes and
+        then the compressors that adds each end's flow at its node, and
+        mass_balance_report, which sums in another order, equals the
+        per-step, per-node loop to round-off of the stored mass."""
+        asm, dt = bundled_simulator.assembler, bundled_simulator.scenario.dt
+        states, nodes = uncontrolled_trajectory.states, asm.node_pos
+        into = np.zeros((len(states), len(asm.nodes)))
+        arcs = [(p, p.area, asm.index.pipe_q[p.id]) for p in asm.pipes] + [
+            (c, incident_pipe_area(asm.network.gas, c.from_node, c.to_node),
+             slice(asm.index.comp_q[c.id], asm.index.comp_q[c.id] + 1))
+            for c in asm.comps]
+        for arc, area, q in arcs:
+            into[:, nodes[arc.from_node]] += area * states[:, q][:, 0]
+            into[:, nodes[arc.to_node]] -= area * states[:, q][:, -1]
+        assert np.array_equal(asm.node_injections(states), into)
+
+        def stored(y):
+            return sum(p.area * p.dx * np.sum(0.5 * (rho[:-1] + rho[1:]))
+                       for p in asm.pipes
+                       for rho in [y[asm.index.pipe_rho[p.id]]])
+
+        raw = []
+        for j in range(1, len(states)):
+            net_in = 0.0
+            for i, node in enumerate(asm.nodes):
+                if node.kind == "pressure-boundary":
+                    net_in += into[j, i]
+                elif node.kind == "flow-boundary":
+                    net_in -= incident_pipe_area(asm.network.gas, node.id) \
+                        * bundled_simulator.snapshots[j].node_outflow[i]
+                elif node.kind == "power-coupling":
+                    plant = asm.node_plant[node.id]
+                    net_in -= plant.reference_density * \
+                        power.plant_gas_offtake(states[j, asm.index.bus[
+                            (plant.bus, "P")]], plant)
+            raw.append(stored(states[j]) - stored(states[j - 1])
+                       - dt * net_in)
+        weight = sum(p.dx * p.area * p.cell_count for p in asm.pipes) \
+            + dt * MASS_FLOW_SCALE * sum(n.kind != "pressure-boundary"
+                                         for n in asm.nodes)
+        errors = mass_balance_report(bundled_simulator,
+                                     uncontrolled_trajectory)
+        rho_max = states[:, :asm.n_points].max()
+        assert np.allclose(errors, np.abs(raw) / weight, rtol=0.0,
+                           atol=8 * np.finfo(float).eps * rho_max)
+
+    def test_node_injections_meet_the_demands(self, bundled_simulator,
+                                              uncontrolled_trajectory):
+        """The q column of gas_nodes.csv: at every level, 77 m^3/s at the
+        reference density leave at S25, the plant's offtake rho_ref eps(P)
+        at S4 and nothing at a junction, each to the Newton tolerance of
+        its balance row."""
+        asm = bundled_simulator.assembler
+        states = uncontrolled_trajectory.states
+        injections = asm.node_injections(states)
+        assert injections.shape == (len(states), len(asm.nodes))
+        rho_ref = json.loads(gio.bundled_scenario_path().read_text())[
+            "reference_density_kg_m3"]
+        plant = asm.node_plant["S4"]
+        offtake = power.plant_gas_offtake(
+            states[:, asm.index.bus[(plant.bus, "P")]], plant)
+        expected = {"S25": -rho_ref * 77.0,
+                    "S4": -plant.reference_density * offtake}
+        expected.update((n.id, 0.0) for n in asm.nodes if n.kind == "junction")
+        assert len(expected) == len(asm.nodes) - 1     # all but the source
+        for node, value in expected.items():
+            assert np.max(np.abs(injections[:, asm.node_pos[node]] - value)) \
+                < bundled_simulator.tol * MASS_FLOW_SCALE, node
 
     def test_result_does_not_depend_on_call_history(self, bundled):
         simulator = Simulator(*bundled)
@@ -580,29 +654,30 @@ class TestFixedPattern:
         """A step Jacobian stays a flat array of values, which
         condensation.factors reads: Newton's steps and the adjoint sweep's
         step levels build no CSR matrix, and each steady iteration (like
-        the sweep's level 0) builds one."""
+        the sweep's level 0) builds one.  Both go through factors(), whose
+        steady flag says which block it factors."""
         asm, dt = bundled_simulator.assembler, bundled_simulator.scenario.dt
         states, calls = uncontrolled_trajectory.states, []
-        for name in ("jacobian", "matrix"):
+        for name in ("factors", "jacobian", "matrix"):
             def counted(*args, original=getattr(asm, name), name=name):
-                calls.append(name)
+                calls.append((name, args[3]) if name == "factors" else name)
                 return original(*args)
             monkeypatch.setattr(asm, name, counted)
         values = asm.jacobian(asm.evaluate(states[5]), dt)
         assert values.shape == asm._pattern.indices.shape
+        step, steady = [("factors", False), "jacobian"], [
+            ("factors", True), "jacobian", "matrix"]
         calls.clear()
         newton_solve_step(asm, states[4], 0.0, bundled_simulator.snapshots[5],
                           dt)
-        assert len(calls) > 1 and set(calls) == {"jacobian"}
+        assert len(calls) > 2 and calls == step * (len(calls) // 2)
         calls.clear()
         steady_state(asm, bundled_simulator.snapshots[0], 0.0, dt)
-        assert len(calls) > 2 and calls == ["jacobian", "matrix"] * (
-            len(calls) // 2)
+        assert len(calls) > 3 and calls == steady * (len(calls) // 3)
         calls.clear()
         adjoint_sweep(bundled_simulator, uncontrolled_trajectory,
                       np.ones_like(states))
-        assert calls == ["jacobian"] * (len(states) - 1) + [
-            "jacobian", "matrix"]
+        assert calls == step * (len(states) - 1) + steady
 
     def test_learned_order_changes_no_bit(self, step):
         """Two condensed factorizations of one step block, each ordering
