@@ -8,10 +8,12 @@ so the transposed (adjoint) system is solved backwards with one
 factorization per level through the assembler's factors(), as in the
 forward Newton solve: the steady block whole (lu.whole_factors), each step
 block condensed onto the network by lu.StepCondensation (a tridiagonal
-pipe block, one dgtsv per solve).  The total derivative of a scalar
-functional then needs no further linear solves.  The same blocks, solved
-forwards, give the state sensitivities to every control, whence the
-derivatives of many functionals follow at once.
+pipe block, one dgtsv per solve).  Each block is evaluated at the stored
+state with the Colebrook friction the forward run kept for it
+(sim.Trajectory.friction), so no sweep solves Colebrook.  The total
+derivative of a scalar functional then needs no further linear solves.
+The same blocks, solved forwards, give the state sensitivities to every
+control, whence the derivatives of many functionals follow at once.
 A singular block raises sim.SingularJacobian naming its level and time.
 """
 
@@ -36,9 +38,10 @@ def _level_solve(simulator: Simulator, trajectory: Trajectory, n: int,
                  rhs: np.ndarray, transposed: bool) -> np.ndarray:
     """rhs solved with the state block of level n (its transpose for the
     adjoint): assembler.factors of the steady block at level 0 and of a
-    step block else, as in the forward Newton solve."""
+    step block else, as in the forward Newton solve, at states[n] evaluated
+    with the trajectory's friction[n] instead of a new Colebrook solve."""
     asm = simulator.assembler
-    it = asm.evaluate(trajectory.states[n])
+    it = asm.evaluate(trajectory.states[n], trajectory.friction[n])
     try:
         lu = asm.factors(it, simulator.scenario.dt, splu, n == 0)
         return lu.solve_transposed(rhs) if transposed else lu.solve(rhs)

@@ -7,11 +7,13 @@ pipes of a network at once through a PipeGrid.  point_terms evaluates
 everything the scheme needs at the grid points of the new level once:
 the momentum flux, the source and their partials, given the friction
 values (lambda, dlambda/dq) there.  box_residual and _box_blocks only
-apply the interval stencil to those terms, so a caller that needs the
-residual and the Jacobian at one state evaluates the pointwise physics,
-Colebrook included, once.  PipeGrid.stack checks d and k and keeps
-Colebrook's constants per point and the stencil's other fixed data.  All
-functions are pure and reentrant.
+apply the interval stencil to those terms (box_residual on every pair of
+neighbouring points, keeping the pairs that are intervals), so a caller
+that needs the residual and the Jacobian at one state evaluates the
+pointwise physics once, and one that kept the friction values of a state
+need not solve Colebrook for it again.  PipeGrid.stack checks d and k and
+keeps Colebrook's constants per point and the stencil's other fixed data.
+All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -129,12 +131,15 @@ class PipeGrid:
     Points are numbered pipe after pipe, each pipe owning points
     0..cell_count of its own.  The box-scheme unknowns are all densities,
     then all flows; its rows are all mass rows, then all momentum rows,
-    one per cell interval.  An interval never joins two pipes.
+    one per cell interval.  An interval never joins two pipes; of the
+    pairs of neighbouring points (j, j + 1), the intervals are those that
+    start at `left`, and a pair across a pipe joint has a placeholder dx.
     """
 
     left: np.ndarray       # left grid point of each interval
     right: np.ndarray      # its right grid point, left + 1
     dx: np.ndarray         # m, per interval
+    pair_dx: np.ndarray    # m, per neighbour pair; 1 across a pipe joint
     half: np.ndarray       # 1/2 per interval
     diameter: np.ndarray   # m, per point
     source_scale: np.ndarray   # 1/(2 d) per point
@@ -152,9 +157,11 @@ class PipeGrid:
         d, b, d_eta = np.repeat([d, b, d_eta], points, axis=1)
         # interval j (counted over all pipes) of pipe k starts at point j + k
         left = np.arange(counts.sum()) + np.arange(counts.size).repeat(counts)
-        return PipeGrid(left, left + 1, np.repeat(dx, counts),
-                        np.full(len(left), 0.5), d, 1.0 / (2.0 * d),
-                        (d, eta, b, d_eta))
+        dx = np.repeat(dx, counts)
+        pair_dx = np.ones(points.sum() - 1)
+        pair_dx[left] = dx
+        return PipeGrid(left, left + 1, dx, pair_dx, np.full(len(left), 0.5),
+                        d, 1.0 / (2.0 * d), (d, eta, b, d_eta))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -229,6 +236,9 @@ def box_residual(rho_old: np.ndarray, q_old: np.ndarray, new: PointTerms,
                  dt: float, grid: PipeGrid) -> np.ndarray:
     """Residual of the implicit box scheme: mass rows, then momentum rows,
     from the old level's densities and flows and the new level's terms.
+    Each row is computed on the contiguous neighbour pairs (a[:-1], a[1:])
+    of all points, pipe joints included (at grid.pair_dx's placeholder),
+    and one take at grid.left keeps the intervals.
 
     For a balance law y_t + f(y)_x = g(y) the scheme averages states over
     each interval between the grid points L = j-1 and R = j:
@@ -241,10 +251,10 @@ def box_residual(rho_old: np.ndarray, q_old: np.ndarray, new: PointTerms,
     if dt <= 0:
         raise ValueError("dt must be positive")
     rho, q, f2, s = new.rho, new.q, new.f2, new.source
-    jl, jr = grid.left, grid.right
-    r = dt / grid.dx
-    res_mass = (0.5 * (rho[jl] + rho[jr]) - 0.5 * (rho_old[jl] + rho_old[jr])
-                + r * (q[jr] - q[jl]))
-    res_mom = (0.5 * (q[jl] + q[jr]) - 0.5 * (q_old[jl] + q_old[jr])
-               + r * (f2[jr] - f2[jl]) - dt * 0.5 * (s[jr] + s[jl]))
-    return np.concatenate([res_mass, res_mom])
+    r = dt / grid.pair_dx
+    pairs = np.empty((2, len(r)))
+    pairs[0] = (0.5 * (rho[:-1] + rho[1:]) - 0.5 * (rho_old[:-1] + rho_old[1:])
+                + r * (q[1:] - q[:-1]))
+    pairs[1] = (0.5 * (q[:-1] + q[1:]) - 0.5 * (q_old[:-1] + q_old[1:])
+                + r * (f2[1:] - f2[:-1]) - dt * 0.5 * (s[1:] + s[:-1]))
+    return pairs.take(grid.left, axis=1).ravel()

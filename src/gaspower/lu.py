@@ -110,12 +110,13 @@ class StepCondensation:
         self.q_ends = self.row_ends + np.tile([1, 0], len(stops))
         # columns of _eliminate's unit vectors, at the row_ends (q_ends)
         self.unit_cols = np.tile([-2, -1], len(stops))
-        # places in [dl | d | du | spare] of M - s m and M - t m (in m's
-        # order, the entry T cancels to the spare) and the coupling entries
-        b, spare = self.box, np.full(len(self.box), 3 * n - 2)
-        self._tri_at = np.concatenate([
-            b - 1, b + 2 * n - 1, b + n - 1, spare, spare, b + n, b, b + 2 * n,
-            self.row_ends + np.tile([n - 1, -1], len(stops))])
+        # places in [dl | d | du] of M - s m at rho_L, rho_R, q_L and of
+        # M - t m at rho_R, q_L, q_R (T cancels the other two), and of the
+        # coupling entries
+        b = self.box
+        self._mass_at = np.stack([b - 1, b + 2 * n - 1, b + n - 1])
+        self._mom_at = np.stack([b + n, b, b + 2 * n])
+        self._ends_at = self.row_ends + np.tile([n - 1, -1], len(stops))
         self.nodes, self.c = nodes - n, c[:, None]
         self.pairs = self.nodes.reshape(-1, 2)   # per pipe: (from, to)
         # S's CSR pattern: D's entries, then the Schur products, which the
@@ -142,11 +143,12 @@ class StepCondensation:
     def factors(self, values, splu) -> CondensedFactors:
         """Factors of the step Jacobian `values`; `splu` factors S^T."""
         n, k, ends = self.size, 8 * len(self.box), len(self.row_ends)
-        m, mo = values[:k].reshape(2, 4, -1, 1)   # rho_L, rho_R, q_L, q_R
+        m, mo = values[:k].reshape(2, 4, -1)   # rho_L, rho_R, q_L, q_R
         s, t = mo[3] / m[3], mo[0] / m[0]
-        tri = np.zeros(3 * n - 1)
-        tri[self._tri_at] = np.concatenate([
-            (mo - s * m).ravel(), (mo - t * m).ravel(), values[k:k + ends]])
+        tri = np.zeros(3 * n - 2)
+        tri[self._mass_at] = mo[:3] - s * m[:3]
+        tri[self._mom_at] = mo[1:] - t * m[1:]
+        tri[self._ends_at] = values[k:k + ends]
         return CondensedFactors(
-            self, (tri[:n - 1], tri[n - 1:2 * n - 1], tri[2 * n - 1:-1]),
-            (s, t), values[self._d_take], splu)
+            self, (tri[:n - 1], tri[n - 1:2 * n - 1], tri[2 * n - 1:]),
+            (s[:, None], t[:, None]), values[self._d_take], splu)

@@ -32,10 +32,15 @@ dR/dy_next + dR/dy_prev whole (lu.whole_factors) as the one CSR matrix
 (matrix() on the set-up pattern, the entries that cancel stored as
 zeros).  The linear rows (pressure coupling, node balances, boundary and
 bus rows) form one constant sparse operator.  After set-up the assembler
-holds no state: evaluate(y) returns an Iterate, y with its pointwise gas
-terms (gas.point_terms, Colebrook included) and power-flow trig tables,
-and the residual and the Jacobian at y both read it, so each iterate's
-pointwise physics is evaluated once and the Jacobian only combines it.
+holds no state: evaluate(y) returns an Iterate, y with its Colebrook
+friction, its pointwise gas terms (gas.point_terms) and power-flow trig
+tables, and the residual and the Jacobian at y both read it, so each
+iterate's pointwise physics is evaluated once and the Jacobian only
+combines it.  The Newton solves return their converged Iterate, and
+Simulator.run keeps each level's friction on the Trajectory, so the
+adjoint and tangent sweeps evaluate a stored state with the friction it
+converged with: Colebrook is solved once per Newton iterate, never in a
+sweep.
 """
 
 from __future__ import annotations
@@ -184,21 +189,31 @@ class _Snapshot:
 
 
 class Iterate(NamedTuple):
-    """A y_next with its gas.point_terms and power-flow trig tables."""
+    """A y_next with its Colebrook friction, the gas.point_terms built on
+    it and its power-flow trig tables."""
 
     y: np.ndarray
+    friction: tuple | np.ndarray   # (lambda, dlambda/dq) per grid point
     terms: gas.PointTerms
     tables: tuple
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States at t_j = j dt together with the applied control sequence."""
+    """States at t_j = j dt together with the applied control sequence.
+
+    friction[n] holds Colebrook's (lambda, dlambda/dq) at each grid point
+    of states[n], as the forward solve evaluated them, so the sweeps over
+    the trajectory (adjoint._level_solve) need not solve Colebrook again.
+    That invariant is the caller's to keep: a trajectory made with
+    dataclasses.replace(states=...) keeps the old friction.
+    """
 
     index: VariableIndex
     times: np.ndarray            # s
     states: np.ndarray           # (M+1, N_y)
     control: np.ndarray          # Pa, (M+1,)
+    friction: np.ndarray         # (M+1, 2, n_points): lambda, dlambda/dq
 
     @property
     def step_count(self) -> int:
@@ -456,17 +471,21 @@ class CoupledStepAssembler:
 
     # -- evaluation, residual and jacobian ---------------------------------
 
-    def evaluate(self, y: np.ndarray) -> Iterate:
-        """The Iterate of y (not copied): gas.point_terms, Colebrook
-        included, and the power-flow trig tables at y.  A pipe density
-        <= 0 raises ValueError (gas.check_densities)."""
+    def evaluate(self, y: np.ndarray, friction=None) -> Iterate:
+        """The Iterate of y (not copied): Colebrook's (lambda, dlambda/dq)
+        at its grid points, solved only when `friction` does not give them
+        (as a trajectory's friction[n] does for its states[n]), the
+        gas.point_terms on them and the power-flow trig tables at y.  A
+        pipe density <= 0 raises ValueError (gas.check_densities)."""
         n, grid = self.n_points, self.grid
         rho, q = y[:n], y[n:2 * n]
         gas.check_densities(rho)
-        terms = gas.point_terms(rho, q, grid, self.constants,
-                                gas.friction_factor_and_derivative(q, grid))
+        if friction is None:
+            friction = gas.friction_factor_and_derivative(q, grid)
+        terms = gas.point_terms(rho, q, grid, self.constants, friction)
         phi = y[self._bus_cols[1]]
-        return Iterate(y, terms, power._trig_tables(phi, self.G, self.B))
+        return Iterate(y, friction, terms,
+                       power._trig_tables(phi, self.G, self.B))
 
     def residual(self, y_prev: np.ndarray, it: Iterate, u: float,
                  snap: _Snapshot, dt: float) -> np.ndarray:
@@ -533,35 +552,42 @@ class CoupledStepAssembler:
 
 def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
                    snap: _Snapshot, dt: float, y: np.ndarray, tol: float,
-                   max_iter: int, halvings: int) -> np.ndarray:
+                   max_iter: int, halvings: int) -> Iterate:
     """Damped Newton solve of R(y_prev, y, u) = 0 from an admissible y, or
-    of the steady R(y, y, u) = 0 when y_prev is None, which stops at the
-    first iterate whose max-norm residual is below `tol`.
+    of the steady R(y, y, u) = 0 when y_prev is None, which returns the
+    first Iterate whose max-norm residual is below `tol`, with the
+    Colebrook friction it was evaluated with.
 
     The start and each admissible candidate are evaluated once
     (assembler.evaluate); the residual and assembler.factors read that
     Iterate.  Each step is halved (up to `halvings` times) until the
     candidate is admissible and lowers the max-norm residual.  A singular
     block raises SingularJacobian.  A non-finite residual at the start,
-    which no step can mend, raises SimulationError naming the unknown at
-    the row's column.
+    which no step can mend, raises SimulationError, and a solve that runs
+    out of iterations or of halvings MaxIterationsExceeded; both name the
+    row (the non-finite one, or the one with the largest residual) and the
+    unknown at its column.
     """
     steady = y_prev is None
     residual = lambda it: assembler.residual(it.y if steady else y_prev, it,
                                              u, snap, dt)
+    row_of = lambda row: f"row {row} (row of {assembler.index.name(row)})"
+
+    def stuck(message):
+        return MaxIterationsExceeded(
+            f"{message}, largest residual in {row_of(np.abs(res).argmax())}",
+            norm, iterations)
 
     it = assembler.evaluate(y)
     res = residual(it)
     norm = np.abs(res).max()
     if not np.isfinite(norm):
         row = np.flatnonzero(~np.isfinite(res))[0]
-        raise SimulationError(f"non-finite residual in row {row} (row of "
-                              f"{assembler.index.name(row)})")
+        raise SimulationError(f"non-finite residual in {row_of(row)}")
     iterations = 0
     while norm >= tol:
         if iterations >= max_iter:
-            raise MaxIterationsExceeded("Newton did not reach tolerance",
-                                        norm, iterations)
+            raise stuck("Newton did not reach tolerance")
         try:
             step = assembler.factors(it, dt, splu, steady).solve(-res)
         except RuntimeError as exc:
@@ -580,19 +606,18 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
                     break
             factor *= 0.5
         else:
-            raise MaxIterationsExceeded("Newton line search stalled",
-                                        norm, iterations)
+            raise stuck("Newton line search stalled")
         iterations += 1
-    return it.y
+    return it
 
 
 def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
                       u: float, snap: _Snapshot, dt: float,
                       tol: float = 1e-9, max_iter: int = 25,
                       y_guess: np.ndarray | None = None
-                      ) -> np.ndarray:
+                      ) -> Iterate:
     """Damped Newton solve of one implicit step, warm-started at y_guess
-    when it is admissible and at y_prev otherwise."""
+    when it is admissible and at y_prev otherwise: the converged Iterate."""
     y = np.array(y_prev if y_guess is None else y_guess, dtype=float)
     if not assembler.admissible(y):
         y = np.array(y_prev, dtype=float)
@@ -602,11 +627,12 @@ def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
 
 def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
                  u0: float, dt: float, tol: float = 1e-9,
-                 max_iter: int = 60) -> np.ndarray:
+                 max_iter: int = 60) -> Iterate:
     """Time-derivative-free solution of the coupled equations.
 
     Solves the step equations with y_prev == y_next as one nonlinear
-    system; the result satisfies the step residual for every dt.
+    system; the converged Iterate's y satisfies the step residual for
+    every dt.
     """
     return _damped_newton(assembler, None, u0, snap, dt,
                           assembler.flat_state(snap), tol, max_iter,
@@ -650,11 +676,12 @@ class Simulator:
 
         dt = self.scenario.dt
         states = np.empty((m + 1, self.assembler.index.size))
+        friction = np.empty((m + 1, 2, self.assembler.n_points))
         for j in range(m + 1):
             # linear extrapolation in time cuts one Newton iteration
             guess = 2.0 * states[j - 1] - states[j - 2] if j >= 2 else None
             try:
-                states[j] = steady_state(
+                it = steady_state(
                     self.assembler, self.snapshots[0], control[0], dt,
                     self.tol) if j == 0 else newton_solve_step(
                     self.assembler, states[j - 1], control[j],
@@ -665,8 +692,9 @@ class Simulator:
                 raise SimulationError(
                     f"{what} (t = {self.scenario.times[j] / 3600.0:.2f} h) "
                     f"failed: {exc}") from exc
+            states[j], friction[j] = it.y, it.friction
         return Trajectory(self.assembler.index, self.scenario.times.copy(),
-                          states, control.copy())
+                          states, control.copy(), friction)
 
 
 def simulate(network: CoupledNetwork, scenario: Scenario,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gaspower.adjoint as adjoint_mod
-from gaspower import opt
+from gaspower import gas, opt
 from gaspower.adjoint import (AdjointState, adjoint_sweep, fd_gradient,
                               state_sensitivities, total_gradient)
 from gaspower.model import BAR
@@ -104,6 +104,28 @@ def test_one_factorization_per_level_in_the_adjoint_sweep(toy, monkeypatch):
     adjoint_sweep(simulator, trajectory, np.zeros_like(trajectory.states))
     network_block = (n - 2 * asm.n_points,) * 2
     assert shapes == [network_block] * trajectory.step_count + [(n, n)]
+
+
+def test_sweeps_reuse_the_forward_friction(monkeypatch):
+    """The forward run keeps Colebrook's values at every state, so neither
+    the adjoint nor the tangent sweep solves Colebrook again."""
+    simulator = Simulator(make_mixed_network(),
+                          make_toy_scenario(steps=3, outflow_flux=60.0))
+    calls = []
+    original = gas.friction_factor_and_derivative
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(gas, "friction_factor_and_derivative", counting)
+    trajectory = simulator.run(np.linspace(1.0e5, 1.6e5, 4))
+    assert len(calls) > trajectory.step_count
+    calls.clear()
+    _, dj_dy, _ = opt.cost_partials(simulator, trajectory)
+    adjoint_sweep(simulator, trajectory, dj_dy)
+    state_sensitivities(simulator, trajectory, [0, 1])
+    assert calls == []
 
 
 def test_forward_run_and_sweeps_leave_the_assembler_unchanged(bundled):

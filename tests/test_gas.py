@@ -181,6 +181,32 @@ class TestPipeGrid:
         for a, b in zip(on_grid, plain):
             assert np.array_equal(a, b)
 
+    def test_box_residual_at_pipe_joints(self):
+        """On pipes of 1, 2 and 5 cells with different dx, whose joint
+        pairs lie next to each other, the stacked residual is the per-pipe
+        residuals' mass rows, then their momentum rows, bit for bit."""
+        cells, dx = [1, 2, 5], [700.0, 1000.0, 350.0]
+        d, k = [0.6, 0.4, 0.9], [5e-4, 1e-4, 2e-3]
+        rng = np.random.default_rng(5)
+        points = sum(cells) + len(cells)
+        rho_old, rho = rng.uniform(40.0, 60.0, (2, points))
+        q_old, q = rng.uniform(-300.0, 300.0, (2, points))
+
+        def residual(grid, at):
+            terms = gas.point_terms(
+                rho[at], q[at], grid, CONS,
+                gas.friction_factor_and_derivative(q[at], grid))
+            return gas.box_residual(rho_old[at], q_old[at], terms, 600.0,
+                                    grid)
+
+        grid = gas.PipeGrid.stack(cells, dx, d, k)
+        stops = np.cumsum(np.add(cells, 1))
+        parts = [residual(gas.PipeGrid.stack([c], [h], [di], [ki]),
+                          slice(stop - c - 1, stop)).reshape(2, -1)
+                 for c, h, di, ki, stop in zip(cells, dx, d, k, stops)]
+        assert np.array_equal(residual(grid, slice(None)),
+                              np.concatenate(parts, axis=1).ravel())
+
 
 class TestSourceTerm:
     def test_zero_at_stagnation(self):

@@ -95,7 +95,7 @@ class TestSteadyState:
         boundary[("S25", "outflow")] = (np.array([0.0]), np.array([0.0]))
         from gaspower.sim import BoundaryData
         snap, = asm.boundary_snapshots(BoundaryData(boundary), [0.0])
-        y = steady_state(asm, snap, 0.0, scenario.dt)
+        y = steady_state(asm, snap, 0.0, scenario.dt).y
         for pipe in quiet.gas.pipes:
             assert np.allclose(y[asm.index.pipe_rho[pipe.id]],
                                gas.density_of_pressure(60e5), atol=1e-9)
@@ -113,9 +113,9 @@ class TestSteadyState:
         base = Simulator(network, scenario)
         rough = Simulator(rough_net, scenario)
         snap = base.snapshots[0]
-        y0 = steady_state(base.assembler, snap, 0.0, scenario.dt)
+        y0 = steady_state(base.assembler, snap, 0.0, scenario.dt).y
         y1 = steady_state(rough.assembler, rough.snapshots[0], 0.0,
-                          scenario.dt)
+                          scenario.dt).y
         p_base = y0[base.assembler.index.node_rho["S25"]]
         p_rough = y1[rough.assembler.index.node_rho["S25"]]
         assert p_rough < p_base
@@ -123,7 +123,7 @@ class TestSteadyState:
     def test_valid_for_any_dt(self, toy_simulator):
         asm = toy_simulator.assembler
         snap = toy_simulator.snapshots[0]
-        y = steady_state(asm, snap, 0.0, 900.0)
+        y = steady_state(asm, snap, 0.0, 900.0).y
         for dt in (1.0, 900.0, 7200.0):
             res = asm.residual(y, asm.evaluate(y), 0.0, snap, dt)
             assert np.max(np.abs(res)) < 1e-8
@@ -211,7 +211,7 @@ class TestResidualStructure:
         asm = bundled_simulator.assembler
         snap = bundled_simulator.snapshots[0]
         lift = 2.0e5
-        y = steady_state(asm, snap, lift, 900.0)
+        y = steady_state(asm, snap, lift, 900.0).y
         cons = bundled_simulator.network.constants
         p_in = gas.pressure_of_density(y[asm.index.node_rho["S0"]], cons)
         p_out = gas.pressure_of_density(y[asm.index.node_rho["S17"]], cons)
@@ -222,19 +222,37 @@ class TestNewtonStep:
     def test_steady_input_converges_immediately(self, toy_simulator):
         asm = toy_simulator.assembler
         snap = toy_simulator.snapshots[0]
-        y0 = steady_state(asm, snap, 0.0, 900.0)
-        y1 = newton_solve_step(asm, y0, 0.0, snap, 900.0)
+        y0 = steady_state(asm, snap, 0.0, 900.0).y
+        y1 = newton_solve_step(asm, y0, 0.0, snap, 900.0).y
         assert np.max(np.abs(y1 - y0)) < 1e-9
 
     def test_iteration_budget_enforced(self, toy_simulator):
         asm = toy_simulator.assembler
-        y0 = steady_state(asm, toy_simulator.snapshots[0], 0.0, 900.0)
+        y0 = steady_state(asm, toy_simulator.snapshots[0], 0.0, 900.0).y
         harder, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
         with pytest.raises(MaxIterationsExceeded) as err:
             newton_solve_step(asm, y0, 0.0, harder, 900.0, tol=1e-9,
                               max_iter=1)
         assert err.value.residual_norm > 0
+        assert str(err.value).startswith(
+            "Newton did not reach tolerance, largest residual in row 3 (row "
+            "of PB q[0])")
+
+    def test_stuck_newton_names_the_largest_residual(self, toy_simulator):
+        """With no iteration allowed Newton stops at its start, y_prev, and
+        names the row of the largest residual there and its unknown."""
+        asm = toy_simulator.assembler
+        y0 = steady_state(asm, toy_simulator.snapshots[0], 0.0, 900.0).y
+        harder, = asm.boundary_snapshots(
+            make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
+        res = asm.residual(y0, asm.evaluate(y0), 0.0, harder, 900.0)
+        row = int(np.abs(res).argmax())
+        with pytest.raises(MaxIterationsExceeded) as err:
+            newton_solve_step(asm, y0, 0.0, harder, 900.0, max_iter=0)
+        assert f"largest residual in row {row} (row of " \
+            f"{asm.index.name(row)}) (residual {np.abs(res).max():.3e} " \
+            "after 0 iterations)" in str(err.value)
 
     def test_all_coupling_rows_hold_along_trajectory(self, bundled_simulator,
                                                      uncontrolled_trajectory):
@@ -358,6 +376,24 @@ class TestSimulate:
         for node, value in expected.items():
             assert np.max(np.abs(injections[:, asm.node_pos[node]] - value)) \
                 < bundled_simulator.tol * MASS_FLOW_SCALE, node
+
+    @pytest.mark.parametrize("case", ["bundled", "mixed"])
+    def test_trajectory_keeps_the_friction_of_its_states(self, bundled, case):
+        """friction[n] is Colebrook's (lambda, dlambda/dq) at the flows of
+        states[n], bit for bit."""
+        simulator = Simulator(*bundled) if case == "bundled" else Simulator(
+            make_mixed_network(), make_toy_scenario(steps=3,
+                                                    outflow_flux=60.0))
+        m = simulator.scenario.step_count
+        trajectory = simulator.run(np.linspace(1.0e5, 3.0e5, m + 1))
+        asm = simulator.assembler
+        n = asm.n_points
+        assert trajectory.friction.shape == (m + 1, 2, n)
+        for level, y in enumerate(trajectory.states):
+            lam, dlam = gas.friction_factor_and_derivative(y[n:2 * n],
+                                                           asm.grid)
+            assert np.array_equal(trajectory.friction[level, 0], lam)
+            assert np.array_equal(trajectory.friction[level, 1], dlam)
 
     def test_result_does_not_depend_on_call_history(self, bundled):
         simulator = Simulator(*bundled)
@@ -517,7 +553,7 @@ class TestMixedGeometryJacobian:
         asm = CoupledStepAssembler(make_mixed_network())
         snap, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
-        y0 = steady_state(asm, snap, 1.0e5, 900.0)
+        y0 = steady_state(asm, snap, 1.0e5, 900.0).y
         rng = np.random.default_rng(41)
         y1 = y0 * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
         return asm, snap, y0, y1
@@ -722,7 +758,7 @@ class TestFixedPattern:
         asm = CoupledStepAssembler(make_mixed_network())
         snap, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
-        y = steady_state(asm, snap, 1.0e5, 900.0)
+        y = steady_state(asm, snap, 1.0e5, 900.0).y
         original = asm.jacobian
         monkeypatch.setattr(asm, "jacobian", lambda *args: zero_flow_column(
             asm, original(*args), "P2"))
@@ -948,3 +984,33 @@ class TestEmptyIndexArrays:
         for name in ("node_rho_bc", "node_outflow", "bus_fixed"):
             assert np.array_equal(getattr(snaps[-1], name),
                                   getattr(snaps[-2], name), equal_nan=True)
+
+
+class TestCaseStudy:
+    """The bundled case tells the paper's story: without compression the
+    demand node S25 falls below its 41 bar bound as the gas-fired plant
+    takes up the N5 load step, and a constant 10 bar lift holds it."""
+
+    def test_no_lift_violates_the_bound_at_s25(self, bundled,
+                                               uncontrolled_trajectory):
+        network, scenario = bundled
+        p = uncontrolled_trajectory.node_pressure("S25", network.constants)
+        assert scenario.pressure_bounds["S25"] == 41.0e5
+        assert p.argmin() == scenario.step_count      # at 12 h
+        assert p.min() / 1e5 == pytest.approx(39.635, abs=1e-3)
+
+    def test_the_slack_bus_takes_up_the_load_step(self, bundled,
+                                                  uncontrolled_trajectory):
+        trajectory = uncontrolled_trajectory
+        p = trajectory.states[:, trajectory.index.bus[("N1", "P")]]
+        assert p[0] == pytest.approx(0.720, abs=1e-3)
+        assert p[-1] == pytest.approx(1.649, abs=1e-3)
+
+    def test_a_constant_ten_bar_lift_holds_s25(self, bundled,
+                                               bundled_simulator):
+        network, scenario = bundled
+        trajectory = bundled_simulator.run(
+            np.full(scenario.step_count + 1, 10.0e5))
+        p = trajectory.node_pressure("S25", network.constants)
+        assert p.min() / 1e5 == pytest.approx(52.314, abs=1e-3)
+        assert p.min() > scenario.pressure_bounds["S25"]
