@@ -11,9 +11,12 @@ apply the interval stencil to those terms (box_residual on every pair of
 neighbouring points, keeping the pairs that are intervals), so a caller
 that needs the residual and the Jacobian at one state evaluates the
 pointwise physics once, and one that kept the friction values of a state
-need not solve Colebrook for it again.  PipeGrid.stack checks d and k and
+need not solve Colebrook for it again; the old level enters as its
+pair_means, computed once per step.  PipeGrid.stack checks d and k and
 keeps Colebrook's constants per point and the stencil's other fixed data.
-All functions are pure and reentrant.
+All functions are pure and reentrant.  The kernels compute in place, in
+each formula's order of evaluation, but only in arrays they allocate:
+no input is written, so friction may be a view of a stored trajectory.
 """
 
 from __future__ import annotations
@@ -106,11 +109,24 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
     re_scaled = re_safe * (_LN10 / 5.02)
     x1, x2 = b * re_scaled, np.log(re_scaled)
     f = x2 - 0.2
+    s, s1, e, den = np.empty((4,) + f.shape)
     for _ in range(2):
-        s = x1 + f
-        s1 = 1.0 + s
-        e = (np.log(s) + f - x2) / s1
-        f = f - (s1 + 0.5 * e) * e * s / (s1 + e * (1.0 + e / 3.0))
+        # e = (ln s + f - X2) / s1 and f -= (s1 + e/2) e s / (s1 + e (1 + e/3))
+        np.add(x1, f, out=s)
+        np.add(s, 1.0, out=s1)
+        np.log(s, out=e)
+        e += f
+        e -= x2
+        e /= s1
+        np.divide(e, 3.0, out=den)
+        den += 1.0
+        den *= e
+        den += s1
+        s1 += 0.5 * e
+        s1 *= e
+        s *= s1
+        s /= den
+        f -= s
     lam = (0.5 * _LN10 / f) ** 2
     # implicit derivative: dF/dRe = F / (Re (1 + X1 + F)) and
     # dlam/dF = -2 lam / F
@@ -137,12 +153,11 @@ class PipeGrid:
     """
 
     left: np.ndarray       # left grid point of each interval
-    right: np.ndarray      # its right grid point, left + 1
+    ends: np.ndarray       # (2, intervals): left and right point, left + 1
     dx: np.ndarray         # m, per interval
     pair_dx: np.ndarray    # m, per neighbour pair; 1 across a pipe joint
-    half: np.ndarray       # 1/2 per interval
     diameter: np.ndarray   # m, per point
-    source_scale: np.ndarray   # 1/(2 d) per point
+    source_scale: np.ndarray   # -1/(2 d) per point: S = it lam q|q| / rho
     colebrook: tuple       # (d, eta, b, d/eta), d, b and d/eta per point
 
     @staticmethod
@@ -160,8 +175,8 @@ class PipeGrid:
         dx = np.repeat(dx, counts)
         pair_dx = np.ones(points.sum() - 1)
         pair_dx[left] = dx
-        return PipeGrid(left, left + 1, dx, pair_dx, np.full(len(left), 0.5),
-                        d, 1.0 / (2.0 * d), (d, eta, b, d_eta))
+        return PipeGrid(left, np.stack([left, left + 1]), dx, pair_dx, d,
+                        -1.0 / (2.0 * d), (d, eta, b, d_eta))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -174,7 +189,7 @@ class PipeGrid:
         above, and the positions in that list of the entries the old level
         shares: mass rows by rho and momentum rows by q, each -1/2 there."""
         n, npts = len(self.left), len(self.diameter)
-        jl, jr = self.left, self.right
+        jl, jr = self.ends
         mass = np.arange(n)
         rho_cols = [jl, jr]
         q_cols = [npts + jl, npts + jr]
@@ -201,15 +216,30 @@ def point_terms(rho: np.ndarray, q: np.ndarray, grid: PipeGrid,
     """The flux, the source and their partials at densities rho > 0 (not
     checked) and flows q, given their friction_factor_and_derivative."""
     lam, dlam = friction
-    c = grid.source_scale
+    c = grid.source_scale           # -1/(2 d)
     p = _pressure(rho, constants)
     abs_q = np.abs(q)
-    s = -c * lam * q * abs_q / rho
-    v = q / rho
-    # dp/drho = gamma p / rho, and dS/drho = -S / rho
-    return PointTerms(rho, q, p + q * q / rho, s,
-                      constants.gamma * p / rho - v * v, 2.0 * v, -s / rho,
-                      -c * (dlam * q * abs_q + lam * 2.0 * abs_q) / rho)
+    s = c * lam                     # S = c lam q |q| / rho
+    s *= q
+    s *= abs_q
+    s /= rho
+    ds_dq = dlam * q                # c (dlam q |q| + lam 2 |q|) / rho
+    ds_dq *= abs_q
+    abs_q *= lam * 2.0
+    ds_dq += abs_q
+    ds_dq *= c
+    ds_dq /= rho
+    f2 = q * q                      # p + q^2 / rho
+    f2 /= rho
+    f2 += p
+    v = np.divide(q, rho, out=abs_q)
+    # df2/drho = gamma p / rho - v^2 (in p), and dS/drho = -S / rho
+    p *= constants.gamma
+    p /= rho
+    p -= v * v
+    ds_drho = -s
+    ds_drho /= rho
+    return PointTerms(rho, q, f2, s, p, 2.0 * v, ds_drho, ds_dq)
 
 
 def _box_blocks(new: PointTerms, dt: float, grid: PipeGrid) -> np.ndarray:
@@ -220,25 +250,40 @@ def _box_blocks(new: PointTerms, dt: float, grid: PipeGrid) -> np.ndarray:
     those with respect to the old level are all -1/2, at the positions
     it names.
     """
-    jl, jr, half = grid.left, grid.right, grid.half
-    r = dt / grid.dx
-    return np.concatenate([
-        # mass rows: rho_L, rho_R, q_L, q_R
-        half, half, -r, r,
-        # momentum rows
-        -r * new.df2_drho[jl] - dt * 0.5 * new.ds_drho[jl],
-        r * new.df2_drho[jr] - dt * 0.5 * new.ds_drho[jr],
-        half - r * new.df2_dq[jl] - dt * 0.5 * new.ds_dq[jl],
-        half + r * new.df2_dq[jr] - dt * 0.5 * new.ds_dq[jr]])
+    out = np.empty((8, len(grid.left)))
+    # mass rows: 1/2, 1/2, -r, r; momentum rows: -r or r times the flux
+    # partial at L or R (plus 1/2 by q), less dt/2 times the source's
+    out[:2] = 0.5
+    np.negative(np.divide(dt, grid.dx, out=out[3]), out=out[2])
+    momentum = out[4:].reshape(2, 2, -1)
+    source = np.empty_like(momentum)
+    # the points are in range, and mode="clip" makes take write straight out
+    for k, (flux, part) in enumerate([(new.df2_drho, new.ds_drho),
+                                      (new.df2_dq, new.ds_dq)]):
+        flux.take(grid.ends, out=momentum[k], mode="clip")
+        part.take(grid.ends, out=source[k], mode="clip")
+    momentum *= out[2:4]
+    momentum[1] += 0.5
+    source *= dt * 0.5
+    momentum -= source
+    return out.ravel()
 
 
-def box_residual(rho_old: np.ndarray, q_old: np.ndarray, new: PointTerms,
-                 dt: float, grid: PipeGrid) -> np.ndarray:
+def pair_means(rho: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Means of the densities (row 0) and flows (row 1) of one level over
+    all pairs of neighbouring points, pipe joints included."""
+    means = np.array([rho[:-1] + rho[1:], q[:-1] + q[1:]])
+    means *= 0.5
+    return means
+
+
+def box_residual(old_means: np.ndarray, new: PointTerms, dt: float,
+                 grid: PipeGrid) -> np.ndarray:
     """Residual of the implicit box scheme: mass rows, then momentum rows,
-    from the old level's densities and flows and the new level's terms.
-    Each row is computed on the contiguous neighbour pairs (a[:-1], a[1:])
-    of all points, pipe joints included (at grid.pair_dx's placeholder),
-    and one take at grid.left keeps the intervals.
+    from the old level's pair_means and the new level's terms.  Each row
+    is computed on the contiguous neighbour pairs (a[:-1], a[1:]) of all
+    points, pipe joints included (at grid.pair_dx's placeholder), and one
+    take at grid.left keeps the intervals.
 
     For a balance law y_t + f(y)_x = g(y) the scheme averages states over
     each interval between the grid points L = j-1 and R = j:
@@ -246,15 +291,19 @@ def box_residual(rho_old: np.ndarray, q_old: np.ndarray, new: PointTerms,
         (Y_{j-1} + Y_j)/2 |_new = (Y_{j-1} + Y_j)/2 |_old
             - dt/dx (f(Y_j) - f(Y_{j-1}))|_new + dt (g(Y_j)+g(Y_{j-1}))/2 |_new
     """
-    if rho_old.shape != new.rho.shape or q_old.shape != new.q.shape:
+    rho, q, f2, s = new.rho, new.q, new.f2, new.source
+    if old_means.shape != (2, len(rho) - 1):
         raise ValueError("pipe states have mismatched lengths")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rho, q, f2, s = new.rho, new.q, new.f2, new.source
-    r = dt / grid.pair_dx
-    pairs = np.empty((2, len(r)))
-    pairs[0] = (0.5 * (rho[:-1] + rho[1:]) - 0.5 * (rho_old[:-1] + rho_old[1:])
-                + r * (q[1:] - q[:-1]))
-    pairs[1] = (0.5 * (q[:-1] + q[1:]) - 0.5 * (q_old[:-1] + q_old[1:])
-                + r * (f2[1:] - f2[:-1]) - dt * 0.5 * (s[1:] + s[:-1]))
+    pairs = pair_means(rho, q)
+    pairs -= old_means
+    diff = np.empty_like(pairs)
+    for d, a in zip(diff, (q, f2)):
+        np.subtract(a[1:], a[:-1], out=d)
+    diff *= dt / grid.pair_dx
+    pairs += diff
+    source = np.add(s[1:], s[:-1], out=diff[0])
+    source *= dt * 0.5
+    pairs[1] -= source
     return pairs.take(grid.left, axis=1).ravel()

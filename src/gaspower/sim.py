@@ -36,7 +36,10 @@ holds no state: evaluate(y) returns an Iterate, y with its Colebrook
 friction, its pointwise gas terms (gas.point_terms) and power-flow trig
 tables, and the residual and the Jacobian at y both read it, so each
 iterate's pointwise physics is evaluated once and the Jacobian only
-combines it.  The Newton solves return their converged Iterate, and
+combines it.  The residual is the rows of the iterate less an offset
+fixed for its step (step_offset: the old level's pair means, the
+boundary values and the lift), which a Newton step builds once.  The
+Newton solves return their converged Iterate, and
 Simulator.run keeps each level's friction on the Trajectory, so the
 adjoint and tangent sweeps evaluate a stored state with the friction it
 converged with: Colebrook is solved once per Newton iterate, never in a
@@ -190,12 +193,15 @@ class _Snapshot:
 
 class Iterate(NamedTuple):
     """A y_next with its Colebrook friction, the gas.point_terms built on
-    it and its power-flow trig tables."""
+    it and its power-flow trig tables; a Newton solve returns its last
+    Iterate with the iterations it took and its max-norm residual."""
 
     y: np.ndarray
     friction: tuple | np.ndarray   # (lambda, dlambda/dq) per grid point
     terms: gas.PointTerms
     tables: tuple
+    iterations: int = 0
+    residual_norm: float = np.nan
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,10 @@ class Trajectory:
     of states[n], as the forward solve evaluated them, so the sweeps over
     the trajectory (adjoint._level_solve) need not solve Colebrook again.
     That invariant is the caller's to keep: a trajectory made with
-    dataclasses.replace(states=...) keeps the old friction.
+    dataclasses.replace(states=...) keeps the old friction.  Simulator.run
+    makes states and friction read-only.  newton_iterations[n] and
+    residual_norm[n], not compared, count level n's Newton iterations
+    (level 0: the steady solve) and give its final max-norm residual.
     """
 
     index: VariableIndex
@@ -214,6 +223,8 @@ class Trajectory:
     states: np.ndarray           # (M+1, N_y)
     control: np.ndarray          # Pa, (M+1,)
     friction: np.ndarray         # (M+1, 2, n_points): lambda, dlambda/dq
+    newton_iterations: np.ndarray = field(compare=False)   # (M+1,)
+    residual_norm: np.ndarray = field(compare=False)       # (M+1,)
 
     @property
     def step_count(self) -> int:
@@ -487,28 +498,38 @@ class CoupledStepAssembler:
         return Iterate(y, friction, terms,
                        power._trig_tables(phi, self.G, self.B))
 
-    def residual(self, y_prev: np.ndarray, it: Iterate, u: float,
-                 snap: _Snapshot, dt: float) -> np.ndarray:
-        """R(y_prev, it.y, u), rows scaled by row_scale: the constant
-        linear operator applied to it.y, less the boundary values of
-        `snap` and the plant offtake; the box rows (gas.box_residual, no
-        stencil derivatives), compressor and power-flow rows replace it."""
+    def step_offset(self, y_prev: np.ndarray, u: float, snap: _Snapshot):
+        """residual()'s terms fixed for a step: gas.pair_means at y_prev, and
+        b, 0 but for the boundary values of `snap` and u, at their rows."""
+        n = self.n_points
+        b = np.zeros(self.index.size)
+        b[self._pb_rows] = snap.node_rho_bc[self._pb_nodes]
+        b[self._fb_rows] = self._fb_area * snap.node_outflow[self._fb_nodes]
+        b[self._bc_rows] = snap.bus_fixed.ravel()
+        b[self._comp_rows] = u
+        return gas.pair_means(y_prev[:n], y_prev[n:2 * n]), b
+
+    def residual(self, it: Iterate, offset, dt: float) -> np.ndarray:
+        """R(y_prev, it.y, u), rows scaled by row_scale, where `offset` is
+        step_offset(y_prev, u, snap): the rows of it.y less the offset's
+        b.  Those rows are the constant linear operator applied to it.y,
+        less the plant offtake; the box rows (gas.box_residual on the
+        offset's means), compressor and power-flow rows replace it."""
+        old, b = offset
         y = it.y
         res = self._linear @ y
-        res[:self.grid.shape[0]] = gas.box_residual(
-            y_prev[:self.n_points], y_prev[self.n_points:2 * self.n_points],
-            it.terms, dt, self.grid)
-        res[self._pb_rows] -= snap.node_rho_bc[self._pb_nodes]
-        res[self._fb_rows] -= self._fb_area * snap.node_outflow[self._fb_nodes]
+        res[:self.grid.shape[0]] = gas.box_residual(old, it.terms, dt,
+                                                    self.grid)
         res[self._plant_rows] -= self._plants.reference_density * \
             power.plant_gas_offtake(y[self._plant_cols], self._plants)
         p_to, p_from = gas._pressure(y[self._comp_ends], self.constants)
-        res[self._comp_rows] = p_to - p_from - u
+        res[self._comp_rows] = p_to - p_from
         if self.n_bus:
             v, _, p, q = y[self._bus_cols]
             res[self._pf_rows] = power.powerflow_residual(v, p, q, it.tables)
-            res[self._bc_rows] -= snap.bus_fixed.ravel()
-        return res * self.row_scale
+        res -= b
+        res *= self.row_scale
+        return res
 
     def jacobian(self, it: Iterate, dt: float) -> np.ndarray:
         """dR/dy_next at it, rows scaled like residual(): its values in the
@@ -525,7 +546,9 @@ class CoupledStepAssembler:
         if self.n_bus:
             parts += [-block.ravel() for block in power.injection_jacobians(
                 y[self._bus_cols[0]], it.tables)]
-        return np.concatenate(parts) * self._entry_scale
+        values = np.concatenate(parts)
+        values *= self._entry_scale
+        return values
 
     def matrix(self, values: np.ndarray):
         """jacobian()'s `values` as a CSR matrix on the set-up pattern
@@ -556,12 +579,15 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
     """Damped Newton solve of R(y_prev, y, u) = 0 from an admissible y, or
     of the steady R(y, y, u) = 0 when y_prev is None, which returns the
     first Iterate whose max-norm residual is below `tol`, with the
-    Colebrook friction it was evaluated with.
+    Colebrook friction it was evaluated with, the iterations taken and
+    that residual.
 
     The start and each admissible candidate are evaluated once
     (assembler.evaluate); the residual and assembler.factors read that
-    Iterate.  Each step is halved (up to `halvings` times) until the
-    candidate is admissible and lowers the max-norm residual.  A singular
+    Iterate and the step's offset (assembler.step_offset), built once, or
+    per iterate for the steady block, whose old level is the iterate.
+    Each step is halved (up to `halvings` times) until the candidate is
+    admissible and lowers the max-norm residual.  A singular
     block raises SingularJacobian.  A non-finite residual at the start,
     which no step can mend, raises SimulationError, and a solve that runs
     out of iterations or of halvings MaxIterationsExceeded; both name the
@@ -569,8 +595,9 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
     unknown at its column.
     """
     steady = y_prev is None
-    residual = lambda it: assembler.residual(it.y if steady else y_prev, it,
-                                             u, snap, dt)
+    offset = None if steady else assembler.step_offset(y_prev, u, snap)
+    residual = lambda it: assembler.residual(
+        it, assembler.step_offset(it.y, u, snap) if steady else offset, dt)
     row_of = lambda row: f"row {row} (row of {assembler.index.name(row)})"
 
     def stuck(message):
@@ -608,7 +635,7 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
         else:
             raise stuck("Newton line search stalled")
         iterations += 1
-    return it
+    return it._replace(iterations=iterations, residual_norm=norm)
 
 
 def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
@@ -677,6 +704,7 @@ class Simulator:
         dt = self.scenario.dt
         states = np.empty((m + 1, self.assembler.index.size))
         friction = np.empty((m + 1, 2, self.assembler.n_points))
+        iterations, norms = np.empty(m + 1, dtype=int), np.empty(m + 1)
         for j in range(m + 1):
             # linear extrapolation in time cuts one Newton iteration
             guess = 2.0 * states[j - 1] - states[j - 2] if j >= 2 else None
@@ -693,8 +721,10 @@ class Simulator:
                     f"{what} (t = {self.scenario.times[j] / 3600.0:.2f} h) "
                     f"failed: {exc}") from exc
             states[j], friction[j] = it.y, it.friction
+            iterations[j], norms[j] = it.iterations, it.residual_norm
+        states.flags.writeable = friction.flags.writeable = False
         return Trajectory(self.assembler.index, self.scenario.times.copy(),
-                          states, control.copy(), friction)
+                          states, control.copy(), friction, iterations, norms)
 
 
 def simulate(network: CoupledNetwork, scenario: Scenario,

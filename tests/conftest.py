@@ -33,7 +33,7 @@ def box_scheme_residual(prev, next_, dt, dx, pipe, constants=GasConstants()):
                               [pipe.roughness])
     friction = gas.friction_factor_and_derivative(
         q, pipe.diameter, pipe.roughness, constants.eta)
-    return gas.box_residual(*prev, gas.point_terms(
+    return gas.box_residual(gas.pair_means(*prev), gas.point_terms(
         rho, q, grid, constants, friction), dt, grid)
 
 

@@ -1,5 +1,7 @@
 """Adjoint sweep against a dense monolithic solve and finite differences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,28 @@ def test_sweeps_reuse_the_forward_friction(monkeypatch):
     adjoint_sweep(simulator, trajectory, dj_dy)
     state_sensitivities(simulator, trajectory, [0, 1])
     assert calls == []
+
+
+def test_sweeps_leave_the_trajectory_unchanged():
+    """The step kernels compute in place, but only in their own arrays:
+    the sweeps evaluate each level with friction[n], a view of the
+    trajectory, and leave states and friction bitwise unchanged, also
+    when both are writable copies.  Simulator.run returns them
+    read-only."""
+    simulator = Simulator(make_mixed_network(),
+                          make_toy_scenario(steps=3, outflow_flux=60.0))
+    trajectory = simulator.run(np.linspace(1.0e5, 1.6e5, 4))
+    for values in (trajectory.states, trajectory.friction):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 1.0
+    before = trajectory.states.tobytes(), trajectory.friction.tobytes()
+    writable = replace(trajectory, states=trajectory.states.copy(),
+                       friction=trajectory.friction.copy())
+    _, dj_dy, _ = opt.cost_partials(simulator, writable)
+    for run in (trajectory, writable):
+        adjoint_sweep(simulator, run, dj_dy)
+        state_sensitivities(simulator, run, list(range(run.states.shape[1])))
+        assert (run.states.tobytes(), run.friction.tobytes()) == before
 
 
 def test_forward_run_and_sweeps_leave_the_assembler_unchanged(bundled):

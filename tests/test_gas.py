@@ -196,8 +196,8 @@ class TestPipeGrid:
             terms = gas.point_terms(
                 rho[at], q[at], grid, CONS,
                 gas.friction_factor_and_derivative(q[at], grid))
-            return gas.box_residual(rho_old[at], q_old[at], terms, 600.0,
-                                    grid)
+            return gas.box_residual(gas.pair_means(rho_old[at], q_old[at]),
+                                    terms, 600.0, grid)
 
         grid = gas.PipeGrid.stack(cells, dx, d, k)
         stops = np.cumsum(np.add(cells, 1))
@@ -393,3 +393,66 @@ def test_mass_conservation_identity():
     lhs = dx * (mean(nxt) - mean(prev))
     rhs = dt * (nxt[1][0] - nxt[1][-1]) + dx * np.sum(res[:3])
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_in_place_kernels_equal_their_formulas():
+    """The kernels compute in place in each formula's order of evaluation,
+    so they equal, bit for bit, the formulas written as plain expressions,
+    on turbulent, rough and reversed flows at gamma = 1.4."""
+    cons = GasConstants(kappa=2.0e5, gamma=1.4)
+    grid = gas.PipeGrid.stack([1, 3, 5], [700.0, 1000.0, 350.0],
+                              [0.6, 0.4, 0.9], [5e-4, 1e-5, 2e-3])
+    rng = np.random.default_rng(31)
+    rho_old, rho = rng.uniform(30.0, 60.0, (2, 12))
+    q_old, q = rng.uniform(-300.0, 300.0, (2, 12))
+    q[[2, 7]] = [1e-4, -1e-4]                       # rough points
+    d, eta, b, d_eta = grid.colebrook
+    dt = 600.0
+
+    re = d * np.abs(q) / eta
+    rough = re < gas.REYNOLDS_ROUGH_LIMIT
+    re_safe = np.where(rough, gas.REYNOLDS_ROUGH_LIMIT, re)
+    re_scaled = re_safe * (np.log(10.0) / 5.02)
+    x1, x2 = b * re_scaled, np.log(re_scaled)
+    f = x2 - 0.2
+    for _ in range(2):
+        s = x1 + f
+        s1 = 1.0 + s
+        e = (np.log(s) + f - x2) / s1
+        f = f - (s1 + 0.5 * e) * e * s / (s1 + e * (1.0 + e / 3.0))
+    lam = (0.5 * np.log(10.0) / f) ** 2
+    dlam = -2.0 * lam * np.sign(q) * d_eta / (re_safe * (1.0 + x1 + f))
+    lam = np.where(rough, 1.0 / (2.0 * np.log10(b)) ** 2, lam)
+    dlam = np.where(rough, 0.0, dlam)
+    friction = gas.friction_factor_and_derivative(q, grid)
+    assert all(np.array_equal(a, b) for a, b in zip(friction, (lam, dlam)))
+
+    c = 1.0 / (2.0 * d)
+    p = cons.kappa * rho ** cons.gamma
+    v = q / rho
+    s = -c * lam * q * np.abs(q) / rho
+    expected = [rho, q, p + q * q / rho, s, cons.gamma * p / rho - v * v,
+                2.0 * v, -s / rho,
+                -c * (dlam * q * np.abs(q) + lam * 2.0 * np.abs(q)) / rho]
+    terms = gas.point_terms(rho, q, grid, cons, friction)
+    assert all(np.array_equal(a, b) for a, b in zip(terms, expected))
+
+    jl, jr = grid.left, grid.left + 1
+    r = dt / grid.dx
+    f2, ds_drho, ds_dq = expected[2], expected[6], expected[7]
+    df2_drho, df2_dq = expected[4], expected[5]
+    blocks = np.concatenate([
+        np.full(len(jl), 0.5), np.full(len(jl), 0.5), -r, r,
+        -r * df2_drho[jl] - dt * 0.5 * ds_drho[jl],
+        r * df2_drho[jr] - dt * 0.5 * ds_drho[jr],
+        0.5 - r * df2_dq[jl] - dt * 0.5 * ds_dq[jl],
+        0.5 + r * df2_dq[jr] - dt * 0.5 * ds_dq[jr]])
+    assert np.array_equal(gas._box_blocks(terms, dt, grid), blocks)
+
+    mass = (0.5 * (rho[jl] + rho[jr]) - 0.5 * (rho_old[jl] + rho_old[jr])
+            + r * (q[jr] - q[jl]))
+    momentum = (0.5 * (q[jl] + q[jr]) - 0.5 * (q_old[jl] + q_old[jr])
+                + r * (f2[jr] - f2[jl]) - dt * 0.5 * (s[jr] + s[jl]))
+    assert np.array_equal(gas.box_residual(gas.pair_means(rho_old, q_old),
+                                           terms, dt, grid),
+                          np.concatenate([mass, momentum]))

@@ -125,7 +125,8 @@ class TestSteadyState:
         snap = toy_simulator.snapshots[0]
         y = steady_state(asm, snap, 0.0, 900.0).y
         for dt in (1.0, 900.0, 7200.0):
-            res = asm.residual(y, asm.evaluate(y), 0.0, snap, dt)
+            res = asm.residual(asm.evaluate(y), asm.step_offset(y, 0.0, snap),
+                               dt)
             assert np.max(np.abs(res)) < 1e-8
 
 
@@ -134,8 +135,8 @@ class TestResidualStructure:
                                               uncontrolled_trajectory):
         asm = bundled_simulator.assembler
         y0 = uncontrolled_trajectory.states[0]
-        res = asm.residual(y0, asm.evaluate(y0), 0.0,
-                           bundled_simulator.snapshots[0], 900.0)
+        res = asm.residual(asm.evaluate(y0), asm.step_offset(
+            y0, 0.0, bundled_simulator.snapshots[0]), 900.0)
         assert np.max(np.abs(res)) < 1e-9
 
     def test_interior_density_perturbation_is_local(self, bundled_simulator,
@@ -144,11 +145,12 @@ class TestResidualStructure:
         snap = bundled_simulator.snapshots[1]
         y0 = uncontrolled_trajectory.states[0]
         y1 = uncontrolled_trajectory.states[1].copy()
-        base = asm.residual(y0, asm.evaluate(y1), 0.0, snap, 900.0)
+        base = asm.residual(asm.evaluate(y1), asm.step_offset(y0, 0.0, snap),
+                            900.0)
         j = asm.index.pipe_rho["P25"].start + 30    # interior grid point
         y1[j] += 1e-3
-        changed = np.nonzero(asm.residual(y0, asm.evaluate(y1), 0.0, snap,
-                                          900.0) - base)[0]
+        changed = np.nonzero(asm.residual(
+            asm.evaluate(y1), asm.step_offset(y0, 0.0, snap), 900.0) - base)[0]
         # two mass and two momentum rows share the stencil of one point
         assert len(changed) == 4
         half = asm.grid.shape[0] // 2   # all mass rows, then all momentum
@@ -164,9 +166,11 @@ class TestResidualStructure:
         y1 = y0.copy()
         row = asm.index.node_rho["S4"]
         p_col = asm.index.bus[(plant.bus, "P")]
-        base = asm.residual(y0, asm.evaluate(y1), 0.0, snap, 900.0)[row]
+        base = asm.residual(asm.evaluate(y1), asm.step_offset(y0, 0.0, snap),
+                            900.0)[row]
         y1[p_col] = 0.95
-        shifted = asm.residual(y0, asm.evaluate(y1), 0.0, snap, 900.0)[row]
+        shifted = asm.residual(asm.evaluate(y1),
+                               asm.step_offset(y0, 0.0, snap), 900.0)[row]
         d_eps = power.plant_gas_offtake(0.95, plant) \
             - power.plant_gas_offtake(y0[p_col], plant)
         expected = -plant.reference_density * d_eps / MASS_FLOW_SCALE
@@ -246,13 +250,36 @@ class TestNewtonStep:
         y0 = steady_state(asm, toy_simulator.snapshots[0], 0.0, 900.0).y
         harder, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
-        res = asm.residual(y0, asm.evaluate(y0), 0.0, harder, 900.0)
+        res = asm.residual(asm.evaluate(y0), asm.step_offset(y0, 0.0, harder),
+                           900.0)
         row = int(np.abs(res).argmax())
         with pytest.raises(MaxIterationsExceeded) as err:
             newton_solve_step(asm, y0, 0.0, harder, 900.0, max_iter=0)
         assert f"largest residual in row {row} (row of " \
             f"{asm.index.name(row)}) (residual {np.abs(res).max():.3e} " \
             "after 0 iterations)" in str(err.value)
+
+    def test_step_offset_is_built_once_per_step(self, toy_simulator,
+                                                monkeypatch):
+        """A time step builds its residual offset once, however many
+        iterates it evaluates; the steady solve, whose old level is its
+        iterate, builds one per evaluated iterate."""
+        asm = toy_simulator.assembler
+        snap = toy_simulator.snapshots[0]
+        calls = dict.fromkeys(["step_offset", "evaluate"], 0)
+        for name in calls:
+            def counted(*args, original=getattr(asm, name), name=name):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(asm, name, counted)
+        y0 = steady_state(asm, snap, 0.0, 900.0).y
+        assert calls["evaluate"] > 2
+        assert calls["step_offset"] == calls["evaluate"]
+        harder, = asm.boundary_snapshots(
+            make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
+        calls.update(step_offset=0, evaluate=0)
+        newton_solve_step(asm, y0, 0.0, harder, 900.0)
+        assert calls["evaluate"] > 2 and calls["step_offset"] == 1
 
     def test_all_coupling_rows_hold_along_trajectory(self, bundled_simulator,
                                                      uncontrolled_trajectory):
@@ -263,9 +290,9 @@ class TestNewtonStep:
         rows = np.concatenate([asm.coupling_rows,
                                list(asm.index.node_rho.values())])
         for j in (1, 17, 48):
-            res = asm.residual(traj.states[j - 1],
-                               asm.evaluate(traj.states[j]), traj.control[j],
-                               bundled_simulator.snapshots[j], 900.0)
+            res = asm.residual(asm.evaluate(traj.states[j]), asm.step_offset(
+                traj.states[j - 1], traj.control[j],
+                bundled_simulator.snapshots[j]), 900.0)
             assert np.max(np.abs(res[rows])) < 1e-9
 
 
@@ -291,9 +318,9 @@ class TestSimulate:
         asm = bundled_simulator.assembler
         traj = uncontrolled_trajectory
         for j in range(traj.step_count + 1):
-            res = asm.residual(traj.states[max(j - 1, 0)],
-                               asm.evaluate(traj.states[j]), 0.0,
-                               bundled_simulator.snapshots[j], 900.0)
+            res = asm.residual(asm.evaluate(traj.states[j]), asm.step_offset(
+                traj.states[max(j - 1, 0)], 0.0,
+                bundled_simulator.snapshots[j]), 900.0)
             assert np.max(np.abs(res)) < bundled_simulator.tol, j
 
     def test_control_length_checked(self, bundled_simulator):
@@ -394,6 +421,33 @@ class TestSimulate:
                                                            asm.grid)
             assert np.array_equal(trajectory.friction[level, 0], lam)
             assert np.array_equal(trajectory.friction[level, 1], dlam)
+
+    def test_trajectory_counts_the_newton_iterations(self, monkeypatch):
+        """newton_iterations holds each level's Newton iterations (level 0:
+        the steady solve's), one factorization each, and residual_norm
+        each level's final max-norm residual, below tol."""
+        simulator = Simulator(make_mixed_network(), make_toy_scenario(
+            steps=3, outflow_flux=60.0))
+        asm, factored = simulator.assembler, []
+        original = asm.factors
+
+        def factors(*args):
+            factored.append(args[3])
+            return original(*args)
+
+        monkeypatch.setattr(asm, "factors", factors)
+        trajectory = simulator.run(np.linspace(1.0e5, 1.6e5, 4))
+        iterations = trajectory.newton_iterations
+        assert iterations.shape == trajectory.residual_norm.shape == (4,)
+        assert iterations.sum() == len(factored) > iterations[0] > 0
+        assert factored.count(True) == iterations[0]
+        assert np.all(trajectory.residual_norm < simulator.tol)
+        for level, y in enumerate(trajectory.states):
+            res = asm.residual(asm.evaluate(y), asm.step_offset(
+                trajectory.states[max(level - 1, 0)],
+                trajectory.control[level], simulator.snapshots[level]),
+                simulator.scenario.dt)
+            assert trajectory.residual_norm[level] == np.abs(res).max()
 
     def test_result_does_not_depend_on_call_history(self, bundled):
         simulator = Simulator(*bundled)
@@ -566,12 +620,15 @@ class TestMixedGeometryJacobian:
         it = asm.evaluate(y1)
         jac = asm.matrix(asm.jacobian(it, dt))
         assert_close(jac.toarray(), central_differences(
-            lambda y: asm.residual(y_prev, asm.evaluate(y), u, snap, dt), y1))
+            lambda y: asm.residual(asm.evaluate(y),
+                                   asm.step_offset(y_prev, u, snap), dt), y1))
         assert_close(asm.jac_prev.toarray(), central_differences(
-            lambda y: asm.residual(y, it, u, snap, dt), y_prev))
+            lambda y: asm.residual(it, asm.step_offset(y, u, snap), dt),
+            y_prev))
         h = 1.0e2
-        fd_u = (asm.residual(y_prev, it, u + h, snap, dt)
-                - asm.residual(y_prev, it, u - h, snap, dt)) / (2.0 * h)
+        fd_u = (asm.residual(it, asm.step_offset(y_prev, u + h, snap), dt)
+                - asm.residual(it, asm.step_offset(y_prev, u - h, snap), dt)
+                ) / (2.0 * h)
         assert_close(asm.d_du, fd_u)
 
     def test_residual_then_jacobian_solves_friction_once(self, mixed,
@@ -603,6 +660,23 @@ class TestMixedGeometryJacobian:
         assert calls["friction_factor_and_derivative"] == \
             calls["point_terms"] == evaluations + 1
 
+    def test_evaluation_leaves_its_inputs_unchanged(self, mixed):
+        """evaluate(y, friction), with the friction given or solved, and
+        the step offset, residual and Jacobians read from it write into no
+        input: y, y_prev and the friction keep every bit."""
+        asm, snap, y0, y1 = mixed
+        n = asm.n_points
+        friction = np.array(gas.friction_factor_and_derivative(y1[n:2 * n],
+                                                                asm.grid))
+        y, y_prev, given = y1.copy(), y0.copy(), friction.copy()
+        for it in (asm.evaluate(y), asm.evaluate(y, given)):
+            asm.residual(it, asm.step_offset(y_prev, 1.2e5, snap), 900.0)
+            asm.residual(it, asm.step_offset(y, 1.2e5, snap), 900.0)
+            asm.factors(it, 900.0, splu, steady=False)
+            asm.factors(it, 900.0, splu, steady=True)
+        assert y.tobytes() == y1.tobytes() and y_prev.tobytes() == y0.tobytes()
+        assert given.tobytes() == friction.tobytes()
+
     def test_nonpositive_pipe_density_rejected(self, mixed, monkeypatch):
         """A pipe density <= 0 makes evaluate raise ValueError through
         gas.check_densities, which runs once per evaluation and not at all
@@ -618,13 +692,14 @@ class TestMixedGeometryJacobian:
                 asm.evaluate(bad)
         states.clear()
         it = asm.evaluate(y1)
-        asm.residual(y0, it, 1.2e5, snap, 900.0)
+        asm.residual(it, asm.step_offset(y0, 1.2e5, snap), 900.0)
         asm.jacobian(it, 900.0)
         assert len(states) == 1
 
     def test_pipe_rows_equal_box_scheme(self, mixed):
         asm, snap, y0, y1 = mixed
-        res = asm.residual(y0, asm.evaluate(y1), 1.2e5, snap, 900.0)
+        res = asm.residual(asm.evaluate(y1), asm.step_offset(y0, 1.2e5, snap),
+                           900.0)
         cells = asm.grid.shape[0] // 2  # all mass rows, then all momentum
         start = 0                       # of pipe k: cells of pipes 0..k-1
         for pipe in asm.pipes:
@@ -780,7 +855,8 @@ class TestFixedPattern:
         u, dt = 2.0e5, 900.0
         jac_next = asm.matrix(asm.jacobian(asm.evaluate(y1), dt))
         assert_close(jac_next.toarray(), central_differences(
-            lambda y: asm.residual(y0, asm.evaluate(y), u, snap, dt), y1))
+            lambda y: asm.residual(asm.evaluate(y),
+                                   asm.step_offset(y0, u, snap), dt), y1))
 
     def test_steady_jacobian_matches_central_differences(self, step):
         """The steady block keeps the step pattern, its cancelled entries
@@ -795,7 +871,8 @@ class TestFixedPattern:
                               (asm.matrix(asm.jacobian(it, dt))
                                + asm.jac_prev).toarray())
         assert_close(jac.toarray(), central_differences(
-            lambda y: asm.residual(y, asm.evaluate(y), u, snap, dt), y))
+            lambda y: asm.residual(asm.evaluate(y),
+                                   asm.step_offset(y, u, snap), dt), y))
 
 
 def make_parallel_network():
@@ -964,7 +1041,8 @@ class TestEmptyIndexArrays:
         y1 = traj.states[1] * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
         jac_next = asm.matrix(asm.jacobian(asm.evaluate(y1), 900.0))
         assert_close(jac_next.toarray(), central_differences(
-            lambda y: asm.residual(y0, asm.evaluate(y), 0.0, snap, 900.0), y1))
+            lambda y: asm.residual(asm.evaluate(y),
+                                   asm.step_offset(y0, 0.0, snap), 900.0), y1))
 
     def test_snapshots_match_one_at_a_time(self, bundled_simulator):
         asm = bundled_simulator.assembler
