@@ -19,19 +19,10 @@ A singular block raises sim.SingularJacobian naming its level and time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from .sim import SimulationError, SingularJacobian, Simulator, Trajectory
-
-
-@dataclass(frozen=True)
-class AdjointState:
-    """Adjoint vectors xi_n, one per time level 0..M."""
-
-    xi: np.ndarray  # (M+1, N_y)
 
 
 def _level_solve(simulator: Simulator, trajectory: Trajectory, n: int,
@@ -52,8 +43,8 @@ def _level_solve(simulator: Simulator, trajectory: Trajectory, n: int,
 
 
 def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
-                  dj_dy: np.ndarray) -> AdjointState:
-    """Solve the stacked adjoint equation for given objective partials.
+                  dj_dy: np.ndarray) -> np.ndarray:
+    """The adjoint vectors xi, (M+1, N_y), for given objective partials.
 
     dj_dy has one row per time level.  Level M is the recursion base and
     level 0 uses the steady-state block.
@@ -69,14 +60,13 @@ def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
         xi[n] = _level_solve(simulator, trajectory, n, -dj_dy[n] - carry,
                              transposed=True)
         carry = prev_t @ xi[n]
-    return AdjointState(xi)
+    return xi
 
 
 def total_gradient(simulator: Simulator, trajectory: Trajectory,
-                   adjoint: AdjointState, dj_du: np.ndarray) -> np.ndarray:
-    """dJ/du_n = dJ/du_n|direct + xi_n . dE_n/du_n, per time level (Pa^-1)."""
-    dj_du = np.asarray(dj_du, dtype=float)
-    return dj_du + adjoint.xi @ simulator.assembler.d_du
+                   xi: np.ndarray, dj_du: np.ndarray) -> np.ndarray:
+    """dJ/du_n = dj_du[n] + xi[n] . dE_n/du_n (Pa^-1); xi of adjoint_sweep."""
+    return np.asarray(dj_du, dtype=float) + xi @ simulator.assembler.d_du
 
 
 def state_sensitivities(simulator: Simulator, trajectory: Trajectory,

@@ -92,9 +92,10 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
     third-order steps from F = X2 - 0.2 reach machine precision;
     x = 1/sqrt(lam) = 2 F/ln10.  The derivative comes from implicit
     differentiation of the same equation.  Below REYNOLDS_ROUGH_LIMIT the
-    rough limit (with zero derivative) is returned.  Diameter d and
-    roughness k are scalars or arrays shaped like q (one value per point);
-    (q, grid) takes d, eta, b and d/eta per point from a PipeGrid.
+    rough limit, or Colebrook's value at that limit if k = 0, is returned
+    with zero derivative.  Diameter d and roughness k are scalars or
+    arrays shaped like q (one value per point); (q, grid) takes d, eta, b
+    and d/eta per point from a PipeGrid.
     """
     diameter, eta, b, d_eta = diameter.colebrook if isinstance(
         diameter, PipeGrid) else _colebrook_constants(diameter, roughness, eta)
@@ -133,7 +134,9 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
     dlam_dq = -2.0 * lam * np.sign(q) * d_eta / (re_safe * (1.0 + x1 + f))
     if any_rough:
         dlam_dq = np.where(rough, 0.0, dlam_dq)
-        lam = np.where(rough, 1.0 / (2.0 * np.log10(b)) ** 2, lam)
+        rough &= b > 0   # a smooth pipe keeps Colebrook's lam at re_safe
+        lam = np.where(rough, 1.0 / (2.0 * np.log10(
+            b, where=rough, out=np.ones_like(lam))) ** 2, lam)
 
     if scalar:
         return float(lam[0]), float(dlam_dq[0])

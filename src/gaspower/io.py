@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import opt
-from .model import (BAR, BUS_QUANTITIES, FLOW_BOUNDARY, PINNED_QUANTITIES,
-                    PRESSURE_BOUNDARY, Bus, CompressorArc, CompressorCostModel,
-                    CoupledNetwork, GasConstants, GasNetwork, GasNode,
-                    GasPowerPlant, PerUnitSystem, Pipe, PowerGrid,
-                    TransmissionLine, incident_pipe_area, validate_network)
-from .sim import BoundaryData, Scenario, Simulator, Trajectory
+from .model import (BAR, BUS_QUANTITIES, Bus, CompressorArc,
+                    CompressorCostModel, CoupledNetwork, GasConstants,
+                    GasNetwork, GasNode, GasPowerPlant, PerUnitSystem, Pipe,
+                    PowerGrid, TransmissionLine, incident_pipe_area,
+                    validate_network)
+from .sim import (BoundaryData, Scenario, Simulator, Trajectory,
+                  check_boundary_data)
 
 _GAS_QUANTITIES = ("pressure_bar", "outflow_m3_s", "outflow_flux")
 
@@ -209,18 +210,10 @@ def load_scenario(path, network: CoupledNetwork,
             raise FormatError(f"{path}: boundary for unknown target "
                               f"{target!r}")
 
-    required = []
-    for node in network.gas.nodes:
-        if node.kind == PRESSURE_BOUNDARY:
-            required.append((node.id, "pressure"))
-        elif node.kind == FLOW_BOUNDARY:
-            required.append((node.id, "outflow"))
-    for bus in network.grid.busses:
-        required.extend((bus.id, q) for q in PINNED_QUANTITIES[bus.kind])
-    missing = [key for key in required if key not in series]
-    if missing:
-        names = ", ".join(f"{t}.{q}" for t, q in missing)
-        raise FormatError(f"{path}: missing boundary data for {names}")
+    try:
+        check_boundary_data(network, series)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
     bounds = {}
     p_min = _object(raw.get("pressure_bounds", {}), f"{path}: pressure_bounds")

@@ -136,8 +136,7 @@ class StepCondensation:
     def node_sums(self, per_end: np.ndarray) -> np.ndarray:
         """Sums of per_end's rows (one per pipe end) at each end's node."""
         k = per_end.shape[1]
-        at = self.nodes if k == 1 else \
-            (k * self.nodes[:, None] + np.arange(k)).ravel()
+        at = (k * self.nodes[:, None] + np.arange(k)).ravel()
         return np.bincount(at, per_end.ravel(), self.net * k).reshape(-1, k)
 
     def factors(self, values, splu) -> CondensedFactors:

@@ -231,7 +231,8 @@ def validate_network(gas: GasNetwork, grid: PowerGrid,
     """Check topology consistency; returns a list of violations (empty = valid).
 
     A network with no busses at all is accepted as a pure gas network,
-    provided it has no plants either.
+    provided it has no plants either.  A compressor needs a pipe at one of
+    its nodes, whose cross-section (incident_pipe_area) scales its flux.
     """
     violations = []
 
@@ -254,6 +255,11 @@ def validate_network(gas: GasNetwork, grid: PowerGrid,
     for nid in node_ids:
         if nid not in touched:
             violations.append(f"gas node {nid} is not an endpoint of any arc")
+    bare = node_set.difference(*[(p.from_node, p.to_node) for p in gas.pipes])
+    for comp in gas.compressors:   # unknown ends are reported above
+        if {comp.from_node, comp.to_node} <= bare:   # no pipe at either
+            violations.append(f"compressor {comp.id} has no adjacent pipe "
+                              "to take a reference cross-section from")
 
     # connectivity of the gas graph (undirected)
     if gas.nodes and not violations:

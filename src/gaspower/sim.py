@@ -17,33 +17,33 @@ y_prev = y_next) are solved by one damped Newton routine.  The steady
 solve starts from a flat grid (V = 1, phi = P = Q = 0, the pinned values
 written in), so it solves the power flow together with the gas.
 
-The assembler checks the network and lists at set-up one table of arc
-ends (every pipe end, then every compressor end, from-end then to-end:
-node, flow column, area signed into the node), off which the balances,
-pressure coupling, compressor rows and node injections are read, and
-the entries of dR/dy_next, so an iterate pays only for the guards on its
-own values and a step Jacobian is its values in that entry order;
+The assembler checks the network (model.validate_network), the Simulator
+its boundary data (check_boundary_data).  At set-up the assembler lists
+one table of arc ends (every pipe end, then every compressor end, from-end
+then to-end: node, flow column, area signed into the node), off which the
+balances, pressure coupling, compressor rows and node injections are read,
+and the entries of dR/dy_next, so an iterate pays only for the guards on
+its own values and a step Jacobian is its values in that entry order;
 dR/dy_prev and dR/du are constant.  factors() alone chooses how a level
 block is factored, for Newton and the adjoint sweeps alike: a step block
 by lu.StepCondensation straight from its values (a 2x2 row transform per
-cell makes the pipe block tridiagonal, for one LAPACK dgtsv per solve;
-the caller's splu factors the small network block), the steady block
+cell makes the pipe block tridiagonal, for one LAPACK dgtsv per solve; the
+caller's splu factors the small network block), the steady block
 dR/dy_next + dR/dy_prev whole (lu.whole_factors) as the one CSR matrix
-(matrix() on the set-up pattern, the entries that cancel stored as
-zeros).  The linear rows (pressure coupling, node balances, boundary and
-bus rows) form one constant sparse operator.  After set-up the assembler
-holds no state: evaluate(y) returns an Iterate, y with its Colebrook
-friction, its pointwise gas terms (gas.point_terms) and power-flow trig
-tables, and the residual and the Jacobian at y both read it, so each
-iterate's pointwise physics is evaluated once and the Jacobian only
-combines it.  The residual is the rows of the iterate less an offset
-fixed for its step (step_offset: the old level's pair means, the
-boundary values and the lift), which a Newton step builds once.  The
-Newton solves return their converged Iterate, and
-Simulator.run keeps each level's friction on the Trajectory, so the
-adjoint and tangent sweeps evaluate a stored state with the friction it
-converged with: Colebrook is solved once per Newton iterate, never in a
-sweep.
+(matrix() on the set-up pattern, the entries that cancel stored as zeros).
+The linear rows (pressure coupling, node balances, boundary and bus rows)
+form one constant sparse operator.  After set-up the assembler holds no
+state: evaluate(y) returns an Iterate, y with its Colebrook friction, its
+pointwise gas terms (gas.point_terms) and power-flow trig tables, and the
+residual and the Jacobian at y both read it, so each iterate's pointwise
+physics is evaluated once and the Jacobian only combines it.  The residual
+is the rows of the iterate less an offset fixed for its step (step_offset:
+the old level's pair means, the boundary values and the lift), which a
+Newton step builds once.  The Newton solves return their converged
+Iterate, and Simulator.run keeps each level's friction on the Trajectory,
+so the adjoint and tangent sweeps evaluate a stored state with the
+friction it converged with: Colebrook is solved once per Newton iterate,
+never in a sweep.
 """
 
 from __future__ import annotations
@@ -159,6 +159,18 @@ class BoundaryData:
         return BoundaryData(series)
 
 
+def check_boundary_data(network: CoupledNetwork, series) -> None:
+    """Raise ValueError naming, in node and then bus order, each boundary
+    series (target id, quantity) the network reads that `series` lacks."""
+    quantity = {PRESSURE_BOUNDARY: "pressure", FLOW_BOUNDARY: "outflow"}
+    keys = [(n.id, quantity[n.kind]) for n in network.gas.nodes
+            if n.kind in quantity] + [(b.id, q) for b in network.grid.busses
+                                      for q in PINNED_QUANTITIES[b.kind]]
+    missing = [f"{t}.{q}" for t, q in keys if (t, q) not in series]
+    if missing:
+        raise ValueError("missing boundary data for " + ", ".join(missing))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Run description: horizon, step, boundary data, bounds, solver knobs."""
@@ -169,6 +181,11 @@ class Scenario:
     pressure_bounds: dict[str, float] = field(default_factory=dict)  # node -> Pa
     control_max: float = 30.0e5     # Pa
     optimizer: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("horizon", "dt"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"scenario {name} must be positive")
 
     @property
     def step_count(self) -> int:
@@ -243,7 +260,8 @@ class CoupledStepAssembler:
     rows, the n_box / 2 momentum rows, and the coupling rows of pipe k at
     n_box + 2k (from end) and n_box + 2k + 1 (to end).  Node, compressor
     and bus rows sit at their node's density column, their compressor's
-    flux column and their bus's V, phi, P and Q columns.
+    flux column and their bus's V, phi, P and Q columns; with no bus, the
+    power-flow blocks are empty.  The network must pass validate_network.
     """
 
     def __init__(self, network: CoupledNetwork):
@@ -269,9 +287,6 @@ class CoupledStepAssembler:
         for comp in self.comps:
             area = incident_pipe_area(network.gas, comp.from_node,
                                       comp.to_node)
-            if area is None:
-                raise ValueError(f"compressor {comp.id} has no adjacent pipe "
-                                 "to take a reference cross-section from")
             qc = self.index.comp_q[comp.id]
             ends += [(comp.from_node, qc, -area), (comp.to_node, qc, area)]
         nodes, flows, areas = zip(*ends)
@@ -280,8 +295,7 @@ class CoupledStepAssembler:
 
         self.node_plant = {p.gas_node: p for p in network.plants}
 
-        self.G, self.B, self.bus_order = nodal_admittance(network.grid)
-        self.n_bus = len(self.bus_order)
+        self.G, self.B, _ = nodal_admittance(network.grid)
         self.busses = list(network.grid.busses)
 
         pipes = self.pipes
@@ -439,7 +453,7 @@ class CoupledStepAssembler:
                     series(node.id, "pressure"), self.constants)
             elif node.kind == FLOW_BOUNDARY:
                 node_out[:, i] = series(node.id, "outflow")
-        bus_fixed = np.zeros((len(times), self.n_bus, 2))
+        bus_fixed = np.zeros((len(times), len(self.busses), 2))
         for i, bus in enumerate(self.busses):
             for k, quant in enumerate(PINNED_QUANTITIES[bus.kind]):
                 bus_fixed[:, i, k] = series(bus.id, quant)
@@ -524,9 +538,8 @@ class CoupledStepAssembler:
             power.plant_gas_offtake(y[self._plant_cols], self._plants)
         p_to, p_from = gas._pressure(y[self._comp_ends], self.constants)
         res[self._comp_rows] = p_to - p_from
-        if self.n_bus:
-            v, _, p, q = y[self._bus_cols]
-            res[self._pf_rows] = power.powerflow_residual(v, p, q, it.tables)
+        v, _, p, q = y[self._bus_cols]
+        res[self._pf_rows] = power.powerflow_residual(v, p, q, it.tables)
         res -= b
         res *= self.row_scale
         return res
@@ -541,12 +554,11 @@ class CoupledStepAssembler:
                                                   self._plants)
         dp_to, dp_from = gas.dpressure_drho(y[self._comp_ends],
                                             self.constants)
-        parts = [gas._box_blocks(it.terms, dt, self.grid), self._const_vals,
-                 -self._plants.reference_density * deps, dp_to, -dp_from]
-        if self.n_bus:
-            parts += [-block.ravel() for block in power.injection_jacobians(
-                y[self._bus_cols[0]], it.tables)]
-        values = np.concatenate(parts)
+        values = np.concatenate([
+            gas._box_blocks(it.terms, dt, self.grid), self._const_vals,
+            -self._plants.reference_density * deps, dp_to, -dp_from,
+            *(-block.ravel() for block in power.injection_jacobians(
+                y[self._bus_cols[0]], it.tables))])
         values *= self._entry_scale
         return values
 
@@ -676,6 +688,7 @@ class Simulator:
         self.tol = tol
         self.max_iter = max_iter
         self.assembler = CoupledStepAssembler(network)
+        check_boundary_data(network, scenario.boundary.series)
         self.snapshots = self.assembler.boundary_snapshots(
             scenario.boundary, scenario.times)
         self._check_grid_regime()
@@ -744,17 +757,16 @@ def mass_balance_report(simulator: Simulator, trajectory: Trajectory):
     """
     asm, dt, states = (simulator.assembler, simulator.scenario.dt,
                        trajectory.states)
-    kind = np.array([n.kind for n in asm.nodes])
     weight = sum(p.dx * p.area * p.cell_count for p in asm.pipes) \
-        + dt * MASS_FLOW_SCALE * np.count_nonzero(kind != PRESSURE_BOUNDARY)
+        + dt * MASS_FLOW_SCALE * (len(asm.nodes) - len(asm._pb_nodes))
     stored = 0.0
     for pipe in asm.pipes:
         rho = states[:, asm.index.pipe_rho[pipe.id]]
         stored += pipe.area * pipe.dx * np.sum(
             0.5 * (rho[:, :-1] + rho[:, 1:]), axis=1)
     outflow = np.array([snap.node_outflow for snap in simulator.snapshots])
-    net_in = asm.node_injections(states)[:, kind == PRESSURE_BOUNDARY].sum(
-        axis=1) - outflow[:, asm._fb_nodes] @ asm._fb_area
+    net_in = asm.node_injections(states)[:, asm._pb_nodes].sum(axis=1) \
+        - outflow[:, asm._fb_nodes] @ asm._fb_area
     for plant in simulator.network.plants:
         net_in -= plant.reference_density * power.plant_gas_offtake(
             states[:, asm.index.bus[(plant.bus, "P")]], plant)

@@ -7,7 +7,7 @@ import pytest
 
 import gaspower.adjoint as adjoint_mod
 from gaspower import gas, opt
-from gaspower.adjoint import (AdjointState, adjoint_sweep, fd_gradient,
+from gaspower.adjoint import (adjoint_sweep, fd_gradient,
                               state_sensitivities, total_gradient)
 from gaspower.model import BAR
 from gaspower.sim import Simulator, SingularJacobian
@@ -50,7 +50,7 @@ def test_sweep_matches_dense_monolithic_solve(toy):
     rng = np.random.default_rng(31)
     dj_dy = rng.normal(size=(m + 1, n))
 
-    xi = adjoint_sweep(simulator, trajectory, dj_dy).xi
+    xi = adjoint_sweep(simulator, trajectory, dj_dy)
     full = stacked_jacobian(simulator, trajectory)
     xi_dense = np.linalg.solve(full.T, -dj_dy.ravel())
     assert np.max(np.abs(xi.ravel() - xi_dense)) < 1e-12 * max(
@@ -60,7 +60,7 @@ def test_sweep_matches_dense_monolithic_solve(toy):
 def test_zero_partials_give_zero_adjoint(toy):
     simulator, trajectory = toy
     dj_dy = np.zeros_like(trajectory.states)
-    xi = adjoint_sweep(simulator, trajectory, dj_dy).xi
+    xi = adjoint_sweep(simulator, trajectory, dj_dy)
     assert np.all(xi == 0.0)
 
 
@@ -70,8 +70,8 @@ def test_last_adjoint_sees_only_terminal_partials(toy):
     dj_dy = rng.normal(size=trajectory.states.shape)
     other = dj_dy.copy()
     other[:-1] = rng.normal(size=other[:-1].shape)
-    xi_a = adjoint_sweep(simulator, trajectory, dj_dy).xi
-    xi_b = adjoint_sweep(simulator, trajectory, other).xi
+    xi_a = adjoint_sweep(simulator, trajectory, dj_dy)
+    xi_b = adjoint_sweep(simulator, trajectory, other)
     assert np.allclose(xi_a[-1], xi_b[-1], rtol=0, atol=1e-14)
     assert not np.allclose(xi_a[0], xi_b[0])
 
@@ -82,9 +82,9 @@ def test_linearity_in_the_functional(toy):
     d1 = rng.normal(size=trajectory.states.shape)
     d2 = rng.normal(size=trajectory.states.shape)
     a, b = 2.5, -0.75
-    xi_comb = adjoint_sweep(simulator, trajectory, a * d1 + b * d2).xi
-    xi_1 = adjoint_sweep(simulator, trajectory, d1).xi
-    xi_2 = adjoint_sweep(simulator, trajectory, d2).xi
+    xi_comb = adjoint_sweep(simulator, trajectory, a * d1 + b * d2)
+    xi_1 = adjoint_sweep(simulator, trajectory, d1)
+    xi_2 = adjoint_sweep(simulator, trajectory, d2)
     assert np.allclose(xi_comb, a * xi_1 + b * xi_2, rtol=1e-12, atol=1e-12)
 
 
@@ -215,12 +215,12 @@ def test_partials_shape_checked(toy):
         adjoint_sweep(simulator, trajectory, np.zeros((1, 3)))
 
 
-def test_adjoint_state_is_immutable_record(toy):
+def test_adjoint_sweep_returns_one_array_per_level(toy):
     simulator, trajectory = toy
     xi = adjoint_sweep(simulator, trajectory,
                        np.zeros_like(trajectory.states))
-    assert isinstance(xi, AdjointState)
-    assert xi.xi.shape == trajectory.states.shape
+    assert isinstance(xi, np.ndarray)
+    assert xi.shape == trajectory.states.shape
 
 
 def sensitivity_gradient(simulator, trajectory):

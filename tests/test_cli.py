@@ -60,6 +60,18 @@ def test_wrongly_typed_record_is_an_input_error(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_validate_rejects_a_compressor_without_an_adjacent_pipe(tmp_path):
+    toy = make_toy_network()
+    network = replace(toy, gas=replace(toy.gas, nodes=toy.gas.nodes[:2],
+                                       pipes=()))
+    io.dump_network(network, tmp_path / "network.json")
+    done = run_module("gaspower", "validate", "--network",
+                      str(tmp_path / "network.json"))
+    assert done.returncode == 2
+    assert "compressor CMP has no adjacent pipe to take a reference " \
+           "cross-section from" in done.stdout
+
+
 def write_toy_case(tmp_path, pressure_bounds=None, optimizer=None,
                    outflow_flux=150.0):
     """Toy network and scenario files; returns the common CLI arguments."""

@@ -1,5 +1,7 @@
 """Pipe physics: pressure law, Colebrook friction, source, box scheme."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,27 @@ class TestFriction:
         lam, dlam = gas.friction_factor_and_derivative(0.0, 0.6, 5e-4)
         assert lam == pytest.approx(0.01878011195087057, rel=1e-12)
         assert dlam == 0.0
+
+    def test_smooth_pipe_at_stagnation(self):
+        """k = 0 has no rough limit: below REYNOLDS_ROUGH_LIMIT a smooth pipe
+        keeps Colebrook's own value at that Reynolds number, on the scalar
+        and the grid path, beside a rough pipe that keeps its limit."""
+        q_limit = gas.REYNOLDS_ROUGH_LIMIT * CONS.eta / 0.6
+        at_limit, _ = gas.friction_factor_and_derivative(q_limit, 0.6, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, dlam = gas.friction_factor_and_derivative(0.0, 0.6, 0.0)
+            grid = gas.PipeGrid.stack([2, 2], [1000.0, 1000.0], [0.6, 0.6],
+                                      [0.0, 5e-4])
+            lams, dlams = gas.friction_factor_and_derivative(np.zeros(6),
+                                                             grid)
+        assert lam > 0 and dlam == 0.0
+        assert lam == pytest.approx(at_limit, rel=1e-12)
+        assert lam == pytest.approx(colebrook_bisection(q_limit, 0.6, 0.0),
+                                    rel=1e-9)
+        assert np.array_equal(lams[:3], [lam] * 3)
+        assert lams[3:] == pytest.approx(0.01878011195087057, rel=1e-12)
+        assert not dlams.any()
 
     def test_high_reynolds_close_to_rough_limit(self):
         lam = friction(277.64)

@@ -137,6 +137,21 @@ def test_network_negative_pipe_length(load_network):
         load_network(edit)
 
 
+def test_network_compressor_without_an_adjacent_pipe(load_network):
+    def edit(raw):
+        raw["pipes"], raw["gas_nodes"] = [], raw["gas_nodes"][:2]
+
+    with pytest.raises(io.FormatError, match="validation failed: compressor "
+                                             "CMP has no adjacent pipe"):
+        load_network(edit)
+
+
+def test_missing_boundary_series_named(load):
+    with pytest.raises(io.FormatError,
+                       match="missing boundary data for C.outflow$"):
+        load(lambda raw: raw["boundary"].pop("C"))
+
+
 def test_network_validation_failure(load_network):
     def edit(raw):
         raw["pipes"][0]["to_node"] = "Z"

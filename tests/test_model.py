@@ -54,6 +54,25 @@ def test_unknown_endpoint_reported():
     assert any("unknown endpoint" in v and "S99" in v for v in violations)
 
 
+def test_compressor_without_an_adjacent_pipe_reported():
+    """The compressor's flux is scaled by an adjacent pipe's cross-section,
+    so a compressor that touches no pipe is a violation."""
+    gas_net = GasNetwork(
+        nodes=(GasNode("A", "pressure-boundary"), GasNode("B", "flow-boundary")),
+        pipes=(), compressors=(CompressorArc("CMP", "A", "B"),))
+    assert validate_network(gas_net, PowerGrid((), ())) == [
+        "compressor CMP has no adjacent pipe to take a reference "
+        "cross-section from"]
+
+
+def test_compressor_with_an_unknown_end_reported_once():
+    gas_net = GasNetwork(
+        nodes=(GasNode("A", "pressure-boundary"),),
+        pipes=(), compressors=(CompressorArc("CMP", "A", "Z"),))
+    assert validate_network(gas_net, PowerGrid((), ())) == [
+        "CMP: unknown endpoint 'Z'"]
+
+
 def test_duplicate_slack_reported():
     grid = PowerGrid(
         busses=(Bus("N1", "slack"), Bus("N2", "slack")),

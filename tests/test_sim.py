@@ -723,6 +723,32 @@ def test_compressor_needs_an_adjacent_pipe():
         CoupledStepAssembler(network)
 
 
+def test_missing_boundary_series_are_all_named(bundled):
+    network, scenario = bundled
+    series = dict(scenario.boundary.series)
+    for key in [("S25", "outflow"), ("N1", "phi"), ("N9", "Q")]:
+        del series[key]
+    with pytest.raises(ValueError, match=r"^missing boundary data for "
+                                         r"S25\.outflow, N1\.phi, N9\.Q$"):
+        Simulator(network, Scenario(scenario.horizon, scenario.dt,
+                                    BoundaryData(series)))
+
+
+@pytest.mark.parametrize("field,value", [("horizon", 0.0), ("dt", 0.0),
+                                         ("horizon", -1800.0),
+                                         ("dt", -900.0), ("dt", np.nan)])
+def test_scenario_time_grid_must_be_positive(field, value):
+    times = {"horizon": 1800.0, "dt": 900.0, field: value}
+    with pytest.raises(ValueError, match=f"scenario {field} must be positive"):
+        Scenario(boundary=BoundaryData({}), **times)
+
+
+def test_scenario_with_a_fractional_step_count_is_rejected_by_step_count():
+    scenario = Scenario(horizon=1000.0, dt=900.0, boundary=BoundaryData({}))
+    with pytest.raises(ValueError, match="integer number of steps"):
+        scenario.step_count
+
+
 def test_gas_only_network_supported():
     network = make_toy_network()
     assert network.grid.busses == ()
