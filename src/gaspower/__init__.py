@@ -7,6 +7,11 @@ under pressure bounds by one SLSQP solve whose derivatives come from
 forward (tangent-linear) sensitivities; an adjoint sweep gives the
 gradient of any one trajectory functional.
 
+A sim.Scenario holds every setting of a run: the horizon, step, boundary
+data and pressure bounds, the Newton tolerance of every solve, and the
+lift bound and SLSQP settings of optimize.  A sim.Simulator solves the
+scenario it was built with, and every other entry point takes one.
+
 Main entry points:
 
     io.load_bundled()        -- the shipped example network and scenario
@@ -21,7 +26,7 @@ from .model import (Bus, CompressorArc, CompressorCostModel, CoupledNetwork,
                     GasConstants, GasNetwork, GasNode, GasPowerPlant,
                     PerUnitSystem, Pipe, PowerGrid, TransmissionLine,
                     nodal_admittance, validate_network)
-from .opt import OptimalControlProblem, OptimizationResult, optimize
+from .opt import OptimizationResult, optimize
 from .sim import BoundaryData, Scenario, Simulator, Trajectory, simulate
 
 __version__ = "0.1.0"
@@ -33,7 +38,7 @@ __all__ = [
     "GasConstants", "GasNetwork", "GasNode", "GasPowerPlant",
     "PerUnitSystem", "Pipe", "PowerGrid", "TransmissionLine",
     "nodal_admittance", "validate_network",
-    "OptimalControlProblem", "OptimizationResult", "optimize",
+    "OptimizationResult", "optimize",
     "BoundaryData", "Scenario", "Simulator", "Trajectory", "simulate",
     "__version__",
 ]

@@ -19,6 +19,8 @@ A singular block raises sim.SingularJacobian naming its level and time.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.sparse.linalg import splu
 
@@ -95,33 +97,37 @@ def state_sensitivities(simulator: Simulator, trajectory: Trajectory,
 
 def fd_gradient(simulator: Simulator, functional, control: np.ndarray,
                 components, h: float = 100.0) -> np.ndarray:
-    """Central finite differences of functional(trajectory, control).
+    """Extrapolated central differences of functional(trajectory, control).
 
     `h` is the control perturbation in Pa (default 100 Pa, 1 mbar).  The
-    quotient's error has two parts.  Truncation grows with h^2: on the
-    many-pipes benchmark network (variant 19, component 12) it is 1.2e-7
-    of the gradient at 10 Pa, 1.6e-6 at 100 Pa and 1.5e-4 at 10^3 Pa.
-    The error of the two costs, set by the Newton tolerance, is divided
-    by 2h and does not fall with h: on the bundled case at a constant
-    10 bar lift, component 48, which acts on the last step alone, reads
-    4.2e-6 at 10 and 30 Pa, 1.6e-6 at 100 Pa and 5.5e-10 at 300 Pa,
-    while components 0 to 36 read 1e-9 to 1.4e-8 at 100 Pa.  Only the
-    requested components are evaluated; each costs two full
-    simulations.  A failed run raises SimulationError naming the
-    component and the sign of h.
+    central difference D(h) has two errors, and each exceeds 1e-6 of the
+    gradient somewhere at 100 Pa.  Its truncation grows with h^2 (1.6e-6
+    on the many-pipes benchmark network, variant 19, component 12); the
+    Richardson value (4 D(h) - D(2h)) / 3 is O(h^4) (6.8e-8 there).  The
+    error of the costs, set by the Newton tolerance, is divided by 2h
+    (1.6e-6 at component 48 of the bundled case at a constant 10 bar
+    lift, which acts on the last step alone); so the perturbed runs are
+    solved to a Newton tolerance of 1e-12 (2.9e-10 there) on a second
+    Simulator of the same network and scenario.  Only the requested
+    components are evaluated; each costs four full simulations.  A failed
+    run raises SimulationError naming the component and the perturbation.
     """
     control = np.asarray(control, dtype=float)
+    fine = Simulator(simulator.network,
+                     replace(simulator.scenario, newton_tol=1.0e-12))
     out = np.full(len(control), np.nan)
     for j in components:
         f = []
-        for sign, what in ((1.0, "+"), (-1.0, "-")):
+        for step, what in ((h, "+ h"), (-h, "- h"),
+                           (2.0 * h, "+ 2h"), (-2.0 * h, "- 2h")):
             u = control.copy()
-            u[j] += sign * h
+            u[j] += step
             try:
-                f.append(functional(simulator.run(u), u))
+                f.append(functional(fine.run(u), u))
             except SimulationError as exc:
                 raise SimulationError(
-                    f"finite-difference run, component {j}, u {what} h "
+                    f"finite-difference run, component {j}, u {what} "
                     f"(h = {h:g} Pa): {exc}") from exc
-        out[j] = (f[0] - f[1]) / (2.0 * h)
+        d_h, d_2h = (f[0] - f[1]) / (2.0 * h), (f[2] - f[3]) / (4.0 * h)
+        out[j] = (4.0 * d_h - d_2h) / 3.0
     return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,15 +47,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_opt)
     p_opt.add_argument("--out", required=True, help="output directory")
     p_opt.add_argument("--max-iter", type=int, default=None,
-                       help="maximum SLSQP iterations (default 100); "
-                            "reaching it is a failure")
+                       help="maximum SLSQP iterations (default from "
+                            "scenario, 100); reaching it is a failure")
     p_opt.add_argument("--u-max", type=float, default=None,
                        help="upper control bound in bar (default from "
                             "scenario, 30 bar)")
 
     p_grad = sub.add_parser("check-gradient",
-                            help="compare adjoint gradient against central "
-                                 "finite differences")
+                            help="compare adjoint gradient against "
+                                 "extrapolated central differences")
     add_common(p_grad)
     p_grad.add_argument("--control", required=True,
                         help="control CSV the gradient is evaluated at")
@@ -98,13 +99,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     network, scenario = _load(args)
-    problem = opt.OptimalControlProblem.from_scenario(
-        network, scenario,
-        max_iter=args.max_iter,
-        u_max=args.u_max * BAR if args.u_max is not None else None)
-    simulator = Simulator(network, scenario, tol=problem.newton_tol)
+    if args.max_iter is not None:
+        scenario = replace(scenario, max_iter=args.max_iter)
+    if args.u_max is not None:
+        scenario = replace(scenario, control_max=args.u_max * BAR)
+    simulator = Simulator(network, scenario)
     try:
-        result = opt.optimize(problem, simulator)
+        result = opt.optimize(simulator)
     except (opt.OptimizationError, SimulationError) as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -140,7 +141,7 @@ def _cmd_check_gradient(args) -> int:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 
-    print(f"{'j':>4} {'adjoint':>16} {'central FD':>16} {'rel error':>12}")
+    print(f"{'j':>4} {'adjoint':>16} {'extrap. FD':>16} {'rel error':>12}")
     worst = 0.0
     for j in components:
         denom = max(abs(fd[j]), 1e-300)

@@ -237,10 +237,13 @@ def load_scenario(path, network: CoupledNetwork,
     optimizer = {key: (_integer if key == "max_iter" else _number)(
         optimizer, key, where) for key in _OPTIMIZER_KEYS if key in optimizer}
 
-    return Scenario(horizon=horizon, dt=dt,
-                    boundary=BoundaryData.from_breakpoints(series),
-                    pressure_bounds=bounds, control_max=u_max,
-                    optimizer=optimizer)
+    try:
+        return Scenario(horizon=horizon, dt=dt,
+                        boundary=BoundaryData.from_breakpoints(series),
+                        pressure_bounds=bounds, control_max=u_max,
+                        **optimizer)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def load_control(path) -> tuple[np.ndarray, np.ndarray]:
@@ -396,7 +399,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "pressure_bounds": {node: p / BAR
                             for node, p in sorted(scenario.pressure_bounds.items())},
         "control_bounds": {"u_max_bar": scenario.control_max / BAR},
-        "optimizer": dict(scenario.optimizer),
+        "optimizer": {key: getattr(scenario, key) for key in _OPTIMIZER_KEYS},
     }
 
 

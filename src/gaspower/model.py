@@ -18,6 +18,7 @@ ETA_DEFAULT = 1.0e-5            # kg/(m s)
 
 DIAMETER_DEFAULT = 0.6          # m
 ROUGHNESS_DEFAULT = 5.0e-4      # m
+MAX_RELATIVE_ROUGHNESS = 0.05   # k/d, the largest of Moody's chart
 
 BAR = 1.0e5                     # Pa
 
@@ -74,8 +75,10 @@ class Pipe:
             raise ValueError(f"pipe {self.id}: length must be positive")
         if self.diameter <= 0:
             raise ValueError(f"pipe {self.id}: diameter must be positive")
-        if self.roughness < 0:
-            raise ValueError(f"pipe {self.id}: roughness must be >= 0")
+        if not 0 <= self.roughness < MAX_RELATIVE_ROUGHNESS * self.diameter:
+            raise ValueError(
+                f"pipe {self.id}: roughness must be >= 0 and below "
+                f"{MAX_RELATIVE_ROUGHNESS:g} x diameter")
         if self.cell_count == 0:
             object.__setattr__(self, "cell_count",
                                max(1, round(self.length / 1000.0)))
@@ -234,7 +237,7 @@ def validate_network(gas: GasNetwork, grid: PowerGrid,
     provided it has no plants either.  A compressor needs a pipe at one of
     its nodes, whose cross-section (incident_pipe_area) scales its flux.
     """
-    violations = []
+    violations = [] if gas.nodes else ["gas network has no node"]
 
     node_ids = [n.id for n in gas.nodes]
     if len(set(node_ids)) != len(node_ids):
@@ -262,7 +265,7 @@ def validate_network(gas: GasNetwork, grid: PowerGrid,
                               "to take a reference cross-section from")
 
     # connectivity of the gas graph (undirected)
-    if gas.nodes and not violations:
+    if not violations:
         adj: dict[str, set[str]] = {nid: set() for nid in node_ids}
         for arc in list(gas.pipes) + list(gas.compressors):
             adj[arc.from_node].add(arc.to_node)

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import compressor, gas
 from .adjoint import state_sensitivities
-from .model import BAR, CoupledNetwork
-from .sim import MASS_FLOW_SCALE, Scenario, Simulator, Trajectory
+from .model import BAR
+from .sim import MASS_FLOW_SCALE, Simulator, Trajectory
 
 
 class OptimizationError(Exception):
@@ -89,40 +89,6 @@ def cost_partials(simulator: Simulator, trajectory: Trajectory):
     return float(dt * np.sum(w * rate)), dj_dy, np.zeros(m + 1)
 
 
-@dataclass
-class OptimalControlProblem:
-    """Scenario, control bound and SLSQP settings."""
-
-    network: CoupledNetwork
-    scenario: Scenario
-    u_max: float = 30.0e5        # Pa, upper bound of the lift
-    max_iter: int = 100          # SLSQP iterations
-    feasibility_tol_bar: float = 1.0e-3  # margins must stay above this
-    newton_tol: float = 1.0e-9
-
-    def __post_init__(self):
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        for node, p_min in self.scenario.pressure_bounds.items():
-            if p_min <= 0:
-                raise ValueError(f"pressure bound at {node} must be positive")
-        for comp in self.network.gas.compressors:
-            if comp.cost.d0 > 0:
-                raise ValueError(
-                    f"compressor {comp.id}: fixed cost d0 > 0 makes the cost "
-                    "discontinuous at zero lift; optimize needs d0 = 0")
-
-    @classmethod
-    def from_scenario(cls, network: CoupledNetwork, scenario: Scenario,
-                      **overrides) -> "OptimalControlProblem":
-        settings = dict(scenario.optimizer)
-        settings.update({k: v for k, v in overrides.items() if v is not None})
-        settings.setdefault("u_max", scenario.control_max)
-        return cls(network, scenario, **settings)
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     control: np.ndarray          # Pa
@@ -144,13 +110,14 @@ class _Model:
     those state entries alone.
     """
 
-    def __init__(self, problem: OptimalControlProblem, simulator: Simulator):
+    def __init__(self, simulator: Simulator):
         self.sim = simulator
         self.cons = simulator.network.constants
-        self.u_max_bar = problem.u_max / BAR
-        self.tol_bar = problem.feasibility_tol_bar
+        scenario = simulator.scenario
+        self.u_max_bar = scenario.control_max / BAR
+        self.tol_bar = scenario.feasibility_tol_bar
         idx = simulator.assembler.index
-        bounds = sorted(problem.scenario.pressure_bounds.items())
+        bounds = sorted(scenario.pressure_bounds.items())
         self.p_min = np.array([p_min for _, p_min in bounds]).reshape(-1, 1)
         bound_cols = [idx.node_rho[node] for node, _ in bounds]
         comp_cols = [cols for _, cols, _ in _compressor_points(simulator)]
@@ -215,14 +182,14 @@ def _feasible_start(model: _Model, step_count: int) -> np.ndarray:
         "all pressure margins positive")
 
 
-def optimize(problem: OptimalControlProblem,
-             simulator: Simulator | None = None) -> OptimizationResult:
-    """One SLSQP solve over the lift in bar, from a feasible start.
+def optimize(simulator: Simulator) -> OptimizationResult:
+    """One SLSQP solve over the lift in bar, from a feasible start, with
+    the bounds and settings of the simulator's scenario.
 
-    Minimises the value of cost_partials subject to 0 <= u <= u_max and,
-    at every time level, pressure margin - feasibility_tol_bar >= 0 at
-    each bounded node and flux q >= 0 at each compressor, where the cost
-    model holds (it has no reverse flow).  A nonzero SLSQP status,
+    Minimises the value of cost_partials subject to 0 <= u <= control_max
+    and, at every time level, pressure margin - feasibility_tol_bar >= 0
+    at each bounded node and flux q >= 0 at each compressor, where the
+    cost model holds (it has no reverse flow).  A nonzero SLSQP status,
     max_iter iterations included, raises OptimizationError with SLSQP's
     message, and so does a returned control that violates a pressure
     bound.  The log has one row per call of SLSQP's iteration callback.
@@ -231,11 +198,13 @@ def optimize(problem: OptimalControlProblem,
     # that imports gaspower, also those that only simulate
     from scipy.optimize import minimize
 
-    if simulator is None:
-        simulator = Simulator(problem.network, problem.scenario,
-                              tol=problem.newton_tol)
-    model = _Model(problem, simulator)
-    u = _feasible_start(model, problem.scenario.step_count)
+    for comp in simulator.network.gas.compressors:
+        if comp.cost.d0 > 0:
+            raise ValueError(
+                f"compressor {comp.id}: fixed cost d0 > 0 makes the cost "
+                "discontinuous at zero lift; optimize needs d0 = 0")
+    model = _Model(simulator)
+    u = _feasible_start(model, simulator.scenario.step_count)
 
     log_rows = []
 
@@ -251,7 +220,7 @@ def optimize(problem: OptimalControlProblem,
         constraints=[{"type": "ineq",
                       "fun": lambda x: model.evaluate(x).constraints,
                       "jac": lambda x: model.evaluate(x, True).jacobian}],
-        callback=log_iterate, options={"maxiter": problem.max_iter})
+        callback=log_iterate, options={"maxiter": simulator.scenario.max_iter})
     if result.status != 0:
         raise OptimizationError(
             f"SLSQP stopped with status {result.status}: {result.message}")

@@ -173,19 +173,26 @@ def check_boundary_data(network: CoupledNetwork, series) -> None:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Run description: horizon, step, boundary data, bounds, solver knobs."""
+    """One run: horizon, step, boundary data, bounds and solver settings."""
 
     horizon: float                  # s
     dt: float                       # s
     boundary: BoundaryData
     pressure_bounds: dict[str, float] = field(default_factory=dict)  # node -> Pa
-    control_max: float = 30.0e5     # Pa
-    optimizer: dict = field(default_factory=dict)
+    control_max: float = 30.0e5     # Pa, upper bound of the lift
+    max_iter: int = 100             # SLSQP iterations
+    feasibility_tol_bar: float = 1.0e-3  # pressure margins must stay above
+    newton_tol: float = 1.0e-9      # max-norm residual of every Newton solve
 
     def __post_init__(self):
-        for name in ("horizon", "dt"):
+        for name in ("horizon", "dt", "control_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"scenario {name} must be positive")
+        if self.max_iter < 1:
+            raise ValueError("scenario max_iter must be at least 1")
+        for node, p_min in self.pressure_bounds.items():
+            if not p_min > 0:
+                raise ValueError(f"pressure bound at {node} must be positive")
 
     @property
     def step_count(self) -> int:
@@ -681,12 +688,10 @@ def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
 class Simulator:
     """Reusable forward model for one network + scenario."""
 
-    def __init__(self, network: CoupledNetwork, scenario: Scenario,
-                 tol: float = 1e-9, max_iter: int = 25):
+    def __init__(self, network: CoupledNetwork, scenario: Scenario):
         self.network = network
         self.scenario = scenario
-        self.tol = tol
-        self.max_iter = max_iter
+        self.tol = scenario.newton_tol
         self.assembler = CoupledStepAssembler(network)
         check_boundary_data(network, scenario.boundary.series)
         self.snapshots = self.assembler.boundary_snapshots(
@@ -726,8 +731,7 @@ class Simulator:
                     self.assembler, self.snapshots[0], control[0], dt,
                     self.tol) if j == 0 else newton_solve_step(
                     self.assembler, states[j - 1], control[j],
-                    self.snapshots[j], dt, self.tol, self.max_iter,
-                    y_guess=guess)
+                    self.snapshots[j], dt, self.tol, y_guess=guess)
             except SimulationError as exc:
                 what = f"step {j}" if j else "steady state"
                 raise SimulationError(

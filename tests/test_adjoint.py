@@ -209,6 +209,26 @@ def test_compressor_cost_gradient_matches_fd(toy):
         assert grad[j] == pytest.approx(fd[j], rel=1e-5)
 
 
+@pytest.mark.parametrize("steps", [2, 8])
+def test_extrapolated_fd_matches_the_adjoint(steps):
+    """Richardson extrapolation and 1e-12 perturbed runs leave fd_gradient
+    within 1e-7 of the adjoint on every component, the last included,
+    whose lift acts on one step alone.  At h = 0.1 bar a central
+    difference's truncation reads 8e-7 at component 0 and 8e-8 elsewhere;
+    the extrapolated one stays below 1e-11."""
+    simulator = Simulator(make_toy_network(), make_toy_scenario(steps=steps))
+    control = np.linspace(1.0e5, 2.0e5, steps + 1)
+    trajectory = simulator.run(control)
+    _, dj_dy, dj_du = opt.cost_partials(simulator, trajectory)
+    grad = total_gradient(simulator, trajectory,
+                          adjoint_sweep(simulator, trajectory, dj_dy), dj_du)
+    for h, rtol in ((100.0, 1e-7), (1.0e4, 1e-9)):
+        fd = fd_gradient(simulator,
+                         lambda tr, u: opt.cost_partials(simulator, tr)[0],
+                         control, range(steps + 1), h=h)
+        np.testing.assert_allclose(grad, fd, rtol=rtol, atol=0.0)
+
+
 def test_partials_shape_checked(toy):
     simulator, trajectory = toy
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import pytest
 
 import gaspower
 from gaspower import adjoint, cli, io
+from gaspower.model import GasNetwork
 from gaspower.sim import (BoundaryData, SimulationError, Simulator,
                           SingularJacobian)
 
@@ -72,14 +73,39 @@ def test_validate_rejects_a_compressor_without_an_adjacent_pipe(tmp_path):
            "cross-section from" in done.stdout
 
 
+def test_validate_rejects_absurd_pipe_roughness(tmp_path):
+    raw = io.network_to_dict(make_toy_network())
+    raw["pipes"][0].update(diameter=0.6, roughness=2.0)
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    done = run_module("gaspower", "validate", "--network", str(path))
+    assert done.returncode == 2
+    assert "pipe PB: roughness must be >= 0 and below 0.05 x diameter" \
+        in done.stderr
+
+
+def test_validate_rejects_an_empty_gas_network(tmp_path):
+    toy = make_toy_network()
+    io.dump_network(replace(toy, gas=GasNetwork((), ())),
+                    tmp_path / "network.json")
+    done = run_module("gaspower", "validate", "--network",
+                      str(tmp_path / "network.json"))
+    assert done.returncode == 2
+    assert "gas network has no node" in done.stdout
+
+
 def write_toy_case(tmp_path, pressure_bounds=None, optimizer=None,
                    outflow_flux=150.0):
-    """Toy network and scenario files; returns the common CLI arguments."""
+    """Toy network and scenario files; returns the common CLI arguments.
+    `optimizer` entries, also unknown or malformed ones, go into the
+    scenario file's optimizer object as given."""
     scenario = make_toy_scenario(pressure_bounds=pressure_bounds,
                                  outflow_flux=outflow_flux)
-    scenario = replace(scenario, optimizer=dict(optimizer or {}))
     io.dump_network(make_toy_network(), tmp_path / "network.json")
-    io.dump_scenario(scenario, tmp_path / "scenario.json")
+    raw = io.scenario_to_dict(scenario)
+    raw["optimizer"].update(optimizer or {})
+    (tmp_path / "scenario.json").write_text(json.dumps(raw),
+                                            encoding="utf-8")
     return ["--network", str(tmp_path / "network.json"),
             "--scenario", str(tmp_path / "scenario.json")]
 
@@ -132,6 +158,50 @@ def test_removed_optimizer_key_is_an_input_error(tmp_path, capsys):
     code = cli.run(["optimize", *files, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_INPUT_ERROR
     assert "unknown key(s) inner_tol, mu0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda raw: raw["control_bounds"].update(u_max_bar=0.0),
+                 "scenario control_max must be positive", id="u_max_bar"),
+    pytest.param(lambda raw: raw["optimizer"].update(max_iter=0),
+                 "scenario max_iter must be at least 1", id="max_iter"),
+    pytest.param(lambda raw: raw.update(pressure_bounds={"C": 0.0}),
+                 "pressure bound at C must be positive", id="zero_bound"),
+    pytest.param(lambda raw: raw.update(pressure_bounds={"C": -41.0}),
+                 "pressure bound at C must be positive", id="negative_bound")])
+def test_simulate_rejects_out_of_range_settings(tmp_path, capsys, edit,
+                                                message):
+    """Every command loads the same Scenario, so simulate rejects what
+    optimize would."""
+    files = write_toy_case(tmp_path)
+    path = tmp_path / "scenario.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    edit(raw)
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code = cli.run(["simulate", *files, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert f"scenario.json: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-gradient"])
+def test_every_command_solves_to_the_scenario_newton_tol(tmp_path,
+                                                         monkeypatch,
+                                                         command):
+    """The scenario's newton_tol governs simulate and check-gradient's
+    base run; the finite-difference runs are solved to 1e-12."""
+    files = write_toy_case(tmp_path, optimizer={"newton_tol": 1.0e-7})
+    control = tmp_path / "control.csv"
+    io.write_control(np.array([0.0]), np.array([1.0e5]), control)
+    tols, run = [], Simulator.run
+    monkeypatch.setattr(Simulator, "run",
+                        lambda self, *args: tols.append(self.tol)
+                        or run(self, *args))
+    options = ["--out", str(tmp_path / "out")] if command == "simulate" \
+        else ["--control", str(control), "--components", "1"]
+    assert cli.run([command, *files, *options]) == cli.EXIT_OK
+    assert tols[0] == 1.0e-7
+    assert tols[1:] == ([] if command == "simulate" else [1.0e-12] * 4)
 
 
 def test_check_gradient(tmp_path, capsys):

@@ -37,7 +37,8 @@ def load(tmp_path):
 def test_toy_scenario_loads(load):
     scenario = load(lambda raw: None)
     assert scenario.step_count == 2
-    assert scenario.optimizer == {}
+    assert (scenario.max_iter, scenario.feasibility_tol_bar,
+            scenario.newton_tol) == (100, 1.0e-3, 1.0e-9)
 
 
 def test_missing_horizon(load):
@@ -87,11 +88,8 @@ def test_removed_optimizer_keys(load):
         load(edit)
     with pytest.warns(UserWarning, match="inner_tol, mu0"):
         scenario = load(edit, strict=False)
-    # ignored, so the problem can still be built from the scenario
-    assert scenario.optimizer == {"max_iter": 7}
-    problem = opt.OptimalControlProblem.from_scenario(make_toy_network(),
-                                                      scenario)
-    assert problem.max_iter == 7
+    # ignored, while the known key still applies
+    assert (scenario.max_iter, scenario.newton_tol) == (7, 1.0e-9)
 
 
 @pytest.fixture()
@@ -134,6 +132,15 @@ def test_network_negative_pipe_length(load_network):
 
     with pytest.raises(io.FormatError,
                        match="pipe #0: pipe PB: length must be positive"):
+        load_network(edit)
+
+
+def test_network_pipe_roughness_beyond_moody_chart(load_network):
+    def edit(raw):
+        raw["pipes"][0]["roughness"] = 0.05 * raw["pipes"][0]["diameter"]
+
+    with pytest.raises(io.FormatError, match="pipe #0: pipe PB: roughness "
+                                             "must be >= 0 and below 0.05"):
         load_network(edit)
 
 
@@ -271,11 +278,12 @@ def floats(lo, hi):
 
 @st.composite
 def bundled_networks(draw):
-    """The bundled topology with drawn pipe geometry and compressor costs."""
+    """The bundled topology with drawn pipe geometry and compressor costs;
+    roughness stays below 0.05 x the smallest drawn diameter."""
     net = BUNDLED_NETWORK
     pipes = tuple(replace(p, length=draw(floats(1.0, 2.0e5)),
                           diameter=draw(floats(0.05, 2.0)),
-                          roughness=draw(st.just(0.0) | floats(1e-7, 1e-2)),
+                          roughness=draw(st.just(0.0) | floats(1e-7, 2.4e-3)),
                           cell_count=draw(st.integers(1, 500)))
                   for p in net.gas.pipes)
     comps = tuple(replace(c, cost=CompressorCostModel(
@@ -315,7 +323,9 @@ def bundled_scenarios(draw):
         boundary=BoundaryData.from_breakpoints(series),
         pressure_bounds={"S25": draw(floats(1e3, 1e8))},
         control_max=draw(floats(1e3, 1e8)),
-        optimizer={"max_iter": draw(st.integers(1, 500))})
+        max_iter=draw(st.integers(1, 500)),
+        feasibility_tol_bar=draw(floats(1e-6, 1.0)),
+        newton_tol=draw(floats(1e-14, 1e-3)))
 
 
 def assert_within_ulps(got, expected, ulps=4):
@@ -340,4 +350,5 @@ def test_scenario_dump_load_keeps_every_value(scenario, tmp_path_factory):
                        scenario.pressure_bounds["S25"])
     for name in ("horizon", "dt", "control_max"):
         assert_within_ulps(getattr(loaded, name), getattr(scenario, name))
-    assert loaded.optimizer == scenario.optimizer
+    for name in ("max_iter", "feasibility_tol_bar", "newton_tol"):
+        assert getattr(loaded, name) == getattr(scenario, name)

@@ -29,6 +29,22 @@ def test_pipe_rejects_bad_geometry():
         Pipe("P", "a", "b", length=5.0, roughness=-1e-4)
 
 
+@pytest.mark.parametrize("roughness", [0.05 * 0.6, 2.0, 2.3])
+def test_pipe_rejects_roughness_beyond_moody_chart(roughness):
+    """k/d >= 0.05 is off Moody's chart; near k = 3.71 d the fully rough
+    friction factor is absurd (115.6 at k = 2 m, d = 0.6 m) or infinite."""
+    with pytest.raises(ValueError, match=r"pipe P7: roughness must be >= 0 "
+                                         r"and below 0\.05 x diameter"):
+        Pipe("P7", "a", "b", length=5.0, diameter=0.6, roughness=roughness)
+    assert Pipe("P7", "a", "b", length=5.0, diameter=0.6,
+                roughness=0.0499 * 0.6).roughness == 0.0499 * 0.6
+
+
+def test_empty_gas_network_reported():
+    assert validate_network(GasNetwork((), ()), PowerGrid((), ())) == [
+        "gas network has no node"]
+
+
 def test_gas_node_kind_checked():
     with pytest.raises(ValueError):
         GasNode("X", "sink")

@@ -1,4 +1,4 @@
-"""SLSQP optimizer: stopping test, constraint Jacobian, problem checks."""
+"""SLSQP optimizer: stopping test, constraint Jacobian, scenario checks."""
 
 from dataclasses import replace
 
@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 from gaspower import io, opt
-from gaspower.model import CompressorCostModel
+from gaspower.model import BAR, CompressorCostModel
 from gaspower.sim import BoundaryData, Simulator
 
 from conftest import make_toy_network, make_toy_scenario
@@ -17,9 +17,10 @@ BOUND_C = 61.0e5
 
 
 def bounded_problem(**settings):
-    return opt.OptimalControlProblem(
-        make_toy_network(),
-        make_toy_scenario(pressure_bounds={"C": BOUND_C}), **settings)
+    """A Simulator of the toy case bounded at C, with the given scenario
+    settings."""
+    scenario = make_toy_scenario(pressure_bounds={"C": BOUND_C})
+    return Simulator(make_toy_network(), replace(scenario, **settings))
 
 
 def compressor_flux(trajectory):
@@ -46,7 +47,7 @@ def solved():
 
 def test_zero_lift_violates_the_bound():
     problem = bounded_problem()
-    trajectory = Simulator(problem.network, problem.scenario).run()
+    trajectory = problem.run()
     assert np.min(trajectory.node_pressure("C", problem.network.constants)) \
         < BOUND_C
 
@@ -57,7 +58,8 @@ def test_optimize_reaches_its_stopping_test(solved):
     assert result.message == slsqp.message
     # the barrier continuation this replaced reached 165.47574
     assert result.objective <= 165.4758
-    assert np.min(result.margins_bar) >= problem.feasibility_tol_bar - 1e-6
+    assert np.min(result.margins_bar) >= \
+        problem.scenario.feasibility_tol_bar - 1e-6
     assert result.min_margin_bar == np.min(result.margins_bar)
     assert np.min(compressor_flux(result.trajectory)) >= -1e-6
     assert np.all(result.control > 0.0)
@@ -82,18 +84,22 @@ def test_iteration_limit_is_a_failure():
 
 
 def test_unreachable_bound_has_no_feasible_start():
-    problem = opt.OptimalControlProblem(
-        make_toy_network(),
-        make_toy_scenario(pressure_bounds={"C": 95.0e5}))
     with pytest.raises(opt.NoFeasibleStart):
-        opt.optimize(problem)
+        opt.optimize(bounded_problem(pressure_bounds={"C": 95.0e5}))
+
+
+def test_optimize_keeps_the_lift_within_control_max(solved):
+    """The scenario's control_max bounds the lift: a bound below the lift
+    that C needs (about 1.1 bar) leaves no feasible start."""
+    problem, result, _ = solved
+    assert np.max(result.control) <= problem.scenario.control_max
+    assert opt._Model(bounded_problem(control_max=5.0 * BAR)).u_max_bar == 5.0
+    with pytest.raises(opt.NoFeasibleStart, match="u_max = 1 bar"):
+        opt.optimize(bounded_problem(control_max=1.0 * BAR))
 
 
 def test_constraint_jacobian_matches_central_differences():
-    problem = bounded_problem()
-    simulator = Simulator(problem.network, problem.scenario,
-                          tol=problem.newton_tol)
-    model = opt._Model(problem, simulator)
+    model = opt._Model(bounded_problem())
     u = np.array([1.4, 1.6, 1.5])
     levels = len(u)
     jacobian = model.evaluate(u, derivatives=True).jacobian
@@ -118,9 +124,7 @@ def test_sensitivity_sweep_runs_only_for_derivatives(monkeypatch):
     sweeps, sweep = [], opt.state_sensitivities
     monkeypatch.setattr(opt, "state_sensitivities",
                         lambda *args: sweeps.append(1) or sweep(*args))
-    problem = bounded_problem()
-    model = opt._Model(problem, Simulator(problem.network, problem.scenario,
-                                          tol=problem.newton_tol))
+    model = opt._Model(bounded_problem())
     u = np.array([1.4, 1.6, 1.5])
     evaluation = model.evaluate(u)
     assert evaluation.gradient is None and evaluation.jacobian is None
@@ -150,7 +154,7 @@ def test_optimize_sweeps_only_where_slsqp_asks_for_derivatives(monkeypatch):
     assert 1 <= len(sweeps) < len(runs)
 
 
-@pytest.mark.parametrize("settings", [{"u_max": 0.0}, {"max_iter": 0}])
+@pytest.mark.parametrize("settings", [{"control_max": 0.0}, {"max_iter": 0}])
 def test_out_of_range_settings_are_rejected(settings):
     with pytest.raises(ValueError, match="must be"):
         bounded_problem(**settings)
@@ -162,7 +166,7 @@ def test_positive_fixed_cost_is_rejected():
                    cost=CompressorCostModel(d0=5.0))
     network = replace(network, gas=replace(network.gas, compressors=(comp,)))
     with pytest.raises(ValueError, match="compressor CMP: fixed cost d0"):
-        opt.OptimalControlProblem(network, make_toy_scenario())
+        opt.optimize(Simulator(network, make_toy_scenario()))
 
 
 def test_reversed_flow_costs_nothing_in_the_objective_only():

@@ -1,6 +1,7 @@
 """Coupled step assembly, Newton stepping, steady states, trajectories."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,7 +88,6 @@ class TestSteadyState:
     def test_stagnation_with_zero_demand(self, bundled):
         """Zero offtake and a free plant: gas settles at uniform 60 bar."""
         network, scenario = bundled
-        from dataclasses import replace
         plant = replace(network.plants[0], a0=0.0, a1=0.0, a2=0.0)
         quiet = replace(network, plants=(plant,))
         asm = CoupledStepAssembler(quiet)
@@ -105,7 +105,6 @@ class TestSteadyState:
 
     def test_rough_pipes_lower_terminal_pressure(self, bundled):
         network, scenario = bundled
-        from dataclasses import replace
         rough_pipes = tuple(replace(p, roughness=2 * p.roughness)
                             for p in network.gas.pipes)
         rough_net = replace(network,
@@ -299,7 +298,6 @@ class TestNewtonStep:
 class TestSimulate:
     def test_steady_persistence_with_constant_boundary(self, bundled):
         network, scenario = bundled
-        from dataclasses import replace
         constant = {}
         for (target, quant), (times, values) in scenario.boundary.series.items():
             constant[(target, quant)] = (np.array([0.0]),
@@ -500,7 +498,6 @@ class TestSimulate:
         """A NaN load at t = 0 fails the steady solve, and the message names
         it and the unknown at whose column the first non-finite row sits:
         N5's P-flow row, at its V column."""
-        from dataclasses import replace
         network, scenario = bundled
         series = dict(scenario.boundary.series)
         series[("N5", "P")] = (np.array([0.0, 3600.0]),
@@ -511,16 +508,16 @@ class TestSimulate:
                            r"non-finite residual in row \d+ \(row of N5 V\)$"):
             Simulator(network, broken).run()
 
-    def test_failure_reports_time_index(self, bundled):
-        network, scenario = bundled
-        sim = Simulator(network, scenario, max_iter=1)
+    def test_failure_reports_time_index(self, bundled, monkeypatch):
+        step = sim_mod.newton_solve_step
+        monkeypatch.setattr(sim_mod, "newton_solve_step",
+                            lambda *args, **kw: step(*args, max_iter=1, **kw))
         with pytest.raises(SimulationError, match=r"step \d+ \(t = "):
-            sim.run()
+            Simulator(*bundled).run()
 
     def test_non_finite_boundary_value_fails_the_step(self, bundled):
         """A NaN load after t = 0 makes the step residual non-finite for
         every state: the step fails instead of returning its guess."""
-        from dataclasses import replace
         network, scenario = bundled
         series = dict(scenario.boundary.series)
         series[("N5", "P")] = (np.array([0.0, 3600.0]),
@@ -714,7 +711,6 @@ class TestMixedGeometryJacobian:
 
 
 def test_compressor_needs_an_adjacent_pipe():
-    from dataclasses import replace
     toy = make_toy_network()
     network = replace(toy, gas=GasNetwork(toy.gas.nodes[:2], (),
                                           toy.gas.compressors))
@@ -741,6 +737,34 @@ def test_scenario_time_grid_must_be_positive(field, value):
     times = {"horizon": 1800.0, "dt": 900.0, field: value}
     with pytest.raises(ValueError, match=f"scenario {field} must be positive"):
         Scenario(boundary=BoundaryData({}), **times)
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"control_max": 0.0}, "scenario control_max must be positive"),
+    ({"control_max": np.nan}, "scenario control_max must be positive"),
+    ({"max_iter": 0}, "scenario max_iter must be at least 1"),
+    ({"pressure_bounds": {"C": 0.0}}, "pressure bound at C must be positive"),
+    ({"pressure_bounds": {"C": -1.0e5}},
+     "pressure bound at C must be positive")])
+def test_scenario_settings_out_of_range(settings, message):
+    with pytest.raises(ValueError, match=message):
+        Scenario(horizon=1800.0, dt=900.0, boundary=BoundaryData({}),
+                 **settings)
+
+
+def test_simulator_solves_to_the_scenario_newton_tol(bundled):
+    """Simulator takes its Newton tolerance from the scenario: a looser one
+    stops each solve earlier."""
+    network, scenario = bundled
+    tight, loose = (Simulator(network, replace(scenario, newton_tol=tol))
+                    for tol in (1.0e-9, 1.0e-6))
+    assert (tight.tol, loose.tol) == (1.0e-9, 1.0e-6)
+    control = np.full(scenario.step_count + 1, 10.0e5)
+    runs = tight.run(control), loose.run(control)
+    assert np.max(runs[0].residual_norm) < 1.0e-9
+    assert np.max(runs[1].residual_norm) < 1.0e-6
+    assert np.sum(runs[1].newton_iterations) \
+        < np.sum(runs[0].newton_iterations)
 
 
 def test_scenario_with_a_fractional_step_count_is_rejected_by_step_count():
@@ -919,7 +943,6 @@ def make_parallel_network():
 def make_reversed_network():
     """The toy network with its pipe laid from C to B, so that the gas
     flows against the pipe's direction (q < 0)."""
-    from dataclasses import replace
     toy = make_toy_network()
     pipe, = toy.gas.pipes
     return replace(toy, gas=replace(toy.gas, pipes=(
@@ -1025,7 +1048,6 @@ def test_parallel_pipes_share_the_demand():
 def test_step_out_of_a_stagnant_steady_state(bundled):
     """Zero demand and a free plant give a stagnant steady state; a demand
     ramp then starts the flow, from a first step block taken at rest."""
-    from dataclasses import replace
     network, scenario = bundled
     plant = replace(network.plants[0], a0=0.0, a1=0.0, a2=0.0)
     quiet = replace(network, plants=(plant,))
