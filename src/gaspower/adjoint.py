@@ -4,17 +4,21 @@ control derivatives.
 The discretized trajectory satisfies one block of model equations per
 time level: the steady-state block at level 0 and one implicit step per
 later level.  Stacked over time the Jacobian is block lower bidiagonal,
-so the transposed (adjoint) system is solved backwards with one
-factorization per level through the assembler's factors(), as in the
-forward Newton solve: the steady block whole (lu.whole_factors), each step
-block condensed onto the network by lu.StepCondensation (a tridiagonal
-pipe block, one dgtsv per solve).  Each block is evaluated at the stored
-state with the Colebrook friction the forward run kept for it
-(sim.Trajectory.friction), so no sweep solves Colebrook.  The total
-derivative of a scalar functional then needs no further linear solves.
-The same blocks, solved forwards, give the state sensitivities to every
-control, whence the derivatives of many functionals follow at once.
-A singular block raises sim.SingularJacobian naming its level and time.
+and each level's block is block triangular, [[J_gg, J_gb], [0, J_bb]]:
+no grid row reads a gas unknown, the old level or the lift (see sim).
+So the transposed (adjoint) system is solved backwards over the gas rows
+alone, with one factorization per level through the assembler's
+factors(), as in the forward Newton solve: the steady block whole
+(lu.whole_factors), each step block condensed onto the network by
+lu.StepCondensation (a tridiagonal pipe block, one dgtsv per solve).
+Each block is evaluated at the stored state with the Colebrook friction
+the forward run kept for it (sim.Trajectory.friction), so no sweep solves
+Colebrook.  The grid's multipliers follow without recursion, from
+J_bb^T at each level.  The total derivative of a scalar functional then
+needs no further linear solves.  The same gas blocks, solved forwards,
+give the state sensitivities to every control, whence the derivatives of
+many functionals follow at once; the grid's are zero.  A singular block
+raises sim.SingularJacobian naming its level and time.
 """
 
 from __future__ import annotations
@@ -29,12 +33,12 @@ from .sim import SimulationError, SingularJacobian, Simulator, Trajectory
 
 def _level_solve(simulator: Simulator, trajectory: Trajectory, n: int,
                  rhs: np.ndarray, transposed: bool) -> np.ndarray:
-    """rhs solved with the state block of level n (its transpose for the
+    """rhs solved with the gas block of level n (its transpose for the
     adjoint): assembler.factors of the steady block at level 0 and of a
     step block else, as in the forward Newton solve, at states[n] evaluated
     with the trajectory's friction[n] instead of a new Colebrook solve."""
     asm = simulator.assembler
-    it = asm.evaluate(trajectory.states[n], trajectory.friction[n])
+    it = asm.evaluate(trajectory.states[n, :asm.size], trajectory.friction[n])
     try:
         lu = asm.factors(it, simulator.scenario.dt, splu, n == 0)
         return lu.solve_transposed(rhs) if transposed else lu.solve(rhs)
@@ -48,27 +52,43 @@ def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
                   dj_dy: np.ndarray) -> np.ndarray:
     """The adjoint vectors xi, (M+1, N_y), for given objective partials.
 
-    dj_dy has one row per time level.  Level M is the recursion base and
-    level 0 uses the steady-state block.
+    dj_dy has one row per time level.  Over the gas rows, level M is the
+    recursion base and level 0 uses the steady-state block.  Then
+    J_bb^T xi_b = -dj_dy_b - J_gb^T xi_g at every level gives the grid's
+    entries, one solve for each run of levels that share a grid.
     """
     dj_dy = np.asarray(dj_dy, dtype=float)
     if dj_dy.shape != trajectory.states.shape:
         raise ValueError("objective partials do not match the trajectory")
 
+    asm = simulator.assembler
+    n_gas = asm.size
     xi = np.zeros_like(dj_dy)
-    carry = np.zeros(dj_dy.shape[1])   # (dE_{n+1}/dy_n)^T xi_{n+1}
-    prev_t = simulator.assembler.jac_prev.T     # CSC, shared by all levels
+    carry = np.zeros(n_gas)   # (dE_{n+1}/dy_n)^T xi_{n+1}
+    prev_t = asm.jac_prev.T   # CSC, shared by all levels
     for n in range(trajectory.step_count, -1, -1):
-        xi[n] = _level_solve(simulator, trajectory, n, -dj_dy[n] - carry,
-                             transposed=True)
-        carry = prev_t @ xi[n]
+        xi[n, :n_gas] = _level_solve(simulator, trajectory, n,
+                                     -dj_dy[n, :n_gas] - carry,
+                                     transposed=True)
+        carry = prev_t @ xi[n, :n_gas]
+    grid = trajectory.states[:, n_gas:]
+    rhs = -dj_dy[:, n_gas:]
+    # add.at: every plant's bus is the slack, so plants share a column
+    np.add.at(rhs, (slice(None), asm.plant_cols),
+              -asm.grid_coupling(grid) * xi[:, asm.plant_rows])
+    # J_bb reads the level's grid alone: one solve per run of equal grids
+    first = np.flatnonzero(np.r_[True, (grid[1:] != grid[:-1]).any(axis=1)])
+    for start, stop in zip(first, np.r_[first[1:], len(grid)]):
+        xi[start:stop, n_gas:] = np.linalg.solve(
+            asm.grid_jacobian(grid[start]).T, rhs[start:stop].T).T
     return xi
 
 
 def total_gradient(simulator: Simulator, trajectory: Trajectory,
                    xi: np.ndarray, dj_du: np.ndarray) -> np.ndarray:
     """dJ/du_n = dj_du[n] + xi[n] . dE_n/du_n (Pa^-1); xi of adjoint_sweep."""
-    return np.asarray(dj_du, dtype=float) + xi @ simulator.assembler.d_du
+    asm = simulator.assembler
+    return np.asarray(dj_du, dtype=float) + xi[:, :asm.size] @ asm.d_du
 
 
 def state_sensitivities(simulator: Simulator, trajectory: Trajectory,
@@ -77,20 +97,22 @@ def state_sensitivities(simulator: Simulator, trajectory: Trajectory,
 
     Tangent-linear sweep forward in time, one factorization per level:
     S_0 = -(J^0)^-1 dR/du e_0^T with the steady-state block J^0, then
-    S_n = -J_n^-1 (dR/dy_prev S_{n-1} + dR/du e_n^T).  A control u_j
-    acts from level j on, so S_n has n + 1 nonzero columns.  Returns an
-    array of shape (M+1, len(columns), M+1).
+    S_n = -J_n^-1 (dR/dy_prev S_{n-1} + dR/du e_n^T), over the gas rows
+    and columns: the grid reads no control, so its rows of S are zero.  A
+    control u_j acts from level j on, so S_n has n + 1 nonzero columns.
+    Returns an array of shape (M+1, len(columns), M+1).
     """
     m = trajectory.step_count
     columns = np.asarray(columns, dtype=int)
     out = np.zeros((m + 1, len(columns), m + 1))
     sens = np.zeros((trajectory.states.shape[1], m + 1))
     asm = simulator.assembler
+    gas = sens[:asm.size]
     for n in range(m + 1):
-        rhs = asm.jac_prev @ sens[:, :n + 1]   # zero at level 0
+        rhs = asm.jac_prev @ gas[:, :n + 1]   # zero at level 0
         rhs[:, n] += asm.d_du
-        sens[:, :n + 1] = -_level_solve(simulator, trajectory, n, rhs,
-                                        transposed=False)
+        gas[:, :n + 1] = -_level_solve(simulator, trajectory, n, rhs,
+                                       transposed=False)
         out[n] = sens[columns]
     return out
 

@@ -173,9 +173,6 @@ def load_scenario(path, network: CoupledNetwork,
         dt = _number(raw, "dt_minutes", f"{path}: ") * 60.0
     except KeyError as exc:
         raise FormatError(f"{path}: missing required key {exc}") from None
-    for key, value in (("horizon_hours", horizon), ("dt_minutes", dt)):
-        if not value > 0:
-            raise FormatError(f"{path}: {key} must be positive")
     rho_ref = _number(raw, "reference_density_kg_m3", f"{path}: ", 0.785)
 
     gas_ids = {n.id: n for n in network.gas.nodes}

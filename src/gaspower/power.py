@@ -1,43 +1,29 @@
-"""AC powerflow residuals and derivatives, plus the plant gas-offtake curve.
+"""AC power flow: residuals and derivatives, the grid's Newton solve, and
+the plant gas-offtake curve.
 
-The residual treats all four quantities (V, phi, P, Q) at every bus as
-state; which of them are fixed by boundary data depends on the bus kind
-(slack / PV / PQ) and is handled by the caller.  The residual and its
-derivatives take the trig tables of the phases (_trig_tables), so a
-caller that needs both at one state computes the tables once.  The step
-system of sim solves the power flow with the gas; solve_powerflow solves
-a grid alone.
+A grid vector x holds V, phi, P and Q of each bus in turn, the layout of
+the busses' unknowns in sim.VariableIndex.  The residual treats all four
+as state; which two of them boundary data pins depends on the bus kind
+(model.PINNED_QUANTITIES) and is the caller's to say.  The residual and
+its derivatives take the trig tables of the phases (_trig_tables), so a
+caller that needs both at one state computes the tables once.
+
+No power-flow row reads a gas unknown: the gas network sees the grid only
+through the plant offtake eps(P) at the slack bus.  So sim.Simulator.run
+solves each time level's grid alone (solve_powerflow) before the gas,
+and the adjoint sweep finds the grid's multipliers after the gas's, both
+with the one grid Jacobian (powerflow_jacobian).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import (BUS_QUANTITIES, PINNED_QUANTITIES, GasPowerPlant,
-                    PowerGrid, nodal_admittance)
+from .model import GasPowerPlant
 
 
-@dataclass(frozen=True)
-class PowerState:
-    """Voltage magnitude, phase, real and reactive injection per bus."""
-
-    bus_ids: tuple[str, ...]
-    V: np.ndarray
-    phi: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.bus_ids)
-        for name in ("V", "phi", "P", "Q"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have one entry per bus")
-            object.__setattr__(self, name, arr)
-        if np.any(self.V <= 0):
-            raise ValueError("voltage magnitudes must be positive")
+class SimulationError(Exception):
+    """A solve of the model failed (sim.SimulationError, re-exported)."""
 
 
 def _trig_tables(phi, G, B):
@@ -84,36 +70,66 @@ def injection_jacobians(V, tables):
     return blocks
 
 
-def solve_powerflow(grid: PowerGrid, fixed: dict[tuple[str, str], float],
-                    tol: float = 1e-12, max_iter: int = 30) -> PowerState:
-    """Newton solve of the powerflow equations for one grid in isolation,
-    from V = 1, phi = P = Q = 0, over the columns of the unpinned unknowns.
+def powerflow_jacobian(V, tables) -> np.ndarray:
+    """The 2N x 4N Jacobian of powerflow_residual by a grid vector: rows
+    as the residual's, columns in grid-vector order."""
+    n = len(V)
+    dp_dv, dp_dphi, dq_dv, dq_dphi = injection_jacobians(V, tables)
+    # (P or Q row, its bus, column bus, column quantity)
+    jac = np.zeros((2, n, n, 4))
+    jac[0, :, :, 0], jac[0, :, :, 1] = -dp_dv, -dp_dphi
+    jac[1, :, :, 0], jac[1, :, :, 1] = -dq_dv, -dq_dphi
+    bus = np.arange(n)
+    jac[0, bus, bus, 2] = jac[1, bus, bus, 3] = 1.0
+    return jac.reshape(2 * n, 4 * n)
 
-    `fixed` maps (bus id, quantity) to its boundary value; it must pin
-    the quantities that model.PINNED_QUANTITIES names for each bus.
+
+def solve_powerflow(G, B, bus_ids, start, pinned, values, tol: float,
+                    max_iter: int = 30) -> tuple[np.ndarray, int]:
+    """Newton solve of the power flow of the grid with admittance tables
+    (G, B) over its unpinned unknowns: the grid vector from `start` (not
+    changed) with `values` written in at the positions `pinned`, and the
+    iterations taken.
+
+    Stops at the first iterate whose max-norm power-flow residual is below
+    `tol`, unscaled.  A non-finite residual, a singular Jacobian, a step
+    to V <= 0 or a solve that runs out of iterations raises
+    SimulationError naming the row (the non-finite one, or the one with
+    the largest residual) or the bus by its id in `bus_ids`.
     """
-    G, B, order = nodal_admittance(grid)
-    n = len(order)
-    col = {(bid, q): k * n + i for k, q in enumerate(BUS_QUANTITIES)
-           for i, bid in enumerate(order)}
-    y = np.concatenate([np.ones(n), np.zeros(3 * n)])
-    for key, value in fixed.items():
-        y[col[key]] = value
-    free = np.setdiff1d(np.arange(4 * n), [
-        col[(bus.id, q)] for bus in grid.busses
-        for q in PINNED_QUANTITIES[bus.kind]])
-    eye, zero = np.eye(n), np.zeros((n, n))
-    for _ in range(max_iter):
-        state = PowerState(tuple(order), *y.reshape(4, n))
-        tables = _trig_tables(state.phi, G, B)
-        res = powerflow_residual(state.V, state.P, state.Q, tables)
-        if np.max(np.abs(res)) < tol:
-            return state
-        dp_dv, dp_dphi, dq_dv, dq_dphi = injection_jacobians(state.V, tables)
-        jac = np.block([[-dp_dv, -dp_dphi, eye, zero],
-                        [-dq_dv, -dq_dphi, zero, eye]])
-        y[free] += np.linalg.solve(jac[:, free], -res)
-    raise RuntimeError(f"powerflow did not converge (residual {np.max(np.abs(res)):.2e})")
+    x = np.array(start, dtype=float)
+    x[pinned] = values
+    free = np.ones(len(x), dtype=bool)
+    free[pinned] = False
+    n = len(bus_ids)
+    row_of = lambda row: \
+        f"the {'PQ'[row // n]}-flow row of bus {bus_ids[row % n]}"
+    for iterations in range(max_iter + 1):
+        V, phi, P, Q = x.reshape(n, 4).T
+        tables = _trig_tables(phi, G, B)
+        res = powerflow_residual(V, P, Q, tables)
+        norm = np.abs(res).max(initial=0.0)
+        if norm < tol:
+            return x, iterations
+        if not np.isfinite(norm):
+            row = np.flatnonzero(~np.isfinite(res))[0]
+            raise SimulationError(f"power flow: non-finite residual in "
+                                  f"{row_of(row)}")
+        if iterations == max_iter:
+            break
+        try:
+            x[free] -= np.linalg.solve(powerflow_jacobian(V, tables)[:, free],
+                                       res)
+        except np.linalg.LinAlgError:
+            raise SimulationError("power flow: singular Jacobian") from None
+        if (x[0::4] <= 0).any():
+            bus = bus_ids[np.flatnonzero(x[0::4] <= 0)[0]]
+            raise SimulationError(f"power flow: Newton step to V <= 0 at "
+                                  f"bus {bus}")
+    raise SimulationError(
+        f"power flow did not reach tolerance, largest residual in "
+        f"{row_of(np.abs(res).argmax())} (residual {norm:.3e} after "
+        f"{max_iter} iterations)")
 
 
 def plant_gas_offtake(P, plant: GasPowerPlant):

@@ -1,21 +1,27 @@
-"""Coupled per-step system: assembly, Newton solve, and trajectories.
+"""Per-level systems of the coupled model: assembly, Newton solves, and
+trajectories.
 
 One time level stacks the unknowns in a fixed order: the densities at
 the grid points of all pipes, pipe after pipe, then their flows in the
 same order, one density-equivalent pressure unknown per gas node, one
-flux unknown per compressor, and V, phi, P, Q for every bus.  The step
-residual mirrors this layout block by block, so every row index is read
-off the unknowns'.  The pipe block's rows are the box-scheme mass rows
-of all pipes' cell intervals, then their momentum rows (the layout of
-gas.PipeGrid, evaluated for all pipes at once), then two
-pressure-coupling rows per pipe, one per end.  A gas node's balance or
-boundary row sits at its density column, a compressor's pressure
-equation at its flux column, and a bus's P-flow, Q-flow and two boundary
-rows at its V, phi, P and Q columns.  The system is thus square by
-construction; each time step and the steady start (the same system with
-y_prev = y_next) are solved by one damped Newton routine.  The steady
-solve starts from a flat grid (V = 1, phi = P = Q = 0, the pinned values
-written in), so it solves the power flow together with the gas.
+flux unknown per compressor, and V, phi, P, Q for every bus.  Rows mirror
+this layout block by block, so every row index is read off the unknowns'.
+The pipe block's rows are the box-scheme mass rows of all pipes' cell
+intervals, then their momentum rows (the layout of gas.PipeGrid,
+evaluated for all pipes at once), then two pressure-coupling rows per
+pipe, one per end.  A gas node's balance or boundary row sits at its
+density column, a compressor's pressure equation at its flux column, and
+a bus's P-flow, Q-flow and two boundary rows at its V, phi, P and Q
+columns.  No bus row reads a gas unknown, the old level or the lift, and
+the gas rows read the grid only through the plant offtake eps(P), so a
+level's Jacobian is block triangular, [[J_gg, J_gb], [0, J_bb]].
+Simulator.run therefore solves each level's power flow first
+(power.solve_powerflow, from the previous level's grid, at level 0 from
+V = 1, phi = P = Q = 0 and the pinned values), then the square gas
+system in the leading gas unknowns, the offtake as data.  Each time step
+and the steady start (the same system with y_prev = y_next) are solved by
+one damped Newton routine; residual, Jacobian and factors are the gas
+system's.
 
 The assembler checks the network (model.validate_network), the Simulator
 its boundary data (check_boundary_data).  At set-up the assembler lists
@@ -28,22 +34,22 @@ dR/dy_prev and dR/du are constant.  factors() alone chooses how a level
 block is factored, for Newton and the adjoint sweeps alike: a step block
 by lu.StepCondensation straight from its values (a 2x2 row transform per
 cell makes the pipe block tridiagonal, for one LAPACK dgtsv per solve; the
-caller's splu factors the small network block), the steady block
-dR/dy_next + dR/dy_prev whole (lu.whole_factors) as the one CSR matrix
-(matrix() on the set-up pattern, the entries that cancel stored as zeros).
-The linear rows (pressure coupling, node balances, boundary and bus rows)
-form one constant sparse operator.  After set-up the assembler holds no
-state: evaluate(y) returns an Iterate, y with its Colebrook friction, its
-pointwise gas terms (gas.point_terms) and power-flow trig tables, and the
-residual and the Jacobian at y both read it, so each iterate's pointwise
-physics is evaluated once and the Jacobian only combines it.  The residual
-is the rows of the iterate less an offset fixed for its step (step_offset:
-the old level's pair means, the boundary values and the lift), which a
-Newton step builds once.  The Newton solves return their converged
-Iterate, and Simulator.run keeps each level's friction on the Trajectory,
-so the adjoint and tangent sweeps evaluate a stored state with the
-friction it converged with: Colebrook is solved once per Newton iterate,
-never in a sweep.
+caller's splu factors the network block of nodes and compressors), the
+steady block dR/dy_next + dR/dy_prev whole (lu.whole_factors) as the one
+CSR matrix (matrix() on the set-up pattern, the entries that cancel stored
+as zeros).  The linear rows (pressure coupling, node balances, boundary
+rows) form one constant sparse operator.  After set-up the assembler holds
+no state: evaluate(y) returns an Iterate, y with its Colebrook friction
+and its pointwise gas terms (gas.point_terms), and the residual and the
+Jacobian at y both read it, so each iterate's pointwise physics is
+evaluated once and the Jacobian only combines it.  The residual is the
+rows of the iterate less an offset fixed for its step (step_offset: the
+old level's pair means, the boundary values, the lift and the plant
+offtake), which a Newton step builds once.  The Newton solves return their
+converged Iterate, and Simulator.run keeps each level's friction on the
+Trajectory, so the adjoint and tangent sweeps evaluate a stored state with
+the friction it converged with: Colebrook is solved once per Newton
+iterate, never in a sweep.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from .lu import StepCondensation, whole_factors
 from .model import (BUS_QUANTITIES, FLOW_BOUNDARY, PINNED_QUANTITIES,
                     POWER_COUPLING, PRESSURE_BOUNDARY, CoupledNetwork,
                     incident_pipe_area, nodal_admittance, validate_network)
+from .power import SimulationError
 
 log = logging.getLogger(__name__)
 
@@ -80,10 +87,6 @@ _STEADY_FLOW_SEED = 10.0
 # pressure (Pa) of that guess where no node pins one
 _STEADY_PRESSURE_SEED = 60e5
 
-class SimulationError(Exception):
-    pass
-
-
 class MaxIterationsExceeded(SimulationError):
     def __init__(self, message, residual_norm, iterations):
         super().__init__(f"{message} (residual {residual_norm:.3e} "
@@ -98,7 +101,7 @@ class SingularJacobian(SimulationError):
 
 class VariableIndex:
     """Flat indices of the unknowns: pipe grid points, nodes, compressors
-    and bus quantities."""
+    and bus quantities.  The gas unknowns lead: the first gas_size."""
 
     def __init__(self, network: CoupledNetwork):
         self.pipe_rho: dict[str, slice] = {}
@@ -118,6 +121,7 @@ class VariableIndex:
         for comp in network.gas.compressors:
             self.comp_q[comp.id] = size
             size += 1
+        self.gas_size = size
         for bus in network.grid.busses:
             for quant in BUS_QUANTITIES:
                 self.bus[(bus.id, quant)] = size
@@ -185,9 +189,12 @@ class Scenario:
     newton_tol: float = 1.0e-9      # max-norm residual of every Newton solve
 
     def __post_init__(self):
-        for name in ("horizon", "dt", "control_max"):
+        for name in ("horizon", "dt", "control_max", "newton_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"scenario {name} must be positive")
+        if not self.feasibility_tol_bar >= 0:
+            raise ValueError("scenario feasibility_tol_bar must not be "
+                             "negative")
         if self.max_iter < 1:
             raise ValueError("scenario max_iter must be at least 1")
         for node, p_min in self.pressure_bounds.items():
@@ -216,14 +223,13 @@ class _Snapshot:
 
 
 class Iterate(NamedTuple):
-    """A y_next with its Colebrook friction, the gas.point_terms built on
-    it and its power-flow trig tables; a Newton solve returns its last
-    Iterate with the iterations it took and its max-norm residual."""
+    """A y_next of gas unknowns with its Colebrook friction and the
+    gas.point_terms built on it; a Newton solve returns its last Iterate
+    with the iterations it took and its max-norm residual."""
 
     y: np.ndarray
     friction: tuple | np.ndarray   # (lambda, dlambda/dq) per grid point
     terms: gas.PointTerms
-    tables: tuple
     iterations: int = 0
     residual_norm: float = np.nan
 
@@ -238,8 +244,10 @@ class Trajectory:
     That invariant is the caller's to keep: a trajectory made with
     dataclasses.replace(states=...) keeps the old friction.  Simulator.run
     makes states and friction read-only.  newton_iterations[n] and
-    residual_norm[n], not compared, count level n's Newton iterations
-    (level 0: the steady solve) and give its final max-norm residual.
+    residual_norm[n], not compared, count level n's Newton iterations on
+    the gas system (level 0: the steady solve) and give its final max-norm
+    residual there; grid_iterations[n] counts the Newton iterations of its
+    power flow, 0 where the grid of level n - 1 solves it.
     """
 
     index: VariableIndex
@@ -248,6 +256,7 @@ class Trajectory:
     control: np.ndarray          # Pa, (M+1,)
     friction: np.ndarray         # (M+1, 2, n_points): lambda, dlambda/dq
     newton_iterations: np.ndarray = field(compare=False)   # (M+1,)
+    grid_iterations: np.ndarray = field(compare=False)     # (M+1,)
     residual_norm: np.ndarray = field(compare=False)       # (M+1,)
 
     @property
@@ -262,13 +271,16 @@ class Trajectory:
 class CoupledStepAssembler:
     """Assembles the residual and Jacobian blocks of one implicit step.
 
-    Rows mirror the columns of VariableIndex block by block.  With
+    The step system is the gas system: the rows and columns of the
+    leading gas unknowns of VariableIndex, `size` of them, with the grid
+    as data.  Rows mirror those columns block by block.  With
     n_box = grid.shape[0], the pipe block's rows are the n_box / 2 mass
     rows, the n_box / 2 momentum rows, and the coupling rows of pipe k at
-    n_box + 2k (from end) and n_box + 2k + 1 (to end).  Node, compressor
-    and bus rows sit at their node's density column, their compressor's
-    flux column and their bus's V, phi, P and Q columns; with no bus, the
-    power-flow blocks are empty.  The network must pass validate_network.
+    n_box + 2k (from end) and n_box + 2k + 1 (to end).  Node and
+    compressor rows sit at their node's density column and their
+    compressor's flux column.  grid_jacobian and grid_coupling give the
+    blocks of the grid rows and of the plants' dependence on the grid.
+    The network must pass validate_network.
     """
 
     def __init__(self, network: CoupledNetwork):
@@ -302,7 +314,7 @@ class CoupledStepAssembler:
 
         self.node_plant = {p.gas_node: p for p in network.plants}
 
-        self.G, self.B, _ = nodal_admittance(network.grid)
+        self.G, self.B, self.bus_ids = nodal_admittance(network.grid)
         self.busses = list(network.grid.busses)
 
         pipes = self.pipes
@@ -312,12 +324,10 @@ class CoupledStepAssembler:
             self.constants.eta)
         self.n_points = len(self.grid.diameter)
         self.box_next, self._box_old = self.grid.stencil()
-        idx = self.index
-        # entries that must stay positive: densities and bus voltages
+        # entries that must stay positive: the densities
         self.positive = np.concatenate([
             np.arange(self.n_points),
-            [idx.node_rho[n.id] for n in self.nodes],
-            [idx.bus[(b.id, "V")] for b in self.busses]]).astype(int)
+            [self.index.node_rho[n.id] for n in self.nodes]]).astype(int)
 
         self._build_pattern()
 
@@ -327,10 +337,10 @@ class CoupledStepAssembler:
         Every row index is read off the unknowns' layout (see the class
         docstring).  The entries of dR/dy_next are listed once, in the
         order jacobian() concatenates their values: box stencil, constant
-        entries (also the residual's linear rows), plant offtake,
-        compressors, power flow.
+        entries (also the residual's linear rows), compressors.
         """
         idx = self.index
+        size = self.size = idx.gas_size
         n_box, pipe_ends = self.grid.shape[0], 2 * len(self.pipes)
         ints = lambda values: np.array(list(values), dtype=int)
         kind = np.array([n.kind for n in self.nodes])
@@ -345,35 +355,39 @@ class CoupledStepAssembler:
             [np.argmax(self.end_node == i) for i in self._fb_nodes]])
         plants = [self.node_plant[n.id] for n in self.nodes
                   if n.kind == POWER_COUPLING]
-        self._plant_rows = ints(idx.node_rho[p.gas_node] for p in plants)
-        self._plant_cols = ints(idx.bus[(p.bus, "P")] for p in plants)
+        # each plant's balance row, and its bus's P in a grid vector
+        self.plant_rows = ints(idx.node_rho[p.gas_node] for p in plants)
+        self.plant_cols = ints(idx.bus[(p.bus, "P")] - size for p in plants)
         self._plants = SimpleNamespace(**{
             key: np.array([getattr(p, key) for p in plants])
             for key in ("a0", "a1", "a2", "reference_density")})
+        # a grid vector's positions that snap.bus_fixed pins, in its
+        # (bus, k) order, and the rows at each bus's V and phi (its P- and
+        # Q-flow rows, in powerflow_residual's order) and at its P and Q
+        # (its two boundary rows, in that (bus, k) order)
+        self.grid_pinned = ints(idx.bus[(b.id, quant)] - size
+                                for b in self.busses
+                                for quant in PINNED_QUANTITIES[b.kind])
+        at = np.arange(4 * len(self.busses)).reshape(-1, 4)
+        self._flow_rows = at[:, :2].T.ravel()
+        self._pin_rows = at[:, 2:].ravel()
         end_rows = node_rows[self.end_node]   # each arc end's node's density
         # per compressor: its flux column, its to- and from-node's density
         self._comp_rows = self.end_flow[pipe_ends::2]
         self._comp_ends = end_rows[pipe_ends:].reshape(-1, 2).T[::-1]
-        self._bus_cols = ints(idx.bus[(b.id, q)] for q in BUS_QUANTITIES
-                              for b in self.busses).reshape(4, -1)
-        self._pf_rows = self._bus_cols[:2].ravel()
-        self._bc_rows = self._bus_cols[2:].T.ravel()
-        # the columns snap.bus_fixed pins, in its (bus, k) order
-        self._bc_pinned = ints(idx.bus[(b.id, quant)] for b in self.busses
-                               for quant in PINNED_QUANTITIES[b.kind])
         # each pipe end's density equals its node's
         self.coupling_rows = n_box + np.arange(pipe_ends)
         self.coupling_cols = self.end_flow[:pipe_ends] - self.n_points
         self.coupling_node_cols = end_rows[:pipe_ends]
 
-        scale = np.ones(idx.size)
+        scale = np.ones(size)
         kappa = self.constants.kappa
         scale[n_box // 2:n_box] = 1.0 / kappa
         scale[node_rows[kind != PRESSURE_BOUNDARY]] = 1.0 / MASS_FLOW_SCALE
         scale[self._comp_rows] = 1.0 / kappa
         self.row_scale = scale
         # dR/du is constant: the lift enters each compressor row as -u
-        self.d_du = np.zeros(idx.size)
+        self.d_du = np.zeros(size)
         self.d_du[self._comp_rows] = -scale[self._comp_rows]
         self.d_du.flags.writeable = False
 
@@ -385,37 +399,31 @@ class CoupledStepAssembler:
                  (self.coupling_rows, self.coupling_node_cols, -1.0),
                  (self._pb_rows, self._pb_rows, 1.0),
                  (end_rows[balance], self.end_flow[balance],
-                  self.end_area[balance]),
-                 (self._pf_rows, self._bus_cols[2:].ravel(), 1.0),
-                 (self._bc_rows, self._bc_pinned, 1.0)]
+                  self.end_area[balance])]
         const_rows, const_cols = (np.concatenate(part).astype(int) for part
                                   in zip(*[(r, c) for r, c, _ in const]))
         self._const_vals = np.concatenate([v * np.ones(len(r))
                                            for r, _, v in const])
-        shape = (idx.size, idx.size)
 
-        # P rows by V and phi, then Q rows: power.injection_jacobians' order
-        variable = [(self._plant_rows, self._plant_cols)] + [
-            (self._comp_rows, node) for node in self._comp_ends] + [
-            (np.repeat(r, len(c)), np.tile(c, len(r)))
-            for r in self._pf_rows.reshape(2, -1) for c in self._bus_cols[:2]]
         rows, cols = (np.concatenate(part) for part in zip(
-            self.box_next, (const_rows, const_cols), *variable))
+            self.box_next, (const_rows, const_cols),
+            *[(self._comp_rows, node) for node in self._comp_ends]))
         # the CSR order of the entries, by row and then by column: data[s]
         # takes entry _slot_entry[s] of the value list
-        keys = rows * idx.size + cols
+        keys = rows * size + cols
         self._slot_entry = np.argsort(keys, kind="stable")
         keys = keys[self._slot_entry]
         if (keys[1:] == keys[:-1]).any():
             raise AssertionError("two step Jacobian entries share a slot")
         self._entry_scale = self.row_scale[rows]
         indices = cols[self._slot_entry].astype(np.int32)
-        indptr = np.zeros(idx.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=idx.size), out=indptr[1:])
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
         indices.flags.writeable = indptr.flags.writeable = False
         # matrix() copies it with new data; its own is a memory-free view
         self._pattern = sparse.csr_matrix(
-            (np.broadcast_to(0.0, len(indices)), indices, indptr), shape)
+            (np.broadcast_to(0.0, len(indices)), indices, indptr),
+            (size, size))
 
         def at_slots(values):   # the nonzero entries alone, as CSR
             matrix = self.matrix(values)
@@ -473,15 +481,13 @@ class CoupledStepAssembler:
         return not (y[self.positive] <= 0).any()
 
     def flat_state(self, snap: _Snapshot) -> np.ndarray:
-        """Near-stagnant admissible starting guess for the steady solve.
+        """Near-stagnant admissible gas unknowns to start the steady solve.
 
         Pipe and compressor fluxes are seeded with a small positive value:
         at exact stagnation the friction term q|q| has zero derivative and
         the flow split around network loops is linearly indeterminate.
-        The grid is flat: V = 1 and phi = P = Q = 0 at every bus, then
-        the values that snap pins.
         """
-        y = np.zeros(self.index.size)
+        y = np.zeros(self.size)
         anchored = snap.node_rho_bc[~np.isnan(snap.node_rho_bc)]
         rho0 = anchored[0] if len(anchored) else \
             gas.density_of_pressure(_STEADY_PRESSURE_SEED, self.constants)
@@ -489,8 +495,6 @@ class CoupledStepAssembler:
         y[self.n_points:2 * self.n_points] = _STEADY_FLOW_SEED
         y[self.node_rows] = rho0
         y[self._comp_rows] = _STEADY_FLOW_SEED
-        y[self._bus_cols[0]] = 1.0
-        y[self._bc_pinned] = snap.bus_fixed.ravel()
         return y
 
     def node_injections(self, states: np.ndarray) -> np.ndarray:
@@ -504,49 +508,45 @@ class CoupledStepAssembler:
     # -- evaluation, residual and jacobian ---------------------------------
 
     def evaluate(self, y: np.ndarray, friction=None) -> Iterate:
-        """The Iterate of y (not copied): Colebrook's (lambda, dlambda/dq)
-        at its grid points, solved only when `friction` does not give them
-        (as a trajectory's friction[n] does for its states[n]), the
-        gas.point_terms on them and the power-flow trig tables at y.  A
-        pipe density <= 0 raises ValueError (gas.check_densities)."""
+        """The Iterate of the gas unknowns y (not copied): Colebrook's
+        (lambda, dlambda/dq) at its grid points, solved only when
+        `friction` does not give them (as a trajectory's friction[n] does
+        for its states[n]), and the gas.point_terms on them.  A pipe
+        density <= 0 raises ValueError (gas.check_densities)."""
         n, grid = self.n_points, self.grid
         rho, q = y[:n], y[n:2 * n]
         gas.check_densities(rho)
         if friction is None:
             friction = gas.friction_factor_and_derivative(q, grid)
-        terms = gas.point_terms(rho, q, grid, self.constants, friction)
-        phi = y[self._bus_cols[1]]
-        return Iterate(y, friction, terms,
-                       power._trig_tables(phi, self.G, self.B))
+        return Iterate(y, friction,
+                       gas.point_terms(rho, q, grid, self.constants, friction))
 
-    def step_offset(self, y_prev: np.ndarray, u: float, snap: _Snapshot):
+    def step_offset(self, y_prev: np.ndarray, u: float, snap: _Snapshot,
+                    grid: np.ndarray):
         """residual()'s terms fixed for a step: gas.pair_means at y_prev, and
-        b, 0 but for the boundary values of `snap` and u, at their rows."""
+        b, 0 but for the boundary values of `snap`, u and the plant
+        offtake rho_ref eps(P) at the level's grid vector, at their rows."""
         n = self.n_points
-        b = np.zeros(self.index.size)
+        b = np.zeros(self.size)
         b[self._pb_rows] = snap.node_rho_bc[self._pb_nodes]
         b[self._fb_rows] = self._fb_area * snap.node_outflow[self._fb_nodes]
-        b[self._bc_rows] = snap.bus_fixed.ravel()
         b[self._comp_rows] = u
+        b[self.plant_rows] = self._plants.reference_density * \
+            power.plant_gas_offtake(grid[self.plant_cols], self._plants)
         return gas.pair_means(y_prev[:n], y_prev[n:2 * n]), b
 
     def residual(self, it: Iterate, offset, dt: float) -> np.ndarray:
         """R(y_prev, it.y, u), rows scaled by row_scale, where `offset` is
-        step_offset(y_prev, u, snap): the rows of it.y less the offset's
-        b.  Those rows are the constant linear operator applied to it.y,
-        less the plant offtake; the box rows (gas.box_residual on the
-        offset's means), compressor and power-flow rows replace it."""
+        step_offset(y_prev, u, snap, grid): the rows of it.y less the
+        offset's b.  Those rows are the constant linear operator applied to
+        it.y; the box rows (gas.box_residual on the offset's means) and
+        compressor rows replace it."""
         old, b = offset
-        y = it.y
-        res = self._linear @ y
+        res = self._linear @ it.y
         res[:self.grid.shape[0]] = gas.box_residual(old, it.terms, dt,
                                                     self.grid)
-        res[self._plant_rows] -= self._plants.reference_density * \
-            power.plant_gas_offtake(y[self._plant_cols], self._plants)
-        p_to, p_from = gas._pressure(y[self._comp_ends], self.constants)
+        p_to, p_from = gas._pressure(it.y[self._comp_ends], self.constants)
         res[self._comp_rows] = p_to - p_from
-        v, _, p, q = y[self._bus_cols]
-        res[self._pf_rows] = power.powerflow_residual(v, p, q, it.tables)
         res -= b
         res *= self.row_scale
         return res
@@ -556,18 +556,30 @@ class CoupledStepAssembler:
         set-up entry order, which condensation.factors reads and matrix()
         turns into CSR.  dR/dy_prev and dR/du are constant: the read-only
         attributes jac_prev and d_du."""
-        y = it.y
-        deps = power.plant_gas_offtake_derivative(y[self._plant_cols],
-                                                  self._plants)
-        dp_to, dp_from = gas.dpressure_drho(y[self._comp_ends],
+        dp_to, dp_from = gas.dpressure_drho(it.y[self._comp_ends],
                                             self.constants)
-        values = np.concatenate([
-            gas._box_blocks(it.terms, dt, self.grid), self._const_vals,
-            -self._plants.reference_density * deps, dp_to, -dp_from,
-            *(-block.ravel() for block in power.injection_jacobians(
-                y[self._bus_cols[0]], it.tables))])
+        values = np.concatenate([gas._box_blocks(it.terms, dt, self.grid),
+                                 self._const_vals, dp_to, -dp_from])
         values *= self._entry_scale
         return values
+
+    def grid_jacobian(self, grid: np.ndarray) -> np.ndarray:
+        """J_bb, the grid rows by a grid vector at `grid` (dense, 4N x 4N):
+        each bus's P- and Q-flow rows at its V and phi positions, and at
+        its P and Q positions the unit rows of its two pinned quantities."""
+        jac = np.zeros((len(grid), len(grid)))
+        jac[self._flow_rows] = power.powerflow_jacobian(
+            grid[0::4], power._trig_tables(grid[1::4], self.G, self.B))
+        jac[self._pin_rows, self.grid_pinned] = 1.0
+        return jac
+
+    def grid_coupling(self, grid: np.ndarray) -> np.ndarray:
+        """J_gb: d residual[plant_rows] / d grid[plant_cols] at the grid
+        vectors `grid` (..., 4N), -rho_ref eps'(P) scaled like residual()."""
+        return -self._plants.reference_density \
+            * self.row_scale[self.plant_rows] \
+            * power.plant_gas_offtake_derivative(grid[..., self.plant_cols],
+                                                 self._plants)
 
     def matrix(self, values: np.ndarray):
         """jacobian()'s `values` as a CSR matrix on the set-up pattern
@@ -593,13 +605,13 @@ class CoupledStepAssembler:
 
 
 def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
-                   snap: _Snapshot, dt: float, y: np.ndarray, tol: float,
-                   max_iter: int, halvings: int) -> Iterate:
-    """Damped Newton solve of R(y_prev, y, u) = 0 from an admissible y, or
-    of the steady R(y, y, u) = 0 when y_prev is None, which returns the
-    first Iterate whose max-norm residual is below `tol`, with the
-    Colebrook friction it was evaluated with, the iterations taken and
-    that residual.
+                   snap: _Snapshot, grid, dt: float, y: np.ndarray,
+                   tol: float, max_iter: int, halvings: int) -> Iterate:
+    """Damped Newton solve of the gas system R(y_prev, y, u) = 0 at the
+    level's grid vector `grid` from an admissible y, or of the steady
+    R(y, y, u) = 0 when y_prev is None, which returns the first Iterate
+    whose max-norm residual is below `tol`, with the Colebrook friction it
+    was evaluated with, the iterations taken and that residual.
 
     The start and each admissible candidate are evaluated once
     (assembler.evaluate); the residual and assembler.factors read that
@@ -614,9 +626,9 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
     unknown at its column.
     """
     steady = y_prev is None
-    offset = None if steady else assembler.step_offset(y_prev, u, snap)
-    residual = lambda it: assembler.residual(
-        it, assembler.step_offset(it.y, u, snap) if steady else offset, dt)
+    offset = None if steady else assembler.step_offset(y_prev, u, snap, grid)
+    residual = lambda it: assembler.residual(it, assembler.step_offset(
+        it.y, u, snap, grid) if steady else offset, dt)
     row_of = lambda row: f"row {row} (row of {assembler.index.name(row)})"
 
     def stuck(message):
@@ -658,29 +670,31 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
 
 
 def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
-                      u: float, snap: _Snapshot, dt: float,
-                      tol: float = 1e-9, max_iter: int = 25,
+                      u: float, snap: _Snapshot, grid: np.ndarray,
+                      dt: float, tol: float = 1e-9, max_iter: int = 25,
                       y_guess: np.ndarray | None = None
                       ) -> Iterate:
-    """Damped Newton solve of one implicit step, warm-started at y_guess
-    when it is admissible and at y_prev otherwise: the converged Iterate."""
+    """Damped Newton solve of one implicit step's gas system at the
+    level's grid vector, warm-started at y_guess when it is admissible and
+    at y_prev otherwise: the converged Iterate."""
     y = np.array(y_prev if y_guess is None else y_guess, dtype=float)
     if not assembler.admissible(y):
         y = np.array(y_prev, dtype=float)
-    return _damped_newton(assembler, y_prev, u, snap, dt, y, tol, max_iter,
-                          halvings=30)
+    return _damped_newton(assembler, y_prev, u, snap, grid, dt, y, tol,
+                          max_iter, halvings=30)
 
 
 def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
-                 u0: float, dt: float, tol: float = 1e-9,
+                 grid: np.ndarray, u0: float, dt: float, tol: float = 1e-9,
                  max_iter: int = 60) -> Iterate:
-    """Time-derivative-free solution of the coupled equations.
+    """Time-derivative-free solution of the gas equations at the grid
+    vector of level 0.
 
     Solves the step equations with y_prev == y_next as one nonlinear
-    system; the converged Iterate's y satisfies the step residual for
-    every dt.
+    system from assembler.flat_state; the converged Iterate's y satisfies
+    the step residual for every dt.
     """
-    return _damped_newton(assembler, None, u0, snap, dt,
+    return _damped_newton(assembler, None, u0, snap, grid, dt,
                           assembler.flat_state(snap), tol, max_iter,
                           halvings=40)
 
@@ -719,29 +733,39 @@ class Simulator:
         if not self.assembler.comps and np.any(control != 0.0):
             raise ValueError("network has no compressor, control must be zero")
 
-        dt = self.scenario.dt
-        states = np.empty((m + 1, self.assembler.index.size))
-        friction = np.empty((m + 1, 2, self.assembler.n_points))
-        iterations, norms = np.empty(m + 1, dtype=int), np.empty(m + 1)
-        for j in range(m + 1):
+        asm, dt = self.assembler, self.scenario.dt
+        gas_size = asm.size
+        states = np.empty((m + 1, asm.index.size))
+        friction = np.empty((m + 1, 2, asm.n_points))
+        iterations, grid_iterations = np.empty((2, m + 1), dtype=int)
+        norms = np.empty(m + 1)
+        # the flat grid, V = 1 and phi = P = Q = 0; the solve pins the rest
+        grid = np.tile([1.0, 0.0, 0.0, 0.0], len(asm.busses))
+        for j, snap in enumerate(self.snapshots):
             # linear extrapolation in time cuts one Newton iteration
-            guess = 2.0 * states[j - 1] - states[j - 2] if j >= 2 else None
+            guess = 2.0 * states[j - 1, :gas_size] - states[j - 2, :gas_size] \
+                if j >= 2 else None
             try:
+                grid, grid_iterations[j] = power.solve_powerflow(
+                    asm.G, asm.B, asm.bus_ids, grid, asm.grid_pinned,
+                    snap.bus_fixed.ravel(), self.tol)
                 it = steady_state(
-                    self.assembler, self.snapshots[0], control[0], dt,
+                    asm, snap, grid, control[0], dt,
                     self.tol) if j == 0 else newton_solve_step(
-                    self.assembler, states[j - 1], control[j],
-                    self.snapshots[j], dt, self.tol, y_guess=guess)
+                    asm, states[j - 1, :gas_size], control[j], snap, grid,
+                    dt, self.tol, y_guess=guess)
             except SimulationError as exc:
                 what = f"step {j}" if j else "steady state"
                 raise SimulationError(
                     f"{what} (t = {self.scenario.times[j] / 3600.0:.2f} h) "
                     f"failed: {exc}") from exc
-            states[j], friction[j] = it.y, it.friction
+            states[j, :gas_size], states[j, gas_size:] = it.y, grid
+            friction[j] = it.friction
             iterations[j], norms[j] = it.iterations, it.residual_norm
         states.flags.writeable = friction.flags.writeable = False
-        return Trajectory(self.assembler.index, self.scenario.times.copy(),
-                          states, control.copy(), friction, iterations, norms)
+        return Trajectory(asm.index, self.scenario.times.copy(), states,
+                          control.copy(), friction, iterations,
+                          grid_iterations, norms)
 
 
 def simulate(network: CoupledNetwork, scenario: Scenario,

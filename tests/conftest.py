@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
-from gaspower import gas
+from gaspower import gas, power
 from gaspower import io as gio
-from gaspower.model import (CompressorArc, CoupledNetwork, GasConstants,
-                            GasNetwork, GasNode, Pipe, PowerGrid)
+from gaspower.model import (PINNED_QUANTITIES, CompressorArc, CoupledNetwork,
+                            GasConstants, GasNetwork, GasNode, Pipe,
+                            PowerGrid)
 from gaspower.sim import BoundaryData, Scenario, Simulator
 
 
@@ -94,3 +96,41 @@ def zero_flow_column(asm, values, pipe):
     cols = asm.box_next[1]
     values[:len(cols)][cols == asm.index.pipe_q[pipe].start] = 0.0
     return values
+
+
+def coupled_residual(asm, y_prev, y, u, snap, dt):
+    """Every row of the coupled system between two full states, rows at
+    the columns of the unknowns: the gas rows (assembler.residual, its
+    plant rows at y's own grid), then each bus's P- and Q-flow rows at its
+    V and phi columns and the rows of its two pinned values at its P and
+    Q columns, written out here from the bus kinds."""
+    g, index = asm.size, asm.index
+    res = np.empty(len(y))
+    res[:g] = asm.residual(asm.evaluate(y[:g]), asm.step_offset(
+        y_prev[:g], u, snap, y[g:]), dt)
+    at = lambda q: [index.bus[(b.id, q)] for b in asm.busses]
+    flows = power.powerflow_residual(
+        y[at("V")], y[at("P")], y[at("Q")],
+        power._trig_tables(y[at("phi")], asm.G, asm.B))
+    res[at("V") + at("phi")] = flows
+    for bus, fixed in zip(asm.busses, snap.bus_fixed):
+        for row, quantity, value in zip(("P", "Q"),
+                                        PINNED_QUANTITIES[bus.kind], fixed):
+            res[index.bus[(bus.id, row)]] = \
+                y[index.bus[(bus.id, quantity)]] - value
+    return res
+
+
+def coupled_jacobian(asm, y, dt, steady=False):
+    """The dense level block of the coupled system at the full state y
+    (the steady block with `steady`): the gas block, the plant rows'
+    J_gb (grid_coupling) and the grid block J_bb (grid_jacobian)."""
+    g = asm.size
+    it = asm.evaluate(y[:g])
+    jac = np.zeros((len(y), len(y)))
+    jac[:g, :g] = (asm.steady_jacobian(it, dt) if steady else
+                   asm.matrix(asm.jacobian(it, dt))).toarray()
+    np.add.at(jac, (asm.plant_rows, g + asm.plant_cols),
+              asm.grid_coupling(y[g:]))
+    jac[g:, g:] = asm.grid_jacobian(y[g:])
+    return jac

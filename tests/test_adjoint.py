@@ -10,10 +10,10 @@ from gaspower import gas, opt
 from gaspower.adjoint import (adjoint_sweep, fd_gradient,
                               state_sensitivities, total_gradient)
 from gaspower.model import BAR
-from gaspower.sim import Simulator, SingularJacobian
+from gaspower.sim import BoundaryData, Simulator, SingularJacobian
 
-from conftest import (make_mixed_network, make_toy_network, make_toy_scenario,
-                      zero_flow_column)
+from conftest import (coupled_jacobian, make_mixed_network, make_toy_network,
+                      make_toy_scenario, zero_flow_column)
 
 
 @pytest.fixture()
@@ -24,22 +24,38 @@ def toy():
     return simulator, trajectory
 
 
+@pytest.fixture(scope="module")
+def bundled_ramp(bundled):
+    """The bundled case over 3 steps, N5's load ramped over the first two,
+    so levels 0, 1 and 2 have grids of their own and level 3 shares
+    level 2's, with a lift varying in time."""
+    network, scenario = bundled
+    series = dict(scenario.boundary.series)
+    series[("N5", "P")] = (np.array([0.0, 1800.0]), np.array([-0.9, -1.2]))
+    series[("N5", "Q")] = (np.array([0.0, 1800.0]), np.array([-0.3, -0.4]))
+    simulator = Simulator(network, replace(
+        scenario, horizon=3 * scenario.dt, boundary=BoundaryData(series)))
+    trajectory = simulator.run(np.array([2.0, 6.0, 4.0, 5.0]) * BAR)
+    assert trajectory.grid_iterations.tolist()[1:] == [3, 3, 0]
+    return simulator, trajectory
+
+
 def stacked_jacobian(simulator, trajectory):
-    """Dense Jacobian of all model-equation blocks w.r.t. all states."""
+    """Dense Jacobian of all model-equation blocks w.r.t. all states, each
+    level's block that of the coupled system, grid rows included."""
     asm = simulator.assembler
     dt = simulator.scenario.dt
-    n = asm.index.size
+    n, g = asm.index.size, asm.size
     m = trajectory.step_count
     full = np.zeros(((m + 1) * n, (m + 1) * n))
     prev = asm.jac_prev.toarray()
     for step, y in enumerate(trajectory.states):
         rows = slice(step * n, (step + 1) * n)
-        full[rows, rows] = asm.matrix(
-            asm.jacobian(asm.evaluate(y), dt)).toarray()
-        if step == 0:   # the steady block, dR/dy_next + dR/dy_prev at y_0
-            full[rows, rows] += prev
-        else:
-            full[rows, (step - 1) * n:step * n] = prev
+        # at level 0 the steady block, dR/dy_next + dR/dy_prev at y_0
+        full[rows, rows] = coupled_jacobian(asm, y, dt, steady=step == 0)
+        if step:   # the gas rows read the old level's gas unknowns
+            full[step * n:step * n + g, (step - 1) * n:(step - 1) * n + g] \
+                = prev
     return full
 
 
@@ -55,6 +71,39 @@ def test_sweep_matches_dense_monolithic_solve(toy):
     xi_dense = np.linalg.solve(full.T, -dj_dy.ravel())
     assert np.max(np.abs(xi.ravel() - xi_dense)) < 1e-12 * max(
         1.0, np.max(np.abs(xi_dense)))
+
+
+def test_sweep_matches_dense_monolithic_solve_with_a_grid(bundled_ramp):
+    """With a grid, the gas sweep and the grid's solves after it give the
+    coupled system's adjoint, grid entries included, for partials in
+    every state entry."""
+    simulator, trajectory = bundled_ramp
+    rng = np.random.default_rng(43)
+    dj_dy = rng.normal(size=trajectory.states.shape)
+    xi = adjoint_sweep(simulator, trajectory, dj_dy)
+    xi_dense = np.linalg.solve(stacked_jacobian(simulator, trajectory).T,
+                               -dj_dy.ravel()).reshape(xi.shape)
+    g = simulator.assembler.size
+    for part in (slice(0, g), slice(g, None)):
+        assert np.max(np.abs(xi[:, part] - xi_dense[:, part])) < 1e-12 * \
+            np.max(np.abs(xi_dense[:, part]))
+
+
+def test_sensitivities_match_dense_monolithic_solve_with_a_grid(
+        bundled_ramp):
+    """The tangent sweep over the gas block gives the coupled system's
+    state sensitivities, and their grid rows are exactly zero."""
+    simulator, trajectory = bundled_ramp
+    asm, m = simulator.assembler, trajectory.step_count
+    n = asm.index.size
+    sens = state_sensitivities(simulator, trajectory, np.arange(n))
+    assert np.all(sens[:, asm.size:] == 0.0)
+    d_du = np.zeros(((m + 1) * n, m + 1))
+    for level in range(m + 1):
+        d_du[level * n:level * n + asm.size, level] = asm.d_du
+    dense = np.linalg.solve(stacked_jacobian(simulator, trajectory), -d_du)
+    dense = dense.reshape(m + 1, n, m + 1)
+    assert np.max(np.abs(sens - dense)) < 1e-12 * np.max(np.abs(dense))
 
 
 def test_zero_partials_give_zero_adjoint(toy):

@@ -168,7 +168,13 @@ def test_removed_optimizer_key_is_an_input_error(tmp_path, capsys):
     pytest.param(lambda raw: raw.update(pressure_bounds={"C": 0.0}),
                  "pressure bound at C must be positive", id="zero_bound"),
     pytest.param(lambda raw: raw.update(pressure_bounds={"C": -41.0}),
-                 "pressure bound at C must be positive", id="negative_bound")])
+                 "pressure bound at C must be positive", id="negative_bound"),
+    pytest.param(lambda raw: raw["optimizer"].update(newton_tol=0.0),
+                 "scenario newton_tol must be positive", id="newton_tol"),
+    pytest.param(lambda raw: raw["optimizer"].update(
+        feasibility_tol_bar=-1.0e-3),
+                 "scenario feasibility_tol_bar must not be negative",
+                 id="feasibility_tol_bar")])
 def test_simulate_rejects_out_of_range_settings(tmp_path, capsys, edit,
                                                 message):
     """Every command loads the same Scenario, so simulate rejects what
@@ -314,7 +320,8 @@ def test_zero_time_step_is_an_input_error(tmp_path, capsys):
     path.write_text(json.dumps(raw), encoding="utf-8")
     code = cli.run(["simulate", *files, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_INPUT_ERROR
-    assert "dt_minutes must be positive" in capsys.readouterr().err
+    assert "scenario.json: scenario dt must be positive" in \
+        capsys.readouterr().err
 
 
 def test_scenario_scalar_that_is_not_a_number_is_an_input_error(tmp_path,

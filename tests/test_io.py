@@ -62,10 +62,28 @@ def test_unknown_top_level_key(load):
                                        ("horizon_hours", 0.0),
                                        ("horizon_hours", -0.5)])
 def test_non_positive_time_grid(load, key, value):
+    """Scenario's own check, which the loader wraps, names the field."""
     def edit(raw):
         raw[key] = value
 
-    with pytest.raises(io.FormatError, match=f"{key} must be positive"):
+    field = {"dt_minutes": "dt", "horizon_hours": "horizon"}[key]
+    with pytest.raises(io.FormatError,
+                       match=f"scenario.json: scenario {field} must be "
+                       "positive$"):
+        load(edit)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("newton_tol", 0.0, "newton_tol must be positive"),
+    ("newton_tol", -1.0, "newton_tol must be positive"),
+    ("feasibility_tol_bar", -1.0e-3, "feasibility_tol_bar must not be "
+     "negative")])
+def test_out_of_range_solver_tolerance(load, key, value, message):
+    def edit(raw):
+        raw["optimizer"][key] = value
+
+    with pytest.raises(io.FormatError,
+                       match=f"scenario.json: scenario {message}$"):
         load(edit)
 
 

@@ -11,16 +11,15 @@ from gaspower.model import (BUS_QUANTITIES, PINNED_QUANTITIES, SLACK,
 PLANT = GasPowerPlant("PL", "S4", "N1", a0=2.0, a1=5.0, a2=10.0)
 
 
-def residual(state, G, B):
-    """powerflow_residual at a PowerState."""
-    return power.powerflow_residual(state.V, state.P, state.Q,
-                                    power._trig_tables(state.phi, G, B))
+def residual(V, phi, P, Q, G, B):
+    """powerflow_residual at the given V, phi, P and Q."""
+    return power.powerflow_residual(V, P, Q, power._trig_tables(phi, G, B))
 
 
 def flat_state(order):
+    """V = 1 and phi = P = Q = 0 at every bus."""
     n = len(order)
-    return power.PowerState(tuple(order), np.ones(n), np.zeros(n),
-                            np.zeros(n), np.zeros(n))
+    return np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n)
 
 
 @pytest.fixture(scope="module")
@@ -34,37 +33,40 @@ def admittance(bundled_module):
     return nodal_admittance(bundled_module.grid)
 
 
-def flow_rows(asm):
-    """The step Jacobian's power-flow rows: each bus's P row sits at its V
-    column, its Q row at its phi column."""
-    return [asm.index.bus[(bus.id, q)] for q in ("V", "phi")
-            for bus in asm.busses]
+def grid_position(asm, bus_id, quantity):
+    """The position of a bus quantity in a grid vector."""
+    return asm.index.bus[(bus_id, quantity)] - asm.size
 
 
 def test_free_and_pinned_quantities_split_every_bus(bundled_simulator):
-    """Each bus pins two of its quantities, and at the flat grid the step
-    Jacobian's power-flow rows over the other 2N columns are a
-    nonsingular square system."""
+    """Each bus pins two of its quantities, the assembler's pinned
+    positions are those, and at the flat grid (V = 1, phi = P = Q = 0, the
+    pinned values written in) the power-flow Jacobian over the other 2N
+    columns is a nonsingular square system."""
     asm, snap = bundled_simulator.assembler, bundled_simulator.snapshots[0]
-    free, kinds = [], set()
+    free, pinned_at, kinds = [], [], set()
     for bus in asm.busses:
         pinned = PINNED_QUANTITIES[bus.kind]
         mine = [q for q in BUS_QUANTITIES if q not in pinned]
         assert len(mine) == len(set(pinned)) == 2
-        free += [asm.index.bus[(bus.id, q)] for q in mine]
+        free += [grid_position(asm, bus.id, q) for q in mine]
+        pinned_at += [grid_position(asm, bus.id, q) for q in pinned]
         kinds.add(bus.kind)
     assert kinds == set(PINNED_QUANTITIES)
-    y = asm.flat_state(snap)
-    jac = asm.matrix(asm.jacobian(asm.evaluate(y), 900.0))
-    rows = flow_rows(asm)
-    assert np.linalg.matrix_rank(jac[rows][:, free].toarray()) == len(rows)
+    assert asm.grid_pinned.tolist() == pinned_at
+    grid = np.tile([1.0, 0.0, 0.0, 0.0], len(asm.busses))
+    grid[asm.grid_pinned] = snap.bus_fixed.ravel()
+    jac = power.powerflow_jacobian(
+        grid[0::4], power._trig_tables(grid[1::4], asm.G, asm.B))
+    assert jac.shape == (len(free), len(grid))
+    assert np.linalg.matrix_rank(jac[:, free]) == len(free)
 
 
 class TestResidual:
     def test_flat_state_rowsum_n1(self, admittance):
         """Computed injections at N1 with all V=1, phi=0 are exactly zero."""
         G, B, order = admittance
-        res = residual(flat_state(order), G, B)
+        res = residual(*flat_state(order), G, B)
         k = order.index("N1")
         assert abs(res[k]) < 1e-12
         assert abs(res[len(order) + k]) < 1e-12
@@ -72,7 +74,7 @@ class TestResidual:
     def test_flat_state_general_rowsums(self, admittance):
         G, B, order = admittance
         n = len(order)
-        res = residual(flat_state(order), G, B)
+        res = residual(*flat_state(order), G, B)
         # with P = Q = 0 the residual is minus the computed injection
         assert np.allclose(-res[:n], G.sum(axis=1), atol=1e-12)
         assert np.allclose(-res[n:], -B.sum(axis=1), atol=1e-12)
@@ -81,26 +83,21 @@ class TestResidual:
         G, B, order = admittance
         rng = np.random.default_rng(2)
         n = len(order)
-        state = power.PowerState(tuple(order),
-                                 rng.uniform(0.9, 1.1, n),
-                                 rng.uniform(-0.3, 0.3, n),
-                                 rng.uniform(-2, 2, n),
-                                 rng.uniform(-1, 1, n))
-        shifted = power.PowerState(tuple(order), state.V, state.phi + 0.7,
-                                   state.P, state.Q)
-        r1 = residual(state, G, B)
-        r2 = residual(shifted, G, B)
+        V, phi, P, Q = (rng.uniform(0.9, 1.1, n), rng.uniform(-0.3, 0.3, n),
+                        rng.uniform(-2, 2, n), rng.uniform(-1, 1, n))
+        r1 = residual(V, phi, P, Q, G, B)
+        r2 = residual(V, phi + 0.7, P, Q, G, B)
         assert np.allclose(r1, r2, atol=1e-9)
 
     def test_dimension_mismatch_rejected(self, admittance):
         G, B, order = admittance
         small = flat_state(order[:-1])
         with pytest.raises(ValueError):
-            residual(small, G, B)
+            residual(*small, G, B)
 
 
 class TestJacobian:
-    """injection_jacobians, the power-flow part of the step Jacobian."""
+    """injection_jacobians, and powerflow_jacobian, the grid's Jacobian."""
 
     def _check(self, V, phi, G, B, h=1e-7):
         """injection_jacobians against central differences of
@@ -134,17 +131,21 @@ class TestJacobian:
 
     def test_slack_power_column_is_unit(self, bundled_simulator,
                                         uncontrolled_trajectory):
-        """In the step Jacobian's power-flow rows, the slack's P column is
-        the unit vector at the slack's P row."""
+        """In the power-flow Jacobian (rows: every bus's P row, then every
+        Q row), the slack's P column is the unit vector at the slack's P
+        row; the grid Jacobian J_bb puts that row at the slack's V."""
         asm = bundled_simulator.assembler
-        states = uncontrolled_trajectory.states
-        jac = asm.matrix(asm.jacobian(asm.evaluate(states[1]), 900.0))
+        grid = uncontrolled_trajectory.states[1, asm.size:]
+        jac = power.powerflow_jacobian(
+            grid[0::4], power._trig_tables(grid[1::4], asm.G, asm.B))
         slack, = (bus.id for bus in asm.busses if bus.kind == SLACK)
-        rows = flow_rows(asm)
-        column = jac[rows][:, asm.index.bus[(slack, "P")]].toarray().ravel()
-        expected = np.zeros(len(rows))
-        expected[rows.index(asm.index.bus[(slack, "V")])] = 1.0
-        assert np.array_equal(column, expected)
+        expected = np.zeros(len(jac))
+        expected[asm.bus_ids.index(slack)] = 1.0
+        assert np.array_equal(jac[:, grid_position(asm, slack, "P")],
+                              expected)
+        column = asm.grid_jacobian(grid)[:, grid_position(asm, slack, "P")]
+        assert np.flatnonzero(column).tolist() == [
+            grid_position(asm, slack, "V")]
 
     def test_row_sparsity_is_adjacency(self, admittance):
         """Rows touch only the bus itself and its admittance neighbours."""
@@ -162,7 +163,8 @@ class TestJacobian:
 
 class TestSolvedBaseline:
     def test_case_nine_baseline_residuals(self, bundled_module):
-        """Newton solve of the 9-bus grid leaves residuals < 1e-10."""
+        """Newton solve of the 9-bus grid from the flat grid leaves
+        residuals < 1e-10 and the pinned values in place."""
         fixed = {
             ("N1", "V"): 1.0, ("N1", "phi"): 0.0,
             ("N2", "P"): 1.63, ("N2", "V"): 1.0,
@@ -174,13 +176,56 @@ class TestSolvedBaseline:
             ("N8", "P"): 0.0, ("N8", "Q"): 0.0,
             ("N9", "P"): -1.25, ("N9", "Q"): -0.5,
         }
-        state = power.solve_powerflow(bundled_module.grid, fixed, tol=1e-12)
-        G, B, _ = nodal_admittance(bundled_module.grid)
-        res = residual(state, G, B)
+        G, B, order = nodal_admittance(bundled_module.grid)
+        pinned = [4 * order.index(bus) + BUS_QUANTITIES.index(quantity)
+                  for bus, quantity in fixed]
+        start = np.tile([1.0, 0.0, 0.0, 0.0], len(order))
+        x, iterations = power.solve_powerflow(
+            G, B, order, start, pinned, list(fixed.values()), tol=1e-12)
+        assert iterations > 0
+        assert np.array_equal(start, np.tile([1.0, 0.0, 0.0, 0.0], len(order)))
+        assert x[pinned].tolist() == list(fixed.values())
+        V, phi, P, Q = x.reshape(-1, 4).T
+        res = residual(V, phi, P, Q, G, B)
         assert np.max(np.abs(res)) < 1e-10
         # the slack generator covers the 0.67 p.u. balance gap plus losses
-        k = list(state.bus_ids).index("N1")
-        assert 0.6 < state.P[k] < 0.9
+        assert 0.6 < P[order.index("N1")] < 0.9
+
+
+def test_powerflow_out_of_iterations_names_the_row(admittance):
+    """A solve that runs out of iterations names the row with the largest
+    residual, by its bus, and leaves its start unchanged."""
+    G, B, order = admittance
+    start = np.tile([1.0, 0.0, 0.0, 0.0], len(order))
+    pinned = [4 * order.index("N1"), 4 * order.index("N1") + 1]
+    pinned += [4 * i + q for i in range(1, len(order)) for q in (2, 3)]
+    values = [1.0, 0.0] + [-0.5, -0.2] * (len(order) - 1)
+    with pytest.raises(power.SimulationError,
+                       match=r"^power flow did not reach tolerance, largest "
+                       r"residual in the [PQ]-flow row of bus N\d \(residual "
+                       r".* after 1 iterations\)$"):
+        power.solve_powerflow(G, B, order, start, pinned, values, 1e-12,
+                              max_iter=1)
+    assert np.array_equal(start, np.tile([1.0, 0.0, 0.0, 0.0], len(order)))
+
+
+@pytest.mark.parametrize("case,message", [
+    ("load", r"Newton step to V <= 0 at bus N\d$"),
+    ("isolated", r"singular Jacobian$")])
+def test_powerflow_failure_is_a_simulation_error(admittance, case, message):
+    """A load of 20 p.u. at every bus but the slack drives the first
+    Newton step to a negative voltage, and a bus without lines makes the
+    Jacobian singular; both raise SimulationError."""
+    G, B, order = admittance
+    G, B, n = G.copy(), B.copy(), len(order)
+    load = -20.0 if case == "load" else -0.5
+    if case == "isolated":
+        G[4], G[:, 4], B[4], B[:, 4] = 0.0, 0.0, 0.0, 0.0
+    pinned = [0, 1] + [4 * i + q for i in range(1, n) for q in (2, 3)]
+    values = [1.0, 0.0] + [load, -0.1] * (n - 1)
+    with pytest.raises(power.SimulationError, match="^power flow: " + message):
+        power.solve_powerflow(G, B, order, np.tile(
+            [1.0, 0.0, 0.0, 0.0], n), pinned, values, 1e-9)
 
 
 class TestOfftake:

@@ -24,8 +24,9 @@ from gaspower.sim import (BUS_QUANTITIES, MASS_FLOW_SCALE, BoundaryData,
                           SingularJacobian, VariableIndex, mass_balance_report,
                           newton_solve_step, simulate, steady_state)
 
-from conftest import (box_scheme_residual, make_mixed_network,
-                      make_toy_network, make_toy_scenario, zero_flow_column)
+from conftest import (box_scheme_residual, coupled_jacobian,
+                      coupled_residual, make_mixed_network, make_toy_network,
+                      make_toy_scenario, zero_flow_column)
 
 
 def _index_maps(index):
@@ -39,6 +40,25 @@ def _index_maps(index):
         for key, i in getattr(index, name).items():
             entries[(name, key, None)] = i
     return entries
+
+
+NO_GRID = np.empty(0)   # the grid vector of a network without busses
+
+
+def level_grid(asm, snap, tol=1e-9):
+    """The grid vector solved at `snap`'s pinned values, from a flat grid."""
+    flat = np.tile([1.0, 0.0, 0.0, 0.0], len(asm.busses))
+    return power.solve_powerflow(asm.G, asm.B, asm.bus_ids, flat,
+                                 asm.grid_pinned, snap.bus_fixed.ravel(),
+                                 tol)[0]
+
+
+def step_residual(asm, y_prev, y, u, snap, dt=900.0):
+    """The gas rows of the step residual between two full states, at the
+    grid vector of y."""
+    g = asm.size
+    return asm.residual(asm.evaluate(y[:g]),
+                        asm.step_offset(y_prev[:g], u, snap, y[g:]), dt)
 
 
 class TestVariableIndex:
@@ -95,7 +115,8 @@ class TestSteadyState:
         boundary[("S25", "outflow")] = (np.array([0.0]), np.array([0.0]))
         from gaspower.sim import BoundaryData
         snap, = asm.boundary_snapshots(BoundaryData(boundary), [0.0])
-        y = steady_state(asm, snap, 0.0, scenario.dt).y
+        y = steady_state(asm, snap, level_grid(asm, snap), 0.0,
+                         scenario.dt).y
         for pipe in quiet.gas.pipes:
             assert np.allclose(y[asm.index.pipe_rho[pipe.id]],
                                gas.density_of_pressure(60e5), atol=1e-9)
@@ -112,8 +133,9 @@ class TestSteadyState:
         base = Simulator(network, scenario)
         rough = Simulator(rough_net, scenario)
         snap = base.snapshots[0]
-        y0 = steady_state(base.assembler, snap, 0.0, scenario.dt).y
-        y1 = steady_state(rough.assembler, rough.snapshots[0], 0.0,
+        grid = level_grid(base.assembler, snap)
+        y0 = steady_state(base.assembler, snap, grid, 0.0, scenario.dt).y
+        y1 = steady_state(rough.assembler, rough.snapshots[0], grid, 0.0,
                           scenario.dt).y
         p_base = y0[base.assembler.index.node_rho["S25"]]
         p_rough = y1[rough.assembler.index.node_rho["S25"]]
@@ -122,10 +144,10 @@ class TestSteadyState:
     def test_valid_for_any_dt(self, toy_simulator):
         asm = toy_simulator.assembler
         snap = toy_simulator.snapshots[0]
-        y = steady_state(asm, snap, 0.0, 900.0).y
+        y = steady_state(asm, snap, NO_GRID, 0.0, 900.0).y
         for dt in (1.0, 900.0, 7200.0):
-            res = asm.residual(asm.evaluate(y), asm.step_offset(y, 0.0, snap),
-                               dt)
+            res = asm.residual(asm.evaluate(y), asm.step_offset(
+                y, 0.0, snap, NO_GRID), dt)
             assert np.max(np.abs(res)) < 1e-8
 
 
@@ -134,8 +156,7 @@ class TestResidualStructure:
                                               uncontrolled_trajectory):
         asm = bundled_simulator.assembler
         y0 = uncontrolled_trajectory.states[0]
-        res = asm.residual(asm.evaluate(y0), asm.step_offset(
-            y0, 0.0, bundled_simulator.snapshots[0]), 900.0)
+        res = step_residual(asm, y0, y0, 0.0, bundled_simulator.snapshots[0])
         assert np.max(np.abs(res)) < 1e-9
 
     def test_interior_density_perturbation_is_local(self, bundled_simulator,
@@ -144,12 +165,10 @@ class TestResidualStructure:
         snap = bundled_simulator.snapshots[1]
         y0 = uncontrolled_trajectory.states[0]
         y1 = uncontrolled_trajectory.states[1].copy()
-        base = asm.residual(asm.evaluate(y1), asm.step_offset(y0, 0.0, snap),
-                            900.0)
+        base = step_residual(asm, y0, y1, 0.0, snap)
         j = asm.index.pipe_rho["P25"].start + 30    # interior grid point
         y1[j] += 1e-3
-        changed = np.nonzero(asm.residual(
-            asm.evaluate(y1), asm.step_offset(y0, 0.0, snap), 900.0) - base)[0]
+        changed = np.nonzero(step_residual(asm, y0, y1, 0.0, snap) - base)[0]
         # two mass and two momentum rows share the stencil of one point
         assert len(changed) == 4
         half = asm.grid.shape[0] // 2   # all mass rows, then all momentum
@@ -157,7 +176,9 @@ class TestResidualStructure:
 
     def test_plant_coupling_term(self, bundled_simulator,
                                  uncontrolled_trajectory):
-        """The S4 balance row moves by rho0 * d eps exactly."""
+        """The step offset holds the plant offtake rho0 * eps(P) at the S4
+        balance row and nowhere else, at the grid's P of the plant bus, so
+        the S4 row moves by rho0 * d eps exactly."""
         asm = bundled_simulator.assembler
         plant = asm.node_plant["S4"]
         snap = bundled_simulator.snapshots[0]
@@ -165,11 +186,15 @@ class TestResidualStructure:
         y1 = y0.copy()
         row = asm.index.node_rho["S4"]
         p_col = asm.index.bus[(plant.bus, "P")]
-        base = asm.residual(asm.evaluate(y1), asm.step_offset(y0, 0.0, snap),
-                            900.0)[row]
+        base = step_residual(asm, y0, y1, 0.0, snap)[row]
+        _, b = asm.step_offset(y0[:asm.size], 0.0, snap, y1[asm.size:])
         y1[p_col] = 0.95
-        shifted = asm.residual(asm.evaluate(y1),
-                               asm.step_offset(y0, 0.0, snap), 900.0)[row]
+        shifted = step_residual(asm, y0, y1, 0.0, snap)[row]
+        _, b_shifted = asm.step_offset(y0[:asm.size], 0.0, snap,
+                                       y1[asm.size:])
+        assert np.flatnonzero(b_shifted != b).tolist() == [row]
+        assert b_shifted[row] == plant.reference_density \
+            * power.plant_gas_offtake(0.95, plant)
         d_eps = power.plant_gas_offtake(0.95, plant) \
             - power.plant_gas_offtake(y0[p_col], plant)
         expected = -plant.reference_density * d_eps / MASS_FLOW_SCALE
@@ -193,28 +218,29 @@ class TestResidualStructure:
 
     def test_bus_rows_sit_at_the_bus_columns(self, bundled_simulator,
                                              uncontrolled_trajectory):
-        """A bus's P- and Q-flow rows sit at its V and phi columns, its two
-        boundary rows at its P and Q columns."""
+        """In the grid Jacobian J_bb, a bus's P- and Q-flow rows sit at its
+        V and phi columns, its two boundary rows at its P and Q columns."""
         asm = bundled_simulator.assembler
         y0 = uncontrolled_trajectory.states[0]
-        jac = asm.matrix(asm.jacobian(asm.evaluate(y0), 900.0))
+        jac = asm.grid_jacobian(y0[asm.size:])
         for bus in asm.busses:
-            col = {q: asm.index.bus[(bus.id, q)] for q in BUS_QUANTITIES}
+            col = {q: asm.index.bus[(bus.id, q)] - asm.size
+                   for q in BUS_QUANTITIES}
             # P - P_calc and Q - Q_calc, unscaled
             assert jac[col["V"], col["P"]] == 1.0
             assert jac[col["phi"], col["Q"]] == 1.0
             pinned = set()
             for row in (col["P"], col["Q"]):
-                entries = jac[[row]].tocoo()
-                assert list(entries.data) == [1.0]
-                pinned.add(int(entries.col[0]))
+                entries = np.flatnonzero(jac[row])
+                assert list(jac[row, entries]) == [1.0]
+                pinned.add(int(entries[0]))
             assert pinned == {col[q] for q in PINNED_QUANTITIES[bus.kind]}
 
     def test_compressor_lift_applied(self, bundled_simulator):
         asm = bundled_simulator.assembler
         snap = bundled_simulator.snapshots[0]
         lift = 2.0e5
-        y = steady_state(asm, snap, lift, 900.0).y
+        y = steady_state(asm, snap, level_grid(asm, snap), lift, 900.0).y
         cons = bundled_simulator.network.constants
         p_in = gas.pressure_of_density(y[asm.index.node_rho["S0"]], cons)
         p_out = gas.pressure_of_density(y[asm.index.node_rho["S17"]], cons)
@@ -225,17 +251,18 @@ class TestNewtonStep:
     def test_steady_input_converges_immediately(self, toy_simulator):
         asm = toy_simulator.assembler
         snap = toy_simulator.snapshots[0]
-        y0 = steady_state(asm, snap, 0.0, 900.0).y
-        y1 = newton_solve_step(asm, y0, 0.0, snap, 900.0).y
+        y0 = steady_state(asm, snap, NO_GRID, 0.0, 900.0).y
+        y1 = newton_solve_step(asm, y0, 0.0, snap, NO_GRID, 900.0).y
         assert np.max(np.abs(y1 - y0)) < 1e-9
 
     def test_iteration_budget_enforced(self, toy_simulator):
         asm = toy_simulator.assembler
-        y0 = steady_state(asm, toy_simulator.snapshots[0], 0.0, 900.0).y
+        y0 = steady_state(asm, toy_simulator.snapshots[0], NO_GRID, 0.0,
+                          900.0).y
         harder, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
         with pytest.raises(MaxIterationsExceeded) as err:
-            newton_solve_step(asm, y0, 0.0, harder, 900.0, tol=1e-9,
+            newton_solve_step(asm, y0, 0.0, harder, NO_GRID, 900.0, tol=1e-9,
                               max_iter=1)
         assert err.value.residual_norm > 0
         assert str(err.value).startswith(
@@ -246,14 +273,16 @@ class TestNewtonStep:
         """With no iteration allowed Newton stops at its start, y_prev, and
         names the row of the largest residual there and its unknown."""
         asm = toy_simulator.assembler
-        y0 = steady_state(asm, toy_simulator.snapshots[0], 0.0, 900.0).y
+        y0 = steady_state(asm, toy_simulator.snapshots[0], NO_GRID, 0.0,
+                          900.0).y
         harder, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
-        res = asm.residual(asm.evaluate(y0), asm.step_offset(y0, 0.0, harder),
-                           900.0)
+        res = asm.residual(asm.evaluate(y0), asm.step_offset(
+            y0, 0.0, harder, NO_GRID), 900.0)
         row = int(np.abs(res).argmax())
         with pytest.raises(MaxIterationsExceeded) as err:
-            newton_solve_step(asm, y0, 0.0, harder, 900.0, max_iter=0)
+            newton_solve_step(asm, y0, 0.0, harder, NO_GRID, 900.0,
+                              max_iter=0)
         assert f"largest residual in row {row} (row of " \
             f"{asm.index.name(row)}) (residual {np.abs(res).max():.3e} " \
             "after 0 iterations)" in str(err.value)
@@ -271,13 +300,13 @@ class TestNewtonStep:
                 calls[name] += 1
                 return original(*args)
             monkeypatch.setattr(asm, name, counted)
-        y0 = steady_state(asm, snap, 0.0, 900.0).y
+        y0 = steady_state(asm, snap, NO_GRID, 0.0, 900.0).y
         assert calls["evaluate"] > 2
         assert calls["step_offset"] == calls["evaluate"]
         harder, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
         calls.update(step_offset=0, evaluate=0)
-        newton_solve_step(asm, y0, 0.0, harder, 900.0)
+        newton_solve_step(asm, y0, 0.0, harder, NO_GRID, 900.0)
         assert calls["evaluate"] > 2 and calls["step_offset"] == 1
 
     def test_all_coupling_rows_hold_along_trajectory(self, bundled_simulator,
@@ -289,9 +318,9 @@ class TestNewtonStep:
         rows = np.concatenate([asm.coupling_rows,
                                list(asm.index.node_rho.values())])
         for j in (1, 17, 48):
-            res = asm.residual(asm.evaluate(traj.states[j]), asm.step_offset(
-                traj.states[j - 1], traj.control[j],
-                bundled_simulator.snapshots[j]), 900.0)
+            res = step_residual(asm, traj.states[j - 1], traj.states[j],
+                                traj.control[j],
+                                bundled_simulator.snapshots[j])
             assert np.max(np.abs(res[rows])) < 1e-9
 
 
@@ -316,10 +345,50 @@ class TestSimulate:
         asm = bundled_simulator.assembler
         traj = uncontrolled_trajectory
         for j in range(traj.step_count + 1):
-            res = asm.residual(asm.evaluate(traj.states[j]), asm.step_offset(
-                traj.states[max(j - 1, 0)], 0.0,
-                bundled_simulator.snapshots[j]), 900.0)
+            res = step_residual(asm, traj.states[max(j - 1, 0)],
+                                traj.states[j], 0.0,
+                                bundled_simulator.snapshots[j])
             assert np.max(np.abs(res)) < bundled_simulator.tol, j
+
+    def test_every_coupled_row_converges(self, bundled_simulator,
+                                         uncontrolled_trajectory):
+        """Solving the grid ahead of the gas leaves every row of the coupled
+        system below tol at every level: gas, plant, power-flow and pinned
+        rows, the plant rows at the level's own grid."""
+        asm, dt = bundled_simulator.assembler, bundled_simulator.scenario.dt
+        traj = uncontrolled_trajectory
+        for j, snap in enumerate(bundled_simulator.snapshots):
+            res = coupled_residual(asm, traj.states[max(j - 1, 0)],
+                                   traj.states[j], traj.control[j], snap, dt)
+            assert np.abs(res).max() < bundled_simulator.tol, j
+
+    def test_coupled_jacobian_matches_central_differences(
+            self, bundled_simulator, uncontrolled_trajectory):
+        """The gas block, J_gb and J_bb make the Jacobian of the coupled
+        system, at a step level where the grid changes and at the steady
+        level."""
+        asm, dt = bundled_simulator.assembler, bundled_simulator.scenario.dt
+        y0, y4, y5 = uncontrolled_trajectory.states[[0, 4, 5]]
+        snaps = bundled_simulator.snapshots
+        assert_close(coupled_jacobian(asm, y5, dt), central_differences(
+            lambda y: coupled_residual(asm, y4, y, 0.0, snaps[5], dt), y5))
+        assert_close(coupled_jacobian(asm, y0, dt, steady=True),
+                     central_differences(lambda y: coupled_residual(
+                         asm, y, y, 0.0, snaps[0], dt), y0))
+
+    def test_grid_iterations_where_the_grid_data_changes(
+            self, bundled_simulator, uncontrolled_trajectory):
+        """The power flow iterates at level 0, from the flat grid, and
+        where its pinned values change (N5's load step, levels 5 and 6);
+        elsewhere the previous level's grid solves it."""
+        counts = uncontrolled_trajectory.grid_iterations
+        fixed = np.array([snap.bus_fixed for snap in
+                          bundled_simulator.snapshots])
+        changed = 1 + np.flatnonzero((fixed[1:] != fixed[:-1]).any(
+            axis=(1, 2)))
+        assert changed.tolist() == [5, 6]
+        assert np.flatnonzero(counts).tolist() == [0, 5, 6]
+        assert counts.shape == (bundled_simulator.scenario.step_count + 1,)
 
     def test_control_length_checked(self, bundled_simulator):
         with pytest.raises(ValueError):
@@ -441,10 +510,10 @@ class TestSimulate:
         assert factored.count(True) == iterations[0]
         assert np.all(trajectory.residual_norm < simulator.tol)
         for level, y in enumerate(trajectory.states):
-            res = asm.residual(asm.evaluate(y), asm.step_offset(
-                trajectory.states[max(level - 1, 0)],
-                trajectory.control[level], simulator.snapshots[level]),
-                simulator.scenario.dt)
+            res = step_residual(asm, trajectory.states[max(level - 1, 0)], y,
+                                trajectory.control[level],
+                                simulator.snapshots[level],
+                                simulator.scenario.dt)
             assert trajectory.residual_norm[level] == np.abs(res).max()
 
     def test_result_does_not_depend_on_call_history(self, bundled):
@@ -495,9 +564,9 @@ class TestSimulate:
 
     def test_steady_failure_reports_the_steady_state_and_the_unknown(
             self, bundled):
-        """A NaN load at t = 0 fails the steady solve, and the message names
-        it and the unknown at whose column the first non-finite row sits:
-        N5's P-flow row, at its V column."""
+        """A NaN load at t = 0 fails level 0's power flow, and the message
+        names the steady state and the first non-finite row: N5's P-flow
+        row (at N5's V column of the coupled system)."""
         network, scenario = bundled
         series = dict(scenario.boundary.series)
         series[("N5", "P")] = (np.array([0.0, 3600.0]),
@@ -505,7 +574,8 @@ class TestSimulate:
         broken = replace(scenario, boundary=BoundaryData(series))
         with pytest.raises(SimulationError,
                            match=r"^steady state \(t = 0\.00 h\) failed: "
-                           r"non-finite residual in row \d+ \(row of N5 V\)$"):
+                           r"power flow: non-finite residual in the P-flow "
+                           r"row of bus N5$"):
             Simulator(network, broken).run()
 
     def test_failure_reports_time_index(self, bundled, monkeypatch):
@@ -524,7 +594,21 @@ class TestSimulate:
                                np.array([-0.9, np.nan]))
         broken = replace(scenario, boundary=BoundaryData(series))
         with pytest.raises(SimulationError, match=r"step 1 \(t = 0\.25 h\) "
-                           r"failed: non-finite residual"):
+                           r"failed: power flow: non-finite residual"):
+            Simulator(network, broken).run()
+
+    def test_non_finite_gas_boundary_value_fails_the_step(self, bundled):
+        """A NaN outflow after t = 0 makes the gas residual non-finite at
+        the step's start, and the message names its row and unknown."""
+        network, scenario = bundled
+        series = dict(scenario.boundary.series)
+        demand = series[("S25", "outflow")][1][0]
+        series[("S25", "outflow")] = (np.array([0.0, 3600.0]),
+                                      np.array([demand, np.nan]))
+        broken = replace(scenario, boundary=BoundaryData(series))
+        with pytest.raises(SimulationError, match=r"^step 1 \(t = 0\.25 h\) "
+                           r"failed: non-finite residual in row \d+ \(row "
+                           r"of S25 rho\)$"):
             Simulator(network, broken).run()
 
 
@@ -604,7 +688,7 @@ class TestMixedGeometryJacobian:
         asm = CoupledStepAssembler(make_mixed_network())
         snap, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
-        y0 = steady_state(asm, snap, 1.0e5, 900.0).y
+        y0 = steady_state(asm, snap, NO_GRID, 1.0e5, 900.0).y
         rng = np.random.default_rng(41)
         y1 = y0 * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
         return asm, snap, y0, y1
@@ -617,14 +701,16 @@ class TestMixedGeometryJacobian:
         it = asm.evaluate(y1)
         jac = asm.matrix(asm.jacobian(it, dt))
         assert_close(jac.toarray(), central_differences(
-            lambda y: asm.residual(asm.evaluate(y),
-                                   asm.step_offset(y_prev, u, snap), dt), y1))
+            lambda y: asm.residual(asm.evaluate(y), asm.step_offset(
+                y_prev, u, snap, NO_GRID), dt), y1))
         assert_close(asm.jac_prev.toarray(), central_differences(
-            lambda y: asm.residual(it, asm.step_offset(y, u, snap), dt),
-            y_prev))
+            lambda y: asm.residual(it, asm.step_offset(y, u, snap, NO_GRID),
+                                   dt), y_prev))
         h = 1.0e2
-        fd_u = (asm.residual(it, asm.step_offset(y_prev, u + h, snap), dt)
-                - asm.residual(it, asm.step_offset(y_prev, u - h, snap), dt)
+        fd_u = (asm.residual(it, asm.step_offset(y_prev, u + h, snap,
+                                                 NO_GRID), dt)
+                - asm.residual(it, asm.step_offset(y_prev, u - h, snap,
+                                                   NO_GRID), dt)
                 ) / (2.0 * h)
         assert_close(asm.d_du, fd_u)
 
@@ -645,8 +731,8 @@ class TestMixedGeometryJacobian:
 
         for name in calls:
             count(asm if name in ("residual", "jacobian") else gas, name)
-        newton_solve_step(asm, y0, 1.2e5, snap, 900.0, y_guess=y1)
-        steady_state(asm, snap, 1.2e5, 900.0)
+        newton_solve_step(asm, y0, 1.2e5, snap, NO_GRID, 900.0, y_guess=y1)
+        steady_state(asm, snap, NO_GRID, 1.2e5, 900.0)
         assert calls["jacobian"] > 2
         assert calls["friction_factor_and_derivative"] == \
             calls["point_terms"] == calls["residual"]
@@ -667,8 +753,9 @@ class TestMixedGeometryJacobian:
                                                                 asm.grid))
         y, y_prev, given = y1.copy(), y0.copy(), friction.copy()
         for it in (asm.evaluate(y), asm.evaluate(y, given)):
-            asm.residual(it, asm.step_offset(y_prev, 1.2e5, snap), 900.0)
-            asm.residual(it, asm.step_offset(y, 1.2e5, snap), 900.0)
+            asm.residual(it, asm.step_offset(y_prev, 1.2e5, snap, NO_GRID),
+                         900.0)
+            asm.residual(it, asm.step_offset(y, 1.2e5, snap, NO_GRID), 900.0)
             asm.factors(it, 900.0, splu, steady=False)
             asm.factors(it, 900.0, splu, steady=True)
         assert y.tobytes() == y1.tobytes() and y_prev.tobytes() == y0.tobytes()
@@ -689,14 +776,14 @@ class TestMixedGeometryJacobian:
                 asm.evaluate(bad)
         states.clear()
         it = asm.evaluate(y1)
-        asm.residual(it, asm.step_offset(y0, 1.2e5, snap), 900.0)
+        asm.residual(it, asm.step_offset(y0, 1.2e5, snap, NO_GRID), 900.0)
         asm.jacobian(it, 900.0)
         assert len(states) == 1
 
     def test_pipe_rows_equal_box_scheme(self, mixed):
         asm, snap, y0, y1 = mixed
-        res = asm.residual(asm.evaluate(y1), asm.step_offset(y0, 1.2e5, snap),
-                           900.0)
+        res = asm.residual(asm.evaluate(y1), asm.step_offset(
+            y0, 1.2e5, snap, NO_GRID), 900.0)
         cells = asm.grid.shape[0] // 2  # all mass rows, then all momentum
         start = 0                       # of pipe k: cells of pipes 0..k-1
         for pipe in asm.pipes:
@@ -745,7 +832,14 @@ def test_scenario_time_grid_must_be_positive(field, value):
     ({"max_iter": 0}, "scenario max_iter must be at least 1"),
     ({"pressure_bounds": {"C": 0.0}}, "pressure bound at C must be positive"),
     ({"pressure_bounds": {"C": -1.0e5}},
-     "pressure bound at C must be positive")])
+     "pressure bound at C must be positive"),
+    ({"newton_tol": 0.0}, "scenario newton_tol must be positive"),
+    ({"newton_tol": -1.0e-9}, "scenario newton_tol must be positive"),
+    ({"newton_tol": np.nan}, "scenario newton_tol must be positive"),
+    ({"feasibility_tol_bar": -1.0e-3},
+     "scenario feasibility_tol_bar must not be negative"),
+    ({"feasibility_tol_bar": np.nan},
+     "scenario feasibility_tol_bar must not be negative")])
 def test_scenario_settings_out_of_range(settings, message):
     with pytest.raises(ValueError, match=message):
         Scenario(horizon=1800.0, dt=900.0, boundary=BoundaryData({}),
@@ -786,14 +880,17 @@ class TestFixedPattern:
 
     @pytest.fixture()
     def step(self, bundled_simulator, uncontrolled_trajectory):
-        states = uncontrolled_trajectory.states
-        return (bundled_simulator.assembler, bundled_simulator.snapshots[5],
-                states[4], states[5])
+        """The assembler, level 5's snapshot, the gas unknowns of levels 4
+        and 5 and the grid vector of level 5."""
+        asm = bundled_simulator.assembler
+        y0, y1 = uncontrolled_trajectory.states[4:6]
+        return (asm, bundled_simulator.snapshots[5], y0[:asm.size],
+                y1[:asm.size], y1[asm.size:])
 
     def test_pattern_is_fixed_and_canonical(self, step):
         """Every Jacobian's matrix shares the set-up pattern arrays and owns
         its data: a steady block built in between leaves it unchanged."""
-        asm, snap, y0, y1 = step
+        asm, snap, y0, y1, _ = step
         it = asm.evaluate(y1)
         first = asm.matrix(asm.jacobian(it, 900.0))
         values = first.data.copy()
@@ -824,16 +921,18 @@ class TestFixedPattern:
                 calls.append((name, args[3]) if name == "factors" else name)
                 return original(*args)
             monkeypatch.setattr(asm, name, counted)
-        values = asm.jacobian(asm.evaluate(states[5]), dt)
+        gas = states[:, :asm.size]
+        values = asm.jacobian(asm.evaluate(gas[5]), dt)
         assert values.shape == asm._pattern.indices.shape
         step, steady = [("factors", False), "jacobian"], [
             ("factors", True), "jacobian", "matrix"]
         calls.clear()
-        newton_solve_step(asm, states[4], 0.0, bundled_simulator.snapshots[5],
-                          dt)
+        newton_solve_step(asm, gas[4], 0.0, bundled_simulator.snapshots[5],
+                          states[5, asm.size:], dt)
         assert len(calls) > 2 and calls == step * (len(calls) // 2)
         calls.clear()
-        steady_state(asm, bundled_simulator.snapshots[0], 0.0, dt)
+        steady_state(asm, bundled_simulator.snapshots[0],
+                     states[0, asm.size:], 0.0, dt)
         assert len(calls) > 3 and calls == steady * (len(calls) // 3)
         calls.clear()
         adjoint_sweep(bundled_simulator, uncontrolled_trajectory,
@@ -844,11 +943,11 @@ class TestFixedPattern:
         """Two condensed factorizations of one step block, each ordering
         its network block afresh, solve to the bit alike, in both
         directions."""
-        asm, snap, y0, y1 = step
+        asm, snap, y0, y1, _ = step
         values = asm.jacobian(asm.evaluate(y1), 900.0)
         first, second = (asm.condensation.factors(values, splu)
                          for _ in range(2))
-        rhs = np.random.default_rng(7).standard_normal((asm.index.size, 3))
+        rhs = np.random.default_rng(7).standard_normal((asm.size, 3))
         for b in (rhs[:, 0], rhs):
             assert np.array_equal(first.solve(b), second.solve(b))
             assert np.array_equal(first.solve_transposed(b),
@@ -856,17 +955,12 @@ class TestFixedPattern:
 
     def test_flat_grid_factors_do_not_depend_on_the_call(
             self, bundled_simulator):
-        """The steady block at a flat grid (V = 1, phi = P = Q = 0 and the
-        pinned values), where SuperLU's pivot search meets exact ties,
-        solves to the bit alike from a first and a later factorization.
-        flat_state seeds that grid."""
+        """The steady block at the flat start (flat_state: one density and
+        one flux throughout), where SuperLU's pivot search may meet exact
+        ties, solves to the bit alike from a first and a later
+        factorization, and the factorization leaves the start unchanged."""
         asm, snap = bundled_simulator.assembler, bundled_simulator.snapshots[0]
         y = asm.flat_state(snap)
-        for bus, pinned in zip(asm.busses, snap.bus_fixed):
-            flat = dict(V=1.0, phi=0.0, P=0.0, Q=0.0)
-            flat.update(zip(PINNED_QUANTITIES[bus.kind], pinned))
-            for quant, value in flat.items():
-                y[asm.index.bus[(bus.id, quant)]] = value
         jac = asm.steady_jacobian(asm.evaluate(y),
                                   bundled_simulator.scenario.dt)
         first, later = (whole_factors(jac, splu) for _ in range(2))
@@ -883,12 +977,12 @@ class TestFixedPattern:
         asm = CoupledStepAssembler(make_mixed_network())
         snap, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
-        y = steady_state(asm, snap, 1.0e5, 900.0).y
+        y = steady_state(asm, snap, NO_GRID, 1.0e5, 900.0).y
         original = asm.jacobian
         monkeypatch.setattr(asm, "jacobian", lambda *args: zero_flow_column(
             asm, original(*args), "P2"))
         with pytest.raises(SingularJacobian, match="pipe P2$"):
-            newton_solve_step(asm, y, 1.2e5, snap, 900.0,
+            newton_solve_step(asm, y, 1.2e5, snap, NO_GRID, 900.0,
                               y_guess=1.001 * y)
 
     def test_prev_block_is_one_read_only_matrix(self, bundled_simulator):
@@ -900,18 +994,18 @@ class TestFixedPattern:
                 values[0] = 1.0
 
     def test_every_column_matches_central_differences(self, step):
-        """Covers the plant, compressor and power-flow entries too."""
-        asm, snap, y0, y1 = step
+        """Covers the plant and compressor rows too, the grid held fixed."""
+        asm, snap, y0, y1, grid = step
         u, dt = 2.0e5, 900.0
         jac_next = asm.matrix(asm.jacobian(asm.evaluate(y1), dt))
         assert_close(jac_next.toarray(), central_differences(
-            lambda y: asm.residual(asm.evaluate(y),
-                                   asm.step_offset(y0, u, snap), dt), y1))
+            lambda y: asm.residual(asm.evaluate(y), asm.step_offset(
+                y0, u, snap, grid), dt), y1))
 
     def test_steady_jacobian_matches_central_differences(self, step):
         """The steady block keeps the step pattern, its cancelled entries
         stored as zeros, and equals dR/dy_next + dR/dy_prev exactly."""
-        asm, snap, _, y = step
+        asm, snap, _, y, grid = step
         u, dt = 2.0e5, 900.0
         it = asm.evaluate(y)
         jac = asm.steady_jacobian(it, dt)
@@ -922,7 +1016,7 @@ class TestFixedPattern:
                                + asm.jac_prev).toarray())
         assert_close(jac.toarray(), central_differences(
             lambda y: asm.residual(asm.evaluate(y),
-                                   asm.step_offset(y, u, snap), dt), y))
+                                   asm.step_offset(y, u, snap, grid), dt), y))
 
 
 def make_parallel_network():
@@ -969,13 +1063,13 @@ def test_factors_solve_both_directions(case):
     network, scenario, u = FACTOR_CASES[case]()
     control = np.full(scenario.step_count + 1, u)
     simulator = Simulator(network, scenario)
-    y = simulator.run(control).states
     asm, dt = simulator.assembler, scenario.dt
+    y = simulator.run(control).states[:, :asm.size]
     flows = y[1][asm.n_points:2 * asm.n_points]
     assert np.all(flows < 0) if case == "reversed" else np.all(flows > 0)
     step = asm.jacobian(asm.evaluate(y[1]), dt)
     steady = asm.steady_jacobian(asm.evaluate(y[0]), dt)
-    rhs = np.random.default_rng(5).standard_normal((asm.index.size, 3))
+    rhs = np.random.default_rng(5).standard_normal((asm.size, 3))
     for factors, block, dense in (
             (asm.condensation.factors, step, asm.matrix(step).toarray()),
             (whole_factors, steady, steady.toarray())):
@@ -1010,7 +1104,7 @@ def test_pipe_block_is_tridiagonal_after_the_row_transform(
     mass, mom = 2 * left + 1, 2 * left + 2
     pattern = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
     for level in range(1, len(states)):
-        values = asm.jacobian(asm.evaluate(states[level]), dt)
+        values = asm.jacobian(asm.evaluate(states[level, :asm.size]), dt)
         a = np.zeros((n, n))
         a[np.ix_(rows, cols)] = asm.matrix(values)[:n, :n].toarray()
         s = a[mom, mass + 2] / a[mass, mass + 2]
@@ -1089,8 +1183,8 @@ class TestEmptyIndexArrays:
         y1 = traj.states[1] * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
         jac_next = asm.matrix(asm.jacobian(asm.evaluate(y1), 900.0))
         assert_close(jac_next.toarray(), central_differences(
-            lambda y: asm.residual(asm.evaluate(y),
-                                   asm.step_offset(y0, 0.0, snap), 900.0), y1))
+            lambda y: asm.residual(asm.evaluate(y), asm.step_offset(
+                y0, 0.0, snap, NO_GRID), 900.0), y1))
 
     def test_snapshots_match_one_at_a_time(self, bundled_simulator):
         asm = bundled_simulator.assembler
