@@ -8,17 +8,19 @@ and each level's block is block triangular, [[J_gg, J_gb], [0, J_bb]]:
 no grid row reads a gas unknown, the old level or the lift (see sim).
 So the transposed (adjoint) system is solved backwards over the gas rows
 alone, with one factorization per level through the assembler's
-factors(), as in the forward Newton solve: the steady block whole
-(lu.whole_factors), each step block condensed onto the network by
-lu.StepCondensation (a tridiagonal pipe block, one dgtsv per solve).
-Each block is evaluated at the stored state with the Colebrook friction
+factors(), as in the forward Newton solve: the steady block and each step
+block condensed onto the network by lu.LevelCondensation (shooting along
+each pipe, one banded triangular substitution, dtbtrs, per solve).  Each
+block is evaluated at the stored state with the Colebrook friction
 the forward run kept for it (sim.Trajectory.friction), so no sweep solves
 Colebrook.  The grid's multipliers follow without recursion, from
 J_bb^T at each level.  The total derivative of a scalar functional then
 needs no further linear solves.  The same gas blocks, solved forwards,
 give the state sensitivities to every control, whence the derivatives of
-many functionals follow at once; the grid's are zero.  A singular block
-raises sim.SingularJacobian naming its level and time.
+many functionals follow at once; the grid's are zero.  A block the
+factors refuse (singular, or a pipe whose march grows past
+lu.MAX_MARCH_GROWTH) raises sim.SingularJacobian naming its level and
+time.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def _level_solve(simulator: Simulator, trajectory: Trajectory, n: int,
     try:
         lu = asm.factors(it, simulator.scenario.dt, splu, n == 0)
         return lu.solve_transposed(rhs) if transposed else lu.solve(rhs)
-    except RuntimeError as exc:     # a zero pivot, in dgtsv or SuperLU
+    except RuntimeError as exc:     # a pipe's pivot or growth, or SuperLU
         raise SingularJacobian(
             f"{'adjoint' if transposed else 'tangent'} sweep, level {n} "
             f"(t = {trajectory.times[n] / 3600.0:.2f} h): {exc}") from None

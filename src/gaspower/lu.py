@@ -1,130 +1,236 @@
-"""Factorizations of the per-level Jacobian blocks, which solve with J and
-J^T for one right-hand side or a column of them: condensed onto the network
-unknowns for a step block (StepCondensation), whole for the steady block,
-whose pipe block is singular at stagnation without the time terms.  A
-singular block raises RuntimeError, at the solve for a step's pipe block."""
+"""Factorizations of the per-level Jacobian blocks, steady and step alike,
+which solve with J and J^T for one right-hand side or a column of them:
+condensed onto the network unknowns by shooting along each pipe
+(LevelCondensation).  One row operation per cell interval makes the pipe
+block lower triangular with bandwidth 3, so each solve is one banded
+triangular substitution (LAPACK dtbtrs) with no factorization and no
+pivoting, and the caller's splu factors the network block.  The steady
+block condenses too: its pipe block stays regular at stagnation (at
+exact stagnation the network block is singular, as the whole block is).
+
+The march has two limits, both raised as RuntimeError naming the pipe.  A
+zero pivot of the pipe block, where an interval's 2x2 block is singular
+(near (dt/dx)(c - v) = 1/2) or the flow sonic, raises at the
+factorization.  Shooting from the from-end amplifies the left-running
+characteristic by about ((c - v) dt/dx + 1/2) / ((c - v) dt/dx - 1/2) per
+cell, about exp(L / ((c - v) dt)) along a pipe of length L, and a solve
+loses that factor in relative accuracy; the first solve raises where a
+pipe's march grows by more than MAX_MARCH_GROWTH: on a 66 km pipe where dt
+is below about 40-55 s, depending on the flow, which in 100 m cells is a
+dt/dx that draws no warning from the Simulator.  A singular network block
+raises SuperLU's RuntimeError at the first solve."""
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dtbtrs
 
-# SuperLU panel size: one column per panel factors the steady block's J^T
-# (about 4 entries per column) and the small network block S^T faster.
+# SuperLU panel size: one column per panel, for the small network block S^T
+# (about 3 entries per column), where panels of 2 and 4 gained nothing.
 LU_PANEL_SIZE = 1
 
-
-def whole_factors(jac, splu) -> SimpleNamespace:
-    """Factors of the steady block `jac` (CSR): the caller's `splu` of J^T."""
-    lu = splu(jac.T, panel_size=LU_PANEL_SIZE)
-    return SimpleNamespace(solve=lambda b: lu.solve(b, trans="T"),
-                           solve_transposed=lu.solve)
+# The largest growth of a pipe's march a solve accepts, as measured at the
+# first solve (about half the growing mode's factor): a solve's relative
+# error is about 1e-16 to 1e-15 times it (on a 66 km pipe in 100 m cells at
+# short steps, against a dense solve: 5e-12 at 3e4, 1.5e-11 at 6e4, 4e-10
+# at 6e5).
+MAX_MARCH_GROWTH = 5e4
 
 
 class CondensedFactors:
-    """Solves with a step block J = [A B; C D]: each is one LAPACK dgtsv on
-    G = T A (see StepCondensation; G^T for J^T) with two unit vectors more,
-    at each pipe's from- and to-coupling row (end flows for G^T), whose
-    rows give -A^-1 B (-A^-T C^T) and S, which the first solve factors."""
+    """Solves with a level block J, in LevelCondensation's partition: L, the
+    pipe block after the row operation and scaling, and B, C and D, the
+    blocks of the pipe rows by the network unknowns, of the network rows by
+    the pipe unknowns and of the network rows by the network unknowns.
+    Each solve is one dtbtrs on L (L^T for J^T) with two columns more, B's
+    two columns (C^T's for J^T), whose rows at the pipe ends give C L^-1 B
+    and so S = D - C L^-1 B, which the first solve factors.  A solve works
+    in one buffer whose rows are the band's, the network's and the
+    from-coupling's (rho_0's), in LevelCondensation's order."""
 
-    def __init__(self, cond: "StepCondensation", diagonals, st, d_vals, splu):
-        self.cond, self.diagonals, (self.s, self.t) = cond, diagonals, st
-        self.d_vals, self.splu, self.lu = d_vals, splu, None
+    def __init__(self, cond: "LevelCondensation", ab, scales, b_vals, d_vals,
+                 splu):
+        self.cond, self.ab, (self.tau, self.inv_m, self.inv_mom) = \
+            cond, ab, scales
+        self.b_vals, self.d_vals = b_vals, d_vals
+        self.splu, self.lu = splu, None
 
-    def _eliminate(self, b: np.ndarray, transposed: bool):
-        """G^-1 b (G^-T b), unit vectors at the ends put in b's last two."""
-        k = self.cond
-        b[k.q_ends if transposed else k.row_ends, k.unit_cols] = 1
-        x, info = dgtsv(*self.diagonals[::-1 if transposed else 1], b,
-                        overwrite_b=1)[3:]      # G^T: dl and du swapped
-        if info > 0:
-            pipe = k.names[np.searchsorted(k.stops, info - 1, "right")]
-            raise RuntimeError(f"zero pivot in the pipe block of pipe {pipe}")
-        unit = x[:, -2:]
-        if self.lu is None:     # S^T: D, less C A^-1 B at each pipe's ends
-            at = unit[k.row_ends].reshape(-1, 2, 2).transpose(0, 2, 1) \
-                if transposed else unit[k.q_ends]     # A^-1[q_e, row_f]
+    def _substitute(self, flat: np.ndarray, at, values, transposed: bool):
+        """flat.T with its band rows solved with L (L^T), after its two
+        last columns get the entries `values` at `at` (flat, past the other
+        columns): dtbtrs's result, flat.T itself where it solves in place.
+        The first call checks each pipe's march growth and factors S^T from
+        those columns' rows at the pipe ends."""
+        k, cols = self.cond, len(flat) - 2
+        flat.put(at + flat.shape[1] * cols, values)
+        x = dtbtrs(self.ab, flat.T, uplo="L", trans="T" if transposed else
+                   "N", diag="U", overwrite_b=1)[0]
+        if self.lu is None:  # C L^-1 B per pipe: (to-node, to-coupling) rows
+            if transposed:   # by (q_0, from-node) columns
+                ends = (x[k.first_rows, cols:].reshape(-1, 2, 2, 1)
+                        * self.b_vals[:, :, None]).sum(1)
+            else:
+                ends = x[k.end_rows, cols:].reshape(-1, 2, 2)
+            # each march's growth, free of units: its larger diagonal term,
+            # at least half the trace, the growing mode's eigenvalue
+            growth = np.abs(ends.reshape(-1, 4)[:, ::3])
+            if growth.max() > MAX_MARCH_GROWTH:
+                pipe = growth.max(1).argmax()
+                raise RuntimeError(
+                    f"march growth {growth[pipe].max():.3g} along pipe "
+                    f"{k.names[pipe]} exceeds {MAX_MARCH_GROWTH:.0e}: dt is "
+                    f"too short for its shooting")
             k.schur.data = np.bincount(k.schur_slots, np.concatenate(
-                [self.d_vals, (k.c * at.reshape(-1, 2)).ravel()]),
+                [self.d_vals, (k.minus_c * ends).ravel()]),
                 minlength=len(k.schur.indices))
             self.lu = self.splu(k.schur, panel_size=LU_PANEL_SIZE)
-        return x[:, :-2], unit
+        return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """J^-1 b."""
-        k, n, m = self.cond, self.cond.size, len(self.cond.box)
+        """J^-1 b: rho_0 = rho_from + b_from by each from-coupling row, so
+        x_P = z - X (q_0, rho_0) with z = L^-1 T Lambda b_P and X = L^-1 B,
+        and S y = b_N - C (z - X_rho b_from), X's rows at the to-ends."""
+        k, n = self.cond, 2 * len(self.tau)
         b2 = b.reshape(len(b), -1)
-        rhs = np.zeros((n, b2.shape[1] + 2), order="F")    # T b_1, band order
-        rhs[k.box, :-2] = b2[m:2 * m] - self.s * b2[:m]
-        rhs[k.box + 1, :-2] = b2[m:2 * m] - self.t * b2[:m]
-        rhs[k.row_ends, :-2] = b2[2 * m:n]
-        z, x = self._eliminate(rhs, False)                  # A^-1 b_1, A^-1 E
-        y2 = self.lu.solve(b2[n:] - k.node_sums(k.c * z[k.q_ends]),
-                           trans="T")
-        # y_1 = z - A^-1 B y_2 = z + X (y_2 at the nodes); all rho, all q
-        g = np.repeat(y2[k.pairs], k.sizes, 0)
-        z += x[:, :1] * g[:, 0] + x[:, 1:] * g[:, 1]
-        return np.concatenate([z[0::2], z[1::2], y2]).reshape(b.shape)
+        pipes, cols = len(k.sizes), b2.shape[1]
+        flat = np.zeros((cols + 2, len(k.perm)))
+        b2.T.take(k.row_take, 1, flat[:cols], "clip")
+        mass, mom = flat.T[0:n:2, :cols], flat.T[1:n:2, :cols]  # T Lambda b_P
+        mass -= self.tau * mom
+        mass *= self.inv_m
+        mom *= self.inv_mom
+        x = self._substitute(flat, k.b_at, self.b_vals, False)
+        y, rho_0 = x[n:-pipes, :cols], x[-pipes:, :cols]
+        ends = x[k.end_rows].reshape(pipes, 2, cols + 2)
+        ends = ends[:, :, :cols] - ends[:, :, -1:] * rho_0[:, None]
+        y += k.net_sums(k.minus_c * ends, k.end_net)
+        y[:] = self.lu.solve(y, trans="T")
+        rho_0 += y[k.from_net]
+        g = np.repeat(x[k.start_rows, :cols].reshape(pipes, 2, cols),
+                      k.sizes, 0)       # q_0, rho_0 per band row
+        z = x[:n, :cols]
+        z -= x[:n, cols:cols + 1] * g[:, 0] + x[:n, cols + 1:] * g[:, 1]
+        return x[:, :cols].take(k.perm, 0).reshape(b.shape)
 
     def solve_transposed(self, c: np.ndarray) -> np.ndarray:
-        """J^-T c = (T^T v, w_2), v solving G^T v = c_1 - C^T w_2."""
-        k, n = self.cond, self.cond.size
+        """J^-T c: with c = (c_P, c_N, c_0) in LevelCondensation's order, v
+        = L^-T (c_P - C^T w), S^T w = c_N + E^T c_0 - B^T L^-T c_P (E: each
+        from-coupling row's -1 at its node), the from-coupling rows' mu =
+        c_0 - (pipe rows by rho_0)^T v, and the pipe rows' multipliers T^T
+        Lambda v for the row operation T and the unit-diagonal scaling
+        Lambda."""
+        k, n = self.cond, 2 * len(self.tau)
         c2 = c.reshape(len(c), -1)
-        rhs = np.zeros((n, c2.shape[1] + 2), order="F")    # c_1, band order
-        rhs[0::2, :-2], rhs[1::2, :-2] = c2[:n // 2], c2[n // 2:n]
-        v, y = self._eliminate(rhs, True)                   # G^-T c_1, G^-T E
-        w2 = self.lu.solve(c2[n:] + k.node_sums(v[k.row_ends]))
-        g = np.repeat(k.c.reshape(-1, 2, 1) * w2[k.pairs], k.sizes, 0)
-        v -= y[:, :1] * g[:, 0] + y[:, 1:] * g[:, 1]   # g: C^T w_2 per row
-        mass, mom = v[k.box], v[k.box + 1]
-        return np.concatenate([-self.s * mass - self.t * mom, mass + mom,
-                               v[k.row_ends], w2]).reshape(c.shape)
+        pipes, cols = len(k.sizes), c2.shape[1]
+        flat = np.zeros((cols + 2, len(k.perm)))
+        c2.T.take(k.inv_perm, 1, flat[:cols], "clip")
+        v = self._substitute(flat, k.unit_at, 1.0, True)
+        w, mu = v[n:-pipes, :cols], v[-pipes:, :cols]
+        b_vals = self.b_vals[..., None]     # B^T v per pipe: q_0, rho_0
+        at = (b_vals * v[k.first_rows, :cols].reshape(-1, 2, 1, cols)).sum(1)
+        at[:, 1] -= mu
+        w -= k.net_sums(at, k.start_net)
+        w[:] = self.lu.solve(w)
+        g = np.repeat(k.minus_c * v[k.end_net_rows, :cols].reshape(
+            pipes, 2, cols), k.sizes, 0)     # -C^T w at (q_N, rho_N)
+        z = v[:n, :cols]
+        z += v[:n, cols:cols + 1] * g[:, 0] + v[:n, cols + 1:] * g[:, 1]
+        mu -= (b_vals[:, :, 1] * z[k.first_rows].reshape(-1, 2, cols)).sum(1)
+        z[0::2] *= self.inv_m
+        z[1::2] *= self.inv_mom
+        z[1::2] -= self.tau * z[0::2]
+        return v[:, :cols].take(k.row_perm, 0).reshape(c.shape)
 
 
-class StepCondensation:
-    """Condensed factorization of the step blocks J = [A B; C D].
+class LevelCondensation:
+    """Condensed factorization of the level blocks, by shooting along each
+    pipe.
 
-    A, the pipe block (the first n = 2 n_points rows and columns), is block
-    diagonal by pipe with bandwidth 2 in band order: columns (rho_p, q_p)
-    per grid point, rows per pipe from-coupling, (mass m, momentum M) per
-    interval, to-coupling.  T puts M - s m, s = M_qR / m_qR, in each mass
-    row and M - t m, t = M_rhoL / m_rhoL, in each momentum row: G = T A is
-    tridiagonal, T invertible while s != t, as in subsonic flow (t < 0 < s).
-    B (-1 at each coupling row's node density) and C (balance entries `c`
-    at the end flows) are constant; S = D - C A^-1 B takes A^-1 at the pipe
-    ends.  `factors` reads J's values in the assembler's entry order;
-    `rows` and `cols` give each entry's row and column, whence D and S.
+    A pipe's from-end density is its from-node's, rho_0 = rho_from + b by
+    its from-coupling row, and its from-end flow q_0 joins the network
+    unknowns (nodes, compressors, then one q_0 per pipe), as its
+    to-coupling row joins the network rows (node and compressor rows, then
+    one to-coupling row per pipe).  The pipe block keeps each cell
+    interval's right-end (q_R, rho_R) against its mass and momentum rows,
+    in band order, pipe after pipe: block lower bidiagonal.  The mass row
+    less tau = m_rhoR / M_rhoR times the momentum row (tau = 0 on steady
+    values, whose mass rows do not read rho) has no rho_R entry, so the
+    block is lower triangular with bandwidth 3, with pivots det(D_i) /
+    M_rhoR and M_rhoR for the interval's 2x2 block D_i; each row is scaled
+    to a unit diagonal.  `factors` reads J's values in the assembler's
+    entry order (the box stencil leads: mass rows by rho_L, rho_R, q_L,
+    q_R, then momentum rows alike); `rows` and `cols` give each entry's
+    row and column, whence D, and `c` each pipe end's balance entry.
     """
 
-    def __init__(self, rows, cols, left, points, nodes, c, names):
-        self.sizes, self.names = 2 * points, names   # band rows per pipe
-        stops = self.stops = np.cumsum(self.sizes)
-        n = self.size = int(stops[-1])
-        m = self.net = int(rows.max()) + 1 - n   # every row holds an entry
-        self.box = 2 * left + 1   # mass rows
-        # band rows of the coupling rows; the to-end's is its flow's column
-        self.row_ends = np.stack([stops - self.sizes, stops - 1], 1).ravel()
-        self.q_ends = self.row_ends + np.tile([1, 0], len(stops))
-        # columns of _eliminate's unit vectors, at the row_ends (q_ends)
-        self.unit_cols = np.tile([-2, -1], len(stops))
-        # places in [dl | d | du] of M - s m at rho_L, rho_R, q_L and of
-        # M - t m at rho_R, q_L, q_R (T cancels the other two), and of the
-        # coupling entries
-        b = self.box
-        self._mass_at = np.stack([b - 1, b + 2 * n - 1, b + n - 1])
-        self._mom_at = np.stack([b + n, b, b + 2 * n])
-        self._ends_at = self.row_ends + np.tile([n - 1, -1], len(stops))
-        self.nodes, self.c = nodes - n, c[:, None]
-        self.pairs = self.nodes.reshape(-1, 2)   # per pipe: (from, to)
-        # S's CSR pattern: D's entries, then the Schur products, which the
-        # pipes at one node (or between one pair of nodes) add into a slot
-        self._d_take = np.flatnonzero((rows >= n) & (cols >= n))
+    def __init__(self, rows, cols, left, points, node_cols, c, names):
+        self.names = names
+        n, pipes = len(left), len(points)
+        pts, size = int(points.sum()), int(rows.max()) + 1  # every row has one
+        nc = size - 2 * pts          # nodes and compressors
+        m, band = nc + pipes, 2 * n
+        pair = lambda a, b: np.array([a, b]).T.ravel()   # a_0, b_0, a_1, ...
+        self.stops = np.cumsum(points - 1)        # intervals, cumulated
+        first, last = self.stops - (points - 1), self.stops - 1
+        self.sizes = 2 * (points - 1)              # band rows per pipe
+        starts = np.cumsum(points) - points        # each pipe's first point
+        self.from_net, self.to_net = (node_cols.reshape(-1, 2) - 2 * pts).T
+        self.q0_net = nc + np.arange(pipes)
+        self.net = m
+        # per pipe: the to-node balance row reads q_N, the to-coupling rho_N
+        # (C), and B's columns are q_0 and the from-node's density
+        self.minus_c = -np.array([c[1::2], np.ones(pipes)]).T[:, :, None]
+        self.end_net = pair(self.to_net, self.q0_net)
+        self.start_net = pair(self.q0_net, self.from_net)
+        # a solve's buffer rows: the band's (first and last interval of each
+        # pipe), the network's at the pipe ends, and q_0 and rho_0 per pipe
+        self.first_rows = pair(2 * first, 2 * first + 1)
+        self.end_rows = pair(2 * last, 2 * last + 1)
+        self.end_net_rows = band + self.end_net
+        rho_0 = band + m + np.arange(pipes)
+        self.start_rows = pair(band + self.q0_net, rho_0)
+        # the gas unknowns' places in [band (q_R, rho_R per interval),
+        # network, rho_0], and the gas rows' in [band (mass, momentum),
+        # network, from-coupling]; the inverses gather a solve's input
+        coupling, right, seq = band + 2 * np.arange(pipes), left + 1, \
+            np.arange(n)
+        self.perm = perm = np.empty(size, dtype=np.intp)
+        perm[right], perm[pts + right] = 2 * seq + 1, 2 * seq
+        perm[2 * pts:] = band + np.arange(nc)
+        perm[pts + starts], perm[starts] = band + self.q0_net, rho_0
+        self.row_perm = row_perm = np.empty_like(perm)
+        row_perm[:band] = np.concatenate([2 * seq, 2 * seq + 1])
+        row_perm[coupling], row_perm[coupling + 1] = rho_0, band + self.q0_net
+        row_perm[2 * pts:] = perm[2 * pts:]
+        self.inv_perm, self.row_take = np.empty_like(perm), np.empty_like(perm)
+        self.inv_perm[perm] = self.row_take[row_perm] = np.arange(size)
+        # L's band, (4, band) in Fortran order, taken from factors' scaled
+        # rows (mass less tau momentum, then momentum, each by rho_L, rho_R,
+        # q_L, q_R per interval) and a zero: at the q column's diagonal and
+        # the rho column's third subdiagonal, past the last row, and where
+        # an interval's left end is its pipe's q_0 and rho_0 (B's entries);
+        # the rho column's unit diagonal (4) is not read
+        take = seq[:, None] * np.array([0, 1, 1, 1, 1, 1, 1, 0]) + np.array(
+            [8 * n, 7 * n, 2 * n + 1, 6 * n + 1, 1, 1, 4 * n + 1, 8 * n])
+        take[last, 2:7] = 8 * n
+        self._band_take = take.ravel()
+        # B's values per pipe, (mass, momentum) row by (q_0, rho_0) column,
+        # and their places in the two extra columns; C^T's unit entries
+        self._b_take = np.array([2 * n + first, first, 6 * n + first,
+                                 4 * n + first]).T.ravel()
+        self.b_at = (self.first_rows[:, None] + size * np.arange(2)).ravel()
+        self.unit_at = np.concatenate([2 * last, 2 * last + 1 + size])
+        # S's CSR pattern: D's entries (none among the leading box entries),
+        # then the Schur products, which the pipes at one node (or between
+        # one pair of nodes) add into a slot
+        r, q = row_perm[rows[8 * n:]] - band, perm[cols[8 * n:]] - band
+        d = np.flatnonzero((r >= 0) & (r < m) & (q >= 0) & (q < m))
+        self._d_take = 8 * n + d
         keys = np.concatenate([
-            m * (rows[self._d_take] - n) + cols[self._d_take] - n,
-            (m * self.nodes[:, None] + np.repeat(self.pairs, 2, 0)).ravel()])
+            m * r[d] + q[d],
+            (m * self.end_net.reshape(-1, 2, 1)
+             + self.start_net.reshape(-1, 1, 2)).ravel()])
         unique = keys[np.argsort(keys, kind="stable")]
         unique = unique[np.concatenate([[True], unique[1:] != unique[:-1]])]
         self.schur_slots = np.searchsorted(unique, keys)
@@ -133,21 +239,38 @@ class StepCondensation:
              np.searchsorted(unique, m * np.arange(m + 1)).astype(np.int32)),
             shape=(m, m))
 
-    def node_sums(self, per_end: np.ndarray) -> np.ndarray:
-        """Sums of per_end's rows (one per pipe end) at each end's node."""
-        k = per_end.shape[1]
-        at = (k * self.nodes[:, None] + np.arange(k)).ravel()
+    def net_sums(self, per_end: np.ndarray, net: np.ndarray) -> np.ndarray:
+        """The network-sized sums of per_end's rows, one per pipe end (or
+        per pipe and B column), each at its network row in `net`."""
+        k = per_end.shape[-1]
+        at = net if k == 1 else (k * net[:, None] + np.arange(k)).ravel()
         return np.bincount(at, per_end.ravel(), self.net * k).reshape(-1, k)
 
+    def _zero_pivot(self, pivots: np.ndarray):
+        pipe = self.names[np.searchsorted(
+            self.stops, np.flatnonzero(pivots == 0)[0], "right")]
+        raise RuntimeError(f"zero pivot in the pipe block of pipe {pipe}")
+
     def factors(self, values, splu) -> CondensedFactors:
-        """Factors of the step Jacobian `values`; `splu` factors S^T."""
-        n, k, ends = self.size, 8 * len(self.box), len(self.row_ends)
-        m, mo = values[:k].reshape(2, 4, -1)   # rho_L, rho_R, q_L, q_R
-        s, t = mo[3] / m[3], mo[0] / m[0]
-        tri = np.zeros(3 * n - 2)
-        tri[self._mass_at] = mo[:3] - s * m[:3]
-        tri[self._mom_at] = mo[1:] - t * m[1:]
-        tri[self._ends_at] = values[k:k + ends]
+        """Factors of the level Jacobian `values` (read, not copied); `splu`
+        factors S^T at the first solve."""
+        n = len(self._band_take) // 8
+        vals = values[:8 * n].reshape(8, n)  # m, M by rho_L, rho_R, q_L, q_R
+        if np.count_nonzero(vals[5]) < n:
+            self._zero_pivot(vals[5])
+        tau = vals[1] / vals[5]
+        src = np.empty(8 * n + 1)
+        scaled = src[:-1].reshape(8, n)
+        np.multiply(tau, vals[4:], out=scaled[:4])
+        np.subtract(vals[:4], scaled[:4], out=scaled[:4])
+        if np.count_nonzero(scaled[3]) < n:
+            self._zero_pivot(scaled[3])
+        inv_m, inv_mom = 1.0 / scaled[3], 1.0 / vals[5]
+        scaled[:4] *= inv_m
+        np.multiply(vals[4:], inv_mom, out=scaled[4:])
+        src[-1] = 0.0
         return CondensedFactors(
-            self, (tri[:n - 1], tri[n - 1:2 * n - 1], tri[2 * n - 1:]),
-            (s[:, None], t[:, None]), values[self._d_take], splu)
+            self, src.take(self._band_take).reshape(-1, 4).T,
+            (tau[:, None], inv_m[:, None], inv_mom[:, None]),
+            src.take(self._b_take).reshape(-1, 2, 2), values[self._d_take],
+            splu)

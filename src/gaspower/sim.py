@@ -30,21 +30,19 @@ then to-end: node, flow column, area signed into the node), off which the
 balances, pressure coupling, compressor rows and node injections are read,
 and the entries of dR/dy_next, so an iterate pays only for the guards on
 its own values and a step Jacobian is its values in that entry order;
-dR/dy_prev and dR/du are constant.  factors() alone chooses how a level
-block is factored, for Newton and the adjoint sweeps alike: a step block
-by lu.StepCondensation straight from its values (a 2x2 row transform per
-cell makes the pipe block tridiagonal, for one LAPACK dgtsv per solve; the
-caller's splu factors the network block of nodes and compressors), the
-steady block dR/dy_next + dR/dy_prev whole (lu.whole_factors) as the one
-CSR matrix (matrix() on the set-up pattern, the entries that cancel stored
-as zeros).  The linear rows (pressure coupling, node balances, boundary
-rows) form one constant sparse operator.  After set-up the assembler holds
-no state: evaluate(y) returns an Iterate, y with its Colebrook friction
-and its pointwise gas terms (gas.point_terms), and the residual and the
-Jacobian at y both read it, so each iterate's pointwise physics is
-evaluated once and the Jacobian only combines it.  The residual is the
-rows of the iterate less an offset fixed for its step (step_offset: the
-old level's pair means, the boundary values, the lift and the plant
+dR/dy_prev and dR/du are constant.  factors() factors a level block, for
+Newton and the adjoint sweeps alike: a step block dR/dy_next, or the
+steady block, which adds dR/dy_prev's values, by lu.LevelCondensation
+straight from its values (shooting along each pipe, one LAPACK dtbtrs per
+solve; the caller's splu factors the network block of nodes, compressors
+and each pipe's from-end flow).  The linear rows (pressure coupling, node
+balances, boundary rows) form one constant sparse operator.  After set-up
+the assembler holds no state: evaluate(y) returns an Iterate, y with its
+Colebrook friction and its pointwise gas terms (gas.point_terms), and the
+residual and the Jacobian at y both read it, so each iterate's pointwise
+physics is evaluated once and the Jacobian only combines it.  The residual
+is the rows of the iterate less an offset fixed for its step (step_offset:
+the old level's pair means, the boundary values, the lift and the plant
 offtake), which a Newton step builds once.  The Newton solves return their
 converged Iterate, and Simulator.run keeps each level's friction on the
 Trajectory, so the adjoint and tangent sweeps evaluate a stored state with
@@ -65,7 +63,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import gas, power
-from .lu import StepCondensation, whole_factors
+from .lu import LevelCondensation
 from .model import (BUS_QUANTITIES, FLOW_BOUNDARY, PINNED_QUANTITIES,
                     POWER_COUPLING, PRESSURE_BOUNDARY, CoupledNetwork,
                     incident_pipe_area, nodal_admittance, validate_network)
@@ -225,13 +223,14 @@ class _Snapshot:
 class Iterate(NamedTuple):
     """A y_next of gas unknowns with its Colebrook friction and the
     gas.point_terms built on it; a Newton solve returns its last Iterate
-    with the iterations it took and its max-norm residual."""
+    with its iterations, step halvings and max-norm residual."""
 
     y: np.ndarray
     friction: tuple | np.ndarray   # (lambda, dlambda/dq) per grid point
     terms: gas.PointTerms
     iterations: int = 0
     residual_norm: float = np.nan
+    halvings: int = 0
 
 
 @dataclass(frozen=True)
@@ -243,11 +242,11 @@ class Trajectory:
     the trajectory (adjoint._level_solve) need not solve Colebrook again.
     That invariant is the caller's to keep: a trajectory made with
     dataclasses.replace(states=...) keeps the old friction.  Simulator.run
-    makes states and friction read-only.  newton_iterations[n] and
-    residual_norm[n], not compared, count level n's Newton iterations on
-    the gas system (level 0: the steady solve) and give its final max-norm
-    residual there; grid_iterations[n] counts the Newton iterations of its
-    power flow, 0 where the grid of level n - 1 solves it.
+    makes states and friction read-only.  Not compared: newton_iterations,
+    step_halvings and residual_norm give level n's Newton iterations on the
+    gas system (level 0: the steady solve), their step halvings and its
+    final max-norm residual, grid_iterations[n] its power flow's Newton
+    iterations, 0 where level n - 1 pins the same grid values.
     """
 
     index: VariableIndex
@@ -257,6 +256,7 @@ class Trajectory:
     friction: np.ndarray         # (M+1, 2, n_points): lambda, dlambda/dq
     newton_iterations: np.ndarray = field(compare=False)   # (M+1,)
     grid_iterations: np.ndarray = field(compare=False)     # (M+1,)
+    step_halvings: np.ndarray = field(compare=False)       # (M+1,)
     residual_norm: np.ndarray = field(compare=False)       # (M+1,)
 
     @property
@@ -443,7 +443,7 @@ class CoupledStepAssembler:
         self.jac_prev = at_slots(values)
         self.jac_prev.data.flags.writeable = False
         # the box and coupling entries lead the values; C: end balances
-        self.condensation = StepCondensation(
+        self.condensation = LevelCondensation(
             rows, cols, self.grid.left,
             np.array([p.cell_count + 1 for p in self.pipes]),
             self.coupling_node_cols, np.where(
@@ -588,20 +588,14 @@ class CoupledStepAssembler:
         jac.data = values[self._slot_entry]
         return jac
 
-    def steady_jacobian(self, it: Iterate, dt: float):
-        """dR/dy of the steady block R(y, y, u) at it: jacobian() plus the
-        values of dR/dy_prev in the same entry order, as a CSR matrix on
-        the set-up pattern."""
-        return self.matrix(self.jacobian(it, dt) + self._prev_values)
-
     def factors(self, it: Iterate, dt: float, splu, steady: bool):
-        """Factors of the level block at it, which solve with J and J^T:
-        the steady block whole (lu.whole_factors), a step block condensed
-        (condensation.factors); `splu` factors the steady block or a step
-        block's network block."""
+        """condensation.factors of the level block at it (`splu` factors
+        its network block): dR/dy_next, or the steady block, which adds the
+        values of dR/dy_prev in the same entry order."""
+        values = self.jacobian(it, dt)
         if steady:
-            return whole_factors(self.steady_jacobian(it, dt), splu)
-        return self.condensation.factors(self.jacobian(it, dt), splu)
+            values += self._prev_values
+        return self.condensation.factors(values, splu)
 
 
 def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
@@ -642,7 +636,7 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
     if not np.isfinite(norm):
         row = np.flatnonzero(~np.isfinite(res))[0]
         raise SimulationError(f"non-finite residual in {row_of(row)}")
-    iterations = 0
+    iterations = halved = 0
     while norm >= tol:
         if iterations >= max_iter:
             raise stuck("Newton did not reach tolerance")
@@ -653,7 +647,7 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
         if not np.isfinite(step).all():
             raise SingularJacobian("non-finite Newton step")
         factor = 1.0
-        for _ in range(halvings):
+        for k in range(halvings):
             cand = it.y + factor * step
             if assembler.admissible(cand):
                 cand = assembler.evaluate(cand)
@@ -665,8 +659,9 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
             factor *= 0.5
         else:
             raise stuck("Newton line search stalled")
-        iterations += 1
-    return it._replace(iterations=iterations, residual_norm=norm)
+        iterations, halved = iterations + 1, halved + k
+    return it._replace(iterations=iterations, residual_norm=norm,
+                       halvings=halved)
 
 
 def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
@@ -713,6 +708,8 @@ class Simulator:
         self._check_grid_regime()
 
     def _check_grid_regime(self):
+        """Log each pipe whose dt/dx is 20x off the reference; lu's solves
+        refuse steps near (dt/dx)(c - v) = 1/2 or a march grown past 5e4."""
         dt = self.scenario.dt
         for pipe in self.network.gas.pipes:
             ratio = (dt / pipe.dx) / _REFERENCE_DT_DX
@@ -737,7 +734,7 @@ class Simulator:
         gas_size = asm.size
         states = np.empty((m + 1, asm.index.size))
         friction = np.empty((m + 1, 2, asm.n_points))
-        iterations, grid_iterations = np.empty((2, m + 1), dtype=int)
+        iterations, grid_iterations, halvings = np.zeros((3, m + 1), dtype=int)
         norms = np.empty(m + 1)
         # the flat grid, V = 1 and phi = P = Q = 0; the solve pins the rest
         grid = np.tile([1.0, 0.0, 0.0, 0.0], len(asm.busses))
@@ -745,10 +742,12 @@ class Simulator:
             # linear extrapolation in time cuts one Newton iteration
             guess = 2.0 * states[j - 1, :gas_size] - states[j - 2, :gas_size] \
                 if j >= 2 else None
-            try:
-                grid, grid_iterations[j] = power.solve_powerflow(
-                    asm.G, asm.B, asm.bus_ids, grid, asm.grid_pinned,
-                    snap.bus_fixed.ravel(), self.tol)
+            try:   # an unchanged pinned grid keeps its solved power flow
+                if j == 0 or not np.array_equal(
+                        snap.bus_fixed, self.snapshots[j - 1].bus_fixed):
+                    grid, grid_iterations[j] = power.solve_powerflow(
+                        asm.G, asm.B, asm.bus_ids, grid, asm.grid_pinned,
+                        snap.bus_fixed.ravel(), self.tol)
                 it = steady_state(
                     asm, snap, grid, control[0], dt,
                     self.tol) if j == 0 else newton_solve_step(
@@ -761,11 +760,12 @@ class Simulator:
                     f"failed: {exc}") from exc
             states[j, :gas_size], states[j, gas_size:] = it.y, grid
             friction[j] = it.friction
-            iterations[j], norms[j] = it.iterations, it.residual_norm
+            iterations[j], halvings[j], norms[j] = \
+                it.iterations, it.halvings, it.residual_norm
         states.flags.writeable = friction.flags.writeable = False
         return Trajectory(asm.index, self.scenario.times.copy(), states,
                           control.copy(), friction, iterations,
-                          grid_iterations, norms)
+                          grid_iterations, halvings, norms)
 
 
 def simulate(network: CoupledNetwork, scenario: Scenario,

@@ -92,10 +92,20 @@ def make_mixed_network():
 def zero_flow_column(asm, values, pipe):
     """The step Jacobian `values` (in the assembler's entry order, which
     the box stencil leads) with its box entries in the column of `pipe`'s
-    first flow set to zero: a singular pipe block."""
+    last flow set to zero: a singular pipe block.  (Its first flow, q_0,
+    is a network unknown of the condensation.)"""
     cols = asm.box_next[1]
-    values[:len(cols)][cols == asm.index.pipe_q[pipe].start] = 0.0
+    values[:len(cols)][cols == asm.index.pipe_q[pipe].stop - 1] = 0.0
     return values
+
+
+def steady_jacobian(asm, it, dt):
+    """dR/dy of the steady block R(y, y, u) at the Iterate it: the
+    assembler's step Jacobian plus the values of dR/dy_prev in the same
+    entry order, as a CSR matrix on the set-up pattern, the entries that
+    cancel stored as zeros (the block assembler.factors(steady=True)
+    factors)."""
+    return asm.matrix(asm.jacobian(it, dt) + asm._prev_values)
 
 
 def coupled_residual(asm, y_prev, y, u, snap, dt):
@@ -128,7 +138,7 @@ def coupled_jacobian(asm, y, dt, steady=False):
     g = asm.size
     it = asm.evaluate(y[:g])
     jac = np.zeros((len(y), len(y)))
-    jac[:g, :g] = (asm.steady_jacobian(it, dt) if steady else
+    jac[:g, :g] = (steady_jacobian(asm, it, dt) if steady else
                    asm.matrix(asm.jacobian(it, dt))).toarray()
     np.add.at(jac, (asm.plant_rows, g + asm.plant_cols),
               asm.grid_coupling(y[g:]))

@@ -138,9 +138,10 @@ def test_linearity_in_the_functional(toy):
 
 
 def test_one_factorization_per_level_in_the_adjoint_sweep(toy, monkeypatch):
-    """The sweep factors each level once: steps M..1 through the network
-    block (the Schur complement of the pipe block), then the whole steady
-    block at level 0."""
+    """The sweep factors each level once, steps M..1 and then the steady
+    block at level 0, each through its network block (the Schur complement
+    of the pipe block: nodes, compressors and one from-end flow per
+    pipe)."""
     simulator, trajectory = toy
     asm = simulator.assembler
     n = asm.index.size
@@ -153,8 +154,8 @@ def test_one_factorization_per_level_in_the_adjoint_sweep(toy, monkeypatch):
 
     monkeypatch.setattr(adjoint_mod, "splu", counting)
     adjoint_sweep(simulator, trajectory, np.zeros_like(trajectory.states))
-    network_block = (n - 2 * asm.n_points,) * 2
-    assert shapes == [network_block] * trajectory.step_count + [(n, n)]
+    network_block = (n - 2 * asm.n_points + len(asm.pipes),) * 2
+    assert shapes == [network_block] * (trajectory.step_count + 1)
 
 
 def test_sweeps_reuse_the_forward_friction(monkeypatch):
@@ -359,30 +360,30 @@ def test_one_factorization_per_level_for_sensitivities(toy, monkeypatch):
 @pytest.mark.parametrize("sweep", ["adjoint", "tangent"])
 def test_singular_level_block_names_the_level(monkeypatch, sweep, level):
     """A singular level block raises SingularJacobian naming the sweep, the
-    level and its time: P2's flow column zeroed in a step level's pipe
-    block gives a zero pivot in its dgtsv, and zeroed in the steady block
-    an exactly singular SuperLU factor."""
+    level and its time: P2's last flow column zeroed in a step level's
+    pipe block gives a zero pivot there, and its first flow column (a
+    network unknown) zeroed in the steady block an exactly singular
+    SuperLU factor of the network block."""
     simulator = Simulator(make_mixed_network(),
                           make_toy_scenario(steps=3, outflow_flux=60.0))
     trajectory = simulator.run(np.linspace(1.0e5, 1.6e5, 4))
     asm, at = simulator.assembler, trajectory.states[level]
-    col = asm.index.pipe_q["P2"].start
-    jacobian, steady_jacobian = asm.jacobian, asm.steady_jacobian
+    # each Jacobian entry's column, in the assembler's entry order
+    cols = np.empty_like(asm._slot_entry)
+    cols[asm._slot_entry] = asm._pattern.indices
+    q0 = cols == asm.index.pipe_q["P2"].start
+    jacobian = asm.jacobian
 
-    def singular_step(it, dt):
+    def singular(it, dt):
         values = jacobian(it, dt)
-        return zero_flow_column(asm, values, "P2") \
-            if np.array_equal(it.y, at) else values
+        if not np.array_equal(it.y, at):
+            return values
+        if level:
+            return zero_flow_column(asm, values, "P2")
+        values[q0] = -asm._prev_values[q0]  # zero in the steady block
+        return values
 
-    def singular_steady(it, dt):
-        jac = steady_jacobian(it, dt)
-        jac.data[jac.indices == col] = 0.0
-        return jac
-
-    if level:
-        monkeypatch.setattr(asm, "jacobian", singular_step)
-    else:
-        monkeypatch.setattr(asm, "steady_jacobian", singular_steady)
+    monkeypatch.setattr(asm, "jacobian", singular)
     cause = "pipe P2" if level else "Factor is exactly singular"
     with pytest.raises(SingularJacobian, match=rf"^{sweep} sweep, level "
                        rf"{level} \(t = {0.25 * level:.2f} h\): .*{cause}$"):

@@ -11,13 +11,13 @@ from scipy.sparse.linalg import splu
 
 from gaspower import gas
 from gaspower import io as gio
+from gaspower import lu as lu_mod
 from gaspower import power
 from gaspower import sim as sim_mod
 from gaspower.adjoint import adjoint_sweep
 from gaspower.model import (PINNED_QUANTITIES, CompressorArc, CoupledNetwork,
                             GasNetwork, GasNode, Pipe, PowerGrid,
                             incident_pipe_area)
-from gaspower.lu import whole_factors
 from gaspower.sim import (BUS_QUANTITIES, MASS_FLOW_SCALE, BoundaryData,
                           CoupledStepAssembler, MaxIterationsExceeded,
                           Scenario, SimulationError, Simulator,
@@ -26,7 +26,7 @@ from gaspower.sim import (BUS_QUANTITIES, MASS_FLOW_SCALE, BoundaryData,
 
 from conftest import (box_scheme_residual, coupled_jacobian,
                       coupled_residual, make_mixed_network, make_toy_network,
-                      make_toy_scenario, zero_flow_column)
+                      make_toy_scenario, steady_jacobian, zero_flow_column)
 
 
 def _index_maps(index):
@@ -390,6 +390,29 @@ class TestSimulate:
         assert np.flatnonzero(counts).tolist() == [0, 5, 6]
         assert counts.shape == (bundled_simulator.scenario.step_count + 1,)
 
+    def test_unchanged_grid_data_skip_the_power_flow(
+            self, bundled_simulator, uncontrolled_trajectory, monkeypatch):
+        """A level whose pinned grid values equal the previous level's keeps
+        that level's grid: a bundled run solves the power flow at levels 0,
+        5 and 6 alone, and at every other level a solve from the kept grid
+        returns it, to the bit, in 0 iterations, so the trajectory equals
+        one that solves the power flow at every level."""
+        simulator, states = bundled_simulator, uncontrolled_trajectory.states
+        asm, snaps, g = simulator.assembler, simulator.snapshots, \
+            bundled_simulator.assembler.size
+        calls, original = [], power.solve_powerflow
+        monkeypatch.setattr(power, "solve_powerflow", lambda *args: (
+            calls.append(args[5].copy()), original(*args))[1])
+        assert simulator.run().states.tobytes() == states.tobytes()
+        assert np.array_equal(calls, [snaps[j].bus_fixed.ravel()
+                                      for j in (0, 5, 6)])
+        for j in set(range(1, len(snaps))) - {5, 6}:
+            grid, iterations = original(
+                asm.G, asm.B, asm.bus_ids, states[j - 1, g:],
+                asm.grid_pinned, snaps[j].bus_fixed.ravel(), simulator.tol)
+            assert iterations == 0
+            assert grid.tobytes() == states[j, g:].tobytes()
+
     def test_control_length_checked(self, bundled_simulator):
         with pytest.raises(ValueError):
             bundled_simulator.run(np.zeros(10))
@@ -516,6 +539,30 @@ class TestSimulate:
                                 simulator.scenario.dt)
             assert trajectory.residual_norm[level] == np.abs(res).max()
 
+    def test_trajectory_counts_the_step_halvings(
+            self, uncontrolled_trajectory, monkeypatch):
+        """step_halvings counts, per level, the halvings of the Newton steps
+        whose full step was rejected: none on the bundled uncontrolled run,
+        and some on the toy network when its outflow jumps back to 600
+        kg/(m^2 s) after a step at 60, where each halving costs one
+        evaluated candidate and so one residual more."""
+        assert not uncontrolled_trajectory.step_halvings.any()
+        boundary = BoundaryData.from_breakpoints({
+            ("A", "pressure"): [(0.0, 60e5)],
+            ("C", "outflow"): [(0.0, 60.0), (900.0, 600.0), (1800.0, 60.0),
+                               (2700.0, 600.0)]})
+        simulator = Simulator(make_toy_network(), Scenario(
+            horizon=2700.0, dt=900.0, boundary=boundary))
+        asm, residuals = simulator.assembler, []
+        original = asm.residual
+        monkeypatch.setattr(asm, "residual", lambda *args: (
+            residuals.append(1), original(*args))[1])
+        trajectory = simulator.run()
+        halvings = trajectory.step_halvings
+        assert halvings.shape == (4,) and halvings.sum() >= 1
+        assert len(residuals) == 4 + trajectory.newton_iterations.sum() \
+            + halvings.sum()
+
     def test_result_does_not_depend_on_call_history(self, bundled):
         simulator = Simulator(*bundled)
         control = np.full(simulator.scenario.step_count + 1, 4.0e5)
@@ -525,12 +572,13 @@ class TestSimulate:
         assert np.array_equal(first.states, second.states)
 
     def test_one_splu_per_factorization(self, monkeypatch):
-        """Every Jacobian Newton takes is factored by one splu: of the
-        whole block in the steady solve, of the network block (the Schur
-        complement of the pipe block) in every step."""
+        """Every Jacobian Newton takes is factored by one splu, of the
+        network block (the Schur complement of the pipe block: nodes,
+        compressors and one from-end flow per pipe), in the steady solve
+        and in every step alike."""
         simulator = Simulator(make_toy_network(), make_toy_scenario(steps=3))
         asm = simulator.assembler
-        n, pipe_block = asm.index.size, 2 * asm.n_points
+        size = asm.index.size - 2 * asm.n_points + len(asm.pipes)
         events, steady = [], []
         original_splu, original_steady = sim_mod.splu, sim_mod.steady_state
         original_jacobian = asm.jacobian
@@ -558,7 +606,6 @@ class TestSimulate:
         for (kind, in_steady), (call, shape, lu_steady) in zip(events[0::2],
                                                                events[1::2]):
             assert (kind, call, lu_steady) == ("jacobian", "splu", in_steady)
-            size = n if in_steady else n - pipe_block
             assert shape == (size, size)
         assert {in_steady for _, in_steady in events[0::2]} == {True, False}
 
@@ -739,7 +786,7 @@ class TestMixedGeometryJacobian:
         evaluations = calls["point_terms"]
         it = asm.evaluate(y1)
         asm.jacobian(it, 900.0)
-        asm.steady_jacobian(it, 900.0)
+        steady_jacobian(asm, it, 900.0)
         assert calls["friction_factor_and_derivative"] == \
             calls["point_terms"] == evaluations + 1
 
@@ -894,7 +941,7 @@ class TestFixedPattern:
         it = asm.evaluate(y1)
         first = asm.matrix(asm.jacobian(it, 900.0))
         values = first.data.copy()
-        steady = asm.steady_jacobian(it, 900.0)
+        steady = steady_jacobian(asm, it, 900.0)
         second = asm.matrix(asm.jacobian(asm.evaluate(1.001 * y1), 900.0))
         assert not np.array_equal(first.data, second.data)
         assert np.array_equal(first.data, values)
@@ -906,14 +953,12 @@ class TestFixedPattern:
                            for other in (first, second, steady)
                            if other is not jac)
 
-    def test_only_the_steady_block_is_a_matrix(self, bundled_simulator,
-                                               uncontrolled_trajectory,
-                                               monkeypatch):
-        """A step Jacobian stays a flat array of values, which
-        condensation.factors reads: Newton's steps and the adjoint sweep's
-        step levels build no CSR matrix, and each steady iteration (like
-        the sweep's level 0) builds one.  Both go through factors(), whose
-        steady flag says which block it factors."""
+    def test_no_level_block_is_a_matrix(self, bundled_simulator,
+                                        uncontrolled_trajectory, monkeypatch):
+        """A level Jacobian stays a flat array of values, which
+        condensation.factors reads: Newton's steps, the steady iterations
+        and the adjoint sweep build no CSR matrix.  All go through
+        factors(), whose steady flag says which block it factors."""
         asm, dt = bundled_simulator.assembler, bundled_simulator.scenario.dt
         states, calls = uncontrolled_trajectory.states, []
         for name in ("factors", "jacobian", "matrix"):
@@ -925,7 +970,7 @@ class TestFixedPattern:
         values = asm.jacobian(asm.evaluate(gas[5]), dt)
         assert values.shape == asm._pattern.indices.shape
         step, steady = [("factors", False), "jacobian"], [
-            ("factors", True), "jacobian", "matrix"]
+            ("factors", True), "jacobian"]
         calls.clear()
         newton_solve_step(asm, gas[4], 0.0, bundled_simulator.snapshots[5],
                           states[5, asm.size:], dt)
@@ -933,7 +978,7 @@ class TestFixedPattern:
         calls.clear()
         steady_state(asm, bundled_simulator.snapshots[0],
                      states[0, asm.size:], 0.0, dt)
-        assert len(calls) > 3 and calls == steady * (len(calls) // 3)
+        assert len(calls) > 2 and calls == steady * (len(calls) // 2)
         calls.clear()
         adjoint_sweep(bundled_simulator, uncontrolled_trajectory,
                       np.ones_like(states))
@@ -961,10 +1006,10 @@ class TestFixedPattern:
         factorization, and the factorization leaves the start unchanged."""
         asm, snap = bundled_simulator.assembler, bundled_simulator.snapshots[0]
         y = asm.flat_state(snap)
-        jac = asm.steady_jacobian(asm.evaluate(y),
-                                  bundled_simulator.scenario.dt)
-        first, later = (whole_factors(jac, splu) for _ in range(2))
-        rhs = np.random.default_rng(11).standard_normal((jac.shape[0], 3))
+        it = asm.evaluate(y)
+        first, later = (asm.factors(it, bundled_simulator.scenario.dt, splu,
+                                    steady=True) for _ in range(2))
+        rhs = np.random.default_rng(11).standard_normal((asm.size, 3))
         for b in (rhs[:, 0], rhs):
             assert np.array_equal(first.solve(b), later.solve(b))
             assert np.array_equal(first.solve_transposed(b),
@@ -972,8 +1017,8 @@ class TestFixedPattern:
         assert np.array_equal(asm.flat_state(snap), y)
 
     def test_zero_pivot_names_the_pipe(self, monkeypatch):
-        """A singular pipe block gives a zero pivot in the dgtsv of the
-        first solve, and Newton's error names the pipe."""
+        """A singular pipe block gives a zero pivot at the factorization,
+        and Newton's error names the pipe."""
         asm = CoupledStepAssembler(make_mixed_network())
         snap, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
@@ -982,6 +1027,28 @@ class TestFixedPattern:
         monkeypatch.setattr(asm, "jacobian", lambda *args: zero_flow_column(
             asm, original(*args), "P2"))
         with pytest.raises(SingularJacobian, match="pipe P2$"):
+            newton_solve_step(asm, y, 1.2e5, snap, NO_GRID, 900.0,
+                              y_guess=1.001 * y)
+
+    def test_singular_interval_block_names_the_pipe(self, monkeypatch):
+        """A singular 2x2 block of one cell interval (mass and momentum row
+        by its right end's q and rho), as near (dt/dx)(c - v) = 1/2, makes
+        the mass row's pivot after the row operation exactly 0, and
+        Newton's error names the pipe."""
+        asm = CoupledStepAssembler(make_mixed_network())
+        snap, = asm.boundary_snapshots(
+            make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
+        y = steady_state(asm, snap, NO_GRID, 1.0e5, 900.0).y
+        original, last = asm.jacobian, len(asm.grid.left) - 1   # in P3
+
+        def singular(*args):
+            values = original(*args)
+            block = values[:8 * (last + 1)].reshape(8, -1)[:, last]
+            block[3], block[5], block[7] = block[1], 1.0, 1.0
+            return values
+
+        monkeypatch.setattr(asm, "jacobian", singular)
+        with pytest.raises(SingularJacobian, match="pipe P3$"):
             newton_solve_step(asm, y, 1.2e5, snap, NO_GRID, 900.0,
                               y_guess=1.001 * y)
 
@@ -1008,7 +1075,7 @@ class TestFixedPattern:
         asm, snap, _, y, grid = step
         u, dt = 2.0e5, 900.0
         it = asm.evaluate(y)
-        jac = asm.steady_jacobian(it, dt)
+        jac = steady_jacobian(asm, it, dt)
         assert np.array_equal(jac.indices, asm._pattern.indices)
         assert np.array_equal(jac.indptr, asm._pattern.indptr)
         assert np.array_equal(jac.toarray(),
@@ -1058,8 +1125,8 @@ FACTOR_CASES = {
 def test_factors_solve_both_directions(case):
     """solve gives J^-1 b and solve_transposed J^-T b, for one and for
     several right-hand sides: from the condensed factors of a step block
-    and from the whole factors of the steady block, each direction first
-    on one factorization (the first condensed solve forms S)."""
+    and of the steady block (factors(..., steady=True)), each direction
+    first on one factorization (the first solve forms S)."""
     network, scenario, u = FACTOR_CASES[case]()
     control = np.full(scenario.step_count + 1, u)
     simulator = Simulator(network, scenario)
@@ -1067,14 +1134,13 @@ def test_factors_solve_both_directions(case):
     y = simulator.run(control).states[:, :asm.size]
     flows = y[1][asm.n_points:2 * asm.n_points]
     assert np.all(flows < 0) if case == "reversed" else np.all(flows > 0)
-    step = asm.jacobian(asm.evaluate(y[1]), dt)
-    steady = asm.steady_jacobian(asm.evaluate(y[0]), dt)
     rhs = np.random.default_rng(5).standard_normal((asm.size, 3))
-    for factors, block, dense in (
-            (asm.condensation.factors, step, asm.matrix(step).toarray()),
-            (whole_factors, steady, steady.toarray())):
+    for level, steady in ((1, False), (0, True)):
+        it = asm.evaluate(y[level])
+        dense = (steady_jacobian(asm, it, dt) if steady else
+                 asm.matrix(asm.jacobian(it, dt))).toarray()
         for order in ((0, 1), (1, 0)):
-            lu = factors(block, splu)
+            lu = asm.factors(it, dt, splu, steady)
             for b in (rhs[:, 0], rhs):
                 for k in order:
                     got = (lu.solve, lu.solve_transposed)[k](b)
@@ -1084,46 +1150,122 @@ def test_factors_solve_both_directions(case):
                         1e-10 * np.linalg.norm(expected)
 
 
-def test_pipe_block_is_tridiagonal_after_the_row_transform(
+def test_solves_read_the_substitution_result(monkeypatch):
+    """solve and solve_transposed build their result from the array
+    dtbtrs returns, so they hold where it solves in a copy of the buffer
+    rather than in place."""
+    network, scenario, u = FACTOR_CASES["mixed"]()
+    simulator = Simulator(network, scenario)
+    asm, dt = simulator.assembler, scenario.dt
+    y = simulator.run(np.full(scenario.step_count + 1, u)).states[1]
+    it = asm.evaluate(y[:asm.size])
+    dense = asm.matrix(asm.jacobian(it, dt)).toarray()
+    original = lu_mod.dtbtrs
+    monkeypatch.setattr(lu_mod, "dtbtrs", lambda ab, b, **options: original(
+        ab, b.copy(order="F"), **{**options, "overwrite_b": 0}))
+    rhs = np.random.default_rng(3).standard_normal((asm.size, 2))
+    lu = asm.factors(it, dt, splu, False)
+    for k in (0, 1):
+        got = (lu.solve, lu.solve_transposed)[k](rhs)
+        expected = np.linalg.solve((dense, dense.T)[k], rhs)
+        assert np.linalg.norm(got - expected) <= \
+            1e-10 * np.linalg.norm(expected)
+
+
+def _long_pipes_level(dt):
+    """The bundled network with every pipe's grid 10 times finer (P25: 66 km
+    in 100 m cells), a converged state of its uncontrolled run, and the
+    Simulator of a two-step scenario at dt with the warnings it logged."""
+    network, scenario = gio.load_bundled()
+    network = replace(network, gas=replace(network.gas, pipes=tuple(
+        replace(p, cell_count=10 * p.cell_count) for p in network.gas.pipes)))
+    asm = CoupledStepAssembler(network)
+    y = Simulator(network, scenario).run().states[3, :asm.size]
+    return network, replace(scenario, horizon=2 * dt, dt=dt), asm, y
+
+
+@pytest.mark.parametrize("dt", [900.0, 60.0])
+def test_long_marches_solve_to_dense_accuracy(dt, caplog):
+    """Shooting along a pipe amplifies its left-running characteristic
+    by about exp(L / ((c - v) dt)), which a solve loses in accuracy.  On
+    the 66 km pipe in 100 m cells at dt = 60 s (a growth of about 2e4 as
+    lu measures it, and a dt/dx the Simulator accepts without a warning),
+    both directions still match a dense solve to 1e-10, each first on its
+    factorization."""
+    network, scenario, asm, y = _long_pipes_level(dt)
+    Simulator(network, scenario)
+    assert not caplog.records
+    it = asm.evaluate(y)
+    dense = asm.matrix(asm.jacobian(it, dt)).toarray()
+    rhs = np.random.default_rng(7).standard_normal(asm.size)
+    for k in (0, 1):
+        lu = asm.factors(it, dt, splu, False)
+        for j in (k, 1 - k):
+            got = (lu.solve, lu.solve_transposed)[j](rhs)
+            expected = np.linalg.solve((dense, dense.T)[j], rhs)
+            assert np.linalg.norm(got - expected) <= \
+                1e-10 * np.linalg.norm(expected)
+
+
+def test_march_growth_past_the_bound_names_the_pipe(caplog):
+    """At dt = 20 s the march along the 66 km pipe P25 grows by about 3e8
+    as lu measures it, past lu.MAX_MARCH_GROWTH, where a solve errs by
+    about 4e-7: the first solve in either direction raises, naming the
+    pipe, and so does the Simulator's first step that factors, although
+    dt/dx draws no warning."""
+    network, scenario, asm, y = _long_pipes_level(20.0)
+    simulator = Simulator(network, scenario)
+    assert not caplog.records
+    it, rhs = asm.evaluate(y), np.ones(asm.size)
+    for k in (0, 1):
+        lu = asm.factors(it, 20.0, splu, False)
+        with pytest.raises(RuntimeError, match="along pipe P25 exceeds 5e"):
+            (lu.solve, lu.solve_transposed)[k](rhs)
+    with pytest.raises(SimulationError, match="step 1 .* pipe P25 exceeds"):
+        simulator.run([0.0, 1.0e5, 1.0e5])    # a lift step: Newton factors
+
+
+def test_pipe_block_is_lower_triangular_after_the_row_operation(
         bundled_simulator, uncontrolled_trajectory):
-    """StepCondensation's (dl, d, du) is T A, the pipe block A of a step
-    Jacobian in band order (per pipe: from-coupling row, mass and momentum
-    row per interval, to-coupling row; columns (rho, q) per point) with
-    each interval's momentum row M less s = M_qR / m_qR times its mass row
-    m in the mass row's place and less t = M_rhoL / m_rhoL times m in its
-    own.  T is invertible while s != t: along the bundled trajectory the
-    ratios keep opposite signs, t < 0 < s, as in subsonic flow."""
+    """The band of LevelCondensation's factors is Lambda T A: A, the pipe
+    block of a level Jacobian in band order (rows: each interval's mass
+    row m and momentum row M; columns: its right end's q_R and rho_R),
+    with each mass row less tau = m_rhoR / M_rhoR times its momentum row
+    (T) and each row scaled to a unit diagonal (Lambda).  T A is lower
+    triangular with bandwidth 3, its mass rows' rho_R entries cancelled to
+    round-off, and along the bundled trajectory its pivots (det D_i /
+    M_rhoR and M_rhoR of each interval's 2x2 block D_i) are positive, as
+    in subsonic flow; on the steady block's values tau = 0."""
     asm, states = bundled_simulator.assembler, uncontrolled_trajectory.states
-    dt = bundled_simulator.scenario.dt
-    n, points, left = 2 * asm.n_points, asm.n_points, asm.grid.left
-    ends = [end for p in asm.pipes for end in (
-        2 * asm.index.pipe_rho[p.id].start,
-        2 * asm.index.pipe_rho[p.id].stop - 1)]
-    rows = np.concatenate([2 * left + 1, 2 * left + 2, ends])
-    cols = np.concatenate([2 * np.arange(points), 2 * np.arange(points) + 1])
-    mass, mom = 2 * left + 1, 2 * left + 2
-    pattern = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
-    for level in range(1, len(states)):
-        values = asm.jacobian(asm.evaluate(states[level, :asm.size]), dt)
-        a = np.zeros((n, n))
-        a[np.ix_(rows, cols)] = asm.matrix(values)[:n, :n].toarray()
-        s = a[mom, mass + 2] / a[mass, mass + 2]
-        t = a[mom, mass - 1] / a[mass, mass - 1]
-        assert np.all(t < 0.0) and np.all(s > 0.0)
+    dt, left = bundled_simulator.scenario.dt, asm.grid.left
+    points = asm.n_points
+    n = 2 * len(left)
+    rows = np.stack([np.arange(n // 2), n // 2 + np.arange(n // 2)], 1).ravel()
+    cols = np.stack([points + left + 1, left + 1], 1).ravel()
+    mass, mom = np.arange(0, n, 2), np.arange(1, n, 2)
+    below = np.subtract.outer(np.arange(n), np.arange(n))
+    band = (below >= 0) & (below <= 3)
+    for level in range(len(states)):
+        it = asm.evaluate(states[level, :asm.size])
+        jac = steady_jacobian(asm, it, dt) if level == 0 else \
+            asm.matrix(asm.jacobian(it, dt))
+        a = jac.toarray()[np.ix_(rows, cols)]
+        tau = a[mass, mom] / a[mom, mom]
         ta = a.copy()
-        ta[mass] = a[mom] - s[:, None] * a[mass]
-        ta[mom] = a[mom] - t[:, None] * a[mass]
-        lu = asm.condensation.factors(values, splu)
-        dl, d, du = lu.diagonals
-        assert np.array_equal(lu.s.ravel(), s) and np.array_equal(
-            lu.t.ravel(), t)
-        tridiagonal = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
-        assert np.array_equal(tridiagonal[pattern], ta[pattern])
-        # off the pattern: exact zeros, but for the q_R entry of M - s m
-        # and the rho_L entry of M - t m, which cancel to round-off
-        scale = np.max(np.abs(a), axis=1, keepdims=True)
-        assert np.all(np.abs(ta[~pattern]) <= 1e-15 * np.broadcast_to(
-            scale, a.shape)[~pattern])
+        ta[mass] -= tau[:, None] * a[mom]
+        lu = asm.factors(it, dt, splu, steady=level == 0)
+        assert np.array_equal(lu.tau.ravel(), tau)
+        assert level or not tau.any()
+        pivots = np.diag(ta)
+        assert np.all(pivots > 0.0)
+        scale = np.broadcast_to(np.max(np.abs(a), axis=1, keepdims=True),
+                                a.shape)
+        assert np.all(np.abs(ta[~band]) <= 1e-15 * scale[~band])
+        unit = np.eye(n)
+        for d in range(1, 4):
+            unit[np.arange(d, n), np.arange(n - d)] = lu.ab[d, :n - d]
+        np.testing.assert_allclose(unit[band], (ta / pivots[:, None])[band],
+                                   rtol=1e-14, atol=0.0)
 
 
 def test_parallel_pipes_share_the_demand():
