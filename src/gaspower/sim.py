@@ -29,30 +29,30 @@ one table of arc ends (every pipe end, then every compressor end, from-end
 then to-end: node, flow column, area signed into the node), off which the
 balances, pressure coupling, compressor rows and node injections are read,
 and the entries of dR/dy_next, so an iterate pays only for the guards on
-its own values and a step Jacobian is its values in that entry order;
-dR/dy_prev and dR/du are constant.  factors() factors a level block, for
-Newton and the adjoint sweeps alike: a step block dR/dy_next, or the
-steady block, which adds dR/dy_prev's values, by lu.LevelCondensation
-straight from its values (shooting along each pipe, one LAPACK dtbtrs per
-solve; the caller's splu factors the network block of nodes, compressors
-and each pipe's from-end flow).  The linear rows (pressure coupling, node
-balances, boundary rows) form one constant sparse operator.  After set-up
-the assembler holds no state: evaluate(y) returns an Iterate, y with its
-Colebrook friction and its pointwise gas terms (gas.point_terms), and the
-residual and the Jacobian at y both read it, so each iterate's pointwise
-physics is evaluated once and the Jacobian only combines it.  The residual
-is the rows of the iterate less an offset fixed for its step (step_offset:
-the old level's pair means, the boundary values, the lift and the plant
-offtake), which a Newton step builds once.  The Newton solves return their
-converged Iterate, and Simulator.run keeps each level's friction on the
-Trajectory, so the adjoint and tangent sweeps evaluate a stored state with
-the friction it converged with: Colebrook is solved once per Newton
-iterate, never in a sweep.
+its own values and a step Jacobian is its values in that entry order, no
+matrix; dR/dy_prev (CSR, two old-level columns per box row) and dR/du are
+constant.  factors() factors a level block, for Newton and the adjoint
+sweeps alike: a step block dR/dy_next, or the steady block, which adds
+dR/dy_prev's values, by lu.LevelCondensation straight from its values
+(shooting along each pipe, one LAPACK dtbtrs per solve; the caller's splu
+factors the network block of nodes, compressors and each pipe's from-end
+flow).  The residual writes its linear rows (pressure coupling, boundary
+rows, and the node balances, one bincount over the arc ends) itself.
+After set-up the assembler holds no state: evaluate(y) returns an
+Iterate, y with its Colebrook friction and its pointwise gas terms
+(gas.point_terms), and the residual and the Jacobian at y both read it,
+so each iterate's pointwise physics is evaluated once and the Jacobian
+only combines it.  The residual is the rows of the iterate less an offset
+fixed for its step (step_offset: the old level's pair means, the boundary
+values, the lift and the plant offtake), which a Newton step builds once.
+The Newton solves return their converged Iterate, and Simulator.run keeps
+each level's friction on the Trajectory, so the adjoint and tangent sweeps
+evaluate a stored state with the friction it converged with: Colebrook is
+solved once per Newton iterate, never in a sweep.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -233,7 +233,7 @@ class Iterate(NamedTuple):
     halvings: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """States at t_j = j dt together with the applied control sequence.
 
@@ -242,11 +242,12 @@ class Trajectory:
     the trajectory (adjoint._level_solve) need not solve Colebrook again.
     That invariant is the caller's to keep: a trajectory made with
     dataclasses.replace(states=...) keeps the old friction.  Simulator.run
-    makes states and friction read-only.  Not compared: newton_iterations,
-    step_halvings and residual_norm give level n's Newton iterations on the
-    gas system (level 0: the steady solve), their step halvings and its
-    final max-norm residual, grid_iterations[n] its power flow's Newton
-    iterations, 0 where level n - 1 pins the same grid values.
+    makes states and friction read-only.  newton_iterations, step_halvings
+    and residual_norm give level n's Newton iterations on the gas system
+    (level 0: the steady solve), their step halvings and its final
+    max-norm residual, grid_iterations[n] its power flow's Newton
+    iterations, 0 where level n - 1 pins the same grid values.  Equality
+    and hash are the object's identity, as the arrays have no truth value.
     """
 
     index: VariableIndex
@@ -254,10 +255,10 @@ class Trajectory:
     states: np.ndarray           # (M+1, N_y)
     control: np.ndarray          # Pa, (M+1,)
     friction: np.ndarray         # (M+1, 2, n_points): lambda, dlambda/dq
-    newton_iterations: np.ndarray = field(compare=False)   # (M+1,)
-    grid_iterations: np.ndarray = field(compare=False)     # (M+1,)
-    step_halvings: np.ndarray = field(compare=False)       # (M+1,)
-    residual_norm: np.ndarray = field(compare=False)       # (M+1,)
+    newton_iterations: np.ndarray   # (M+1,)
+    grid_iterations: np.ndarray     # (M+1,)
+    step_halvings: np.ndarray       # (M+1,)
+    residual_norm: np.ndarray       # (M+1,)
 
     @property
     def step_count(self) -> int:
@@ -278,9 +279,11 @@ class CoupledStepAssembler:
     rows, the n_box / 2 momentum rows, and the coupling rows of pipe k at
     n_box + 2k (from end) and n_box + 2k + 1 (to end).  Node and
     compressor rows sit at their node's density column and their
-    compressor's flux column.  grid_jacobian and grid_coupling give the
-    blocks of the grid rows and of the plants' dependence on the grid.
-    The network must pass validate_network.
+    compressor's flux column.  A Jacobian is the values of its entries
+    (`entries`, fixed at set-up), never a matrix; jac_prev, the constant
+    dR/dy_prev, is the one CSR matrix.  grid_jacobian and grid_coupling
+    give the blocks of the grid rows and of the plants' dependence on the
+    grid.  The network must pass validate_network.
     """
 
     def __init__(self, network: CoupledNetwork):
@@ -332,12 +335,14 @@ class CoupledStepAssembler:
         self._build_pattern()
 
     def _build_pattern(self):
-        """Row indices and scales, and the fixed CSR pattern.
+        """Row indices and scales, and the entry list.
 
         Every row index is read off the unknowns' layout (see the class
-        docstring).  The entries of dR/dy_next are listed once, in the
-        order jacobian() concatenates their values: box stencil, constant
-        entries (also the residual's linear rows), compressors.
+        docstring).  The entries of dR/dy_next are listed once, as
+        `entries` (rows, cols), in the order jacobian() concatenates their
+        values: box stencil, constant entries (those of the residual's
+        linear rows), compressors.  No two share a (row, col); the list is
+        not sorted, and no level block is ever a matrix.
         """
         idx = self.index
         size = self.size = idx.gas_size
@@ -405,42 +410,21 @@ class CoupledStepAssembler:
         self._const_vals = np.concatenate([v * np.ones(len(r))
                                            for r, _, v in const])
 
-        rows, cols = (np.concatenate(part) for part in zip(
+        self.entries = rows, cols = tuple(np.concatenate(part) for part in zip(
             self.box_next, (const_rows, const_cols),
             *[(self._comp_rows, node) for node in self._comp_ends]))
-        # the CSR order of the entries, by row and then by column: data[s]
-        # takes entry _slot_entry[s] of the value list
-        keys = rows * size + cols
-        self._slot_entry = np.argsort(keys, kind="stable")
-        keys = keys[self._slot_entry]
-        if (keys[1:] == keys[:-1]).any():
-            raise AssertionError("two step Jacobian entries share a slot")
         self._entry_scale = self.row_scale[rows]
-        indices = cols[self._slot_entry].astype(np.int32)
-        indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-        indices.flags.writeable = indptr.flags.writeable = False
-        # matrix() copies it with new data; its own is a memory-free view
-        self._pattern = sparse.csr_matrix(
-            (np.broadcast_to(0.0, len(indices)), indices, indptr),
-            (size, size))
-
-        def at_slots(values):   # the nonzero entries alone, as CSR
-            matrix = self.matrix(values)
-            matrix.indices, matrix.indptr = indices.copy(), indptr.copy()
-            matrix.eliminate_zeros()
-            return matrix
-
-        # the linear rows hold the constant entries; dR/dy_prev is constant,
-        # -1/2 on the old level of the box stencil, and its values make the
-        # steady block when added to the step Jacobian's
-        values = np.zeros(len(rows))
-        first = len(self.box_next[0])
-        values[first:first + len(self._const_vals)] = self._const_vals
-        self._linear = at_slots(values)
-        self._prev_values = values = np.zeros(len(rows))
-        values[self._box_old] = -0.5 * self.row_scale[rows[self._box_old]]
-        self.jac_prev = at_slots(values)
+        # dR/dy_prev is constant, -1/2 on the old level of the box stencil
+        # (mass rows by rho, momentum rows by q), and its values make the
+        # steady block when added to the step Jacobian's; in CSR, each box
+        # row holds its two old-level entries in column order
+        old = self._box_old
+        self._prev_values = np.zeros(len(rows))
+        self._prev_values[old] = -0.5 * self._entry_scale[old]
+        by_row = lambda a: a[old].reshape(2, 2, -1).transpose(0, 2, 1).ravel()
+        self.jac_prev = sparse.csr_matrix((
+            by_row(self._prev_values), by_row(cols),
+            np.minimum(2 * np.arange(size + 1), 2 * n_box)), (size, size))
         self.jac_prev.data.flags.writeable = False
         # the box and coupling entries lead the values; C: end balances
         self.condensation = LevelCondensation(
@@ -538,14 +522,21 @@ class CoupledStepAssembler:
     def residual(self, it: Iterate, offset, dt: float) -> np.ndarray:
         """R(y_prev, it.y, u), rows scaled by row_scale, where `offset` is
         step_offset(y_prev, u, snap, grid): the rows of it.y less the
-        offset's b.  Those rows are the constant linear operator applied to
-        it.y; the box rows (gas.box_residual on the offset's means) and
-        compressor rows replace it."""
-        old, b = offset
-        res = self._linear @ it.y
+        offset's b.  Those rows are the box rows (gas.box_residual on the
+        offset's means), each pipe end's density less its node's, each
+        node's balance (the signed flows of its arc ends, summed in their
+        order) or, at a pressure boundary, its density, and each
+        compressor's pressure lift."""
+        old, b, y = *offset, it.y
+        res = np.empty(self.size)
         res[:self.grid.shape[0]] = gas.box_residual(old, it.terms, dt,
                                                     self.grid)
-        p_to, p_from = gas._pressure(it.y[self._comp_ends], self.constants)
+        res[self.coupling_rows] = y[self.coupling_cols] \
+            - y[self.coupling_node_cols]
+        res[self.node_rows] = np.bincount(
+            self.end_node, self.end_area * y[self.end_flow], len(self.nodes))
+        res[self._pb_rows] = y[self._pb_rows]
+        p_to, p_from = gas._pressure(y[self._comp_ends], self.constants)
         res[self._comp_rows] = p_to - p_from
         res -= b
         res *= self.row_scale
@@ -553,9 +544,9 @@ class CoupledStepAssembler:
 
     def jacobian(self, it: Iterate, dt: float) -> np.ndarray:
         """dR/dy_next at it, rows scaled like residual(): its values in the
-        set-up entry order, which condensation.factors reads and matrix()
-        turns into CSR.  dR/dy_prev and dR/du are constant: the read-only
-        attributes jac_prev and d_du."""
+        order of `entries`, which condensation.factors reads.  dR/dy_prev
+        and dR/du are constant: the read-only attributes jac_prev (CSR,
+        two entries per box row) and d_du."""
         dp_to, dp_from = gas.dpressure_drho(it.y[self._comp_ends],
                                             self.constants)
         values = np.concatenate([gas._box_blocks(it.terms, dt, self.grid),
@@ -580,13 +571,6 @@ class CoupledStepAssembler:
             * self.row_scale[self.plant_rows] \
             * power.plant_gas_offtake_derivative(grid[..., self.plant_cols],
                                                  self._plants)
-
-    def matrix(self, values: np.ndarray):
-        """jacobian()'s `values` as a CSR matrix on the set-up pattern
-        arrays, with its own data (its transpose: CSC, the same arrays)."""
-        jac = copy.copy(self._pattern)
-        jac.data = values[self._slot_entry]
-        return jac
 
     def factors(self, it: Iterate, dt: float, splu, steady: bool):
         """condensation.factors of the level block at it (`splu` factors

@@ -99,13 +99,25 @@ def zero_flow_column(asm, values, pipe):
     return values
 
 
+def dense_block(asm, values):
+    """A level block's `values`, in the order of the assembler's entry list
+    (asm.entries, as jacobian() returns them), as a dense array: each
+    value added at its (row, col)."""
+    jac = np.zeros((asm.size, asm.size))
+    np.add.at(jac, asm.entries, values)
+    return jac
+
+
+def step_jacobian(asm, it, dt):
+    """dR/dy_next of the step block at the Iterate it, dense."""
+    return dense_block(asm, asm.jacobian(it, dt))
+
+
 def steady_jacobian(asm, it, dt):
-    """dR/dy of the steady block R(y, y, u) at the Iterate it: the
+    """dR/dy of the steady block R(y, y, u) at the Iterate it, dense: the
     assembler's step Jacobian plus the values of dR/dy_prev in the same
-    entry order, as a CSR matrix on the set-up pattern, the entries that
-    cancel stored as zeros (the block assembler.factors(steady=True)
-    factors)."""
-    return asm.matrix(asm.jacobian(it, dt) + asm._prev_values)
+    entry order (the block assembler.factors(steady=True) factors)."""
+    return dense_block(asm, asm.jacobian(it, dt) + asm._prev_values)
 
 
 def coupled_residual(asm, y_prev, y, u, snap, dt):
@@ -138,8 +150,7 @@ def coupled_jacobian(asm, y, dt, steady=False):
     g = asm.size
     it = asm.evaluate(y[:g])
     jac = np.zeros((len(y), len(y)))
-    jac[:g, :g] = (steady_jacobian(asm, it, dt) if steady else
-                   asm.matrix(asm.jacobian(it, dt))).toarray()
+    jac[:g, :g] = (steady_jacobian if steady else step_jacobian)(asm, it, dt)
     np.add.at(jac, (asm.plant_rows, g + asm.plant_cols),
               asm.grid_coupling(y[g:]))
     jac[g:, g:] = asm.grid_jacobian(y[g:])

@@ -26,7 +26,8 @@ from gaspower.sim import (BUS_QUANTITIES, MASS_FLOW_SCALE, BoundaryData,
 
 from conftest import (box_scheme_residual, coupled_jacobian,
                       coupled_residual, make_mixed_network, make_toy_network,
-                      make_toy_scenario, steady_jacobian, zero_flow_column)
+                      make_toy_scenario, steady_jacobian, step_jacobian,
+                      zero_flow_column)
 
 
 def _index_maps(index):
@@ -323,8 +324,35 @@ class TestNewtonStep:
                                 bundled_simulator.snapshots[j])
             assert np.max(np.abs(res[rows])) < 1e-9
 
+    def test_balance_rows_are_the_node_injections(self, bundled_simulator,
+                                                  uncontrolled_trajectory):
+        """Each balance row is (-node_injections - b) row_scale, bit for bit,
+        at every level of a run (level 0: the steady offset)."""
+        asm, dt = bundled_simulator.assembler, bundled_simulator.scenario.dt
+        traj, g = uncontrolled_trajectory, bundled_simulator.assembler.size
+        balance = np.ones(len(asm.nodes), dtype=bool)
+        balance[asm._pb_nodes] = False
+        rows = asm.node_rows[balance]
+        injections = asm.node_injections(traj.states)[:, balance]
+        for j, snap in enumerate(bundled_simulator.snapshots):
+            y = traj.states[j]
+            offset = asm.step_offset(traj.states[max(j - 1, 0), :g],
+                                     traj.control[j], snap, y[g:])
+            res = asm.residual(asm.evaluate(y[:g], traj.friction[j]), offset,
+                               dt)
+            assert np.array_equal(res[rows], (-injections[j] - offset[1][
+                rows]) * asm.row_scale[rows])
+
 
 class TestSimulate:
+    def test_trajectories_compare_by_identity(self, bundled_simulator,
+                                              uncontrolled_trajectory):
+        """Two runs' trajectories compare unequal, as a bool, and hash."""
+        other = bundled_simulator.run()
+        assert (other == uncontrolled_trajectory) is False
+        assert (other == other) is True
+        assert len({other, uncontrolled_trajectory, other}) == 2
+
     def test_steady_persistence_with_constant_boundary(self, bundled):
         network, scenario = bundled
         constant = {}
@@ -746,8 +774,7 @@ class TestMixedGeometryJacobian:
         y_prev = y1 if same_levels else y0
         u, dt = 1.2e5, 900.0
         it = asm.evaluate(y1)
-        jac = asm.matrix(asm.jacobian(it, dt))
-        assert_close(jac.toarray(), central_differences(
+        assert_close(step_jacobian(asm, it, dt), central_differences(
             lambda y: asm.residual(asm.evaluate(y), asm.step_offset(
                 y_prev, u, snap, NO_GRID), dt), y1))
         assert_close(asm.jac_prev.toarray(), central_differences(
@@ -922,8 +949,8 @@ def test_gas_only_network_supported():
 
 
 class TestFixedPattern:
-    """The step Jacobian keeps the entry order fixed at set-up, and its
-    matrix the CSR pattern."""
+    """The step Jacobian keeps the entry order fixed at set-up, and each
+    of its values owns its array."""
 
     @pytest.fixture()
     def step(self, bundled_simulator, uncontrolled_trajectory):
@@ -935,21 +962,22 @@ class TestFixedPattern:
                 y1[:asm.size], y1[asm.size:])
 
     def test_pattern_is_fixed_and_canonical(self, step):
-        """Every Jacobian's matrix shares the set-up pattern arrays and owns
-        its data: a steady block built in between leaves it unchanged."""
+        """The entry list names each (row, col) once, and every Jacobian's
+        values, one per entry, own their array: a steady block built in
+        between leaves them unchanged."""
         asm, snap, y0, y1, _ = step
+        rows, cols = asm.entries
+        assert len(np.unique(rows * asm.size + cols)) == len(rows)
         it = asm.evaluate(y1)
-        first = asm.matrix(asm.jacobian(it, 900.0))
-        values = first.data.copy()
-        steady = steady_jacobian(asm, it, 900.0)
-        second = asm.matrix(asm.jacobian(asm.evaluate(1.001 * y1), 900.0))
-        assert not np.array_equal(first.data, second.data)
-        assert np.array_equal(first.data, values)
+        first = asm.jacobian(it, 900.0)
+        values = first.copy()
+        steady = asm.jacobian(it, 900.0) + asm._prev_values
+        second = asm.jacobian(asm.evaluate(1.001 * y1), 900.0)
+        assert not np.array_equal(first, second)
+        assert np.array_equal(first, values)
         for jac in (first, second, steady):
-            assert jac.format == "csr" and jac.has_canonical_format
-            assert jac.indices is asm._pattern.indices
-            assert jac.indptr is asm._pattern.indptr
-            assert not any(np.shares_memory(jac.data, other.data)
+            assert jac.shape == rows.shape
+            assert not any(np.shares_memory(jac, other)
                            for other in (first, second, steady)
                            if other is not jac)
 
@@ -961,14 +989,15 @@ class TestFixedPattern:
         factors(), whose steady flag says which block it factors."""
         asm, dt = bundled_simulator.assembler, bundled_simulator.scenario.dt
         states, calls = uncontrolled_trajectory.states, []
-        for name in ("factors", "jacobian", "matrix"):
+        assert not hasattr(asm, "matrix")
+        for name in ("factors", "jacobian"):
             def counted(*args, original=getattr(asm, name), name=name):
                 calls.append((name, args[3]) if name == "factors" else name)
                 return original(*args)
             monkeypatch.setattr(asm, name, counted)
         gas = states[:, :asm.size]
         values = asm.jacobian(asm.evaluate(gas[5]), dt)
-        assert values.shape == asm._pattern.indices.shape
+        assert values.shape == asm.entries[0].shape
         step, steady = [("factors", False), "jacobian"], [
             ("factors", True), "jacobian"]
         calls.clear()
@@ -1060,28 +1089,45 @@ class TestFixedPattern:
             with pytest.raises(ValueError):
                 values[0] = 1.0
 
+    @pytest.mark.parametrize("case", ["bundled", "mixed"])
+    def test_prev_block_has_two_old_level_entries_per_box_row(
+            self, bundled_simulator, case):
+        """jac_prev is canonical CSR: each box row's two old-level entries
+        of the stencil (a mass row's densities, a momentum row's flows),
+        -1/2 row_scale each, and no entry in any other row."""
+        asm = bundled_simulator.assembler if case == "bundled" else \
+            CoupledStepAssembler(make_mixed_network())
+        jac, n_box = asm.jac_prev, asm.grid.shape[0]
+        assert jac.format == "csr" and jac.has_canonical_format
+        assert np.array_equal(np.diff(jac.indptr),
+                              np.where(np.arange(asm.size) < n_box, 2, 0))
+        rows, cols = asm.box_next
+        old = asm._box_old
+        for row in range(n_box):
+            assert np.array_equal(
+                jac.indices[2 * row:2 * row + 2],
+                np.sort(cols[old][rows[old] == row]))
+        assert np.array_equal(jac.data, -0.5 * np.repeat(
+            asm.row_scale[:n_box], 2))
+
     def test_every_column_matches_central_differences(self, step):
         """Covers the plant and compressor rows too, the grid held fixed."""
         asm, snap, y0, y1, grid = step
         u, dt = 2.0e5, 900.0
-        jac_next = asm.matrix(asm.jacobian(asm.evaluate(y1), dt))
-        assert_close(jac_next.toarray(), central_differences(
+        jac_next = step_jacobian(asm, asm.evaluate(y1), dt)
+        assert_close(jac_next, central_differences(
             lambda y: asm.residual(asm.evaluate(y), asm.step_offset(
                 y0, u, snap, grid), dt), y1))
 
     def test_steady_jacobian_matches_central_differences(self, step):
-        """The steady block keeps the step pattern, its cancelled entries
-        stored as zeros, and equals dR/dy_next + dR/dy_prev exactly."""
+        """The steady block equals dR/dy_next + dR/dy_prev exactly."""
         asm, snap, _, y, grid = step
         u, dt = 2.0e5, 900.0
         it = asm.evaluate(y)
         jac = steady_jacobian(asm, it, dt)
-        assert np.array_equal(jac.indices, asm._pattern.indices)
-        assert np.array_equal(jac.indptr, asm._pattern.indptr)
-        assert np.array_equal(jac.toarray(),
-                              (asm.matrix(asm.jacobian(it, dt))
-                               + asm.jac_prev).toarray())
-        assert_close(jac.toarray(), central_differences(
+        assert np.array_equal(jac, step_jacobian(asm, it, dt)
+                              + asm.jac_prev.toarray())
+        assert_close(jac, central_differences(
             lambda y: asm.residual(asm.evaluate(y),
                                    asm.step_offset(y, u, snap, grid), dt), y))
 
@@ -1137,8 +1183,7 @@ def test_factors_solve_both_directions(case):
     rhs = np.random.default_rng(5).standard_normal((asm.size, 3))
     for level, steady in ((1, False), (0, True)):
         it = asm.evaluate(y[level])
-        dense = (steady_jacobian(asm, it, dt) if steady else
-                 asm.matrix(asm.jacobian(it, dt))).toarray()
+        dense = (steady_jacobian if steady else step_jacobian)(asm, it, dt)
         for order in ((0, 1), (1, 0)):
             lu = asm.factors(it, dt, splu, steady)
             for b in (rhs[:, 0], rhs):
@@ -1159,7 +1204,7 @@ def test_solves_read_the_substitution_result(monkeypatch):
     asm, dt = simulator.assembler, scenario.dt
     y = simulator.run(np.full(scenario.step_count + 1, u)).states[1]
     it = asm.evaluate(y[:asm.size])
-    dense = asm.matrix(asm.jacobian(it, dt)).toarray()
+    dense = step_jacobian(asm, it, dt)
     original = lu_mod.dtbtrs
     monkeypatch.setattr(lu_mod, "dtbtrs", lambda ab, b, **options: original(
         ab, b.copy(order="F"), **{**options, "overwrite_b": 0}))
@@ -1196,7 +1241,7 @@ def test_long_marches_solve_to_dense_accuracy(dt, caplog):
     Simulator(network, scenario)
     assert not caplog.records
     it = asm.evaluate(y)
-    dense = asm.matrix(asm.jacobian(it, dt)).toarray()
+    dense = step_jacobian(asm, it, dt)
     rhs = np.random.default_rng(7).standard_normal(asm.size)
     for k in (0, 1):
         lu = asm.factors(it, dt, splu, False)
@@ -1247,9 +1292,8 @@ def test_pipe_block_is_lower_triangular_after_the_row_operation(
     band = (below >= 0) & (below <= 3)
     for level in range(len(states)):
         it = asm.evaluate(states[level, :asm.size])
-        jac = steady_jacobian(asm, it, dt) if level == 0 else \
-            asm.matrix(asm.jacobian(it, dt))
-        a = jac.toarray()[np.ix_(rows, cols)]
+        jac = (steady_jacobian if level == 0 else step_jacobian)(asm, it, dt)
+        a = jac[np.ix_(rows, cols)]
         tau = a[mass, mom] / a[mom, mom]
         ta = a.copy()
         ta[mass] -= tau[:, None] * a[mom]
@@ -1323,8 +1367,8 @@ class TestEmptyIndexArrays:
         y0 = traj.states[0]
         rng = np.random.default_rng(7)
         y1 = traj.states[1] * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
-        jac_next = asm.matrix(asm.jacobian(asm.evaluate(y1), 900.0))
-        assert_close(jac_next.toarray(), central_differences(
+        jac_next = step_jacobian(asm, asm.evaluate(y1), 900.0)
+        assert_close(jac_next, central_differences(
             lambda y: asm.residual(asm.evaluate(y), asm.step_offset(
                 y0, 0.0, snap, NO_GRID), 900.0), y1))
 
