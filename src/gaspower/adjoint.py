@@ -10,7 +10,7 @@ So the transposed (adjoint) system is solved backwards over the gas rows
 alone, with one factorization per level through the assembler's
 factors(), as in the forward Newton solve: the steady block and each step
 block condensed onto the network by lu.LevelCondensation (shooting along
-each pipe, one banded triangular substitution, dtbtrs, per solve).  Each
+each pipe, with banded triangular substitutions, dtbtrs).  Each
 block is evaluated at the stored state with the Colebrook friction
 the forward run kept for it (sim.Trajectory.friction), so no sweep solves
 Colebrook.  The grid's multipliers follow without recursion, from

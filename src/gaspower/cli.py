@@ -113,7 +113,8 @@ def _cmd_optimize(args) -> int:
     io.write_iteration_log(result.log, f"{args.out}/iteration_log.csv")
     print(f"optimized objective {result.objective:.6g}, "
           f"min margin {result.min_margin_bar:.6f} bar, "
-          f"SLSQP: {result.message} after {result.iterations} iterations")
+          f"SLSQP: {result.message} after {result.iterations} iterations, "
+          f"{result.simulations} simulations, {result.sweeps} sweeps")
     return EXIT_OK
 
 

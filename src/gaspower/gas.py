@@ -143,7 +143,7 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
     return lam, dlam_dq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipeGrid:
     """Grid points of several pipes stacked end to end.
 

@@ -2,23 +2,24 @@
 which solve with J and J^T for one right-hand side or a column of them:
 condensed onto the network unknowns by shooting along each pipe
 (LevelCondensation).  One row operation per cell interval makes the pipe
-block lower triangular with bandwidth 3, so each solve is one banded
-triangular substitution (LAPACK dtbtrs) with no factorization and no
-pivoting, and the caller's splu factors the network block.  The steady
-block condenses too: its pipe block stays regular at stagnation (at
-exact stagnation the network block is singular, as the whole block is).
+block lower triangular with bandwidth 3, so it needs no factorization
+and no pivoting: a banded triangular substitution (LAPACK dtbtrs) solves
+with it, and the caller's splu factors the network block before the
+factors are returned.  The steady block condenses too: its pipe block
+stays regular at stagnation (at exact stagnation the network block is
+singular, as the whole block is).
 
-The march has two limits, both raised as RuntimeError naming the pipe.  A
-zero pivot of the pipe block, where an interval's 2x2 block is singular
-(near (dt/dx)(c - v) = 1/2) or the flow sonic, raises at the
-factorization.  Shooting from the from-end amplifies the left-running
+The march has two limits, both raised by the factorization as
+RuntimeError naming the pipe.  A zero pivot of the pipe block, where an
+interval's 2x2 block is singular (near (dt/dx)(c - v) = 1/2) or the flow
+sonic, raises.  Shooting from the from-end amplifies the left-running
 characteristic by about ((c - v) dt/dx + 1/2) / ((c - v) dt/dx - 1/2) per
 cell, about exp(L / ((c - v) dt)) along a pipe of length L, and a solve
-loses that factor in relative accuracy; the first solve raises where a
+loses that factor in relative accuracy; the factorization raises where a
 pipe's march grows by more than MAX_MARCH_GROWTH: on a 66 km pipe where dt
 is below about 40-55 s, depending on the flow, which in 100 m cells is a
 dt/dx that draws no warning from the Simulator.  A singular network block
-raises SuperLU's RuntimeError at the first solve."""
+raises SuperLU's RuntimeError at the factorization too."""
 
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ from scipy.linalg.lapack import dtbtrs
 # (about 3 entries per column), where panels of 2 and 4 gained nothing.
 LU_PANEL_SIZE = 1
 
-# The largest growth of a pipe's march a solve accepts, as measured at the
-# first solve (about half the growing mode's factor): a solve's relative
+# The largest growth of a pipe's march the factorization accepts, as it
+# measures it (about half the growing mode's factor): a solve's relative
 # error is about 1e-16 to 1e-15 times it (on a 66 km pipe in 100 m cells at
 # short steps, against a dense solve: 5e-12 at 3e4, 1.5e-11 at 6e4, 4e-10
 # at 6e5).
@@ -43,75 +44,41 @@ class CondensedFactors:
     pipe block after the row operation and scaling, and B, C and D, the
     blocks of the pipe rows by the network unknowns, of the network rows by
     the pipe unknowns and of the network rows by the network unknowns.
-    Each solve is one dtbtrs on L (L^T for J^T) with two columns more, B's
-    two columns (C^T's for J^T), whose rows at the pipe ends give C L^-1 B
-    and so S = D - C L^-1 B, which the first solve factors.  A solve works
-    in one buffer whose rows are the band's, the network's and the
-    from-coupling's (rho_0's), in LevelCondensation's order."""
+    LevelCondensation.factors builds them all: x = X = L^-1 B, B's two
+    columns (q_0, rho_0) substituted once, and lu, SuperLU's factors of S^T
+    for S = D - C X.  A solve substitutes its right-hand sides alone, one
+    dtbtrs on L (two on L^T for J^T), in one buffer whose rows are the
+    band's, the network's and the from-coupling's (rho_0's), in
+    LevelCondensation's order, and changes no factor."""
 
-    def __init__(self, cond: "LevelCondensation", ab, scales, b_vals, d_vals,
-                 splu):
+    def __init__(self, cond: "LevelCondensation", ab, scales, b_vals, x, lu):
         self.cond, self.ab, (self.tau, self.inv_m, self.inv_mom) = \
             cond, ab, scales
-        self.b_vals, self.d_vals = b_vals, d_vals
-        self.splu, self.lu = splu, None
-
-    def _substitute(self, flat: np.ndarray, at, values, transposed: bool):
-        """flat.T with its band rows solved with L (L^T), after its two
-        last columns get the entries `values` at `at` (flat, past the other
-        columns): dtbtrs's result, flat.T itself where it solves in place.
-        The first call checks each pipe's march growth and factors S^T from
-        those columns' rows at the pipe ends."""
-        k, cols = self.cond, len(flat) - 2
-        flat.put(at + flat.shape[1] * cols, values)
-        x = dtbtrs(self.ab, flat.T, uplo="L", trans="T" if transposed else
-                   "N", diag="U", overwrite_b=1)[0]
-        if self.lu is None:  # C L^-1 B per pipe: (to-node, to-coupling) rows
-            if transposed:   # by (q_0, from-node) columns
-                ends = (x[k.first_rows, cols:].reshape(-1, 2, 2, 1)
-                        * self.b_vals[:, :, None]).sum(1)
-            else:
-                ends = x[k.end_rows, cols:].reshape(-1, 2, 2)
-            # each march's growth, free of units: its larger diagonal term,
-            # at least half the trace, the growing mode's eigenvalue
-            growth = np.abs(ends.reshape(-1, 4)[:, ::3])
-            if growth.max() > MAX_MARCH_GROWTH:
-                pipe = growth.max(1).argmax()
-                raise RuntimeError(
-                    f"march growth {growth[pipe].max():.3g} along pipe "
-                    f"{k.names[pipe]} exceeds {MAX_MARCH_GROWTH:.0e}: dt is "
-                    f"too short for its shooting")
-            k.schur.data = np.bincount(k.schur_slots, np.concatenate(
-                [self.d_vals, (k.minus_c * ends).ravel()]),
-                minlength=len(k.schur.indices))
-            self.lu = self.splu(k.schur, panel_size=LU_PANEL_SIZE)
-        return x
+        self.b_vals, self.x, self.lu = b_vals, x, lu
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """J^-1 b: rho_0 = rho_from + b_from by each from-coupling row, so
-        x_P = z - X (q_0, rho_0) with z = L^-1 T Lambda b_P and X = L^-1 B,
-        and S y = b_N - C (z - X_rho b_from), X's rows at the to-ends."""
+        x_P = z - X (q_0, rho_0) with z = L^-1 T Lambda b_P, and S y = b_N -
+        C (z - X_rho b_from), X's rows at the to-ends."""
         k, n = self.cond, 2 * len(self.tau)
-        b2 = b.reshape(len(b), -1)
-        pipes, cols = len(k.sizes), b2.shape[1]
-        flat = np.zeros((cols + 2, len(k.perm)))
-        b2.T.take(k.row_take, 1, flat[:cols], "clip")
-        mass, mom = flat.T[0:n:2, :cols], flat.T[1:n:2, :cols]  # T Lambda b_P
+        flat = b.reshape(len(b), -1).T.take(k.row_take, 1, mode="clip")
+        pipes, cols = len(k.sizes), len(flat)
+        mass, mom = flat.T[0:n:2], flat.T[1:n:2]    # T Lambda b_P
         mass -= self.tau * mom
         mass *= self.inv_m
         mom *= self.inv_mom
-        x = self._substitute(flat, k.b_at, self.b_vals, False)
-        y, rho_0 = x[n:-pipes, :cols], x[-pipes:, :cols]
-        ends = x[k.end_rows].reshape(pipes, 2, cols + 2)
-        ends = ends[:, :, :cols] - ends[:, :, -1:] * rho_0[:, None]
+        x = _substitute(self.ab, flat.T, "N")
+        y, rho_0 = x[n:-pipes], x[-pipes:]
+        ends = x[k.end_rows].reshape(pipes, 2, cols) \
+            - self.x[k.end_rows, 1:].reshape(pipes, 2, 1) * rho_0[:, None]
         y += k.net_sums(k.minus_c * ends, k.end_net)
         y[:] = self.lu.solve(y, trans="T")
         rho_0 += y[k.from_net]
-        g = np.repeat(x[k.start_rows, :cols].reshape(pipes, 2, cols),
-                      k.sizes, 0)       # q_0, rho_0 per band row
-        z = x[:n, :cols]
-        z -= x[:n, cols:cols + 1] * g[:, 0] + x[:n, cols + 1:] * g[:, 1]
-        return x[:, :cols].take(k.perm, 0).reshape(b.shape)
+        g = np.repeat(x[k.start_rows].reshape(pipes, 2, cols), k.sizes,
+                      0)                # q_0, rho_0 per band row
+        z = x[:n]
+        z -= self.x[:, :1] * g[:, 0] + self.x[:, 1:] * g[:, 1]
+        return x.take(k.perm, 0).reshape(b.shape)
 
     def solve_transposed(self, c: np.ndarray) -> np.ndarray:
         """J^-T c: with c = (c_P, c_N, c_0) in LevelCondensation's order, v
@@ -121,26 +88,29 @@ class CondensedFactors:
         Lambda v for the row operation T and the unit-diagonal scaling
         Lambda."""
         k, n = self.cond, 2 * len(self.tau)
-        c2 = c.reshape(len(c), -1)
-        pipes, cols = len(k.sizes), c2.shape[1]
-        flat = np.zeros((cols + 2, len(k.perm)))
-        c2.T.take(k.inv_perm, 1, flat[:cols], "clip")
-        v = self._substitute(flat, k.unit_at, 1.0, True)
-        w, mu = v[n:-pipes, :cols], v[-pipes:, :cols]
+        flat = c.reshape(len(c), -1).T.take(k.inv_perm, 1, mode="clip")
+        pipes, cols = len(k.sizes), len(flat)
+        v = _substitute(self.ab, flat.T, "T")
+        w, mu = v[n:-pipes], v[-pipes:]
         b_vals = self.b_vals[..., None]     # B^T v per pipe: q_0, rho_0
-        at = (b_vals * v[k.first_rows, :cols].reshape(-1, 2, 1, cols)).sum(1)
+        at = (b_vals * v[k.first_rows].reshape(-1, 2, 1, cols)).sum(1)
         at[:, 1] -= mu
         w -= k.net_sums(at, k.start_net)
         w[:] = self.lu.solve(w)
-        g = np.repeat(k.minus_c * v[k.end_net_rows, :cols].reshape(
-            pipes, 2, cols), k.sizes, 0)     # -C^T w at (q_N, rho_N)
-        z = v[:n, :cols]
-        z += v[:n, cols:cols + 1] * g[:, 0] + v[:n, cols + 1:] * g[:, 1]
+        g = np.zeros((cols, n))     # -C^T w at (q_N, rho_N)
+        g.T[k.end_rows] = k.minus_c.reshape(-1, 1) * w[k.end_net]
+        z = v[:n]
+        z += _substitute(self.ab, g.T, "T")
         mu -= (b_vals[:, :, 1] * z[k.first_rows].reshape(-1, 2, cols)).sum(1)
         z[0::2] *= self.inv_m
         z[1::2] *= self.inv_mom
         z[1::2] -= self.tau * z[0::2]
-        return v[:, :cols].take(k.row_perm, 0).reshape(c.shape)
+        return v.take(k.row_perm, 0).reshape(c.shape)
+
+
+def _substitute(ab: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
+    """dtbtrs's result: rhs's band rows solved with L ("N") or L^T ("T")."""
+    return dtbtrs(ab, rhs, uplo="L", trans=trans, diag="U", overwrite_b=1)[0]
 
 
 class LevelCondensation:
@@ -184,10 +154,9 @@ class LevelCondensation:
         self.end_net = pair(self.to_net, self.q0_net)
         self.start_net = pair(self.q0_net, self.from_net)
         # a solve's buffer rows: the band's (first and last interval of each
-        # pipe), the network's at the pipe ends, and q_0 and rho_0 per pipe
+        # pipe), and q_0's (a network row) and rho_0's per pipe
         self.first_rows = pair(2 * first, 2 * first + 1)
         self.end_rows = pair(2 * last, 2 * last + 1)
-        self.end_net_rows = band + self.end_net
         rho_0 = band + m + np.arange(pipes)
         self.start_rows = pair(band + self.q0_net, rho_0)
         # the gas unknowns' places in [band (q_R, rho_R per interval),
@@ -216,11 +185,11 @@ class LevelCondensation:
         take[last, 2:7] = 8 * n
         self._band_take = take.ravel()
         # B's values per pipe, (mass, momentum) row by (q_0, rho_0) column,
-        # and their places in the two extra columns; C^T's unit entries
+        # and B's two columns, zero (8 n) past the first interval's rows
         self._b_take = np.array([2 * n + first, first, 6 * n + first,
                                  4 * n + first]).T.ravel()
-        self.b_at = (self.first_rows[:, None] + size * np.arange(2)).ravel()
-        self.unit_at = np.concatenate([2 * last, 2 * last + 1 + size])
+        self._x_take = np.full((2, band), 8 * n)
+        self._x_take[:, self.first_rows] = self._b_take.reshape(-1, 2).T
         # S's CSR pattern: D's entries (none among the leading box entries),
         # then the Schur products, which the pipes at one node (or between
         # one pair of nodes) add into a slot
@@ -252,8 +221,9 @@ class LevelCondensation:
         raise RuntimeError(f"zero pivot in the pipe block of pipe {pipe}")
 
     def factors(self, values, splu) -> CondensedFactors:
-        """Factors of the level Jacobian `values` (read, not copied); `splu`
-        factors S^T at the first solve."""
+        """Factors of the level Jacobian `values` (read, not copied); a zero
+        pivot, a march grown past MAX_MARCH_GROWTH or a singular S (`splu`
+        factors S^T) raises RuntimeError."""
         n = len(self._band_take) // 8
         vals = values[:8 * n].reshape(8, n)  # m, M by rho_L, rho_R, q_L, q_R
         if np.count_nonzero(vals[5]) < n:
@@ -269,8 +239,23 @@ class LevelCondensation:
         scaled[:4] *= inv_m
         np.multiply(vals[4:], inv_mom, out=scaled[4:])
         src[-1] = 0.0
+        ab = src.take(self._band_take).reshape(-1, 4).T
+        b_vals = src.take(self._b_take).reshape(-1, 2, 2)
+        x = _substitute(ab, src.take(self._x_take).T, "N")
+        # X's rows at each pipe's to-end (q_N, rho_N), which C reads
+        ends = x[self.end_rows].reshape(-1, 2, 2)
+        # each march's growth, free of units: its larger diagonal term, at
+        # least half the trace, the growing mode's eigenvalue
+        growth = np.abs(ends.reshape(-1, 4)[:, ::3])
+        if growth.max() > MAX_MARCH_GROWTH:
+            pipe = growth.max(1).argmax()
+            raise RuntimeError(
+                f"march growth {growth[pipe].max():.3g} along pipe "
+                f"{self.names[pipe]} exceeds {MAX_MARCH_GROWTH:.0e}: dt is "
+                f"too short for its shooting")
+        self.schur.data = np.bincount(self.schur_slots, np.concatenate(
+            [values[self._d_take], (self.minus_c * ends).ravel()]),
+            minlength=len(self.schur.indices))
         return CondensedFactors(
-            self, src.take(self._band_take).reshape(-1, 4).T,
-            (tau[:, None], inv_m[:, None], inv_mom[:, None]),
-            src.take(self._b_take).reshape(-1, 2, 2), values[self._d_take],
-            splu)
+            self, ab, (tau[:, None], inv_m[:, None], inv_mom[:, None]),
+            b_vals, x, splu(self.schur, panel_size=LU_PANEL_SIZE))

@@ -89,7 +89,7 @@ def cost_partials(simulator: Simulator, trajectory: Trajectory):
     return float(dt * np.sum(w * rate)), dj_dy, np.zeros(m + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizationResult:
     control: np.ndarray          # Pa
     trajectory: Trajectory
@@ -99,6 +99,11 @@ class OptimizationResult:
     log: list = field(default_factory=list)
     message: str = ""            # SLSQP's stop reason
     iterations: int = 0          # SLSQP's
+    status: int = 0              # SLSQP's
+    nfev: int = 0                # SLSQP's objective evaluations
+    njev: int = 0                # SLSQP's gradient evaluations
+    simulations: int = 0         # forward runs
+    sweeps: int = 0              # tangent-linear sweeps
 
 
 class _Model:
@@ -107,7 +112,7 @@ class _Model:
 
     Only the bounded nodes' densities and each compressor's inlet, outlet
     and flux enter these functions, so the sensitivity sweep is asked for
-    those state entries alone.
+    those state entries alone.  It counts its simulations and sweeps.
     """
 
     def __init__(self, simulator: Simulator):
@@ -127,6 +132,7 @@ class _Model:
         self.flux_pos = np.searchsorted(self.columns,
                                         [q for _, _, q in comp_cols])
         self._key = self._last = self._partials = None
+        self.simulations = self.sweeps = 0
 
     def evaluate(self, x: np.ndarray, derivatives: bool = False
                  ) -> SimpleNamespace:
@@ -137,6 +143,7 @@ class _Model:
         u = np.clip(x, 0.0, self.u_max_bar)
         if u.tobytes() != self._key:
             trajectory = self.sim.run(u * BAR)
+            self.simulations += 1
             value, *self._partials = cost_partials(self.sim, trajectory)
             y = trajectory.states[:, self.columns].T   # (column, level)
             rho = y[self.bound_pos]
@@ -153,6 +160,7 @@ class _Model:
         last = self._last
         if derivatives and last.gradient is None:
             sens = state_sensitivities(self.sim, last.trajectory, self.columns)
+            self.sweeps += 1
             by_column = sens.transpose(1, 0, 2)        # (column, level, u_j)
             # margins in bar per bar of lift: dp/drho times drho/du per Pa
             margin_jac = gas.dpressure_drho(last.rho, self.cons)[:, :, None] \
@@ -237,5 +245,6 @@ def optimize(simulator: Simulator) -> OptimizationResult:
         margins_bar=evaluation.margins,
         min_margin_bar=evaluation.min_margin,
         log=log_rows,
-        message=result.message,
-        iterations=result.nit)
+        message=result.message, iterations=result.nit, status=result.status,
+        nfev=result.nfev, njev=result.njev, simulations=model.simulations,
+        sweeps=model.sweeps)

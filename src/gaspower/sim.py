@@ -34,10 +34,10 @@ matrix; dR/dy_prev (CSR, two old-level columns per box row) and dR/du are
 constant.  factors() factors a level block, for Newton and the adjoint
 sweeps alike: a step block dR/dy_next, or the steady block, which adds
 dR/dy_prev's values, by lu.LevelCondensation straight from its values
-(shooting along each pipe, one LAPACK dtbtrs per solve; the caller's splu
-factors the network block of nodes, compressors and each pipe's from-end
-flow).  The residual writes its linear rows (pressure coupling, boundary
-rows, and the node balances, one bincount over the arc ends) itself.
+(shooting along each pipe by LAPACK dtbtrs; the caller's splu factors
+the network block of nodes, compressors and each pipe's from-end flow).
+The residual writes its linear rows (pressure coupling, boundary rows,
+and the node balances, one bincount over the arc ends) itself.
 After set-up the assembler holds no state: evaluate(y) returns an
 Iterate, y with its Colebrook friction and its pointwise gas terms
 (gas.point_terms), and the residual and the Jacobian at y both read it,
@@ -137,7 +137,7 @@ class VariableIndex:
                     + [(j, f"{b} {q}") for (b, q), j in self.bus.items()])[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryData:
     """Piecewise-linear time series per (target id, quantity).
 
@@ -173,7 +173,7 @@ def check_boundary_data(network: CoupledNetwork, series) -> None:
         raise ValueError("missing boundary data for " + ", ".join(missing))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One run: horizon, step, boundary data, bounds and solver settings."""
 
@@ -211,7 +211,7 @@ class Scenario:
         return self.dt * np.arange(self.step_count + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Snapshot:
     """Boundary values evaluated at one time; aligned with assembler order."""
 
@@ -692,8 +692,8 @@ class Simulator:
         self._check_grid_regime()
 
     def _check_grid_regime(self):
-        """Log each pipe whose dt/dx is 20x off the reference; lu's solves
-        refuse steps near (dt/dx)(c - v) = 1/2 or a march grown past 5e4."""
+        """Log each pipe whose dt/dx is 20x off the reference; lu's
+        factorization refuses (dt/dx)(c - v) near 1/2 or a march past 5e4."""
         dt = self.scenario.dt
         for pipe in self.network.gas.pipes:
             ratio = (dt / pipe.dx) / _REFERENCE_DT_DX

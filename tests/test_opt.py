@@ -64,6 +64,8 @@ def test_optimize_reaches_its_stopping_test(solved):
     assert np.min(compressor_flux(result.trajectory)) >= -1e-6
     assert np.all(result.control > 0.0)
     assert result.iterations == slsqp.nit
+    assert (result.status, result.nfev, result.njev) == \
+        (slsqp.status, slsqp.nfev, slsqp.njev)
     assert 1 <= len(result.log) <= slsqp.nit
 
 
@@ -150,8 +152,9 @@ def test_optimize_sweeps_only_where_slsqp_asks_for_derivatives(monkeypatch):
                         lambda *args: runs.append(1) or run(*args))
     monkeypatch.setattr(opt, "state_sensitivities",
                         lambda *args: sweeps.append(1) or sweep(*args))
-    opt.optimize(bounded_problem())
+    result = opt.optimize(bounded_problem())
     assert 1 <= len(sweeps) < len(runs)
+    assert (result.simulations, result.sweeps) == (len(runs), len(sweeps))
 
 
 @pytest.mark.parametrize("settings", [{"control_max": 0.0}, {"max_iter": 0}])

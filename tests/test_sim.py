@@ -12,7 +12,7 @@ from scipy.sparse.linalg import splu
 from gaspower import gas
 from gaspower import io as gio
 from gaspower import lu as lu_mod
-from gaspower import power
+from gaspower import opt, power
 from gaspower import sim as sim_mod
 from gaspower.adjoint import adjoint_sweep
 from gaspower.model import (PINNED_QUANTITIES, CompressorArc, CoupledNetwork,
@@ -1171,8 +1171,7 @@ FACTOR_CASES = {
 def test_factors_solve_both_directions(case):
     """solve gives J^-1 b and solve_transposed J^-T b, for one and for
     several right-hand sides: from the condensed factors of a step block
-    and of the steady block (factors(..., steady=True)), each direction
-    first on one factorization (the first solve forms S)."""
+    and of the steady block (factors(..., steady=True))."""
     network, scenario, u = FACTOR_CASES[case]()
     control = np.full(scenario.step_count + 1, u)
     simulator = Simulator(network, scenario)
@@ -1184,15 +1183,55 @@ def test_factors_solve_both_directions(case):
     for level, steady in ((1, False), (0, True)):
         it = asm.evaluate(y[level])
         dense = (steady_jacobian if steady else step_jacobian)(asm, it, dt)
-        for order in ((0, 1), (1, 0)):
-            lu = asm.factors(it, dt, splu, steady)
-            for b in (rhs[:, 0], rhs):
-                for k in order:
-                    got = (lu.solve, lu.solve_transposed)[k](b)
-                    expected = np.linalg.solve((dense, dense.T)[k], b)
-                    assert got.shape == b.shape
-                    assert np.linalg.norm(got - expected) <= \
-                        1e-10 * np.linalg.norm(expected)
+        lu = asm.factors(it, dt, splu, steady)
+        for b in (rhs[:, 0], rhs):
+            for k in (0, 1):
+                got = (lu.solve, lu.solve_transposed)[k](b)
+                expected = np.linalg.solve((dense, dense.T)[k], b)
+                assert got.shape == b.shape
+                assert np.linalg.norm(got - expected) <= \
+                    1e-10 * np.linalg.norm(expected)
+
+
+@pytest.fixture(scope="module")
+def mixed_factors():
+    """The block size of the mixed case and a function that factors its
+    step block (steady=False) or its steady block afresh."""
+    network, scenario, u = FACTOR_CASES["mixed"]()
+    simulator = Simulator(network, scenario)
+    asm, dt = simulator.assembler, scenario.dt
+    y = simulator.run(np.full(scenario.step_count + 1, u)).states
+    its = [asm.evaluate(y[level, :asm.size]) for level in (1, 0)]
+    return asm.size, lambda steady: asm.factors(its[steady], dt, splu, steady)
+
+
+@pytest.mark.parametrize("steady", [False, True])
+@pytest.mark.parametrize("direction", ["solve", "solve_transposed"])
+def test_columns_solve_as_one_column_each(mixed_factors, steady, direction):
+    """A solve of k columns equals the k one-column solves to the bit, in
+    both directions: one code path serves the tangent sweep's many columns
+    and the single column of Newton and the adjoint."""
+    size, factors = mixed_factors
+    solve = getattr(factors(steady), direction)
+    rhs = np.random.default_rng(13).standard_normal((size, 49))
+    expected = np.stack([solve(rhs[:, j]) for j in range(49)], 1)
+    assert np.array_equal(solve(rhs), expected)
+    assert np.array_equal(solve(rhs[:, :1])[:, 0], expected[:, 0])
+
+
+@pytest.mark.parametrize("steady", [False, True])
+def test_factors_are_complete_when_returned(mixed_factors, steady):
+    """factors() returns complete factors, which no solve changes: two
+    factorizations of one block, one solved in each order, give the same
+    bits, and so does a second solve."""
+    size, factors = mixed_factors
+    rhs = np.random.default_rng(17).standard_normal((size, 2))
+    one, other = factors(steady), factors(steady)
+    x, v = one.solve(rhs), one.solve_transposed(rhs)
+    assert np.array_equal(other.solve_transposed(rhs), v)
+    assert np.array_equal(other.solve(rhs), x)
+    assert np.array_equal(one.solve(rhs), x)
+    assert np.array_equal(one.solve_transposed(rhs), v)
 
 
 def test_solves_read_the_substitution_result(monkeypatch):
@@ -1235,37 +1274,32 @@ def test_long_marches_solve_to_dense_accuracy(dt, caplog):
     by about exp(L / ((c - v) dt)), which a solve loses in accuracy.  On
     the 66 km pipe in 100 m cells at dt = 60 s (a growth of about 2e4 as
     lu measures it, and a dt/dx the Simulator accepts without a warning),
-    both directions still match a dense solve to 1e-10, each first on its
-    factorization."""
+    both directions still match a dense solve to 1e-10."""
     network, scenario, asm, y = _long_pipes_level(dt)
     Simulator(network, scenario)
     assert not caplog.records
     it = asm.evaluate(y)
     dense = step_jacobian(asm, it, dt)
     rhs = np.random.default_rng(7).standard_normal(asm.size)
+    lu = asm.factors(it, dt, splu, False)
     for k in (0, 1):
-        lu = asm.factors(it, dt, splu, False)
-        for j in (k, 1 - k):
-            got = (lu.solve, lu.solve_transposed)[j](rhs)
-            expected = np.linalg.solve((dense, dense.T)[j], rhs)
-            assert np.linalg.norm(got - expected) <= \
-                1e-10 * np.linalg.norm(expected)
+        got = (lu.solve, lu.solve_transposed)[k](rhs)
+        expected = np.linalg.solve((dense, dense.T)[k], rhs)
+        assert np.linalg.norm(got - expected) <= \
+            1e-10 * np.linalg.norm(expected)
 
 
 def test_march_growth_past_the_bound_names_the_pipe(caplog):
     """At dt = 20 s the march along the 66 km pipe P25 grows by about 3e8
     as lu measures it, past lu.MAX_MARCH_GROWTH, where a solve errs by
-    about 4e-7: the first solve in either direction raises, naming the
-    pipe, and so does the Simulator's first step that factors, although
-    dt/dx draws no warning."""
+    about 4e-7: the factorization raises, naming the pipe, and so does the
+    Simulator's first step that factors, although dt/dx draws no
+    warning."""
     network, scenario, asm, y = _long_pipes_level(20.0)
     simulator = Simulator(network, scenario)
     assert not caplog.records
-    it, rhs = asm.evaluate(y), np.ones(asm.size)
-    for k in (0, 1):
-        lu = asm.factors(it, 20.0, splu, False)
-        with pytest.raises(RuntimeError, match="along pipe P25 exceeds 5e"):
-            (lu.solve, lu.solve_transposed)[k](rhs)
+    with pytest.raises(RuntimeError, match="along pipe P25 exceeds 5e"):
+        asm.factors(asm.evaluate(y), 20.0, splu, False)
     with pytest.raises(SimulationError, match="step 1 .* pipe P25 exceeds"):
         simulator.run([0.0, 1.0e5, 1.0e5])    # a lift step: Newton factors
 
@@ -1420,3 +1454,25 @@ class TestCaseStudy:
         p = trajectory.node_pressure("S25", network.constants)
         assert p.min() / 1e5 == pytest.approx(52.314, abs=1e-3)
         assert p.min() > scenario.pressure_bounds["S25"]
+
+
+SAME_CONTENT = {
+    "BoundaryData": lambda: gio.load_bundled()[1].boundary,
+    "Scenario": lambda: gio.load_bundled()[1],
+    "_Snapshot": lambda: Simulator(*gio.load_bundled()).snapshots[0],
+    "PipeGrid": lambda: gas.PipeGrid.stack([2, 3], [1.0, 2.0], [0.6, 0.9],
+                                           [5e-4, 1e-3]),
+    "OptimizationResult": lambda: opt.OptimizationResult(
+        np.zeros(3), None, 1.0, np.zeros((1, 3)), 0.5),
+}
+
+
+@pytest.mark.parametrize("make", SAME_CONTENT.values(), ids=SAME_CONTENT)
+def test_dataclasses_with_arrays_compare_by_identity(make):
+    """Frozen dataclasses that hold arrays (or dicts of them) compare and
+    hash by identity: two built from the same content are unequal, and
+    neither == nor hash raises."""
+    one, other = make(), make()
+    assert (one == other) is False
+    assert (one == one) is True
+    assert len({one, other, one}) == 2
