@@ -11,10 +11,10 @@ alone, with one factorization per level through the assembler's
 factors(), as in the forward Newton solve: the steady block and each step
 block condensed onto the network by lu.LevelCondensation (shooting along
 each pipe, with banded triangular substitutions, dtbtrs).  Each
-block is evaluated at the stored state with the Colebrook friction
-the forward run kept for it (sim.Trajectory.friction), so no sweep solves
-Colebrook.  The grid's multipliers follow without recursion, from
-J_bb^T at each level.  The total derivative of a scalar functional then
+block is evaluated at the stored state with the lambda the forward run
+kept for it (sim.Trajectory.friction), dlambda/dq rebuilt from it, so no
+sweep solves Colebrook.  The grid's multipliers follow without recursion,
+from J_bb^T at each level.  The total derivative of a scalar functional then
 needs no further linear solves.  The same gas blocks, solved forwards,
 give the state sensitivities to every control, whence the derivatives of
 many functionals follow at once; the grid's are zero.  A block the

@@ -10,9 +10,9 @@ values (lambda, dlambda/dq) there.  box_residual and _box_blocks only
 apply the interval stencil to those terms (box_residual on every pair of
 neighbouring points, keeping the pairs that are intervals), so a caller
 that needs the residual and the Jacobian at one state evaluates the
-pointwise physics once, and one that kept the friction values of a state
-need not solve Colebrook for it again; the old level enters as its
-pair_means, computed once per step.  PipeGrid.stack checks d and k and
+pointwise physics once, and one that kept a state's lambda gets dlambda/dq
+from friction_derivative, with no Colebrook solve; the old level enters as
+its pair_means, computed once per step.  PipeGrid.stack checks d and k and
 keeps Colebrook's constants per point and the stencil's other fixed data.
 All functions are pure and reentrant.  The kernels compute in place, in
 each formula's order of evaluation, but only in arrays they allocate:
@@ -129,9 +129,7 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
         s /= den
         f -= s
     lam = (0.5 * _LN10 / f) ** 2
-    # implicit derivative: dF/dRe = F / (Re (1 + X1 + F)) and
-    # dlam/dF = -2 lam / F
-    dlam_dq = -2.0 * lam * np.sign(q) * d_eta / (re_safe * (1.0 + x1 + f))
+    dlam_dq = _dlam_dq(q, lam, f, re_safe, x1, d_eta)
     if any_rough:
         dlam_dq = np.where(rough, 0.0, dlam_dq)
         rough &= b > 0   # a smooth pipe keeps Colebrook's lam at re_safe
@@ -141,6 +139,21 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
     if scalar:
         return float(lam[0]), float(dlam_dq[0])
     return lam, dlam_dq
+
+
+def _dlam_dq(q, lam, f, re, x1, d_eta):
+    """dlam/dq = (-2 lam / F) (F / (Re (1 + X1 + F))) sign(q) d / eta."""
+    return -2.0 * lam * np.sign(q) * d_eta / (re * (1.0 + x1 + f))
+
+
+def friction_derivative(q, lam, grid: PipeGrid):
+    """dlambda/dq of Colebrook's lambda at grid's flows q, without a solve."""
+    d, eta, b, d_eta = grid.colebrook
+    re = d * np.abs(q) / eta
+    safe = np.maximum(re, REYNOLDS_ROUGH_LIMIT)
+    return np.where(re < REYNOLDS_ROUGH_LIMIT, 0.0, _dlam_dq(
+        q, lam, 0.5 * _LN10 / np.sqrt(lam), safe, b * (safe * (_LN10 / 5.02)),
+        d_eta))
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,9 +46,9 @@ only combines it.  The residual is the rows of the iterate less an offset
 fixed for its step (step_offset: the old level's pair means, the boundary
 values, the lift and the plant offtake), which a Newton step builds once.
 The Newton solves return their converged Iterate, and Simulator.run keeps
-each level's friction on the Trajectory, so the adjoint and tangent sweeps
-evaluate a stored state with the friction it converged with: Colebrook is
-solved once per Newton iterate, never in a sweep.
+each level's lambda on the Trajectory (at DEBUG it logs each level), so
+the sweeps rebuild dlambda/dq from it in closed form: Colebrook is solved
+once per Newton iterate, never in a sweep.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ class Iterate(NamedTuple):
     with its iterations, step halvings and max-norm residual."""
 
     y: np.ndarray
-    friction: tuple | np.ndarray   # (lambda, dlambda/dq) per grid point
+    friction: tuple   # (lambda, dlambda/dq), each per grid point
     terms: gas.PointTerms
     iterations: int = 0
     residual_norm: float = np.nan
@@ -237,9 +237,9 @@ class Iterate(NamedTuple):
 class Trajectory:
     """States at t_j = j dt together with the applied control sequence.
 
-    friction[n] holds Colebrook's (lambda, dlambda/dq) at each grid point
-    of states[n], as the forward solve evaluated them, so the sweeps over
-    the trajectory (adjoint._level_solve) need not solve Colebrook again.
+    friction[n] holds Colebrook's lambda at each grid point of states[n],
+    as the forward solve evaluated it, so the sweeps over the trajectory
+    (adjoint._level_solve) need not solve Colebrook again.
     That invariant is the caller's to keep: a trajectory made with
     dataclasses.replace(states=...) keeps the old friction.  Simulator.run
     makes states and friction read-only.  newton_iterations, step_halvings
@@ -254,7 +254,7 @@ class Trajectory:
     times: np.ndarray            # s
     states: np.ndarray           # (M+1, N_y)
     control: np.ndarray          # Pa, (M+1,)
-    friction: np.ndarray         # (M+1, 2, n_points): lambda, dlambda/dq
+    friction: np.ndarray         # (M+1, n_points): lambda
     newton_iterations: np.ndarray   # (M+1,)
     grid_iterations: np.ndarray     # (M+1,)
     step_halvings: np.ndarray       # (M+1,)
@@ -326,7 +326,6 @@ class CoupledStepAssembler:
             [p.diameter for p in pipes], [p.roughness for p in pipes],
             self.constants.eta)
         self.n_points = len(self.grid.diameter)
-        self.box_next, self._box_old = self.grid.stencil()
         # entries that must stay positive: the densities
         self.positive = np.concatenate([
             np.arange(self.n_points),
@@ -346,6 +345,7 @@ class CoupledStepAssembler:
         """
         idx = self.index
         size = self.size = idx.gas_size
+        box_next, old = self.grid.stencil()
         n_box, pipe_ends = self.grid.shape[0], 2 * len(self.pipes)
         ints = lambda values: np.array(list(values), dtype=int)
         kind = np.array([n.kind for n in self.nodes])
@@ -411,14 +411,13 @@ class CoupledStepAssembler:
                                            for r, _, v in const])
 
         self.entries = rows, cols = tuple(np.concatenate(part) for part in zip(
-            self.box_next, (const_rows, const_cols),
+            box_next, (const_rows, const_cols),
             *[(self._comp_rows, node) for node in self._comp_ends]))
         self._entry_scale = self.row_scale[rows]
         # dR/dy_prev is constant, -1/2 on the old level of the box stencil
         # (mass rows by rho, momentum rows by q), and its values make the
         # steady block when added to the step Jacobian's; in CSR, each box
         # row holds its two old-level entries in column order
-        old = self._box_old
         self._prev_values = np.zeros(len(rows))
         self._prev_values[old] = -0.5 * self._entry_scale[old]
         by_row = lambda a: a[old].reshape(2, 2, -1).transpose(0, 2, 1).ravel()
@@ -493,15 +492,15 @@ class CoupledStepAssembler:
 
     def evaluate(self, y: np.ndarray, friction=None) -> Iterate:
         """The Iterate of the gas unknowns y (not copied): Colebrook's
-        (lambda, dlambda/dq) at its grid points, solved only when
-        `friction` does not give them (as a trajectory's friction[n] does
-        for its states[n]), and the gas.point_terms on them.  A pipe
-        density <= 0 raises ValueError (gas.check_densities)."""
+        (lambda, dlambda/dq) at its grid points, solved unless `friction`
+        gives lambda (a trajectory's friction[n] for its states[n]), and the
+        gas.point_terms on them.  A pipe density <= 0 raises ValueError
+        (gas.check_densities)."""
         n, grid = self.n_points, self.grid
         rho, q = y[:n], y[n:2 * n]
         gas.check_densities(rho)
-        if friction is None:
-            friction = gas.friction_factor_and_derivative(q, grid)
+        friction = gas.friction_factor_and_derivative(q, grid) if friction \
+            is None else (friction, gas.friction_derivative(q, friction, grid))
         return Iterate(y, friction,
                        gas.point_terms(rho, q, grid, self.constants, friction))
 
@@ -704,9 +703,8 @@ class Simulator:
 
     def run(self, control=None) -> Trajectory:
         m = self.scenario.step_count
-        if control is None:
-            control = np.zeros(m + 1)
-        control = np.asarray(control, dtype=float)
+        control = np.asarray(np.zeros(m + 1) if control is None else control,
+                             dtype=float)
         if control.shape != (m + 1,):
             raise ValueError(f"control must have {m + 1} entries")
         if not np.all(np.isfinite(control)):
@@ -715,16 +713,16 @@ class Simulator:
             raise ValueError("network has no compressor, control must be zero")
 
         asm, dt = self.assembler, self.scenario.dt
-        gas_size = asm.size
         states = np.empty((m + 1, asm.index.size))
-        friction = np.empty((m + 1, 2, asm.n_points))
+        friction = np.empty((m + 1, asm.n_points))
         iterations, grid_iterations, halvings = np.zeros((3, m + 1), dtype=int)
         norms = np.empty(m + 1)
+        debug = log.isEnabledFor(logging.DEBUG)
         # the flat grid, V = 1 and phi = P = Q = 0; the solve pins the rest
         grid = np.tile([1.0, 0.0, 0.0, 0.0], len(asm.busses))
         for j, snap in enumerate(self.snapshots):
             # linear extrapolation in time cuts one Newton iteration
-            guess = 2.0 * states[j - 1, :gas_size] - states[j - 2, :gas_size] \
+            guess = 2.0 * states[j - 1, :asm.size] - states[j - 2, :asm.size] \
                 if j >= 2 else None
             try:   # an unchanged pinned grid keeps its solved power flow
                 if j == 0 or not np.array_equal(
@@ -735,17 +733,21 @@ class Simulator:
                 it = steady_state(
                     asm, snap, grid, control[0], dt,
                     self.tol) if j == 0 else newton_solve_step(
-                    asm, states[j - 1, :gas_size], control[j], snap, grid,
+                    asm, states[j - 1, :asm.size], control[j], snap, grid,
                     dt, self.tol, y_guess=guess)
             except SimulationError as exc:
                 what = f"step {j}" if j else "steady state"
                 raise SimulationError(
                     f"{what} (t = {self.scenario.times[j] / 3600.0:.2f} h) "
                     f"failed: {exc}") from exc
-            states[j, :gas_size], states[j, gas_size:] = it.y, grid
-            friction[j] = it.friction
-            iterations[j], halvings[j], norms[j] = \
-                it.iterations, it.halvings, it.residual_norm
+            states[j, :asm.size], states[j, asm.size:] = it.y, grid
+            friction[j], iterations[j], halvings[j], norms[j] = \
+                it.friction[0], it.iterations, it.halvings, it.residual_norm
+            if debug:
+                log.debug("level %d, t = %g s: %d Newton iterations, %d "
+                          "halvings, %d grid iterations, residual %.3e", j,
+                          self.scenario.times[j], iterations[j], halvings[j],
+                          grid_iterations[j], norms[j])
         states.flags.writeable = friction.flags.writeable = False
         return Trajectory(asm.index, self.scenario.times.copy(), states,
                           control.copy(), friction, iterations,

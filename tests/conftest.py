@@ -94,7 +94,7 @@ def zero_flow_column(asm, values, pipe):
     the box stencil leads) with its box entries in the column of `pipe`'s
     last flow set to zero: a singular pipe block.  (Its first flow, q_0,
     is a network unknown of the condensation.)"""
-    cols = asm.box_next[1]
+    cols = asm.grid.stencil()[0][1]
     values[:len(cols)][cols == asm.index.pipe_q[pipe].stop - 1] = 0.0
     return values
 

@@ -204,6 +204,23 @@ class TestPipeGrid:
         for a, b in zip(on_grid, plain):
             assert np.array_equal(a, b)
 
+    def test_friction_derivative_rebuilds_colebrooks(self):
+        """friction_derivative, given Colebrook's lambda, returns its
+        dlambda/dq within 1e-14 relative: at reversed and zero flow, and 0
+        below REYNOLDS_ROUGH_LIMIT on a rough and on a smooth pipe."""
+        grid = gas.PipeGrid.stack([3, 3], [1.0, 2.0], [0.6, 0.9],
+                                  [5e-4, 0.0])
+        q = np.array([277.64, -120.0, 0.0, 1e-4, -1e-3, 0.0, 50.0, -400.0])
+        lam, dlam = gas.friction_factor_and_derivative(q, grid)
+        re = grid.diameter * np.abs(q) / CONS.eta
+        rough = re < gas.REYNOLDS_ROUGH_LIMIT
+        assert rough.tolist() == [False, False, True, True, True, True,
+                                  False, False]
+        rebuilt = gas.friction_derivative(q, lam, grid)
+        assert np.all(rebuilt[rough] == 0.0) and np.all(dlam[rough] == 0.0)
+        assert np.all(np.abs(rebuilt - dlam) <= 1e-14 * np.abs(dlam))
+        assert np.all(np.sign(rebuilt[~rough]) == -np.sign(q[~rough]))
+
     def test_box_residual_at_pipe_joints(self):
         """On pipes of 1, 2 and 5 cells with different dx, whose joint
         pairs lie next to each other, the stacked residual is the per-pipe

@@ -1,6 +1,7 @@
 """Coupled step assembly, Newton stepping, steady states, trajectories."""
 
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -524,8 +525,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("case", ["bundled", "mixed"])
     def test_trajectory_keeps_the_friction_of_its_states(self, bundled, case):
-        """friction[n] is Colebrook's (lambda, dlambda/dq) at the flows of
-        states[n], bit for bit."""
+        """friction[n] is Colebrook's lambda at the flows of states[n], bit
+        for bit, read-only with shape (M+1, n_points); evaluating states[n]
+        with it rebuilds that lambda bit for bit and dlambda/dq within
+        1e-14 relative."""
         simulator = Simulator(*bundled) if case == "bundled" else Simulator(
             make_mixed_network(), make_toy_scenario(steps=3,
                                                     outflow_flux=60.0))
@@ -533,12 +536,17 @@ class TestSimulate:
         trajectory = simulator.run(np.linspace(1.0e5, 3.0e5, m + 1))
         asm = simulator.assembler
         n = asm.n_points
-        assert trajectory.friction.shape == (m + 1, 2, n)
+        assert trajectory.friction.shape == (m + 1, n)
+        with pytest.raises(ValueError, match="read-only"):
+            trajectory.friction[0, 0] = 1.0
         for level, y in enumerate(trajectory.states):
             lam, dlam = gas.friction_factor_and_derivative(y[n:2 * n],
                                                            asm.grid)
-            assert np.array_equal(trajectory.friction[level, 0], lam)
-            assert np.array_equal(trajectory.friction[level, 1], dlam)
+            assert np.array_equal(trajectory.friction[level], lam)
+            rebuilt = asm.evaluate(y[:asm.size],
+                                   trajectory.friction[level]).friction
+            assert np.array_equal(rebuilt[0], lam)
+            assert np.all(np.abs(rebuilt[1] - dlam) <= 1e-14 * np.abs(dlam))
 
     def test_trajectory_counts_the_newton_iterations(self, monkeypatch):
         """newton_iterations holds each level's Newton iterations (level 0:
@@ -566,6 +574,31 @@ class TestSimulate:
                                 simulator.snapshots[level],
                                 simulator.scenario.dt)
             assert trajectory.residual_norm[level] == np.abs(res).max()
+
+    def test_run_logs_each_level_at_debug(self, bundled_simulator, caplog,
+                                          monkeypatch):
+        """At DEBUG, run logs one record per level through sim.log: level,
+        t, Newton iterations, halvings, grid iterations and residual, equal
+        to the Trajectory's.  At WARNING it makes no sim.log.debug call."""
+        with caplog.at_level(logging.DEBUG, logger=sim_mod.log.name):
+            trajectory = bundled_simulator.run()
+        records = [r.args for r in caplog.records
+                   if r.name == sim_mod.log.name and r.levelno == logging.DEBUG]
+        assert len(records) == 49 == trajectory.step_count + 1
+        assert [r[0] for r in records] == list(range(49))
+        for got, expected in zip(zip(*[r[1:] for r in records]), (
+                trajectory.times, trajectory.newton_iterations,
+                trajectory.step_halvings, trajectory.grid_iterations,
+                trajectory.residual_norm)):
+            assert np.array_equal(got, expected)
+        assert trajectory.grid_iterations.any()
+        debug_calls = []
+        monkeypatch.setattr(sim_mod.log, "debug",
+                            lambda *args: debug_calls.append(args))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger=sim_mod.log.name):
+            bundled_simulator.run()
+        assert debug_calls == [] and caplog.records == []
 
     def test_trajectory_counts_the_step_halvings(
             self, uncontrolled_trajectory, monkeypatch):
@@ -818,13 +851,12 @@ class TestMixedGeometryJacobian:
             calls["point_terms"] == evaluations + 1
 
     def test_evaluation_leaves_its_inputs_unchanged(self, mixed):
-        """evaluate(y, friction), with the friction given or solved, and
-        the step offset, residual and Jacobians read from it write into no
-        input: y, y_prev and the friction keep every bit."""
+        """evaluate(y, friction), with lambda given or solved, and the step
+        offset, residual and Jacobians read from it write into no input:
+        y, y_prev and the given lambda keep every bit."""
         asm, snap, y0, y1 = mixed
         n = asm.n_points
-        friction = np.array(gas.friction_factor_and_derivative(y1[n:2 * n],
-                                                                asm.grid))
+        friction = gas.friction_factor_and_derivative(y1[n:2 * n], asm.grid)[0]
         y, y_prev, given = y1.copy(), y0.copy(), friction.copy()
         for it in (asm.evaluate(y), asm.evaluate(y, given)):
             asm.residual(it, asm.step_offset(y_prev, 1.2e5, snap, NO_GRID),
@@ -1101,8 +1133,7 @@ class TestFixedPattern:
         assert jac.format == "csr" and jac.has_canonical_format
         assert np.array_equal(np.diff(jac.indptr),
                               np.where(np.arange(asm.size) < n_box, 2, 0))
-        rows, cols = asm.box_next
-        old = asm._box_old
+        (rows, cols), old = asm.grid.stencil()
         for row in range(n_box):
             assert np.array_equal(
                 jac.indices[2 * row:2 * row + 2],
