@@ -6,15 +6,16 @@ time level: the steady-state block at level 0 and one implicit step per
 later level.  Stacked over time the Jacobian is block lower bidiagonal,
 and each level's block is block triangular, [[J_gg, J_gb], [0, J_bb]]:
 no grid row reads a gas unknown, the old level or the lift (see sim).
-So the transposed (adjoint) system is solved backwards over the gas rows
-alone, with one factorization per level through the assembler's
-factors(), as in the forward Newton solve: the steady block and each step
-block condensed onto the network by lu.LevelCondensation (shooting along
-each pipe, with banded triangular substitutions, dtbtrs).  Each
-block is evaluated at the stored state with the lambda the forward run
-kept for it (sim.Trajectory.friction), dlambda/dq rebuilt from it, so no
-sweep solves Colebrook.  The grid's multipliers follow without recursion,
-from J_bb^T at each level.  The total derivative of a scalar functional then
+So the grid's multipliers never reach the gas rows', and, as the lift
+enters the compressor rows alone, no control gradient reads them: the
+transposed (adjoint) system is solved backwards over the gas rows alone,
+with one factorization per level through the assembler's factors(), as
+in the forward Newton solve: the steady block and each step block
+condensed onto the network by lu.LevelCondensation (shooting along each
+pipe, with banded triangular substitutions, dtbtrs).  Each block is
+evaluated at the stored state with the lambda the forward run kept for
+it (sim.Trajectory.friction), dlambda/dq rebuilt from it, so no sweep
+solves Colebrook.  The total derivative of a scalar functional then
 needs no further linear solves.  The same gas blocks, solved forwards,
 give the state sensitivities to every control, whence the derivatives of
 many functionals follow at once; the grid's are zero.  A block the
@@ -52,45 +53,32 @@ def _level_solve(simulator: Simulator, trajectory: Trajectory, n: int,
 
 def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
                   dj_dy: np.ndarray) -> np.ndarray:
-    """The adjoint vectors xi, (M+1, N_y), for given objective partials.
+    """The gas rows' adjoint vectors xi, (M+1, assembler.size), for the
+    objective partials dj_dy, one full state per time level.
 
-    dj_dy has one row per time level.  Over the gas rows, level M is the
-    recursion base and level 0 uses the steady-state block.  Then
-    J_bb^T xi_b = -dj_dy_b - J_gb^T xi_g at every level gives the grid's
-    entries, one solve for each run of levels that share a grid.
+    Level M is the recursion base and level 0 uses the steady-state block.
+    The grid columns of dj_dy change no control gradient: they reach only
+    the grid's multipliers, which no gas row or control reads.
     """
     dj_dy = np.asarray(dj_dy, dtype=float)
     if dj_dy.shape != trajectory.states.shape:
         raise ValueError("objective partials do not match the trajectory")
 
     asm = simulator.assembler
-    n_gas = asm.size
-    xi = np.zeros_like(dj_dy)
-    carry = np.zeros(n_gas)   # (dE_{n+1}/dy_n)^T xi_{n+1}
-    prev_t = asm.jac_prev.T   # CSC, shared by all levels
+    xi = np.zeros((len(dj_dy), asm.size))
+    carry = np.zeros(asm.size)   # (dE_{n+1}/dy_n)^T xi_{n+1}
+    prev_t = asm.jac_prev.T      # CSC, shared by all levels
     for n in range(trajectory.step_count, -1, -1):
-        xi[n, :n_gas] = _level_solve(simulator, trajectory, n,
-                                     -dj_dy[n, :n_gas] - carry,
-                                     transposed=True)
-        carry = prev_t @ xi[n, :n_gas]
-    grid = trajectory.states[:, n_gas:]
-    rhs = -dj_dy[:, n_gas:]
-    # add.at: every plant's bus is the slack, so plants share a column
-    np.add.at(rhs, (slice(None), asm.plant_cols),
-              -asm.grid_coupling(grid) * xi[:, asm.plant_rows])
-    # J_bb reads the level's grid alone: one solve per run of equal grids
-    first = np.flatnonzero(np.r_[True, (grid[1:] != grid[:-1]).any(axis=1)])
-    for start, stop in zip(first, np.r_[first[1:], len(grid)]):
-        xi[start:stop, n_gas:] = np.linalg.solve(
-            asm.grid_jacobian(grid[start]).T, rhs[start:stop].T).T
+        xi[n] = _level_solve(simulator, trajectory, n,
+                             -dj_dy[n, :asm.size] - carry, transposed=True)
+        carry = prev_t @ xi[n]
     return xi
 
 
 def total_gradient(simulator: Simulator, trajectory: Trajectory,
                    xi: np.ndarray, dj_du: np.ndarray) -> np.ndarray:
     """dJ/du_n = dj_du[n] + xi[n] . dE_n/du_n (Pa^-1); xi of adjoint_sweep."""
-    asm = simulator.assembler
-    return np.asarray(dj_du, dtype=float) + xi[:, :asm.size] @ asm.d_du
+    return np.asarray(dj_du, dtype=float) + xi @ simulator.assembler.d_du
 
 
 def state_sensitivities(simulator: Simulator, trajectory: Trajectory,

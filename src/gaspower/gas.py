@@ -103,11 +103,7 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
     scalar = q.ndim == 0
     q = np.atleast_1d(q)
 
-    re = diameter * np.abs(q) / eta
-    rough = re < REYNOLDS_ROUGH_LIMIT
-    any_rough = rough.any()
-    re_safe = np.where(rough, REYNOLDS_ROUGH_LIMIT, re) if any_rough else re
-    re_scaled = re_safe * (_LN10 / 5.02)
+    re, re_scaled, rough = _reynolds(q, diameter, eta)
     x1, x2 = b * re_scaled, np.log(re_scaled)
     f = x2 - 0.2
     s, s1, e, den = np.empty((4,) + f.shape)
@@ -129,10 +125,9 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
         s /= den
         f -= s
     lam = (0.5 * _LN10 / f) ** 2
-    dlam_dq = _dlam_dq(q, lam, f, re_safe, x1, d_eta)
-    if any_rough:
-        dlam_dq = np.where(rough, 0.0, dlam_dq)
-        rough &= b > 0   # a smooth pipe keeps Colebrook's lam at re_safe
+    dlam_dq = _dlam_dq(q, lam, f, re, x1, d_eta, rough)
+    if rough is not None:
+        rough &= b > 0   # a smooth pipe keeps Colebrook's lam at the limit
         lam = np.where(rough, 1.0 / (2.0 * np.log10(
             b, where=rough, out=np.ones_like(lam))) ** 2, lam)
 
@@ -141,19 +136,40 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
     return lam, dlam_dq
 
 
-def _dlam_dq(q, lam, f, re, x1, d_eta):
-    """dlam/dq = (-2 lam / F) (F / (Re (1 + X1 + F))) sign(q) d / eta."""
-    return -2.0 * lam * np.sign(q) * d_eta / (re * (1.0 + x1 + f))
+def _reynolds(q, diameter, eta):
+    """Re = d |q| / eta, raised to REYNOLDS_ROUGH_LIMIT where it is below,
+    Re ln10 / 5.02, and the mask of the raised points (None if none)."""
+    re = np.abs(q)
+    re *= diameter
+    re /= eta
+    rough = re < REYNOLDS_ROUGH_LIMIT
+    if not rough.any():
+        return re, re * (_LN10 / 5.02), None
+    np.maximum(re, REYNOLDS_ROUGH_LIMIT, out=re)
+    return re, re * (_LN10 / 5.02), rough
+
+
+def _dlam_dq(q, lam, f, re, x1, d_eta, rough):
+    """dlam/dq = (-2 lam / F) (F / (Re (1 + X1 + F))) sign(q) d / eta, and
+    0 at the `rough` points, in place: it overwrites f, re and x1."""
+    x1 += 1.0
+    x1 += f
+    x1 *= re
+    np.multiply(lam, -2.0, out=f)
+    f *= np.sign(q, out=re)
+    f *= d_eta
+    f /= x1
+    if rough is not None:
+        f[rough] = 0.0
+    return f
 
 
 def friction_derivative(q, lam, grid: PipeGrid):
     """dlambda/dq of Colebrook's lambda at grid's flows q, without a solve."""
     d, eta, b, d_eta = grid.colebrook
-    re = d * np.abs(q) / eta
-    safe = np.maximum(re, REYNOLDS_ROUGH_LIMIT)
-    return np.where(re < REYNOLDS_ROUGH_LIMIT, 0.0, _dlam_dq(
-        q, lam, 0.5 * _LN10 / np.sqrt(lam), safe, b * (safe * (_LN10 / 5.02)),
-        d_eta))
+    re, x1, rough = _reynolds(q, d, eta)
+    x1 *= b
+    return _dlam_dq(q, lam, 0.5 * _LN10 / np.sqrt(lam), re, x1, d_eta, rough)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,11 +8,10 @@ as state; which two of them boundary data pins depends on the bus kind
 its derivatives take the trig tables of the phases (_trig_tables), so a
 caller that needs both at one state computes the tables once.
 
-No power-flow row reads a gas unknown: the gas network sees the grid only
-through the plant offtake eps(P) at the slack bus.  So sim.Simulator.run
-solves each time level's grid alone (solve_powerflow) before the gas,
-and the adjoint sweep finds the grid's multipliers after the gas's, both
-with the one grid Jacobian (powerflow_jacobian).
+No power-flow row reads a gas unknown or the lift: the gas network sees
+the grid only through the plant offtake eps(P) at the slack bus.  So
+sim.Simulator.run solves each time level's grid alone (solve_powerflow)
+before the gas, and the sweeps (see adjoint) run over the gas rows alone.
 """
 
 from __future__ import annotations
@@ -138,8 +137,3 @@ def plant_gas_offtake(P, plant: GasPowerPlant):
     eps = plant.a0 + plant.a1 * P + plant.a2 * P * P
     return eps if eps.ndim else float(eps)
 
-
-def plant_gas_offtake_derivative(P, plant: GasPowerPlant):
-    P = np.asarray(P, dtype=float)
-    d = plant.a1 + 2.0 * plant.a2 * P
-    return d if d.ndim else float(d)

@@ -20,8 +20,8 @@ Simulator.run therefore solves each level's power flow first
 V = 1, phi = P = Q = 0 and the pinned values), then the square gas
 system in the leading gas unknowns, the offtake as data.  Each time step
 and the steady start (the same system with y_prev = y_next) are solved by
-one damped Newton routine; residual, Jacobian and factors are the gas
-system's.
+one damped Newton routine on the gas system, and as the lift enters the
+compressor rows alone, the sweeps (see adjoint) run over its rows too.
 
 The assembler checks the network (model.validate_network), the Simulator
 its boundary data (check_boundary_data).  At set-up the assembler lists
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +64,8 @@ from scipy.sparse.linalg import splu
 from . import gas, power
 from .lu import LevelCondensation
 from .model import (BUS_QUANTITIES, FLOW_BOUNDARY, PINNED_QUANTITIES,
-                    POWER_COUPLING, PRESSURE_BOUNDARY, CoupledNetwork,
-                    incident_pipe_area, nodal_admittance, validate_network)
+                    PRESSURE_BOUNDARY, CoupledNetwork, incident_pipe_area,
+                    nodal_admittance, validate_network)
 from .power import SimulationError
 
 log = logging.getLogger(__name__)
@@ -281,9 +280,9 @@ class CoupledStepAssembler:
     compressor rows sit at their node's density column and their
     compressor's flux column.  A Jacobian is the values of its entries
     (`entries`, fixed at set-up), never a matrix; jac_prev, the constant
-    dR/dy_prev, is the one CSR matrix.  grid_jacobian and grid_coupling
-    give the blocks of the grid rows and of the plants' dependence on the
-    grid.  The network must pass validate_network.
+    dR/dy_prev, is the one CSR matrix.  The grid rows have none: the lift
+    enters the gas rows alone, so no sweep needs one (see adjoint).  The
+    network must pass validate_network.
     """
 
     def __init__(self, network: CoupledNetwork):
@@ -358,24 +357,14 @@ class CoupledStepAssembler:
         # the recorded outflow flux leaves through the node's first end
         self._fb_area = np.abs(self.end_area[
             [np.argmax(self.end_node == i) for i in self._fb_nodes]])
-        plants = [self.node_plant[n.id] for n in self.nodes
-                  if n.kind == POWER_COUPLING]
-        # each plant's balance row, and its bus's P in a grid vector
-        self.plant_rows = ints(idx.node_rho[p.gas_node] for p in plants)
-        self.plant_cols = ints(idx.bus[(p.bus, "P")] - size for p in plants)
-        self._plants = SimpleNamespace(**{
-            key: np.array([getattr(p, key) for p in plants])
-            for key in ("a0", "a1", "a2", "reference_density")})
-        # a grid vector's positions that snap.bus_fixed pins, in its
-        # (bus, k) order, and the rows at each bus's V and phi (its P- and
-        # Q-flow rows, in powerflow_residual's order) and at its P and Q
-        # (its two boundary rows, in that (bus, k) order)
+        # per plant: its balance row, its bus's P in a grid vector, itself
+        self._plants = [(idx.node_rho[p.gas_node],
+                         idx.bus[(p.bus, "P")] - size, p)
+                        for p in self.network.plants]
+        # a grid vector's positions that snap.bus_fixed pins, in (bus, k) order
         self.grid_pinned = ints(idx.bus[(b.id, quant)] - size
                                 for b in self.busses
                                 for quant in PINNED_QUANTITIES[b.kind])
-        at = np.arange(4 * len(self.busses)).reshape(-1, 4)
-        self._flow_rows = at[:, :2].T.ravel()
-        self._pin_rows = at[:, 2:].ravel()
         end_rows = node_rows[self.end_node]   # each arc end's node's density
         # per compressor: its flux column, its to- and from-node's density
         self._comp_rows = self.end_flow[pipe_ends::2]
@@ -514,8 +503,9 @@ class CoupledStepAssembler:
         b[self._pb_rows] = snap.node_rho_bc[self._pb_nodes]
         b[self._fb_rows] = self._fb_area * snap.node_outflow[self._fb_nodes]
         b[self._comp_rows] = u
-        b[self.plant_rows] = self._plants.reference_density * \
-            power.plant_gas_offtake(grid[self.plant_cols], self._plants)
+        for row, col, plant in self._plants:
+            b[row] = plant.reference_density * power.plant_gas_offtake(
+                grid[col], plant)
         return gas.pair_means(y_prev[:n], y_prev[n:2 * n]), b
 
     def residual(self, it: Iterate, offset, dt: float) -> np.ndarray:
@@ -552,24 +542,6 @@ class CoupledStepAssembler:
                                  self._const_vals, dp_to, -dp_from])
         values *= self._entry_scale
         return values
-
-    def grid_jacobian(self, grid: np.ndarray) -> np.ndarray:
-        """J_bb, the grid rows by a grid vector at `grid` (dense, 4N x 4N):
-        each bus's P- and Q-flow rows at its V and phi positions, and at
-        its P and Q positions the unit rows of its two pinned quantities."""
-        jac = np.zeros((len(grid), len(grid)))
-        jac[self._flow_rows] = power.powerflow_jacobian(
-            grid[0::4], power._trig_tables(grid[1::4], self.G, self.B))
-        jac[self._pin_rows, self.grid_pinned] = 1.0
-        return jac
-
-    def grid_coupling(self, grid: np.ndarray) -> np.ndarray:
-        """J_gb: d residual[plant_rows] / d grid[plant_cols] at the grid
-        vectors `grid` (..., 4N), -rho_ref eps'(P) scaled like residual()."""
-        return -self._plants.reference_density \
-            * self.row_scale[self.plant_rows] \
-            * power.plant_gas_offtake_derivative(grid[..., self.plant_cols],
-                                                 self._plants)
 
     def factors(self, it: Iterate, dt: float, splu, steady: bool):
         """condensation.factors of the level block at it (`splu` factors

@@ -145,13 +145,22 @@ def coupled_residual(asm, y_prev, y, u, snap, dt):
 
 def coupled_jacobian(asm, y, dt, steady=False):
     """The dense level block of the coupled system at the full state y
-    (the steady block with `steady`): the gas block, the plant rows'
-    J_gb (grid_coupling) and the grid block J_bb (grid_jacobian)."""
-    g = asm.size
+    (the steady block with `steady`), rows as in coupled_residual: the gas
+    block, the plant rows' J_gb (-rho_ref eps'(P) by the bus's P, scaled
+    like the gas residual) and the grid block J_bb (power.powerflow_jacobian
+    and the unit rows of the pinned values), written out here."""
+    g, index = asm.size, asm.index
     it = asm.evaluate(y[:g])
     jac = np.zeros((len(y), len(y)))
     jac[:g, :g] = (steady_jacobian if steady else step_jacobian)(asm, it, dt)
-    np.add.at(jac, (asm.plant_rows, g + asm.plant_cols),
-              asm.grid_coupling(y[g:]))
-    jac[g:, g:] = asm.grid_jacobian(y[g:])
+    for plant in asm.network.plants:
+        row, col = index.node_rho[plant.gas_node], index.bus[(plant.bus, "P")]
+        jac[row, col] -= plant.reference_density * asm.row_scale[row] * (
+            plant.a1 + 2.0 * plant.a2 * y[col])
+    at = lambda q: [index.bus[(b.id, q)] for b in asm.busses]
+    jac[at("V") + at("phi"), g:] = power.powerflow_jacobian(
+        y[at("V")], power._trig_tables(y[at("phi")], asm.G, asm.B))
+    for bus in asm.busses:
+        for row, quantity in zip(("P", "Q"), PINNED_QUANTITIES[bus.kind]):
+            jac[index.bus[(bus.id, row)], index.bus[(bus.id, quantity)]] = 1.0
     return jac

@@ -9,7 +9,7 @@ import gaspower.adjoint as adjoint_mod
 from gaspower import gas, opt
 from gaspower.adjoint import (adjoint_sweep, fd_gradient,
                               state_sensitivities, total_gradient)
-from gaspower.model import BAR
+from gaspower.model import BAR, SLACK
 from gaspower.sim import BoundaryData, Simulator, SingularJacobian
 
 from conftest import (coupled_jacobian, make_mixed_network, make_toy_network,
@@ -74,19 +74,45 @@ def test_sweep_matches_dense_monolithic_solve(toy):
 
 
 def test_sweep_matches_dense_monolithic_solve_with_a_grid(bundled_ramp):
-    """With a grid, the gas sweep and the grid's solves after it give the
-    coupled system's adjoint, grid entries included, for partials in
-    every state entry."""
+    """With a grid, the gas sweep gives the gas rows of the coupled
+    system's adjoint, for partials in every state entry, grid entries
+    included."""
     simulator, trajectory = bundled_ramp
     rng = np.random.default_rng(43)
     dj_dy = rng.normal(size=trajectory.states.shape)
     xi = adjoint_sweep(simulator, trajectory, dj_dy)
     xi_dense = np.linalg.solve(stacked_jacobian(simulator, trajectory).T,
-                               -dj_dy.ravel()).reshape(xi.shape)
-    g = simulator.assembler.size
-    for part in (slice(0, g), slice(g, None)):
-        assert np.max(np.abs(xi[:, part] - xi_dense[:, part])) < 1e-12 * \
-            np.max(np.abs(xi_dense[:, part]))
+                               -dj_dy.ravel()).reshape(dj_dy.shape)
+    xi_dense = xi_dense[:, :simulator.assembler.size]
+    assert np.max(np.abs(xi - xi_dense)) < 1e-12 * np.max(np.abs(xi_dense))
+
+
+def test_grid_partials_change_no_control_gradient(bundled_ramp):
+    """No grid row reads the lift or a gas unknown: two controls give a
+    bit-identical grid tail at every level, the grid columns of the
+    partials leave the gas adjoint unchanged, and a functional of grid
+    states alone (the slack's P) has the gradient of its dj_du."""
+    simulator, trajectory = bundled_ramp
+    asm = simulator.assembler
+    other = simulator.run(trajectory.control[::-1] + 1.0 * BAR)
+    assert not np.array_equal(other.states[:, :asm.size],
+                              trajectory.states[:, :asm.size])
+    assert np.array_equal(other.states[:, asm.size:],
+                          trajectory.states[:, asm.size:])
+    rng = np.random.default_rng(47)
+    dj_dy = rng.normal(size=trajectory.states.shape)
+    grid_only = np.zeros_like(dj_dy)
+    grid_only[:, asm.size:] = dj_dy[:, asm.size:]
+    gas_only = dj_dy - grid_only
+    assert np.array_equal(adjoint_sweep(simulator, trajectory, dj_dy),
+                          adjoint_sweep(simulator, trajectory, gas_only))
+    slack, = (b.id for b in asm.busses if b.kind == SLACK)
+    dj_dy = np.zeros_like(dj_dy)
+    dj_dy[:, asm.index.bus[(slack, "P")]] = 1.0   # J = sum of the slack's P
+    dj_du = rng.normal(size=len(trajectory.control))
+    xi = adjoint_sweep(simulator, trajectory, dj_dy)
+    assert np.array_equal(
+        total_gradient(simulator, trajectory, xi, dj_du), dj_du)
 
 
 def test_sensitivities_match_dense_monolithic_solve_with_a_grid(
@@ -285,12 +311,13 @@ def test_partials_shape_checked(toy):
         adjoint_sweep(simulator, trajectory, np.zeros((1, 3)))
 
 
-def test_adjoint_sweep_returns_one_array_per_level(toy):
-    simulator, trajectory = toy
+def test_adjoint_sweep_returns_one_array_per_level(bundled_ramp):
+    """One row per level, over the gas rows alone."""
+    simulator, trajectory = bundled_ramp
     xi = adjoint_sweep(simulator, trajectory,
                        np.zeros_like(trajectory.states))
     assert isinstance(xi, np.ndarray)
-    assert xi.shape == trajectory.states.shape
+    assert xi.shape == (trajectory.step_count + 1, simulator.assembler.size)
 
 
 def sensitivity_gradient(simulator, trajectory):

@@ -438,7 +438,8 @@ def test_mass_conservation_identity():
 def test_in_place_kernels_equal_their_formulas():
     """The kernels compute in place in each formula's order of evaluation,
     so they equal, bit for bit, the formulas written as plain expressions,
-    on turbulent, rough and reversed flows at gamma = 1.4."""
+    on turbulent, rough and reversed flows at gamma = 1.4, the rebuild of
+    dlambda/dq from lambda included."""
     cons = GasConstants(kappa=2.0e5, gamma=1.4)
     grid = gas.PipeGrid.stack([1, 3, 5], [700.0, 1000.0, 350.0],
                               [0.6, 0.4, 0.9], [5e-4, 1e-5, 2e-3])
@@ -466,6 +467,11 @@ def test_in_place_kernels_equal_their_formulas():
     dlam = np.where(rough, 0.0, dlam)
     friction = gas.friction_factor_and_derivative(q, grid)
     assert all(np.array_equal(a, b) for a, b in zip(friction, (lam, dlam)))
+    # the rebuild from lambda: F = ln10 / (2 sqrt(lam)) in the same formula
+    f_lam = 0.5 * np.log(10.0) / np.sqrt(lam)
+    rebuilt = np.where(rough, 0.0, -2.0 * lam * np.sign(q) * d_eta
+                       / (re_safe * (1.0 + x1 + f_lam)))
+    assert np.array_equal(gas.friction_derivative(q, lam, grid), rebuilt)
 
     c = 1.0 / (2.0 * d)
     p = cons.kappa * rho ** cons.gamma

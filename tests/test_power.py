@@ -133,7 +133,7 @@ class TestJacobian:
                                         uncontrolled_trajectory):
         """In the power-flow Jacobian (rows: every bus's P row, then every
         Q row), the slack's P column is the unit vector at the slack's P
-        row; the grid Jacobian J_bb puts that row at the slack's V."""
+        row."""
         asm = bundled_simulator.assembler
         grid = uncontrolled_trajectory.states[1, asm.size:]
         jac = power.powerflow_jacobian(
@@ -143,9 +143,6 @@ class TestJacobian:
         expected[asm.bus_ids.index(slack)] = 1.0
         assert np.array_equal(jac[:, grid_position(asm, slack, "P")],
                               expected)
-        column = asm.grid_jacobian(grid)[:, grid_position(asm, slack, "P")]
-        assert np.flatnonzero(column).tolist() == [
-            grid_position(asm, slack, "V")]
 
     def test_row_sparsity_is_adjacency(self, admittance):
         """Rows touch only the bus itself and its admittance neighbours."""
@@ -248,7 +245,3 @@ class TestOfftake:
             avg = 0.5 * (power.plant_gas_offtake(a, PLANT)
                          + power.plant_gas_offtake(b, PLANT))
             assert mid <= avg + 1e-12
-
-    def test_derivative(self):
-        assert power.plant_gas_offtake_derivative(0.95, PLANT) == \
-            pytest.approx(5.0 + 20.0 * 0.95)

@@ -16,10 +16,9 @@ from gaspower import lu as lu_mod
 from gaspower import opt, power
 from gaspower import sim as sim_mod
 from gaspower.adjoint import adjoint_sweep
-from gaspower.model import (PINNED_QUANTITIES, CompressorArc, CoupledNetwork,
-                            GasNetwork, GasNode, Pipe, PowerGrid,
-                            incident_pipe_area)
-from gaspower.sim import (BUS_QUANTITIES, MASS_FLOW_SCALE, BoundaryData,
+from gaspower.model import (CompressorArc, CoupledNetwork, GasNetwork,
+                            GasNode, Pipe, PowerGrid, incident_pipe_area)
+from gaspower.sim import (MASS_FLOW_SCALE, BoundaryData,
                           CoupledStepAssembler, MaxIterationsExceeded,
                           Scenario, SimulationError, Simulator,
                           SingularJacobian, VariableIndex, mass_balance_report,
@@ -217,26 +216,6 @@ class TestResidualStructure:
         rows = np.unique(asm.jac_prev.tocoo().row)
         half = asm.grid.shape[0] // 2   # all mass rows, then all momentum
         assert set(rows // half) == {0, 1}
-
-    def test_bus_rows_sit_at_the_bus_columns(self, bundled_simulator,
-                                             uncontrolled_trajectory):
-        """In the grid Jacobian J_bb, a bus's P- and Q-flow rows sit at its
-        V and phi columns, its two boundary rows at its P and Q columns."""
-        asm = bundled_simulator.assembler
-        y0 = uncontrolled_trajectory.states[0]
-        jac = asm.grid_jacobian(y0[asm.size:])
-        for bus in asm.busses:
-            col = {q: asm.index.bus[(bus.id, q)] - asm.size
-                   for q in BUS_QUANTITIES}
-            # P - P_calc and Q - Q_calc, unscaled
-            assert jac[col["V"], col["P"]] == 1.0
-            assert jac[col["phi"], col["Q"]] == 1.0
-            pinned = set()
-            for row in (col["P"], col["Q"]):
-                entries = np.flatnonzero(jac[row])
-                assert list(jac[row, entries]) == [1.0]
-                pinned.add(int(entries[0]))
-            assert pinned == {col[q] for q in PINNED_QUANTITIES[bus.kind]}
 
     def test_compressor_lift_applied(self, bundled_simulator):
         asm = bundled_simulator.assembler
