@@ -12,8 +12,10 @@ neighbouring points, keeping the pairs that are intervals), so a caller
 that needs the residual and the Jacobian at one state evaluates the
 pointwise physics once, and one that kept a state's lambda gets dlambda/dq
 from friction_derivative, with no Colebrook solve; the old level enters as
-its pair_means, computed once per step.  PipeGrid.stack checks d and k and
-keeps Colebrook's constants per point and the stencil's other fixed data.
+its pair_means, computed once per step.  PipeGrid.stack checks dx, d and
+k and keeps Colebrook's constants per point and the stencil's other fixed
+data.  Each kernel has one form: it reads the geometry from a PipeGrid
+and the gas from the network's GasConstants, neither defaulted.
 All functions are pure and reentrant.  The kernels compute in place, in
 each formula's order of evaluation, but only in arrays they allocate:
 no input is written, so friction may be a view of a stored trajectory.
@@ -35,8 +37,6 @@ REYNOLDS_ROUGH_LIMIT = 100.0
 
 _LN10 = np.log(10.0)
 
-_DEFAULTS = GasConstants()
-
 
 def check_densities(rho: np.ndarray):
     """Raise ValueError unless every density of the array rho is positive."""
@@ -48,42 +48,30 @@ def _pressure(rho, constants: GasConstants):   # unchecked
     return constants.kappa * rho**constants.gamma
 
 
-def pressure_of_density(rho, constants: GasConstants = _DEFAULTS):
-    """p(rho) = kappa * rho**gamma.  Accepts scalars or arrays; rho >= 0."""
+def pressure_of_density(rho, constants: GasConstants):
+    """p(rho) = kappa * rho**gamma, for densities rho >= 0."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("density must be >= 0")
-    p = _pressure(rho, constants)
-    return p if p.ndim else float(p)
+    return _pressure(rho, constants)
 
 
-def density_of_pressure(p, constants: GasConstants = _DEFAULTS):
-    """Inverse pressure law, rho = (p/kappa)**(1/gamma)."""
+def density_of_pressure(p, constants: GasConstants):
+    """Inverse pressure law, rho = (p/kappa)**(1/gamma), for p >= 0."""
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("pressure must be >= 0")
-    rho = (p / constants.kappa) ** (1.0 / constants.gamma)
-    return rho if rho.ndim else float(rho)
+    return (p / constants.kappa) ** (1.0 / constants.gamma)
 
 
-def dpressure_drho(rho, constants: GasConstants = _DEFAULTS):
+def dpressure_drho(rho, constants: GasConstants):
     rho = np.asarray(rho, dtype=float)
-    d = constants.kappa * constants.gamma * rho ** (constants.gamma - 1.0)
-    return d if d.ndim else float(d)
+    return constants.kappa * constants.gamma * rho ** (constants.gamma - 1.0)
 
 
-def _colebrook_constants(diameter, roughness, eta: float):
-    """(d, eta, b = k/(3.71 d), d/eta) for Colebrook, once d > 0, k >= 0."""
-    if (np.asarray(diameter) <= 0).any():
-        raise ValueError("diameter must be positive")
-    if (np.asarray(roughness) < 0).any():
-        raise ValueError("roughness must be >= 0")
-    return diameter, eta, roughness / (3.71 * diameter), diameter / eta
-
-
-def friction_factor_and_derivative(q, diameter, roughness=None,
-                                   eta: float = _DEFAULTS.eta):
-    """Colebrook friction factor lambda(q) and d lambda / d q, vectorized.
+def friction_factor_and_derivative(q, grid: PipeGrid):
+    """Colebrook friction factor lambda(q) and d lambda / d q at the flows
+    q of grid's points, vectorized.
 
     Solves 1/sqrt(lam) = -2 log10(2.51/(Re sqrt(lam)) + k/(3.71 d)) with
     Re = d |q| / eta in closed form by Clamond's algorithm (Ind. Eng.
@@ -93,16 +81,10 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
     x = 1/sqrt(lam) = 2 F/ln10.  The derivative comes from implicit
     differentiation of the same equation.  Below REYNOLDS_ROUGH_LIMIT the
     rough limit, or Colebrook's value at that limit if k = 0, is returned
-    with zero derivative.  Diameter d and roughness k are scalars or
-    arrays shaped like q (one value per point); (q, grid) takes d, eta, b
-    and d/eta per point from a PipeGrid.
+    with zero derivative.  d, eta, b and d/eta come per point from
+    grid.colebrook.
     """
-    diameter, eta, b, d_eta = diameter.colebrook if isinstance(
-        diameter, PipeGrid) else _colebrook_constants(diameter, roughness, eta)
-    q = np.asarray(q, dtype=float)
-    scalar = q.ndim == 0
-    q = np.atleast_1d(q)
-
+    diameter, eta, b, d_eta = grid.colebrook
     re, re_scaled, rough = _reynolds(q, diameter, eta)
     x1, x2 = b * re_scaled, np.log(re_scaled)
     f = x2 - 0.2
@@ -130,9 +112,6 @@ def friction_factor_and_derivative(q, diameter, roughness=None,
         rough &= b > 0   # a smooth pipe keeps Colebrook's lam at the limit
         lam = np.where(rough, 1.0 / (2.0 * np.log10(
             b, where=rough, out=np.ones_like(lam))) ** 2, lam)
-
-    if scalar:
-        return float(lam[0]), float(dlam_dq[0])
     return lam, dlam_dq
 
 
@@ -193,15 +172,19 @@ class PipeGrid:
     colebrook: tuple       # (d, eta, b, d/eta), d, b and d/eta per point
 
     @staticmethod
-    def stack(cell_counts, dx, diameter, roughness, eta=_DEFAULTS.eta):
+    def stack(cell_counts, dx, diameter, roughness, eta):
         """Grid of pipes given per pipe: cells, cell length, d, k (m); eta."""
         counts = np.asarray(cell_counts, dtype=int)
         points = counts + 1
+        d = np.asarray(diameter, dtype=float)
         if (np.asarray(dx) <= 0).any():
             raise ValueError("dx must be positive")
-        d, _, b, d_eta = _colebrook_constants(
-            np.asarray(diameter, dtype=float), roughness, eta)
-        d, b, d_eta = np.repeat([d, b, d_eta], points, axis=1)
+        if (d <= 0).any():
+            raise ValueError("diameter must be positive")
+        if (np.asarray(roughness) < 0).any():
+            raise ValueError("roughness must be >= 0")
+        d, b, d_eta = np.repeat([d, roughness / (3.71 * d), d / eta], points,
+                                axis=1)
         # interval j (counted over all pipes) of pipe k starts at point j + k
         left = np.arange(counts.sum()) + np.arange(counts.size).repeat(counts)
         dx = np.repeat(dx, counts)
@@ -324,10 +307,6 @@ def box_residual(old_means: np.ndarray, new: PointTerms, dt: float,
             - dt/dx (f(Y_j) - f(Y_{j-1}))|_new + dt (g(Y_j)+g(Y_{j-1}))/2 |_new
     """
     rho, q, f2, s = new.rho, new.q, new.f2, new.source
-    if old_means.shape != (2, len(rho) - 1):
-        raise ValueError("pipe states have mismatched lengths")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     pairs = pair_means(rho, q)
     pairs -= old_means
     diff = np.empty_like(pairs)

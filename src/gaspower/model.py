@@ -236,6 +236,7 @@ def validate_network(gas: GasNetwork, grid: PowerGrid,
     A network with no busses at all is accepted as a pure gas network,
     provided it has no plants either.  A compressor needs a pipe at one of
     its nodes, whose cross-section (incident_pipe_area) scales its flux.
+    A pressure-boundary node must fix the level of the gas densities.
     """
     violations = [] if gas.nodes else ["gas network has no node"]
 
@@ -280,6 +281,8 @@ def validate_network(gas: GasNetwork, grid: PowerGrid,
         if seen != node_set:
             missing = sorted(node_set - seen)
             violations.append(f"gas network is disconnected (unreachable: {', '.join(missing)})")
+    if gas.nodes and all(n.kind != PRESSURE_BOUNDARY for n in gas.nodes):
+        violations.append("gas network has no pressure-boundary node")
 
     bus_ids = [b.id for b in grid.busses]
     if len(set(bus_ids)) != len(bus_ids):

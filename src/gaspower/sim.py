@@ -81,8 +81,6 @@ _REFERENCE_DT_DX = 900.0 / 1000.0
 
 # pipe/compressor flux (kg/(m^2 s)) seeded into the steady-state guess
 _STEADY_FLOW_SEED = 10.0
-# pressure (Pa) of that guess where no node pins one
-_STEADY_PRESSURE_SEED = 60e5
 
 class MaxIterationsExceeded(SimulationError):
     def __init__(self, message, residual_norm, iterations):
@@ -265,7 +263,7 @@ class Trajectory:
 
     def node_pressure(self, node_id: str, constants) -> np.ndarray:
         rho = self.states[:, self.index.node_rho[node_id]]
-        return np.asarray(gas.pressure_of_density(rho, constants))
+        return gas.pressure_of_density(rho, constants)
 
 
 class CoupledStepAssembler:
@@ -313,8 +311,6 @@ class CoupledStepAssembler:
         nodes, flows, areas = zip(*ends)
         self.end_node = np.array([self.node_pos[n] for n in nodes])
         self.end_flow, self.end_area = np.array(flows), np.array(areas)
-
-        self.node_plant = {p.gas_node: p for p in network.plants}
 
         self.G, self.B, self.bus_ids = nodal_admittance(network.grid)
         self.busses = list(network.grid.busses)
@@ -455,14 +451,14 @@ class CoupledStepAssembler:
     def flat_state(self, snap: _Snapshot) -> np.ndarray:
         """Near-stagnant admissible gas unknowns to start the steady solve.
 
-        Pipe and compressor fluxes are seeded with a small positive value:
-        at exact stagnation the friction term q|q| has zero derivative and
-        the flow split around network loops is linearly indeterminate.
+        Every density starts at the first pressure boundary's (a valid
+        network has one).  Pipe and compressor fluxes are seeded with a
+        small positive value: at exact stagnation the friction term q|q|
+        has zero derivative and the flow split around network loops is
+        linearly indeterminate.
         """
         y = np.zeros(self.size)
-        anchored = snap.node_rho_bc[~np.isnan(snap.node_rho_bc)]
-        rho0 = anchored[0] if len(anchored) else \
-            gas.density_of_pressure(_STEADY_PRESSURE_SEED, self.constants)
+        rho0 = snap.node_rho_bc[self._pb_nodes[0]]
         y[:self.n_points] = rho0
         y[self.n_points:2 * self.n_points] = _STEADY_FLOW_SEED
         y[self.node_rows] = rho0

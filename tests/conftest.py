@@ -32,11 +32,10 @@ def box_scheme_residual(prev, next_, dt, dx, pipe, constants=GasConstants()):
     gas.box_residual on a one-pipe PipeGrid."""
     rho, q = next_
     grid = gas.PipeGrid.stack([len(rho) - 1], [dx], [pipe.diameter],
-                              [pipe.roughness])
-    friction = gas.friction_factor_and_derivative(
-        q, pipe.diameter, pipe.roughness, constants.eta)
+                              [pipe.roughness], constants.eta)
     return gas.box_residual(gas.pair_means(*prev), gas.point_terms(
-        rho, q, grid, constants, friction), dt, grid)
+        rho, q, grid, constants, gas.friction_factor_and_derivative(q, grid)),
+        dt, grid)
 
 
 def make_toy_network(cells=2, length=2000.0):

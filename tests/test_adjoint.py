@@ -9,8 +9,9 @@ import gaspower.adjoint as adjoint_mod
 from gaspower import gas, opt
 from gaspower.adjoint import (adjoint_sweep, fd_gradient,
                               state_sensitivities, total_gradient)
-from gaspower.model import BAR, SLACK
-from gaspower.sim import BoundaryData, Simulator, SingularJacobian
+from gaspower.model import BAR, SLACK, GasConstants
+from gaspower.sim import (BoundaryData, Simulator, SingularJacobian,
+                          mass_balance_report)
 
 from conftest import (coupled_jacobian, make_mixed_network, make_toy_network,
                       make_toy_scenario, zero_flow_column)
@@ -335,6 +336,29 @@ def test_sensitivity_gradient_equals_adjoint_gradient(toy):
     from_sens, adjoint = sensitivity_gradient(*toy)
     assert np.max(np.abs(from_sens - adjoint)) <= \
         1e-12 * np.max(np.abs(adjoint))
+
+
+def test_a_run_at_a_general_exponent():
+    """At gamma = 1.3 (kappa such that 60 bar has the density it has at
+    gamma = 1) the network's constants reach every kernel: the run keeps
+    its mass balance, its node pressures are kappa rho^1.3, and the
+    adjoint gradient of the compressor cost matches finite differences
+    and the tangent sweep."""
+    rho_60 = 60e5 / 340.0**2
+    cons = GasConstants(kappa=60e5 / rho_60**1.3, gamma=1.3)
+    simulator = Simulator(replace(make_toy_network(cells=4), constants=cons),
+                          make_toy_scenario(steps=4))
+    trajectory = simulator.run(np.array([2.0, 3.0, 1.0, 4.0, 2.0]) * BAR)
+    assert np.max(mass_balance_report(simulator, trajectory)) < 1e-12
+    rho = trajectory.states[:, simulator.assembler.index.node_rho["C"]]
+    assert np.array_equal(trajectory.node_pressure("C", cons),
+                          cons.kappa * rho**1.3)
+    from_sens, grad = sensitivity_gradient(simulator, trajectory)
+    fd = fd_gradient(simulator, lambda tr, u: opt.objective(simulator, tr),
+                     trajectory.control, range(trajectory.step_count + 1))
+    scale = np.max(np.abs(grad))
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * scale
+    assert np.max(np.abs(from_sens - grad)) <= 1e-12 * scale
 
 
 def test_sensitivity_gradient_equals_adjoint_gradient_bundled(

@@ -34,20 +34,22 @@ def colebrook_bisection(q, d, k, eta=1e-5):
 
 class TestPressureLaw:
     def test_zero(self):
-        assert gas.pressure_of_density(0.0) == 0.0
-        assert gas.density_of_pressure(0.0) == 0.0
+        assert gas.pressure_of_density(0.0, CONS) == 0.0
+        assert gas.density_of_pressure(0.0, CONS) == 0.0
 
     def test_reference_density(self):
         # 0.785 kg/m^3 at sound speed 340 m/s
-        assert gas.pressure_of_density(0.785) == pytest.approx(90746.0)
+        assert gas.pressure_of_density(0.785, CONS) == pytest.approx(90746.0)
 
     def test_sixty_bar(self):
-        assert gas.density_of_pressure(6.0e6) == pytest.approx(51.90311418685121)
-        assert gas.density_of_pressure(4.1e6) == pytest.approx(35.46712802768166)
+        assert gas.density_of_pressure(6.0e6, CONS) == \
+            pytest.approx(51.90311418685121)
+        assert gas.density_of_pressure(4.1e6, CONS) == \
+            pytest.approx(35.46712802768166)
 
     def test_round_trip(self):
         p = np.logspace(4, 7, 40)
-        back = gas.pressure_of_density(gas.density_of_pressure(p))
+        back = gas.pressure_of_density(gas.density_of_pressure(p, CONS), CONS)
         assert np.max(np.abs(back - p) / p) < 1e-12
 
     def test_round_trip_general_exponent(self):
@@ -58,47 +60,58 @@ class TestPressureLaw:
 
     def test_monotone(self):
         rho = np.linspace(0.1, 80, 50)
-        assert np.all(np.diff(gas.pressure_of_density(rho)) > 0)
+        assert np.all(np.diff(gas.pressure_of_density(rho, CONS)) > 0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            gas.pressure_of_density(-1.0)
+            gas.pressure_of_density(-1.0, CONS)
         with pytest.raises(ValueError):
-            gas.density_of_pressure(-10.0)
+            gas.density_of_pressure(-10.0, CONS)
+
+
+def colebrook(q, d=0.6, k=5e-4, eta=CONS.eta):
+    """Colebrook's (lambda, dlambda/dq) at the flows q, each on a one-cell
+    pipe of its own with diameter d and roughness k (scalars or one per
+    flow), through a PipeGrid whose two points of a pipe carry its flow."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    d, k = np.broadcast_to(d, q.shape), np.broadcast_to(k, q.shape)
+    grid = gas.PipeGrid.stack(np.ones(q.size, int), np.ones(q.size), d, k,
+                              eta)
+    lam, dlam = gas.friction_factor_and_derivative(np.repeat(q, 2), grid)
+    return lam[::2], dlam[::2]
 
 
 def friction(q, d=0.6, k=5e-4):
-    return gas.friction_factor_and_derivative(q, d, k)[0]
+    return colebrook(q, d, k)[0]
 
 
 def source(rho, q, pipe=PIPE):
     """S at the points (rho, q) of one pipe, through gas.point_terms."""
     rho, q = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(q))
     grid = gas.PipeGrid.stack([rho.size - 1], [1.0], [pipe.diameter],
-                              [pipe.roughness])
+                              [pipe.roughness], CONS.eta)
     s = gas.point_terms(rho, q, grid, CONS,
-                        gas.friction_factor_and_derivative(
-                            q, pipe.diameter, pipe.roughness)).source
+                        gas.friction_factor_and_derivative(q, grid)).source
     return s if s.size > 1 else s[0]
 
 
 class TestFriction:
     def test_rough_limit_at_stagnation(self):
-        lam, dlam = gas.friction_factor_and_derivative(0.0, 0.6, 5e-4)
+        lam, dlam = colebrook(0.0)
         assert lam == pytest.approx(0.01878011195087057, rel=1e-12)
         assert dlam == 0.0
 
     def test_smooth_pipe_at_stagnation(self):
         """k = 0 has no rough limit: below REYNOLDS_ROUGH_LIMIT a smooth pipe
-        keeps Colebrook's own value at that Reynolds number, on the scalar
-        and the grid path, beside a rough pipe that keeps its limit."""
+        keeps Colebrook's own value at that Reynolds number, on every point
+        of its pipe, beside a rough pipe that keeps its limit."""
         q_limit = gas.REYNOLDS_ROUGH_LIMIT * CONS.eta / 0.6
-        at_limit, _ = gas.friction_factor_and_derivative(q_limit, 0.6, 0.0)
+        at_limit, _ = colebrook(q_limit, 0.6, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam, dlam = gas.friction_factor_and_derivative(0.0, 0.6, 0.0)
+            (lam,), (dlam,) = colebrook(0.0, 0.6, 0.0)
             grid = gas.PipeGrid.stack([2, 2], [1000.0, 1000.0], [0.6, 0.6],
-                                      [0.0, 5e-4])
+                                      [0.0, 5e-4], CONS.eta)
             lams, dlams = gas.friction_factor_and_derivative(np.zeros(6),
                                                              grid)
         assert lam > 0 and dlam == 0.0
@@ -138,21 +151,21 @@ class TestFriction:
         q = rng.uniform(-500.0, 500.0, 12)
         d = rng.uniform(0.2, 1.2, 12)
         k = rng.uniform(1e-5, 2e-3, 12)
-        lam, dlam = gas.friction_factor_and_derivative(q, d, k)
+        lam, dlam = colebrook(q, d, k)
         for i in range(12):
-            one = gas.friction_factor_and_derivative(q[i], d[i], k[i])
+            one = colebrook(q[i], d[i], k[i])
             assert lam[i] == pytest.approx(one[0], rel=1e-12)
             assert dlam[i] == pytest.approx(one[1], rel=1e-9)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(8)
         q = rng.uniform(-600, 600, size=200)
-        lam, _ = gas.friction_factor_and_derivative(q, 0.6, 5e-4)
+        lam, _ = colebrook(q)
         assert np.all(lam > 0) and np.all(lam < 1)
 
     def test_derivative_matches_fd(self):
         for q in (50.0, 277.64, -120.0):
-            _, dlam = gas.friction_factor_and_derivative(q, 0.6, 5e-4)
+            _, dlam = colebrook(q)
             h = 1e-3 * abs(q)
             up = friction(q + h)
             down = friction(q - h)
@@ -166,20 +179,18 @@ class TestFriction:
         # b = k / (3.71 d) from 0 (smooth) to 3e-2
         re, b = np.meshgrid(np.logspace(2, 9, 300),
                             np.concatenate([[0.0], np.logspace(-8, -1.5, 99)]))
-        lam, _ = gas.friction_factor_and_derivative(
-            re.ravel() * 1e-5, 1.0, 3.71 * b.ravel(), eta=1e-5)
+        lam, _ = colebrook(re.ravel() * 1e-5, 1.0, 3.71 * b.ravel(), eta=1e-5)
         x = 1.0 / np.sqrt(lam)
-        colebrook = x + 2.0 * np.log10(2.51 * x / re.ravel() + b.ravel())
-        assert np.all(np.abs(colebrook) <= 1e-14 * x)
+        defect = x + 2.0 * np.log10(2.51 * x / re.ravel() + b.ravel())
+        assert np.all(np.abs(defect) <= 1e-14 * x)
 
     def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            gas.friction_factor_and_derivative(10.0, -0.6, 5e-4)
-        with pytest.raises(ValueError):
-            gas.friction_factor_and_derivative(10.0, 0.6, -1e-4)
-        with pytest.raises(ValueError):
-            gas.friction_factor_and_derivative(
-                np.full(2, 10.0), np.array([0.6, 0.0]), 5e-4)
+        with pytest.raises(ValueError, match="diameter"):
+            colebrook(10.0, -0.6, 5e-4)
+        with pytest.raises(ValueError, match="roughness"):
+            colebrook(10.0, 0.6, -1e-4)
+        with pytest.raises(ValueError, match="diameter"):
+            colebrook(np.full(2, 10.0), np.array([0.6, 0.0]), 5e-4)
 
 
 class TestPipeGrid:
@@ -188,28 +199,31 @@ class TestPipeGrid:
         ("diameter", 1.0, -0.6, 5e-4), ("roughness", 1.0, 0.6, -1e-4)])
     def test_stack_rejects_bad_geometry(self, what, dx, d, k):
         with pytest.raises(ValueError, match=what):
-            gas.PipeGrid.stack([2, 3], [1.0, dx], [0.6, d], [5e-4, k])
+            gas.PipeGrid.stack([2, 3], [1.0, dx], [0.6, d], [5e-4, k],
+                               CONS.eta)
 
-    def test_friction_on_the_grid_matches_the_geometry_form(self):
-        """The per-point constants the grid keeps give Colebrook's values
-        and derivatives to the bit, in the turbulent and the rough range."""
+    def test_friction_on_a_stacked_grid_equals_its_one_pipe_grids(self):
+        """The per-point constants a stacked grid keeps give the values and
+        derivatives of each pipe's own grid to the bit, in the turbulent
+        and the rough range."""
         grid = gas.PipeGrid.stack([2, 3], [1.0, 2.0], [0.6, 0.9],
-                                  [5e-4, 1e-5], eta=1.2e-5)
+                                  [5e-4, 1e-5], 1.2e-5)
         q = np.array([277.64, -120.0, 1e-4, 50.0, 0.0, -300.0, 3e-3])
-        on_grid = gas.friction_factor_and_derivative(q, grid)
-        plain = gas.friction_factor_and_derivative(
-            q, np.repeat([0.6, 0.9], [3, 4]), np.repeat([5e-4, 1e-5], [3, 4]),
-            eta=1.2e-5)
-        assert on_grid[1][[2, 4]].tolist() == [0.0, 0.0]   # rough points
-        for a, b in zip(on_grid, plain):
-            assert np.array_equal(a, b)
+        stacked = gas.friction_factor_and_derivative(q, grid)
+        parts = [gas.friction_factor_and_derivative(q[at], gas.PipeGrid.stack(
+            [c], [h], [d], [k], 1.2e-5)) for at, c, h, d, k in
+                 [(slice(0, 3), 2, 1.0, 0.6, 5e-4),
+                  (slice(3, 7), 3, 2.0, 0.9, 1e-5)]]
+        assert stacked[1][[2, 4]].tolist() == [0.0, 0.0]   # rough points
+        for a, b in zip(stacked, zip(*parts)):
+            assert np.array_equal(a, np.concatenate(b))
 
     def test_friction_derivative_rebuilds_colebrooks(self):
         """friction_derivative, given Colebrook's lambda, returns its
         dlambda/dq within 1e-14 relative: at reversed and zero flow, and 0
         below REYNOLDS_ROUGH_LIMIT on a rough and on a smooth pipe."""
         grid = gas.PipeGrid.stack([3, 3], [1.0, 2.0], [0.6, 0.9],
-                                  [5e-4, 0.0])
+                                  [5e-4, 0.0], CONS.eta)
         q = np.array([277.64, -120.0, 0.0, 1e-4, -1e-3, 0.0, 50.0, -400.0])
         lam, dlam = gas.friction_factor_and_derivative(q, grid)
         re = grid.diameter * np.abs(q) / CONS.eta
@@ -239,9 +253,9 @@ class TestPipeGrid:
             return gas.box_residual(gas.pair_means(rho_old[at], q_old[at]),
                                     terms, 600.0, grid)
 
-        grid = gas.PipeGrid.stack(cells, dx, d, k)
+        grid = gas.PipeGrid.stack(cells, dx, d, k, CONS.eta)
         stops = np.cumsum(np.add(cells, 1))
-        parts = [residual(gas.PipeGrid.stack([c], [h], [di], [ki]),
+        parts = [residual(gas.PipeGrid.stack([c], [h], [di], [ki], CONS.eta),
                           slice(stop - c - 1, stop)).reshape(2, -1)
                  for c, h, di, ki, stop in zip(cells, dx, d, k, stops)]
         assert np.array_equal(residual(grid, slice(None)),
@@ -255,7 +269,7 @@ class TestSourceTerm:
     def test_sign_opposite_to_flow(self):
         s = source(51.9, 277.64)
         assert s < 0
-        lam = friction(277.64, PIPE.diameter, PIPE.roughness)
+        lam, = friction(277.64, PIPE.diameter, PIPE.roughness)
         expected = -lam / (2 * 0.6) * 277.64**2 / 51.9
         assert s == pytest.approx(expected, rel=1e-12)
 
@@ -286,12 +300,12 @@ def box_jacobians(prev, nxt, dt, dx, pipe=PIPE):
     and -1/2 on the old level, placed by PipeGrid.stencil()."""
     rho, q = nxt
     grid = gas.PipeGrid.stack([len(rho) - 1], [dx], [pipe.diameter],
-                              [pipe.roughness])
+                              [pipe.roughness], CONS.eta)
     (rows, cols), old = grid.stencil()
     j_next, j_prev = np.zeros(grid.shape), np.zeros(grid.shape)
     np.add.at(j_next, (rows, cols), gas._box_blocks(gas.point_terms(
-        rho, q, grid, CONS, gas.friction_factor_and_derivative(
-            q, pipe.diameter, pipe.roughness)), dt, grid))
+        rho, q, grid, CONS, gas.friction_factor_and_derivative(q, grid)),
+        dt, grid))
     np.add.at(j_prev, (rows[old], cols[old]), -0.5)
     return j_next, j_prev
 
@@ -405,12 +419,11 @@ def test_point_partials_match_fd_for_a_general_exponent():
     rng = np.random.default_rng(29)
     rho, q = rng.uniform(20, 60, 5), rng.uniform(-300, 300, 5)
     grid = gas.PipeGrid.stack([4], [1000.0], [PIPE.diameter],
-                              [PIPE.roughness])
+                              [PIPE.roughness], cons.eta)
 
     def terms(rho, q):
         return gas.point_terms(rho, q, grid, cons,
-                               gas.friction_factor_and_derivative(
-                                   q, PIPE.diameter, PIPE.roughness))
+                               gas.friction_factor_and_derivative(q, grid))
 
     exact = terms(rho, q)
     for wrt, h in (("rho", 1e-4 * rho), ("q", 1e-4 * np.abs(q))):
@@ -442,7 +455,7 @@ def test_in_place_kernels_equal_their_formulas():
     dlambda/dq from lambda included."""
     cons = GasConstants(kappa=2.0e5, gamma=1.4)
     grid = gas.PipeGrid.stack([1, 3, 5], [700.0, 1000.0, 350.0],
-                              [0.6, 0.4, 0.9], [5e-4, 1e-5, 2e-3])
+                              [0.6, 0.4, 0.9], [5e-4, 1e-5, 2e-3], cons.eta)
     rng = np.random.default_rng(31)
     rho_old, rho = rng.uniform(30.0, 60.0, (2, 12))
     q_old, q = rng.uniform(-300.0, 300.0, (2, 12))

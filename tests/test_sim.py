@@ -17,7 +17,8 @@ from gaspower import opt, power
 from gaspower import sim as sim_mod
 from gaspower.adjoint import adjoint_sweep
 from gaspower.model import (CompressorArc, CoupledNetwork, GasNetwork,
-                            GasNode, Pipe, PowerGrid, incident_pipe_area)
+                            GasNode, Pipe, PowerGrid, incident_pipe_area,
+                            validate_network)
 from gaspower.sim import (MASS_FLOW_SCALE, BoundaryData,
                           CoupledStepAssembler, MaxIterationsExceeded,
                           Scenario, SimulationError, Simulator,
@@ -120,7 +121,8 @@ class TestSteadyState:
                          scenario.dt).y
         for pipe in quiet.gas.pipes:
             assert np.allclose(y[asm.index.pipe_rho[pipe.id]],
-                               gas.density_of_pressure(60e5), atol=1e-9)
+                               gas.density_of_pressure(60e5, quiet.constants),
+                               atol=1e-9)
             # a loop micro-circulation produces only O(q^2) residuals, so
             # the stagnant flow is zero to sqrt-of-tolerance accuracy
             assert np.allclose(y[asm.index.pipe_q[pipe.id]], 0.0, atol=1e-2)
@@ -181,7 +183,7 @@ class TestResidualStructure:
         balance row and nowhere else, at the grid's P of the plant bus, so
         the S4 row moves by rho0 * d eps exactly."""
         asm = bundled_simulator.assembler
-        plant = asm.node_plant["S4"]
+        plant, = asm.network.plants   # at S4
         snap = bundled_simulator.snapshots[0]
         y0 = uncontrolled_trajectory.states[0]
         y1 = y0.copy()
@@ -464,7 +466,8 @@ class TestSimulate:
                     net_in -= incident_pipe_area(asm.network.gas, node.id) \
                         * bundled_simulator.snapshots[j].node_outflow[i]
                 elif node.kind == "power-coupling":
-                    plant = asm.node_plant[node.id]
+                    plant, = (p for p in asm.network.plants
+                              if p.gas_node == node.id)
                     net_in -= plant.reference_density * \
                         power.plant_gas_offtake(states[j, asm.index.bus[
                             (plant.bus, "P")]], plant)
@@ -491,7 +494,7 @@ class TestSimulate:
         assert injections.shape == (len(states), len(asm.nodes))
         rho_ref = json.loads(gio.bundled_scenario_path().read_text())[
             "reference_density_kg_m3"]
-        plant = asm.node_plant["S4"]
+        plant, = asm.network.plants   # at S4
         offtake = power.plant_gas_offtake(
             states[:, asm.index.bus[(plant.bus, "P")]], plant)
         expected = {"S25": -rho_ref * 77.0,
@@ -957,6 +960,22 @@ def test_gas_only_network_supported():
     assert network.grid.busses == ()
     traj = simulate(network, make_toy_scenario())
     assert traj.step_count == 2
+
+
+def test_network_without_a_pressure_boundary_is_refused():
+    """Flow boundaries alone leave the density level free: validate_network
+    names the case, and the assembler refuses the network before a steady
+    solve could meet a singular block."""
+    gas_net = GasNetwork(
+        nodes=(GasNode("A", "flow-boundary"), GasNode("B", "junction"),
+               GasNode("C", "flow-boundary")),
+        pipes=(Pipe("P1", "A", "B", length=2000.0, cell_count=2),
+               Pipe("P2", "B", "C", length=2000.0, cell_count=2)))
+    network = CoupledNetwork(gas=gas_net, grid=PowerGrid((), ()))
+    assert validate_network(gas_net, network.grid) == [
+        "gas network has no pressure-boundary node"]
+    with pytest.raises(ValueError, match="no pressure-boundary node"):
+        CoupledStepAssembler(network)
 
 
 class TestFixedPattern:
@@ -1471,7 +1490,7 @@ SAME_CONTENT = {
     "Scenario": lambda: gio.load_bundled()[1],
     "_Snapshot": lambda: Simulator(*gio.load_bundled()).snapshots[0],
     "PipeGrid": lambda: gas.PipeGrid.stack([2, 3], [1.0, 2.0], [0.6, 0.9],
-                                           [5e-4, 1e-3]),
+                                           [5e-4, 1e-3], 1e-5),
     "OptimizationResult": lambda: opt.OptimizationResult(
         np.zeros(3), None, 1.0, np.zeros((1, 3)), 0.5),
 }
