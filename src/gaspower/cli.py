@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import adjoint, io, opt
-from .model import BAR, validate_network
+from .model import validate_network
 from .sim import SimulationError, Simulator
 
 EXIT_OK = 0
@@ -46,12 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "flow, by one SLSQP solve")
     add_common(p_opt)
     p_opt.add_argument("--out", required=True, help="output directory")
-    p_opt.add_argument("--max-iter", type=int, default=None,
-                       help="maximum SLSQP iterations (default from "
-                            "scenario, 100); reaching it is a failure")
-    p_opt.add_argument("--u-max", type=float, default=None,
-                       help="upper control bound in bar (default from "
-                            "scenario, 30 bar)")
 
     p_grad = sub.add_parser("check-gradient",
                             help="compare adjoint gradient against "
@@ -99,10 +92,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     network, scenario = _load(args)
-    if args.max_iter is not None:
-        scenario = replace(scenario, max_iter=args.max_iter)
-    if args.u_max is not None:
-        scenario = replace(scenario, control_max=args.u_max * BAR)
     simulator = Simulator(network, scenario)
     try:
         result = opt.optimize(simulator)

@@ -330,22 +330,19 @@ def validate_network(gas: GasNetwork, grid: PowerGrid,
     return violations
 
 
-def nodal_admittance(grid: PowerGrid) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Bus-by-bus admittance tables (G, B) and the bus id ordering.
+def nodal_admittance(grid: PowerGrid) -> tuple[np.ndarray, list[str]]:
+    """Bus-by-bus complex admittance table Y = G + jB and the bus id
+    ordering.
 
     Diagonal entries come from the bus records, off-diagonals from the
     line records (mirrored); absent pairs are zero.
     """
     order = [b.id for b in grid.busses]
     pos = {bid: i for i, bid in enumerate(order)}
-    n = len(order)
-    G = np.zeros((n, n))
-    B = np.zeros((n, n))
+    Y = np.zeros((len(order), len(order)), dtype=complex)
     for b in grid.busses:
-        G[pos[b.id], pos[b.id]] = b.G
-        B[pos[b.id], pos[b.id]] = b.B
+        Y[pos[b.id], pos[b.id]] = complex(b.G, b.B)
     for ln in grid.lines:
         i, j = pos[ln.from_bus], pos[ln.to_bus]
-        G[i, j] = G[j, i] = ln.G
-        B[i, j] = B[j, i] = ln.B
-    return G, B, order
+        Y[i, j] = Y[j, i] = complex(ln.G, ln.B)
+    return Y, order

@@ -16,12 +16,13 @@ columns.  No bus row reads a gas unknown, the old level or the lift, and
 the gas rows read the grid only through the plant offtake eps(P), so a
 level's Jacobian is block triangular, [[J_gg, J_gb], [0, J_bb]].
 Simulator.run therefore solves each level's power flow first
-(power.solve_powerflow, from the previous level's grid, at level 0 from
-V = 1, phi = P = Q = 0 and the pinned values), then the square gas
-system in the leading gas unknowns, the offtake as data.  Each time step
-and the steady start (the same system with y_prev = y_next) are solved by
-one damped Newton routine on the gas system, and as the lift enters the
-compressor rows alone, the sweeps (see adjoint) run over its rows too.
+(power.solve_powerflow on the assembler's complex admittance table Y,
+from the previous level's grid, at level 0 from V = 1, phi = P = Q = 0
+and the pinned values), then the square gas system in the leading gas
+unknowns, the offtake as data.  Each time step and the steady start
+(the same system with y_prev = y_next) are solved by one damped Newton
+routine on the gas system, and as the lift enters the compressor rows
+alone, the sweeps (see adjoint) run over its rows too.
 
 The assembler checks the network (model.validate_network), the Simulator
 its boundary data (check_boundary_data).  At set-up the assembler lists
@@ -195,13 +196,13 @@ class Scenario:
         for node, p_min in self.pressure_bounds.items():
             if not p_min > 0:
                 raise ValueError(f"pressure bound at {node} must be positive")
-
-    @property
-    def step_count(self) -> int:
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon must be an integer number of steps")
-        return int(round(steps))
+
+    @property
+    def step_count(self) -> int:
+        return round(self.horizon / self.dt)
 
     @property
     def times(self) -> np.ndarray:
@@ -312,7 +313,7 @@ class CoupledStepAssembler:
         self.end_node = np.array([self.node_pos[n] for n in nodes])
         self.end_flow, self.end_area = np.array(flows), np.array(areas)
 
-        self.G, self.B, self.bus_ids = nodal_admittance(network.grid)
+        self.Y, self.bus_ids = nodal_admittance(network.grid)
         self.busses = list(network.grid.busses)
 
         pipes = self.pipes
@@ -696,7 +697,7 @@ class Simulator:
                 if j == 0 or not np.array_equal(
                         snap.bus_fixed, self.snapshots[j - 1].bus_fixed):
                     grid, grid_iterations[j] = power.solve_powerflow(
-                        asm.G, asm.B, asm.bus_ids, grid, asm.grid_pinned,
+                        asm.Y, asm.bus_ids, grid, asm.grid_pinned,
                         snap.bus_fixed.ravel(), self.tol)
                 it = steady_state(
                     asm, snap, grid, control[0], dt,

@@ -131,8 +131,8 @@ def coupled_residual(asm, y_prev, y, u, snap, dt):
         y_prev[:g], u, snap, y[g:]), dt)
     at = lambda q: [index.bus[(b.id, q)] for b in asm.busses]
     flows = power.powerflow_residual(
-        y[at("V")], y[at("P")], y[at("Q")],
-        power._trig_tables(y[at("phi")], asm.G, asm.B))
+        y[at("P")], y[at("Q")],
+        power.injection_terms(y[at("V")], y[at("phi")], asm.Y))
     res[at("V") + at("phi")] = flows
     for bus, fixed in zip(asm.busses, snap.bus_fixed):
         for row, quantity, value in zip(("P", "Q"),
@@ -158,7 +158,7 @@ def coupled_jacobian(asm, y, dt, steady=False):
             plant.a1 + 2.0 * plant.a2 * y[col])
     at = lambda q: [index.bus[(b.id, q)] for b in asm.busses]
     jac[at("V") + at("phi"), g:] = power.powerflow_jacobian(
-        y[at("V")], power._trig_tables(y[at("phi")], asm.G, asm.B))
+        y[at("V")], power.injection_terms(y[at("V")], y[at("phi")], asm.Y))
     for bus in asm.busses:
         for row, quantity in zip(("P", "Q"), PINNED_QUANTITIES[bus.kind]):
             jac[index.bus[(bus.id, row)], index.bus[(bus.id, quantity)]] = 1.0

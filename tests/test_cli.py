@@ -22,8 +22,9 @@ from conftest import make_toy_network, make_toy_scenario
 PACKAGE = Path(gaspower.__file__).parent
 
 
-def run_module(*args):
-    env = dict(os.environ)
+def run_module(*args, **environment):
+    """`python -m` with args, src on the path and `environment` set."""
+    env = dict(os.environ, **environment)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, "-m", *args], env=env,
@@ -122,19 +123,40 @@ def test_optimize_writes_the_iteration_log(tmp_path, capsys):
 
 
 def test_optimize_at_the_iteration_limit_is_not_converged(tmp_path, capsys):
-    files = write_toy_case(tmp_path, pressure_bounds={"C": 61.0e5})
-    code = cli.run(["optimize", *files, "--out", str(tmp_path / "out"),
-                    "--max-iter", "1"])
+    files = write_toy_case(tmp_path, pressure_bounds={"C": 61.0e5},
+                           optimizer={"max_iter": 1})
+    code = cli.run(["optimize", *files, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_NOT_CONVERGED
     assert "Iteration limit reached" in capsys.readouterr().err
 
 
 def test_removed_barrier_option_is_an_input_error(tmp_path, capsys):
+    """Removed options, the barrier's and those the scenario file owns,
+    are refused."""
     files = write_toy_case(tmp_path, pressure_bounds={"C": 61.0e5})
-    code = cli.run(["optimize", *files, "--out", str(tmp_path / "out"),
-                    "--mu0", "100"])
-    assert code == cli.EXIT_INPUT_ERROR
-    assert "--mu0" in capsys.readouterr().err
+    for option, value in (("--mu0", "100"), ("--max-iter", "1"),
+                          ("--u-max", "5")):
+        code = cli.run(["optimize", *files, "--out", str(tmp_path / "out"),
+                        option, value])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert option in capsys.readouterr().err
+
+
+def test_optimize_agrees_across_blas_thread_counts(tmp_path):
+    """At one and at two OpenBLAS threads `optimize` on the toy case exits
+    0 with objectives within 1e-6 relative and no bound broken: SLSQP's
+    path may differ across thread counts, its answer may not."""
+    files = write_toy_case(tmp_path, pressure_bounds={"C": 61.0e5})
+    summaries = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        done = run_module("gaspower", "optimize", *files, "--out", str(out),
+                          OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    one, two = (summary["objective"] for summary in summaries)
+    assert abs(one - two) <= 1e-6 * abs(one)
+    assert all(summary["min_margin_bar"] >= 0.0 for summary in summaries)
 
 
 def test_optimize_with_an_unreachable_bound_is_not_converged(tmp_path,

@@ -73,6 +73,14 @@ def test_non_positive_time_grid(load, key, value):
         load(edit)
 
 
+def test_fractional_step_count_names_the_file(load, tmp_path):
+    """A horizon of 1.5 steps is refused on loading, by the file's path."""
+    with pytest.raises(io.FormatError) as info:
+        load(_setting(20.0, "dt_minutes"))
+    assert str(info.value) == f"{tmp_path / 'scenario.json'}: horizon must " \
+                              "be an integer number of steps"
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("newton_tol", 0.0, "newton_tol must be positive"),
     ("newton_tol", -1.0, "newton_tol must be positive"),
@@ -331,13 +339,14 @@ def _series(values):
 
 @st.composite
 def bundled_scenarios(draw):
-    """Drawn series for every boundary quantity of the bundled scenario."""
+    """Drawn series for every boundary quantity of the bundled scenario,
+    over a horizon of a whole number of steps."""
     value_range = {"pressure": (1e3, 1e8), "outflow": (-500.0, 500.0)}
     series = {key: draw(_series(floats(*value_range.get(key[1], (-5.0, 5.0)))))
               for key in BUNDLED_SCENARIO.boundary.series}
+    dt = draw(floats(1.0, 7200.0))
     return replace(
-        BUNDLED_SCENARIO, horizon=draw(floats(60.0, 1e6)),
-        dt=draw(floats(1.0, 7200.0)),
+        BUNDLED_SCENARIO, horizon=draw(st.integers(1, 1000)) * dt, dt=dt,
         boundary=BoundaryData.from_breakpoints(series),
         pressure_bounds={"S25": draw(floats(1e3, 1e8))},
         control_max=draw(floats(1e3, 1e8)),

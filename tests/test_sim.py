@@ -50,9 +50,8 @@ NO_GRID = np.empty(0)   # the grid vector of a network without busses
 def level_grid(asm, snap, tol=1e-9):
     """The grid vector solved at `snap`'s pinned values, from a flat grid."""
     flat = np.tile([1.0, 0.0, 0.0, 0.0], len(asm.busses))
-    return power.solve_powerflow(asm.G, asm.B, asm.bus_ids, flat,
-                                 asm.grid_pinned, snap.bus_fixed.ravel(),
-                                 tol)[0]
+    return power.solve_powerflow(asm.Y, asm.bus_ids, flat, asm.grid_pinned,
+                                 snap.bus_fixed.ravel(), tol)[0]
 
 
 def step_residual(asm, y_prev, y, u, snap, dt=900.0):
@@ -412,13 +411,13 @@ class TestSimulate:
             bundled_simulator.assembler.size
         calls, original = [], power.solve_powerflow
         monkeypatch.setattr(power, "solve_powerflow", lambda *args: (
-            calls.append(args[5].copy()), original(*args))[1])
+            calls.append(args[4].copy()), original(*args))[1])
         assert simulator.run().states.tobytes() == states.tobytes()
         assert np.array_equal(calls, [snaps[j].bus_fixed.ravel()
                                       for j in (0, 5, 6)])
         for j in set(range(1, len(snaps))) - {5, 6}:
             grid, iterations = original(
-                asm.G, asm.B, asm.bus_ids, states[j - 1, g:],
+                asm.Y, asm.bus_ids, states[j - 1, g:],
                 asm.grid_pinned, snaps[j].bus_fixed.ravel(), simulator.tol)
             assert iterations == 0
             assert grid.tobytes() == states[j, g:].tobytes()
@@ -949,10 +948,9 @@ def test_simulator_solves_to_the_scenario_newton_tol(bundled):
         < np.sum(runs[0].newton_iterations)
 
 
-def test_scenario_with_a_fractional_step_count_is_rejected_by_step_count():
-    scenario = Scenario(horizon=1000.0, dt=900.0, boundary=BoundaryData({}))
+def test_scenario_with_a_fractional_step_count_is_refused():
     with pytest.raises(ValueError, match="integer number of steps"):
-        scenario.step_count
+        Scenario(horizon=1000.0, dt=900.0, boundary=BoundaryData({}))
 
 
 def test_gas_only_network_supported():
