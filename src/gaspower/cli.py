@@ -72,8 +72,7 @@ def _cmd_simulate(args) -> int:
     simulator = Simulator(network, scenario)
     control = None
     if args.control:
-        times, values = io.load_control(args.control)
-        control = io.sample_control(times, values, scenario)
+        control = np.interp(scenario.times, *io.load_control(args.control))
     try:
         trajectory = simulator.run(control)
     except SimulationError as exc:
@@ -110,8 +109,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_check_gradient(args) -> int:
     network, scenario = _load(args)
     simulator = Simulator(network, scenario)
-    times, values = io.load_control(args.control)
-    control = io.sample_control(times, values, scenario)
+    control = np.interp(scenario.times, *io.load_control(args.control))
 
     try:    # the forward run, the adjoint sweep and the FD runs
         trajectory = simulator.run(control)

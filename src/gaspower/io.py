@@ -184,6 +184,9 @@ def load_scenario(path, network: CoupledNetwork,
         if target in gas_ids:
             _check_keys(quantities, _GAS_QUANTITIES,
                         f"boundary for {target}", strict)
+            if {"outflow_m3_s", "outflow_flux"} <= quantities.keys():
+                raise FormatError(f"{path}: boundary for {target}: give "
+                                  "outflow_m3_s or outflow_flux, not both")
             for quant, pts in quantities.items():
                 if quant == "pressure_bar":
                     series[(target, "pressure")] = _series(
@@ -272,12 +275,6 @@ def load_control(path) -> tuple[np.ndarray, np.ndarray]:
     times = np.array([r[0] for r in rows]) * 3600.0
     values = np.array([r[1] for r in rows]) * BAR
     return times, values
-
-
-def sample_control(times: np.ndarray, values: np.ndarray,
-                   scenario: Scenario) -> np.ndarray:
-    """Control values at the scenario grid times (linear interpolation)."""
-    return np.interp(scenario.times, times, values)
 
 
 def _fmt(x) -> str:

@@ -43,9 +43,10 @@ After set-up the assembler holds no state: evaluate(y) returns an
 Iterate, y with its Colebrook friction and its pointwise gas terms
 (gas.point_terms), and the residual and the Jacobian at y both read it,
 so each iterate's pointwise physics is evaluated once and the Jacobian
-only combines it.  The residual is the rows of the iterate less an offset
-fixed for its step (step_offset: the old level's pair means, the boundary
-values, the lift and the plant offtake), which a Newton step builds once.
+only combines it.  The residual is the rows of the iterate less the level's
+data vector b (level_data: boundary values, lift and plant offtake), its
+box rows on the old level's pair means (old_means).  The Newton solves
+read (y_prev, b) alone, and build the means once per step.
 The Newton solves return their converged Iterate, and Simulator.run keeps
 each level's lambda on the Trajectory (at DEBUG it logs each level), so
 the sweeps rebuild dlambda/dq from it in closed form: Colebrook is solved
@@ -161,7 +162,8 @@ class BoundaryData:
 
 def check_boundary_data(network: CoupledNetwork, series) -> None:
     """Raise ValueError naming, in node and then bus order, each boundary
-    series (target id, quantity) the network reads that `series` lacks."""
+    series (target id, quantity) the network reads that `series` lacks,
+    or else, in their order, the series of `series` that it does not read."""
     quantity = {PRESSURE_BOUNDARY: "pressure", FLOW_BOUNDARY: "outflow"}
     keys = [(n.id, quantity[n.kind]) for n in network.gas.nodes
             if n.kind in quantity] + [(b.id, q) for b in network.grid.busses
@@ -169,6 +171,10 @@ def check_boundary_data(network: CoupledNetwork, series) -> None:
     missing = [f"{t}.{q}" for t, q in keys if (t, q) not in series]
     if missing:
         raise ValueError("missing boundary data for " + ", ".join(missing))
+    unread = [f"{t}.{q}" for t, q in series if (t, q) not in keys]
+    if unread:
+        raise ValueError("boundary data the network does not read: "
+                         + ", ".join(unread))
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,17 +455,17 @@ class CoupledStepAssembler:
     def admissible(self, y: np.ndarray) -> bool:
         return not (y[self.positive] <= 0).any()
 
-    def flat_state(self, snap: _Snapshot) -> np.ndarray:
+    def flat_state(self, b: np.ndarray) -> np.ndarray:
         """Near-stagnant admissible gas unknowns to start the steady solve.
 
-        Every density starts at the first pressure boundary's (a valid
-        network has one).  Pipe and compressor fluxes are seeded with a
-        small positive value: at exact stagnation the friction term q|q|
-        has zero derivative and the flow split around network loops is
-        linearly indeterminate.
+        Every density starts at the first pressure boundary's in the
+        level data b (a valid network has one).  Pipe and compressor fluxes
+        are seeded with a small positive value: at exact stagnation the
+        friction term q|q| has zero derivative and the flow split around
+        network loops is linearly indeterminate.
         """
         y = np.zeros(self.size)
-        rho0 = snap.node_rho_bc[self._pb_nodes[0]]
+        rho0 = b[self._pb_rows[0]]
         y[:self.n_points] = rho0
         y[self.n_points:2 * self.n_points] = _STEADY_FLOW_SEED
         y[self.node_rows] = rho0
@@ -490,12 +496,10 @@ class CoupledStepAssembler:
         return Iterate(y, friction,
                        gas.point_terms(rho, q, grid, self.constants, friction))
 
-    def step_offset(self, y_prev: np.ndarray, u: float, snap: _Snapshot,
-                    grid: np.ndarray):
-        """residual()'s terms fixed for a step: gas.pair_means at y_prev, and
-        b, 0 but for the boundary values of `snap`, u and the plant
-        offtake rho_ref eps(P) at the level's grid vector, at their rows."""
-        n = self.n_points
+    def level_data(self, u: float, snap: _Snapshot, grid: np.ndarray):
+        """A level's data vector b: 0 but for the boundary values of `snap`
+        (an outflow in kg/s), the lift u and the plant offtake rho_ref eps(P)
+        at the level's grid vector `grid`, each at its row."""
         b = np.zeros(self.size)
         b[self._pb_rows] = snap.node_rho_bc[self._pb_nodes]
         b[self._fb_rows] = self._fb_area * snap.node_outflow[self._fb_nodes]
@@ -503,17 +507,21 @@ class CoupledStepAssembler:
         for row, col, plant in self._plants:
             b[row] = plant.reference_density * power.plant_gas_offtake(
                 grid[col], plant)
-        return gas.pair_means(y_prev[:n], y_prev[n:2 * n]), b
+        return b
 
-    def residual(self, it: Iterate, offset, dt: float) -> np.ndarray:
-        """R(y_prev, it.y, u), rows scaled by row_scale, where `offset` is
-        step_offset(y_prev, u, snap, grid): the rows of it.y less the
-        offset's b.  Those rows are the box rows (gas.box_residual on the
-        offset's means), each pipe end's density less its node's, each
-        node's balance (the signed flows of its arc ends, summed in their
-        order) or, at a pressure boundary, its density, and each
-        compressor's pressure lift."""
-        old, b, y = *offset, it.y
+    def old_means(self, y_prev: np.ndarray) -> np.ndarray:
+        """gas.pair_means of gas unknowns y_prev: residual()'s old level."""
+        return gas.pair_means(*y_prev[:2 * self.n_points].reshape(2, -1))
+
+    def residual(self, it: Iterate, old, b, dt: float) -> np.ndarray:
+        """R(y_prev, it.y, u), rows scaled by row_scale, where `old` is
+        old_means(y_prev) and b the level's level_data: the rows of it.y
+        less b.  Those rows are the box rows (gas.box_residual on `old`),
+        each pipe end's density less its node's, each node's balance (the
+        signed flows of its arc ends, summed in their order) or, at a
+        pressure boundary, its density, and each compressor's pressure
+        lift."""
+        y = it.y
         res = np.empty(self.size)
         res[:self.grid.shape[0]] = gas.box_residual(old, it.terms, dt,
                                                     self.grid)
@@ -550,21 +558,20 @@ class CoupledStepAssembler:
         return self.condensation.factors(values, splu)
 
 
-def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
-                   snap: _Snapshot, grid, dt: float, y: np.ndarray,
+def _damped_newton(assembler: CoupledStepAssembler, y_prev, b, dt: float, y,
                    tol: float, max_iter: int, halvings: int) -> Iterate:
-    """Damped Newton solve of the gas system R(y_prev, y, u) = 0 at the
-    level's grid vector `grid` from an admissible y, or of the steady
-    R(y, y, u) = 0 when y_prev is None, which returns the first Iterate
+    """Damped Newton solve of the gas system R(y_prev, y) = 0 with the
+    level data b (assembler.level_data) from an admissible y, or of the
+    steady R(y, y) = 0 when y_prev is None, which returns the first Iterate
     whose max-norm residual is below `tol`, with the Colebrook friction it
     was evaluated with, the iterations taken and that residual.
 
     The start and each admissible candidate are evaluated once
     (assembler.evaluate); the residual and assembler.factors read that
-    Iterate and the step's offset (assembler.step_offset), built once, or
-    per iterate for the steady block, whose old level is the iterate.
-    Each step is halved (up to `halvings` times) until the candidate is
-    admissible and lowers the max-norm residual.  A singular
+    Iterate, b and the old level's means (assembler.old_means), built
+    once, or per iterate for the steady block, whose old level is the
+    iterate.  Each step is halved (up to `halvings` times) until the
+    candidate is admissible and lowers the max-norm residual.  A singular
     block raises SingularJacobian.  A non-finite residual at the start,
     which no step can mend, raises SimulationError, and a solve that runs
     out of iterations or of halvings MaxIterationsExceeded; both name the
@@ -572,9 +579,9 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
     unknown at its column.
     """
     steady = y_prev is None
-    offset = None if steady else assembler.step_offset(y_prev, u, snap, grid)
-    residual = lambda it: assembler.residual(it, assembler.step_offset(
-        it.y, u, snap, grid) if steady else offset, dt)
+    old = None if steady else assembler.old_means(y_prev)
+    residual = lambda it: assembler.residual(
+        it, assembler.old_means(it.y) if steady else old, b, dt)
     row_of = lambda row: f"row {row} (row of {assembler.index.name(row)})"
 
     def stuck(message):
@@ -616,34 +623,30 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, u: float,
                        halvings=halved)
 
 
-def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray,
-                      u: float, snap: _Snapshot, grid: np.ndarray,
-                      dt: float, tol: float = 1e-9, max_iter: int = 25,
-                      y_guess: np.ndarray | None = None
-                      ) -> Iterate:
-    """Damped Newton solve of one implicit step's gas system at the
-    level's grid vector, warm-started at y_guess when it is admissible and
-    at y_prev otherwise: the converged Iterate."""
+def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray, b,
+                      dt: float, tol: float, max_iter: int = 25,
+                      y_guess: np.ndarray | None = None) -> Iterate:
+    """Damped Newton solve of one implicit step's gas system with the
+    level data b, warm-started at y_guess when it is admissible and at
+    y_prev otherwise: the converged Iterate."""
     y = np.array(y_prev if y_guess is None else y_guess, dtype=float)
     if not assembler.admissible(y):
         y = np.array(y_prev, dtype=float)
-    return _damped_newton(assembler, y_prev, u, snap, grid, dt, y, tol,
-                          max_iter, halvings=30)
+    return _damped_newton(assembler, y_prev, b, dt, y, tol, max_iter,
+                          halvings=30)
 
 
-def steady_state(assembler: CoupledStepAssembler, snap: _Snapshot,
-                 grid: np.ndarray, u0: float, dt: float, tol: float = 1e-9,
+def steady_state(assembler: CoupledStepAssembler, b, dt: float, tol: float,
                  max_iter: int = 60) -> Iterate:
-    """Time-derivative-free solution of the gas equations at the grid
-    vector of level 0.
+    """Time-derivative-free solution of the gas equations with the level
+    data b of level 0.
 
     Solves the step equations with y_prev == y_next as one nonlinear
     system from assembler.flat_state; the converged Iterate's y satisfies
     the step residual for every dt.
     """
-    return _damped_newton(assembler, None, u0, snap, grid, dt,
-                          assembler.flat_state(snap), tol, max_iter,
-                          halvings=40)
+    return _damped_newton(assembler, None, b, dt, assembler.flat_state(b),
+                          tol, max_iter, halvings=40)
 
 
 class Simulator:
@@ -671,6 +674,12 @@ class Simulator:
                             pipe.id, dt / pipe.dx)
 
     def run(self, control=None) -> Trajectory:
+        """The Trajectory under `control`, the compressor lift in Pa per
+        time level, shape (step_count + 1,), None for none.  Each level
+        solves its grid, builds its data vector b once (level_data), then
+        solves its gas system.  The Trajectory holds each level's states
+        (gas unknowns, then the grid vector), Colebrook lambda and counters,
+        and the control; a failed level raises SimulationError."""
         m = self.scenario.step_count
         control = np.asarray(np.zeros(m + 1) if control is None else control,
                              dtype=float)
@@ -699,11 +708,10 @@ class Simulator:
                     grid, grid_iterations[j] = power.solve_powerflow(
                         asm.Y, asm.bus_ids, grid, asm.grid_pinned,
                         snap.bus_fixed.ravel(), self.tol)
-                it = steady_state(
-                    asm, snap, grid, control[0], dt,
-                    self.tol) if j == 0 else newton_solve_step(
-                    asm, states[j - 1, :asm.size], control[j], snap, grid,
-                    dt, self.tol, y_guess=guess)
+                b = asm.level_data(control[j], snap, grid)
+                it = steady_state(asm, b, dt, self.tol) if j == 0 else \
+                    newton_solve_step(asm, states[j - 1, :asm.size], b, dt,
+                                      self.tol, y_guess=guess)
             except SimulationError as exc:
                 what = f"step {j}" if j else "steady state"
                 raise SimulationError(
@@ -733,24 +741,23 @@ def mass_balance_report(simulator: Simulator, trajectory: Trajectory):
     """Per-step network mass accounting in Newton-tolerance units.
 
     For each step, compares the change of stored gas mass with the net
-    boundary inflow minus outflow minus plant offtake over the step.  The
-    raw error in kg is normalised by the exact telescoping weight of the
-    residual rows that enter the identity, so a converged step (max-norm
-    residual < tol) implies a normalised error < tol.
+    boundary inflow less outflow and plant offtake (level_data's balance
+    rows).  The raw error in kg is normalised by the exact telescoping
+    weight of the residual rows that enter the identity, so a converged
+    step (max-norm residual < tol) implies a normalised error < tol.
     """
     asm, dt, states = (simulator.assembler, simulator.scenario.dt,
                        trajectory.states)
+    balance = np.setdiff1d(asm.node_rows, asm._pb_rows)
     weight = sum(p.dx * p.area * p.cell_count for p in asm.pipes) \
-        + dt * MASS_FLOW_SCALE * (len(asm.nodes) - len(asm._pb_nodes))
+        + dt * MASS_FLOW_SCALE * len(balance)
     stored = 0.0
     for pipe in asm.pipes:
         rho = states[:, asm.index.pipe_rho[pipe.id]]
         stored += pipe.area * pipe.dx * np.sum(
             0.5 * (rho[:, :-1] + rho[:, 1:]), axis=1)
-    outflow = np.array([snap.node_outflow for snap in simulator.snapshots])
+    out = [asm.level_data(u, snap, y[asm.size:])[balance] for u, snap, y
+           in zip(trajectory.control, simulator.snapshots, states)]
     net_in = asm.node_injections(states)[:, asm._pb_nodes].sum(axis=1) \
-        - outflow[:, asm._fb_nodes] @ asm._fb_area
-    for plant in simulator.network.plants:
-        net_in -= plant.reference_density * power.plant_gas_offtake(
-            states[:, asm.index.bus[(plant.bus, "P")]], plant)
+        - np.sum(out, axis=1)
     return np.abs(np.diff(stored) - dt * net_in[1:]) / weight

@@ -127,8 +127,8 @@ def coupled_residual(asm, y_prev, y, u, snap, dt):
     Q columns, written out here from the bus kinds."""
     g, index = asm.size, asm.index
     res = np.empty(len(y))
-    res[:g] = asm.residual(asm.evaluate(y[:g]), asm.step_offset(
-        y_prev[:g], u, snap, y[g:]), dt)
+    res[:g] = asm.residual(asm.evaluate(y[:g]), asm.old_means(y_prev[:g]),
+                           asm.level_data(u, snap, y[g:]), dt)
     at = lambda q: [index.bus[(b.id, q)] for b in asm.busses]
     flows = power.powerflow_residual(
         y[at("P")], y[at("Q")],

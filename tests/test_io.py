@@ -185,6 +185,36 @@ def test_missing_boundary_series_named(load):
         load(lambda raw: raw["boundary"].pop("C"))
 
 
+@pytest.mark.parametrize("target,quantity", [
+    ("B", "pressure_bar"),     # a junction
+    ("A", "outflow_flux"),     # a pressure boundary
+    ("C", "pressure_bar"),     # a flow boundary
+])
+def test_boundary_series_the_network_does_not_read(load, target, quantity):
+    """A series the node's kind does not fix would be loaded and then
+    ignored: the file is refused, naming the series."""
+    def edit(raw):
+        raw["boundary"].setdefault(target, {})[quantity] = [[0.0, 50.0]]
+
+    series = f"{target}.{quantity.split('_')[0]}"
+    with pytest.raises(io.FormatError, match=r"scenario\.json: boundary data "
+                       rf"the network does not read: {series}$"):
+        load(edit)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_both_outflow_keys_are_refused(load, strict):
+    """A node given its outflow both in m^3/s and as a flux is refused,
+    naming the file and the node, rather than running on whichever key
+    comes last."""
+    def edit(raw):
+        raw["boundary"]["C"]["outflow_m3_s"] = [[0.0, 77.0]]
+
+    with pytest.raises(io.FormatError, match=r"scenario\.json: boundary for "
+                       "C: give outflow_m3_s or outflow_flux, not both$"):
+        load(edit, strict=strict)
+
+
 def test_network_validation_failure(load_network):
     def edit(raw):
         raw["pipes"][0]["to_node"] = "Z"

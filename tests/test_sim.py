@@ -45,6 +45,7 @@ def _index_maps(index):
 
 
 NO_GRID = np.empty(0)   # the grid vector of a network without busses
+TOL = Scenario.newton_tol   # the Newton tolerance a scenario defaults to
 
 
 def level_grid(asm, snap, tol=1e-9):
@@ -58,8 +59,30 @@ def step_residual(asm, y_prev, y, u, snap, dt=900.0):
     """The gas rows of the step residual between two full states, at the
     grid vector of y."""
     g = asm.size
-    return asm.residual(asm.evaluate(y[:g]),
-                        asm.step_offset(y_prev[:g], u, snap, y[g:]), dt)
+    return asm.residual(asm.evaluate(y[:g]), asm.old_means(y_prev[:g]),
+                        asm.level_data(u, snap, y[g:]), dt)
+
+
+def toy_start_and_harder_data(simulator):
+    """The toy network's steady gas unknowns at its level-0 data, and the
+    level data of twice its outflow (300 kg/(m^2 s)), which a step from
+    there meets after several Newton iterations."""
+    asm = simulator.assembler
+    y0 = steady_state(asm, asm.level_data(0.0, simulator.snapshots[0],
+                                          NO_GRID), 900.0, TOL).y
+    harder, = asm.boundary_snapshots(
+        make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
+    return y0, asm.level_data(0.0, harder, NO_GRID)
+
+
+def mixed_start():
+    """The mixed network's assembler, its steady gas unknowns at a 1 bar
+    lift and the level data of a 1.2 bar lift."""
+    asm = CoupledStepAssembler(make_mixed_network())
+    snap, = asm.boundary_snapshots(
+        make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
+    y = steady_state(asm, asm.level_data(1.0e5, snap, NO_GRID), 900.0, TOL).y
+    return asm, y, asm.level_data(1.2e5, snap, NO_GRID)
 
 
 class TestVariableIndex:
@@ -116,8 +139,8 @@ class TestSteadyState:
         boundary[("S25", "outflow")] = (np.array([0.0]), np.array([0.0]))
         from gaspower.sim import BoundaryData
         snap, = asm.boundary_snapshots(BoundaryData(boundary), [0.0])
-        y = steady_state(asm, snap, level_grid(asm, snap), 0.0,
-                         scenario.dt).y
+        y = steady_state(asm, asm.level_data(0.0, snap, level_grid(
+            asm, snap)), scenario.dt, TOL).y
         for pipe in quiet.gas.pipes:
             assert np.allclose(y[asm.index.pipe_rho[pipe.id]],
                                gas.density_of_pressure(60e5, quiet.constants),
@@ -136,20 +159,19 @@ class TestSteadyState:
         rough = Simulator(rough_net, scenario)
         snap = base.snapshots[0]
         grid = level_grid(base.assembler, snap)
-        y0 = steady_state(base.assembler, snap, grid, 0.0, scenario.dt).y
-        y1 = steady_state(rough.assembler, rough.snapshots[0], grid, 0.0,
-                          scenario.dt).y
+        y0, y1 = (steady_state(s.assembler, s.assembler.level_data(
+            0.0, s.snapshots[0], grid), scenario.dt, TOL).y
+                  for s in (base, rough))
         p_base = y0[base.assembler.index.node_rho["S25"]]
         p_rough = y1[rough.assembler.index.node_rho["S25"]]
         assert p_rough < p_base
 
     def test_valid_for_any_dt(self, toy_simulator):
         asm = toy_simulator.assembler
-        snap = toy_simulator.snapshots[0]
-        y = steady_state(asm, snap, NO_GRID, 0.0, 900.0).y
+        b = asm.level_data(0.0, toy_simulator.snapshots[0], NO_GRID)
+        y = steady_state(asm, b, 900.0, TOL).y
         for dt in (1.0, 900.0, 7200.0):
-            res = asm.residual(asm.evaluate(y), asm.step_offset(
-                y, 0.0, snap, NO_GRID), dt)
+            res = asm.residual(asm.evaluate(y), asm.old_means(y), b, dt)
             assert np.max(np.abs(res)) < 1e-8
 
 
@@ -178,7 +200,7 @@ class TestResidualStructure:
 
     def test_plant_coupling_term(self, bundled_simulator,
                                  uncontrolled_trajectory):
-        """The step offset holds the plant offtake rho0 * eps(P) at the S4
+        """The level data hold the plant offtake rho0 * eps(P) at the S4
         balance row and nowhere else, at the grid's P of the plant bus, so
         the S4 row moves by rho0 * d eps exactly."""
         asm = bundled_simulator.assembler
@@ -189,11 +211,10 @@ class TestResidualStructure:
         row = asm.index.node_rho["S4"]
         p_col = asm.index.bus[(plant.bus, "P")]
         base = step_residual(asm, y0, y1, 0.0, snap)[row]
-        _, b = asm.step_offset(y0[:asm.size], 0.0, snap, y1[asm.size:])
+        b = asm.level_data(0.0, snap, y1[asm.size:])
         y1[p_col] = 0.95
         shifted = step_residual(asm, y0, y1, 0.0, snap)[row]
-        _, b_shifted = asm.step_offset(y0[:asm.size], 0.0, snap,
-                                       y1[asm.size:])
+        b_shifted = asm.level_data(0.0, snap, y1[asm.size:])
         assert np.flatnonzero(b_shifted != b).tolist() == [row]
         assert b_shifted[row] == plant.reference_density \
             * power.plant_gas_offtake(0.95, plant)
@@ -222,7 +243,8 @@ class TestResidualStructure:
         asm = bundled_simulator.assembler
         snap = bundled_simulator.snapshots[0]
         lift = 2.0e5
-        y = steady_state(asm, snap, level_grid(asm, snap), lift, 900.0).y
+        y = steady_state(asm, asm.level_data(lift, snap, level_grid(
+            asm, snap)), 900.0, TOL).y
         cons = bundled_simulator.network.constants
         p_in = gas.pressure_of_density(y[asm.index.node_rho["S0"]], cons)
         p_out = gas.pressure_of_density(y[asm.index.node_rho["S17"]], cons)
@@ -232,20 +254,16 @@ class TestResidualStructure:
 class TestNewtonStep:
     def test_steady_input_converges_immediately(self, toy_simulator):
         asm = toy_simulator.assembler
-        snap = toy_simulator.snapshots[0]
-        y0 = steady_state(asm, snap, NO_GRID, 0.0, 900.0).y
-        y1 = newton_solve_step(asm, y0, 0.0, snap, NO_GRID, 900.0).y
+        b = asm.level_data(0.0, toy_simulator.snapshots[0], NO_GRID)
+        y0 = steady_state(asm, b, 900.0, TOL).y
+        y1 = newton_solve_step(asm, y0, b, 900.0, TOL).y
         assert np.max(np.abs(y1 - y0)) < 1e-9
 
     def test_iteration_budget_enforced(self, toy_simulator):
         asm = toy_simulator.assembler
-        y0 = steady_state(asm, toy_simulator.snapshots[0], NO_GRID, 0.0,
-                          900.0).y
-        harder, = asm.boundary_snapshots(
-            make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
+        y0, harder = toy_start_and_harder_data(toy_simulator)
         with pytest.raises(MaxIterationsExceeded) as err:
-            newton_solve_step(asm, y0, 0.0, harder, NO_GRID, 900.0, tol=1e-9,
-                              max_iter=1)
+            newton_solve_step(asm, y0, harder, 900.0, TOL, max_iter=1)
         assert err.value.residual_norm > 0
         assert str(err.value).startswith(
             "Newton did not reach tolerance, largest residual in row 3 (row "
@@ -255,41 +273,39 @@ class TestNewtonStep:
         """With no iteration allowed Newton stops at its start, y_prev, and
         names the row of the largest residual there and its unknown."""
         asm = toy_simulator.assembler
-        y0 = steady_state(asm, toy_simulator.snapshots[0], NO_GRID, 0.0,
-                          900.0).y
-        harder, = asm.boundary_snapshots(
-            make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
-        res = asm.residual(asm.evaluate(y0), asm.step_offset(
-            y0, 0.0, harder, NO_GRID), 900.0)
+        y0, harder = toy_start_and_harder_data(toy_simulator)
+        res = asm.residual(asm.evaluate(y0), asm.old_means(y0), harder, 900.0)
         row = int(np.abs(res).argmax())
         with pytest.raises(MaxIterationsExceeded) as err:
-            newton_solve_step(asm, y0, 0.0, harder, NO_GRID, 900.0,
-                              max_iter=0)
+            newton_solve_step(asm, y0, harder, 900.0, TOL, max_iter=0)
         assert f"largest residual in row {row} (row of " \
             f"{asm.index.name(row)}) (residual {np.abs(res).max():.3e} " \
             "after 0 iterations)" in str(err.value)
 
-    def test_step_offset_is_built_once_per_step(self, toy_simulator,
-                                                monkeypatch):
-        """A time step builds its residual offset once, however many
-        iterates it evaluates; the steady solve, whose old level is its
-        iterate, builds one per evaluated iterate."""
+    def test_level_data_and_old_means_are_built_once(self, toy_simulator,
+                                                     monkeypatch):
+        """A run builds each level's data vector b once, however many
+        iterates its solve evaluates.  A time step builds its old level's
+        means once; the steady solve, whose old level is its iterate, builds
+        them once per evaluated iterate."""
         asm = toy_simulator.assembler
-        snap = toy_simulator.snapshots[0]
-        calls = dict.fromkeys(["step_offset", "evaluate"], 0)
+        calls = dict.fromkeys(["level_data", "old_means", "evaluate"], 0)
         for name in calls:
             def counted(*args, original=getattr(asm, name), name=name):
                 calls[name] += 1
                 return original(*args)
             monkeypatch.setattr(asm, name, counted)
-        y0 = steady_state(asm, snap, NO_GRID, 0.0, 900.0).y
+        trajectory = toy_simulator.run()
+        assert calls["level_data"] == trajectory.step_count + 1
+        assert calls["evaluate"] > calls["level_data"]
+        y0, harder = toy_start_and_harder_data(toy_simulator)
+        calls.update(old_means=0, evaluate=0)
+        steady_state(asm, harder, 900.0, TOL)
         assert calls["evaluate"] > 2
-        assert calls["step_offset"] == calls["evaluate"]
-        harder, = asm.boundary_snapshots(
-            make_toy_scenario(outflow_flux=300.0).boundary, [0.0])
-        calls.update(step_offset=0, evaluate=0)
-        newton_solve_step(asm, y0, 0.0, harder, NO_GRID, 900.0)
-        assert calls["evaluate"] > 2 and calls["step_offset"] == 1
+        assert calls["old_means"] == calls["evaluate"]
+        calls.update(old_means=0, evaluate=0)
+        newton_solve_step(asm, y0, harder, 900.0, TOL)
+        assert calls["evaluate"] > 2 and calls["old_means"] == 1
 
     def test_all_coupling_rows_hold_along_trajectory(self, bundled_simulator,
                                                      uncontrolled_trajectory):
@@ -308,7 +324,7 @@ class TestNewtonStep:
     def test_balance_rows_are_the_node_injections(self, bundled_simulator,
                                                   uncontrolled_trajectory):
         """Each balance row is (-node_injections - b) row_scale, bit for bit,
-        at every level of a run (level 0: the steady offset)."""
+        at every level of a run (level 0: the steady level)."""
         asm, dt = bundled_simulator.assembler, bundled_simulator.scenario.dt
         traj, g = uncontrolled_trajectory, bundled_simulator.assembler.size
         balance = np.ones(len(asm.nodes), dtype=bool)
@@ -317,12 +333,12 @@ class TestNewtonStep:
         injections = asm.node_injections(traj.states)[:, balance]
         for j, snap in enumerate(bundled_simulator.snapshots):
             y = traj.states[j]
-            offset = asm.step_offset(traj.states[max(j - 1, 0), :g],
-                                     traj.control[j], snap, y[g:])
-            res = asm.residual(asm.evaluate(y[:g], traj.friction[j]), offset,
-                               dt)
-            assert np.array_equal(res[rows], (-injections[j] - offset[1][
-                rows]) * asm.row_scale[rows])
+            b = asm.level_data(traj.control[j], snap, y[g:])
+            res = asm.residual(asm.evaluate(y[:g], traj.friction[j]),
+                               asm.old_means(traj.states[max(j - 1, 0), :g]),
+                               b, dt)
+            assert np.array_equal(res[rows], (-injections[j] - b[rows])
+                                  * asm.row_scale[rows])
 
 
 class TestSimulate:
@@ -777,29 +793,25 @@ class TestMixedGeometryJacobian:
         asm = CoupledStepAssembler(make_mixed_network())
         snap, = asm.boundary_snapshots(
             make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
-        y0 = steady_state(asm, snap, NO_GRID, 1.0e5, 900.0).y
+        data = lambda u: asm.level_data(u, snap, NO_GRID)
+        y0 = steady_state(asm, data(1.0e5), 900.0, TOL).y
         rng = np.random.default_rng(41)
         y1 = y0 * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
-        return asm, snap, y0, y1
+        return asm, data, y0, y1
 
     @pytest.mark.parametrize("same_levels", [False, True])
     def test_matches_central_differences(self, mixed, same_levels):
-        asm, snap, y0, y1 = mixed
+        asm, data, y0, y1 = mixed
         y_prev = y1 if same_levels else y0
         u, dt = 1.2e5, 900.0
-        it = asm.evaluate(y1)
+        it, old, b = asm.evaluate(y1), asm.old_means(y_prev), data(u)
         assert_close(step_jacobian(asm, it, dt), central_differences(
-            lambda y: asm.residual(asm.evaluate(y), asm.step_offset(
-                y_prev, u, snap, NO_GRID), dt), y1))
+            lambda y: asm.residual(asm.evaluate(y), old, b, dt), y1))
         assert_close(asm.jac_prev.toarray(), central_differences(
-            lambda y: asm.residual(it, asm.step_offset(y, u, snap, NO_GRID),
-                                   dt), y_prev))
+            lambda y: asm.residual(it, asm.old_means(y), b, dt), y_prev))
         h = 1.0e2
-        fd_u = (asm.residual(it, asm.step_offset(y_prev, u + h, snap,
-                                                 NO_GRID), dt)
-                - asm.residual(it, asm.step_offset(y_prev, u - h, snap,
-                                                   NO_GRID), dt)
-                ) / (2.0 * h)
+        fd_u = (asm.residual(it, old, data(u + h), dt)
+                - asm.residual(it, old, data(u - h), dt)) / (2.0 * h)
         assert_close(asm.d_du, fd_u)
 
     def test_residual_then_jacobian_solves_friction_once(self, mixed,
@@ -807,7 +819,7 @@ class TestMixedGeometryJacobian:
         """In the Newton solves each iterate is evaluated once: Colebrook
         and the pointwise gas terms run once per residual, and the
         Jacobians evaluate nothing."""
-        asm, snap, y0, y1 = mixed
+        asm, data, y0, y1 = mixed
         calls = dict.fromkeys(["friction_factor_and_derivative",
                                "point_terms", "residual", "jacobian"], 0)
 
@@ -819,8 +831,8 @@ class TestMixedGeometryJacobian:
 
         for name in calls:
             count(asm if name in ("residual", "jacobian") else gas, name)
-        newton_solve_step(asm, y0, 1.2e5, snap, NO_GRID, 900.0, y_guess=y1)
-        steady_state(asm, snap, NO_GRID, 1.2e5, 900.0)
+        newton_solve_step(asm, y0, data(1.2e5), 900.0, TOL, y_guess=y1)
+        steady_state(asm, data(1.2e5), 900.0, TOL)
         assert calls["jacobian"] > 2
         assert calls["friction_factor_and_derivative"] == \
             calls["point_terms"] == calls["residual"]
@@ -832,27 +844,29 @@ class TestMixedGeometryJacobian:
             calls["point_terms"] == evaluations + 1
 
     def test_evaluation_leaves_its_inputs_unchanged(self, mixed):
-        """evaluate(y, friction), with lambda given or solved, and the step
-        offset, residual and Jacobians read from it write into no input:
-        y, y_prev and the given lambda keep every bit."""
-        asm, snap, y0, y1 = mixed
+        """evaluate(y, friction), with lambda given or solved, and the old
+        means, residual and Jacobians read from it write into no input:
+        y, y_prev, b and the given lambda keep every bit."""
+        asm, data, y0, y1 = mixed
         n = asm.n_points
         friction = gas.friction_factor_and_derivative(y1[n:2 * n], asm.grid)[0]
         y, y_prev, given = y1.copy(), y0.copy(), friction.copy()
+        b = data(1.2e5)
+        kept = b.copy()
         for it in (asm.evaluate(y), asm.evaluate(y, given)):
-            asm.residual(it, asm.step_offset(y_prev, 1.2e5, snap, NO_GRID),
-                         900.0)
-            asm.residual(it, asm.step_offset(y, 1.2e5, snap, NO_GRID), 900.0)
+            asm.residual(it, asm.old_means(y_prev), b, 900.0)
+            asm.residual(it, asm.old_means(y), b, 900.0)
             asm.factors(it, 900.0, splu, steady=False)
             asm.factors(it, 900.0, splu, steady=True)
         assert y.tobytes() == y1.tobytes() and y_prev.tobytes() == y0.tobytes()
         assert given.tobytes() == friction.tobytes()
+        assert b.tobytes() == kept.tobytes()
 
     def test_nonpositive_pipe_density_rejected(self, mixed, monkeypatch):
         """A pipe density <= 0 makes evaluate raise ValueError through
         gas.check_densities, which runs once per evaluation and not at all
         for the old level."""
-        asm, snap, y0, y1 = mixed
+        asm, data, y0, y1 = mixed
         states, check = [], gas.check_densities
         monkeypatch.setattr(gas, "check_densities", lambda *args:
                             states.append(args) or check(*args))
@@ -863,14 +877,14 @@ class TestMixedGeometryJacobian:
                 asm.evaluate(bad)
         states.clear()
         it = asm.evaluate(y1)
-        asm.residual(it, asm.step_offset(y0, 1.2e5, snap, NO_GRID), 900.0)
+        asm.residual(it, asm.old_means(y0), data(1.2e5), 900.0)
         asm.jacobian(it, 900.0)
         assert len(states) == 1
 
     def test_pipe_rows_equal_box_scheme(self, mixed):
-        asm, snap, y0, y1 = mixed
-        res = asm.residual(asm.evaluate(y1), asm.step_offset(
-            y0, 1.2e5, snap, NO_GRID), 900.0)
+        asm, data, y0, y1 = mixed
+        res = asm.residual(asm.evaluate(y1), asm.old_means(y0), data(1.2e5),
+                           900.0)
         cells = asm.grid.shape[0] // 2  # all mass rows, then all momentum
         start = 0                       # of pipe k: cells of pipes 0..k-1
         for pipe in asm.pipes:
@@ -900,6 +914,21 @@ def test_missing_boundary_series_are_all_named(bundled):
         del series[key]
     with pytest.raises(ValueError, match=r"^missing boundary data for "
                                          r"S25\.outflow, N1\.phi, N9\.Q$"):
+        Simulator(network, Scenario(scenario.horizon, scenario.dt,
+                                    BoundaryData(series)))
+
+
+def test_unread_boundary_series_are_all_named(bundled):
+    """A series the network does not read, built in code, is refused with
+    every other such series: at a junction, a load bus's V, a pressure
+    boundary's outflow and an unknown target."""
+    network, scenario = bundled
+    series = dict(scenario.boundary.series)
+    for key in [("S0", "pressure"), ("N5", "V"), ("S5", "outflow"),
+                ("X1", "P")]:
+        series[key] = (np.array([0.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match=r"^boundary data the network does "
+                       r"not read: S0\.pressure, N5\.V, S5\.outflow, X1\.P$"):
         Simulator(network, Scenario(scenario.horizon, scenario.dt,
                                     BoundaryData(series)))
 
@@ -1029,12 +1058,13 @@ class TestFixedPattern:
         step, steady = [("factors", False), "jacobian"], [
             ("factors", True), "jacobian"]
         calls.clear()
-        newton_solve_step(asm, gas[4], 0.0, bundled_simulator.snapshots[5],
-                          states[5, asm.size:], dt)
+        newton_solve_step(asm, gas[4], asm.level_data(
+            0.0, bundled_simulator.snapshots[5], states[5, asm.size:]), dt,
+            TOL)
         assert len(calls) > 2 and calls == step * (len(calls) // 2)
         calls.clear()
-        steady_state(asm, bundled_simulator.snapshots[0],
-                     states[0, asm.size:], 0.0, dt)
+        steady_state(asm, asm.level_data(0.0, bundled_simulator.snapshots[0],
+                                         states[0, asm.size:]), dt, TOL)
         assert len(calls) > 2 and calls == steady * (len(calls) // 2)
         calls.clear()
         adjoint_sweep(bundled_simulator, uncontrolled_trajectory,
@@ -1062,7 +1092,8 @@ class TestFixedPattern:
         ties, solves to the bit alike from a first and a later
         factorization, and the factorization leaves the start unchanged."""
         asm, snap = bundled_simulator.assembler, bundled_simulator.snapshots[0]
-        y = asm.flat_state(snap)
+        data = asm.level_data(0.0, snap, level_grid(asm, snap))
+        y = asm.flat_state(data)
         it = asm.evaluate(y)
         first, later = (asm.factors(it, bundled_simulator.scenario.dt, splu,
                                     steady=True) for _ in range(2))
@@ -1071,31 +1102,24 @@ class TestFixedPattern:
             assert np.array_equal(first.solve(b), later.solve(b))
             assert np.array_equal(first.solve_transposed(b),
                                   later.solve_transposed(b))
-        assert np.array_equal(asm.flat_state(snap), y)
+        assert np.array_equal(asm.flat_state(data), y)
 
     def test_zero_pivot_names_the_pipe(self, monkeypatch):
         """A singular pipe block gives a zero pivot at the factorization,
         and Newton's error names the pipe."""
-        asm = CoupledStepAssembler(make_mixed_network())
-        snap, = asm.boundary_snapshots(
-            make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
-        y = steady_state(asm, snap, NO_GRID, 1.0e5, 900.0).y
+        asm, y, b = mixed_start()
         original = asm.jacobian
         monkeypatch.setattr(asm, "jacobian", lambda *args: zero_flow_column(
             asm, original(*args), "P2"))
         with pytest.raises(SingularJacobian, match="pipe P2$"):
-            newton_solve_step(asm, y, 1.2e5, snap, NO_GRID, 900.0,
-                              y_guess=1.001 * y)
+            newton_solve_step(asm, y, b, 900.0, TOL, y_guess=1.001 * y)
 
     def test_singular_interval_block_names_the_pipe(self, monkeypatch):
         """A singular 2x2 block of one cell interval (mass and momentum row
         by its right end's q and rho), as near (dt/dx)(c - v) = 1/2, makes
         the mass row's pivot after the row operation exactly 0, and
         Newton's error names the pipe."""
-        asm = CoupledStepAssembler(make_mixed_network())
-        snap, = asm.boundary_snapshots(
-            make_toy_scenario(outflow_flux=60.0).boundary, [0.0])
-        y = steady_state(asm, snap, NO_GRID, 1.0e5, 900.0).y
+        asm, y, b = mixed_start()
         original, last = asm.jacobian, len(asm.grid.left) - 1   # in P3
 
         def singular(*args):
@@ -1106,8 +1130,7 @@ class TestFixedPattern:
 
         monkeypatch.setattr(asm, "jacobian", singular)
         with pytest.raises(SingularJacobian, match="pipe P3$"):
-            newton_solve_step(asm, y, 1.2e5, snap, NO_GRID, 900.0,
-                              y_guess=1.001 * y)
+            newton_solve_step(asm, y, b, 900.0, TOL, y_guess=1.001 * y)
 
     def test_prev_block_is_one_read_only_matrix(self, bundled_simulator):
         """dR/dy_prev is one CSR matrix, and it and dR/du are read-only."""
@@ -1140,23 +1163,23 @@ class TestFixedPattern:
     def test_every_column_matches_central_differences(self, step):
         """Covers the plant and compressor rows too, the grid held fixed."""
         asm, snap, y0, y1, grid = step
-        u, dt = 2.0e5, 900.0
+        b, dt = asm.level_data(2.0e5, snap, grid), 900.0
         jac_next = step_jacobian(asm, asm.evaluate(y1), dt)
         assert_close(jac_next, central_differences(
-            lambda y: asm.residual(asm.evaluate(y), asm.step_offset(
-                y0, u, snap, grid), dt), y1))
+            lambda y: asm.residual(asm.evaluate(y), asm.old_means(y0), b, dt),
+            y1))
 
     def test_steady_jacobian_matches_central_differences(self, step):
         """The steady block equals dR/dy_next + dR/dy_prev exactly."""
         asm, snap, _, y, grid = step
-        u, dt = 2.0e5, 900.0
+        b, dt = asm.level_data(2.0e5, snap, grid), 900.0
         it = asm.evaluate(y)
         jac = steady_jacobian(asm, it, dt)
         assert np.array_equal(jac, step_jacobian(asm, it, dt)
                               + asm.jac_prev.toarray())
         assert_close(jac, central_differences(
-            lambda y: asm.residual(asm.evaluate(y),
-                                   asm.step_offset(y, u, snap, grid), dt), y))
+            lambda y: asm.residual(asm.evaluate(y), asm.old_means(y), b, dt),
+            y))
 
 
 def make_parallel_network():
@@ -1331,6 +1354,22 @@ def test_march_growth_past_the_bound_names_the_pipe(caplog):
         simulator.run([0.0, 1.0e5, 1.0e5])    # a lift step: Newton factors
 
 
+def test_far_off_dt_dx_logs_one_warning_naming_the_pipe(caplog):
+    """A pipe whose dt/dx is more than 20 times the reference (P2 of the
+    mixed network in 25 m cells at dt = 900 s: 36 s/m, 40 times) makes
+    the Simulator log one WARNING, which names that pipe alone."""
+    network = make_mixed_network()
+    pipes = tuple(replace(p, cell_count=60) if p.id == "P2" else p
+                  for p in network.gas.pipes)
+    with caplog.at_level(logging.WARNING, logger=sim_mod.log.name):
+        Simulator(replace(network, gas=replace(network.gas, pipes=pipes)),
+                  make_toy_scenario())
+    record, = caplog.records
+    assert (record.name, record.levelno) == (sim_mod.log.name,
+                                             logging.WARNING)
+    assert record.getMessage().startswith("pipe P2: dt/dx = 36 s/m is far ")
+
+
 def test_pipe_block_is_lower_triangular_after_the_row_operation(
         bundled_simulator, uncontrolled_trajectory):
     """The band of LevelCondensation's factors is Lambda T A: A, the pipe
@@ -1429,9 +1468,9 @@ class TestEmptyIndexArrays:
         rng = np.random.default_rng(7)
         y1 = traj.states[1] * (1.0 + 1e-3 * rng.uniform(-1, 1, y0.size))
         jac_next = step_jacobian(asm, asm.evaluate(y1), 900.0)
+        old, b = asm.old_means(y0), asm.level_data(0.0, snap, NO_GRID)
         assert_close(jac_next, central_differences(
-            lambda y: asm.residual(asm.evaluate(y), asm.step_offset(
-                y0, 0.0, snap, NO_GRID), 900.0), y1))
+            lambda y: asm.residual(asm.evaluate(y), old, b, 900.0), y1))
 
     def test_snapshots_match_one_at_a_time(self, bundled_simulator):
         asm = bundled_simulator.assembler
