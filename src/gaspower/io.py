@@ -24,7 +24,7 @@ from .model import (BAR, BUS_QUANTITIES, Bus, CompressorArc,
                     PowerGrid, TransmissionLine, incident_pipe_area,
                     validate_network)
 from .sim import (BoundaryData, Scenario, Simulator, Trajectory,
-                  check_boundary_data)
+                  check_boundary_data, check_pressure_bounds)
 
 _GAS_QUANTITIES = ("pressure_bar", "outflow_m3_s", "outflow_flux")
 
@@ -65,10 +65,16 @@ def _check_keys(mapping: dict, allowed, where: str, strict: bool):
 
 def _build(cls, record: dict, where: str, strict: bool, **nested):
     """cls from the JSON object `record`; `nested` maps each field that
-    holds an object of its own to that object's class."""
+    holds an object of its own to that object's class.  A float field must
+    hold a finite number, an int field one with no fractional part."""
     fields = cls.__dataclass_fields__
     _check_keys(record, fields, where, strict)
     known = {k: v for k, v in record.items() if k in fields}
+    for key in known:
+        kind = fields[key].type
+        if kind in ("float", "int"):
+            known[key] = (_integer if kind == "int" else _number)(
+                known, key, f"{where}: ")
     for key, sub in nested.items():
         known[key] = _build(sub, record.get(key, {}), f"{where} {key}", strict)
     try:
@@ -210,18 +216,14 @@ def load_scenario(path, network: CoupledNetwork,
             raise FormatError(f"{path}: boundary for unknown target "
                               f"{target!r}")
 
+    p_min = _object(raw.get("pressure_bounds", {}), f"{path}: pressure_bounds")
     try:
         check_boundary_data(network, series)
+        check_pressure_bounds(network, p_min)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
-
-    bounds = {}
-    p_min = _object(raw.get("pressure_bounds", {}), f"{path}: pressure_bounds")
-    for node in p_min:
-        if node not in gas_ids:
-            raise FormatError(f"{path}: pressure bound references unknown "
-                              f"node {node!r}")
-        bounds[node] = _number(p_min, node, f"{path}: pressure_bounds.") * BAR
+    bounds = {node: _number(p_min, node, f"{path}: pressure_bounds.") * BAR
+              for node in p_min}
 
     cb = raw.get("control_bounds", {})
     _check_keys(cb, _CONTROL_BOUND_KEYS, f"{path}: control_bounds", strict)
@@ -291,8 +293,11 @@ def write_results(simulator: Simulator, trajectory: Trajectory,
 
     The q column of gas_nodes.csv is the net mass flow (kg/s) entering
     the network through that node: positive at supply nodes, negative at
-    offtakes, zero at plain junctions.
+    offtakes, zero at plain junctions.  A pressure bound at a node that
+    is not a gas node raises ValueError before any file is written.
     """
+    check_pressure_bounds(simulator.network,
+                          simulator.scenario.pressure_bounds)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     asm = simulator.assembler

@@ -23,7 +23,8 @@ import numpy as np
 from . import compressor, gas
 from .adjoint import state_sensitivities
 from .model import BAR
-from .sim import MASS_FLOW_SCALE, Simulator, Trajectory
+from .sim import (MASS_FLOW_SCALE, Simulator, Trajectory,
+                  check_pressure_bounds)
 
 
 class OptimizationError(Exception):
@@ -200,12 +201,15 @@ def optimize(simulator: Simulator) -> OptimizationResult:
     cost model holds (it has no reverse flow).  A nonzero SLSQP status,
     max_iter iterations included, raises OptimizationError with SLSQP's
     message, and so does a returned control that violates a pressure
-    bound.  The log has one row per call of SLSQP's iteration callback.
+    bound; a bound at a node that is not a gas node raises ValueError.  The
+    log has one row per call of SLSQP's iteration callback.
     """
     # imported here: scipy.optimize adds about 15 MiB to every process
     # that imports gaspower, also those that only simulate
     from scipy.optimize import minimize
 
+    check_pressure_bounds(simulator.network,
+                          simulator.scenario.pressure_bounds)
     for comp in simulator.network.gas.compressors:
         if comp.cost.d0 > 0:
             raise ValueError(

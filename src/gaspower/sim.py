@@ -5,16 +5,12 @@ One time level stacks the unknowns in a fixed order: the densities at
 the grid points of all pipes, pipe after pipe, then their flows in the
 same order, one density-equivalent pressure unknown per gas node, one
 flux unknown per compressor, and V, phi, P, Q for every bus.  Rows mirror
-this layout block by block, so every row index is read off the unknowns'.
-The pipe block's rows are the box-scheme mass rows of all pipes' cell
-intervals, then their momentum rows (the layout of gas.PipeGrid,
-evaluated for all pipes at once), then two pressure-coupling rows per
-pipe, one per end.  A gas node's balance or boundary row sits at its
-density column, a compressor's pressure equation at its flux column, and
-a bus's P-flow, Q-flow and two boundary rows at its V, phi, P and Q
-columns.  No bus row reads a gas unknown, the old level or the lift, and
-the gas rows read the grid only through the plant offtake eps(P), so a
-level's Jacobian is block triangular, [[J_gg, J_gb], [0, J_bb]].
+this layout block by block, so every row index is read off the unknowns'
+(the gas rows: see CoupledStepAssembler), and a bus's P-flow, Q-flow and
+two boundary rows sit at its V, phi, P and Q columns.  No bus row reads a
+gas unknown, the old level or the lift, and the gas rows read the grid
+only through the plant offtake eps(P), so a level's Jacobian is block
+triangular, [[J_gg, J_gb], [0, J_bb]].
 Simulator.run therefore solves each level's power flow first
 (power.solve_powerflow on the assembler's complex admittance table Y,
 from the previous level's grid, at level 0 from V = 1, phi = P = Q = 0
@@ -37,8 +33,8 @@ sweeps alike: a step block dR/dy_next, or the steady block, which adds
 dR/dy_prev's values, by lu.LevelCondensation straight from its values
 (shooting along each pipe by LAPACK dtbtrs; the caller's splu factors
 the network block of nodes, compressors and each pipe's from-end flow).
-The residual writes its linear rows (pressure coupling, boundary rows,
-and the node balances, one bincount over the arc ends) itself.
+The residual reads its linear rows (pressure coupling, boundary rows,
+node balances) off the Jacobian's constant entries, one bincount.
 After set-up the assembler holds no state: evaluate(y) returns an
 Iterate, y with its Colebrook friction and its pointwise gas terms
 (gas.point_terms), and the residual and the Jacobian at y both read it,
@@ -175,6 +171,16 @@ def check_boundary_data(network: CoupledNetwork, series) -> None:
     if unread:
         raise ValueError("boundary data the network does not read: "
                          + ", ".join(unread))
+
+
+def check_pressure_bounds(network: CoupledNetwork, bounds) -> None:
+    """Raise ValueError naming, in their order, the nodes of `bounds` that
+    are not gas nodes of the network."""
+    gas_nodes = {n.id for n in network.gas.nodes}
+    unknown = [node for node in bounds if node not in gas_nodes]
+    if unknown:
+        raise ValueError("pressure bounds at nodes that are not gas nodes: "
+                         + ", ".join(unknown))
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,9 +378,6 @@ class CoupledStepAssembler:
         # per compressor: its flux column, its to- and from-node's density
         self._comp_rows = self.end_flow[pipe_ends::2]
         self._comp_ends = end_rows[pipe_ends:].reshape(-1, 2).T[::-1]
-        # each pipe end's density equals its node's
-        self.coupling_rows = n_box + np.arange(pipe_ends)
-        self.coupling_cols = self.end_flow[:pipe_ends] - self.n_points
         self.coupling_node_cols = end_rows[:pipe_ends]
 
         scale = np.ones(size)
@@ -388,22 +391,25 @@ class CoupledStepAssembler:
         self.d_du[self._comp_rows] = -scale[self._comp_rows]
         self.d_du.flags.writeable = False
 
-        # each arc end's flow, signed area times flux, enters its node's
-        # balance row
+        # the linear rows as constant entries (rows, cols, value or values):
+        # each pipe end's density less its node's, a pressure boundary's
+        # density, and each arc end's signed area times flux in its balance
+        coupling_rows = n_box + np.arange(pipe_ends)
         balance = (kind != PRESSURE_BOUNDARY)[self.end_node]
-        # constant entries: (rows, cols, value or values)
-        const = [(self.coupling_rows, self.coupling_cols, 1.0),
-                 (self.coupling_rows, self.coupling_node_cols, -1.0),
+        const = [(coupling_rows, self.end_flow[:pipe_ends] - self.n_points,
+                  1.0),
+                 (coupling_rows, self.coupling_node_cols, -1.0),
                  (self._pb_rows, self._pb_rows, 1.0),
                  (end_rows[balance], self.end_flow[balance],
                   self.end_area[balance])]
-        const_rows, const_cols = (np.concatenate(part).astype(int) for part
-                                  in zip(*[(r, c) for r, c, _ in const]))
+        self._const_rows, self._const_cols = (
+            np.concatenate(part).astype(int)
+            for part in zip(*[(r, c) for r, c, _ in const]))
         self._const_vals = np.concatenate([v * np.ones(len(r))
                                            for r, _, v in const])
 
         self.entries = rows, cols = tuple(np.concatenate(part) for part in zip(
-            box_next, (const_rows, const_cols),
+            box_next, (self._const_rows, self._const_cols),
             *[(self._comp_rows, node) for node in self._comp_ends]))
         self._entry_scale = self.row_scale[rows]
         # dR/dy_prev is constant, -1/2 on the old level of the box stencil
@@ -516,20 +522,15 @@ class CoupledStepAssembler:
     def residual(self, it: Iterate, old, b, dt: float) -> np.ndarray:
         """R(y_prev, it.y, u), rows scaled by row_scale, where `old` is
         old_means(y_prev) and b the level's level_data: the rows of it.y
-        less b.  Those rows are the box rows (gas.box_residual on `old`),
-        each pipe end's density less its node's, each node's balance (the
-        signed flows of its arc ends, summed in their order) or, at a
-        pressure boundary, its density, and each compressor's pressure
-        lift."""
+        less b.  The linear rows (pressure coupling, node balances and
+        pressure boundaries) are the Jacobian's constant entries times y,
+        summed per row in entry order; then come the box rows
+        (gas.box_residual on `old`) and each compressor's pressure lift."""
         y = it.y
-        res = np.empty(self.size)
+        res = np.bincount(self._const_rows, self._const_vals
+                          * y[self._const_cols], self.size)
         res[:self.grid.shape[0]] = gas.box_residual(old, it.terms, dt,
                                                     self.grid)
-        res[self.coupling_rows] = y[self.coupling_cols] \
-            - y[self.coupling_node_cols]
-        res[self.node_rows] = np.bincount(
-            self.end_node, self.end_area * y[self.end_flow], len(self.nodes))
-        res[self._pb_rows] = y[self._pb_rows]
         p_to, p_from = gas._pressure(y[self._comp_ends], self.constants)
         res[self._comp_rows] = p_to - p_from
         res -= b
@@ -749,13 +750,13 @@ def mass_balance_report(simulator: Simulator, trajectory: Trajectory):
     asm, dt, states = (simulator.assembler, simulator.scenario.dt,
                        trajectory.states)
     balance = np.setdiff1d(asm.node_rows, asm._pb_rows)
-    weight = sum(p.dx * p.area * p.cell_count for p in asm.pipes) \
-        + dt * MASS_FLOW_SCALE * len(balance)
-    stored = 0.0
-    for pipe in asm.pipes:
-        rho = states[:, asm.index.pipe_rho[pipe.id]]
-        stored += pipe.area * pipe.dx * np.sum(
-            0.5 * (rho[:, :-1] + rho[:, 1:]), axis=1)
+    grid, n = asm.grid, asm.n_points
+    volume = np.pi / 4.0 * grid.diameter[grid.left]**2 * grid.dx
+    weight = volume.sum() + dt * MASS_FLOW_SCALE * len(balance)
+    # a cell's mass is its volume times its ends' mean density: each grid
+    # point holds half the volume of each cell it bounds
+    stored = states[:, :n] @ np.bincount(grid.ends.ravel(),
+                                         np.tile(0.5 * volume, 2), n)
     out = [asm.level_data(u, snap, y[asm.size:])[balance] for u, snap, y
            in zip(trajectory.control, simulator.snapshots, states)]
     net_in = asm.node_injections(states)[:, asm._pb_nodes].sum(axis=1) \

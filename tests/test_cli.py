@@ -95,6 +95,35 @@ def test_validate_rejects_an_empty_gas_network(tmp_path):
     assert "gas network has no node" in done.stdout
 
 
+@pytest.mark.parametrize("record,key,value,message", [
+    ("pipes", "cell_count", 2.5, "pipe #0: cell_count: expected an integer"),
+    ("lines", "B", "x", "line #0: B: expected a number"),
+    ("plants", "a0", float("nan"), "plant #0: a0: expected a number"),
+    ("busses", "G", float("nan"), "bus #0: G: expected a number"),
+    ("constants", "kappa", float("inf"),
+     "constants: kappa: expected a number"),
+    ("pipes", "length", float("nan"), "pipe #0: length: expected a number")])
+def test_malformed_number_in_the_network_is_an_input_error(
+        tmp_path, capsys, record, key, value, message):
+    """A non-numeric or non-finite number, or a fractional cell count, in
+    the bundled network is refused by validate and simulate, strict or
+    lax, naming the record and the field."""
+    raw = json.loads((PACKAGE / "fixtures" / "network.json").read_text(
+        encoding="utf-8"))
+    (raw[record][0] if isinstance(raw[record], list) else raw[record])[key] \
+        = value
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    scenario = str(PACKAGE / "fixtures" / "scenario.json")
+    for command in (["validate"], ["simulate", "--scenario", scenario,
+                                   "--out", str(tmp_path / "out")]):
+        for lax in ([], ["--lax"]):
+            code = cli.run([*command, "--network", str(path), *lax])
+            assert code == cli.EXIT_INPUT_ERROR
+            assert f"input error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def write_toy_case(tmp_path, pressure_bounds=None, optimizer=None,
                    outflow_flux=150.0):
     """Toy network and scenario files; returns the common CLI arguments.

@@ -288,6 +288,30 @@ def test_scenario_section_of_the_wrong_type(load, edit, message):
         load(edit)
 
 
+def test_pressure_bound_at_an_unknown_node_is_refused_at_load(load):
+    with pytest.raises(io.FormatError, match=r"scenario\.json: pressure "
+                       "bounds at nodes that are not gas nodes: X, Y$"):
+        load(lambda raw: raw["pressure_bounds"].update(X=40.0, C=40.0,
+                                                       Y=40.0))
+
+
+def test_pressure_bound_at_a_node_that_is_not_a_gas_node(
+        bundled, uncontrolled_trajectory, tmp_path):
+    """A scenario built in code may bound an unknown node or a bus: the
+    Simulator runs it, as no run reads a bound, but write_results refuses
+    it before writing a file, and optimize before its first run, both
+    naming every such node."""
+    network, scenario = bundled
+    simulator = Simulator(network, replace(scenario, pressure_bounds={
+        "NOPE": 41.0e5, "S25": 41.0e5, "N1": 41.0e5}))
+    message = "^pressure bounds at nodes that are not gas nodes: NOPE, N1$"
+    with pytest.raises(ValueError, match=message):
+        io.write_results(simulator, uncontrolled_trajectory, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match=message):
+        opt.optimize(simulator)
+
+
 def test_outflow_volume_needs_an_incident_pipe(load):
     with pytest.raises(io.FormatError, match="node A has no incident pipe"):
         load(_setting([[0.0, 1.0]], "boundary", "A", "outflow_m3_s"))

@@ -1,12 +1,14 @@
 """Network description: types, validation, admittance table."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from gaspower.model import (Bus, CompressorArc, GasNetwork, GasNode,
-                            GasPowerPlant, Pipe, PowerGrid, TransmissionLine,
-                            nodal_admittance, validate_network)
+from gaspower.model import (Bus, CompressorArc, GasConstants, GasNetwork,
+                            GasNode, GasPowerPlant, PerUnitSystem, Pipe,
+                            PowerGrid, TransmissionLine, nodal_admittance,
+                            validate_network)
 
 
 def test_pipe_cross_section():
@@ -175,3 +177,65 @@ class TestAdmittance:
 def test_compressor_arc_needs_distinct_ends():
     with pytest.raises(ValueError):
         CompressorArc("C", "S0", "S0")
+
+
+def _record(table, i, **changes):
+    """Edit of a network that changes record i of `table` ("gas.nodes",
+    "gas.compressors", "grid.busses", "grid.lines" or "plants")."""
+    *owner, name = table.split(".")
+
+    def edit(network):
+        part = getattr(network, owner[0]) if owner else network
+        records = list(getattr(part, name))
+        records[i] = replace(records[i], **changes)
+        part = replace(part, **{name: tuple(records)})
+        return replace(network, **{owner[0]: part}) if owner else part
+
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_record("gas.compressors", 0, id="P10"), "duplicate gas arc ids"),
+    (_record("grid.busses", 1, id="N1"), "duplicate bus ids"),
+    (_record("grid.lines", 0, to_bus="N99"), "TL14: unknown endpoint 'N99'"),
+    (_record("grid.lines", 1, to_bus="N1"),
+     "TL45: duplicate line between N4 and N1"),
+    (_record("plants", 0, gas_node="S99"),
+     "plant PLANT1: unknown gas node 'S99'"),
+    (_record("plants", 0, bus="N99"), "plant PLANT1: unknown bus 'N99'"),
+    (_record("gas.nodes", 4, kind="power-coupling"),
+     "power-coupling node S8 has no plant"),
+    (_record("gas.nodes", 3, kind="junction"),
+     "plant gas node S4 is not marked power-coupling"),
+    (lambda network: replace(network, plants=network.plants * 2),
+     "multiple plants on one gas node"),
+    (lambda network: replace(network, grid=PowerGrid((), ())),
+     "plants present but the power grid is empty"),
+], ids=lambda case: case if isinstance(case, str) else None)
+def test_one_field_change_of_the_bundled_network_is_reported(bundled, edit,
+                                                            message):
+    network = edit(bundled[0])
+    assert message in validate_network(network.gas, network.grid,
+                                       network.plants)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: GasConstants(kappa=0.0), "kappa must be positive"),
+    (lambda: GasConstants(gamma=0.5), "gamma must be >= 1"),
+    (lambda: GasConstants(eta=-1e-5), "eta must be positive"),
+    (lambda: Pipe("P", "a", "b", length=5.0, cell_count=-1),
+     "pipe P: cell_count must be >= 1"),
+    (lambda: Bus("N", "hub"), "bus N: unknown kind 'hub'"),
+    (lambda: GasPowerPlant("PL", "S4", "N1", reference_density=0.0),
+     "plant PL: reference density must be positive"),
+    (lambda: PerUnitSystem(base_voltage=0.0),
+     "per-unit bases must be positive"),
+], ids=lambda case: case if isinstance(case, str) else None)
+def test_record_out_of_range_is_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_unknown_bus_is_a_key_error(bundled):
+    with pytest.raises(KeyError, match="N99"):
+        bundled[0].grid.bus("N99")

@@ -312,9 +312,10 @@ class TestNewtonStep:
         """Node pressure equality and flow balance hold at every state."""
         asm = bundled_simulator.assembler
         traj = uncontrolled_trajectory
-        # a node's balance or boundary row sits at its density column
-        rows = np.concatenate([asm.coupling_rows,
-                               list(asm.index.node_rho.values())])
+        # two coupling rows per pipe follow the box rows; a node's balance
+        # or boundary row sits at its density column
+        coupling = asm.grid.shape[0] + np.arange(2 * len(asm.pipes))
+        rows = np.concatenate([coupling, list(asm.index.node_rho.values())])
         for j in (1, 17, 48):
             res = step_residual(asm, traj.states[j - 1], traj.states[j],
                                 traj.control[j],
@@ -441,6 +442,20 @@ class TestSimulate:
     def test_control_length_checked(self, bundled_simulator):
         with pytest.raises(ValueError):
             bundled_simulator.run(np.zeros(10))
+
+    @pytest.mark.parametrize("control,message", [
+        ([0.0] * 48 + [np.nan], "control contains non-finite entries"),
+        ([0.0] + [np.inf] * 48, "control contains non-finite entries"),
+        ([0.0, 1.0e5, 0.0],
+         "network has no compressor, control must be zero")])
+    def test_control_the_network_cannot_apply_is_refused(
+            self, bundled_simulator, control, message):
+        """A non-finite lift, and a nonzero one on a network without a
+        compressor (the pipe-only network, 2 steps), are refused."""
+        simulator = bundled_simulator if len(control) == 49 else Simulator(
+            make_pipe_only_network(), make_toy_scenario())
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulator.run(np.array(control))
 
     def test_mass_accounting(self, bundled_simulator,
                              uncontrolled_trajectory):
