@@ -39,9 +39,10 @@ _LN10 = np.log(10.0)
 
 
 def check_densities(rho: np.ndarray):
-    """Raise ValueError unless every density of the array rho is positive."""
-    if (rho <= 0).any():
-        raise ValueError("densities must be positive")
+    """Raise ValueError unless every density of the array rho is positive
+    and finite (NaN is neither)."""
+    if not ((rho > 0) & (rho < np.inf)).all():
+        raise ValueError("densities must be positive and finite")
 
 
 def _pressure(rho, constants: GasConstants):   # unchecked

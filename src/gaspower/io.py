@@ -132,12 +132,19 @@ _CONTROL_BOUND_KEYS = ("u_min_bar", "u_max_bar")
 _OPTIMIZER_KEYS = ("max_iter", "feasibility_tol_bar", "newton_tol")
 
 
+def _float(value) -> float:
+    """float(value) of a JSON number; a boolean or a string raises."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _number(mapping: dict, key: str, where: str, default=None) -> float:
     """mapping[key] (`default` if given and the key is absent) as a finite
     float."""
     try:
-        value = float(mapping[key] if default is None
-                      else mapping.get(key, default))
+        value = _float(mapping[key] if default is None
+                       else mapping.get(key, default))
     except (TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value):
@@ -155,7 +162,7 @@ def _integer(mapping: dict, key: str, where: str) -> int:
 
 def _series(points, where, time_scale=3600.0, value_scale=1.0):
     try:
-        pts = [(float(t) * time_scale, float(v) * value_scale)
+        pts = [(_float(t) * time_scale, _float(v) * value_scale)
                for t, v in points]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{where}: breakpoints must be (time, value) "

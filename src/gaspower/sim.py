@@ -43,10 +43,12 @@ only combines it.  The residual is the rows of the iterate less the level's
 data vector b (level_data: boundary values, lift and plant offtake), its
 box rows on the old level's pair means (old_means).  The Newton solves
 read (y_prev, b) alone, and build the means once per step.
-The Newton solves return their converged Iterate, and Simulator.run keeps
-each level's lambda on the Trajectory (at DEBUG it logs each level), so
-the sweeps rebuild dlambda/dq from it in closed form: Colebrook is solved
-once per Newton iterate, never in a sweep.
+The Newton solves return their converged Iterate and last factors, and
+Simulator.run keeps each level's lambda on the Trajectory (at DEBUG it
+logs each level), so the sweeps rebuild dlambda/dq from it in closed form:
+Colebrook is solved once per Newton iterate, never in a sweep.  It starts
+each step at the tangent-linear prediction on the last factors (Hairer and
+Wanner, Solving ODEs II, IV.8), so the level's new data enter the start.
 """
 
 from __future__ import annotations
@@ -233,7 +235,8 @@ class _Snapshot:
 class Iterate(NamedTuple):
     """A y_next of gas unknowns with its Colebrook friction and the
     gas.point_terms built on it; a Newton solve returns its last Iterate
-    with its iterations, step halvings and max-norm residual."""
+    with its iterations, step halvings, max-norm residual and the factors
+    of its last iteration's block (None after 0 iterations)."""
 
     y: np.ndarray
     friction: tuple   # (lambda, dlambda/dq), each per grid point
@@ -241,6 +244,7 @@ class Iterate(NamedTuple):
     iterations: int = 0
     residual_norm: float = np.nan
     halvings: int = 0
+    factors: object = None   # lu.CondensedFactors
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,7 +463,9 @@ class CoupledStepAssembler:
     # -- state helpers -----------------------------------------------------
 
     def admissible(self, y: np.ndarray) -> bool:
-        return not (y[self.positive] <= 0).any()
+        """Whether every density of y is positive and finite."""
+        rho = y[self.positive]
+        return bool(((rho > 0) & (rho < np.inf)).all())
 
     def flat_state(self, b: np.ndarray) -> np.ndarray:
         """Near-stagnant admissible gas unknowns to start the steady solve.
@@ -492,8 +498,8 @@ class CoupledStepAssembler:
         """The Iterate of the gas unknowns y (not copied): Colebrook's
         (lambda, dlambda/dq) at its grid points, solved unless `friction`
         gives lambda (a trajectory's friction[n] for its states[n]), and the
-        gas.point_terms on them.  A pipe density <= 0 raises ValueError
-        (gas.check_densities)."""
+        gas.point_terms on them.  A pipe density that is not positive and
+        finite raises ValueError (gas.check_densities)."""
         n, grid = self.n_points, self.grid
         rho, q = y[:n], y[n:2 * n]
         gas.check_densities(rho)
@@ -565,7 +571,8 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, b, dt: float, y,
     level data b (assembler.level_data) from an admissible y, or of the
     steady R(y, y) = 0 when y_prev is None, which returns the first Iterate
     whose max-norm residual is below `tol`, with the Colebrook friction it
-    was evaluated with, the iterations taken and that residual.
+    was evaluated with, the iterations taken, that residual and the factors
+    of the last iteration's block (None after 0 iterations).
 
     The start and each admissible candidate are evaluated once
     (assembler.evaluate); the residual and assembler.factors read that
@@ -597,11 +604,14 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, b, dt: float, y,
         row = np.flatnonzero(~np.isfinite(res))[0]
         raise SimulationError(f"non-finite residual in {row_of(row)}")
     iterations = halved = 0
+    factors = None
     while norm >= tol:
         if iterations >= max_iter:
             raise stuck("Newton did not reach tolerance")
+        factors = None    # the last factors go before the next are made
         try:
-            step = assembler.factors(it, dt, splu, steady).solve(-res)
+            factors = assembler.factors(it, dt, splu, steady)
+            step = factors.solve(-res)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from None
         if not np.isfinite(step).all():
@@ -621,15 +631,16 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, b, dt: float, y,
             raise stuck("Newton line search stalled")
         iterations, halved = iterations + 1, halved + k
     return it._replace(iterations=iterations, residual_norm=norm,
-                       halvings=halved)
+                       halvings=halved, factors=factors)
 
 
 def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray, b,
                       dt: float, tol: float, max_iter: int = 25,
                       y_guess: np.ndarray | None = None) -> Iterate:
     """Damped Newton solve of one implicit step's gas system with the
-    level data b, warm-started at y_guess when it is admissible and at
-    y_prev otherwise: the converged Iterate."""
+    level data b, warm-started at y_guess (Simulator.run passes its
+    tangent-linear prediction) when it is admissible, every density
+    positive and finite, and at y_prev otherwise: the converged Iterate."""
     y = np.array(y_prev if y_guess is None else y_guess, dtype=float)
     if not assembler.admissible(y):
         y = np.array(y_prev, dtype=float)
@@ -678,9 +689,16 @@ class Simulator:
         """The Trajectory under `control`, the compressor lift in Pa per
         time level, shape (step_count + 1,), None for none.  Each level
         solves its grid, builds its data vector b once (level_data), then
-        solves its gas system.  The Trajectory holds each level's states
-        (gas unknowns, then the grid vector), Colebrook lambda and counters,
-        and the control; a failed level raises SimulationError."""
+        solves its gas system from y[n-1] + d, the tangent-linear step of
+        the level's increments on the factors F of the last level's Newton
+        solve (the steady solve's at level 1, where y[-1] = y[0]):
+        F d = row_scale (b[n] - b[n-1]) - jac_prev (y[n-1] - y[n-2]).  F is
+        released before the level's Newton solve; after a solve of 0
+        iterations, which leaves none, the next level starts at y[n-1].  It
+        costs one solve and saves about half a Newton iteration.  The
+        Trajectory holds each level's states (gas unknowns, then the grid
+        vector), Colebrook lambda and counters, and the control; a failed
+        level raises SimulationError."""
         m = self.scenario.step_count
         control = np.asarray(np.zeros(m + 1) if control is None else control,
                              dtype=float)
@@ -699,10 +717,8 @@ class Simulator:
         debug = log.isEnabledFor(logging.DEBUG)
         # the flat grid, V = 1 and phi = P = Q = 0; the solve pins the rest
         grid = np.tile([1.0, 0.0, 0.0, 0.0], len(asm.busses))
+        factors = None
         for j, snap in enumerate(self.snapshots):
-            # linear extrapolation in time cuts one Newton iteration
-            guess = 2.0 * states[j - 1, :asm.size] - states[j - 2, :asm.size] \
-                if j >= 2 else None
             try:   # an unchanged pinned grid keeps its solved power flow
                 if j == 0 or not np.array_equal(
                         snap.bus_fixed, self.snapshots[j - 1].bus_fixed):
@@ -710,9 +726,17 @@ class Simulator:
                         asm.Y, asm.bus_ids, grid, asm.grid_pinned,
                         snap.bus_fixed.ravel(), self.tol)
                 b = asm.level_data(control[j], snap, grid)
-                it = steady_state(asm, b, dt, self.tol) if j == 0 else \
-                    newton_solve_step(asm, states[j - 1, :asm.size], b, dt,
-                                      self.tol, y_guess=guess)
+                if j == 0:
+                    it = steady_state(asm, b, dt, self.tol)
+                else:   # from the tangent-linear step of the increments
+                    y_prev, guess = states[j - 1, :asm.size], None
+                    if factors is not None:
+                        dy = y_prev - states[max(j - 2, 0), :asm.size]
+                        guess = y_prev - factors.solve(
+                            asm.jac_prev @ dy - asm.row_scale * (b - b_prev))
+                    factors = None    # released before the level's Newton
+                    it = newton_solve_step(asm, y_prev, b, dt, self.tol,
+                                           y_guess=guess)
             except SimulationError as exc:
                 what = f"step {j}" if j else "steady state"
                 raise SimulationError(
@@ -721,6 +745,7 @@ class Simulator:
             states[j, :asm.size], states[j, asm.size:] = it.y, grid
             friction[j], iterations[j], halvings[j], norms[j] = \
                 it.friction[0], it.iterations, it.halvings, it.residual_norm
+            factors, b_prev, it = it.factors, b, None   # no Iterate keeps F
             if debug:
                 log.debug("level %d, t = %g s: %d Newton iterations, %d "
                           "halvings, %d grid iterations, residual %.3e", j,

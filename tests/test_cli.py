@@ -100,12 +100,16 @@ def test_validate_rejects_an_empty_gas_network(tmp_path):
     ("lines", "B", "x", "line #0: B: expected a number"),
     ("plants", "a0", float("nan"), "plant #0: a0: expected a number"),
     ("busses", "G", float("nan"), "bus #0: G: expected a number"),
+    ("busses", "G", True, "bus #0: G: expected a number"),
+    ("pipes", "length", "1500", "pipe #0: length: expected a number"),
+    ("pipes", "cell_count", True, "pipe #0: cell_count: expected a number"),
     ("constants", "kappa", float("inf"),
      "constants: kappa: expected a number"),
     ("pipes", "length", float("nan"), "pipe #0: length: expected a number")])
 def test_malformed_number_in_the_network_is_an_input_error(
         tmp_path, capsys, record, key, value, message):
-    """A non-numeric or non-finite number, or a fractional cell count, in
+    """A non-numeric or non-finite number (a JSON boolean or a numeric
+    string too, which float() would take), or a fractional cell count, in
     the bundled network is refused by validate and simulate, strict or
     lax, naming the record and the field."""
     raw = json.loads((PACKAGE / "fixtures" / "network.json").read_text(

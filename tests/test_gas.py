@@ -282,9 +282,12 @@ class TestSourceTerm:
                                                     rel=1e-12)
 
     def test_nonpositive_density_rejected(self):
+        """Zero, negative and non-finite densities are refused (NaN <= 0
+        is False, so NaN needs its own test)."""
         gas.check_densities(np.array([51.9, 1e-300]))
-        for rho in (0.0, -1.0):
-            with pytest.raises(ValueError, match="densities must be positive"):
+        for rho in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="densities must be positive "
+                               "and finite"):
                 gas.check_densities(np.array([51.9, rho]))
 
 

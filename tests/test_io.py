@@ -288,6 +288,27 @@ def test_scenario_section_of_the_wrong_type(load, edit, message):
         load(edit)
 
 
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("edit,message", [
+    (_setting([[0.0, "60"]], "boundary", "A", "pressure_bar"),
+     r"A\.pressure_bar: breakpoints must be \(time, value\) pairs: "
+     "expected a number, got '60'"),
+    (_setting([[0.0, 150.0], [True, 150.0]], "boundary", "C",
+              "outflow_flux"),
+     r"C\.outflow_flux: breakpoints must be \(time, value\) pairs: "
+     "expected a number, got True"),
+    (_setting(True, "horizon_hours"), "horizon_hours: expected a number"),
+    (_setting("15", "dt_minutes"), "dt_minutes: expected a number"),
+    (_setting("7", "optimizer", "max_iter"),
+     "optimizer.max_iter: expected a number"),
+])
+def test_booleans_and_strings_are_not_numbers(load, edit, message, strict):
+    """float() takes a JSON true (as 1.0) and a numeric string, so the
+    loader refuses both by type, strict or lax, naming the field."""
+    with pytest.raises(io.FormatError, match=message):
+        load(edit, strict=strict)
+
+
 def test_pressure_bound_at_an_unknown_node_is_refused_at_load(load):
     with pytest.raises(io.FormatError, match=r"scenario\.json: pressure "
                        "bounds at nodes that are not gas nodes: X, Y$"):
