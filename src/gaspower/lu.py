@@ -12,14 +12,17 @@ singular, as the whole block is).
 The march has two limits, both raised by the factorization as
 RuntimeError naming the pipe.  A zero pivot of the pipe block, where an
 interval's 2x2 block is singular (near (dt/dx)(c - v) = 1/2) or the flow
-sonic, raises.  Shooting from the from-end amplifies the left-running
-characteristic by about ((c - v) dt/dx + 1/2) / ((c - v) dt/dx - 1/2) per
-cell, about exp(L / ((c - v) dt)) along a pipe of length L, and a solve
-loses that factor in relative accuracy; the factorization raises where a
-pipe's march grows by more than MAX_MARCH_GROWTH: on a 66 km pipe where dt
-is below about 40-55 s, depending on the flow, which in 100 m cells is a
-dt/dx that draws no warning from the Simulator.  A singular network block
-raises SuperLU's RuntimeError at the factorization too."""
+sonic, raises.  Shooting from the from-end amplifies the growing mode by
+about exp(L sqrt(1 + a dt) / ((c - v) dt)) along a pipe of length L, with
+a = lambda |v| / d the friction's rate; the frictionless
+exp(L / ((c - v) dt)) is only a lower bound (on a 66 km pipe at 5 m/s,
+1.9e4 at dt = 20 s, where the factorization measures 2.6e8, half the
+estimate).  A solve loses that factor in relative accuracy; the
+factorization raises where a pipe's march grows by more than
+MAX_MARCH_GROWTH: on that pipe where dt is below about 43-56 s, depending
+on the flow, which in 100 m cells is a dt/dx that draws no warning from
+the Simulator.  A singular network block raises SuperLU's RuntimeError at
+the factorization too."""
 
 from __future__ import annotations
 

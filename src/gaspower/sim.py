@@ -48,7 +48,8 @@ Simulator.run keeps each level's lambda on the Trajectory (at DEBUG it
 logs each level), so the sweeps rebuild dlambda/dq from it in closed form:
 Colebrook is solved once per Newton iterate, never in a sweep.  It starts
 each step at the tangent-linear prediction on the last factors (Hairer and
-Wanner, Solving ODEs II, IV.8), so the level's new data enter the start.
+Wanner, Solving ODEs II, IV.8), so the level's new data enter the start,
+and takes a chord step after a step that contracts CHORD_CONTRACTION-fold.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ _REFERENCE_DT_DX = 900.0 / 1000.0
 
 # pipe/compressor flux (kg/(m^2 s)) seeded into the steady-state guess
 _STEADY_FLOW_SEED = 10.0
+
+# A full Newton step that cuts the max-norm residual this many times is
+# followed by a chord step on its factors: 33% fewer LUs over the benchmark
+# variants for 1.7% more iterations; 1e4 saves less, 1e2 no more time.
+CHORD_CONTRACTION = 1e3
 
 class MaxIterationsExceeded(SimulationError):
     def __init__(self, message, residual_norm, iterations):
@@ -235,8 +241,8 @@ class _Snapshot:
 class Iterate(NamedTuple):
     """A y_next of gas unknowns with its Colebrook friction and the
     gas.point_terms built on it; a Newton solve returns its last Iterate
-    with its iterations, step halvings, max-norm residual and the factors
-    of its last iteration's block (None after 0 iterations)."""
+    with its iterations, step halvings, max-norm residual, the factors its
+    last iteration solved on (None after 0 iterations) and factorizations."""
 
     y: np.ndarray
     friction: tuple   # (lambda, dlambda/dq), each per grid point
@@ -245,6 +251,7 @@ class Iterate(NamedTuple):
     residual_norm: float = np.nan
     halvings: int = 0
     factors: object = None   # lu.CondensedFactors
+    factorizations: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,9 +266,11 @@ class Trajectory:
     makes states and friction read-only.  newton_iterations, step_halvings
     and residual_norm give level n's Newton iterations on the gas system
     (level 0: the steady solve), their step halvings and its final
-    max-norm residual, grid_iterations[n] its power flow's Newton
-    iterations, 0 where level n - 1 pins the same grid values.  Equality
-    and hash are the object's identity, as the arrays have no truth value.
+    max-norm residual, factorizations[n] the blocks it factored (fewer
+    where chord steps reuse them), grid_iterations[n] its power flow's
+    Newton iterations, 0 where level n - 1 pins the same grid values.
+    Equality and hash are the object's identity, as the arrays have no
+    truth value.
     """
 
     index: VariableIndex
@@ -273,6 +282,7 @@ class Trajectory:
     grid_iterations: np.ndarray     # (M+1,)
     step_halvings: np.ndarray       # (M+1,)
     residual_norm: np.ndarray       # (M+1,)
+    factorizations: np.ndarray      # (M+1,)
 
     @property
     def step_count(self) -> int:
@@ -571,20 +581,23 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, b, dt: float, y,
     level data b (assembler.level_data) from an admissible y, or of the
     steady R(y, y) = 0 when y_prev is None, which returns the first Iterate
     whose max-norm residual is below `tol`, with the Colebrook friction it
-    was evaluated with, the iterations taken, that residual and the factors
-    of the last iteration's block (None after 0 iterations).
+    was evaluated with, the iterations and factorizations taken, that
+    residual and the last factors solved on (None after 0 iterations).
 
     The start and each admissible candidate are evaluated once
     (assembler.evaluate); the residual and assembler.factors read that
     Iterate, b and the old level's means (assembler.old_means), built
     once, or per iterate for the steady block, whose old level is the
     iterate.  Each step is halved (up to `halvings` times) until the
-    candidate is admissible and lowers the max-norm residual.  A singular
-    block raises SingularJacobian.  A non-finite residual at the start,
-    which no step can mend, raises SimulationError, and a solve that runs
-    out of iterations or of halvings MaxIterationsExceeded; both name the
-    row (the non-finite one, or the one with the largest residual) and the
-    unknown at its column.
+    candidate is admissible and lowers the max-norm residual.  A full step
+    that cuts it CHORD_CONTRACTION-fold is followed by a chord step on its
+    factors (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+    ch. 5), never halved: unless admissible and lower, it gives way to a
+    damped step on new factors.  A singular block raises SingularJacobian.
+    A non-finite residual at the start, which no step can mend, raises
+    SimulationError, and a solve that runs out of iterations or of
+    halvings MaxIterationsExceeded; both name the row (the non-finite one,
+    or the one with the largest residual) and the unknown at its column.
     """
     steady = y_prev is None
     old = None if steady else assembler.old_means(y_prev)
@@ -597,41 +610,48 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, b, dt: float, y,
             f"{message}, largest residual in {row_of(np.abs(res).argmax())}",
             norm, iterations)
 
+    def lowering(y):   # (Iterate, residual, norm) at y if admissible and lower
+        if assembler.admissible(y):
+            cand = assembler.evaluate(y)
+            cand_res = residual(cand)
+            cand_norm = np.abs(cand_res).max()
+            if cand_norm < norm or cand_norm < tol:
+                return cand, cand_res, cand_norm
+        return None
+
     it = assembler.evaluate(y)
     res = residual(it)
     norm = np.abs(res).max()
     if not np.isfinite(norm):
         row = np.flatnonzero(~np.isfinite(res))[0]
         raise SimulationError(f"non-finite residual in {row_of(row)}")
-    iterations = halved = 0
-    factors = None
+    iterations = halved = factorizations = 0
+    factors, chord = None, False
     while norm >= tol:
         if iterations >= max_iter:
             raise stuck("Newton did not reach tolerance")
-        factors = None    # the last factors go before the next are made
-        try:
-            factors = assembler.factors(it, dt, splu, steady)
-            step = factors.solve(-res)
-        except RuntimeError as exc:
-            raise SingularJacobian(str(exc)) from None
-        if not np.isfinite(step).all():
-            raise SingularJacobian("non-finite Newton step")
-        factor = 1.0
-        for k in range(halvings):
-            cand = it.y + factor * step
-            if assembler.admissible(cand):
-                cand = assembler.evaluate(cand)
-                cand_res = residual(cand)
-                cand_norm = np.abs(cand_res).max()
-                if cand_norm < norm or cand_norm < tol:
-                    it, res, norm = cand, cand_res, cand_norm
+        k, new = 0, chord and lowering(it.y + factors.solve(-res))
+        if not new:   # no chord step, or one discarded: factor at it
+            factors = None    # the last factors go before the next are made
+            try:
+                factors = assembler.factors(it, dt, splu, steady)
+                step = factors.solve(-res)
+            except RuntimeError as exc:
+                raise SingularJacobian(str(exc)) from None
+            if not np.isfinite(step).all():
+                raise SingularJacobian("non-finite Newton step")
+            for k in range(halvings):
+                new = lowering(it.y + 0.5 ** k * step)
+                if new:
                     break
-            factor *= 0.5
-        else:
-            raise stuck("Newton line search stalled")
-        iterations, halved = iterations + 1, halved + k
+            else:
+                raise stuck("Newton line search stalled")
+            factorizations, halved = factorizations + 1, halved + k
+        chord = k == 0 and CHORD_CONTRACTION * new[2] <= norm
+        (it, res, norm), iterations = new, iterations + 1
     return it._replace(iterations=iterations, residual_norm=norm,
-                       halvings=halved, factors=factors)
+                       halvings=halved, factors=factors,
+                       factorizations=factorizations)
 
 
 def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray, b,
@@ -695,7 +715,8 @@ class Simulator:
         F d = row_scale (b[n] - b[n-1]) - jac_prev (y[n-1] - y[n-2]).  F is
         released before the level's Newton solve; after a solve of 0
         iterations, which leaves none, the next level starts at y[n-1].  It
-        costs one solve and saves about half a Newton iteration.  The
+        costs one solve, and the first Newton step from it often contracts
+        enough for a chord step to end the level on one factorization.  The
         Trajectory holds each level's states (gas unknowns, then the grid
         vector), Colebrook lambda and counters, and the control; a failed
         level raises SimulationError."""
@@ -712,7 +733,7 @@ class Simulator:
         asm, dt = self.assembler, self.scenario.dt
         states = np.empty((m + 1, asm.index.size))
         friction = np.empty((m + 1, asm.n_points))
-        iterations, grid_iterations, halvings = np.zeros((3, m + 1), dtype=int)
+        iterations, grid_iterations, halvings, lus = np.zeros((4, m + 1), int)
         norms = np.empty(m + 1)
         debug = log.isEnabledFor(logging.DEBUG)
         # the flat grid, V = 1 and phi = P = Q = 0; the solve pins the rest
@@ -743,18 +764,20 @@ class Simulator:
                     f"{what} (t = {self.scenario.times[j] / 3600.0:.2f} h) "
                     f"failed: {exc}") from exc
             states[j, :asm.size], states[j, asm.size:] = it.y, grid
-            friction[j], iterations[j], halvings[j], norms[j] = \
-                it.friction[0], it.iterations, it.halvings, it.residual_norm
+            friction[j], iterations[j], halvings[j], norms[j], lus[j] = \
+                it.friction[0], it.iterations, it.halvings, it.residual_norm, \
+                it.factorizations
             factors, b_prev, it = it.factors, b, None   # no Iterate keeps F
             if debug:
                 log.debug("level %d, t = %g s: %d Newton iterations, %d "
-                          "halvings, %d grid iterations, residual %.3e", j,
-                          self.scenario.times[j], iterations[j], halvings[j],
-                          grid_iterations[j], norms[j])
+                          "halvings, %d grid iterations, residual %.3e, %d "
+                          "factorizations", j, self.scenario.times[j],
+                          iterations[j], halvings[j], grid_iterations[j],
+                          norms[j], lus[j])
         states.flags.writeable = friction.flags.writeable = False
         return Trajectory(asm.index, self.scenario.times.copy(), states,
                           control.copy(), friction, iterations,
-                          grid_iterations, halvings, norms)
+                          grid_iterations, halvings, norms, lus)
 
 
 def simulate(network: CoupledNetwork, scenario: Scenario,

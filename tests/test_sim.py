@@ -307,6 +307,44 @@ class TestNewtonStep:
         newton_solve_step(asm, y0, harder, 900.0, TOL)
         assert calls["evaluate"] > 2 and calls["old_means"] == 1
 
+    def test_chord_step_that_does_not_lower_the_residual_is_discarded(
+            self, toy_simulator, monkeypatch):
+        """A step to the toy network's doubled outflow ends on a chord step
+        (3 iterations, 2 factorizations).  When the reused factors return
+        the chord step reversed, which raises the residual, the candidate
+        is discarded and the iteration factors at its iterate instead: the
+        solve still converges, on one factorization and one evaluation
+        more."""
+        asm = toy_simulator.assembler
+        y0, harder = toy_start_and_harder_data(toy_simulator)
+        plain = newton_solve_step(asm, y0, harder, 900.0, TOL)
+        assert plain.iterations > plain.factorizations > 0
+        original, reversed_steps, evaluations = asm.factors, [], []
+
+        def factors(*args):
+            made = original(*args)
+            fresh, solves = made.solve, []
+
+            def solve(rhs):   # the first solve is the Newton step
+                solves.append(1)
+                if len(solves) == 1:
+                    return fresh(rhs)
+                reversed_steps.append(1)
+                return -fresh(rhs)
+
+            made.solve = solve
+            return made
+
+        evaluate = asm.evaluate
+        monkeypatch.setattr(asm, "factors", factors)
+        monkeypatch.setattr(asm, "evaluate", lambda *args: (
+            evaluations.append(1), evaluate(*args))[1])
+        it = newton_solve_step(asm, y0, harder, 900.0, TOL)
+        assert len(reversed_steps) == 1 and it.residual_norm < TOL
+        assert (it.iterations, it.factorizations, it.halvings) == (
+            plain.iterations, plain.factorizations + 1, 0)
+        assert len(evaluations) == 1 + plain.iterations + 1
+
     def test_all_coupling_rows_hold_along_trajectory(self, bundled_simulator,
                                                      uncontrolled_trajectory):
         """Node pressure equality and flow balance hold at every state."""
@@ -562,8 +600,10 @@ class TestSimulate:
 
     def test_trajectory_counts_the_newton_iterations(self, monkeypatch):
         """newton_iterations holds each level's Newton iterations (level 0:
-        the steady solve's), one factorization each, and residual_norm
-        each level's final max-norm residual, below tol."""
+        the steady solve's), factorizations the level blocks they factored
+        (at most one per iteration, at least one where a level iterates: a
+        chord step reuses the last), and residual_norm each level's final
+        max-norm residual, below tol."""
         simulator = Simulator(make_mixed_network(), make_toy_scenario(
             steps=3, outflow_flux=60.0))
         asm, factored = simulator.assembler, []
@@ -576,9 +616,12 @@ class TestSimulate:
         monkeypatch.setattr(asm, "factors", factors)
         trajectory = simulator.run(np.linspace(1.0e5, 1.6e5, 4))
         iterations = trajectory.newton_iterations
-        assert iterations.shape == trajectory.residual_norm.shape == (4,)
-        assert iterations.sum() == len(factored) > iterations[0] > 0
-        assert factored.count(True) == iterations[0]
+        lus = trajectory.factorizations
+        assert iterations.shape == lus.shape == (4,)
+        assert trajectory.residual_norm.shape == (4,)
+        assert lus.sum() == len(factored) > lus[0] > 0
+        assert factored.count(True) == lus[0]
+        assert np.all(lus <= iterations) and np.all(lus[iterations > 0] >= 1)
         assert np.all(trajectory.residual_norm < simulator.tol)
         for level, y in enumerate(trajectory.states):
             res = step_residual(asm, trajectory.states[max(level - 1, 0)], y,
@@ -590,8 +633,9 @@ class TestSimulate:
     def test_run_logs_each_level_at_debug(self, bundled_simulator, caplog,
                                           monkeypatch):
         """At DEBUG, run logs one record per level through sim.log: level,
-        t, Newton iterations, halvings, grid iterations and residual, equal
-        to the Trajectory's.  At WARNING it makes no sim.log.debug call."""
+        t, Newton iterations, halvings, grid iterations, residual and
+        factorizations, equal to the Trajectory's.  At WARNING it makes no
+        sim.log.debug call."""
         with caplog.at_level(logging.DEBUG, logger=sim_mod.log.name):
             trajectory = bundled_simulator.run()
         records = [r.args for r in caplog.records
@@ -601,7 +645,8 @@ class TestSimulate:
         for got, expected in zip(zip(*[r[1:] for r in records]), (
                 trajectory.times, trajectory.newton_iterations,
                 trajectory.step_halvings, trajectory.grid_iterations,
-                trajectory.residual_norm)):
+                trajectory.residual_norm, trajectory.factorizations),
+                strict=True):
             assert np.array_equal(got, expected)
         assert trajectory.grid_iterations.any()
         debug_calls = []
@@ -640,6 +685,18 @@ class TestSimulate:
         assert len(residuals) == 4 + trajectory.newton_iterations.sum() \
             + halvings.sum()
 
+    def test_steady_solve_and_steps_take_chord_steps(self):
+        """After a Newton step that cuts the residual 1e3-fold the next
+        step reuses its factors: on the toy network under a rising lift,
+        the steady solve (3 iterations) and level 1 (2) each factor once
+        less than they iterate, and levels 2 and 3 end on one factorization
+        each."""
+        simulator = Simulator(make_toy_network(), make_toy_scenario(steps=3))
+        trajectory = simulator.run(np.linspace(1.5e5, 3.0e5, 4))
+        assert np.array_equal(trajectory.newton_iterations, [3, 2, 1, 1])
+        assert np.array_equal(trajectory.factorizations, [2, 1, 1, 1])
+        assert np.all(trajectory.residual_norm < simulator.tol)
+
     def test_result_does_not_depend_on_call_history(self, bundled):
         simulator = Simulator(*bundled)
         control = np.full(simulator.scenario.step_count + 1, 4.0e5)
@@ -671,14 +728,16 @@ class TestSimulate:
 
     def test_bundled_four_piece_lift_newton_iterations(self, bundled_simulator):
         """The tangent-linear starts keep the bundled run under the
-        benchmark's lift shape (12, 18, 7 and 3 bar over 3 h each) at 91
-        Newton iterations in all, steady solve included; without either
-        increment term of the prediction it takes more than 93."""
+        benchmark's lift shape (12, 18, 7 and 3 bar over 3 h each) at 93
+        Newton iterations in all, steady solve and chord steps included, on
+        59 factorizations; without the lift's increment in the prediction it
+        takes 97 on 63, and without the old level's 140 on 97."""
         m = bundled_simulator.scenario.step_count
         piece = np.minimum(np.arange(m + 1) * 4 // (m + 1), 3)
         trajectory = bundled_simulator.run(
             np.array([12.0, 18.0, 7.0, 3.0])[piece] * gio.BAR)
         assert trajectory.newton_iterations.sum() <= 93
+        assert trajectory.factorizations.sum() <= 61
 
     def test_one_splu_per_factorization(self, monkeypatch):
         """Every Jacobian Newton takes is factored by one splu, of the
@@ -1378,11 +1437,12 @@ def _long_pipes_level(dt):
 
 @pytest.mark.parametrize("dt", [900.0, 60.0])
 def test_long_marches_solve_to_dense_accuracy(dt, caplog):
-    """Shooting along a pipe amplifies its left-running characteristic
-    by about exp(L / ((c - v) dt)), which a solve loses in accuracy.  On
-    the 66 km pipe in 100 m cells at dt = 60 s (a growth of about 2e4 as
-    lu measures it, and a dt/dx the Simulator accepts without a warning),
-    both directions still match a dense solve to 1e-10."""
+    """Shooting along a pipe amplifies its growing mode by about
+    exp(L sqrt(1 + a dt) / ((c - v) dt)), a = lambda |v| / d, which a solve
+    loses in accuracy.  On the 66 km pipe in 100 m cells at dt = 60 s (a
+    growth of about 2e4 as lu measures it, and a dt/dx the Simulator
+    accepts without a warning), both directions still match a dense solve
+    to 1e-10."""
     network, scenario, asm, y = _long_pipes_level(dt)
     Simulator(network, scenario)
     assert not caplog.records
