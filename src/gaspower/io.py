@@ -224,11 +224,13 @@ def load_scenario(path, network: CoupledNetwork,
                               f"{target!r}")
 
     p_min = _object(raw.get("pressure_bounds", {}), f"{path}: pressure_bounds")
+    boundary = BoundaryData.from_breakpoints(series)
     try:
-        check_boundary_data(network, series)
+        check_boundary_data(network, boundary.series)
         check_pressure_bounds(network, p_min)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    except ValueError as exc:   # the file gives pressures as pressure_bar
+        raise FormatError(f"{path}: " + str(exc).replace(
+            ".pressure must", ".pressure_bar must")) from None
     bounds = {node: _number(p_min, node, f"{path}: pressure_bounds.") * BAR
               for node in p_min}
 
@@ -247,8 +249,7 @@ def load_scenario(path, network: CoupledNetwork,
         optimizer, key, where) for key in _OPTIMIZER_KEYS if key in optimizer}
 
     try:
-        return Scenario(horizon=horizon, dt=dt,
-                        boundary=BoundaryData.from_breakpoints(series),
+        return Scenario(horizon=horizon, dt=dt, boundary=boundary,
                         pressure_bounds=bounds, control_max=u_max,
                         **optimizer)
     except ValueError as exc:

@@ -178,17 +178,20 @@ class _Model:
 
 
 def _feasible_start(model: _Model, step_count: int) -> np.ndarray:
-    """Constant control, doubled until all margins are strictly positive."""
+    """Constant control, doubled from 0.25 bar while below u_max and then
+    u_max itself, until all margins are strictly positive."""
     c = 0.25
-    while c < model.u_max_bar:
+    while True:
+        c = min(c, model.u_max_bar)
         u = np.full(step_count + 1, c)
         margins = model.evaluate(u).margins
         if margins.size == 0 or np.min(margins) > 0.02:
             return u
+        if c == model.u_max_bar:
+            raise NoFeasibleStart(
+                f"no constant control up to u_max = {model.u_max_bar:g} bar "
+                "keeps all pressure margins positive")
         c *= 2.0
-    raise NoFeasibleStart(
-        f"no constant control below u_max = {model.u_max_bar:g} bar keeps "
-        "all pressure margins positive")
 
 
 def optimize(simulator: Simulator) -> OptimizationResult:

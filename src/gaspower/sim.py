@@ -35,13 +35,17 @@ dR/dy_prev's values, by lu.LevelCondensation straight from its values
 the network block of nodes, compressors and each pipe's from-end flow).
 The residual reads its linear rows (pressure coupling, boundary rows,
 node balances) off the Jacobian's constant entries, one bincount.
-After set-up the assembler holds no state: evaluate(y) returns an
+After set-up the assembler holds no state but the network block's
+values, which every factors() call rewrites before its splu
+(lu.LevelCondensation.factors refills schur.data), so one assembler, and
+so one Simulator, factors one block at a time.  evaluate(y) returns an
 Iterate, y with its Colebrook friction and its pointwise gas terms
-(gas.point_terms), and the residual and the Jacobian at y both read it,
-so each iterate's pointwise physics is evaluated once and the Jacobian
-only combines it.  The residual is the rows of the iterate less the level's
-data vector b (level_data: boundary values, lift and plant offtake), its
-box rows on the old level's pair means (old_means).  The Newton solves
+(gas.point_terms), once the densities pass the one admissibility test,
+and the residual and the Jacobian at y both read it, so each iterate's
+pointwise physics is evaluated once and the Jacobian only combines it.
+The residual is the rows of the iterate less the level's data vector b
+(level_data: boundary values, lift and plant offtake), its box rows on
+the old level's pair means (old_means).  The Newton solves
 read (y_prev, b) alone, and build the means once per step.
 The Newton solves return their converged Iterate and last factors, and
 Simulator.run keeps each level's lambda on the Trajectory (at DEBUG it
@@ -166,8 +170,10 @@ class BoundaryData:
 
 def check_boundary_data(network: CoupledNetwork, series) -> None:
     """Raise ValueError naming, in node and then bus order, each boundary
-    series (target id, quantity) the network reads that `series` lacks,
-    or else, in their order, the series of `series` that it does not read."""
+    series (target id, quantity) the network reads that `series` (a
+    BoundaryData.series) lacks, or else, in their order, the series of
+    `series` that it does not read, or else the first pressure series with
+    a value that is not positive and finite."""
     quantity = {PRESSURE_BOUNDARY: "pressure", FLOW_BOUNDARY: "outflow"}
     keys = [(n.id, quantity[n.kind]) for n in network.gas.nodes
             if n.kind in quantity] + [(b.id, q) for b in network.grid.busses
@@ -179,6 +185,10 @@ def check_boundary_data(network: CoupledNetwork, series) -> None:
     if unread:
         raise ValueError("boundary data the network does not read: "
                          + ", ".join(unread))
+    for t in (t for t, q in keys if q == "pressure"):
+        values = np.asarray(series[(t, "pressure")][1], dtype=float)
+        if not ((values > 0) & (values < np.inf)).all():
+            raise ValueError(f"{t}.pressure must be positive and finite")
 
 
 def check_pressure_bounds(network: CoupledNetwork, bounds) -> None:
@@ -348,11 +358,6 @@ class CoupledStepAssembler:
             [p.diameter for p in pipes], [p.roughness for p in pipes],
             self.constants.eta)
         self.n_points = len(self.grid.diameter)
-        # entries that must stay positive: the densities
-        self.positive = np.concatenate([
-            np.arange(self.n_points),
-            [self.index.node_rho[n.id] for n in self.nodes]]).astype(int)
-
         self._build_pattern()
 
     def _build_pattern(self):
@@ -373,6 +378,8 @@ class CoupledStepAssembler:
         kind = np.array([n.kind for n in self.nodes])
         node_rows = self.node_rows = ints(idx.node_rho[n.id]
                                           for n in self.nodes)
+        # the entries evaluate() keeps positive: every density
+        self.positive = np.concatenate([np.arange(self.n_points), node_rows])
         self._pb_nodes = np.flatnonzero(kind == PRESSURE_BOUNDARY)
         self._fb_nodes = np.flatnonzero(kind == FLOW_BOUNDARY)
         self._pb_rows = node_rows[self._pb_nodes]
@@ -472,11 +479,6 @@ class CoupledStepAssembler:
 
     # -- state helpers -----------------------------------------------------
 
-    def admissible(self, y: np.ndarray) -> bool:
-        """Whether every density of y is positive and finite."""
-        rho = y[self.positive]
-        return bool(((rho > 0) & (rho < np.inf)).all())
-
     def flat_state(self, b: np.ndarray) -> np.ndarray:
         """Near-stagnant admissible gas unknowns to start the steady solve.
 
@@ -508,11 +510,12 @@ class CoupledStepAssembler:
         """The Iterate of the gas unknowns y (not copied): Colebrook's
         (lambda, dlambda/dq) at its grid points, solved unless `friction`
         gives lambda (a trajectory's friction[n] for its states[n]), and the
-        gas.point_terms on them.  A pipe density that is not positive and
-        finite raises ValueError (gas.check_densities)."""
+        gas.point_terms on them.  A pipe or node density that is not
+        positive and finite raises ValueError (gas.check_densities, run
+        once, on y[positive]): the Newton solves' one admissibility test."""
         n, grid = self.n_points, self.grid
         rho, q = y[:n], y[n:2 * n]
-        gas.check_densities(rho)
+        gas.check_densities(y[self.positive])
         friction = gas.friction_factor_and_derivative(q, grid) if friction \
             is None else (friction, gas.friction_derivative(q, friction, grid))
         return Iterate(y, friction,
@@ -575,17 +578,17 @@ class CoupledStepAssembler:
         return self.condensation.factors(values, splu)
 
 
-def _damped_newton(assembler: CoupledStepAssembler, y_prev, b, dt: float, y,
-                   tol: float, max_iter: int, halvings: int) -> Iterate:
+def _damped_newton(assembler: CoupledStepAssembler, y_prev, b, dt: float,
+                   it, tol: float, max_iter: int, halvings: int) -> Iterate:
     """Damped Newton solve of the gas system R(y_prev, y) = 0 with the
-    level data b (assembler.level_data) from an admissible y, or of the
-    steady R(y, y) = 0 when y_prev is None, which returns the first Iterate
-    whose max-norm residual is below `tol`, with the Colebrook friction it
-    was evaluated with, the iterations and factorizations taken, that
-    residual and the last factors solved on (None after 0 iterations).
+    level data b (assembler.level_data) from the evaluated start `it`, or of
+    the steady R(y, y) = 0 when y_prev is None, which returns the first
+    Iterate whose max-norm residual is below `tol`, with the Colebrook
+    friction it was evaluated with, the iterations and factorizations taken,
+    that residual and the last factors solved on (None after 0 iterations).
 
-    The start and each admissible candidate are evaluated once
-    (assembler.evaluate); the residual and assembler.factors read that
+    Each candidate is evaluated once (assembler.evaluate, whose ValueError
+    marks it inadmissible); the residual and assembler.factors read that
     Iterate, b and the old level's means (assembler.old_means), built
     once, or per iterate for the steady block, whose old level is the
     iterate.  Each step is halved (up to `halvings` times) until the
@@ -611,15 +614,16 @@ def _damped_newton(assembler: CoupledStepAssembler, y_prev, b, dt: float, y,
             norm, iterations)
 
     def lowering(y):   # (Iterate, residual, norm) at y if admissible and lower
-        if assembler.admissible(y):
+        try:
             cand = assembler.evaluate(y)
-            cand_res = residual(cand)
-            cand_norm = np.abs(cand_res).max()
-            if cand_norm < norm or cand_norm < tol:
-                return cand, cand_res, cand_norm
+        except ValueError:   # inadmissible
+            return None
+        cand_res = residual(cand)
+        cand_norm = np.abs(cand_res).max()
+        if cand_norm < norm or cand_norm < tol:
+            return cand, cand_res, cand_norm
         return None
 
-    it = assembler.evaluate(y)
     res = residual(it)
     norm = np.abs(res).max()
     if not np.isfinite(norm):
@@ -659,12 +663,15 @@ def newton_solve_step(assembler: CoupledStepAssembler, y_prev: np.ndarray, b,
                       y_guess: np.ndarray | None = None) -> Iterate:
     """Damped Newton solve of one implicit step's gas system with the
     level data b, warm-started at y_guess (Simulator.run passes its
-    tangent-linear prediction) when it is admissible, every density
-    positive and finite, and at y_prev otherwise: the converged Iterate."""
+    tangent-linear prediction), evaluated once, or at y_prev where
+    assembler.evaluate refuses y_guess (a density not positive and
+    finite) or none is given: the converged Iterate."""
     y = np.array(y_prev if y_guess is None else y_guess, dtype=float)
-    if not assembler.admissible(y):
-        y = np.array(y_prev, dtype=float)
-    return _damped_newton(assembler, y_prev, b, dt, y, tol, max_iter,
+    try:
+        it = assembler.evaluate(y)
+    except ValueError:   # inadmissible: start at y_prev
+        it = assembler.evaluate(np.array(y_prev, dtype=float))
+    return _damped_newton(assembler, y_prev, b, dt, it, tol, max_iter,
                           halvings=30)
 
 
@@ -674,11 +681,11 @@ def steady_state(assembler: CoupledStepAssembler, b, dt: float, tol: float,
     data b of level 0.
 
     Solves the step equations with y_prev == y_next as one nonlinear
-    system from assembler.flat_state; the converged Iterate's y satisfies
-    the step residual for every dt.
+    system from assembler.flat_state, evaluated; the converged Iterate's y
+    satisfies the step residual for every dt.
     """
-    return _damped_newton(assembler, None, b, dt, assembler.flat_state(b),
-                          tol, max_iter, halvings=40)
+    return _damped_newton(assembler, None, b, dt, assembler.evaluate(
+        assembler.flat_state(b)), tol, max_iter, halvings=40)
 
 
 class Simulator:

@@ -224,6 +224,14 @@ def test_removed_optimizer_key_is_an_input_error(tmp_path, capsys):
                  "pressure bound at C must be positive", id="zero_bound"),
     pytest.param(lambda raw: raw.update(pressure_bounds={"C": -41.0}),
                  "pressure bound at C must be positive", id="negative_bound"),
+    pytest.param(lambda raw: raw["boundary"]["A"].update(
+        pressure_bar=[[0.0, 0.0]]),
+                 "A.pressure_bar must be positive and finite",
+                 id="zero_pressure"),
+    pytest.param(lambda raw: raw["boundary"]["A"].update(
+        pressure_bar=[[0.0, 60.0], [1.0, -5.0]]),
+                 "A.pressure_bar must be positive and finite",
+                 id="negative_pressure"),
     pytest.param(lambda raw: raw["optimizer"].update(newton_tol=0.0),
                  "scenario newton_tol must be positive", id="newton_tol"),
     pytest.param(lambda raw: raw["optimizer"].update(

@@ -105,6 +105,22 @@ def test_breakpoint_that_is_not_a_pair(load, points):
         load(edit)
 
 
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("points", [[[0.0, 0.0]], [[0.0, 60.0], [1.0, -5.0]],
+                                    [[0.0, -0.0]]])
+def test_pressure_boundary_at_or_below_zero_names_the_node(
+        load, tmp_path, points, strict):
+    """A pressure series that reaches 0 bar or less is refused on loading,
+    strict or not, naming the file and the node's pressure_bar."""
+    def edit(raw):
+        raw["boundary"]["A"]["pressure_bar"] = points
+
+    with pytest.raises(io.FormatError) as info:
+        load(edit, strict=strict)
+    assert str(info.value) == (f"{tmp_path / 'scenario.json'}: "
+                               "A.pressure_bar must be positive and finite")
+
+
 def test_removed_optimizer_keys(load):
     def edit(raw):
         raw["optimizer"] = {"mu0": 100.0, "inner_tol": 0.05, "max_iter": 7}

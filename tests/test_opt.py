@@ -100,6 +100,32 @@ def test_optimize_keeps_the_lift_within_control_max(solved):
         opt.optimize(bounded_problem(control_max=1.0 * BAR))
 
 
+def test_feasible_start_tries_control_max_itself():
+    """C needs about 1.15 bar of lift: 1 bar, the last doubling below a
+    1.2 bar control_max, leaves it below its bound, and the bound itself,
+    the last candidate, keeps it 0.07 bar above."""
+    problem = bounded_problem(control_max=1.2 * BAR)
+    u = opt._feasible_start(opt._Model(problem), problem.scenario.step_count)
+    assert np.array_equal(u, np.full(problem.scenario.step_count + 1, 1.2))
+
+
+def test_infeasible_returned_control_is_a_failure(monkeypatch):
+    """A control that SLSQP returns with status 0 but that violates a
+    pressure bound raises OptimizationError with the violation."""
+    problem = bounded_problem()
+    zero = np.zeros(problem.scenario.step_count + 1)
+    violation = -opt._Model(problem).evaluate(zero).min_margin
+    assert violation > 0
+    monkeypatch.setattr(scipy.optimize, "minimize", lambda *args, **kwargs:
+                        scipy.optimize.OptimizeResult(
+                            x=zero, status=0, message="patched", nit=0,
+                            nfev=0, njev=0))
+    with pytest.raises(opt.OptimizationError, match=(
+            "^final control violates a pressure bound by "
+            f"{violation:.3g} bar$")):
+        opt.optimize(problem)
+
+
 def test_constraint_jacobian_matches_central_differences():
     model = opt._Model(bounded_problem())
     u = np.array([1.4, 1.6, 1.5])

@@ -15,7 +15,7 @@ from gaspower import io as gio
 from gaspower import lu as lu_mod
 from gaspower import opt, power
 from gaspower import sim as sim_mod
-from gaspower.adjoint import adjoint_sweep
+from gaspower.adjoint import adjoint_sweep, state_sensitivities
 from gaspower.model import (CompressorArc, CoupledNetwork, GasNetwork,
                             GasNode, Pipe, PowerGrid, incident_pipe_area,
                             validate_network)
@@ -344,6 +344,46 @@ class TestNewtonStep:
         assert (it.iterations, it.factorizations, it.halvings) == (
             plain.iterations, plain.factorizations + 1, 0)
         assert len(evaluations) == 1 + plain.iterations + 1
+
+    @staticmethod
+    def _patch_solve(asm, monkeypatch, solve):
+        """Make every factors' solve return solve(its own solve, rhs)."""
+        original = asm.factors
+
+        def factors(*args):
+            made = original(*args)
+            made.solve = lambda rhs, fresh=made.solve: solve(fresh, rhs)
+            return made
+
+        monkeypatch.setattr(asm, "factors", factors)
+
+    def test_non_finite_newton_step_is_a_singular_jacobian(
+            self, toy_simulator, monkeypatch):
+        """Factors whose solve returns NaN give SingularJacobian before any
+        candidate is evaluated."""
+        asm = toy_simulator.assembler
+        y0, harder = toy_start_and_harder_data(toy_simulator)
+        self._patch_solve(asm, monkeypatch,
+                          lambda fresh, rhs: np.full_like(rhs, np.nan))
+        with pytest.raises(SingularJacobian, match="^non-finite Newton step$"):
+            newton_solve_step(asm, y0, harder, 900.0, TOL)
+
+    def test_reversed_steps_stall_the_line_search(self, toy_simulator,
+                                                  monkeypatch):
+        """When every step points uphill no halving lowers the residual:
+        MaxIterationsExceeded names the row of the largest residual at the
+        start, after 0 iterations."""
+        asm = toy_simulator.assembler
+        y0, harder = toy_start_and_harder_data(toy_simulator)
+        res = asm.residual(asm.evaluate(y0), asm.old_means(y0), harder, 900.0)
+        row = int(np.abs(res).argmax())
+        self._patch_solve(asm, monkeypatch, lambda fresh, rhs: -fresh(rhs))
+        with pytest.raises(MaxIterationsExceeded) as err:
+            newton_solve_step(asm, y0, harder, 900.0, TOL)
+        assert str(err.value) == (
+            f"Newton line search stalled, largest residual in row {row} (row "
+            f"of {asm.index.name(row)}) (residual {np.abs(res).max():.3e} "
+            "after 0 iterations)")
 
     def test_all_coupling_rows_hold_along_trajectory(self, bundled_simulator,
                                                      uncontrolled_trajectory):
@@ -974,29 +1014,33 @@ class TestMixedGeometryJacobian:
 
     def test_nonpositive_pipe_density_rejected(self, mixed, monkeypatch):
         """A pipe density <= 0, NaN or infinite makes evaluate raise
-        ValueError through gas.check_densities, which runs once per
-        evaluation and not at all for the old level, and makes the state
-        inadmissible, as a NaN node density does: a non-finite warm start
-        falls back to y_prev."""
+        ValueError through gas.check_densities, as such a node density
+        does; the check runs once per evaluation and not at all for the
+        old level, and a warm start that evaluate refuses falls back to
+        y_prev: the solve from it is the solve with no warm start, bit for
+        bit."""
         asm, data, y0, y1 = mixed
         states, check = [], gas.check_densities
         monkeypatch.setattr(gas, "check_densities", lambda *args:
                             states.append(args) or check(*args))
-        assert asm.admissible(y1)
-        for rho in (0.0, -1.0, np.nan, np.inf):
-            bad = y1.copy()
-            bad[asm.index.pipe_rho["P2"].start] = rho
-            with pytest.raises(ValueError, match="densities must be positive"):
-                asm.evaluate(bad)
-            assert not asm.admissible(bad)
-        bad = y1.copy()
-        bad[asm.index.node_rho["J1"]] = np.nan
-        assert not asm.admissible(bad)
+        for at in (asm.index.pipe_rho["P2"].start, asm.index.node_rho["J1"]):
+            for rho in (0.0, -1.0, np.nan, np.inf):
+                bad = y1.copy()
+                bad[at] = rho
+                with pytest.raises(ValueError, match="^densities must be "
+                                   "positive and finite$"):
+                    asm.evaluate(bad)
         states.clear()
         it = asm.evaluate(y1)
         asm.residual(it, asm.old_means(y0), data(1.2e5), 900.0)
         asm.jacobian(it, 900.0)
         assert len(states) == 1
+        plain = newton_solve_step(asm, y0, data(1.2e5), 900.0, TOL)
+        refused = newton_solve_step(asm, y0, data(1.2e5), 900.0, TOL,
+                                    y_guess=bad)
+        assert refused.y.tobytes() == plain.y.tobytes()
+        assert (refused.iterations, refused.factorizations) == (
+            plain.iterations, plain.factorizations)
 
     def test_pipe_rows_equal_box_scheme(self, mixed):
         asm, data, y0, y1 = mixed
@@ -1013,6 +1057,42 @@ class TestMixedGeometryJacobian:
                 rows = slice(first, first + n)
                 assert np.array_equal(res[rows], part * asm.row_scale[rows])
             start += n
+
+
+def test_one_density_check_per_evaluation(bundled_simulator, monkeypatch):
+    """gas.check_densities, the one admissibility test, runs exactly once
+    per assembler.evaluate call and nowhere else: over a run (the steady
+    start, the predictions, the candidates), both sweeps, and a warm start
+    that evaluate refuses."""
+    simulator, asm = bundled_simulator, bundled_simulator.assembler
+    checks, per_call = [], []
+    check, evaluate = gas.check_densities, asm.evaluate
+    monkeypatch.setattr(gas, "check_densities",
+                        lambda rho: checks.append(1) or check(rho))
+
+    def counted(*args):
+        before = len(checks)
+        try:
+            return evaluate(*args)
+        finally:
+            per_call.append(len(checks) - before)
+
+    monkeypatch.setattr(asm, "evaluate", counted)
+    control = np.linspace(2.0e5, 12.0e5, simulator.scenario.step_count + 1)
+    trajectory = simulator.run(control)
+    run_calls = len(per_call)
+    assert run_calls >= (trajectory.newton_iterations + 1).sum()
+    _, dj_dy, _ = opt.cost_partials(simulator, trajectory)
+    adjoint_sweep(simulator, trajectory, dj_dy)
+    state_sensitivities(simulator, trajectory, asm.node_rows)
+    assert len(per_call) == run_calls + 2 * len(trajectory.times)
+    y_prev = trajectory.states[0, :asm.size]
+    bad = y_prev.copy()
+    bad[asm.node_rows[0]] = np.nan
+    newton_solve_step(asm, y_prev, asm.level_data(
+        0.0, simulator.snapshots[0], trajectory.states[0, asm.size:]),
+        simulator.scenario.dt, TOL, y_guess=bad)
+    assert per_call.count(1) == len(per_call) == len(checks)
 
 
 def test_compressor_needs_an_adjacent_pipe():
@@ -1033,6 +1113,22 @@ def test_missing_boundary_series_are_all_named(bundled):
                                          r"S25\.outflow, N1\.phi, N9\.Q$"):
         Simulator(network, Scenario(scenario.horizon, scenario.dt,
                                     BoundaryData(series)))
+
+
+@pytest.mark.parametrize("value", [0.0, -5.0e5, np.nan, np.inf])
+def test_pressure_boundary_not_positive_and_finite_names_the_node(bundled,
+                                                                   value):
+    """A code-built pressure series with one value that is not positive
+    and finite is refused by the Simulator, naming the node's series."""
+    network, scenario = bundled
+    series = dict(scenario.boundary.series)
+    times, values = series[("S5", "pressure")]
+    values = values.copy()
+    values[-1] = value
+    series[("S5", "pressure")] = (times, values)
+    with pytest.raises(ValueError, match=r"^S5\.pressure must be positive "
+                                         r"and finite$"):
+        Simulator(network, replace(scenario, boundary=BoundaryData(series)))
 
 
 def test_unread_boundary_series_are_all_named(bundled):
@@ -1247,6 +1343,25 @@ class TestFixedPattern:
 
         monkeypatch.setattr(asm, "jacobian", singular)
         with pytest.raises(SingularJacobian, match="pipe P3$"):
+            newton_solve_step(asm, y, b, 900.0, TOL, y_guess=1.001 * y)
+
+    def test_zero_momentum_pivot_names_the_pipe(self, monkeypatch):
+        """A zero momentum-row entry by an interval's right-end density,
+        the pipe block's first pivot, stops the factorization before the
+        row operation, and Newton's error names the pipe."""
+        asm, y, b = mixed_start()
+        original = asm.jacobian
+        n = len(asm.grid.left)
+        k = np.flatnonzero(asm.grid.left == asm.index.pipe_rho["P2"].start)[0]
+
+        def zeroed(*args):
+            values = original(*args)
+            values[5 * n + k] = 0.0
+            return values
+
+        monkeypatch.setattr(asm, "jacobian", zeroed)
+        with pytest.raises(SingularJacobian,
+                           match="^zero pivot in the pipe block of pipe P2$"):
             newton_solve_step(asm, y, b, 900.0, TOL, y_guess=1.001 * y)
 
     def test_prev_block_is_one_read_only_matrix(self, bundled_simulator):
