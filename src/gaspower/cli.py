@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -62,17 +63,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
+    """The command's Simulator and --control on its time grid (or None);
+    an --out that cannot be a directory is refused before any solve."""
     network = io.load_network(args.network, strict=not args.lax)
     scenario = io.load_scenario(args.scenario, network, strict=not args.lax)
-    return network, scenario
+    simulator = Simulator(network, scenario)
+    control = getattr(args, "control", None)
+    if control:
+        control = np.interp(scenario.times, *io.load_control(control))
+    out = Path(getattr(args, "out", "."))
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"--out {out}: {nearest} is not a directory")
+    return simulator, control
 
 
 def _cmd_simulate(args) -> int:
-    network, scenario = _load(args)
-    simulator = Simulator(network, scenario)
-    control = None
-    if args.control:
-        control = np.interp(scenario.times, *io.load_control(args.control))
+    simulator, control = _load(args)
     try:
         trajectory = simulator.run(control)
     except SimulationError as exc:
@@ -80,7 +87,7 @@ def _cmd_simulate(args) -> int:
         return EXIT_NOT_CONVERGED
     summary = io.write_results(simulator, trajectory, args.out)
     print(f"simulated {trajectory.step_count} steps "
-          f"({scenario.horizon / 3600.0:g} h), objective "
+          f"({simulator.scenario.horizon / 3600.0:g} h), objective "
           f"{summary['objective']:.6g}")
     for node, entry in summary["margins"].items():
         print(f"  {node}: min pressure {entry['min_pressure_bar']:.4f} bar "
@@ -90,8 +97,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    network, scenario = _load(args)
-    simulator = Simulator(network, scenario)
+    simulator, _ = _load(args)
     try:
         result = opt.optimize(simulator)
     except (opt.OptimizationError, SimulationError) as exc:
@@ -107,10 +113,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_check_gradient(args) -> int:
-    network, scenario = _load(args)
-    simulator = Simulator(network, scenario)
-    control = np.interp(scenario.times, *io.load_control(args.control))
-
+    simulator, control = _load(args)
     try:    # the forward run, the adjoint sweep and the FD runs
         trajectory = simulator.run(control)
         _, dj_dy, dj_du = opt.cost_partials(simulator, trajectory)
@@ -174,7 +177,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -26,7 +26,10 @@ from .model import (BAR, BUS_QUANTITIES, Bus, CompressorArc,
 from .sim import (BoundaryData, Scenario, Simulator, Trajectory,
                   check_boundary_data, check_pressure_bounds)
 
-_GAS_QUANTITIES = ("pressure_bar", "outflow_m3_s", "outflow_flux")
+# each boundary quantity's key in a scenario file and the unit (in SI) of
+# its values there; a gas node's outflow may also come as outflow_m3_s
+_FILE_SERIES = {"pressure": ("pressure_bar", BAR),
+                "outflow": ("outflow_flux", 1.0)}
 
 
 class FormatError(ValueError):
@@ -34,16 +37,20 @@ class FormatError(ValueError):
 
 
 def _read_json(path) -> dict:
+    """The top-level object of the JSON file at path."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from None
     try:
-        return json.loads(text)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise FormatError(f"{path}: top level must be an object")
+    return raw
 
 
 def _object(value, where: str) -> dict:
@@ -91,16 +98,14 @@ def load_network(path, strict: bool = True, validate: bool = True
                  ) -> CoupledNetwork:
     """Load and validate a network description file."""
     raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise FormatError(f"{path}: top level must be an object")
     _check_keys(raw, _NETWORK_KEYS, str(path), strict)
 
     def records(key, cls, name, **nested):
         items = raw.get(key, [])
         if not isinstance(items, list):
             raise FormatError(f"{path}: {key}: expected a list")
-        return tuple(_build(cls, rec, f"{name} #{i}", strict, **nested)
-                     for i, rec in enumerate(items))
+        return tuple(_build(cls, rec, f"{path}: {name} #{i}", strict,
+                            **nested) for i, rec in enumerate(items))
 
     nodes = records("gas_nodes", GasNode, "gas node")
     pipes = records("pipes", Pipe, "pipe")
@@ -110,9 +115,9 @@ def load_network(path, strict: bool = True, validate: bool = True
     lines = records("lines", TransmissionLine, "line")
     plants = records("plants", GasPowerPlant, "plant")
     constants = _build(GasConstants, raw.get("constants", {}),
-                       "constants", strict)
+                       f"{path}: constants", strict)
     per_unit = _build(PerUnitSystem, raw.get("per_unit", {}),
-                      "per_unit", strict)
+                      f"{path}: per_unit", strict)
 
     network = CoupledNetwork(GasNetwork(nodes, pipes, comps),
                              PowerGrid(busses, lines), plants,
@@ -178,8 +183,6 @@ def load_scenario(path, network: CoupledNetwork,
                   strict: bool = True) -> Scenario:
     """Load a scenario file and resolve it against a network."""
     raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise FormatError(f"{path}: top level must be an object")
     _check_keys(raw, _SCENARIO_KEYS, str(path), strict)
     try:
         horizon = _number(raw, "horizon_hours", f"{path}: ") * 3600.0
@@ -191,37 +194,39 @@ def load_scenario(path, network: CoupledNetwork,
     gas_ids = {n.id: n for n in network.gas.nodes}
     bus_ids = {b.id: b for b in network.grid.busses}
 
+    from_file = {key: (quant, unit)
+                 for quant, (key, unit) in _FILE_SERIES.items()}
     series: dict[tuple[str, str], list] = {}
     boundary = _object(raw.get("boundary", {}), f"{path}: boundary")
     for target, quantities in boundary.items():
-        if target in gas_ids:
-            _check_keys(quantities, _GAS_QUANTITIES,
-                        f"boundary for {target}", strict)
+        where = f"{path}: boundary for {target}"
+        gas = target in gas_ids
+        if gas:
+            _check_keys(quantities, {*from_file, "outflow_m3_s"}, where,
+                        strict)
             if {"outflow_m3_s", "outflow_flux"} <= quantities.keys():
-                raise FormatError(f"{path}: boundary for {target}: give "
-                                  "outflow_m3_s or outflow_flux, not both")
-            for quant, pts in quantities.items():
-                if quant == "pressure_bar":
-                    series[(target, "pressure")] = _series(
-                        pts, f"{target}.pressure_bar", value_scale=BAR)
-                elif quant == "outflow_m3_s":
-                    area = incident_pipe_area(network.gas, target)
-                    if area is None:
-                        raise FormatError(f"node {target} has no incident pipe")
-                    series[(target, "outflow")] = _series(
-                        pts, f"{target}.outflow_m3_s",
-                        value_scale=rho_ref / area)
-                elif quant == "outflow_flux":
-                    series[(target, "outflow")] = _series(
-                        pts, f"{target}.outflow_flux")
+                raise FormatError(f"{where}: give outflow_m3_s or "
+                                  "outflow_flux, not both")
         elif target in bus_ids:
-            _check_keys(quantities, BUS_QUANTITIES,
-                        f"boundary for {target}", strict)
-            for quant, pts in quantities.items():
-                series[(target, quant)] = _series(pts, f"{target}.{quant}")
+            _check_keys(quantities, BUS_QUANTITIES, where, strict)
         else:
             raise FormatError(f"{path}: boundary for unknown target "
                               f"{target!r}")
+        for key, pts in quantities.items():     # in file order
+            if not gas:
+                quant, unit = key, 1.0
+            elif key == "outflow_m3_s":
+                area = incident_pipe_area(network.gas, target)
+                if area is None:
+                    raise FormatError(f"{path}: node {target} has no "
+                                      "incident pipe")
+                quant, unit = "outflow", rho_ref / area
+            elif key in from_file:
+                quant, unit = from_file[key]
+            else:       # an unknown key, which _check_keys let pass
+                continue
+            series[(target, quant)] = _series(pts, f"{path}: {target}.{key}",
+                                              value_scale=unit)
 
     p_min = _object(raw.get("pressure_bounds", {}), f"{path}: pressure_bounds")
     boundary = BoundaryData.from_breakpoints(series)
@@ -295,6 +300,19 @@ def _round9(x):
     return float(_fmt(x))
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """header and one line per row: strings as given, numbers by _fmt."""
+    lines = [header, *(",".join(v if isinstance(v, str) else _fmt(v)
+                                for v in row) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
+                          newline="\n")
+
+
+def _write_json(value, path) -> None:
+    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8", newline="\n")
+
+
 def write_results(simulator: Simulator, trajectory: Trajectory,
                   out_dir) -> dict:
     """Write gas_nodes.csv, busses.csv, control.csv and summary.json.
@@ -312,24 +330,17 @@ def write_results(simulator: Simulator, trajectory: Trajectory,
     cons = simulator.network.constants
     hours = trajectory.times / 3600.0
 
-    with open(out / "gas_nodes.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("t_hours,node,p_bar,q\n")
-        pressures = {n.id: trajectory.node_pressure(n.id, cons) / BAR
-                     for n in asm.nodes}
-        injections = asm.node_injections(trajectory.states)
-        for j, t in enumerate(hours):
-            for node, inj in zip(asm.nodes, injections[j]):
-                f.write(f"{_fmt(t)},{node.id},"
-                        f"{_fmt(pressures[node.id][j])},{_fmt(inj)}\n")
-
-    with open(out / "busses.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("t_hours,bus,P,Q,V,phi\n")
-        for j, t in enumerate(hours):
-            for bus in asm.busses:
-                vals = [trajectory.states[j, asm.index.bus[(bus.id, q)]]
-                        for q in ("P", "Q", "V", "phi")]
-                f.write(f"{_fmt(t)},{bus.id},"
-                        + ",".join(_fmt(v) for v in vals) + "\n")
+    pressures = {n.id: trajectory.node_pressure(n.id, cons) / BAR
+                 for n in asm.nodes}
+    injections = asm.node_injections(trajectory.states)
+    _write_csv(out / "gas_nodes.csv", "t_hours,node,p_bar,q",
+               ((t, node.id, pressures[node.id][j], inj)
+                for j, t in enumerate(hours)
+                for node, inj in zip(asm.nodes, injections[j])))
+    _write_csv(out / "busses.csv", "t_hours,bus,P,Q,V,phi",
+               ((t, bus.id, *(trajectory.states[j, asm.index.bus[(bus.id, q)]]
+                              for q in ("P", "Q", "V", "phi")))
+                for j, t in enumerate(hours) for bus in asm.busses))
 
     write_control(trajectory.times, trajectory.control, out / "control.csv")
 
@@ -354,26 +365,19 @@ def write_results(simulator: Simulator, trajectory: Trajectory,
     if summary["margins"]:
         summary["min_margin_bar"] = min(
             entry["min_margin_bar"] for entry in summary["margins"].values())
-    with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(summary, out / "summary.json")
     return summary
 
 
 def write_control(times: np.ndarray, control_pa: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("t_hours,u_bar\n")
-        for t, u in zip(np.asarray(times) / 3600.0,
-                        np.asarray(control_pa) / BAR):
-            f.write(f"{_fmt(t)},{_fmt(u)}\n")
+    _write_csv(path, "t_hours,u_bar", zip(np.asarray(times) / 3600.0,
+                                          np.asarray(control_pa) / BAR))
 
 
 def write_iteration_log(log_rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("iter,objective,min_margin_bar\n")
-        for row in log_rows:
-            f.write(f"{row['iter']},{_fmt(row['objective'])},"
-                    f"{_fmt(row['min_margin_bar'])}\n")
+    _write_csv(path, "iter,objective,min_margin_bar",
+               ((row["iter"], row["objective"], row["min_margin_bar"])
+                for row in log_rows))
 
 
 # -- canonical serialization -------------------------------------------------
@@ -390,15 +394,9 @@ def network_to_dict(network: CoupledNetwork) -> dict:
 def scenario_to_dict(scenario: Scenario) -> dict:
     boundary: dict[str, dict] = {}
     for (target, quant), (times, values) in sorted(scenario.boundary.series.items()):
-        pts_h = (times / 3600.0).tolist()
-        entry = boundary.setdefault(target, {})
-        if quant == "pressure":
-            entry["pressure_bar"] = [[t, v / BAR]
-                                     for t, v in zip(pts_h, values)]
-        elif quant == "outflow":
-            entry["outflow_flux"] = [[t, v] for t, v in zip(pts_h, values)]
-        else:
-            entry[quant] = [[t, v] for t, v in zip(pts_h, values)]
+        key, unit = _FILE_SERIES.get(quant, (quant, 1.0))
+        boundary.setdefault(target, {})[key] = [
+            [t, v / unit] for t, v in zip((times / 3600.0).tolist(), values)]
     return {
         "horizon_hours": scenario.horizon / 3600.0,
         "dt_minutes": scenario.dt / 60.0,
@@ -411,15 +409,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def dump_network(network: CoupledNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(network_to_dict(network), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(network_to_dict(network), path)
 
 
 def dump_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(scenario_to_dict(scenario), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(scenario_to_dict(scenario), path)
 
 
 # -- bundled example ----------------------------------------------------------

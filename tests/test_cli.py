@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gaspower
-from gaspower import adjoint, cli, io
+from gaspower import adjoint, cli, io, opt
 from gaspower.model import GasNetwork
 from gaspower.sim import (BoundaryData, SimulationError, Simulator,
                           SingularJacobian)
@@ -111,7 +111,7 @@ def test_malformed_number_in_the_network_is_an_input_error(
     """A non-numeric or non-finite number (a JSON boolean or a numeric
     string too, which float() would take), or a fractional cell count, in
     the bundled network is refused by validate and simulate, strict or
-    lax, naming the record and the field."""
+    lax, naming the file, the record and the field."""
     raw = json.loads((PACKAGE / "fixtures" / "network.json").read_text(
         encoding="utf-8"))
     (raw[record][0] if isinstance(raw[record], list) else raw[record])[key] \
@@ -124,7 +124,8 @@ def test_malformed_number_in_the_network_is_an_input_error(
         for lax in ([], ["--lax"]):
             code = cli.run([*command, "--network", str(path), *lax])
             assert code == cli.EXIT_INPUT_ERROR
-            assert f"input error: {message}" in capsys.readouterr().err
+            assert f"input error: {path}: {message}" in \
+                capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -350,6 +351,29 @@ def test_simulate_with_a_failed_run_is_not_converged(tmp_path, capsys):
     assert "simulation failed: steady state (t = 0.00 h) failed" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+@pytest.mark.parametrize("below", [(), ("runs",)],
+                         ids=["file", "under_a_file"])
+def test_out_that_cannot_be_a_directory_is_an_input_error(
+        tmp_path, capsys, monkeypatch, command, below):
+    """An --out that is a file, or lies under one, exits 2 naming it,
+    before any solve."""
+    files = write_toy_case(tmp_path)
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    out = tmp_path.joinpath("taken", *below)
+
+    def no_solve(*args):
+        raise AssertionError("solved with an unusable --out")
+
+    monkeypatch.setattr(Simulator, "run", no_solve)
+    monkeypatch.setattr(opt, "optimize", no_solve)
+    code = cli.run([command, *files, "--out", str(out)])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert f"input error: --out {out}: {tmp_path / 'taken'} is not a " \
+        "directory" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == ""
 
 
 def test_simulate_writes_the_result_files(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Loader error paths, result files and dump/load round trips.
 
-Each malformed network or scenario raises a FormatError naming the
-problem, or under strict=False warns and goes on.
+Each malformed network or scenario raises a FormatError naming the file
+and the problem, or under strict=False warns, naming both too, and goes on.
 """
 
+import contextlib
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +21,28 @@ from gaspower.sim import BoundaryData, Simulator
 from conftest import make_toy_network, make_toy_scenario
 
 
+@contextlib.contextmanager
+def names_the_file(path):
+    """Asserts that a FormatError raised in the block, and each warning
+    given in it, begins with path; the warnings are given again after."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield
+    except io.FormatError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+        raise
+    finally:
+        for warning in caught:
+            assert str(warning.message).startswith(f"{path}: "), \
+                warning.message
+            warnings.warn(warning.message)
+
+
 @pytest.fixture()
 def load(tmp_path):
-    """Write a toy scenario changed by `edit` and load it."""
+    """Write a toy scenario changed by `edit` and load it; its errors and
+    warnings must begin with the file's path."""
     network = make_toy_network()
 
     def write_and_load(edit, strict=True):
@@ -29,7 +50,8 @@ def load(tmp_path):
         edit(raw)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
-        return io.load_scenario(path, network, strict=strict)
+        with names_the_file(path):
+            return io.load_scenario(path, network, strict=strict)
 
     return write_and_load
 
@@ -136,13 +158,15 @@ def test_removed_optimizer_keys(load):
 
 @pytest.fixture()
 def load_network(tmp_path):
-    """Write the toy network changed by `edit` and load it."""
+    """Write the toy network changed by `edit` and load it; its errors and
+    warnings must begin with the file's path."""
     def write_and_load(edit, strict=True):
         raw = io.network_to_dict(make_toy_network())
         raw = edit(raw) or raw
         path = tmp_path / "network.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
-        return io.load_network(path, strict=strict)
+        with names_the_file(path):
+            return io.load_network(path, strict=strict)
 
     return write_and_load
 
@@ -166,6 +190,50 @@ def test_network_unknown_key(load_network, tmp_path):
     assert cli.run(["validate", "--network", path]) == cli.EXIT_INPUT_ERROR
     with pytest.warns(UserWarning, match="colour"):
         assert cli.run(["validate", "--network", path, "--lax"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("keys", [("constants",), ("per_unit",),
+                                  ("compressors", 0, "cost"), ("gas_nodes", 2)],
+                         ids=["constants", "per_unit", "cost", "node"])
+def test_network_unknown_key_names_the_file(load_network, tmp_path, keys):
+    """Strict or lax, an unknown key in any record names the file first."""
+    edit = _setting("blue", *keys, "colour")
+    with pytest.raises(io.FormatError, match=r"unknown key\(s\) colour$"):
+        load_network(edit)
+    with pytest.warns(UserWarning, match=r"unknown key\(s\) colour$"):
+        assert load_network(edit, strict=False) == make_toy_network()
+
+
+@pytest.mark.parametrize("target", ["A", "C"])
+def test_boundary_unknown_key_names_the_file(load, target):
+    edit = _setting([[0.0, 1.0]], "boundary", target, "colour")
+    with pytest.raises(io.FormatError, match=f"scenario.json: boundary for "
+                       rf"{target}: unknown key\(s\) colour$"):
+        load(edit)
+    with pytest.warns(UserWarning, match=f"boundary for {target}: unknown"):
+        scenario = load(edit, strict=False)
+    assert scenario.boundary.series.keys() == {("A", "pressure"),
+                                               ("C", "outflow")}
+
+
+def test_bundled_scenario_errors_name_the_file(bundled, tmp_path):
+    """An empty series and an unknown key at a gas node and at a bus of a
+    copy of the bundled scenario: each message begins with the copy's
+    path."""
+    network, scenario = bundled
+    path = tmp_path / "scenario.json"
+    for target, quantity, points, message in (
+            ("S5", "pressure_bar", [], "S5.pressure_bar: empty time series"),
+            ("S5", "colour", [[0.0, 1.0]],
+             r"boundary for S5: unknown key\(s\) colour"),
+            ("N2", "colour", [[0.0, 1.0]],
+             r"boundary for N2: unknown key\(s\) colour")):
+        raw = io.scenario_to_dict(scenario)
+        raw["boundary"][target][quantity] = points
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(io.FormatError, match=message), \
+                names_the_file(path):
+            io.load_scenario(path, network)
 
 
 def test_network_negative_pipe_length(load_network):
@@ -294,6 +362,8 @@ def test_network_record_of_the_wrong_type(load_network, edit, message):
     (_setting([[0.0, 150.0], [float("inf"), 0.0]], "boundary", "C",
               "outflow_flux"),
      r"C\.outflow_flux: breakpoints must be finite numbers"),
+    (_setting([], "boundary", "C", "outflow_flux"),
+     r"C\.outflow_flux: empty time series"),
     (_setting(7.5, "optimizer", "max_iter"),
      "optimizer.max_iter: expected an integer"),
     (_setting(float("nan"), "optimizer", "newton_tol"),
@@ -382,6 +452,79 @@ def test_write_results(tmp_path):
     objective = opt.objective(simulator, trajectory)
     assert objective > 0.0
     assert written["objective"] == float(f"{objective:.9g}")
+
+
+def test_writers_write_these_bytes(tmp_path):
+    """The file formats, byte for byte: LF endings, numbers to 9
+    significant digits, JSON indented by 2 with sorted keys."""
+    io.write_control(np.array([0.0, 900.0, 1800.0]),
+                     np.array([1.0e5, 2.5e5, 1.0e5 / 3.0]),
+                     tmp_path / "control.csv")
+    assert (tmp_path / "control.csv").read_bytes() == \
+        b"t_hours,u_bar\n0,1\n0.25,2.5\n0.5,0.333333333\n"
+    io.write_iteration_log(
+        [{"iter": 0, "objective": 1234.56789012, "min_margin_bar": -0.5},
+         {"iter": 12, "objective": 1.0 / 3.0, "min_margin_bar": 2.0e-11}],
+        tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (
+        b"iter,objective,min_margin_bar\n0,1234.56789,-0.5\n"
+        b"12,0.333333333,2e-11\n")
+
+    simulator = Simulator(make_toy_network(), make_toy_scenario(
+        pressure_bounds={"C": 59.0e5, "B": 61.5e5}))
+    io.write_results(simulator, simulator.run(np.array([1.0e5, 2.0e5, 1.5e5])),
+                     tmp_path / "toy")
+    assert (tmp_path / "toy" / "gas_nodes.csv").read_bytes() == (
+        b"t_hours,node,p_bar,q\n0,A,60,42.4115008\n0,B,61,0\n"
+        b"0,C,60.866095,-42.4115008\n0.25,A,60,42.9550629\n0.25,B,62,0\n"
+        b"0.25,C,61.8666504,-42.4115008\n0.5,A,60,42.1402828\n0.5,B,61.5,0\n"
+        b"0.5,C,61.368011,-42.4115008\n")
+    assert (tmp_path / "toy" / "summary.json").read_bytes() == b"""{
+  "initial_pressure_bar": {
+    "A": 60.0,
+    "B": 61.0,
+    "C": 60.866095
+  },
+  "margins": {
+    "B": {
+      "at_hours": 0.0,
+      "first_below_hours": 0.0,
+      "min_margin_bar": -0.5,
+      "min_pressure_bar": 61.0,
+      "p_min_bar": 61.5
+    },
+    "C": {
+      "at_hours": 0.0,
+      "first_below_hours": null,
+      "min_margin_bar": 1.86609495,
+      "min_pressure_bar": 60.866095,
+      "p_min_bar": 59.0
+    }
+  },
+  "min_margin_bar": -0.5,
+  "objective": 237.46976
+}
+"""
+
+
+def test_bundled_busses_file_writes_these_bytes(
+        bundled_simulator, uncontrolled_trajectory, tmp_path):
+    """The first level of the bundled busses.csv (the toy case has no
+    grid), byte for byte."""
+    io.write_results(bundled_simulator, uncontrolled_trajectory, tmp_path)
+    with open(tmp_path / "busses.csv", "rb") as f:
+        head = b"".join(f.readline() for _ in range(10))
+    assert head == b"""t_hours,bus,P,Q,V,phi
+0,N1,0.719546963,0.240690341,1,0
+0,N2,1.63,0.1445701,1,0.168751592
+0,N3,0.85,-0.0364600237,1,0.0832724642
+0,N4,0,0,0.987006801,-0.0420038863
+0,N5,-0.9,-0.3,0.975471385,-0.0701144268
+0,N6,0,0,1.00337368,0.0336093946
+0,N7,-1,-0.35,0.985649626,0.0108486116
+0,N8,0,0,0.996187179,0.0663075802
+0,N9,-1.25,-0.5,0.95762159,-0.0759206165
+"""
 
 
 BUNDLED_NETWORK, BUNDLED_SCENARIO = io.load_bundled()
