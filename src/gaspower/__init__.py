@@ -1,9 +1,9 @@
 """Coupled gas-pipeline / power-grid simulation and optimal compressor control.
 
-The package integrates transient isothermal gas dynamics (implicit box
-scheme) and AC powerflow, linked through gas-fired plants whose gas
-offtake follows the power they supply: per time step the power flow is
-solved first and the gas system next.  It minimizes compressor energy cost
+The package integrates transient isentropic gas dynamics (isothermal at
+gamma = 1; implicit box scheme) and AC powerflow, linked through gas-fired
+plants whose gas offtake follows the power they supply: per time step the
+power flow is solved first and the gas system next.  It minimizes compressor energy cost
 under pressure bounds by one SLSQP solve whose derivatives come from
 forward (tangent-linear) sensitivities; an adjoint sweep gives the
 gradient of any one trajectory functional.

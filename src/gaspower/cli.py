@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from . import adjoint, io, opt
-from .model import validate_network
 from .sim import SimulationError, Simulator
 
 EXIT_OK = 0
@@ -31,8 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--network", required=True, help="network JSON file")
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--lax", action="store_true",
-                       help="warn on unknown file keys instead of failing")
 
     p_sim = sub.add_parser("simulate", help="run one forward simulation")
     add_common(p_sim)
@@ -58,15 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="validate a network file")
     p_val.add_argument("--network", required=True)
-    p_val.add_argument("--lax", action="store_true")
     return parser
 
 
 def _load(args):
     """The command's Simulator and --control on its time grid (or None);
     an --out that cannot be a directory is refused before any solve."""
-    network = io.load_network(args.network, strict=not args.lax)
-    scenario = io.load_scenario(args.scenario, network, strict=not args.lax)
+    network = io.load_network(args.network)
+    scenario = io.load_scenario(args.scenario, network)
     simulator = Simulator(network, scenario)
     control = getattr(args, "control", None)
     if control:
@@ -144,14 +140,7 @@ def _cmd_check_gradient(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    network = io.load_network(args.network, strict=not args.lax,
-                              validate=False)
-    violations = validate_network(network.gas, network.grid, network.plants)
-    if violations:
-        print("validation failed:")
-        for v in violations:
-            print(f"  - {v}")
-        return EXIT_INPUT_ERROR
+    network = io.load_network(args.network)
     print(f"{args.network}: valid "
           f"({len(network.gas.pipes)} pipes, "
           f"{len(network.gas.compressors)} compressors, "

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
@@ -59,33 +58,28 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _check_keys(mapping: dict, allowed, where: str, strict: bool):
-    _object(mapping, where)
-    unknown = sorted(set(mapping) - set(allowed))
-    if not unknown:
-        return
-    message = f"{where}: unknown key(s) {', '.join(unknown)}"
-    if strict:
-        raise FormatError(message)
-    warnings.warn(message)
+def _check_keys(mapping: dict, allowed, where: str):
+    unknown = sorted(set(_object(mapping, where)) - set(allowed))
+    if unknown:
+        raise FormatError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
-def _build(cls, record: dict, where: str, strict: bool, **nested):
+def _build(cls, record: dict, where: str, **nested):
     """cls from the JSON object `record`; `nested` maps each field that
     holds an object of its own to that object's class.  A float field must
     hold a finite number, an int field one with no fractional part."""
     fields = cls.__dataclass_fields__
-    _check_keys(record, fields, where, strict)
-    known = {k: v for k, v in record.items() if k in fields}
-    for key in known:
+    _check_keys(record, fields, where)
+    record = dict(record)
+    for key in record:
         kind = fields[key].type
         if kind in ("float", "int"):
-            known[key] = (_integer if kind == "int" else _number)(
-                known, key, f"{where}: ")
+            record[key] = (_integer if kind == "int" else _number)(
+                record, key, f"{where}: ")
     for key, sub in nested.items():
-        known[key] = _build(sub, record.get(key, {}), f"{where} {key}", strict)
+        record[key] = _build(sub, record.get(key, {}), f"{where} {key}")
     try:
-        return cls(**known)
+        return cls(**record)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{where}: {exc}") from None
 
@@ -94,18 +88,17 @@ _NETWORK_KEYS = ("gas_nodes", "pipes", "compressors", "busses", "lines",
                  "plants", "constants", "per_unit")
 
 
-def load_network(path, strict: bool = True, validate: bool = True
-                 ) -> CoupledNetwork:
+def load_network(path) -> CoupledNetwork:
     """Load and validate a network description file."""
     raw = _read_json(path)
-    _check_keys(raw, _NETWORK_KEYS, str(path), strict)
+    _check_keys(raw, _NETWORK_KEYS, str(path))
 
     def records(key, cls, name, **nested):
         items = raw.get(key, [])
         if not isinstance(items, list):
             raise FormatError(f"{path}: {key}: expected a list")
-        return tuple(_build(cls, rec, f"{path}: {name} #{i}", strict,
-                            **nested) for i, rec in enumerate(items))
+        return tuple(_build(cls, rec, f"{path}: {name} #{i}", **nested)
+                     for i, rec in enumerate(items))
 
     nodes = records("gas_nodes", GasNode, "gas node")
     pipes = records("pipes", Pipe, "pipe")
@@ -115,19 +108,17 @@ def load_network(path, strict: bool = True, validate: bool = True
     lines = records("lines", TransmissionLine, "line")
     plants = records("plants", GasPowerPlant, "plant")
     constants = _build(GasConstants, raw.get("constants", {}),
-                       f"{path}: constants", strict)
+                       f"{path}: constants")
     per_unit = _build(PerUnitSystem, raw.get("per_unit", {}),
-                      f"{path}: per_unit", strict)
+                      f"{path}: per_unit")
 
     network = CoupledNetwork(GasNetwork(nodes, pipes, comps),
                              PowerGrid(busses, lines), plants,
                              constants, per_unit)
-    if validate:
-        violations = validate_network(network.gas, network.grid,
-                                      network.plants)
-        if violations:
-            raise FormatError(f"{path}: validation failed: "
-                              + "; ".join(violations))
+    violations = validate_network(network.gas, network.grid, network.plants)
+    if violations:
+        raise FormatError(f"{path}: validation failed: "
+                          + "; ".join(violations))
     return network
 
 
@@ -179,17 +170,18 @@ def _series(points, where, time_scale=3600.0, value_scale=1.0):
     return pts
 
 
-def load_scenario(path, network: CoupledNetwork,
-                  strict: bool = True) -> Scenario:
+def load_scenario(path, network: CoupledNetwork) -> Scenario:
     """Load a scenario file and resolve it against a network."""
     raw = _read_json(path)
-    _check_keys(raw, _SCENARIO_KEYS, str(path), strict)
+    _check_keys(raw, _SCENARIO_KEYS, str(path))
     try:
         horizon = _number(raw, "horizon_hours", f"{path}: ") * 3600.0
         dt = _number(raw, "dt_minutes", f"{path}: ") * 60.0
     except KeyError as exc:
         raise FormatError(f"{path}: missing required key {exc}") from None
     rho_ref = _number(raw, "reference_density_kg_m3", f"{path}: ", 0.785)
+    if rho_ref <= 0.0:
+        raise FormatError(f"{path}: reference_density_kg_m3 must be positive")
 
     gas_ids = {n.id: n for n in network.gas.nodes}
     bus_ids = {b.id: b for b in network.grid.busses}
@@ -202,13 +194,12 @@ def load_scenario(path, network: CoupledNetwork,
         where = f"{path}: boundary for {target}"
         gas = target in gas_ids
         if gas:
-            _check_keys(quantities, {*from_file, "outflow_m3_s"}, where,
-                        strict)
+            _check_keys(quantities, {*from_file, "outflow_m3_s"}, where)
             if {"outflow_m3_s", "outflow_flux"} <= quantities.keys():
                 raise FormatError(f"{where}: give outflow_m3_s or "
                                   "outflow_flux, not both")
         elif target in bus_ids:
-            _check_keys(quantities, BUS_QUANTITIES, where, strict)
+            _check_keys(quantities, BUS_QUANTITIES, where)
         else:
             raise FormatError(f"{path}: boundary for unknown target "
                               f"{target!r}")
@@ -221,10 +212,8 @@ def load_scenario(path, network: CoupledNetwork,
                     raise FormatError(f"{path}: node {target} has no "
                                       "incident pipe")
                 quant, unit = "outflow", rho_ref / area
-            elif key in from_file:
+            else:
                 quant, unit = from_file[key]
-            else:       # an unknown key, which _check_keys let pass
-                continue
             series[(target, quant)] = _series(pts, f"{path}: {target}.{key}",
                                               value_scale=unit)
 
@@ -240,15 +229,14 @@ def load_scenario(path, network: CoupledNetwork,
               for node in p_min}
 
     cb = raw.get("control_bounds", {})
-    _check_keys(cb, _CONTROL_BOUND_KEYS, f"{path}: control_bounds", strict)
+    _check_keys(cb, _CONTROL_BOUND_KEYS, f"{path}: control_bounds")
     where = f"{path}: control_bounds."
     if _number(cb, "u_min_bar", where, 0.0) != 0.0:
         raise FormatError(f"{path}: only u_min_bar = 0 is supported")
     u_max = _number(cb, "u_max_bar", where, 30.0) * BAR
 
     optimizer = raw.get("optimizer", {})
-    _check_keys(optimizer, _OPTIMIZER_KEYS, f"{path}: optimizer", strict)
-    # without strict, unknown keys (such as removed settings) are ignored
+    _check_keys(optimizer, _OPTIMIZER_KEYS, f"{path}: optimizer")
     where = f"{path}: optimizer."
     optimizer = {key: (_integer if key == "max_iter" else _number)(
         optimizer, key, where) for key in _OPTIMIZER_KEYS if key in optimizer}

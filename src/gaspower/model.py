@@ -300,7 +300,9 @@ def validate_network(gas: GasNetwork, grid: PowerGrid,
             if end not in bus_set:
                 violations.append(f"{ln.id}: unknown endpoint {end!r}")
         pair = frozenset((ln.from_bus, ln.to_bus))
-        if pair in line_pairs:
+        if ln.from_bus == ln.to_bus:
+            violations.append(f"{ln.id}: line from {ln.from_bus} to itself")
+        elif pair in line_pairs:
             violations.append(f"{ln.id}: duplicate line between {ln.from_bus} and {ln.to_bus}")
         line_pairs.add(pair)
 

@@ -1,12 +1,11 @@
 """Loader error paths, result files and dump/load round trips.
 
 Each malformed network or scenario raises a FormatError naming the file
-and the problem, or under strict=False warns, naming both too, and goes on.
+and the problem.
 """
 
 import contextlib
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,35 +22,41 @@ from conftest import make_toy_network, make_toy_scenario
 
 @contextlib.contextmanager
 def names_the_file(path):
-    """Asserts that a FormatError raised in the block, and each warning
-    given in it, begins with path; the warnings are given again after."""
+    """Asserts that a FormatError raised in the block begins with path."""
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            yield
+        yield
     except io.FormatError as exc:
         assert str(exc).startswith(f"{path}: "), exc
         raise
-    finally:
-        for warning in caught:
-            assert str(warning.message).startswith(f"{path}: "), \
-                warning.message
-            warnings.warn(warning.message)
 
 
 @pytest.fixture()
-def load(tmp_path):
-    """Write a toy scenario changed by `edit` and load it; its errors and
-    warnings must begin with the file's path."""
+def load(tmp_path, capsys):
+    """Write a toy scenario changed by `edit` and load it; its errors must
+    begin with the file's path.  With through_cli, `simulate` reads the file
+    instead, must refuse it with exit 2 and no output directory, and the
+    text after "input error: " on stderr is raised again as a FormatError."""
     network = make_toy_network()
 
-    def write_and_load(edit, strict=True):
+    def simulate(path):
+        network_path = tmp_path / "network.json"
+        io.dump_network(network, network_path)
+        out = tmp_path / "out"
+        code = cli.run(["simulate", "--network", str(network_path),
+                        "--scenario", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT_ERROR and not out.exists(), err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+        raise io.FormatError(err[len("input error: "):-1])
+
+    def write_and_load(edit, through_cli=False):
         raw = io.scenario_to_dict(make_toy_scenario())
         edit(raw)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
         with names_the_file(path):
-            return io.load_scenario(path, network, strict=strict)
+            return (simulate(path) if through_cli
+                    else io.load_scenario(path, network))
 
     return write_and_load
 
@@ -75,8 +80,6 @@ def test_unknown_top_level_key(load):
 
     with pytest.raises(io.FormatError, match=r"unknown key\(s\) colour"):
         load(edit)
-    with pytest.warns(UserWarning, match=r"unknown key\(s\) colour"):
-        assert load(edit, strict=False).step_count == 2
 
 
 @pytest.mark.parametrize("key,value", [("dt_minutes", 0.0),
@@ -127,18 +130,19 @@ def test_breakpoint_that_is_not_a_pair(load, points):
         load(edit)
 
 
-@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("through_cli", [True, False])
 @pytest.mark.parametrize("points", [[[0.0, 0.0]], [[0.0, 60.0], [1.0, -5.0]],
                                     [[0.0, -0.0]]])
 def test_pressure_boundary_at_or_below_zero_names_the_node(
-        load, tmp_path, points, strict):
+        load, tmp_path, points, through_cli):
     """A pressure series that reaches 0 bar or less is refused on loading,
-    strict or not, naming the file and the node's pressure_bar."""
+    by the loader and by `simulate` alike, naming the file and the node's
+    pressure_bar."""
     def edit(raw):
         raw["boundary"]["A"]["pressure_bar"] = points
 
     with pytest.raises(io.FormatError) as info:
-        load(edit, strict=strict)
+        load(edit, through_cli=through_cli)
     assert str(info.value) == (f"{tmp_path / 'scenario.json'}: "
                                "A.pressure_bar must be positive and finite")
 
@@ -150,23 +154,19 @@ def test_removed_optimizer_keys(load):
     with pytest.raises(io.FormatError,
                        match=r"optimizer: unknown key\(s\) inner_tol, mu0"):
         load(edit)
-    with pytest.warns(UserWarning, match="inner_tol, mu0"):
-        scenario = load(edit, strict=False)
-    # ignored, while the known key still applies
-    assert (scenario.max_iter, scenario.newton_tol) == (7, 1.0e-9)
 
 
 @pytest.fixture()
 def load_network(tmp_path):
-    """Write the toy network changed by `edit` and load it; its errors and
-    warnings must begin with the file's path."""
-    def write_and_load(edit, strict=True):
+    """Write the toy network changed by `edit` and load it; its errors must
+    begin with the file's path."""
+    def write_and_load(edit):
         raw = io.network_to_dict(make_toy_network())
         raw = edit(raw) or raw
         path = tmp_path / "network.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
         with names_the_file(path):
-            return io.load_network(path, strict=strict)
+            return io.load_network(path)
 
     return write_and_load
 
@@ -183,25 +183,18 @@ def test_network_unknown_key(load_network, tmp_path):
     with pytest.raises(io.FormatError,
                        match=r"pipe #0: unknown key\(s\) colour"):
         load_network(edit)
-    with pytest.warns(UserWarning, match=r"pipe #0: unknown key\(s\) colour"):
-        network = load_network(edit, strict=False)
-    assert network.gas.pipes == make_toy_network().gas.pipes
     path = str(tmp_path / "network.json")
     assert cli.run(["validate", "--network", path]) == cli.EXIT_INPUT_ERROR
-    with pytest.warns(UserWarning, match="colour"):
-        assert cli.run(["validate", "--network", path, "--lax"]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("keys", [("constants",), ("per_unit",),
                                   ("compressors", 0, "cost"), ("gas_nodes", 2)],
                          ids=["constants", "per_unit", "cost", "node"])
 def test_network_unknown_key_names_the_file(load_network, tmp_path, keys):
-    """Strict or lax, an unknown key in any record names the file first."""
+    """An unknown key in any record names the file first."""
     edit = _setting("blue", *keys, "colour")
     with pytest.raises(io.FormatError, match=r"unknown key\(s\) colour$"):
         load_network(edit)
-    with pytest.warns(UserWarning, match=r"unknown key\(s\) colour$"):
-        assert load_network(edit, strict=False) == make_toy_network()
 
 
 @pytest.mark.parametrize("target", ["A", "C"])
@@ -210,10 +203,6 @@ def test_boundary_unknown_key_names_the_file(load, target):
     with pytest.raises(io.FormatError, match=f"scenario.json: boundary for "
                        rf"{target}: unknown key\(s\) colour$"):
         load(edit)
-    with pytest.warns(UserWarning, match=f"boundary for {target}: unknown"):
-        scenario = load(edit, strict=False)
-    assert scenario.boundary.series.keys() == {("A", "pressure"),
-                                               ("C", "outflow")}
 
 
 def test_bundled_scenario_errors_name_the_file(bundled, tmp_path):
@@ -286,17 +275,23 @@ def test_boundary_series_the_network_does_not_read(load, target, quantity):
         load(edit)
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_both_outflow_keys_are_refused(load, strict):
+@pytest.mark.parametrize("flux_last", [True, False])
+def test_both_outflow_keys_are_refused(load, flux_last):
     """A node given its outflow both in m^3/s and as a flux is refused,
     naming the file and the node, rather than running on whichever key
-    comes last."""
+    comes last; flux_last puts outflow_flux after outflow_m3_s."""
     def edit(raw):
+        flux = raw["boundary"]["C"].pop("outflow_flux")
         raw["boundary"]["C"]["outflow_m3_s"] = [[0.0, 77.0]]
+        if flux_last:
+            raw["boundary"]["C"]["outflow_flux"] = flux
+        else:
+            raw["boundary"]["C"] = {"outflow_flux": flux,
+                                    **raw["boundary"]["C"]}
 
     with pytest.raises(io.FormatError, match=r"scenario\.json: boundary for "
                        "C: give outflow_m3_s or outflow_flux, not both$"):
-        load(edit, strict=strict)
+        load(edit)
 
 
 def test_network_validation_failure(load_network):
@@ -348,6 +343,10 @@ def test_network_record_of_the_wrong_type(load_network, edit, message):
     (_setting("15 min", "dt_minutes"), "dt_minutes: expected a number"),
     (_setting("x", "reference_density_kg_m3"),
      "reference_density_kg_m3: expected a number"),
+    (_setting(-0.785, "reference_density_kg_m3"),
+     "scenario.json: reference_density_kg_m3 must be positive$"),
+    (_setting(0.0, "reference_density_kg_m3"),
+     "scenario.json: reference_density_kg_m3 must be positive$"),
     (_setting([40.0], "pressure_bounds", "C"),
      "pressure_bounds.C: expected a number"),
     (_setting({"bar": 0.0}, "control_bounds", "u_min_bar"),
@@ -374,7 +373,7 @@ def test_scenario_section_of_the_wrong_type(load, edit, message):
         load(edit)
 
 
-@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("through_cli", [True, False])
 @pytest.mark.parametrize("edit,message", [
     (_setting([[0.0, "60"]], "boundary", "A", "pressure_bar"),
      r"A\.pressure_bar: breakpoints must be \(time, value\) pairs: "
@@ -388,11 +387,13 @@ def test_scenario_section_of_the_wrong_type(load, edit, message):
     (_setting("7", "optimizer", "max_iter"),
      "optimizer.max_iter: expected a number"),
 ])
-def test_booleans_and_strings_are_not_numbers(load, edit, message, strict):
+def test_booleans_and_strings_are_not_numbers(load, edit, message,
+                                              through_cli):
     """float() takes a JSON true (as 1.0) and a numeric string, so the
-    loader refuses both by type, strict or lax, naming the field."""
+    loader, and `simulate` through it, refuses both by type, naming the
+    field."""
     with pytest.raises(io.FormatError, match=message):
-        load(edit, strict=strict)
+        load(edit, through_cli=through_cli)
 
 
 def test_pressure_bound_at_an_unknown_node_is_refused_at_load(load):

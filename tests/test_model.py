@@ -200,6 +200,7 @@ def _record(table, i, **changes):
     (_record("grid.lines", 0, to_bus="N99"), "TL14: unknown endpoint 'N99'"),
     (_record("grid.lines", 1, to_bus="N1"),
      "TL45: duplicate line between N4 and N1"),
+    (_record("grid.lines", 1, to_bus="N4"), "TL45: line from N4 to itself"),
     (_record("plants", 0, gas_node="S99"),
      "plant PLANT1: unknown gas node 'S99'"),
     (_record("plants", 0, bus="N99"), "plant PLANT1: unknown bus 'N99'"),
