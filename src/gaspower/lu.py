@@ -20,9 +20,11 @@ exp(L / ((c - v) dt)) is only a lower bound (on a 66 km pipe at 5 m/s,
 estimate).  A solve loses that factor in relative accuracy; the
 factorization raises where a pipe's march grows by more than
 MAX_MARCH_GROWTH: on that pipe where dt is below about 43-56 s, depending
-on the flow, which in 100 m cells is a dt/dx that draws no warning from
-the Simulator.  A singular network block raises SuperLU's RuntimeError at
-the factorization too."""
+on the flow (the growth follows the pipe's length, not its cells).  These
+two refusals are the only limit on the time step: the estimate needs the
+flow and lambda, which set-up does not know, so no run is checked before
+it starts.  A singular network block raises SuperLU's RuntimeError at the
+factorization too."""
 
 from __future__ import annotations
 

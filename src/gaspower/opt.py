@@ -41,21 +41,12 @@ def trapezoid_weights(step_count: int) -> np.ndarray:
     return w
 
 
-def _compressor_points(simulator: Simulator):
-    """Per compressor: its data, columns (rho_in, rho_out, q) and area, off
-    its from- and to-end in the assembler's table of arc ends."""
-    asm = simulator.assembler
-    rho, first = asm.node_rows[asm.end_node], 2 * len(asm.pipes)
-    return [(comp, [rho[k], rho[k + 1], asm.end_flow[k]], asm.end_area[k + 1])
-            for comp, k in zip(asm.comps, range(first, len(rho), 2))]
-
-
 def _cost_terms(simulator: Simulator, trajectory: Trajectory,
                 clip_flux: bool):
     """Per compressor: its state columns (rho_in, rho_out, q), its cost
     rate at every level and the rate's partials by those columns."""
-    cons = simulator.network.constants
-    for comp, cols, area in _compressor_points(simulator):
+    cons, asm = simulator.network.constants, simulator.assembler
+    for comp, cols, area in zip(asm.comps, asm.comp_cols.T, asm.comp_area):
         rho_in, rho_out, q = trajectory.states[:, cols].T
         p_in = gas.pressure_of_density(rho_in, cons)
         # idle machines may carry round-off level negative lift
@@ -122,16 +113,15 @@ class _Model:
         scenario = simulator.scenario
         self.u_max_bar = scenario.control_max / BAR
         self.tol_bar = scenario.feasibility_tol_bar
-        idx = simulator.assembler.index
+        asm = simulator.assembler
         bounds = sorted(scenario.pressure_bounds.items())
         self.p_min = np.array([p_min for _, p_min in bounds]).reshape(-1, 1)
-        bound_cols = [idx.node_rho[node] for node, _ in bounds]
-        comp_cols = [cols for _, cols, _ in _compressor_points(simulator)]
-        self.columns = np.unique(np.array(bound_cols + sum(comp_cols, []),
-                                          dtype=int))
+        bound_cols = [asm.index.node_rho[node] for node, _ in bounds]
+        self.columns = np.unique(np.concatenate([bound_cols,
+                                                 asm.comp_cols.ravel()]
+                                                ).astype(int))
         self.bound_pos = np.searchsorted(self.columns, bound_cols)
-        self.flux_pos = np.searchsorted(self.columns,
-                                        [q for _, _, q in comp_cols])
+        self.flux_pos = np.searchsorted(self.columns, asm.comp_cols[2])
         self._key = self._last = self._partials = None
         self.simulations = self.sweeps = 0
 

@@ -80,10 +80,6 @@ log = logging.getLogger(__name__)
 # compressor rows are divided by kappa for the same reason.
 MASS_FLOW_SCALE = 100.0
 
-# dt/dx regime (s/m) the implicit box scheme is routinely run at; strong
-# deviations are logged, not rejected.
-_REFERENCE_DT_DX = 900.0 / 1000.0
-
 # pipe/compressor flux (kg/(m^2 s)) seeded into the steady-state guess
 _STEADY_FLOW_SEED = 10.0
 
@@ -396,20 +392,25 @@ class CoupledStepAssembler:
                                 for b in self.busses
                                 for quant in PINNED_QUANTITIES[b.kind])
         end_rows = node_rows[self.end_node]   # each arc end's node's density
-        # per compressor: its flux column, its to- and from-node's density
-        self._comp_rows = self.end_flow[pipe_ends::2]
-        self._comp_ends = end_rows[pipe_ends:].reshape(-1, 2).T[::-1]
+        # per compressor, off its from- and to-end: the density columns of
+        # its inlet and outlet, its flux column (that of its row), and the
+        # area its cost reads, its to-end's
+        self.comp_cols = np.stack([end_rows[pipe_ends::2],
+                                   end_rows[pipe_ends + 1::2],
+                                   self.end_flow[pipe_ends::2]])
+        self.comp_area = self.end_area[pipe_ends + 1::2]
+        rho_in, rho_out, comp_rows = self.comp_cols
         self.coupling_node_cols = end_rows[:pipe_ends]
 
         scale = np.ones(size)
         kappa = self.constants.kappa
         scale[n_box // 2:n_box] = 1.0 / kappa
         scale[node_rows[kind != PRESSURE_BOUNDARY]] = 1.0 / MASS_FLOW_SCALE
-        scale[self._comp_rows] = 1.0 / kappa
+        scale[comp_rows] = 1.0 / kappa
         self.row_scale = scale
         # dR/du is constant: the lift enters each compressor row as -u
         self.d_du = np.zeros(size)
-        self.d_du[self._comp_rows] = -scale[self._comp_rows]
+        self.d_du[comp_rows] = -scale[comp_rows]
         self.d_du.flags.writeable = False
 
         # the linear rows as constant entries (rows, cols, value or values):
@@ -431,7 +432,7 @@ class CoupledStepAssembler:
 
         self.entries = rows, cols = tuple(np.concatenate(part) for part in zip(
             box_next, (self._const_rows, self._const_cols),
-            *[(self._comp_rows, node) for node in self._comp_ends]))
+            (comp_rows, rho_out), (comp_rows, rho_in)))
         self._entry_scale = self.row_scale[rows]
         # dR/dy_prev is constant, -1/2 on the old level of the box stencil
         # (mass rows by rho, momentum rows by q), and its values make the
@@ -493,7 +494,7 @@ class CoupledStepAssembler:
         y[:self.n_points] = rho0
         y[self.n_points:2 * self.n_points] = _STEADY_FLOW_SEED
         y[self.node_rows] = rho0
-        y[self._comp_rows] = _STEADY_FLOW_SEED
+        y[self.comp_cols[2]] = _STEADY_FLOW_SEED
         return y
 
     def node_injections(self, states: np.ndarray) -> np.ndarray:
@@ -528,7 +529,7 @@ class CoupledStepAssembler:
         b = np.zeros(self.size)
         b[self._pb_rows] = snap.node_rho_bc[self._pb_nodes]
         b[self._fb_rows] = self._fb_area * snap.node_outflow[self._fb_nodes]
-        b[self._comp_rows] = u
+        b[self.comp_cols[2]] = u
         for row, col, plant in self._plants:
             b[row] = plant.reference_density * power.plant_gas_offtake(
                 grid[col], plant)
@@ -550,8 +551,8 @@ class CoupledStepAssembler:
                           * y[self._const_cols], self.size)
         res[:self.grid.shape[0]] = gas.box_residual(old, it.terms, dt,
                                                     self.grid)
-        p_to, p_from = gas._pressure(y[self._comp_ends], self.constants)
-        res[self._comp_rows] = p_to - p_from
+        p_in, p_out = gas._pressure(y[self.comp_cols[:2]], self.constants)
+        res[self.comp_cols[2]] = p_out - p_in
         res -= b
         res *= self.row_scale
         return res
@@ -561,10 +562,10 @@ class CoupledStepAssembler:
         order of `entries`, which condensation.factors reads.  dR/dy_prev
         and dR/du are constant: the read-only attributes jac_prev (CSR,
         two entries per box row) and d_du."""
-        dp_to, dp_from = gas.dpressure_drho(it.y[self._comp_ends],
-                                            self.constants)
+        dp_in, dp_out = gas.dpressure_drho(it.y[self.comp_cols[:2]],
+                                           self.constants)
         values = np.concatenate([gas._box_blocks(it.terms, dt, self.grid),
-                                 self._const_vals, dp_to, -dp_from])
+                                 self._const_vals, dp_out, -dp_in])
         values *= self._entry_scale
         return values
 
@@ -689,7 +690,9 @@ def steady_state(assembler: CoupledStepAssembler, b, dt: float, tol: float,
 
 
 class Simulator:
-    """Reusable forward model for one network + scenario."""
+    """Reusable forward model for one network + scenario.  Set-up puts no
+    limit on dt: lu's factorization refuses a step too short for a pipe,
+    naming it, and run re-raises that with the level and time."""
 
     def __init__(self, network: CoupledNetwork, scenario: Scenario):
         self.network = network
@@ -699,18 +702,6 @@ class Simulator:
         check_boundary_data(network, scenario.boundary.series)
         self.snapshots = self.assembler.boundary_snapshots(
             scenario.boundary, scenario.times)
-        self._check_grid_regime()
-
-    def _check_grid_regime(self):
-        """Log each pipe whose dt/dx is 20x off the reference; lu's
-        factorization refuses (dt/dx)(c - v) near 1/2 or a march past 5e4."""
-        dt = self.scenario.dt
-        for pipe in self.network.gas.pipes:
-            ratio = (dt / pipe.dx) / _REFERENCE_DT_DX
-            if ratio > 20.0 or ratio < 0.05:
-                log.warning("pipe %s: dt/dx = %.3g s/m is far from the "
-                            "regime the implicit box scheme is validated in",
-                            pipe.id, dt / pipe.dx)
 
     def run(self, control=None) -> Trajectory:
         """The Trajectory under `control`, the compressor lift in Pa per

@@ -1540,8 +1540,8 @@ def test_solves_read_the_substitution_result(monkeypatch):
 
 def _long_pipes_level(dt):
     """The bundled network with every pipe's grid 10 times finer (P25: 66 km
-    in 100 m cells), a converged state of its uncontrolled run, and the
-    Simulator of a two-step scenario at dt with the warnings it logged."""
+    in 100 m cells), a converged state of its uncontrolled run, and a
+    two-step scenario at dt."""
     network, scenario = gio.load_bundled()
     network = replace(network, gas=replace(network.gas, pipes=tuple(
         replace(p, cell_count=10 * p.cell_count) for p in network.gas.pipes)))
@@ -1555,9 +1555,9 @@ def test_long_marches_solve_to_dense_accuracy(dt, caplog):
     """Shooting along a pipe amplifies its growing mode by about
     exp(L sqrt(1 + a dt) / ((c - v) dt)), a = lambda |v| / d, which a solve
     loses in accuracy.  On the 66 km pipe in 100 m cells at dt = 60 s (a
-    growth of about 2e4 as lu measures it, and a dt/dx the Simulator
-    accepts without a warning), both directions still match a dense solve
-    to 1e-10."""
+    growth of about 2e4 as lu measures it), the Simulator sets up without
+    a log record, and both directions still match a dense solve to
+    1e-10."""
     network, scenario, asm, y = _long_pipes_level(dt)
     Simulator(network, scenario)
     assert not caplog.records
@@ -1575,9 +1575,9 @@ def test_long_marches_solve_to_dense_accuracy(dt, caplog):
 def test_march_growth_past_the_bound_names_the_pipe(caplog):
     """At dt = 20 s the march along the 66 km pipe P25 grows by about 3e8
     as lu measures it, past lu.MAX_MARCH_GROWTH, where a solve errs by
-    about 4e-7: the factorization raises, naming the pipe, and so does the
-    Simulator's first step that factors, although dt/dx draws no
-    warning."""
+    about 4e-7: the Simulator sets up without a log record, and the
+    factorization raises, naming the pipe, and so does the Simulator's
+    first step that factors."""
     network, scenario, asm, y = _long_pipes_level(20.0)
     simulator = Simulator(network, scenario)
     assert not caplog.records
@@ -1587,20 +1587,19 @@ def test_march_growth_past_the_bound_names_the_pipe(caplog):
         simulator.run([0.0, 1.0e5, 1.0e5])    # a lift step: Newton factors
 
 
-def test_far_off_dt_dx_logs_one_warning_naming_the_pipe(caplog):
-    """A pipe whose dt/dx is more than 20 times the reference (P2 of the
-    mixed network in 25 m cells at dt = 900 s: 36 s/m, 40 times) makes
-    the Simulator log one WARNING, which names that pipe alone."""
+def test_far_off_dt_dx_sets_up_without_a_log_record(caplog):
+    """dt/dx sets no limit of its own: lu's two refusals are the only
+    time-step limits.  A pipe in cells far finer than dt suggests (P2 of
+    the mixed network in 25 m cells at dt = 900 s, 36 s/m) sets up
+    without a log record at any level, and the run converges."""
     network = make_mixed_network()
     pipes = tuple(replace(p, cell_count=60) if p.id == "P2" else p
                   for p in network.gas.pipes)
-    with caplog.at_level(logging.WARNING, logger=sim_mod.log.name):
-        Simulator(replace(network, gas=replace(network.gas, pipes=pipes)),
-                  make_toy_scenario())
-    record, = caplog.records
-    assert (record.name, record.levelno) == (sim_mod.log.name,
-                                             logging.WARNING)
-    assert record.getMessage().startswith("pipe P2: dt/dx = 36 s/m is far ")
+    with caplog.at_level(logging.DEBUG, logger=sim_mod.log.name):
+        simulator = Simulator(replace(network, gas=replace(
+            network.gas, pipes=pipes)), make_toy_scenario())
+    assert caplog.records == []
+    assert np.all(simulator.run().residual_norm < simulator.tol)
 
 
 def test_pipe_block_is_lower_triangular_after_the_row_operation(
