@@ -30,9 +30,9 @@ import numpy as np
 
 from .model import GasConstants
 
-# Below this Reynolds number the Colebrook equation degenerates; the
-# fully-rough limit is used instead.  The source term still vanishes at
-# q = 0 through the q|q| factor.
+# Below this Reynolds number the Colebrook equation degenerates; its value
+# at this number is used instead, so lambda is continuous in q on every
+# pipe.  The source term still vanishes at q = 0 through the q|q| factor.
 REYNOLDS_ROUGH_LIMIT = 100.0
 
 _LN10 = np.log(10.0)
@@ -80,13 +80,12 @@ def friction_factor_and_derivative(q, grid: PipeGrid):
     and X2 = ln(Re ln10/5.02), F solves F + ln(X1 + F) = X2, and two fixed
     third-order steps from F = X2 - 0.2 reach machine precision;
     x = 1/sqrt(lam) = 2 F/ln10.  The derivative comes from implicit
-    differentiation of the same equation.  Below REYNOLDS_ROUGH_LIMIT the
-    rough limit, or Colebrook's value at that limit if k = 0, is returned
-    with zero derivative.  d, eta, b and d/eta come per point from
+    differentiation of the same equation.  Below REYNOLDS_ROUGH_LIMIT
+    Colebrook's value at that limit is returned with zero derivative.  d, eta, b and d/eta come per point from
     grid.colebrook.
     """
     diameter, eta, b, d_eta = grid.colebrook
-    re, re_scaled, rough = _reynolds(q, diameter, eta)
+    re, re_scaled, below = _reynolds(q, diameter, eta)
     x1, x2 = b * re_scaled, np.log(re_scaled)
     f = x2 - 0.2
     s, s1, e, den = np.empty((4,) + f.shape)
@@ -108,12 +107,7 @@ def friction_factor_and_derivative(q, grid: PipeGrid):
         s /= den
         f -= s
     lam = (0.5 * _LN10 / f) ** 2
-    dlam_dq = _dlam_dq(q, lam, f, re, x1, d_eta, rough)
-    if rough is not None:
-        rough &= b > 0   # a smooth pipe keeps Colebrook's lam at the limit
-        lam = np.where(rough, 1.0 / (2.0 * np.log10(
-            b, where=rough, out=np.ones_like(lam))) ** 2, lam)
-    return lam, dlam_dq
+    return lam, _dlam_dq(q, lam, f, re, x1, d_eta, below)
 
 
 def _reynolds(q, diameter, eta):
@@ -122,16 +116,17 @@ def _reynolds(q, diameter, eta):
     re = np.abs(q)
     re *= diameter
     re /= eta
-    rough = re < REYNOLDS_ROUGH_LIMIT
-    if not rough.any():
+    below = re < REYNOLDS_ROUGH_LIMIT
+    if not below.any():
         return re, re * (_LN10 / 5.02), None
     np.maximum(re, REYNOLDS_ROUGH_LIMIT, out=re)
-    return re, re * (_LN10 / 5.02), rough
+    return re, re * (_LN10 / 5.02), below
 
 
-def _dlam_dq(q, lam, f, re, x1, d_eta, rough):
+def _dlam_dq(q, lam, f, re, x1, d_eta, below):
     """dlam/dq = (-2 lam / F) (F / (Re (1 + X1 + F))) sign(q) d / eta, and
-    0 at the `rough` points, in place: it overwrites f, re and x1."""
+    0 at the points `below` the Reynolds limit, in place: it overwrites f,
+    re and x1."""
     x1 += 1.0
     x1 += f
     x1 *= re
@@ -139,17 +134,17 @@ def _dlam_dq(q, lam, f, re, x1, d_eta, rough):
     f *= np.sign(q, out=re)
     f *= d_eta
     f /= x1
-    if rough is not None:
-        f[rough] = 0.0
+    if below is not None:
+        f[below] = 0.0
     return f
 
 
 def friction_derivative(q, lam, grid: PipeGrid):
     """dlambda/dq of Colebrook's lambda at grid's flows q, without a solve."""
     d, eta, b, d_eta = grid.colebrook
-    re, x1, rough = _reynolds(q, d, eta)
+    re, x1, below = _reynolds(q, d, eta)
     x1 *= b
-    return _dlam_dq(q, lam, 0.5 * _LN10 / np.sqrt(lam), re, x1, d_eta, rough)
+    return _dlam_dq(q, lam, 0.5 * _LN10 / np.sqrt(lam), re, x1, d_eta, below)
 
 
 @dataclass(frozen=True, eq=False)

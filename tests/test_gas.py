@@ -97,14 +97,28 @@ def source(rho, q, pipe=PIPE):
 
 class TestFriction:
     def test_rough_limit_at_stagnation(self):
+        """At stagnation a rough pipe takes Colebrook's value at
+        REYNOLDS_ROUGH_LIMIT, with zero derivative."""
         lam, dlam = colebrook(0.0)
-        assert lam == pytest.approx(0.01878011195087057, rel=1e-12)
+        assert lam == pytest.approx(0.1697371992404362, rel=1e-12)
+        assert lam == pytest.approx(colebrook_bisection(
+            gas.REYNOLDS_ROUGH_LIMIT * CONS.eta / 0.6, 0.6, 5e-4), rel=1e-9)
         assert dlam == 0.0
 
+    @pytest.mark.parametrize("k", [5e-4, 0.0])
+    def test_continuous_at_the_reynolds_limit(self, k):
+        """lambda is continuous in q across REYNOLDS_ROUGH_LIMIT on a rough
+        and on a smooth pipe, and equals Colebrook's at the limit on either
+        side of zero flow."""
+        q_limit = gas.REYNOLDS_ROUGH_LIMIT * CONS.eta / 0.6
+        q = q_limit * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+        lam, _ = colebrook(np.concatenate([q, -q, [0.0]]), 0.6, k)
+        assert lam == pytest.approx(np.full(7, lam[1]), rel=1e-9)
+
     def test_smooth_pipe_at_stagnation(self):
-        """k = 0 has no rough limit: below REYNOLDS_ROUGH_LIMIT a smooth pipe
-        keeps Colebrook's own value at that Reynolds number, on every point
-        of its pipe, beside a rough pipe that keeps its limit."""
+        """Below REYNOLDS_ROUGH_LIMIT a smooth pipe (k = 0) keeps Colebrook's
+        own value at that Reynolds number, on every point of its pipe, and
+        so does a rough pipe beside it."""
         q_limit = gas.REYNOLDS_ROUGH_LIMIT * CONS.eta / 0.6
         at_limit, _ = colebrook(q_limit, 0.6, 0.0)
         with warnings.catch_warnings():
@@ -119,7 +133,7 @@ class TestFriction:
         assert lam == pytest.approx(colebrook_bisection(q_limit, 0.6, 0.0),
                                     rel=1e-9)
         assert np.array_equal(lams[:3], [lam] * 3)
-        assert lams[3:] == pytest.approx(0.01878011195087057, rel=1e-12)
+        assert lams[3:] == pytest.approx(0.1697371992404362, rel=1e-12)
         assert not dlams.any()
 
     def test_high_reynolds_close_to_rough_limit(self):
@@ -479,7 +493,6 @@ def test_in_place_kernels_equal_their_formulas():
         f = f - (s1 + 0.5 * e) * e * s / (s1 + e * (1.0 + e / 3.0))
     lam = (0.5 * np.log(10.0) / f) ** 2
     dlam = -2.0 * lam * np.sign(q) * d_eta / (re_safe * (1.0 + x1 + f))
-    lam = np.where(rough, 1.0 / (2.0 * np.log10(b)) ** 2, lam)
     dlam = np.where(rough, 0.0, dlam)
     friction = gas.friction_factor_and_derivative(q, grid)
     assert all(np.array_equal(a, b) for a, b in zip(friction, (lam, dlam)))
