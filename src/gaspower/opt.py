@@ -35,6 +35,10 @@ class NoFeasibleStart(OptimizationError):
     pass
 
 
+# SLSQP minimises J scaled to this value at its feasible start, if J is larger
+OBJECTIVE_SCALE = 1.0e3
+
+
 def trapezoid_weights(step_count: int) -> np.ndarray:
     w = np.ones(step_count + 1)
     w[0] = w[-1] = 0.5
@@ -188,10 +192,12 @@ def optimize(simulator: Simulator) -> OptimizationResult:
     """One SLSQP solve over the lift in bar, from a feasible start, with
     the bounds and settings of the simulator's scenario.
 
-    Minimises the value of cost_partials subject to 0 <= u <= control_max
-    and, at every time level, pressure margin - feasibility_tol_bar >= 0
-    at each bounded node and flux q >= 0 at each compressor, where the
-    cost model holds (it has no reverse flow).  A nonzero SLSQP status,
+    Minimises s J, J the value of cost_partials and s = OBJECTIVE_SCALE /
+    max(J(u0), OBJECTIVE_SCALE) at the feasible start u0 (the result and
+    its log keep J), subject to 0 <= u <= control_max and, at every time
+    level, pressure margin - feasibility_tol_bar >= 0 at each bounded node
+    and flux q >= 0 at each compressor, where the cost model holds (it has
+    no reverse flow).  A nonzero SLSQP status,
     max_iter iterations included, raises OptimizationError with SLSQP's
     message, and so does a returned control that violates a pressure
     bound; a bound at a node that is not a gas node raises ValueError.  The
@@ -210,6 +216,10 @@ def optimize(simulator: Simulator) -> OptimizationResult:
                 "discontinuous at zero lift; optimize needs d0 = 0")
     model = _Model(simulator)
     u = _feasible_start(model, simulator.scenario.step_count)
+    # SLSQP tests ftol in absolute terms from an identity Hessian: J of
+    # 1e3-1e5 kept it infeasible for most of its iterations and stopped it
+    # short on many compressors (status 8); scaling up a small J did too
+    scale = OBJECTIVE_SCALE / max(model.evaluate(u).value, OBJECTIVE_SCALE)
 
     log_rows = []
 
@@ -219,8 +229,9 @@ def optimize(simulator: Simulator) -> OptimizationResult:
                          "min_margin_bar": evaluation.min_margin})
 
     result = minimize(
-        lambda x: model.evaluate(x).value, u,
-        jac=lambda x: model.evaluate(x, True).gradient, method="SLSQP",
+        lambda x: scale * model.evaluate(x).value, u,
+        jac=lambda x: scale * model.evaluate(x, True).gradient,
+        method="SLSQP",
         bounds=[(0.0, model.u_max_bar)] * len(u),
         constraints=[{"type": "ineq",
                       "fun": lambda x: model.evaluate(x).constraints,

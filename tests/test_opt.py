@@ -1,6 +1,8 @@
 """SLSQP optimizer: stopping test, constraint Jacobian, scenario checks."""
 
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from gaspower.model import BAR, CompressorCostModel
 from gaspower.sim import BoundaryData, Simulator
 
 from conftest import make_toy_network, make_toy_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 # 60 bar at A; C needs a positive lift of about 1.1 bar to stay above 61 bar
 BOUND_C = 61.0e5
@@ -181,6 +186,35 @@ def test_optimize_sweeps_only_where_slsqp_asks_for_derivatives(monkeypatch):
     result = opt.optimize(bounded_problem())
     assert 1 <= len(sweeps) < len(runs)
     assert (result.simulations, result.sweeps) == (len(runs), len(sweeps))
+
+
+def test_scaled_objective_solves_two_bundled_copies(monkeypatch):
+    """Two copies of the bundled gas network on one source (many-pipes'
+    construction, outflows 77 and 62 m^3/s, a 41 bar bound at each S25_k)
+    in 1 h steps: on J itself, about 1e4, SLSQP stops with status 8 at 1
+    and at 2 BLAS threads.  It minimises s J, s = 1e3 / J(u0) at the
+    feasible start u0, reaches status 0, and the result and its log keep
+    J."""
+    base, scenario = io.load_bundled()
+    network, scenario = workloads.many_pipes(base, scenario, [77.0, 62.0])
+    simulator = Simulator(network, replace(scenario, dt=3600.0, pressure_bounds={
+        "S25_0": 41.0e5, "S25_1": 41.0e5}))
+    calls, minimize = [], scipy.optimize.minimize
+    monkeypatch.setattr(scipy.optimize, "minimize", lambda fun, x0, **kwargs:
+                        calls.append((fun, x0, kwargs["jac"]))
+                        or minimize(fun, x0, **kwargs))
+    result = opt.optimize(simulator)
+    assert result.status == 0 and result.min_margin_bar > 0.0
+    assert result.objective == pytest.approx(8299.74, rel=1e-5)
+    assert result.log[-1]["objective"] == pytest.approx(result.objective,
+                                                       rel=1e-6)
+    (fun, u0, jac), = calls
+    model = opt._Model(simulator)
+    j0 = model.evaluate(u0, derivatives=True)
+    assert j0.value > opt.OBJECTIVE_SCALE
+    assert fun(u0) == pytest.approx(opt.OBJECTIVE_SCALE, rel=1e-12)
+    np.testing.assert_allclose(jac(u0), opt.OBJECTIVE_SCALE / j0.value
+                               * j0.gradient, rtol=1e-12)
 
 
 @pytest.mark.parametrize("settings", [{"control_max": 0.0}, {"max_iter": 0}])
