@@ -81,8 +81,8 @@ def friction_factor_and_derivative(q, grid: PipeGrid):
     third-order steps from F = X2 - 0.2 reach machine precision;
     x = 1/sqrt(lam) = 2 F/ln10.  The derivative comes from implicit
     differentiation of the same equation.  Below REYNOLDS_ROUGH_LIMIT
-    Colebrook's value at that limit is returned with zero derivative.  d, eta, b and d/eta come per point from
-    grid.colebrook.
+    Colebrook's value at that limit is returned with zero derivative.  d,
+    eta, b and d/eta come per point from grid.colebrook.
     """
     diameter, eta, b, d_eta = grid.colebrook
     re, re_scaled, below = _reynolds(q, diameter, eta)

@@ -197,8 +197,9 @@ def test_scaled_objective_solves_two_bundled_copies(monkeypatch):
     J."""
     base, scenario = io.load_bundled()
     network, scenario = workloads.many_pipes(base, scenario, [77.0, 62.0])
-    simulator = Simulator(network, replace(scenario, dt=3600.0, pressure_bounds={
-        "S25_0": 41.0e5, "S25_1": 41.0e5}))
+    simulator = Simulator(network, replace(
+        scenario, dt=3600.0, pressure_bounds={"S25_0": 41.0e5,
+                                              "S25_1": 41.0e5}))
     calls, minimize = [], scipy.optimize.minimize
     monkeypatch.setattr(scipy.optimize, "minimize", lambda fun, x0, **kwargs:
                         calls.append((fun, x0, kwargs["jac"]))

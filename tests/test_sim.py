@@ -1774,3 +1774,32 @@ def test_dataclasses_with_arrays_compare_by_identity(make):
     assert (one == other) is False
     assert (one == one) is True
     assert len({one, other, one}) == 2
+
+
+def _ramp_pressure_at_outflow(cells, dt):
+    """Pressure at C of the toy network with a 20 km pipe in `cells` cells,
+    over 4 h in steps of dt, while C's outflow rises from 150 to 250
+    kg/(m^2 s) along a half cosine (sampled every 150 s), solved to 1e-12."""
+    horizon = 4 * 3600.0
+    t = np.linspace(0.0, horizon, 97)
+    outflow = 200.0 - 50.0 * np.cos(np.pi * t / horizon)
+    boundary = BoundaryData.from_breakpoints({
+        ("A", "pressure"): [(0.0, 60e5)],
+        ("C", "outflow"): list(zip(t, outflow))})
+    simulator = Simulator(make_toy_network(cells, 20000.0), Scenario(
+        horizon=horizon, dt=dt, boundary=boundary, newton_tol=1e-12))
+    return simulator.run().node_pressure("C", simulator.network.constants)
+
+
+def test_observed_orders_are_two_in_space_and_one_in_time():
+    """The box scheme is second order in space and implicit Euler first
+    order in time: on a smooth outflow ramp, the max-norm change of the
+    pressure at C between successive refinements falls 4-fold per halving
+    of the cells (4, 8, 16 cells at dt = 15 min) and 2-fold per halving of
+    dt (15, 7.5, 3.75 min in 4 cells), on the levels the runs share."""
+    space = [_ramp_pressure_at_outflow(4 * 2 ** k, 900.0) for k in range(3)]
+    time = [_ramp_pressure_at_outflow(4, 900.0 / 2 ** k)[::2 ** k]
+            for k in range(3)]
+    for runs, order in ((space, 2.0), (time, 1.0)):
+        coarse, fine = (np.abs(b - a).max() for a, b in zip(runs, runs[1:]))
+        assert np.log2(coarse / fine) == pytest.approx(order, abs=0.1)
