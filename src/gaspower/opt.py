@@ -35,7 +35,10 @@ class NoFeasibleStart(OptimizationError):
     pass
 
 
-# SLSQP minimises J scaled to this value at its feasible start, if J is larger
+# SLSQP tests ftol in absolute terms from an identity Hessian, so it
+# minimises J scaled down to this value at its feasible start: J of 1e3-1e5
+# kept it infeasible for most of the run and stopped it with status 8 on
+# many compressors, and scaling a smaller J up stopped it too
 OBJECTIVE_SCALE = 1.0e3
 
 
@@ -121,9 +124,7 @@ class _Model:
         bounds = sorted(scenario.pressure_bounds.items())
         self.p_min = np.array([p_min for _, p_min in bounds]).reshape(-1, 1)
         bound_cols = [asm.index.node_rho[node] for node, _ in bounds]
-        self.columns = np.unique(np.concatenate([bound_cols,
-                                                 asm.comp_cols.ravel()]
-                                                ).astype(int))
+        self.columns = np.union1d(bound_cols, asm.comp_cols).astype(int)
         self.bound_pos = np.searchsorted(self.columns, bound_cols)
         self.flux_pos = np.searchsorted(self.columns, asm.comp_cols[2])
         self._key = self._last = self._partials = None
@@ -197,11 +198,11 @@ def optimize(simulator: Simulator) -> OptimizationResult:
     its log keep J), subject to 0 <= u <= control_max and, at every time
     level, pressure margin - feasibility_tol_bar >= 0 at each bounded node
     and flux q >= 0 at each compressor, where the cost model holds (it has
-    no reverse flow).  A nonzero SLSQP status,
-    max_iter iterations included, raises OptimizationError with SLSQP's
-    message, and so does a returned control that violates a pressure
-    bound; a bound at a node that is not a gas node raises ValueError.  The
-    log has one row per call of SLSQP's iteration callback.
+    no reverse flow).  A nonzero SLSQP status, max_iter iterations
+    included, raises OptimizationError with SLSQP's message, and so does a
+    returned control that violates a pressure bound; a bound at a node
+    that is not a gas node raises ValueError.  The log has one row per call
+    of SLSQP's iteration callback.
     """
     # imported here: scipy.optimize adds about 15 MiB to every process
     # that imports gaspower, also those that only simulate
@@ -216,9 +217,6 @@ def optimize(simulator: Simulator) -> OptimizationResult:
                 "discontinuous at zero lift; optimize needs d0 = 0")
     model = _Model(simulator)
     u = _feasible_start(model, simulator.scenario.step_count)
-    # SLSQP tests ftol in absolute terms from an identity Hessian: J of
-    # 1e3-1e5 kept it infeasible for most of its iterations and stopped it
-    # short on many compressors (status 8); scaling up a small J did too
     scale = OBJECTIVE_SCALE / max(model.evaluate(u).value, OBJECTIVE_SCALE)
 
     log_rows = []
