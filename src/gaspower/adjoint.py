@@ -9,19 +9,23 @@ no grid row reads a gas unknown, the old level or the lift (see sim).
 So the grid's multipliers never reach the gas rows', and, as the lift
 enters the compressor rows alone, no control gradient reads them: the
 transposed (adjoint) system is solved backwards over the gas rows alone,
-with one factorization per level through the assembler's factors(), as
-in the forward Newton solve: the steady block and each step block
+with one factorization per level: the steady block and each step block
 condensed onto the network by lu.LevelCondensation (shooting along each
-pipe, with banded triangular substitutions, dtbtrs).  Each block is
+pipe, with banded triangular substitutions, dtbtrs).  Every state is
+known before a sweep starts, so _level_factors evaluates and condenses
+the levels in batches (BATCH_BYTES), one stacked condensation per batch,
+with one jacobian() call and one splu per level; only each level's solve
+and the carry to the next run in the sweep's order.  Each block is
 evaluated at the stored state with the lambda the forward run kept for
 it (sim.Trajectory.friction), dlambda/dq rebuilt from it, so no sweep
 solves Colebrook.  The total derivative of a scalar functional then
 needs no further linear solves.  The same gas blocks, solved forwards,
 give the state sensitivities to every control, whence the derivatives of
-many functionals follow at once; the grid's are zero.  A block the
+many functionals follow at once; the grid's are zero.  A state whose
+densities are not positive and finite raises ValueError, and a block the
 factors refuse (singular, or a pipe whose march grows past
-lu.MAX_MARCH_GROWTH) raises sim.SingularJacobian naming its level and
-time.
+lu.MAX_MARCH_GROWTH) sim.SingularJacobian, each naming the sweep, the
+level and its time: the first failing level in the sweep's order.
 """
 
 from __future__ import annotations
@@ -34,21 +38,62 @@ from scipy.sparse.linalg import splu
 from .sim import SimulationError, SingularJacobian, Simulator, Trajectory
 
 
-def _level_solve(simulator: Simulator, trajectory: Trajectory, n: int,
-                 rhs: np.ndarray, transposed: bool) -> np.ndarray:
-    """rhs solved with the gas block of level n (its transpose for the
-    adjoint): assembler.factors of the steady block at level 0 and of a
-    step block else, as in the forward Newton solve, at states[n] evaluated
-    with the trajectory's friction[n] instead of a new Colebrook solve."""
-    asm = simulator.assembler
-    it = asm.evaluate(trajectory.states[n, :asm.size], trajectory.friction[n])
-    try:
-        lu = asm.factors(it, simulator.scenario.dt, splu, n == 0)
-        return lu.solve_transposed(rhs) if transposed else lu.solve(rhs)
-    except RuntimeError as exc:     # a pipe's pivot or growth, or SuperLU
-        raise SingularJacobian(
-            f"{'adjoint' if transposed else 'tangent'} sweep, level {n} "
-            f"(t = {trajectory.times[n] / 3600.0:.2f} h): {exc}") from None
+# The most bytes of level Jacobian values a sweep condenses at once: 13
+# bundled levels (9.7 kB each), one on the benchmark's 10x networks (94-97
+# kB), where a stacked condensation measured slower than one per level.
+BATCH_BYTES = 2**17
+
+
+def _level_factors(simulator: Simulator, trajectory: Trajectory,
+                   sweep: str):
+    """(n, factors of level n's gas block) for each level n in the sweep's
+    order, M..0 for the "adjoint" sweep and 0..M for the "tangent" one:
+    assembler.level_block of the steady block at level 0 and of a step
+    block else, as in the forward Newton solve, at states[n] evaluated with
+    the trajectory's friction[n] instead of a new Colebrook solve.
+
+    Levels are evaluated, and condensed by one condensation.factors call,
+    in batches of at most BATCH_BYTES of Jacobian values, with one
+    jacobian() call and one splu per level; a batch of one level is
+    factored as the forward solve factors it (assembler.factors).  A level
+    whose densities are not positive and finite raises ValueError, and one
+    whose block the factors refuse SingularJacobian, each naming the first
+    such level in the sweep's order, as a sweep level by level would: a
+    batch that fails is done again one level at a time."""
+    asm, dt, m = simulator.assembler, simulator.scenario.dt, \
+        trajectory.step_count
+    levels = range(m, -1, -1) if sweep == "adjoint" else range(m + 1)
+    per_batch = max(1, BATCH_BYTES // (8 * len(asm.entries[0])))
+    batches = [levels[i:i + per_batch] for i in range(0, m + 1, per_batch)]
+    while batches:
+        batch = batches.pop(0)
+        if len(batch) == 1:
+            n = batch[0]
+            try:
+                lu = asm.factors(asm.evaluate(trajectory.states[n, :asm.size],
+                                              trajectory.friction[n]),
+                                 dt, splu, n == 0)
+            except (ValueError, RuntimeError) as exc:   # RuntimeError: lu's
+                kind = ValueError if isinstance(exc, ValueError) else \
+                    SingularJacobian
+                raise kind(f"{sweep} sweep, level {n} (t = "
+                           f"{trajectory.times[n] / 3600.0:.2f} h): {exc}"
+                           ) from None
+            yield n, lu
+            continue
+        rows = slice(batch.start, batch.stop if batch.stop >= 0 else None,
+                     batch.step)
+        try:
+            it = asm.evaluate(trajectory.states[rows, :asm.size],
+                              trajectory.friction[rows])
+            values = np.array([asm.level_block(level, dt, n == 0)
+                               for level, n in zip(it.levels(), batch)])
+            del it
+            factors = asm.condensation.factors(values, splu)
+        except (ValueError, RuntimeError):   # name the first failing level
+            batches[:0] = [batch[i:i + 1] for i in range(len(batch))]
+            continue
+        yield from zip(batch, factors)
 
 
 def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
@@ -68,9 +113,8 @@ def adjoint_sweep(simulator: Simulator, trajectory: Trajectory,
     xi = np.zeros((len(dj_dy), asm.size))
     carry = np.zeros(asm.size)   # (dE_{n+1}/dy_n)^T xi_{n+1}
     prev_t = asm.jac_prev.T      # CSC, shared by all levels
-    for n in range(trajectory.step_count, -1, -1):
-        xi[n] = _level_solve(simulator, trajectory, n,
-                             -dj_dy[n, :asm.size] - carry, transposed=True)
+    for n, lu in _level_factors(simulator, trajectory, "adjoint"):
+        xi[n] = lu.solve_transposed(-dj_dy[n, :asm.size] - carry)
         carry = prev_t @ xi[n]
     return xi
 
@@ -98,11 +142,10 @@ def state_sensitivities(simulator: Simulator, trajectory: Trajectory,
     sens = np.zeros((trajectory.states.shape[1], m + 1))
     asm = simulator.assembler
     gas = sens[:asm.size]
-    for n in range(m + 1):
+    for n, lu in _level_factors(simulator, trajectory, "tangent"):
         rhs = asm.jac_prev @ gas[:, :n + 1]   # zero at level 0
         rhs[:, n] += asm.d_du
-        gas[:, :n + 1] = -_level_solve(simulator, trajectory, n, rhs,
-                                       transposed=False)
+        gas[:, :n + 1] = -lu.solve(rhs)
         out[n] = sens[columns]
     return out
 

@@ -5,7 +5,13 @@ condensed onto the network unknowns by shooting along each pipe
 block lower triangular with bandwidth 3, so it needs no factorization
 and no pivoting: a banded triangular substitution (LAPACK dtbtrs) solves
 with it, and the caller's splu factors the network block before the
-factors are returned.  The steady block condenses too: its pipe block
+factors are returned.  LevelCondensation.factor condenses one level
+block, as each Newton iteration needs, and LevelCondensation.factors a
+stack of them at once, as the sweeps do: their pipe blocks stacked level
+after level form one band, zero at each pipe's first interval, so one
+dtbtrs substitutes B for every level, the levels do not couple, and each
+level's factors are those factor() gives it, to the bit.  The steady
+block condenses too: its pipe block
 stays regular at stagnation (at exact stagnation the network block is
 singular, as the whole block is).
 
@@ -49,17 +55,21 @@ class CondensedFactors:
     pipe block after the row operation and scaling, and B, C and D, the
     blocks of the pipe rows by the network unknowns, of the network rows by
     the pipe unknowns and of the network rows by the network unknowns.
-    LevelCondensation.factors builds them all: x = X = L^-1 B, B's two
-    columns (q_0, rho_0) substituted once, and lu, SuperLU's factors of S^T
-    for S = D - C X.  A solve substitutes its right-hand sides alone, one
-    dtbtrs on L (two on L^T for J^T), in one buffer whose rows are the
-    band's, the network's and the from-coupling's (rho_0's), in
-    LevelCondensation's order, and changes no factor."""
+    LevelCondensation.factor(s) builds them all: x = X = L^-1 B, B's two
+    columns (q_0, rho_0) substituted once, each as a column, x_ends its
+    rho_0 column's rows at each pipe's to-end (q_N, rho_N), and lu,
+    SuperLU's factors of S^T for S = D - C X; b_vals, B's values per pipe,
+    and x_ends have a trailing axis for the right-hand sides' columns.  A
+    solve substitutes its right-hand sides alone, one dtbtrs on L (two on
+    L^T for J^T), in one buffer whose rows are the band's, the network's
+    and the from-coupling's (rho_0's), in LevelCondensation's order, and
+    changes no factor."""
 
-    def __init__(self, cond: "LevelCondensation", ab, scales, b_vals, x, lu):
+    def __init__(self, cond: "LevelCondensation", ab, scales, b_vals, x,
+                 x_ends, lu):
         self.cond, self.ab, (self.tau, self.inv_m, self.inv_mom) = \
             cond, ab, scales
-        self.b_vals, self.x, self.lu = b_vals, x, lu
+        self.b_vals, self.x, self.x_ends, self.lu = b_vals, x, x_ends, lu
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """J^-1 b: rho_0 = rho_from + b_from by each from-coupling row, so
@@ -75,14 +85,14 @@ class CondensedFactors:
         x = _substitute(self.ab, flat.T, "N")
         y, rho_0 = x[n:-pipes], x[-pipes:]
         ends = x[k.end_rows].reshape(pipes, 2, cols) \
-            - self.x[k.end_rows, 1:].reshape(pipes, 2, 1) * rho_0[:, None]
+            - self.x_ends * rho_0[:, None]
         y += k.net_sums(k.minus_c * ends, k.end_net)
         y[:] = self.lu.solve(y, trans="T")
         rho_0 += y[k.from_net]
         g = np.repeat(x[k.start_rows].reshape(pipes, 2, cols), k.sizes,
                       0)                # q_0, rho_0 per band row
         z = x[:n]
-        z -= self.x[:, :1] * g[:, 0] + self.x[:, 1:] * g[:, 1]
+        z -= self.x[0] * g[:, 0] + self.x[1] * g[:, 1]
         return x.take(k.perm, 0).reshape(b.shape)
 
     def solve_transposed(self, c: np.ndarray) -> np.ndarray:
@@ -97,7 +107,7 @@ class CondensedFactors:
         pipes, cols = len(k.sizes), len(flat)
         v = _substitute(self.ab, flat.T, "T")
         w, mu = v[n:-pipes], v[-pipes:]
-        b_vals = self.b_vals[..., None]     # B^T v per pipe: q_0, rho_0
+        b_vals = self.b_vals     # B^T v per pipe: q_0, rho_0
         at = (b_vals * v[k.first_rows].reshape(-1, 2, 1, cols)).sum(1)
         at[:, 1] -= mu
         w -= k.net_sums(at, k.start_net)
@@ -133,7 +143,7 @@ class LevelCondensation:
     values, whose mass rows do not read rho) has no rho_R entry, so the
     block is lower triangular with bandwidth 3, with pivots det(D_i) /
     M_rhoR and M_rhoR for the interval's 2x2 block D_i; each row is scaled
-    to a unit diagonal.  `factors` reads J's values in the assembler's
+    to a unit diagonal.  `factor` reads J's values in the assembler's
     entry order (the box stencil leads: mass rows by rho_L, rho_R, q_L,
     q_R, then momentum rows alike); `rows` and `cols` give each entry's
     row and column, whence D, and `c` each pipe end's balance entry.
@@ -221,31 +231,47 @@ class LevelCondensation:
         return np.bincount(at, per_end.ravel(), self.net * k).reshape(-1, k)
 
     def _zero_pivot(self, pivots: np.ndarray):
+        n = len(self._band_take) // 8
         pipe = self.names[np.searchsorted(
-            self.stops, np.flatnonzero(pivots == 0)[0], "right")]
+            self.stops, np.flatnonzero(pivots == 0)[0] % n, "right")]
         raise RuntimeError(f"zero pivot in the pipe block of pipe {pipe}")
 
-    def factors(self, values, splu) -> CondensedFactors:
-        """Factors of the level Jacobian `values` (read, not copied); a zero
-        pivot, a march grown past MAX_MARCH_GROWTH or a singular S (`splu`
-        factors S^T) raises RuntimeError."""
-        n = len(self._band_take) // 8
-        vals = values[:8 * n].reshape(8, n)  # m, M by rho_L, rho_R, q_L, q_R
-        if np.count_nonzero(vals[5]) < n:
+    def _grown(self, growth: np.ndarray):
+        at = growth.max(1).argmax()
+        raise RuntimeError(
+            f"march growth {growth[at].max():.3g} along pipe "
+            f"{self.names[at % len(self.names)]} exceeds "
+            f"{MAX_MARCH_GROWTH:.0e}: dt is too short for its shooting")
+
+    def _scale(self, vals, scaled):
+        """The pipe rows' scaled values, into `scaled`, from their values
+        `vals` (m, M by rho_L, rho_R, q_L, q_R, each by interval, of one
+        level or of each level of a stack): the mass row less tau times the
+        momentum row, each row by its pivot; returns (tau, 1/pivot of the
+        mass rows, of the momentum rows).  A zero pivot raises RuntimeError
+        naming the pipe."""
+        if np.count_nonzero(vals[5]) < vals[5].size:
             self._zero_pivot(vals[5])
         tau = vals[1] / vals[5]
-        src = np.empty(8 * n + 1)
-        scaled = src[:-1].reshape(8, n)
         np.multiply(tau, vals[4:], out=scaled[:4])
         np.subtract(vals[:4], scaled[:4], out=scaled[:4])
-        if np.count_nonzero(scaled[3]) < n:
+        if np.count_nonzero(scaled[3]) < vals[5].size:
             self._zero_pivot(scaled[3])
         inv_m, inv_mom = 1.0 / scaled[3], 1.0 / vals[5]
         scaled[:4] *= inv_m
         np.multiply(vals[4:], inv_mom, out=scaled[4:])
+        return tau, inv_m, inv_mom
+
+    def factor(self, values, splu) -> CondensedFactors:
+        """Factors of the level Jacobian `values` (read, not copied); a zero
+        pivot, a march grown past MAX_MARCH_GROWTH or a singular S (`splu`
+        factors S^T) raises RuntimeError."""
+        n = len(self._band_take) // 8
+        src = np.empty(8 * n + 1)
+        tau, inv_m, inv_mom = self._scale(values[:8 * n].reshape(8, n),
+                                          src[:-1].reshape(8, n))
         src[-1] = 0.0
         ab = src.take(self._band_take).reshape(-1, 4).T
-        b_vals = src.take(self._b_take).reshape(-1, 2, 2)
         x = _substitute(ab, src.take(self._x_take).T, "N")
         # X's rows at each pipe's to-end (q_N, rho_N), which C reads
         ends = x[self.end_rows].reshape(-1, 2, 2)
@@ -253,14 +279,52 @@ class LevelCondensation:
         # least half the trace, the growing mode's eigenvalue
         growth = np.abs(ends.reshape(-1, 4)[:, ::3])
         if growth.max() > MAX_MARCH_GROWTH:
-            pipe = growth.max(1).argmax()
-            raise RuntimeError(
-                f"march growth {growth[pipe].max():.3g} along pipe "
-                f"{self.names[pipe]} exceeds {MAX_MARCH_GROWTH:.0e}: dt is "
-                f"too short for its shooting")
+            self._grown(growth)
         self.schur.data = np.bincount(self.schur_slots, np.concatenate(
             [values[self._d_take], (self.minus_c * ends).ravel()]),
             minlength=len(self.schur.indices))
         return CondensedFactors(
             self, ab, (tau[:, None], inv_m[:, None], inv_mom[:, None]),
-            b_vals, x, splu(self.schur, panel_size=LU_PANEL_SIZE))
+            src.take(self._b_take).reshape(-1, 2, 2, 1),
+            (x[:, :1], x[:, 1:]), ends[:, :, 1:],
+            splu(self.schur, panel_size=LU_PANEL_SIZE))
+
+    def factors(self, values, splu) -> list[CondensedFactors]:
+        """Factors of a stack of level Jacobians, `values` of shape
+        (levels, entries) (read, not copied): one CondensedFactors per
+        level, each as factor() gives it.  The scaling, the band, B, the
+        growth test and S's values are built once for the stack, and
+        X = L^-1 B by one dtbtrs on the band stacked level after level
+        (levels do not couple: the band is zero at each pipe's first
+        interval); `splu` factors each level's S^T.  A zero pivot, a march
+        grown past MAX_MARCH_GROWTH or a singular S at any level raises
+        RuntimeError, naming the pipe where it is one's."""
+        levels, n = len(values), len(self._band_take) // 8
+        band, pipes = 2 * n, len(self.names)
+        src = np.empty((levels, 8 * n + 1))   # level after level
+        scales = self._scale(  # each (levels, intervals)
+            values[:, :8 * n].reshape(levels, 8, n).transpose(1, 0, 2),
+            src[:, :-1].reshape(levels, 8, n).transpose(1, 0, 2))
+        src[:, -1] = 0.0
+        ab = src.take(self._band_take, 1).reshape(-1, 4).T
+        x = _substitute(ab, src.take(self._x_take, 1).transpose(1, 0, 2)
+                        .reshape(2, -1).T, "N")
+        ends = x.reshape(levels, band, 2)[:, self.end_rows].reshape(
+            levels, pipes, 2, 2)
+        growth = np.abs(ends.reshape(-1, 4)[:, ::3])
+        if growth.max() > MAX_MARCH_GROWTH:
+            self._grown(growth)
+        schur = np.concatenate([values[:, self._d_take],
+                                (self.minus_c * ends).reshape(levels, -1)], 1)
+        b_vals = src.take(self._b_take, 1).reshape(levels, pipes, 2, 2, 1)
+        scales = np.array(scales)[..., None]
+        x = x.T.reshape(2, levels, band, 1)
+        out = []
+        for k in range(levels):
+            self.schur.data = np.bincount(self.schur_slots, schur[k],
+                                          len(self.schur.indices))
+            out.append(CondensedFactors(
+                self, ab[:, k * band:(k + 1) * band], scales[:, k], b_vals[k],
+                x[:, k], ends[k, :, :, 1:],
+                splu(self.schur, panel_size=LU_PANEL_SIZE)))
+        return out

@@ -28,17 +28,20 @@ balances, pressure coupling, compressor rows and node injections are read,
 and the entries of dR/dy_next, so an iterate pays only for the guards on
 its own values and a step Jacobian is its values in that entry order, no
 matrix; dR/dy_prev (CSR, two old-level columns per box row) and dR/du are
-constant.  factors() factors a level block, for Newton and the adjoint
-sweeps alike: a step block dR/dy_next, or the steady block, which adds
-dR/dy_prev's values, by lu.LevelCondensation straight from its values
-(shooting along each pipe by LAPACK dtbtrs; the caller's splu factors
-the network block of nodes, compressors and each pipe's from-end flow).
+constant.  level_block() gives a level block's values, a step block
+dR/dy_next or the steady block, which adds dR/dy_prev's values, and
+factors() factors one for Newton by lu.LevelCondensation.factor straight
+from its values (shooting along each pipe by LAPACK dtbtrs; the caller's
+splu factors the network block of nodes, compressors and each pipe's
+from-end flow); the sweeps (see adjoint) evaluate a stack of levels at
+once, as evaluate() takes one level or a stack of them, and condense it
+by lu.LevelCondensation.factors.
 The residual reads its linear rows (pressure coupling, boundary rows,
 node balances) off the Jacobian's constant entries, one bincount.
 After set-up the assembler holds no state but the network block's
-values, which every factors() call rewrites before its splu
-(lu.LevelCondensation.factors refills schur.data), so one assembler, and
-so one Simulator, factors one block at a time.  evaluate(y) returns an
+values, which every factorization rewrites before its splu
+(lu.LevelCondensation refills schur.data), so one assembler, and so one
+Simulator, factors one block at a time.  evaluate(y) returns an
 Iterate, y with its Colebrook friction and its pointwise gas terms
 (gas.point_terms), once the densities pass the one admissibility test,
 and the residual and the Jacobian at y both read it, so each iterate's
@@ -259,6 +262,12 @@ class Iterate(NamedTuple):
     factors: object = None   # lu.CondensedFactors
     factorizations: int = 0
 
+    def levels(self):
+        """The Iterate of each level of one that evaluate() built on a
+        stack of levels, in order."""
+        for y, lam, dlam, *terms in zip(self.y, *self.friction, *self.terms):
+            yield Iterate(y, (lam, dlam), gas.PointTerms(*terms))
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -266,7 +275,8 @@ class Trajectory:
 
     friction[n] holds Colebrook's lambda at each grid point of states[n],
     as the forward solve evaluated it, so the sweeps over the trajectory
-    (adjoint._level_solve) need not solve Colebrook again.
+    (adjoint._level_factors, which evaluates batches of levels) need not
+    solve Colebrook again.
     That invariant is the caller's to keep: a trajectory made with
     dataclasses.replace(states=...) keeps the old friction.  Simulator.run
     makes states and friction read-only.  newton_iterations, step_halvings
@@ -508,15 +518,17 @@ class CoupledStepAssembler:
     # -- evaluation, residual and jacobian ---------------------------------
 
     def evaluate(self, y: np.ndarray, friction=None) -> Iterate:
-        """The Iterate of the gas unknowns y (not copied): Colebrook's
+        """The Iterate of the gas unknowns y (not copied), one level or a
+        stack of them (levels, size), whose levels() gives each: Colebrook's
         (lambda, dlambda/dq) at its grid points, solved unless `friction`
         gives lambda (a trajectory's friction[n] for its states[n]), and the
         gas.point_terms on them.  A pipe or node density that is not
         positive and finite raises ValueError (gas.check_densities, run
-        once, on y[positive]): the Newton solves' one admissibility test."""
+        once, on y's positive entries): the Newton solves' one admissibility
+        test."""
         n, grid = self.n_points, self.grid
-        rho, q = y[:n], y[n:2 * n]
-        gas.check_densities(y[self.positive])
+        rho, q = y[..., :n], y[..., n:2 * n]
+        gas.check_densities(y.take(self.positive, -1))
         friction = gas.friction_factor_and_derivative(q, grid) if friction \
             is None else (friction, gas.friction_derivative(q, friction, grid))
         return Iterate(y, friction,
@@ -559,7 +571,7 @@ class CoupledStepAssembler:
 
     def jacobian(self, it: Iterate, dt: float) -> np.ndarray:
         """dR/dy_next at it, rows scaled like residual(): its values in the
-        order of `entries`, which condensation.factors reads.  dR/dy_prev
+        order of `entries`, which the condensation reads.  dR/dy_prev
         and dR/du are constant: the read-only attributes jac_prev (CSR,
         two entries per box row) and d_du."""
         dp_in, dp_out = gas.dpressure_drho(it.y[self.comp_cols[:2]],
@@ -569,14 +581,20 @@ class CoupledStepAssembler:
         values *= self._entry_scale
         return values
 
-    def factors(self, it: Iterate, dt: float, splu, steady: bool):
-        """condensation.factors of the level block at it (`splu` factors
-        its network block): dR/dy_next, or the steady block, which adds the
-        values of dR/dy_prev in the same entry order."""
+    def level_block(self, it: Iterate, dt: float, steady: bool):
+        """The values of the level block at it: dR/dy_next (jacobian()),
+        or the steady block, which adds the values of dR/dy_prev in the
+        same entry order."""
         values = self.jacobian(it, dt)
         if steady:
             values += self._prev_values
-        return self.condensation.factors(values, splu)
+        return values
+
+    def factors(self, it: Iterate, dt: float, splu, steady: bool):
+        """condensation.factor of the level block at it (`splu` factors its
+        network block)."""
+        return self.condensation.factor(self.level_block(it, dt, steady),
+                                        splu)
 
 
 def _damped_newton(assembler: CoupledStepAssembler, y_prev, b, dt: float,

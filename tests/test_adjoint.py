@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import gaspower.adjoint as adjoint_mod
 from gaspower import gas, opt
@@ -407,37 +408,133 @@ def test_one_factorization_per_level_for_sensitivities(toy, monkeypatch):
     assert len(calls) == trajectory.step_count + 1
 
 
-@pytest.mark.parametrize("level", [0, 2])
+@pytest.mark.parametrize("level", [
+    0, 2, pytest.param((1, 3), id="pivot1-singular3"),
+    pytest.param((3, 1), id="pivot3-singular1")])
 @pytest.mark.parametrize("sweep", ["adjoint", "tangent"])
 def test_singular_level_block_names_the_level(monkeypatch, sweep, level):
     """A singular level block raises SingularJacobian naming the sweep, the
     level and its time: P2's last flow column zeroed in a step level's
     pipe block gives a zero pivot there, and its first flow column (a
     network unknown) zeroed in the steady block an exactly singular
-    SuperLU factor of the network block."""
+    SuperLU factor of the network block.  With two failing levels in one
+    batch, a zero pivot at the first and a network block made singular at
+    the second (the same column zeroed in a step block), the adjoint sweep
+    names the higher level and the tangent sweep the lower, as sweeps
+    level by level would."""
     simulator = Simulator(make_mixed_network(),
                           make_toy_scenario(steps=3, outflow_flux=60.0))
     trajectory = simulator.run(np.linspace(1.0e5, 1.6e5, 4))
-    asm, at = simulator.assembler, trajectory.states[level]
+    asm = simulator.assembler
+    assert adjoint_mod.BATCH_BYTES // (8 * len(asm.entries[0])) >= 4
+    pivot, singular = level if isinstance(level, tuple) else (
+        (level, None) if level else (None, level))
     # the Jacobian entries in the column of P2's first flow
     q0 = asm.entries[1] == asm.index.pipe_q["P2"].start
     jacobian = asm.jacobian
 
-    def singular(it, dt):
+    def failing(it, dt):
         values = jacobian(it, dt)
-        if not np.array_equal(it.y, at):
-            return values
-        if level:
+        at = lambda n: n is not None and np.array_equal(
+            it.y, trajectory.states[n])
+        if at(pivot):
             return zero_flow_column(asm, values, "P2")
-        values[q0] = -asm._prev_values[q0]  # zero in the steady block
+        if at(singular):   # zero in the steady block, or in a step block
+            values[q0] = -asm._prev_values[q0] if singular == 0 else 0.0
         return values
 
-    monkeypatch.setattr(asm, "jacobian", singular)
-    cause = "pipe P2" if level else "Factor is exactly singular"
+    monkeypatch.setattr(asm, "jacobian", failing)
+    named = [n for n in (pivot, singular) if n is not None]
+    named = max(named) if sweep == "adjoint" else min(named)
+    cause = "pipe P2" if named == pivot else "Factor is exactly singular"
     with pytest.raises(SingularJacobian, match=rf"^{sweep} sweep, level "
-                       rf"{level} \(t = {0.25 * level:.2f} h\): .*{cause}$"):
+                       rf"{named} \(t = {0.25 * named:.2f} h\): .*{cause}$"):
         if sweep == "adjoint":
             adjoint_sweep(simulator, trajectory,
                           np.ones_like(trajectory.states))
         else:
             state_sensitivities(simulator, trajectory, [0])
+
+
+@pytest.mark.parametrize("sweep", ["adjoint", "tangent"])
+def test_non_positive_density_names_the_level(sweep):
+    """A state whose density is not positive raises ValueError naming the
+    sweep, the level and its time, in both sweeps."""
+    simulator = Simulator(make_mixed_network(),
+                          make_toy_scenario(steps=3, outflow_flux=60.0))
+    trajectory = simulator.run(np.linspace(1.0e5, 1.6e5, 4))
+    states = trajectory.states.copy()
+    states[2, simulator.assembler.node_rows[0]] = -1.0
+    trajectory = replace(trajectory, states=states)
+    with pytest.raises(ValueError, match=rf"^{sweep} sweep, level 2 \(t = "
+                       r"0\.50 h\): densities must be positive and finite$"):
+        if sweep == "adjoint":
+            adjoint_sweep(simulator, trajectory, np.ones_like(states))
+        else:
+            state_sensitivities(simulator, trajectory, [0])
+
+
+@pytest.fixture(scope="module")
+def bundled_run(bundled):
+    """The bundled case under a lift varying in time, with its cost
+    partials."""
+    simulator = Simulator(*bundled)
+    control = np.linspace(2.0e5, 8.0e5, simulator.scenario.step_count + 1)
+    trajectory = simulator.run(control)
+    _, dj_dy, dj_du = opt.cost_partials(simulator, trajectory)
+    return simulator, trajectory, dj_dy, dj_du
+
+
+def level_by_level(simulator, trajectory, dj_dy, dj_du, columns):
+    """xi, total_gradient and state_sensitivities rebuilt from one-level
+    assembler.evaluate and assembler.factors calls."""
+    asm, m = simulator.assembler, trajectory.step_count
+    lus = [asm.factors(asm.evaluate(trajectory.states[n, :asm.size],
+                                    trajectory.friction[n]),
+                       simulator.scenario.dt, splu, n == 0)
+           for n in range(m + 1)]
+    xi, carry = np.zeros((m + 1, asm.size)), np.zeros(asm.size)
+    for n in range(m, -1, -1):
+        xi[n] = lus[n].solve_transposed(-dj_dy[n, :asm.size] - carry)
+        carry = asm.jac_prev.T @ xi[n]
+    out = np.zeros((m + 1, len(columns), m + 1))
+    sens = np.zeros((trajectory.states.shape[1], m + 1))
+    for n in range(m + 1):
+        rhs = asm.jac_prev @ sens[:asm.size, :n + 1]
+        rhs[:, n] += asm.d_du
+        sens[:asm.size, :n + 1] = -lus[n].solve(rhs)
+        out[n] = sens[columns]
+    return xi, dj_du + xi @ asm.d_du, out
+
+
+@pytest.mark.parametrize("per_batch", ["one", "few", "all"])
+@pytest.mark.parametrize("case", ["toy", "bundled"])
+def test_sweeps_match_level_by_level_factors(case, per_batch, toy,
+                                             bundled_run, monkeypatch):
+    """Both sweeps, and the gradient, equal to the bit a reference that
+    evaluates and factors each level alone, with batches of one level, of
+    two or three, and of all levels; no batch is done again level by
+    level (one evaluate call per batch)."""
+    if case == "toy":
+        simulator, trajectory = toy
+        _, dj_dy, dj_du = opt.cost_partials(simulator, trajectory)
+    else:
+        simulator, trajectory, dj_dy, dj_du = bundled_run
+    asm, levels = simulator.assembler, len(trajectory.times)
+    size = {"one": 1, "few": 2 if case == "toy" else 3, "all": levels}[
+        per_batch]
+    monkeypatch.setattr(adjoint_mod, "BATCH_BYTES",
+                        size * 8 * len(asm.entries[0]))
+    columns = np.concatenate([asm.node_rows, asm.comp_cols[2]])
+    xi, grad, sens = level_by_level(simulator, trajectory, dj_dy, dj_du,
+                                    columns)
+    calls, evaluate = [], asm.evaluate
+    monkeypatch.setattr(asm, "evaluate",
+                        lambda *args: calls.append(1) or evaluate(*args))
+    got = adjoint_sweep(simulator, trajectory, dj_dy)
+    assert np.array_equal(got, xi)
+    assert np.array_equal(total_gradient(simulator, trajectory, got, dj_du),
+                          grad)
+    assert np.array_equal(
+        state_sensitivities(simulator, trajectory, columns), sens)
+    assert len(calls) == 2 * -(-levels // size)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
+from gaspower import adjoint as adjoint_mod
 from gaspower import gas
 from gaspower import io as gio
 from gaspower import lu as lu_mod
@@ -1062,8 +1063,8 @@ class TestMixedGeometryJacobian:
 def test_one_density_check_per_evaluation(bundled_simulator, monkeypatch):
     """gas.check_densities, the one admissibility test, runs exactly once
     per assembler.evaluate call and nowhere else: over a run (the steady
-    start, the predictions, the candidates), both sweeps, and a warm start
-    that evaluate refuses."""
+    start, the predictions, the candidates), both sweeps (one call per
+    batch of levels), and a warm start that evaluate refuses."""
     simulator, asm = bundled_simulator, bundled_simulator.assembler
     checks, per_call = [], []
     check, evaluate = gas.check_densities, asm.evaluate
@@ -1085,7 +1086,9 @@ def test_one_density_check_per_evaluation(bundled_simulator, monkeypatch):
     _, dj_dy, _ = opt.cost_partials(simulator, trajectory)
     adjoint_sweep(simulator, trajectory, dj_dy)
     state_sensitivities(simulator, trajectory, asm.node_rows)
-    assert len(per_call) == run_calls + 2 * len(trajectory.times)
+    per_batch = adjoint_mod.BATCH_BYTES // (8 * len(asm.entries[0]))
+    batches = -(-len(trajectory.times) // max(1, per_batch))
+    assert len(per_call) == run_calls + 2 * batches
     y_prev = trajectory.states[0, :asm.size]
     bad = y_prev.copy()
     bad[asm.node_rows[0]] = np.nan
@@ -1255,8 +1258,10 @@ class TestFixedPattern:
                                         uncontrolled_trajectory, monkeypatch):
         """A level Jacobian stays a flat array of values, which
         condensation.factors reads: Newton's steps, the steady iterations
-        and the adjoint sweep build no CSR matrix.  All go through
-        factors(), whose steady flag says which block it factors."""
+        and the adjoint sweep build no CSR matrix.  Newton goes through
+        factors(), whose steady flag says which block it factors; the
+        sweep calls jacobian() once per level and factors its levels in
+        batches (adjoint.BATCH_BYTES)."""
         asm, dt = bundled_simulator.assembler, bundled_simulator.scenario.dt
         states, calls = uncontrolled_trajectory.states, []
         assert not hasattr(asm, "matrix")
@@ -1282,7 +1287,7 @@ class TestFixedPattern:
         calls.clear()
         adjoint_sweep(bundled_simulator, uncontrolled_trajectory,
                       np.ones_like(states))
-        assert calls == step * (len(states) - 1) + steady
+        assert calls == ["jacobian"] * len(states)
 
     def test_learned_order_changes_no_bit(self, step):
         """Two condensed factorizations of one step block, each ordering
@@ -1290,7 +1295,7 @@ class TestFixedPattern:
         directions."""
         asm, snap, y0, y1, _ = step
         values = asm.jacobian(asm.evaluate(y1), 900.0)
-        first, second = (asm.condensation.factors(values, splu)
+        first, second = (asm.condensation.factor(values, splu)
                          for _ in range(2))
         rhs = np.random.default_rng(7).standard_normal((asm.size, 3))
         for b in (rhs[:, 0], rhs):
@@ -1585,6 +1590,49 @@ def test_march_growth_past_the_bound_names_the_pipe(caplog):
         asm.factors(asm.evaluate(y), 20.0, splu, False)
     with pytest.raises(SimulationError, match="step 1 .* pipe P25 exceeds"):
         simulator.run([0.0, 1.0e5, 1.0e5])    # a lift step: Newton factors
+
+
+def test_stacked_factors_solve_as_each_level_alone(bundled_simulator,
+                                                   uncontrolled_trajectory):
+    """LevelCondensation.factors on a stack of levels (the bundled run's
+    steady block and four step blocks) gives each level the factors that
+    LevelCondensation.factor gives it alone: solve and solve_transposed
+    agree to the bit, for one right-hand side and for three."""
+    asm, dt = bundled_simulator.assembler, bundled_simulator.scenario.dt
+    states = uncontrolled_trajectory.states
+    values = np.array([asm.level_block(asm.evaluate(states[n, :asm.size]),
+                                       dt, n == 0) for n in range(5)])
+    stacked = asm.condensation.factors(values, splu)
+    assert len(stacked) == len(values)
+    rhs = np.random.default_rng(48).standard_normal((asm.size, 3))
+    for n, lu in enumerate(stacked):
+        alone = asm.condensation.factor(values[n], splu)
+        for b in (rhs[:, 0], rhs):
+            assert np.array_equal(lu.solve(b), alone.solve(b))
+            assert np.array_equal(lu.solve_transposed(b),
+                                  alone.solve_transposed(b))
+
+
+def test_a_failing_level_in_a_stack_names_its_pipe():
+    """A zero pivot (of a momentum row, or of a mass row after the row
+    operation) or a march grown past lu.MAX_MARCH_GROWTH at the middle
+    level of a stack of three raises RuntimeError naming the pipe."""
+    asm, y, _ = mixed_start()
+    values = asm.jacobian(asm.evaluate(y), 900.0)
+    momentum = values.copy()
+    n = len(asm.grid.left)
+    momentum[5 * n + np.flatnonzero(
+        asm.grid.left == asm.index.pipe_rho["P2"].start)[0]] = 0.0
+    for middle in (momentum, zero_flow_column(asm, values.copy(), "P2")):
+        with pytest.raises(RuntimeError,
+                           match="^zero pivot in the pipe block of pipe P2$"):
+            asm.condensation.factors(np.array([values, middle, values]),
+                                     splu)
+    _, _, asm, y = _long_pipes_level(20.0)
+    it = asm.evaluate(y)
+    fine, grown = (asm.jacobian(it, dt) for dt in (900.0, 20.0))
+    with pytest.raises(RuntimeError, match="along pipe P25 exceeds 5e"):
+        asm.condensation.factors(np.array([fine, grown, fine]), splu)
 
 
 def test_far_off_dt_dx_sets_up_without_a_log_record(caplog):
